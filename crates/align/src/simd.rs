@@ -6,11 +6,11 @@
 //! lanes; the proven CPU analogue (minimap2's KSW2) is a saturating
 //! low-precision striped inner loop with escalation to a wider type on
 //! overflow. This module does the same with *portable* fixed-width
-//! chunks — `[i16; LANES]` and `[i8; LANES8]` arrays with saturating
-//! arithmetic, which LLVM auto-vectorizes to whatever SIMD width the
-//! host offers — while keeping the exact bounds, pruning, trimming,
-//! tie-break and termination logic of the scalar ground truth
-//! [`xdrop_extend`](crate::xdrop::xdrop_extend).
+//! chunks — `[i16; LANES]` and `[Biased8; LANES8]` arrays with
+//! saturating arithmetic, which LLVM auto-vectorizes to whatever SIMD
+//! width the host offers — while keeping the exact bounds, pruning,
+//! trimming, tie-break and termination logic of the scalar ground
+//! truth [`xdrop_extend`](crate::xdrop::xdrop_extend).
 //!
 //! # The tier ladder (DESIGN.md §14)
 //!
@@ -25,6 +25,24 @@
 //! [`Engine`] picks a tier ([`Engine::Adaptive`] picks per pair); every
 //! tier is bit-identical to scalar, so the choice is purely a
 //! performance knob.
+//!
+//! # One row kernel, vector-only anti-diagonals
+//!
+//! The two SIMD tiers are one stepper ([`LaneState`]) and one row
+//! kernel, written once over the lane element ([`Lane`]) and the lane
+//! count and monomorphised for `i16 × 16` and [`Biased8`]` × 32`. Like
+//! the GPU kernel — which gives every cell of an anti-diagonal a lane
+//! and idles the lanes past its end — the row kernel never drops to a
+//! serial loop: the interior of an anti-diagonal is rounded *up* to whole
+//! chunks, the five operand rows are sliced once, only full-width
+//! chunks run, and the lanes of the last chunk that lie past the band
+//! are forced to −∞ before they are reduced or stored. The loads those
+//! lanes make land in padding (one chunk behind each sequence buffer
+//! and profile, a chunk of sentinels around each anti-diagonal); only the
+//! two boundary cells (`i = 0`, `j = 0`), which have a single parent,
+//! are computed apart. The substitution source (DNA compare-select or
+//! query-profile gather) is chosen once per anti-diagonal, outside the
+//! chunk loop.
 //!
 //! # Bit-for-bit equality, by construction
 //!
@@ -65,8 +83,8 @@
 //! that `logan-core`'s simulated GPU kernel can drive the same compute
 //! while accounting SIMT costs per iteration (see
 //! `logan_core::kernel::logan_block_extend_simd`). [`xdrop_extend_simd`]
-//! is the plain "run to completion" wrapper; [`Simd8State`] mirrors the
-//! same shape for the i8 tier.
+//! is the plain "run to completion" wrapper; [`Simd8State`] is the same
+//! stepper at i8 plus the escalation watch.
 //!
 //! # Tier telemetry
 //!
@@ -88,15 +106,12 @@ use serde::{Deserialize, Serialize};
 pub const LANES: usize = 16;
 
 /// Padding (in cells) kept on both sides of every anti-diagonal buffer
-/// so chunked loads of `i−1`/`i` neighbours never need a range check:
+/// — one chunk of the widest tier — so neither the `i − 1` neighbour
+/// loads nor the row kernel's rounded-up last chunk need a range check:
 /// out-of-band reads land in the pad and read as −∞.
-const PAD: usize = LANES;
+const PAD: usize = LANES8;
 
-/// The i16 "−∞" sentinel, chosen (like the scalar `NEG_INF`) far enough
-/// from `i16::MIN` that adding a penalty cannot wrap before saturation.
-const NEG_INF16: i16 = i16::MIN / 2;
-
-/// Row stride of the i16 query profile (`SimdScratch::qprof16`): the
+/// Row stride of the query profile (`Scratch::qprof`): the
 /// smallest power of two holding every alphabet (20 amino acids), so
 /// the gather's row offset is a shift and masking a symbol code with
 /// `PROF_STRIDE − 1` provably stays inside the row — which lets the
@@ -116,24 +131,16 @@ pub const SIMD_MAX_SCORE: i32 = i16::MAX as i32;
 /// Largest magnitude the i16 kernel accepts for `x + max_score` and the
 /// per-cell penalties (see [`simd_eligible`]). Unlike the best-score
 /// bound this one *is* tied to the −∞ sentinel: a value derived from a
-/// pruned parent (`NEG_INF16 + max_score`) must still sit below the
+/// pruned parent (`NEG_INF + max_score`) must still sit below the
 /// X-drop threshold `best − x ≥ −x`, which requires
-/// `x + max_score ≤ −NEG_INF16 − 1`; and sums of live parents
+/// `x + max_score ≤ −NEG_INF − 1`; and sums of live parents
 /// (`≥ −x ≥ −SIMD_MAX_X`) with penalties of at most this magnitude stay
 /// above `i16::MIN`, so they never saturate low.
-pub const SIMD_MAX_X: i32 = -(NEG_INF16 as i32) - 1;
+pub const SIMD_MAX_X: i32 = -(<i16 as Lane>::NEG_INF as i32) - 1;
 
 /// Number of `i8` lanes processed per chunk: 32 lanes = one 256-bit
 /// vector of bytes, twice the cells per instruction of the i16 tier.
 pub const LANES8: usize = 32;
-
-/// The i8 tier's buffer padding, mirroring [`PAD`] (one full chunk on
-/// each side so chunked neighbour loads never need a range check).
-const PAD8: usize = LANES8;
-
-/// The i8 "−∞" sentinel, mirroring [`NEG_INF16`]: far enough from
-/// `i8::MIN` that adding an in-window penalty cannot wrap.
-const NEG_INF8: i8 = i8::MIN / 2;
 
 /// The i8 tier's score window (see [`simd8_eligible`]): best score,
 /// `x + max_score` and penalty magnitudes must all fit in it. Unlike
@@ -358,10 +365,11 @@ pub fn simd_eligible(query: &Seq, target: &Seq, profile: impl Into<ScoreProfile>
 /// mirror the i16 ones over [`SIMD8_MAX_SCORE`]:
 ///
 /// * `x + max_score ≤ SIMD8_MAX_SCORE`, so dead-derived values
-///   (`NEG_INF8 + max_score`) stay below the threshold and the
+///   (`NEG_INF + max_score`) stay below the threshold and the
 ///   threshold itself (`≥ −x`) stays above the sentinel;
 /// * `|min_score|` and `|gap|` within the window, so live-parent sums
-///   stay above `i8::MIN` and every profile entry is exact in i8.
+///   stay above the sentinel's floor and every profile entry is exact
+///   at byte width.
 ///
 /// The best-score bound has no static counterpart: the stepper
 /// escalates before any reachable value could leave the window.
@@ -376,17 +384,100 @@ pub fn simd8_eligible(query: &Seq, target: &Seq, profile: impl Into<ScoreProfile
         && p.gap() as i64 >= -max8
 }
 
-/// One anti-diagonal of i16 scores.
+/// The element type of a SIMD tier — what the stepper
+/// ([`LaneState`]) and its row kernel are written once over and
+/// monomorphised for. Implemented for `i16` (the [`LANES`]-lane tier)
+/// and [`Biased8`] (the [`LANES8`]-lane i8 tier); the lane count is the
+/// stepper's const parameter.
+pub trait Lane: Copy + Ord + std::fmt::Debug + 'static {
+    /// The "−∞" sentinel, chosen (like the scalar `NEG_INF`) far enough
+    /// from `MIN` that adding an in-window penalty cannot wrap before
+    /// saturation.
+    const NEG_INF: Self;
+    /// Largest score that is exact at this width (the tier's window).
+    const MAX_SCORE: i32;
+    /// Saturating addition — the overflow clamp of paper §III-C.
+    fn sat_add(self, rhs: Self) -> Self;
+    /// Narrow a value the eligibility check bounds within the window
+    /// (a sequence code, a score, a threshold, a lane index).
+    fn narrow(v: i32) -> Self;
+    /// Widen back to the scalar engine's i32.
+    fn widen(self) -> i32;
+    /// Whether this tier reproduces the scalar result exactly
+    /// ([`simd_eligible`] / [`simd8_eligible`]).
+    fn eligible(query: &Seq, target: &Seq, profile: ScoreProfile, x: i32) -> bool;
+}
+
+impl Lane for i16 {
+    const NEG_INF: i16 = i16::MIN / 2;
+    const MAX_SCORE: i32 = SIMD_MAX_SCORE;
+    #[inline(always)]
+    fn sat_add(self, rhs: i16) -> i16 {
+        self.saturating_add(rhs)
+    }
+    #[inline(always)]
+    fn narrow(v: i32) -> i16 {
+        v as i16
+    }
+    #[inline(always)]
+    fn widen(self) -> i32 {
+        self as i32
+    }
+    fn eligible(query: &Seq, target: &Seq, profile: ScoreProfile, x: i32) -> bool {
+        simd_eligible(query, target, profile, x)
+    }
+}
+
+/// The i8 tier's lane element: a score biased by `+64` into a `u8`, so
+/// the window `−63 ..= 63` is `1 ..= 127` and −∞ is `0`.
+///
+/// Biased rather than signed because the byte operations a baseline
+/// x86-64 vector unit has are the unsigned ones (`pmaxub`, `paddusb`,
+/// `psubusb` — the reason KSW2 and SSW bias their 8-bit scores too): a
+/// signed byte max costs four instructions there, an unsigned one a
+/// single instruction, and the recurrence takes three per cell.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Biased8(u8);
+
+impl Biased8 {
+    const BIAS: u8 = 64;
+}
+
+impl Lane for Biased8 {
+    const NEG_INF: Biased8 = Biased8(0);
+    const MAX_SCORE: i32 = SIMD8_MAX_SCORE;
+    /// `(a + 64) + (b + 64) − 64`, clamped below at −∞. The sum of two
+    /// in-window operands is at most 254, so only the subtraction
+    /// saturates: −∞ plus a penalty stays −∞, and −∞ plus a positive
+    /// score lands below every threshold ([`simd8_eligible`]).
+    #[inline(always)]
+    fn sat_add(self, rhs: Biased8) -> Biased8 {
+        Biased8(self.0.saturating_add(rhs.0).saturating_sub(Biased8::BIAS))
+    }
+    #[inline(always)]
+    fn narrow(v: i32) -> Biased8 {
+        Biased8((v + Biased8::BIAS as i32) as u8)
+    }
+    #[inline(always)]
+    fn widen(self) -> i32 {
+        self.0 as i32 - Biased8::BIAS as i32
+    }
+    fn eligible(query: &Seq, target: &Seq, profile: ScoreProfile, x: i32) -> bool {
+        simd8_eligible(query, target, profile, x)
+    }
+}
+
+/// One anti-diagonal of lane-typed scores.
 ///
 /// `vals` holds the cells *computed* for the diagonal (before
 /// trimming), flanked by [`PAD`] sentinel cells on each side; the cell
 /// for query index `i` lives at `vals[PAD + i - base]`. Trimming only
 /// narrows the *live* window `[lo, lo + len)` — trimmed cells already
-/// hold [`NEG_INF16`], so reads through the computed window stay
+/// hold the sentinel, so reads through the computed window stay
 /// correct without moving memory.
 #[derive(Debug, Default, Clone)]
-struct Diag {
-    vals: Vec<i16>,
+struct Diag<T> {
+    vals: Vec<T>,
     /// Query index of the first computed cell (`vals[PAD]`).
     base: usize,
     /// Live (trimmed) window start.
@@ -395,12 +486,12 @@ struct Diag {
     len: usize,
 }
 
-impl Diag {
+impl<T: Lane> Diag<T> {
     /// Reset to an all-sentinel diagonal (reads −∞ everywhere), reusing
     /// the allocation.
     fn reset_sentinel(&mut self) {
         self.vals.clear();
-        self.vals.resize(2 * PAD, NEG_INF16);
+        self.vals.resize(2 * PAD, T::NEG_INF);
         self.base = 0;
         self.lo = 0;
         self.len = 0;
@@ -410,57 +501,60 @@ impl Diag {
     /// reusing the allocation.
     fn reset_origin(&mut self) {
         self.vals.clear();
-        self.vals.resize(2 * PAD + 1, NEG_INF16);
-        self.vals[PAD] = 0;
+        self.vals.resize(2 * PAD + 1, T::NEG_INF);
+        self.vals[PAD] = T::narrow(0);
         self.base = 0;
         self.lo = 0;
         self.len = 1;
     }
 
-    /// Range-checked read against the *computed* window; everything
-    /// outside reads as −∞, exactly like the scalar `AntiDiag::get`.
+    /// The cell at query index `i`, which must lie within [`PAD`] of
+    /// the computed window (the pad reads −∞).
     #[inline(always)]
-    fn get(&self, i: usize) -> i16 {
-        let w = self.vals.len() - 2 * PAD;
-        if i < self.base || i >= self.base + w {
-            NEG_INF16
-        } else {
-            self.vals[PAD + i - self.base]
-        }
+    fn at(&self, i: usize) -> T {
+        self.vals[PAD + i - self.base]
     }
 }
 
-/// The i16 kernel's scratch buffers, owned by an
-/// [`AlignWorkspace`] (DESIGN.md §7):
-/// the three padded anti-diagonal rings plus the lane-widened
-/// query/target buffers. Buffers grow to the largest extension seen and
-/// are then reused; every [`SimdState::new`] fully re-initialises what
-/// the kernel reads, so no state leaks between extensions.
+/// One tier's scratch buffers, owned by an [`AlignWorkspace`]
+/// (DESIGN.md §7): the three padded anti-diagonal rings plus the
+/// lane-typed query/target buffers. Buffers grow to the largest
+/// extension seen and are then reused; every [`LaneState::new`] fully
+/// re-initialises what the kernel reads, so no state leaks between
+/// extensions.
 #[derive(Debug, Default)]
-pub struct SimdScratch {
-    /// Query codes widened to i16 (index `i − 1` for query position `i`).
-    q16: Vec<i16>,
-    /// Target codes, *reversed* and widened: cell `(i, j = d − i)` reads
-    /// `trev16[n + i − d]`, so every anti-diagonal walks both sequences
-    /// in increasing address order — the CPU mirror of LOGAN's Fig. 6
-    /// sequence reversal.
-    trev16: Vec<i16>,
-    /// The i16 query profile a matrix-scored extension gathers from:
-    /// row `i − 1` (one per query position, [`PROF_STRIDE`] entries
-    /// wide) holds the substitution scores of query symbol `q[i]`
-    /// against every target code, so the per-lane lookup is
-    /// `qprof16[(i − 1) · PROF_STRIDE + t]` — a shift, not a multiply,
-    /// with the row base walking the anti-diagonal contiguously. Empty
-    /// (and never touched) on the DNA match/mismatch path, so the
-    /// historical zero-allocation warm-workspace contract is unchanged
-    /// there.
-    qprof16: Vec<i16>,
-    prev2: Diag,
-    prev: Diag,
-    cur: Diag,
+pub struct Scratch<T> {
+    /// Query codes as lane elements (index `i − 1` for query position
+    /// `i`), followed by one chunk of padding so the row kernel's
+    /// rounded-up last chunk loads in bounds.
+    q: Vec<T>,
+    /// Target codes, *reversed*, then one chunk of padding: cell
+    /// `(i, j = d − i)` reads `trev[n + i − d]`, so every anti-diagonal
+    /// walks both sequences in increasing address order — the CPU
+    /// mirror of LOGAN's Fig. 6 sequence reversal.
+    trev: Vec<T>,
+    /// The query profile a matrix-scored extension gathers from: row
+    /// `i − 1` (one per query position plus one chunk of padding rows,
+    /// [`PROF_STRIDE`] entries wide) holds the substitution scores of
+    /// query symbol `q[i]` against every target code, so the per-lane
+    /// lookup is `qprof[(i − 1) · PROF_STRIDE + t]` — a shift, not a
+    /// multiply, with the row base walking the anti-diagonal
+    /// contiguously. Empty (and never touched) on the DNA
+    /// match/mismatch path, so the zero-allocation warm-workspace
+    /// contract is unchanged there.
+    qprof: Vec<T>,
+    prev2: Diag<T>,
+    prev: Diag<T>,
+    cur: Diag<T>,
 }
 
-/// Per-anti-diagonal statistics reported by [`SimdState::step`], sized
+/// The i16 tier's scratch.
+pub type SimdScratch = Scratch<i16>;
+/// The i8 tier's scratch; escalating runs use both this and the i16
+/// one.
+pub type Simd8Scratch = Scratch<Biased8>;
+
+/// Per-anti-diagonal statistics reported by [`LaneState::step`], sized
 /// for `logan-core`'s SIMT cost accounting.
 #[derive(Debug, Clone, Copy)]
 pub struct DiagStats {
@@ -476,7 +570,7 @@ pub struct DiagStats {
     pub row_max: i32,
 }
 
-/// Outcome of one [`SimdState::step`].
+/// Outcome of one [`LaneState::step`].
 #[derive(Debug, Clone, Copy)]
 pub enum SimdStep {
     /// An anti-diagonal was computed and trimmed; the extension
@@ -493,33 +587,30 @@ pub enum SimdStep {
     Finished,
 }
 
-/// How the kernel scores a substitution, fixed at [`SimdState::new`] so
-/// the per-chunk dispatch is a predictable two-way branch outside the
-/// lane loop. The DNA variant runs the exact historical compare-select
-/// chunk; the profile variant gathers per-lane table entries first.
+/// How the kernel scores a substitution, fixed at [`LaneState::new`]
+/// and dispatched once per anti-diagonal, so each source gets its own
+/// monomorphised copy of the row kernel.
 #[derive(Debug, Clone, Copy)]
-enum SubstMode {
-    MatchMismatch {
-        mat: i16,
-        mis: i16,
-    },
-    /// Gather from the per-query-position rows of
-    /// `SimdScratch::qprof16` (stride [`PROF_STRIDE`]).
+enum SubstMode<T> {
+    /// Compare-select between two constants.
+    MatchMismatch { mat: T, mis: T },
+    /// Gather from the per-query-position rows of `Scratch::qprof`
+    /// (stride [`PROF_STRIDE`]).
     Profile,
 }
 
-/// Rolling state of a lane-parallel X-drop extension, advanced one
-/// anti-diagonal per [`step`](SimdState::step) call. All buffers are
-/// borrowed from a caller-owned [`SimdScratch`], so running extensions
-/// back to back through the same scratch performs no heap allocation
-/// once the buffers are warm.
+/// Rolling state of a lane-parallel X-drop extension over `L` lanes of
+/// `T`, advanced one anti-diagonal per [`step`](LaneState::step) call.
+/// All buffers are borrowed from a caller-owned [`Scratch`], so running
+/// extensions back to back through the same scratch performs no heap
+/// allocation once the buffers are warm.
 #[derive(Debug)]
-pub struct SimdState<'w> {
-    scratch: &'w mut SimdScratch,
+pub struct LaneState<'w, T, const L: usize> {
+    scratch: &'w mut Scratch<T>,
     m: usize,
     n: usize,
-    mode: SubstMode,
-    gap: i16,
+    mode: SubstMode<T>,
+    gap: T,
     x: i32,
     d: usize,
     best: i32,
@@ -532,10 +623,14 @@ pub struct SimdState<'w> {
     finished: bool,
 }
 
-impl<'w> SimdState<'w> {
+/// The i16 tier's stepper.
+pub type SimdState<'w> = LaneState<'w, i16, LANES>;
+
+impl<'w, T: Lane, const L: usize> LaneState<'w, T, L> {
     /// Start an extension in the given scratch, or `None` when the
-    /// inputs are empty or not [`simd_eligible`] (callers then use the
-    /// scalar routine). Whatever the scratch held before is fully
+    /// inputs are empty or outside the tier's window
+    /// ([`Lane::eligible`]; callers then use a wider tier or the scalar
+    /// routine). Whatever the scratch held before is fully
     /// re-initialised.
     ///
     /// Panics if `x` is negative, like [`xdrop_extend`](crate::xdrop::xdrop_extend).
@@ -544,44 +639,48 @@ impl<'w> SimdState<'w> {
         target: &Seq,
         profile: impl Into<ScoreProfile>,
         x: i32,
-        scratch: &'w mut SimdScratch,
-    ) -> Option<SimdState<'w>> {
+        scratch: &'w mut Scratch<T>,
+    ) -> Option<Self> {
         assert!(x >= 0, "X-drop parameter must be non-negative");
+        const { assert!(L <= PAD, "a chunk must fit in the anti-diagonal pad") };
         let profile = profile.into();
-        if query.is_empty() || target.is_empty() || !simd_eligible(query, target, profile, x) {
+        if query.is_empty() || target.is_empty() || !T::eligible(query, target, profile, x) {
             return None;
         }
-        scratch.q16.clear();
-        scratch
-            .q16
-            .extend(query.as_slice().iter().map(|&b| b as i16));
-        scratch.trev16.clear();
-        scratch
-            .trev16
-            .extend(target.as_slice().iter().rev().map(|&b| b as i16));
+        let (m, n) = (query.len(), target.len());
+        // The row kernel rounds the last chunk up; its masked lanes
+        // load (and ignore) one chunk of padding behind each sequence.
+        fn load<'a, T: Lane>(dst: &mut Vec<T>, codes: impl Iterator<Item = &'a u8>, pad: usize) {
+            dst.clear();
+            dst.extend(codes.map(|&b| T::narrow(b as i32)));
+            dst.resize(dst.len() + pad, T::narrow(0));
+        }
+        load(&mut scratch.q, query.as_slice().iter(), L);
+        load(&mut scratch.trev, target.as_slice().iter().rev(), L);
         let mode = match profile {
             ScoreProfile::MatchMismatch(s) => SubstMode::MatchMismatch {
-                mat: s.match_score as i16,
-                mis: s.mismatch as i16,
+                mat: T::narrow(s.match_score),
+                mis: T::narrow(s.mismatch),
             },
             ScoreProfile::Matrix(mx) => {
-                // Build the i16 query profile: one PROF_STRIDE-wide row
-                // per query position holding that symbol's scores
-                // against every target code. Eligibility bounds every
-                // table entry within i16, so the narrowing is exact;
+                // Build the query profile: one PROF_STRIDE-wide row per
+                // query position holding that symbol's scores against
+                // every target code. Eligibility bounds every table
+                // entry within the window, so the narrowing is exact;
                 // the pad past the alphabet is never read (target codes
-                // are < the alphabet size).
+                // are < the alphabet size), and the L pad rows are only
+                // read by masked lanes.
                 let asize = mx.alphabet.size();
                 let table = mx.table();
-                scratch.qprof16.clear();
-                scratch.qprof16.resize(query.len() * PROF_STRIDE, NEG_INF16);
+                scratch.qprof.clear();
+                scratch.qprof.resize((m + L) * PROF_STRIDE, T::NEG_INF);
                 for (i, &qc) in query.as_slice().iter().enumerate() {
                     let row = &table[qc as usize * asize..][..asize];
-                    for (dst, &s) in scratch.qprof16[i * PROF_STRIDE..][..asize]
+                    for (dst, &s) in scratch.qprof[i * PROF_STRIDE..][..asize]
                         .iter_mut()
                         .zip(row)
                     {
-                        *dst = s as i16;
+                        *dst = T::narrow(s);
                     }
                 }
                 SubstMode::Profile
@@ -591,12 +690,12 @@ impl<'w> SimdState<'w> {
         // d = 0: the single origin cell with score 0.
         scratch.prev.reset_origin();
         scratch.cur.reset_sentinel();
-        Some(SimdState {
+        Some(LaneState {
             scratch,
-            m: query.len(),
-            n: target.len(),
+            m,
+            n,
             mode,
-            gap: profile.gap() as i16,
+            gap: T::narrow(profile.gap()),
             x,
             d: 0,
             best: 0,
@@ -632,113 +731,74 @@ impl<'w> SimdState<'w> {
         }
         let w = hi - lo + 1;
         debug_assert!(
-            ((NEG_INF16 as i32 + 1)..=SIMD_MAX_SCORE).contains(&(self.best - self.x)),
-            "threshold escaped the i16-exact window"
+            ((T::NEG_INF.widen() + 1)..=T::MAX_SCORE).contains(&(self.best - self.x)),
+            "threshold escaped the tier's exact window"
         );
-        let thr = (self.best - self.x) as i16;
-        let (mode, gap) = (self.mode, self.gap);
+        let thr = T::narrow(self.best - self.x);
+        let gap = self.gap;
 
         let row_max = {
-            let SimdScratch {
-                q16,
-                trev16,
-                qprof16,
+            let Scratch {
+                q,
+                trev,
+                qprof,
                 prev2,
                 prev,
                 cur,
             } = &mut *self.scratch;
-            cur.vals.clear();
-            cur.vals.resize(w + 2 * PAD, NEG_INF16);
+            // Every computed cell is written below and the left pad is
+            // never written at all, so only the right pad needs the
+            // sentinel restored.
+            cur.vals.resize(w + 2 * PAD, T::NEG_INF);
+            cur.vals[PAD + w..][..PAD].fill(T::NEG_INF);
             cur.base = lo;
-            let mut row_max = NEG_INF16;
+            let mut row_max = T::NEG_INF;
 
+            // Interior cells have i ≥ 1 and j ≥ 1: all three moves are
+            // in play. Their span is rounded up to whole chunks and
+            // every operand row sliced once, here; the loads past `ihi`
+            // land in the sequence and anti-diagonal pads, and the
+            // stores past it in `cur`'s right pad (and on the j = 0
+            // boundary cell, which is therefore written afterwards).
+            let ilo = lo.max(1);
+            let ihi = hi.min(d - 1);
+            if ilo <= ihi {
+                let live = ihi - ilo + 1;
+                let span = live.div_ceil(L) * L;
+                fn chunks<T, const L: usize>(s: &[T], span: usize) -> &[[T; L]] {
+                    s[..span].as_chunks().0
+                }
+                let p1 = &prev.vals[PAD + ilo - 1 - prev.base..];
+                let row = Row::<T, L> {
+                    q: chunks(&q[ilo - 1..], span),
+                    t: chunks(&trev[n + ilo - d..], span),
+                    p2: chunks(&prev2.vals[PAD + ilo - 1 - prev2.base..], span),
+                    up: chunks(p1, span),
+                    left: chunks(&p1[1..], span),
+                    out: cur.vals[PAD + ilo - lo..][..span].as_chunks_mut().0,
+                    live,
+                    gap,
+                    thr,
+                };
+                row_max = match self.mode {
+                    SubstMode::MatchMismatch { mat, mis } => row.run(CompareSelect { mat, mis }),
+                    SubstMode::Profile => row.run(Gather {
+                        rows: &qprof[(ilo - 1) * PROF_STRIDE..][..span * PROF_STRIDE],
+                    }),
+                };
+            }
             // Boundary cell i = 0 (j = d): only the horizontal move —
             // a gap consuming target bases — can reach it.
             if lo == 0 {
-                let v = prune(prev.get(0).saturating_add(gap), thr);
+                let v = prune(prev.at(0).sat_add(gap), thr);
                 cur.vals[PAD] = v;
                 row_max = row_max.max(v);
             }
             // Boundary cell j = 0 (i = d): only the vertical move.
             if hi == d {
-                let v = prune(prev.get(d - 1).saturating_add(gap), thr);
+                let v = prune(prev.at(d - 1).sat_add(gap), thr);
                 cur.vals[PAD + d - lo] = v;
                 row_max = row_max.max(v);
-            }
-
-            // Interior cells have i ≥ 1 and j ≥ 1: all three moves are
-            // in play and every operand sits in a padded buffer, so the
-            // chunks below run with no per-lane range checks.
-            let ilo = lo.max(1);
-            let ihi = hi.min(d - 1);
-            if ilo <= ihi {
-                let chunks = (ihi - ilo + 1) / LANES;
-                let mut acc = [NEG_INF16; LANES];
-                for ci in 0..chunks {
-                    let c = ilo + ci * LANES;
-                    let qv: &[i16; LANES] = q16[c - 1..c - 1 + LANES].try_into().unwrap();
-                    let tv: &[i16; LANES] =
-                        trev16[n + c - d..n + c - d + LANES].try_into().unwrap();
-                    let p2: &[i16; LANES] = prev2.vals[PAD + c - 1 - prev2.base..][..LANES]
-                        .try_into()
-                        .unwrap();
-                    let pm1: &[i16; LANES] = prev.vals[PAD + c - 1 - prev.base..][..LANES]
-                        .try_into()
-                        .unwrap();
-                    let p0: &[i16; LANES] = prev.vals[PAD + c - prev.base..][..LANES]
-                        .try_into()
-                        .unwrap();
-                    // Dispatch on the substitution mode per chunk: the
-                    // DNA branch runs the historical compare-select
-                    // kernel untouched; the profile branch gathers one
-                    // table entry per lane, then the same vector DP.
-                    let out = match mode {
-                        SubstMode::MatchMismatch { mat, mis } => {
-                            chunk_cells(qv, tv, p2, pm1, p0, mat, mis, gap, thr, &mut acc)
-                        }
-                        SubstMode::Profile => {
-                            // Rows c−1 .. c−1+LANES of the query
-                            // profile as one fixed-size block: the
-                            // masked per-lane index is provably inside
-                            // it, so the gather compiles check-free.
-                            let rows: &[i16; LANES * PROF_STRIDE] = qprof16
-                                [(c - 1) * PROF_STRIDE..][..LANES * PROF_STRIDE]
-                                .try_into()
-                                .unwrap();
-                            let mut subs = [0i16; LANES];
-                            for k in 0..LANES {
-                                subs[k] =
-                                    rows[k * PROF_STRIDE + (tv[k] as usize & (PROF_STRIDE - 1))];
-                            }
-                            chunk_cells_profile(&subs, p2, pm1, p0, gap, thr, &mut acc)
-                        }
-                    };
-                    cur.vals[PAD + c - lo..PAD + c - lo + LANES].copy_from_slice(&out);
-                }
-                for &v in &acc {
-                    row_max = row_max.max(v);
-                }
-                // Remainder lanes: the same i16 arithmetic, scalar.
-                for i in ilo + chunks * LANES..=ihi {
-                    let sub = match mode {
-                        SubstMode::MatchMismatch { mat, mis } => {
-                            if q16[i - 1] == trev16[n + i - d] {
-                                mat
-                            } else {
-                                mis
-                            }
-                        }
-                        SubstMode::Profile => {
-                            qprof16[(i - 1) * PROF_STRIDE + trev16[n + i - d] as usize]
-                        }
-                    };
-                    let diag = prev2.get(i - 1).saturating_add(sub);
-                    let up = prev.get(i - 1).saturating_add(gap);
-                    let left = prev.get(i).saturating_add(gap);
-                    let v = prune(diag.max(up).max(left), thr);
-                    cur.vals[PAD + i - lo] = v;
-                    row_max = row_max.max(v);
-                }
             }
             row_max
         };
@@ -746,7 +806,7 @@ impl<'w> SimdState<'w> {
         self.cells += w as u64;
         self.iterations += 1;
 
-        if row_max <= NEG_INF16 {
+        if row_max <= T::NEG_INF {
             // Entire anti-diagonal pruned: the alignment dropped.
             self.dropped = true;
             return SimdStep::Dropped { width: w };
@@ -755,8 +815,8 @@ impl<'w> SimdState<'w> {
         // Trim −∞ runs from both ends. The scans exit early, so their
         // cost is proportional to the trimmed cells, not the width.
         let vals = &self.scratch.cur.vals[PAD..PAD + w];
-        let kf = vals.iter().position(|&v| v > NEG_INF16).unwrap();
-        let kl = vals.iter().rposition(|&v| v > NEG_INF16).unwrap();
+        let kf = vals.iter().position(|&v| v > T::NEG_INF).unwrap();
+        let kl = vals.iter().rposition(|&v| v > T::NEG_INF).unwrap();
         self.scratch.cur.lo = lo + kf;
         self.scratch.cur.len = kl - kf + 1;
         self.max_width = self.max_width.max(self.scratch.cur.len);
@@ -764,9 +824,9 @@ impl<'w> SimdState<'w> {
         // Raise the global best; the argmax scan (earliest i wins, the
         // kernel reduction's tie-break) only runs on improvement, and
         // skips ahead chunk-wise until the winning chunk.
-        if row_max as i32 > self.best {
+        if row_max.widen() > self.best {
             let mut arg = 0;
-            'outer: for (ci, chunk) in vals.chunks(LANES).enumerate() {
+            'outer: for (ci, chunk) in vals.chunks(L).enumerate() {
                 let mut hit = false;
                 for &v in chunk {
                     hit |= v == row_max;
@@ -774,13 +834,13 @@ impl<'w> SimdState<'w> {
                 if hit {
                     for (k, &v) in chunk.iter().enumerate() {
                         if v == row_max {
-                            arg = lo + ci * LANES + k;
+                            arg = lo + ci * L + k;
                             break 'outer;
                         }
                     }
                 }
             }
-            self.best = row_max as i32;
+            self.best = row_max.widen();
             self.best_i = arg;
             self.best_d = d;
         }
@@ -795,7 +855,7 @@ impl<'w> SimdState<'w> {
             live_width: s.prev.len,
             trim_front: kf,
             trim_back: w - 1 - kl,
-            row_max: row_max as i32,
+            row_max: row_max.widen(),
         })
     }
 
@@ -815,154 +875,133 @@ impl<'w> SimdState<'w> {
 }
 
 #[inline(always)]
-fn prune(v: i16, thr: i16) -> i16 {
+fn prune<T: Lane>(v: T, thr: T) -> T {
     if v < thr {
-        NEG_INF16
+        T::NEG_INF
     } else {
         v
     }
 }
 
-/// One chunk of the anti-diagonal recurrence over [`LANES`] cells.
-/// Everything is branch-free per lane (the `if`s compile to selects),
-/// which is what lets LLVM emit packed i16 min/max/saturating-add.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn chunk_cells(
-    q: &[i16; LANES],
-    t: &[i16; LANES],
-    p2: &[i16; LANES],
-    pm1: &[i16; LANES],
-    p0: &[i16; LANES],
-    mat: i16,
-    mis: i16,
-    gap: i16,
-    thr: i16,
-    acc: &mut [i16; LANES],
-) -> [i16; LANES] {
-    let mut out = [0i16; LANES];
-    for k in 0..LANES {
-        let sub = if q[k] == t[k] { mat } else { mis };
-        let diag = p2[k].saturating_add(sub);
-        let up = pm1[k].saturating_add(gap);
-        let left = p0[k].saturating_add(gap);
-        let mut v = diag.max(up).max(left);
-        if v < thr {
-            v = NEG_INF16;
-        }
-        out[k] = v;
-        acc[k] = acc[k].max(v);
-    }
-    out
+/// Where the row kernel takes a chunk's substitution scores from. One
+/// implementation per source, so the kernel is monomorphised per source
+/// and nothing is dispatched inside it.
+trait Subst<T, const L: usize> {
+    /// Scores of chunk `ci` of the row, whose symbols are `q` and `t`.
+    fn scores(&self, ci: usize, q: &[T; L], t: &[T; L]) -> [T; L];
 }
 
-/// The profile-mode counterpart of [`chunk_cells`]: substitution scores
-/// were already gathered per lane (`subs`), so the recurrence itself is
-/// the same branch-free saturating DP and vectorizes identically.
-#[inline(always)]
-fn chunk_cells_profile(
-    subs: &[i16; LANES],
-    p2: &[i16; LANES],
-    pm1: &[i16; LANES],
-    p0: &[i16; LANES],
-    gap: i16,
-    thr: i16,
-    acc: &mut [i16; LANES],
-) -> [i16; LANES] {
-    let mut out = [0i16; LANES];
-    for k in 0..LANES {
-        let diag = p2[k].saturating_add(subs[k]);
-        let up = pm1[k].saturating_add(gap);
-        let left = p0[k].saturating_add(gap);
-        let mut v = diag.max(up).max(left);
-        if v < thr {
-            v = NEG_INF16;
-        }
-        out[k] = v;
-        acc[k] = acc[k].max(v);
-    }
-    out
+/// DNA match/mismatch: compare-select between two constants.
+struct CompareSelect<T> {
+    mat: T,
+    mis: T,
 }
 
-/// One anti-diagonal of i8 scores: the [`Diag`] layout with [`PAD8`]
-/// sentinel cells per side.
-#[derive(Debug, Default, Clone)]
-struct Diag8 {
-    vals: Vec<i8>,
-    /// Query index of the first computed cell (`vals[PAD8]`).
-    base: usize,
-    /// Live (trimmed) window start.
-    lo: usize,
-    /// Live (trimmed) window length.
-    len: usize,
-}
-
-impl Diag8 {
-    /// Reset to an all-sentinel diagonal, reusing the allocation.
-    fn reset_sentinel(&mut self) {
-        self.vals.clear();
-        self.vals.resize(2 * PAD8, NEG_INF8);
-        self.base = 0;
-        self.lo = 0;
-        self.len = 0;
-    }
-
-    /// Reset to the `d = 0` origin diagonal (single cell scoring 0),
-    /// reusing the allocation.
-    fn reset_origin(&mut self) {
-        self.vals.clear();
-        self.vals.resize(2 * PAD8 + 1, NEG_INF8);
-        self.vals[PAD8] = 0;
-        self.base = 0;
-        self.lo = 0;
-        self.len = 1;
-    }
-
-    /// Range-checked read against the *computed* window; everything
-    /// outside reads as −∞.
+impl<T: Lane, const L: usize> Subst<T, L> for CompareSelect<T> {
     #[inline(always)]
-    fn get(&self, i: usize) -> i8 {
-        let w = self.vals.len() - 2 * PAD8;
-        if i < self.base || i >= self.base + w {
-            NEG_INF8
-        } else {
-            self.vals[PAD8 + i - self.base]
+    fn scores(&self, _: usize, q: &[T; L], t: &[T; L]) -> [T; L] {
+        let mut subs = [self.mis; L];
+        for k in 0..L {
+            subs[k] = if q[k] == t[k] { self.mat } else { self.mis };
         }
+        subs
     }
 }
 
-/// The i8 kernel's scratch buffers, owned by an [`AlignWorkspace`]: the
-/// [`SimdScratch`] layout narrowed to i8 and widened to [`LANES8`]
-/// padding. Buffers grow to the largest extension seen and are then
-/// reused.
-#[derive(Debug, Default)]
-pub struct Simd8Scratch {
-    /// Query codes as i8 (index `i − 1` for query position `i`).
-    q8: Vec<i8>,
-    /// Target codes, reversed (see `SimdScratch::trev16`).
-    trev8: Vec<i8>,
-    /// The i8 query profile (see `SimdScratch::qprof16`): same
-    /// [`PROF_STRIDE`] row layout, entries narrowed to i8 — exact,
-    /// because [`simd8_eligible`] bounds every score within the i8
-    /// window. Empty on the DNA match/mismatch path, preserving the
-    /// zero-allocation warm-workspace contract there.
-    qprof8: Vec<i8>,
-    prev2: Diag8,
-    prev: Diag8,
-    cur: Diag8,
+/// Matrix profile: one table entry per lane from the query-profile rows
+/// of the row's span (`Scratch::qprof`, stride [`PROF_STRIDE`]).
+struct Gather<'a, T> {
+    rows: &'a [T],
 }
 
-/// How the i8 kernel scores a substitution — [`SubstMode`] narrowed to
-/// i8.
-#[derive(Debug, Clone, Copy)]
-enum SubstMode8 {
-    MatchMismatch {
-        mat: i8,
-        mis: i8,
-    },
-    /// Gather from the rows of `Simd8Scratch::qprof8` (stride
-    /// [`PROF_STRIDE`]).
-    Profile,
+impl<T: Lane, const L: usize> Subst<T, L> for Gather<'_, T> {
+    #[inline(always)]
+    fn scores(&self, ci: usize, _: &[T; L], t: &[T; L]) -> [T; L] {
+        let rows = &self.rows[ci * L * PROF_STRIDE..][..L * PROF_STRIDE];
+        let mut subs = [T::NEG_INF; L];
+        for k in 0..L {
+            // Masking the symbol code with PROF_STRIDE − 1 keeps the
+            // index provably inside the lane's row, so the gather
+            // compiles check-free.
+            subs[k] = rows[k * PROF_STRIDE + (t[k].widen() as usize & (PROF_STRIDE - 1))];
+        }
+        subs
+    }
+}
+
+/// The interior of one anti-diagonal as the row kernel sees it: every
+/// operand sliced to the same whole number of `L`-cell chunks, lane `k`
+/// of chunk `ci` belonging to query index `ilo + ci · L + k`.
+struct Row<'a, T, const L: usize> {
+    /// Query symbols (`q[i − 1]`).
+    q: &'a [[T; L]],
+    /// Reversed-target symbols (`t[j − 1]`).
+    t: &'a [[T; L]],
+    /// Anti-diagonal `d − 2` at `i − 1`: the diagonal parent.
+    p2: &'a [[T; L]],
+    /// Anti-diagonal `d − 1` at `i − 1`: the vertical parent.
+    up: &'a [[T; L]],
+    /// Anti-diagonal `d − 1` at `i`: the horizontal parent.
+    left: &'a [[T; L]],
+    /// Anti-diagonal `d`, written in full.
+    out: &'a mut [[T; L]],
+    /// Cells that exist (`ihi − ilo + 1`); lanes from here on are
+    /// masked.
+    live: usize,
+    gap: T,
+    thr: T,
+}
+
+impl<T: Lane, const L: usize> Row<'_, T, L> {
+    /// The anti-diagonal recurrence over every chunk of the row;
+    /// returns the row maximum.
+    #[inline(always)]
+    fn run(mut self, subst: impl Subst<T, L>) -> T {
+        let last = self.out.len() - 1;
+        assert!(
+            [self.q, self.t, self.p2, self.up, self.left]
+                .iter()
+                .all(|operand| operand.len() == last + 1),
+            "operand rows must span the output row"
+        );
+        let mut acc = [T::NEG_INF; L];
+        for ci in 0..last {
+            self.chunk(&subst, ci, L, &mut acc);
+        }
+        self.chunk(&subst, last, self.live - last * L, &mut acc);
+        acc.into_iter().fold(T::NEG_INF, T::max)
+    }
+
+    /// One chunk of the recurrence, the first `lanes` lanes of it live.
+    ///
+    /// Everything is branch-free per lane (the `if`s compile to
+    /// selects), which is what lets LLVM emit packed
+    /// min/max/saturating-add. Lanes from `lanes` on are forced to −∞
+    /// before the lane-max accumulate and the store. They are not dead
+    /// by themselves: their operands come from padding and from
+    /// neighbours outside the band — `p2` can hold a live cell there
+    /// when `prev` was trimmed shorter than `prev2`. With `lanes = L` a
+    /// constant the mask folds away, so only a row's last chunk pays
+    /// for it.
+    #[inline(always)]
+    fn chunk(&mut self, subst: &impl Subst<T, L>, ci: usize, lanes: usize, acc: &mut [T; L]) {
+        let subs = subst.scores(ci, &self.q[ci], &self.t[ci]);
+        let (p2, up, left) = (&self.p2[ci], &self.up[ci], &self.left[ci]);
+        let (gap, thr, zero) = (self.gap, self.thr, T::narrow(0));
+        // Lane k is masked when k > last, tested as the sign of
+        // last − k: that keeps the compare at lane width, where an
+        // index compare is widened to 32-bit lanes.
+        let last = T::narrow(lanes as i32 - 1);
+        let mut vals = [T::NEG_INF; L];
+        for k in 0..L {
+            let diag = p2[k].sat_add(subs[k]);
+            let v = diag.max(up[k].sat_add(gap)).max(left[k].sat_add(gap));
+            let dead = (v < thr) | (last.sat_add(T::narrow(-(k as i32))) < zero);
+            vals[k] = if dead { T::NEG_INF } else { v };
+            acc[k] = acc[k].max(vals[k]);
+        }
+        self.out[ci] = vals;
+    }
 }
 
 /// Outcome of one [`Simd8State::step`]: [`SimdStep`] plus the
@@ -988,32 +1027,18 @@ pub enum Simd8Step {
     Escalate,
 }
 
-/// Rolling state of a 32-lane i8 X-drop extension: [`SimdState`]'s
-/// shape at the narrower precision, plus the escalation watch. Every
-/// value it stores is exact (the stepper escalates before any reachable
-/// value could leave the i8 window), which is what makes
+/// Rolling state of a 32-lane i8 X-drop extension: the same stepper as
+/// [`SimdState`] at the narrower precision, plus the escalation watch.
+/// Every value it stores is exact (the stepper escalates before any
+/// reachable value could leave the i8 window), which is what makes
 /// [`escalate`](Simd8State::escalate) a pure representation change.
 #[derive(Debug)]
 pub struct Simd8State<'w> {
-    scratch: &'w mut Simd8Scratch,
-    m: usize,
-    n: usize,
-    mode: SubstMode8,
-    gap: i8,
-    x: i32,
+    lanes: LaneState<'w, Biased8, LANES8>,
     /// The profile's `max_score`, cached for the per-step escalation
     /// check (`best + max_sub` is the largest value the next
     /// anti-diagonal can reach).
     max_sub: i32,
-    d: usize,
-    best: i32,
-    best_i: usize,
-    best_d: usize,
-    cells: u64,
-    iterations: u64,
-    max_width: usize,
-    dropped: bool,
-    finished: bool,
 }
 
 impl<'w> Simd8State<'w> {
@@ -1030,59 +1055,10 @@ impl<'w> Simd8State<'w> {
         x: i32,
         scratch: &'w mut Simd8Scratch,
     ) -> Option<Simd8State<'w>> {
-        assert!(x >= 0, "X-drop parameter must be non-negative");
         let profile = profile.into();
-        if query.is_empty() || target.is_empty() || !simd8_eligible(query, target, profile, x) {
-            return None;
-        }
-        scratch.q8.clear();
-        scratch.q8.extend(query.as_slice().iter().map(|&b| b as i8));
-        scratch.trev8.clear();
-        scratch
-            .trev8
-            .extend(target.as_slice().iter().rev().map(|&b| b as i8));
-        let mode = match profile {
-            ScoreProfile::MatchMismatch(s) => SubstMode8::MatchMismatch {
-                mat: s.match_score as i8,
-                mis: s.mismatch as i8,
-            },
-            ScoreProfile::Matrix(mx) => {
-                let asize = mx.alphabet.size();
-                let table = mx.table();
-                scratch.qprof8.clear();
-                scratch.qprof8.resize(query.len() * PROF_STRIDE, NEG_INF8);
-                for (i, &qc) in query.as_slice().iter().enumerate() {
-                    let row = &table[qc as usize * asize..][..asize];
-                    for (dst, &s) in scratch.qprof8[i * PROF_STRIDE..][..asize]
-                        .iter_mut()
-                        .zip(row)
-                    {
-                        *dst = s as i8;
-                    }
-                }
-                SubstMode8::Profile
-            }
-        };
-        scratch.prev2.reset_sentinel();
-        scratch.prev.reset_origin();
-        scratch.cur.reset_sentinel();
         Some(Simd8State {
-            scratch,
-            m: query.len(),
-            n: target.len(),
-            mode,
-            gap: profile.gap() as i8,
-            x,
+            lanes: LaneState::new(query, target, profile, x, scratch)?,
             max_sub: profile.max_score(),
-            d: 0,
-            best: 0,
-            best_i: 0,
-            best_d: 0,
-            cells: 0,
-            iterations: 0,
-            max_width: 1,
-            dropped: false,
-            finished: false,
         })
     }
 
@@ -1090,190 +1066,18 @@ impl<'w> Simd8State<'w> {
     /// [`Simd8Step::Escalate`] (computing nothing) when the next
     /// anti-diagonal could leave the i8 window.
     pub fn step(&mut self) -> Simd8Step {
-        if self.finished || self.dropped {
-            return Simd8Step::Finished;
-        }
         // Escalation watch: the next anti-diagonal's values are bounded
         // by best + max_score. Checked before computing anything, so
         // every value this stepper ever stores is exact in i8.
-        if self.best + self.max_sub > SIMD8_MAX_SCORE {
+        let s = &self.lanes;
+        if !(s.finished || s.dropped) && s.best + self.max_sub > SIMD8_MAX_SCORE {
             return Simd8Step::Escalate;
         }
-        self.d += 1;
-        let d = self.d;
-        let (m, n) = (self.m, self.n);
-        if d > m + n {
-            self.finished = true;
-            return Simd8Step::Finished;
+        match self.lanes.step() {
+            SimdStep::Advanced(stats) => Simd8Step::Advanced(stats),
+            SimdStep::Dropped { width } => Simd8Step::Dropped { width },
+            SimdStep::Finished => Simd8Step::Finished,
         }
-        let lo = self.scratch.prev.lo.max(d.saturating_sub(n));
-        let hi = (self.scratch.prev.lo + self.scratch.prev.len).min(d).min(m);
-        if lo > hi {
-            self.finished = true;
-            return Simd8Step::Finished;
-        }
-        let w = hi - lo + 1;
-        debug_assert!(
-            ((NEG_INF8 as i32 + 1)..=SIMD8_MAX_SCORE).contains(&(self.best - self.x)),
-            "threshold escaped the i8-exact window"
-        );
-        let thr = (self.best - self.x) as i8;
-        let (mode, gap) = (self.mode, self.gap);
-
-        let row_max = {
-            let Simd8Scratch {
-                q8,
-                trev8,
-                qprof8,
-                prev2,
-                prev,
-                cur,
-            } = &mut *self.scratch;
-            cur.vals.clear();
-            cur.vals.resize(w + 2 * PAD8, NEG_INF8);
-            cur.base = lo;
-            let mut row_max = NEG_INF8;
-
-            if lo == 0 {
-                let v = prune8(prev.get(0).saturating_add(gap), thr);
-                cur.vals[PAD8] = v;
-                row_max = row_max.max(v);
-            }
-            if hi == d {
-                let v = prune8(prev.get(d - 1).saturating_add(gap), thr);
-                cur.vals[PAD8 + d - lo] = v;
-                row_max = row_max.max(v);
-            }
-
-            let ilo = lo.max(1);
-            let ihi = hi.min(d - 1);
-            if ilo <= ihi {
-                let w_int = ihi - ilo + 1;
-                if w_int >= LANES8 {
-                    // Chunked interior with an *overlapped tail*: after
-                    // the full chunks, one final chunk is shifted left
-                    // to end exactly at ihi. Overlapping lanes
-                    // recompute the same values from the same parents
-                    // (and the lane-max accumulator is idempotent), so
-                    // no scalar remainder loop is ever needed — on
-                    // X-drop bands of width ~32–120 that remainder is
-                    // where a plain chunking would lose its advantage.
-                    let chunks = w_int / LANES8;
-                    let mut acc = [NEG_INF8; LANES8];
-                    let mut do_chunk = |c: usize| {
-                        let qv: &[i8; LANES8] = q8[c - 1..c - 1 + LANES8].try_into().unwrap();
-                        let tv: &[i8; LANES8] =
-                            trev8[n + c - d..n + c - d + LANES8].try_into().unwrap();
-                        let p2: &[i8; LANES8] = prev2.vals[PAD8 + c - 1 - prev2.base..][..LANES8]
-                            .try_into()
-                            .unwrap();
-                        let pm1: &[i8; LANES8] = prev.vals[PAD8 + c - 1 - prev.base..][..LANES8]
-                            .try_into()
-                            .unwrap();
-                        let p0: &[i8; LANES8] = prev.vals[PAD8 + c - prev.base..][..LANES8]
-                            .try_into()
-                            .unwrap();
-                        let out = match mode {
-                            SubstMode8::MatchMismatch { mat, mis } => {
-                                chunk_cells8(qv, tv, p2, pm1, p0, mat, mis, gap, thr, &mut acc)
-                            }
-                            SubstMode8::Profile => {
-                                let rows: &[i8; LANES8 * PROF_STRIDE] = qprof8
-                                    [(c - 1) * PROF_STRIDE..][..LANES8 * PROF_STRIDE]
-                                    .try_into()
-                                    .unwrap();
-                                let mut subs = [0i8; LANES8];
-                                for k in 0..LANES8 {
-                                    subs[k] = rows
-                                        [k * PROF_STRIDE + (tv[k] as usize & (PROF_STRIDE - 1))];
-                                }
-                                chunk_cells8_profile(&subs, p2, pm1, p0, gap, thr, &mut acc)
-                            }
-                        };
-                        cur.vals[PAD8 + c - lo..PAD8 + c - lo + LANES8].copy_from_slice(&out);
-                    };
-                    for ci in 0..chunks {
-                        do_chunk(ilo + ci * LANES8);
-                    }
-                    if w_int > chunks * LANES8 {
-                        do_chunk(ihi + 1 - LANES8);
-                    }
-                    for &v in &acc {
-                        row_max = row_max.max(v);
-                    }
-                } else {
-                    // Narrow interior: the same i8 arithmetic, scalar.
-                    for i in ilo..=ihi {
-                        let sub = match mode {
-                            SubstMode8::MatchMismatch { mat, mis } => {
-                                if q8[i - 1] == trev8[n + i - d] {
-                                    mat
-                                } else {
-                                    mis
-                                }
-                            }
-                            SubstMode8::Profile => {
-                                qprof8[(i - 1) * PROF_STRIDE + trev8[n + i - d] as usize]
-                            }
-                        };
-                        let diag = prev2.get(i - 1).saturating_add(sub);
-                        let up = prev.get(i - 1).saturating_add(gap);
-                        let left = prev.get(i).saturating_add(gap);
-                        let v = prune8(diag.max(up).max(left), thr);
-                        cur.vals[PAD8 + i - lo] = v;
-                        row_max = row_max.max(v);
-                    }
-                }
-            }
-            row_max
-        };
-
-        self.cells += w as u64;
-        self.iterations += 1;
-
-        if row_max <= NEG_INF8 {
-            self.dropped = true;
-            return Simd8Step::Dropped { width: w };
-        }
-
-        let vals = &self.scratch.cur.vals[PAD8..PAD8 + w];
-        let kf = vals.iter().position(|&v| v > NEG_INF8).unwrap();
-        let kl = vals.iter().rposition(|&v| v > NEG_INF8).unwrap();
-        self.scratch.cur.lo = lo + kf;
-        self.scratch.cur.len = kl - kf + 1;
-        self.max_width = self.max_width.max(self.scratch.cur.len);
-
-        if row_max as i32 > self.best {
-            let mut arg = 0;
-            'outer: for (ci, chunk) in vals.chunks(LANES8).enumerate() {
-                let mut hit = false;
-                for &v in chunk {
-                    hit |= v == row_max;
-                }
-                if hit {
-                    for (k, &v) in chunk.iter().enumerate() {
-                        if v == row_max {
-                            arg = lo + ci * LANES8 + k;
-                            break 'outer;
-                        }
-                    }
-                }
-            }
-            self.best = row_max as i32;
-            self.best_i = arg;
-            self.best_d = d;
-        }
-
-        let s = &mut *self.scratch;
-        std::mem::swap(&mut s.prev2, &mut s.prev);
-        std::mem::swap(&mut s.prev, &mut s.cur);
-        Simd8Step::Advanced(DiagStats {
-            width: w,
-            live_width: s.prev.len,
-            trim_front: kf,
-            trim_back: w - 1 - kl,
-            row_max: row_max as i32,
-        })
     }
 
     /// Hand this extension to the i16 stepper, widening every buffer
@@ -1283,41 +1087,51 @@ impl<'w> Simd8State<'w> {
     /// computed diagonals `1..=d` itself — escalation can never change
     /// a score, trim, or tie-break.
     pub fn escalate<'x>(self, scratch16: &'x mut SimdScratch) -> SimdState<'x> {
-        let s8 = &*self.scratch;
-        scratch16.q16.clear();
-        scratch16.q16.extend(s8.q8.iter().map(|&b| b as i16));
-        scratch16.trev16.clear();
-        scratch16.trev16.extend(s8.trev8.iter().map(|&b| b as i16));
-        let mode = match self.mode {
-            SubstMode8::MatchMismatch { mat, mis } => SubstMode::MatchMismatch {
-                mat: mat as i16,
-                mis: mis as i16,
+        let s = self.lanes;
+        let s8 = &*s.scratch;
+        // Sequences and profile rows are cut to the i16 kernel's own
+        // (shorter) chunk of padding, so the i16 buffers' high-water
+        // mark depends on the pair, not on the tier it started in.
+        fn widen(src: &[Biased8], dst: &mut Vec<i16>, f: impl Fn(Biased8) -> i16) {
+            dst.clear();
+            dst.extend(src.iter().map(|&v| f(v)));
+        }
+        let exact = |v: Biased8| v.widen() as i16;
+        widen(&s8.q[..s.m + LANES], &mut scratch16.q, exact);
+        widen(&s8.trev[..s.n + LANES], &mut scratch16.trev, exact);
+        let mode = match s.mode {
+            SubstMode::MatchMismatch { mat, mis } => SubstMode::MatchMismatch {
+                mat: exact(mat),
+                mis: exact(mis),
             },
-            SubstMode8::Profile => {
-                scratch16.qprof16.clear();
-                scratch16
-                    .qprof16
-                    .extend(s8.qprof8.iter().map(|&v| widen8(v)));
+            SubstMode::Profile => {
+                let rows = &s8.qprof[..(s.m + LANES) * PROF_STRIDE];
+                widen(rows, &mut scratch16.qprof, widen8);
                 SubstMode::Profile
             }
         };
-        widen_diag(&s8.prev2, &mut scratch16.prev2);
-        widen_diag(&s8.prev, &mut scratch16.prev);
+        for (src, dst) in [
+            (&s8.prev2, &mut scratch16.prev2),
+            (&s8.prev, &mut scratch16.prev),
+        ] {
+            widen(&src.vals, &mut dst.vals, widen8);
+            (dst.base, dst.lo, dst.len) = (src.base, src.lo, src.len);
+        }
         scratch16.cur.reset_sentinel();
-        SimdState {
+        LaneState {
             scratch: scratch16,
-            m: self.m,
-            n: self.n,
+            m: s.m,
+            n: s.n,
             mode,
-            gap: self.gap as i16,
-            x: self.x,
-            d: self.d,
-            best: self.best,
-            best_i: self.best_i,
-            best_d: self.best_d,
-            cells: self.cells,
-            iterations: self.iterations,
-            max_width: self.max_width,
+            gap: s.gap.widen() as i16,
+            x: s.x,
+            d: s.d,
+            best: s.best,
+            best_i: s.best_i,
+            best_d: s.best_d,
+            cells: s.cells,
+            iterations: s.iterations,
+            max_width: s.max_width,
             dropped: false,
             finished: false,
         }
@@ -1326,112 +1140,19 @@ impl<'w> Simd8State<'w> {
     /// Finish into an [`ExtensionResult`] (identical to what the scalar
     /// routine would return for the same inputs).
     pub fn into_result(self) -> ExtensionResult {
-        ExtensionResult {
-            score: self.best,
-            query_end: self.best_i,
-            target_end: self.best_d - self.best_i,
-            cells: self.cells,
-            iterations: self.iterations,
-            max_width: self.max_width,
-            dropped: self.dropped,
-        }
+        self.lanes.into_result()
     }
 }
 
-/// Widen one i8 cell to i16, mapping the −∞ sentinel to the i16
-/// sentinel (every non-sentinel i8 value is an exact score).
+/// Widen one i8-tier cell to i16, mapping the −∞ sentinel to the i16
+/// sentinel (every other value is an exact score).
 #[inline(always)]
-fn widen8(v: i8) -> i16 {
-    if v == NEG_INF8 {
-        NEG_INF16
+fn widen8(v: Biased8) -> i16 {
+    if v == Biased8::NEG_INF {
+        i16::NEG_INF
     } else {
-        v as i16
+        v.widen() as i16
     }
-}
-
-/// Widen an i8 anti-diagonal into an i16 one: same computed window,
-/// same live window, [`PAD`] sentinels instead of [`PAD8`].
-fn widen_diag(src: &Diag8, dst: &mut Diag) {
-    let w = src.vals.len() - 2 * PAD8;
-    dst.vals.clear();
-    dst.vals.resize(w + 2 * PAD, NEG_INF16);
-    for (d, &s) in dst.vals[PAD..PAD + w]
-        .iter_mut()
-        .zip(&src.vals[PAD8..PAD8 + w])
-    {
-        *d = widen8(s);
-    }
-    dst.base = src.base;
-    dst.lo = src.lo;
-    dst.len = src.len;
-}
-
-#[inline(always)]
-fn prune8(v: i8, thr: i8) -> i8 {
-    if v < thr {
-        NEG_INF8
-    } else {
-        v
-    }
-}
-
-/// One chunk of the anti-diagonal recurrence over [`LANES8`] i8 cells —
-/// [`chunk_cells`] at byte width, so each vector instruction covers
-/// twice the cells.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn chunk_cells8(
-    q: &[i8; LANES8],
-    t: &[i8; LANES8],
-    p2: &[i8; LANES8],
-    pm1: &[i8; LANES8],
-    p0: &[i8; LANES8],
-    mat: i8,
-    mis: i8,
-    gap: i8,
-    thr: i8,
-    acc: &mut [i8; LANES8],
-) -> [i8; LANES8] {
-    let mut out = [0i8; LANES8];
-    for k in 0..LANES8 {
-        let sub = if q[k] == t[k] { mat } else { mis };
-        let diag = p2[k].saturating_add(sub);
-        let up = pm1[k].saturating_add(gap);
-        let left = p0[k].saturating_add(gap);
-        let mut v = diag.max(up).max(left);
-        if v < thr {
-            v = NEG_INF8;
-        }
-        out[k] = v;
-        acc[k] = acc[k].max(v);
-    }
-    out
-}
-
-/// The profile-mode counterpart of [`chunk_cells8`].
-#[inline(always)]
-fn chunk_cells8_profile(
-    subs: &[i8; LANES8],
-    p2: &[i8; LANES8],
-    pm1: &[i8; LANES8],
-    p0: &[i8; LANES8],
-    gap: i8,
-    thr: i8,
-    acc: &mut [i8; LANES8],
-) -> [i8; LANES8] {
-    let mut out = [0i8; LANES8];
-    for k in 0..LANES8 {
-        let diag = p2[k].saturating_add(subs[k]);
-        let up = pm1[k].saturating_add(gap);
-        let left = p0[k].saturating_add(gap);
-        let mut v = diag.max(up).max(left);
-        if v < thr {
-            v = NEG_INF8;
-        }
-        out[k] = v;
-        acc[k] = acc[k].max(v);
-    }
-    out
 }
 
 /// Lane-parallel X-drop extension: bit-identical to [`xdrop_extend`](crate::xdrop::xdrop_extend)

@@ -8,8 +8,8 @@
 //!   planted exact seed, scored `(1, -2, -1)` with X = 62 (the widest
 //!   i8-eligible X at match = +1). Extensions die inside the X-drop
 //!   band without the best score ever approaching the i8 ceiling, so
-//!   this is the pure-i8 regime — the row the 1.4× acceptance bound is
-//!   asserted on. The `(2X/|gap|)`-wide live band (~124 cells) keeps
+//!   this is the pure-i8 regime — the row the i8-vs-i16 acceptance
+//!   bound is asserted on. The `(2X/|gap|)`-wide live band (~124 cells) keeps
 //!   anti-diagonals several 32-lane chunks wide.
 //! * `dna-overlap` — true overlaps at 15% error, X = 60: the best
 //!   score outgrows the i8 window almost immediately, so the i8 tier
@@ -22,13 +22,22 @@
 //!
 //! Asserted in-bin on every run:
 //! - all four engines produce bit-identical results on every workload;
-//! - on `dna-screen`, the i8 tier sustains ≥ 1.4× the i16 tier's
-//!   single-thread GCUPS;
+//! - on `dna-screen`, the i8 tier sustains ≥ 1.05× the i16 tier's
+//!   single-thread GCUPS (measured ≈ 1.17×; it was 1.93× while the i16
+//!   stepper still finished every anti-diagonal with a scalar remainder
+//!   loop — that headline was remainder-loop penalty, not lane width);
 //! - on every workload, the adaptive engine is within 3% of the best
-//!   fixed tier (`adaptive ≥ max(fixed) − 3%`).
+//!   fixed tier.
+//!
+//! Both ratios are medians over rounds of the *per-round* wall ratio:
+//! a round times all four engines within a fraction of a second, so
+//! the slow and fast bursts of a shared host cancel inside a round
+//! instead of landing on one engine (best-of-N walls, used before the
+//! kernels got this fast, let one engine catch a burst the other
+//! missed). The table reports each engine's median wall.
 //!
 //! The `--quick` smoke keeps the bit-identity assertion exact but
-//! loosens the two performance bounds (1.25× and 10%): its ~10 ms
+//! loosens the two performance bounds (i8 ≥ i16 and 7%): its ~5 ms
 //! walls jitter too much for the full-run tolerances.
 //!
 //! ```sh
@@ -117,6 +126,34 @@ fn protein_pairs(n: usize, len: usize, seed_len: usize, sub_rate: f64, seed: u64
         .collect()
 }
 
+fn median(values: impl Iterator<Item = f64>) -> f64 {
+    let mut v: Vec<f64> = values.collect();
+    v.sort_by(f64::total_cmp);
+    v[v.len() / 2]
+}
+
+const ENGINES: [Engine; 4] = [Engine::Scalar, Engine::Simd, Engine::I8, Engine::Adaptive];
+// Positions in `ENGINES`.
+const SIMD: usize = 1;
+const I8: usize = 2;
+const ADAPTIVE: usize = 3;
+
+/// One workload's wall times, `[engine][round]`.
+#[derive(Default)]
+struct Timings([Vec<f64>; ENGINES.len()]);
+
+impl Timings {
+    fn median_wall(&self, engine: usize) -> f64 {
+        median(self.0[engine].iter().copied())
+    }
+
+    /// Speed of engine `a` relative to engine `b`: the median over
+    /// rounds of the per-round wall ratio.
+    fn speed_vs(&self, a: usize, b: usize) -> f64 {
+        median(self.0[a].iter().zip(&self.0[b]).map(|(wa, wb)| wb / wa))
+    }
+}
+
 struct Workload {
     name: &'static str,
     pairs: Vec<ReadPair>,
@@ -128,7 +165,7 @@ fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let scale = BenchScale::from_env();
     let n = if quick { 150 } else { 1600 };
-    let reps = if quick { 3 } else { 7 };
+    let reps = if quick { 7 } else { 21 };
 
     let workloads = [
         Workload {
@@ -151,20 +188,20 @@ fn main() {
         },
     ];
 
-    const ENGINES: [Engine; 4] = [Engine::Scalar, Engine::Simd, Engine::I8, Engine::Adaptive];
     let mut rows: Vec<Row> = Vec::new();
+    let mut timings: Vec<Timings> = Vec::new();
 
     for w in &workloads {
-        // Best-of-`reps` wall time, with repetitions interleaved
-        // round-robin across the engines and the engine order rotated
-        // every round, so clock drift and frequency scaling hit every
-        // engine alike — the host clock jitters, the DP does not:
-        // cells, results and tier tallies are deterministic.
+        // `reps` rounds, each timing every engine once, with the
+        // engine order rotated every round, so clock drift and
+        // frequency scaling hit every engine alike — the host clock
+        // jitters, the DP does not: cells, results and tier tallies
+        // are deterministic.
         let backends: Vec<_> = ENGINES
             .iter()
             .map(|&e| XDropCpuAligner::new(1, w.profile, w.x, e))
             .collect();
-        let mut best_wall = [f64::INFINITY; ENGINES.len()];
+        let mut walls = Timings::default();
         let mut cells = [0u64; ENGINES.len()];
         let mut tiers = [TierTally::default(); ENGINES.len()];
         let mut reference: Option<Vec<_>> = None;
@@ -172,7 +209,7 @@ fn main() {
             for k in 0..backends.len() {
                 let i = (round + k) % backends.len();
                 let (res, rep) = backends[i].align_block(&w.pairs);
-                best_wall[i] = best_wall[i].min(rep.wall_s);
+                walls.0[i].push(rep.wall_s);
                 cells[i] = rep.total_cells;
                 tiers[i] = rep.tiers;
                 match &reference {
@@ -185,16 +222,17 @@ fn main() {
                 }
             }
         }
-        let scalar_gcups = cells[0] as f64 / best_wall[0] / 1e9;
+        let scalar_gcups = cells[0] as f64 / walls.median_wall(0) / 1e9;
         for (i, &engine) in ENGINES.iter().enumerate() {
-            let gcups = cells[i] as f64 / best_wall[i] / 1e9;
+            let wall_s = walls.median_wall(i);
+            let gcups = cells[i] as f64 / wall_s / 1e9;
             let total = tiers[i].total().max(1) as f64;
             rows.push(Row {
                 workload: w.name.to_string(),
                 engine: engine.to_string(),
                 pairs: w.pairs.len(),
                 cells: cells[i],
-                wall_s: best_wall[i],
+                wall_s,
                 gcups,
                 speedup_vs_scalar: gcups / scalar_gcups,
                 frac_scalar: tiers[i].scalar as f64 / total,
@@ -203,10 +241,11 @@ fn main() {
                 escalations: tiers[i].escalations,
             });
         }
+        timings.push(walls);
     }
 
     heading(format!(
-        "engine_tiers — tier ladder, 1 host thread, best-of-{reps}{}",
+        "engine_tiers — tier ladder, 1 host thread, median of {reps} rounds{}",
         if quick { " [--quick]" } else { "" }
     ));
     let mut t = Table::new(&[
@@ -241,39 +280,34 @@ fn main() {
     println!("{}", t.render());
 
     // Acceptance bounds, asserted on every run. The --quick smoke's
-    // ~10 ms walls jitter too much for the tight full-run bounds, so it
+    // ~5 ms walls jitter too much for the tight full-run bounds, so it
     // gates on looser thresholds that still catch a broken tier.
-    let (i8_bound, adaptive_frac) = if quick { (1.25, 0.90) } else { (1.4, 0.97) };
-    let gcups_of = |workload: &str, engine: Engine| {
-        rows.iter()
-            .find(|r| r.workload == workload && r.engine == engine.to_string())
-            .map(|r| r.gcups)
-            .expect("row exists")
-    };
-    let i8_vs_i16 = gcups_of("dna-screen", Engine::I8) / gcups_of("dna-screen", Engine::Simd);
+    let (i8_bound, adaptive_frac) = if quick { (1.0, 0.93) } else { (1.05, 0.97) };
+    let i8_vs_i16 = timings[0].speed_vs(I8, SIMD);
     assert!(
         i8_vs_i16 >= i8_bound,
         "i8 tier must sustain >= {i8_bound}x the i16 tier on eligible DNA pairs \
          (dna-screen), measured {i8_vs_i16:.2}x"
     );
-    for w in &workloads {
-        let best_fixed = [Engine::Scalar, Engine::Simd, Engine::I8]
-            .into_iter()
-            .map(|e| gcups_of(w.name, e))
-            .fold(f64::MIN, f64::max);
-        let adaptive = gcups_of(w.name, Engine::Adaptive);
+    let mut worst = f64::INFINITY;
+    for (w, t) in workloads.iter().zip(&timings) {
+        let best_fixed = (0..ADAPTIVE)
+            .min_by(|&a, &b| t.median_wall(a).total_cmp(&t.median_wall(b)))
+            .expect("three fixed engines");
+        let adaptive = t.speed_vs(ADAPTIVE, best_fixed);
+        worst = worst.min(adaptive);
         assert!(
-            adaptive >= best_fixed * adaptive_frac,
+            adaptive >= adaptive_frac,
             "adaptive must stay within {:.0}% of the best fixed tier on {}: \
-             adaptive {adaptive:.3} GCUPS vs best fixed {best_fixed:.3}",
+             it runs at {adaptive:.3}x the {} engine",
             (1.0 - adaptive_frac) * 100.0,
-            w.name
+            w.name,
+            ENGINES[best_fixed]
         );
     }
     println!(
         "engine_tiers: all engines bit-identical; i8 {i8_vs_i16:.2}x i16 on dna-screen; \
-         adaptive within {:.0}% of best fixed tier on all workloads.",
-        (1.0 - adaptive_frac) * 100.0
+         adaptive at worst {worst:.3}x the best fixed tier (floor {adaptive_frac}).",
     );
     if !quick {
         // The quick smoke (premerge) must not clobber the recorded

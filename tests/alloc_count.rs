@@ -72,6 +72,9 @@ fn warm_workspace_extensions_are_allocation_free() {
     // warm-path coverage rather than falling back to scalar.
     let x8 = 40;
     let ext_i8 = XDropExtender::with_engine(scoring, x8, Engine::I8);
+    // The adaptive selector inside the i8 window: i8 dispatch, then the
+    // escalation that widens the padded i8 buffers into the i16 ones.
+    let ext_adaptive8 = XDropExtender::with_engine(scoring, x8, Engine::Adaptive);
 
     // Reference results through fresh workspaces, for the bit-equality
     // side of the contract.
@@ -99,6 +102,7 @@ fn warm_workspace_extensions_are_allocation_free() {
         seed_extend_with(&p.query, &p.target, p.seed, &ext_simd, &mut ws);
         seed_extend_with(&p.query, &p.target, p.seed, &ext_i8, &mut ws);
         seed_extend_with(&p.query, &p.target, p.seed, &ext_adaptive, &mut ws);
+        seed_extend_with(&p.query, &p.target, p.seed, &ext_adaptive8, &mut ws);
         xdrop_extend_with(&p.query, &p.target, scoring, x, &mut ws);
         xdrop_extend_simd_with(&p.query, &p.target, scoring, x, &mut ws);
         xdrop_extend_simd8_with(&p.query, &p.target, scoring, x8, &mut ws);
@@ -108,6 +112,7 @@ fn warm_workspace_extensions_are_allocation_free() {
     // Warm pass: the heart of the test. Zero allocations per call, on
     // every entry point, for every pair shape, and results identical to
     // the fresh-workspace reference.
+    let tally_before = ws.tally;
     for ((p, want), want8) in pairs
         .iter()
         .chain(&divergent)
@@ -134,6 +139,11 @@ fn warm_workspace_extensions_are_allocation_free() {
         assert_eq!(d, 0, "warm adaptive seed_extend_with allocated");
         assert_eq!(&r, want);
 
+        let (d, r) =
+            alloc_delta(|| seed_extend_with(&p.query, &p.target, p.seed, &ext_adaptive8, &mut ws));
+        assert_eq!(d, 0, "warm adaptive (i8 window) seed_extend_with allocated");
+        assert_eq!(&r, want8);
+
         let (d, _) = alloc_delta(|| xdrop_extend_with(&p.query, &p.target, scoring, x, &mut ws));
         assert_eq!(d, 0, "warm scalar xdrop_extend_with allocated");
 
@@ -149,6 +159,12 @@ fn warm_workspace_extensions_are_allocation_free() {
             alloc_delta(|| xdrop_extend_adaptive_with(&p.query, &p.target, scoring, x, &mut ws));
         assert_eq!(d, 0, "warm adaptive xdrop_extend_with allocated");
     }
+
+    // The i8 paths above must have taken the escalation edge (padded i8
+    // buffers widened into the i16 scratch), or its zeros prove nothing.
+    let warm = ws.tally.diff(&tally_before);
+    assert!(warm.lanes8 > 0 && warm.lanes16 > 0);
+    assert!(warm.escalations > 0, "no warm i8 run escalated: {warm:?}");
 
     // Sanity check on the counter itself: the allocating wrappers (and
     // a cold workspace) must register, or the zeros above prove nothing.

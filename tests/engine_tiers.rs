@@ -15,12 +15,23 @@
 //! * forced saturation-escalation: pairs whose running best score
 //!   provably outgrows the i8 window mid-extension, checked through the
 //!   [`TierTally`] escalation counter;
-//! * the adaptive selector's tier choice, pinned through the tally.
+//! * the adaptive selector's tier choice, pinned through the tally;
+//! * band edges of the row kernel (its masked last chunk): interior
+//!   widths pinned on both sides of every chunk boundary, flanks and
+//!   profiles shorter than a chunk, boundary cells inside the masked
+//!   store, masked lanes over live parents, escalation onto a
+//!   sub-chunk band — each witnessed through the steppers' per-step
+//!   statistics so the case cannot silently stop being exercised.
 
 use logan::align::{simd8_eligible, simd_eligible};
 use logan::prelude::*;
 use logan::seq::{Alphabet, ScoreProfile};
-use logan_align::simd::{SIMD8_MAX_SCORE, SIMD_MAX_X};
+use logan_align::simd::{
+    DiagStats, Simd8Scratch, Simd8State, Simd8Step, SimdScratch, SimdState, SimdStep,
+    SIMD8_MAX_SCORE, SIMD_MAX_X,
+};
+use logan_core::kernel::{logan_block_extend_simd, KernelPolicy};
+use logan_gpusim::BlockCtx;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -243,5 +254,220 @@ fn adaptive_picks_the_cheapest_eligible_tier() {
             );
             assert_eq!(ws.tally.total(), 1);
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Band edges: the row kernel rounds every anti-diagonal's interior up to
+// whole chunks (16 i16 lanes, 32 i8 lanes) and masks the lanes past its
+// end. The cases below sit on both sides of each chunk boundary.
+// ---------------------------------------------------------------------
+
+/// [`all_tiers_agree`] plus the simulated GPU's block path, which
+/// drives the i16 stepper one anti-diagonal at a time.
+fn all_paths_agree(
+    q: &Seq,
+    t: &Seq,
+    profile: impl Into<ScoreProfile> + Copy,
+    x: i32,
+) -> ExtensionResult {
+    let want = all_tiers_agree(q, t, profile, x);
+    let threads = 128;
+    let mut ctx = BlockCtx::new(threads, 32, 96 * 1024);
+    let policy = KernelPolicy::new(threads);
+    assert_eq!(
+        logan_block_extend_simd(&mut ctx, q, t, profile, x, &policy),
+        want,
+        "gpusim stepper diverged from scalar (x = {x})"
+    );
+    want
+}
+
+/// Per-step statistics of the i16 stepper, run to completion.
+fn i16_steps(q: &Seq, t: &Seq, profile: impl Into<ScoreProfile>, x: i32) -> Vec<DiagStats> {
+    let mut scratch = SimdScratch::default();
+    let mut state = SimdState::new(q, t, profile, x, &mut scratch).expect("i16-eligible");
+    let mut steps = Vec::new();
+    while let SimdStep::Advanced(stats) = state.step() {
+        steps.push(stats);
+    }
+    steps
+}
+
+/// Per-step statistics of the i8 stepper up to its end or escalation.
+fn i8_steps(q: &Seq, t: &Seq, profile: impl Into<ScoreProfile>, x: i32) -> Vec<DiagStats> {
+    let mut scratch = Simd8Scratch::default();
+    let mut state = Simd8State::new(q, t, profile, x, &mut scratch).expect("i8-eligible");
+    let mut steps = Vec::new();
+    while let Simd8Step::Advanced(stats) = state.step() {
+        steps.push(stats);
+    }
+    steps
+}
+
+/// A random DNA sequence over the given base codes.
+fn random_dna(n: usize, bases: &[u8], rng: &mut StdRng) -> Seq {
+    (0..n)
+        .map(|_| logan::seq::Base::from_code(bases[rng.gen_range(0..bases.len())]))
+        .collect()
+}
+
+const ACGT: &[u8] = &[0, 1, 2, 3];
+/// A query over {A, C} never matches a target over {G, T}, so under
+/// unit scoring the best score stays 0, cell `(i, j)` scores
+/// `−max(i, j)` and nothing within `max(i, j) ≤ X` is pruned —
+/// anti-diagonal widths follow from the lengths alone.
+const AC: &[u8] = &[0, 1];
+const GT: &[u8] = &[2, 3];
+
+/// Interior widths pinned at 1, L − 1, L, L + 1, 2L − 1 and 2L for both
+/// chunk widths. With `m = W < n` and nothing pruned, anti-diagonals
+/// `m < d ≤ n` hold the `i = 0` boundary cell plus exactly `W` interior
+/// cells; the steppers' statistics witness it.
+#[test]
+fn interior_widths_pinned_at_chunk_edges() {
+    let mut rng = StdRng::seed_from_u64(1201);
+    let unit = Scoring::default();
+    // i16 tier: X far above any reachable drop, random DNA.
+    for w in [1usize, 15, 16, 17, 31, 32, 33, 63, 64] {
+        let n = w + 40;
+        let q = random_dna(w, ACGT, &mut rng);
+        let t = random_dna(n, ACGT, &mut rng);
+        let x = 1000;
+        let pinned = i16_steps(&q, &t, unit, x)
+            .iter()
+            .filter(|s| s.width == w + 1)
+            .count();
+        assert!(pinned >= n - w, "i16: interior width {w} not pinned");
+        all_paths_agree(&q, &t, unit, x);
+        // The transpose pins the same widths against the j = 0 cell.
+        all_paths_agree(&t, &q, unit, x);
+    }
+    // i8 tier: X = 62 is the widest window at match = +1, so the
+    // never-matching pair keeps every cell with max(i, j) ≤ 62 alive.
+    let x = SIMD8_MAX_SCORE - 1;
+    for w in [1usize, 15, 16, 17, 31, 32, 33] {
+        let n = x as usize;
+        let q = random_dna(w, AC, &mut rng);
+        let t = random_dna(n, GT, &mut rng);
+        assert!(simd8_eligible(&q, &t, unit, x));
+        let pinned = i8_steps(&q, &t, unit, x)
+            .iter()
+            .filter(|s| s.width == w + 1)
+            .count();
+        assert!(pinned >= n - w, "i8: interior width {w} not pinned");
+        all_paths_agree(&q, &t, unit, x);
+        all_paths_agree(&t, &q, unit, x);
+    }
+    // 2L − 1 = 63 is the widest interior the i8 window admits: with
+    // both flanks past X, anti-diagonal d = 64 computes i = 1..=63.
+    // (2L = 64 is out of the i8 tier's reach; the i16 rows above run
+    // the same kernel code across it.)
+    let q = random_dna(80, AC, &mut rng);
+    let t = random_dna(90, GT, &mut rng);
+    let steps = i8_steps(&q, &t, unit, x);
+    assert_eq!(
+        steps[63].width, 63,
+        "anti-diagonal 64 must be 63 interior cells"
+    );
+    all_paths_agree(&q, &t, unit, x);
+}
+
+/// While `d ≤ min(m, n)` an unpruned anti-diagonal runs from `lo = 0`
+/// to `hi = d`: `d − 1` interior cells, so the masked part of the last
+/// chunk covers the `j = 0` boundary cell. That cell is alive here
+/// (`−d ≥ −X`); had the masked store clobbered it, the live width
+/// would come out one short.
+#[test]
+fn boundary_cells_survive_the_masked_store() {
+    let mut rng = StdRng::seed_from_u64(1202);
+    let unit = Scoring::default();
+    let x = SIMD8_MAX_SCORE - 1;
+    let q = random_dna(50, AC, &mut rng);
+    let t = random_dna(50, GT, &mut rng);
+    for steps in [i16_steps(&q, &t, unit, x), i8_steps(&q, &t, unit, x)] {
+        for (k, s) in steps.iter().take(50).enumerate() {
+            let d = k + 1;
+            assert_eq!((s.width, s.live_width), (d + 1, d + 1), "d = {d}");
+        }
+    }
+    all_paths_agree(&q, &t, unit, x);
+}
+
+/// Flanks shorter than one chunk on either side, so the masked lanes
+/// load the padding behind the sequences — DNA, and BLOSUM62 where they
+/// also gather from the profile's padding rows.
+#[test]
+fn flanks_shorter_than_a_chunk() {
+    let mut rng = StdRng::seed_from_u64(1203);
+    let p62 = ScoreProfile::blosum62(-6);
+    for m in [1usize, 2, 5, 15, 16, 31] {
+        for n in [1usize, 3, 15, 33, 70] {
+            let q = random_dna(m, ACGT, &mut rng);
+            let t = random_dna(n, ACGT, &mut rng);
+            for x in [0, 3, 20, 62, 300] {
+                all_paths_agree(&q, &t, Scoring::default(), x);
+                all_paths_agree(&t, &q, Scoring::new(2, -3, -2), x);
+            }
+            let pq = random_protein(m, &mut rng);
+            let pt = if n % 2 == 0 {
+                random_protein(n, &mut rng)
+            } else {
+                mutate(&random_protein(n.max(m), &mut rng), 0.3, &mut rng)
+            };
+            // 52 is the last i8-eligible X under BLOSUM62.
+            for x in [0, 10, 52, 53, 400] {
+                all_paths_agree(&pq, &pt, p62, x);
+                all_paths_agree(&pt, &pq, p62, x);
+            }
+        }
+    }
+}
+
+/// The case that makes the mask mandatory: when anti-diagonal `d − 1`
+/// is trimmed by two or more cells at its high end, the first masked
+/// lane of anti-diagonal `d` reads a diagonal parent that is still
+/// inside `d − 2`'s live window. Seeded noisy pairs at small X hit it
+/// constantly; the steppers' statistics prove they did.
+#[test]
+fn masked_lanes_over_live_parents() {
+    let pairs = PairSet::generate_with_lengths(12, 0.15, 150, 400, 1204).pairs;
+    let scoring = Scoring::default();
+    let exposed = |steps: &[DiagStats]| steps.windows(2).filter(|w| w[0].trim_back >= 2).count();
+    let (mut hits16, mut hits8) = (0, 0);
+    for p in &pairs {
+        for x in [3, 6, 12] {
+            hits16 += exposed(&i16_steps(&p.query, &p.target, scoring, x));
+            hits8 += exposed(&i8_steps(&p.query, &p.target, scoring, x));
+            all_paths_agree(&p.query, &p.target, scoring, x);
+        }
+    }
+    assert!(hits16 > 0, "no i16 step ran under a high-end trim of >= 2");
+    assert!(hits8 > 0, "no i8 step ran under a high-end trim of >= 2");
+}
+
+/// An i8 run that escalates while its band is narrower than either
+/// chunk: the i16 stepper takes over rows that are a single, mostly
+/// masked chunk, over buffers widened from the i8 scratch.
+#[test]
+fn escalation_onto_a_sub_chunk_band() {
+    let q: Seq = (0..300)
+        .map(|i| logan::seq::Base::from_code((i % 4) as u8))
+        .collect();
+    let p62 = ScoreProfile::blosum62(-6);
+    let mut rng = StdRng::seed_from_u64(1205);
+    let prot = random_protein(120, &mut rng);
+    let cases: [(&Seq, ScoreProfile, i32); 2] =
+        [(&q, Scoring::default().into(), 4), (&prot, p62, 12)];
+    for (s, profile, x) in cases {
+        let want = all_paths_agree(s, s, profile, x);
+        assert!(
+            want.max_width < 16,
+            "band {} is not sub-chunk",
+            want.max_width
+        );
+        let mut ws = AlignWorkspace::new();
+        assert_eq!(Engine::I8.extend_with(s, s, profile, x, &mut ws), want);
+        assert_eq!((ws.tally.lanes8, ws.tally.escalations), (1, 1));
     }
 }
