@@ -3,8 +3,9 @@
 //! The Rust performance guide recommends `rustc-hash` for hot maps with
 //! integer keys; rather than pull a dependency for ten lines, the
 //! multiply-rotate algorithm is inlined here. k-mer codes are already
-//! well-mixed 2-bit packings, and the k-mer count table is the hottest
-//! map in the pipeline.
+//! well-mixed 2-bit packings. The hottest map is the matrix builder's
+//! code → column map, probed once per k-mer of every read; k-mer
+//! *counting* sorts instead of hashing (see [`crate::kmer_count`]).
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};

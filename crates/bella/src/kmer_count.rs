@@ -1,118 +1,199 @@
-//! Canonical k-mer counting across a read set.
+//! Canonical k-mer counting across a read set: collect, sort, scan.
 //!
-//! Two shapes, same semantics:
+//! Hashing every k-mer of a long-read set into one table costs a DRAM
+//! miss per k-mer (the table is hundreds of megabytes, the k-mers arrive
+//! in random order), and the benchmark trace shows it: counting is the
+//! largest stage of candidate generation. Minimap2 builds its index the
+//! other way, and so does this module — there is one counter:
 //!
-//! * [`count_kmers`] — one hash map over everything (the BELLA
-//!   original); peak memory is the whole distinct-k-mer table.
-//! * [`count_reliable_sharded`] — the streaming pipeline's counter. The
-//!   code space is hash-partitioned into `shards` disjoint slices
-//!   (KMC/Jellyfish-style); shards are counted one *wave* at a time and
-//!   each wave's table is reduced to its reliable survivors and dropped
-//!   before the next begins, so at most `1/shards` of the table is ever
-//!   resident. Within a wave, k-mer extraction fans out over Rayon
-//!   workers; the merge is a sequential drain of per-chunk code lists.
-//!   The extra price is `shards` scans of the (already resident) reads —
-//!   k-mer iteration is a tiny fraction of pipeline time next to
-//!   alignment, and DESIGN.md §8 records the trade.
+//! 1. one pass over the reads sizes [`PARTITIONS`] hash partitions of
+//!    the canonical code space ([`partition_of`]);
+//! 2. a second pass scatters the codes of a *wave* — a contiguous group
+//!    of partitions — into one flat buffer, partition by partition;
+//! 3. each partition (≈ total / 1024 codes, cache-sized) is sorted and
+//!    run-length counted while it is resident.
+//!
+//! Two entry points share it:
+//!
+//! * [`count_kmers`] — one wave over every partition, kept as a
+//!   [`KmerCounts`] table (the BELLA original's full table);
+//! * [`count_reliable_sharded`] — the streaming pipeline's counter:
+//!   `shards` waves, each reduced to its reliable survivors before the
+//!   next begins, so only `1/shards` of the codes is ever resident. The
+//!   price is one scatter pass over the (already resident) reads per
+//!   wave; DESIGN.md §8 records the trade.
 
-use crate::fxhash::{FxHashMap, FxHashSet};
+use crate::fxhash::FxHashSet;
 use crate::prune::ReliableBounds;
 use logan_seq::{CanonicalKmerIter, Seq};
-use rayon::prelude::*;
+use std::ops::{Index, Range};
+
+/// log2 of [`PARTITIONS`].
+const PARTITION_BITS: u32 = 10;
+
+/// Hash partitions of the canonical code space. At 2¹⁰ a partition of a
+/// 20 M k-mer read set is ≈ 20 k codes (160 KB): it sorts inside the L2
+/// cache, and the scatter's 1 024 write streams stay within the TLB.
+pub const PARTITIONS: usize = 1 << PARTITION_BITS;
+
+/// Which of the [`PARTITIONS`] a canonical k-mer code belongs to.
+///
+/// A multiply-shift mix spreads the decision across all code bits
+/// (canonical 2-bit codes are far from uniform), so partition sizes
+/// stay balanced even on repeat-heavy genomes.
+#[inline]
+pub fn partition_of(code: u64) -> usize {
+    (code.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (u64::BITS - PARTITION_BITS)) as usize
+}
+
+/// The partitions counted by wave `shard` of `shards`: contiguous,
+/// disjoint, covering `0..PARTITIONS`; empty for some shards when
+/// `shards > PARTITIONS`.
+fn shard_partitions(shard: usize, shards: usize) -> Range<usize> {
+    shard * PARTITIONS / shards..(shard + 1) * PARTITIONS / shards
+}
+
+/// The counter: `each(code, multiplicity)` for every distinct canonical
+/// k-mer of `reads`, in `(partition, code)` order, holding the codes of
+/// one of `shards` waves at a time.
+fn for_each_count(reads: &[Seq], k: usize, shards: usize, mut each: impl FnMut(u64, u32)) {
+    let mut sizes = vec![0usize; PARTITIONS];
+    for read in reads {
+        for (_, km, _) in CanonicalKmerIter::new(read, k) {
+            sizes[partition_of(km.code)] += 1;
+        }
+    }
+    for shard in 0..shards {
+        let parts = shard_partitions(shard, shards);
+        // `next[p]` is where partition `parts.start + p` writes next;
+        // once the scatter is done it is that partition's end.
+        let mut next = Vec::with_capacity(parts.len());
+        let mut total = 0usize;
+        for &size in &sizes[parts.clone()] {
+            next.push(total);
+            total += size;
+        }
+        let mut codes = vec![0u64; total];
+        for read in reads {
+            for (_, km, _) in CanonicalKmerIter::new(read, k) {
+                let p = partition_of(km.code);
+                if parts.contains(&p) {
+                    let at = &mut next[p - parts.start];
+                    codes[*at] = km.code;
+                    *at += 1;
+                }
+            }
+        }
+        let mut lo = 0usize;
+        for &hi in &next {
+            let partition = &mut codes[lo..hi];
+            partition.sort_unstable();
+            for run in partition.chunk_by(|a, b| a == b) {
+                each(run[0], run.len() as u32);
+            }
+            lo = hi;
+        }
+    }
+}
+
+/// Multiplicity of every distinct canonical k-mer of a read set: the
+/// read side of a `HashMap<u64, u32>` over two flat arrays, ordered by
+/// `(partition, code)`.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct KmerCounts {
+    codes: Vec<u64>,
+    counts: Vec<u32>,
+}
+
+impl KmerCounts {
+    /// Distinct k-mers.
+    pub fn len(&self) -> usize {
+        self.codes.len()
+    }
+
+    /// True when no k-mer was counted.
+    pub fn is_empty(&self) -> bool {
+        self.codes.is_empty()
+    }
+
+    /// The distinct canonical codes.
+    pub fn keys(&self) -> std::slice::Iter<'_, u64> {
+        self.codes.iter()
+    }
+
+    /// The multiplicities, in [`KmerCounts::keys`] order.
+    pub fn values(&self) -> std::slice::Iter<'_, u32> {
+        self.counts.iter()
+    }
+
+    /// `(code, multiplicity)` entries.
+    pub fn iter(&self) -> impl Iterator<Item = (&u64, &u32)> + '_ {
+        self.codes.iter().zip(&self.counts)
+    }
+
+    /// Multiplicity of `code`, if it occurs: a binary search in the
+    /// table's `(partition, code)` order.
+    pub fn get(&self, code: &u64) -> Option<&u32> {
+        let order = |c: &u64| (partition_of(*c), *c);
+        let at = self.codes.binary_search_by_key(&order(code), order).ok()?;
+        Some(&self.counts[at])
+    }
+
+    /// Does `code` occur in the read set?
+    pub fn contains_key(&self, code: &u64) -> bool {
+        self.get(code).is_some()
+    }
+}
+
+impl Index<&u64> for KmerCounts {
+    type Output = u32;
+
+    /// Multiplicity of a k-mer that occurs; panics on one that does not.
+    fn index(&self, code: &u64) -> &u32 {
+        self.get(code).expect("k-mer not in the count table")
+    }
+}
 
 /// Count canonical k-mers over all reads. Multiple occurrences within
 /// one read all count (as in BELLA's counter; the *reliable* window
 /// later caps what survives).
-pub fn count_kmers(reads: &[Seq], k: usize) -> FxHashMap<u64, u32> {
-    let mut counts: FxHashMap<u64, u32> = FxHashMap::default();
-    // Reserve roughly one slot per expected distinct k-mer (total bases,
-    // capped to keep worst-case memory sane).
-    let total: usize = reads.iter().map(|r| r.len()).sum();
-    counts.reserve(total.min(1 << 24));
-    for read in reads {
-        for (_, km, _) in CanonicalKmerIter::new(read, k) {
-            *counts.entry(km.code).or_insert(0) += 1;
-        }
-    }
-    counts
-}
-
-/// Which of `shards` hash partitions a canonical k-mer code belongs to.
-///
-/// A multiply-shift mix spreads the partition decision across all code
-/// bits (canonical 2-bit codes are low-entropy in the low bits), so
-/// shard sizes stay balanced even on repeat-heavy genomes.
-pub fn shard_of(code: u64, shards: usize) -> usize {
-    debug_assert!(shards >= 1);
-    ((code.wrapping_mul(0x9E37_79B9_7F4A_7C15)) >> 32) as usize % shards
-}
-
-/// Count the k-mers of one shard: extraction is parallel over read
-/// chunks (each worker emits the chunk's codes belonging to `shard`),
-/// the count merge is a sequential drain.
-fn count_shard(reads: &[Seq], k: usize, shard: usize, shards: usize) -> FxHashMap<u64, u32> {
-    const CHUNK_READS: usize = 64;
-    let n_chunks = reads.len().div_ceil(CHUNK_READS).max(1);
-    let code_lists: Vec<Vec<u64>> = (0..n_chunks)
-        .into_par_iter()
-        .map(|c| {
-            let lo = c * CHUNK_READS;
-            let hi = (lo + CHUNK_READS).min(reads.len());
-            let mut codes = Vec::new();
-            for read in &reads[lo..hi] {
-                for (_, km, _) in CanonicalKmerIter::new(read, k) {
-                    if shard_of(km.code, shards) == shard {
-                        codes.push(km.code);
-                    }
-                }
-            }
-            codes
-        })
-        .collect();
-    let mut counts: FxHashMap<u64, u32> = FxHashMap::default();
-    for codes in code_lists {
-        for code in codes {
-            *counts.entry(code).or_insert(0) += 1;
-        }
-    }
-    counts
+pub fn count_kmers(reads: &[Seq], k: usize) -> KmerCounts {
+    let mut table = KmerCounts::default();
+    for_each_count(reads, k, 1, |code, n| {
+        table.codes.push(code);
+        table.counts.push(n);
+    });
+    table
 }
 
 /// Sharded, bounded-memory equivalent of `count_kmers` +
 /// [`crate::prune::reliable_kmers`]: returns the number of distinct
 /// canonical k-mers and the set of reliable ones under `bounds`.
 ///
-/// Exactly equal to the monolithic computation for every `shards >= 1`
-/// (counting is commutative and the partitions are disjoint); only the
-/// peak table memory changes, from the full distinct table to roughly
-/// `1/shards` of it plus the (much smaller) reliable survivor set.
+/// Exactly equal to the monolithic computation for every `shards`
+/// (0 counts as 1): the waves are disjoint groups of the same
+/// partitions. Only the peak changes, from every code of the read set
+/// to roughly `1/shards` of them plus the (much smaller) reliable set.
 pub fn count_reliable_sharded(
     reads: &[Seq],
     k: usize,
     shards: usize,
     bounds: ReliableBounds,
 ) -> (usize, FxHashSet<u64>) {
-    let shards = shards.max(1);
     let mut distinct = 0usize;
     let mut reliable = FxHashSet::default();
-    for shard in 0..shards {
-        // One wave: count this shard, keep its reliable survivors, drop
-        // the table before the next wave allocates.
-        let counts = count_shard(reads, k, shard, shards);
-        distinct += counts.len();
-        reliable.extend(
-            counts
-                .into_iter()
-                .filter(|&(_, c)| c >= bounds.lo && c <= bounds.hi)
-                .map(|(code, _)| code),
-        );
-    }
+    for_each_count(reads, k, shards.max(1), |code, n| {
+        distinct += 1;
+        if bounds.contains(n) {
+            reliable.insert(code);
+        }
+    });
     (distinct, reliable)
 }
 
 /// Histogram of multiplicities (index = multiplicity, capped), useful
 /// for diagnostics and for choosing reliable bounds empirically.
-pub fn multiplicity_histogram(counts: &FxHashMap<u64, u32>, cap: usize) -> Vec<u64> {
+pub fn multiplicity_histogram(counts: &KmerCounts, cap: usize) -> Vec<u64> {
     let mut hist = vec![0u64; cap + 1];
     for &c in counts.values() {
         hist[(c as usize).min(cap)] += 1;
@@ -161,7 +242,7 @@ mod tests {
         let per_read = count_kmers(std::slice::from_ref(&r), 8);
         let counts = count_kmers(&[r.clone(), r.clone(), r], 8);
         assert_eq!(counts.len(), per_read.len());
-        for (code, c) in &counts {
+        for (code, c) in counts.iter() {
             assert_eq!(*c, per_read[code] * 3);
         }
     }
@@ -203,17 +284,26 @@ mod tests {
 
     #[test]
     fn shard_partition_is_total_and_balanced() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
+        use rand::Rng;
         let mut rng = StdRng::seed_from_u64(5);
+        // Shards tile the partitions exactly, whatever their number.
+        for shards in [1, 2, 7, 8, 16, PARTITIONS, PARTITIONS + 5] {
+            let mut next = 0;
+            for shard in 0..shards {
+                let parts = shard_partitions(shard, shards);
+                assert_eq!(parts.start, next, "shards={shards}");
+                next = parts.end;
+            }
+            assert_eq!(next, PARTITIONS, "shards={shards}");
+        }
         let shards = 8;
         let mut sizes = vec![0usize; shards];
         for _ in 0..8_000 {
             // 34-bit codes mimic k=17 canonical space occupancy.
             let code: u64 = rng.gen_range(0..(1u64 << 34));
-            let s = shard_of(code, shards);
-            assert!(s < shards);
-            sizes[s] += 1;
+            let p = partition_of(code);
+            assert!(p < PARTITIONS);
+            sizes[p * shards / PARTITIONS] += 1;
         }
         let (min, max) = (
             *sizes.iter().min().unwrap() as f64,

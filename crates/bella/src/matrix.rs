@@ -1,19 +1,31 @@
-//! The sparse reads × reliable-k-mers matrix `A` (CSR).
+//! The sparse reads × reliable-k-mers matrix `A`: CSR, and its CSC
+//! transpose.
 //!
 //! BELLA phrases overlap detection as sparse matrix multiplication:
 //! `A(i, j) = position of reliable k-mer j in read i`. We store CSR with
 //! one entry per *(read, k-mer)* pair — the first occurrence position —
 //! which is what the binning stage needs to estimate offsets.
+//!
+//! Building it visits every k-mer of every read, so the builder spends
+//! exactly one hash probe per k-mer: a single code → column map, seeded
+//! with every reliable code before the first read, answers "reliable?"
+//! and "which column?" together, and a per-column stamp of the last row
+//! that recorded it replaces a per-read set of seen columns.
+//! [`KmerMatrix::transpose`] turns the rows into flat column-major
+//! [`Postings`] — the other operand of the SpGEMM — by counting sort.
 
 use crate::fxhash::{FxHashMap, FxHashSet};
 use logan_seq::{CanonicalKmerIter, Seq};
+
+/// Column of a reliable code no read has shown yet.
+const UNASSIGNED: u32 = u32::MAX;
 
 /// CSR matrix of reads over reliable k-mer columns.
 #[derive(Debug, Clone)]
 pub struct KmerMatrix {
     /// Number of reads (rows).
     pub n_reads: usize,
-    /// Number of reliable k-mers (columns).
+    /// Number of columns: reliable k-mers that occur in some read.
     pub n_cols: usize,
     /// CSR row pointers, length `n_reads + 1`.
     pub row_ptr: Vec<usize>,
@@ -21,8 +33,9 @@ pub struct KmerMatrix {
     pub col_idx: Vec<u32>,
     /// Position (of the k-mer in the read) per nonzero.
     pub pos: Vec<u32>,
-    /// Column id for each reliable canonical k-mer code.
-    pub col_of_code: FxHashMap<u64, u32>,
+    /// Column per reliable canonical code ([`UNASSIGNED`] for a code
+    /// that occurs in no read).
+    col_of_code: FxHashMap<u64, u32>,
 }
 
 impl KmerMatrix {
@@ -40,6 +53,14 @@ impl KmerMatrix {
         self.col_idx.len()
     }
 
+    /// The column of a canonical k-mer code, if it has one.
+    pub fn col_of(&self, code: u64) -> Option<u32> {
+        self.col_of_code
+            .get(&code)
+            .copied()
+            .filter(|&col| col != UNASSIGNED)
+    }
+
     /// The (column, position) entries of one read.
     pub fn row(&self, read: usize) -> impl Iterator<Item = (u32, u32)> + '_ {
         let lo = self.row_ptr[read];
@@ -50,47 +71,67 @@ impl KmerMatrix {
             .zip(self.pos[lo..hi].iter().copied())
     }
 
-    /// Transpose into column-major postings: for each column, the list
-    /// of `(read, position)` entries in read order — the CSC side of the
-    /// SpGEMM.
-    pub fn postings(&self) -> Vec<Vec<(u32, u32)>> {
-        let mut cols: Vec<Vec<(u32, u32)>> = vec![Vec::new(); self.n_cols];
+    /// Transpose into column-major [`Postings`] — the CSC side of the
+    /// SpGEMM. A counting sort on the column id: rows are walked in
+    /// order, so every column lists its reads ascending.
+    pub fn transpose(&self) -> Postings {
+        let mut col_ptr = vec![0usize; self.n_cols + 1];
+        for &col in &self.col_idx {
+            col_ptr[col as usize + 1] += 1;
+        }
+        for col in 0..self.n_cols {
+            col_ptr[col + 1] += col_ptr[col];
+        }
+        let mut next = col_ptr.clone();
+        let mut entries = vec![(0u32, 0u32); self.nnz()];
         for read in 0..self.n_reads {
             for (col, p) in self.row(read) {
-                cols[col as usize].push((read as u32, p));
+                let at = &mut next[col as usize];
+                entries[*at] = (read as u32, p);
+                *at += 1;
             }
         }
-        cols
+        Postings { col_ptr, entries }
     }
+}
+
+/// A [`KmerMatrix`] transposed: for each column the `(read, position)`
+/// entries in ascending read order, all columns in one flat array.
+#[derive(Debug, Clone)]
+pub struct Postings {
+    /// Column `c` is `entries[col_ptr[c]..col_ptr[c + 1]]`.
+    pub col_ptr: Vec<usize>,
+    /// `(read, position)` per nonzero.
+    pub entries: Vec<(u32, u32)>,
 }
 
 /// Incremental [`KmerMatrix`] construction from a stream of read
 /// batches. The streaming pipeline appends rows batch by batch as reads
 /// arrive; `build` is `new` + one `push_batch` + `finish`, so both
 /// paths produce identical matrices by construction.
-pub struct KmerMatrixBuilder<'a> {
+pub struct KmerMatrixBuilder {
     k: usize,
-    reliable: &'a FxHashSet<u64>,
     col_of_code: FxHashMap<u64, u32>,
+    /// Per assigned column, the last row that recorded it.
+    last_row: Vec<u32>,
     row_ptr: Vec<usize>,
     col_idx: Vec<u32>,
     pos: Vec<u32>,
-    seen_in_read: FxHashSet<u32>,
 }
 
-impl<'a> KmerMatrixBuilder<'a> {
+impl KmerMatrixBuilder {
     /// Start an empty matrix over the reliable k-mer set.
-    pub fn new(k: usize, reliable: &'a FxHashSet<u64>) -> KmerMatrixBuilder<'a> {
+    pub fn new(k: usize, reliable: &FxHashSet<u64>) -> KmerMatrixBuilder {
         let mut col_of_code: FxHashMap<u64, u32> = FxHashMap::default();
         col_of_code.reserve(reliable.len());
+        col_of_code.extend(reliable.iter().map(|&code| (code, UNASSIGNED)));
         KmerMatrixBuilder {
             k,
-            reliable,
             col_of_code,
+            last_row: Vec::new(),
             row_ptr: vec![0],
             col_idx: Vec::new(),
             pos: Vec::new(),
-            seen_in_read: FxHashSet::default(),
         }
     }
 
@@ -105,21 +146,27 @@ impl<'a> KmerMatrixBuilder<'a> {
     /// same matrix as one [`KmerMatrix::build`] over the whole set.
     pub fn push_batch(&mut self, reads: &[Seq]) {
         for read in reads {
-            self.seen_in_read.clear();
+            let row = self.rows() as u32;
             for (p, km, _) in CanonicalKmerIter::new(read, self.k) {
-                let code = km.code;
-                if !self.reliable.contains(&code) {
-                    continue;
+                let Some(col) = self.col_of_code.get_mut(&km.code) else {
+                    continue; // not reliable
+                };
+                if *col == UNASSIGNED {
+                    *col = self.last_row.len() as u32;
+                    self.last_row.push(row);
+                } else {
+                    // First occurrence per (read, k-mer) — later copies
+                    // of a reliable k-mer inside the same read carry no
+                    // extra pairing information and would bloat the
+                    // SpGEMM.
+                    let last = &mut self.last_row[*col as usize];
+                    if *last == row {
+                        continue;
+                    }
+                    *last = row;
                 }
-                let next_col = self.col_of_code.len() as u32;
-                let col = *self.col_of_code.entry(code).or_insert(next_col);
-                // First occurrence per (read, k-mer) — later copies of a
-                // reliable k-mer inside the same read carry no extra
-                // pairing information and would bloat the SpGEMM.
-                if self.seen_in_read.insert(col) {
-                    self.col_idx.push(col);
-                    self.pos.push(p as u32);
-                }
+                self.col_idx.push(*col);
+                self.pos.push(p as u32);
             }
             self.row_ptr.push(self.col_idx.len());
         }
@@ -129,7 +176,7 @@ impl<'a> KmerMatrixBuilder<'a> {
     pub fn finish(self) -> KmerMatrix {
         KmerMatrix {
             n_reads: self.row_ptr.len() - 1,
-            n_cols: self.col_of_code.len(),
+            n_cols: self.last_row.len(),
             row_ptr: self.row_ptr,
             col_idx: self.col_idx,
             pos: self.pos,
@@ -172,9 +219,8 @@ mod tests {
         let reads = vec![seq("ACGTACGT")];
         let rel = all_reliable(&reads, 4);
         let m = KmerMatrix::build(&reads, 4, &rel);
-        let acgt_col = m.col_of_code[&logan_seq::Kmer::from_bases(seq("ACGT").as_slice())
-            .canonical()
-            .code];
+        let acgt = logan_seq::Kmer::from_bases(seq("ACGT").as_slice()).canonical();
+        let acgt_col = m.col_of(acgt.code).unwrap();
         let entry = m.row(0).find(|&(c, _)| c == acgt_col).unwrap();
         assert_eq!(entry.1, 0);
     }
@@ -205,21 +251,22 @@ mod tests {
         let reads = vec![seq("ACGTACGTAA"), seq("CCACGTACGG"), seq("ACGTTTTTTT")];
         let rel = all_reliable(&reads, 4);
         let m = KmerMatrix::build(&reads, 4, &rel);
-        let cols = m.postings();
-        let nnz: usize = cols.iter().map(|c| c.len()).sum();
-        assert_eq!(nnz, m.nnz());
-        // Every posting entry must exist in the corresponding row.
-        for (col, entries) in cols.iter().enumerate() {
+        let t = m.transpose();
+        assert_eq!(t.col_ptr.len(), m.n_cols + 1);
+        assert_eq!((t.col_ptr[0], t.col_ptr[m.n_cols]), (0, m.nnz()));
+        assert_eq!(t.entries.len(), m.nnz());
+        for col in 0..m.n_cols {
+            let entries = &t.entries[t.col_ptr[col]..t.col_ptr[col + 1]];
+            assert!(!entries.is_empty(), "a column exists because a read has it");
+            // Every posting entry must exist in the corresponding row.
             for &(read, p) in entries {
                 assert!(m
                     .row(read as usize)
                     .any(|(c, pp)| c == col as u32 && pp == p));
             }
-        }
-        // Read order within each column.
-        for entries in &cols {
+            // Strictly ascending reads: one entry per (read, column).
             for w in entries.windows(2) {
-                assert!(w[0].0 <= w[1].0);
+                assert!(w[0].0 < w[1].0);
             }
         }
     }

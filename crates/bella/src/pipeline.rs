@@ -48,10 +48,10 @@ pub struct PipelineBudget {
     /// Reads per [`ReadBatch`] at ingest, rows per SpGEMM tile, and the
     /// granularity of incremental matrix construction.
     pub batch_reads: usize,
-    /// Hash partitions of the k-mer table; one shard's counts are
-    /// resident at a time, so the table peak is ~`1/shards` of the
-    /// monolithic counter (at the price of `shards` scans of the
-    /// resident reads).
+    /// Waves of the k-mer counter; one wave's codes are resident at a
+    /// time, so the counting peak is ~`1/shards` of the monolithic
+    /// counter's (at the price of `shards` scans of the resident
+    /// reads).
     pub shards: usize,
     /// Candidate blocks buffered between the SpGEMM producer and the
     /// alignment consumer; the channel bound is the backpressure rule —
@@ -236,64 +236,43 @@ impl BellaPipeline {
         reads: &[Seq],
     ) -> (Vec<ReadPair>, Vec<(usize, usize, usize)>, StageStats) {
         let cfg = &self.config;
-        let counts = count_kmers(reads, cfg.k);
         let bounds = cfg
             .reliable_override
             .unwrap_or_else(|| reliable_bounds(cfg.depth, cfg.error_rate, cfg.k, cfg.tail));
-        let reliable = reliable_kmers(&counts, bounds);
+        // The count table is the largest structure of the run and only
+        // the reliable set is read from here on: it dies in this block.
+        let (distinct_kmers, reliable) = {
+            let counts = count_kmers(reads, cfg.k);
+            (counts.len(), reliable_kmers(&counts, bounds))
+        };
 
-        let mut pairs = Vec::new();
-        let mut meta = Vec::new();
-        let nnz;
-        match cfg.seeder {
+        let (nnz, block) = match cfg.seeder {
             Seeder::SpGemm => {
                 let matrix = KmerMatrix::build(reads, cfg.k, &reliable);
-                nnz = matrix.nnz();
                 let cands = spgemm_candidates(&matrix);
-                pairs.reserve(cands.len());
-                meta.reserve(cands.len());
-                for c in &cands {
-                    let (r1, r2) = (c.r1 as usize, c.r2 as usize);
-                    let (seed, est) = choose_seed(reads[r1].len(), reads[r2].len(), c, cfg.k);
-                    pairs.push(ReadPair {
-                        query: reads[r1].clone(),
-                        target: reads[r2].clone(),
-                        seed,
-                        template_len: est,
-                    });
-                    meta.push((r1, r2, est));
-                }
+                (matrix.nnz(), CandidateBlock::build(&cands, reads, cfg.k))
             }
             Seeder::Minimizer => {
                 let mut index = MinimizerIndex::new(cfg.minimizer_w, cfg.k);
                 index.push_batch(reads, &reliable);
-                nnz = index.nnz();
-                for c in chain_candidates(&index, ChainConfig::default()) {
-                    if c.est < cfg.min_overlap {
-                        continue; // chain geometry rules the pair out
-                    }
-                    let (r1, r2) = (c.r1 as usize, c.r2 as usize);
-                    pairs.push(ReadPair {
-                        query: reads[r1].clone(),
-                        target: reads[r2].clone(),
-                        seed: c.seed,
-                        template_len: c.est,
-                    });
-                    meta.push((r1, r2, c.est));
-                }
+                let chained = chain_candidates(&index, ChainConfig::default());
+                (
+                    index.nnz(),
+                    CandidateBlock::from_chained(&chained, reads, cfg.min_overlap),
+                )
             }
-        }
+        };
         let stats = StageStats {
             reads: reads.len(),
-            distinct_kmers: counts.len(),
+            distinct_kmers,
             reliable_kmers: reliable.len(),
             bounds,
             matrix_nnz: nnz,
-            candidates: meta.len(),
+            candidates: block.meta.len(),
             kept: 0,
             total_cells: 0,
         };
-        (pairs, meta, stats)
+        (block.pairs, block.meta, stats)
     }
 
     /// Panic unless the backend's declared X-drop parameters (when it
@@ -367,8 +346,8 @@ impl BellaPipeline {
     ///    store; sources ([`logan_seq::fasta::FastaBatches`],
     ///    [`ReadSet::seq_batches`]) hold one bounded batch at a time.
     /// 2. **Sharded counting** — [`count_reliable_sharded`] reduces the
-    ///    k-mer table to the reliable set one hash shard per wave, so at
-    ///    most `1/shards` of the table is ever resident.
+    ///    k-mers to the reliable set one wave of hash partitions at a
+    ///    time, so at most `1/shards` of the codes is ever resident.
     /// 3. **Index** — the reads × reliable-k-mers matrix is appended
     ///    batch by batch ([`KmerMatrixBuilder`]) and stays resident (it
     ///    is the index alignment reads from, O(nnz)).
@@ -383,9 +362,10 @@ impl BellaPipeline {
     ///    `inflight_blocks + lanes + 1` blocks exist at once (queued,
     ///    being aligned, being produced). A full channel blocks the
     ///    producer — that is the backpressure rule keeping the candidate
-    ///    stage O(batch) instead of O(genome). Aligned blocks shed their
-    ///    sequences immediately and are reassembled in sequence-number
-    ///    order, so outputs do not depend on lane interleaving.
+    ///    stage O(batch) instead of O(genome). Blocks carry shared
+    ///    reads, not copies; aligned blocks are reassembled in
+    ///    sequence-number order, so outputs do not depend on lane
+    ///    interleaving.
     pub fn run_streaming<I>(&self, batches: I, backend: &dyn AlignBackend) -> BellaOutput
     where
         I: IntoIterator<Item = ReadBatch>,
@@ -508,7 +488,6 @@ impl BellaPipeline {
                             let (results, rep) = backend.align_block_on(lane, &block.pairs);
                             report.merge(rep);
                             blocks.push((seq_no, AlignedBlock::strip(block, results)));
-                            // block.pairs (the cloned sequences) die here.
                         }
                         (report, blocks)
                     })
@@ -600,11 +579,13 @@ impl BellaPipeline {
     }
 }
 
-/// One producer→consumer unit of the streaming pipeline: a SpGEMM
-/// tile's candidates with seeds chosen and read pairs materialized.
-/// Blocks are the only place candidate sequences are cloned, so peak
-/// candidate memory is `O(inflight_blocks × block pairs)` instead of
-/// `O(all candidates)`.
+/// Candidates with seeds chosen and read pairs materialized: one
+/// producer→consumer unit of the streaming pipeline (a tile), or the
+/// whole candidate list of [`BellaPipeline::candidates`]. A pair
+/// *shares* its two reads with the read store ([`Seq::clone`] copies no
+/// bases), so a block costs `size_of::<ReadPair>()` plus its `meta`
+/// entry per pair, whatever the read length.
+#[derive(Default)]
 struct CandidateBlock {
     /// `(r1, r2, est_overlap)` per pair, in `(r1, r2)` order.
     meta: Vec<(usize, usize, usize)>,
@@ -622,6 +603,17 @@ enum SeedIndex {
 }
 
 impl CandidateBlock {
+    fn push(&mut self, reads: &[Seq], r1: u32, r2: u32, seed: Seed, est: usize) {
+        let (r1, r2) = (r1 as usize, r2 as usize);
+        self.pairs.push(ReadPair {
+            query: reads[r1].clone(),
+            target: reads[r2].clone(),
+            seed,
+            template_len: est,
+        });
+        self.meta.push((r1, r2, est));
+    }
+
     /// Block from chained candidates, admitting only pairs whose chain
     /// supports at least `min_overlap` — the minimizer path's
     /// candidate-volume win over the align-everything SpGEMM path.
@@ -630,46 +622,29 @@ impl CandidateBlock {
         reads: &[Seq],
         min_overlap: usize,
     ) -> CandidateBlock {
-        let mut meta = Vec::new();
-        let mut pairs = Vec::new();
-        for c in tile {
-            if c.est < min_overlap {
-                continue;
-            }
-            let (r1, r2) = (c.r1 as usize, c.r2 as usize);
-            pairs.push(ReadPair {
-                query: reads[r1].clone(),
-                target: reads[r2].clone(),
-                seed: c.seed,
-                template_len: c.est,
-            });
-            meta.push((r1, r2, c.est));
+        let mut block = CandidateBlock::default();
+        for c in tile.iter().filter(|c| c.est >= min_overlap) {
+            block.push(reads, c.r1, c.r2, c.seed, c.est);
         }
-        CandidateBlock { meta, pairs }
+        block
     }
 
+    /// Block from SpGEMM candidates: binning picks each pair's seed.
     fn build(tile: &[CandidatePair], reads: &[Seq], k: usize) -> CandidateBlock {
-        let mut meta = Vec::with_capacity(tile.len());
-        let mut pairs = Vec::with_capacity(tile.len());
+        let mut block = CandidateBlock::default();
+        block.pairs.reserve(tile.len());
+        block.meta.reserve(tile.len());
         for c in tile {
-            let (r1, r2) = (c.r1 as usize, c.r2 as usize);
-            let (seed, est) = choose_seed(reads[r1].len(), reads[r2].len(), c, k);
-            pairs.push(ReadPair {
-                query: reads[r1].clone(),
-                target: reads[r2].clone(),
-                seed,
-                template_len: est,
-            });
-            meta.push((r1, r2, est));
+            let (len1, len2) = (reads[c.r1 as usize].len(), reads[c.r2 as usize].len());
+            let (seed, est) = choose_seed(len1, len2, c, k);
+            block.push(reads, c.r1, c.r2, seed, est);
         }
-        CandidateBlock { meta, pairs }
+        block
     }
 }
 
-/// A candidate block after alignment, stripped of its sequences: only
-/// the metadata, seeds and results survive until the in-order
-/// reassembly, so a lane holding many finished blocks costs O(pairs)
-/// small records, not O(pairs × read length) bases.
+/// A candidate block after alignment, stripped of its pairs: only the
+/// metadata, seeds and results survive until the in-order reassembly.
 struct AlignedBlock {
     meta: Vec<(usize, usize, usize)>,
     seeds: Vec<Seed>,

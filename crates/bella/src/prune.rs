@@ -9,7 +9,8 @@
 //! Multiplicity 1 is overwhelmingly an error k-mer (useless for
 //! pairing); multiplicities far above λ indicate repeats.
 
-use crate::fxhash::{FxHashMap, FxHashSet};
+use crate::fxhash::FxHashSet;
+use crate::kmer_count::KmerCounts;
 use serde::{Deserialize, Serialize};
 
 /// The reliable multiplicity window `[lo, hi]` (inclusive).
@@ -19,6 +20,13 @@ pub struct ReliableBounds {
     pub lo: u32,
     /// Maximum multiplicity (Poisson upper tail; repeats sit above).
     pub hi: u32,
+}
+
+impl ReliableBounds {
+    /// Is multiplicity `n` inside the window?
+    pub fn contains(self, n: u32) -> bool {
+        self.lo <= n && n <= self.hi
+    }
 }
 
 /// Survival probability of an exact k-mer copy in one read.
@@ -54,10 +62,10 @@ pub fn reliable_bounds(depth: f64, error_rate: f64, k: usize, tail: f64) -> Reli
 }
 
 /// The set of reliable k-mer codes under `bounds`.
-pub fn reliable_kmers(counts: &FxHashMap<u64, u32>, bounds: ReliableBounds) -> FxHashSet<u64> {
+pub fn reliable_kmers(counts: &KmerCounts, bounds: ReliableBounds) -> FxHashSet<u64> {
     counts
         .iter()
-        .filter(|&(_, &c)| c >= bounds.lo && c <= bounds.hi)
+        .filter(|&(_, &n)| bounds.contains(n))
         .map(|(&code, _)| code)
         .collect()
 }
@@ -98,14 +106,26 @@ mod tests {
 
     #[test]
     fn reliable_filter_applies_window() {
-        let mut counts: FxHashMap<u64, u32> = FxHashMap::default();
-        counts.insert(1, 1); // error singleton
-        counts.insert(2, 3); // reliable
-        counts.insert(3, 50); // repeat
-        let set = reliable_kmers(&counts, ReliableBounds { lo: 2, hi: 8 });
-        assert!(!set.contains(&1));
-        assert!(set.contains(&2));
-        assert!(!set.contains(&3));
+        use crate::kmer_count::count_kmers;
+        use logan_seq::Seq;
+        // k = 1 canonical codes: A/T -> 0, C/G -> 1.
+        let counts = count_kmers(&[Seq::from_str_strict("AAAAAAATC").unwrap()], 1);
+        assert_eq!((counts[&0], counts[&1]), (8, 1));
+        // Inclusive at both edges, empty one past either.
+        for (lo, hi, want) in [
+            (2, 8, vec![0]),
+            (8, 8, vec![0]),
+            (1, 1, vec![1]),
+            (1, 8, vec![0, 1]),
+            (2, 7, vec![]),
+            (9, 50, vec![]),
+        ] {
+            let mut set: Vec<u64> = reliable_kmers(&counts, ReliableBounds { lo, hi })
+                .into_iter()
+                .collect();
+            set.sort_unstable();
+            assert_eq!(set, want, "[{lo}, {hi}]");
+        }
     }
 
     #[test]

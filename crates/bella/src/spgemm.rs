@@ -1,17 +1,21 @@
 //! Candidate overlap detection: the sparse `A·Aᵀ` product.
 //!
-//! BELLA computes `A·Aᵀ` with a multi-threaded hash-accumulator SpGEMM;
-//! each nonzero `(i, j)` of the product is a pair of reads sharing at
+//! Each nonzero `(i, j)` of the product is a pair of reads sharing at
 //! least one reliable k-mer, annotated with up to two *witnesses* — the
-//! shared k-mer's positions in both reads — which is exactly what its
-//! binning stage consumes. We implement the outer-product formulation:
-//! every column (k-mer) contributes all pairs of its postings. The
-//! reliable upper bound caps posting-list lengths, which is what keeps
-//! this quadratic-in-column-degree step linear in practice (and is why
-//! BELLA prunes repeats *before* the multiply).
+//! shared k-mer's positions in both reads — which is exactly what
+//! BELLA's binning stage consumes. There is one kernel: row-wise
+//! Gustavson. Row `i` of `A` (its columns in ascending id) is combined
+//! with the columns of `Aᵀ`'s flat [`Postings`], scattering into a dense
+//! accumulator indexed by read id; the reads it touched are then
+//! gathered in order. Rows are walked ascending, so a per-column cursor
+//! always stands at row `i`'s own posting and everything after it is a
+//! read `j > i`: no posting is visited that does not become a
+//! `(pair, column)` incidence. The reliable upper bound caps column
+//! lengths, which is what keeps this quadratic-in-column-degree step
+//! linear in practice (and is why BELLA prunes repeats *before* the
+//! multiply).
 
-use crate::fxhash::FxHashMap;
-use crate::matrix::KmerMatrix;
+use crate::matrix::{KmerMatrix, Postings};
 use serde::{Deserialize, Serialize};
 
 /// Maximum witnesses retained per candidate pair (BELLA keeps 2).
@@ -31,64 +35,40 @@ pub struct CandidatePair {
     pub shared: u32,
 }
 
-/// Compute all candidate pairs from the k-mer matrix.
+/// Compute all candidate pairs from the k-mer matrix: the one-tile case
+/// of [`spgemm_tiles`].
 ///
 /// Deterministic: pairs are emitted sorted by `(r1, r2)` and witnesses
-/// in column-discovery order.
+/// in column-id order.
 pub fn spgemm_candidates(matrix: &KmerMatrix) -> Vec<CandidatePair> {
-    let postings = matrix.postings();
-    let mut acc: FxHashMap<(u32, u32), CandidatePair> = FxHashMap::default();
-    for entries in &postings {
-        for (a, &(r1, p1)) in entries.iter().enumerate() {
-            for &(r2, p2) in &entries[a + 1..] {
-                if r1 == r2 {
-                    continue;
-                }
-                let (key, w) = if r1 < r2 {
-                    ((r1, r2), (p1, p2))
-                } else {
-                    ((r2, r1), (p2, p1))
-                };
-                let entry = acc.entry(key).or_insert_with(|| CandidatePair {
-                    r1: key.0,
-                    r2: key.1,
-                    witnesses: Vec::with_capacity(MAX_WITNESSES),
-                    shared: 0,
-                });
-                entry.shared += 1;
-                if entry.witnesses.len() < MAX_WITNESSES {
-                    entry.witnesses.push(w);
-                }
-            }
-        }
-    }
-    let mut out: Vec<CandidatePair> = acc.into_values().collect();
-    out.sort_unstable_by_key(|c| (c.r1, c.r2));
-    out
+    spgemm_tiles(matrix, matrix.n_reads)
+        .next()
+        .unwrap_or_default()
 }
 
-/// Tiled SpGEMM: the same product as [`spgemm_candidates`], emitted as
-/// an iterator of row-tile blocks instead of one materialized list.
+/// Tiled SpGEMM: the product as an iterator of row-tile blocks instead
+/// of one materialized list.
 ///
 /// Tile `t` holds every candidate pair whose *lower* read id falls in
 /// `[t·tile_rows, (t+1)·tile_rows)`, sorted by `(r1, r2)` — so the
-/// concatenation of all tiles is *bit-identical* (pairs, witnesses,
-/// shared counts, order) to the monolithic output, while the live state
-/// is one tile's accumulator instead of a hash map over every candidate
-/// in the genome. This is the candidate-generation half of the
+/// concatenation of all tiles is the same list (pairs, witnesses,
+/// shared counts, order) for every `tile_rows`, while only one tile's
+/// candidates are live. This is the candidate-generation half of the
 /// streaming pipeline's producer/consumer stage.
 ///
-/// Per-pair equivalence argument: the monolithic kernel walks postings
-/// column-by-column in column-id order, so a pair's witnesses are its
-/// first [`MAX_WITNESSES`] common columns by column id and `shared`
-/// counts all of them. The tiled kernel walks each row's columns in
-/// ascending column-id order and scans each column's postings past the
-/// anchor read, visiting exactly the same (pair, column) incidences in
-/// the same per-pair column order.
+/// A pair's witnesses are its first [`MAX_WITNESSES`] common columns by
+/// column id and `shared` counts all of them: each row's columns are
+/// walked in ascending id, and a pair `(i, j)` is only ever touched
+/// from row `i`.
 pub fn spgemm_tiles(matrix: &KmerMatrix, tile_rows: usize) -> SpgemmTiles<'_> {
+    let postings = matrix.transpose();
     SpgemmTiles {
-        postings: matrix.postings(),
+        cursor: postings.col_ptr[..matrix.n_cols].to_vec(),
+        postings,
         matrix,
+        acc: vec![(0, [(0, 0); MAX_WITNESSES]); matrix.n_reads],
+        touched: Vec::new(),
+        row_cols: Vec::new(),
         next_row: 0,
         tile_rows: tile_rows.max(1),
     }
@@ -96,48 +76,59 @@ pub fn spgemm_tiles(matrix: &KmerMatrix, tile_rows: usize) -> SpgemmTiles<'_> {
 
 /// Iterator of candidate blocks; see [`spgemm_tiles`].
 pub struct SpgemmTiles<'a> {
-    /// Column-major postings, shared by all tiles.
-    postings: Vec<Vec<(u32, u32)>>,
     matrix: &'a KmerMatrix,
+    /// Column-major `Aᵀ`, shared by all tiles.
+    postings: Postings,
+    /// Per column, the posting of the next row to be walked: the
+    /// postings before it belong to rows already done.
+    cursor: Vec<usize>,
+    /// The sparse accumulator, dense over read ids: `(shared, first
+    /// witnesses)` of the pair `(current row, j)`; `shared` is zero
+    /// between rows.
+    acc: Vec<(u32, [(u32, u32); MAX_WITNESSES])>,
+    /// The `j` with a nonzero `acc` entry.
+    touched: Vec<u32>,
+    /// The current row's `(column, position)` entries, sorted.
+    row_cols: Vec<(u32, u32)>,
     next_row: usize,
     tile_rows: usize,
 }
 
 impl SpgemmTiles<'_> {
     /// Candidates of one anchor row `i`: every read `j > i` sharing a
-    /// reliable column, witnesses in column-id order.
-    fn row_candidates(
-        &self,
-        i: usize,
-        row_cols: &mut Vec<(u32, u32)>,
-        out: &mut Vec<CandidatePair>,
-    ) {
-        row_cols.clear();
-        row_cols.extend(self.matrix.row(i));
+    /// reliable column, ascending `j`, witnesses in column-id order.
+    fn row_candidates(&mut self, i: usize, out: &mut Vec<CandidatePair>) {
+        self.row_cols.clear();
+        self.row_cols.extend(self.matrix.row(i));
         // Row entries are in first-encounter order within the read;
         // witness order must follow global column ids.
-        row_cols.sort_unstable();
-        let mut acc: FxHashMap<u32, CandidatePair> = FxHashMap::default();
-        for &(col, p1) in row_cols.iter() {
-            for &(j, p2) in &self.postings[col as usize] {
-                if (j as usize) <= i {
-                    continue;
+        self.row_cols.sort_unstable();
+        for &(col, p1) in &self.row_cols {
+            let col = col as usize;
+            let own = self.cursor[col];
+            debug_assert_eq!(self.postings.entries[own].0 as usize, i);
+            self.cursor[col] = own + 1;
+            for &(j, p2) in &self.postings.entries[own + 1..self.postings.col_ptr[col + 1]] {
+                let (shared, witnesses) = &mut self.acc[j as usize];
+                if *shared == 0 {
+                    self.touched.push(j);
                 }
-                let entry = acc.entry(j).or_insert_with(|| CandidatePair {
-                    r1: i as u32,
-                    r2: j,
-                    witnesses: Vec::with_capacity(MAX_WITNESSES),
-                    shared: 0,
-                });
-                entry.shared += 1;
-                if entry.witnesses.len() < MAX_WITNESSES {
-                    entry.witnesses.push((p1, p2));
+                if let Some(slot) = witnesses.get_mut(*shared as usize) {
+                    *slot = (p1, p2);
                 }
+                *shared += 1;
             }
         }
-        let at = out.len();
-        out.extend(acc.into_values());
-        out[at..].sort_unstable_by_key(|c| c.r2);
+        self.touched.sort_unstable();
+        for j in self.touched.drain(..) {
+            let (shared, witnesses) = &mut self.acc[j as usize];
+            out.push(CandidatePair {
+                r1: i as u32,
+                r2: j,
+                witnesses: witnesses[..MAX_WITNESSES.min(*shared as usize)].to_vec(),
+                shared: std::mem::take(shared),
+            });
+        }
     }
 }
 
@@ -154,9 +145,8 @@ impl Iterator for SpgemmTiles<'_> {
         let hi = (lo + self.tile_rows).min(self.matrix.n_reads);
         self.next_row = hi;
         let mut out = Vec::new();
-        let mut row_cols: Vec<(u32, u32)> = Vec::new();
         for i in lo..hi {
-            self.row_candidates(i, &mut row_cols, &mut out);
+            self.row_candidates(i, &mut out);
         }
         Some(out)
     }

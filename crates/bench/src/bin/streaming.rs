@@ -5,19 +5,19 @@
 //! Two sweeps on E. coli-like read sets:
 //!
 //! 1. **input sweep** at a fixed batch budget — the monolithic peak
-//!    grows with the input (full k-mer table + every candidate pair
-//!    materialized with cloned sequences), while the streaming peak
-//!    grows only by the resident read store + index;
-//! 2. **batch sweep** at a fixed input — the streaming peak moves with
-//!    `batch_reads`, demonstrating that the candidate/alignment stages
-//!    are O(batch).
+//!    carries the counter's codes for the whole read set and the full
+//!    candidate list, while the streaming peak grows only by the
+//!    resident read store + index;
+//! 2. **batch sweep** at a fixed input — since candidate pairs share
+//!    their reads (DESIGN.md §8) a block is a few dozen bytes per pair,
+//!    so the streaming peak barely moves with `batch_reads`; the sweep
+//!    shows the wall-clock cost of small tiles.
 //!
 //! Peak memory is measured by a global counting allocator (live bytes,
 //! resettable high-water mark), so the numbers are exact allocation
-//! peaks rather than RSS snapshots. Both measured regions include the
-//! pipeline's own copy of the reads (the monolithic region clones the
-//! sequence list; the streaming region ingests batches into its store),
-//! so the comparison is apples to apples.
+//! peaks rather than RSS snapshots. Neither measured region copies the
+//! reads (the monolithic region's `to_vec` and the streaming store both
+//! take shared clones), so the comparison is apples to apples.
 //!
 //! Scale via `LOGAN_BELLA_SCALE` / `LOGAN_SEED` as for table4/table5;
 //! results land in `results/streaming.json`.

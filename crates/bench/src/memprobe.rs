@@ -55,6 +55,12 @@ unsafe impl GlobalAlloc for PeakAlloc {
     }
 }
 
+/// Heap bytes live now; the difference across a call is what the call's
+/// result retains.
+pub fn live_bytes() -> u64 {
+    LIVE.load(Ordering::Relaxed)
+}
+
 /// Run `f`, returning its result and the allocation peak *above* the
 /// bytes live at entry. Requires [`PeakAlloc`] to be the process's
 /// global allocator (the delta reads 0 otherwise).

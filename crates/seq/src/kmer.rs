@@ -5,7 +5,7 @@
 //! shared k-mers between reads become candidate alignment seeds. A 17-mer
 //! fits in 34 bits, so k-mers are stored as `u64` codes.
 
-use crate::alphabet::Base;
+use crate::alphabet::{Alphabet, Base};
 use crate::seq::Seq;
 use serde::{Deserialize, Serialize};
 
@@ -86,7 +86,9 @@ pub fn canonical_kmer(seq: &Seq, pos: usize, k: usize) -> Kmer {
 /// `canonical()` adapter) emits canonical k-mers in O(1) per position
 /// instead of rebuilding the reverse complement base by base.
 pub struct KmerIter<'a> {
-    seq: &'a Seq,
+    /// The sequence's 2-bit codes, borrowed once: the walk reads a plain
+    /// byte slice, not the sequence's shared storage, at every step.
+    codes: &'a [u8],
     k: usize,
     pos: usize,
     code: u64,
@@ -98,31 +100,37 @@ pub struct KmerIter<'a> {
 }
 
 impl<'a> KmerIter<'a> {
-    /// Create an iterator over the k-mers of `seq`.
+    /// Create an iterator over the k-mers of `seq`, a DNA sequence.
     pub fn new(seq: &'a Seq, k: usize) -> KmerIter<'a> {
         assert!((1..=MAX_K).contains(&k), "k out of range: {k}");
+        assert_eq!(seq.alphabet(), Alphabet::Dna, "k-mers pack 2-bit DNA codes");
+        let codes = seq.as_slice();
         let mask = if k == 32 {
             u64::MAX
         } else {
             (1u64 << (2 * k)) - 1
         };
-        let mut code = 0u64;
-        let mut rc_code = 0u64;
-        let top = 2 * (k - 1);
-        // Pre-roll the first k-1 bases.
-        for i in 0..k.saturating_sub(1).min(seq.len()) {
-            let b = seq[i];
-            code = (code << 2) | b as u64;
-            rc_code = (rc_code >> 2) | ((b.complement() as u64) << top);
-        }
-        KmerIter {
-            seq,
+        let mut it = KmerIter {
+            codes,
             k,
             pos: 0,
-            code,
-            rc_code,
+            code: 0,
+            rc_code: 0,
             mask,
+        };
+        // Pre-roll the first k-1 bases.
+        for &c in &codes[..(k - 1).min(codes.len())] {
+            it.roll(c);
         }
+        it
+    }
+
+    /// Shift base code `c` into both rolling codes (complement in the
+    /// 2-bit encoding is code XOR 3).
+    #[inline]
+    fn roll(&mut self, c: u8) {
+        self.code = ((self.code << 2) | c as u64) & self.mask;
+        self.rc_code = (self.rc_code >> 2) | (((c ^ 3) as u64) << (2 * (self.k - 1)));
     }
 
     /// Adapt into an iterator of canonical k-mers (plus strand flags);
@@ -135,14 +143,10 @@ impl<'a> KmerIter<'a> {
 impl<'a> Iterator for KmerIter<'a> {
     type Item = (usize, Kmer);
 
+    #[inline]
     fn next(&mut self) -> Option<(usize, Kmer)> {
-        let end = self.pos + self.k;
-        if end > self.seq.len() {
-            return None;
-        }
-        let b = self.seq[end - 1];
-        self.code = ((self.code << 2) | b as u64) & self.mask;
-        self.rc_code = (self.rc_code >> 2) | ((b.complement() as u64) << (2 * (self.k - 1)));
+        let &c = self.codes.get(self.pos + self.k - 1)?;
+        self.roll(c);
         let item = (
             self.pos,
             Kmer {
@@ -155,7 +159,7 @@ impl<'a> Iterator for KmerIter<'a> {
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let n = (self.seq.len() + 1).saturating_sub(self.pos + self.k);
+        let n = (self.codes.len() + 1).saturating_sub(self.pos + self.k);
         (n, Some(n))
     }
 }
@@ -186,6 +190,7 @@ impl<'a> CanonicalKmerIter<'a> {
 impl<'a> Iterator for CanonicalKmerIter<'a> {
     type Item = (usize, Kmer, bool);
 
+    #[inline]
     fn next(&mut self) -> Option<(usize, Kmer, bool)> {
         let (pos, fwd) = self.inner.next()?;
         let rc = self.inner.rc_code;

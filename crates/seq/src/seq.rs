@@ -1,4 +1,4 @@
-//! Owned sequences over a tagged alphabet.
+//! Sequences over a tagged alphabet, shared on clone.
 //!
 //! [`Seq`] stores one symbol code per byte plus an [`Alphabet`] tag. DNA
 //! sequences (the default) carry the 2-bit codes of [`Base`]; protein
@@ -6,19 +6,47 @@
 //! reverses the query of every left extension so the (simulated) GPU can
 //! read both sequences in increasing address order (paper §IV-B, Fig. 6);
 //! [`Seq::reversed`] and [`Seq::reverse_complement`] support that step.
+//!
+//! # Storage
+//!
+//! The codes live in one reference-counted buffer. [`Seq::clone`] bumps
+//! the count — O(1), no allocation, no bytes copied — so a read that
+//! appears in thirty candidate pairs, a fleet block slice or a serve
+//! request is stored once. Mutators are copy-on-write: a `Seq` that is
+//! the buffer's only owner (workspace scratch, a sequence under
+//! construction) mutates in place and keeps its capacity; one that
+//! shares its buffer leaves it to the other owners and continues in a
+//! buffer of its own.
 
 use crate::alphabet::{Alphabet, Base};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::Index;
+use std::sync::{Arc, LazyLock};
 
-/// An owned sequence (one symbol code per byte) tagged with its
-/// [`Alphabet`]. The default alphabet is DNA, so every pre-existing DNA
-/// path constructs and consumes exactly the codes it always did.
-#[derive(Clone, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+/// A sequence (one symbol code per byte) tagged with its [`Alphabet`].
+/// The default alphabet is DNA, so every pre-existing DNA path
+/// constructs and consumes exactly the codes it always did. Cloning
+/// shares the codes (see the module docs).
+#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Seq {
-    codes: Vec<u8>,
+    codes: Arc<Vec<u8>>,
     alphabet: Alphabet,
+}
+
+/// The buffer every empty sequence starts from, so `Seq::default()` —
+/// which `std::mem::take` runs on the warm extension path — allocates
+/// nothing. It is shared, hence never written: the first mutation of a
+/// default sequence moves it to a buffer of its own.
+static EMPTY: LazyLock<Arc<Vec<u8>>> = LazyLock::new(Arc::default);
+
+impl Default for Seq {
+    fn default() -> Seq {
+        Seq {
+            codes: Arc::clone(&EMPTY),
+            alphabet: Alphabet::Dna,
+        }
+    }
 }
 
 /// `Index<usize>` must return a reference; these statics are the four
@@ -33,10 +61,27 @@ impl Seq {
 
     /// Create a DNA sequence from a vector of bases.
     pub fn from_bases(bases: Vec<Base>) -> Seq {
+        Seq::owning(bases.into_iter().map(|b| b as u8).collect(), Alphabet::Dna)
+    }
+
+    /// Wrap freshly built codes (already checked against `alphabet`).
+    fn owning(codes: Vec<u8>, alphabet: Alphabet) -> Seq {
         Seq {
-            codes: bases.into_iter().map(|b| b as u8).collect(),
-            alphabet: Alphabet::Dna,
+            codes: Arc::new(codes),
+            alphabet,
         }
+    }
+
+    /// The buffer, emptied, for a mutator that replaces the contents: in
+    /// place (capacity kept) when this sequence is its only owner, else
+    /// a new buffer — the shared one is not copied just to be cleared.
+    fn cleared(&mut self) -> &mut Vec<u8> {
+        if Arc::get_mut(&mut self.codes).is_none() {
+            self.codes = Arc::default();
+        }
+        let codes = Arc::get_mut(&mut self.codes).expect("sole owner after the check above");
+        codes.clear();
+        codes
     }
 
     /// Create from raw symbol codes of the given alphabet. Every code
@@ -48,7 +93,7 @@ impl Seq {
             "symbol code out of range for the {} alphabet",
             alphabet.name()
         );
-        Seq { codes, alphabet }
+        Seq::owning(codes, alphabet)
     }
 
     /// Parse DNA from ASCII. Characters outside `ACGTacgt` are rejected
@@ -79,7 +124,7 @@ impl Seq {
                 }
             }
         }
-        Ok(Seq { codes, alphabet })
+        Ok(Seq::owning(codes, alphabet))
     }
 
     /// Parse DNA from a `&str`; convenience over [`Seq::from_ascii`].
@@ -116,13 +161,13 @@ impl Seq {
     #[inline]
     pub fn push(&mut self, b: Base) {
         debug_assert_eq!(self.alphabet, Alphabet::Dna);
-        self.codes.push(b as u8);
+        Arc::make_mut(&mut self.codes).push(b as u8);
     }
 
     /// Append another sequence (alphabets must match).
     pub fn extend_from(&mut self, other: &Seq) {
         debug_assert_eq!(self.alphabet, other.alphabet);
-        self.codes.extend_from_slice(&other.codes);
+        Arc::make_mut(&mut self.codes).extend_from_slice(&other.codes);
     }
 
     /// Subsequence `[start, end)` as a new sequence.
@@ -130,16 +175,14 @@ impl Seq {
     /// Panics if `start > end` or `end > len` — slicing errors at this
     /// layer are programmer bugs, not data errors.
     pub fn subseq(&self, start: usize, end: usize) -> Seq {
-        Seq {
-            codes: self.codes[start..end].to_vec(),
-            alphabet: self.alphabet,
-        }
+        Seq::owning(self.codes[start..end].to_vec(), self.alphabet)
     }
 
-    /// Drop all symbols, keeping the allocation.
+    /// Drop all symbols, keeping the allocation when it is this
+    /// sequence's alone.
     #[inline]
     pub fn clear(&mut self) {
-        self.codes.clear();
+        self.cleared();
     }
 
     /// Replace the contents with `src[start, end)`, reusing this
@@ -148,8 +191,7 @@ impl Seq {
     ///
     /// Panics on an invalid range, like [`Seq::subseq`].
     pub fn assign_range(&mut self, src: &Seq, start: usize, end: usize) {
-        self.codes.clear();
-        self.codes.extend_from_slice(&src.codes[start..end]);
+        self.cleared().extend_from_slice(&src.codes[start..end]);
         self.alphabet = src.alphabet;
     }
 
@@ -161,8 +203,7 @@ impl Seq {
     ///
     /// Panics on an invalid range, like [`Seq::subseq`].
     pub fn assign_reversed_range(&mut self, src: &Seq, start: usize, end: usize) {
-        self.codes.clear();
-        self.codes
+        self.cleared()
             .extend(src.codes[start..end].iter().rev().copied());
         self.alphabet = src.alphabet;
     }
@@ -171,10 +212,7 @@ impl Seq {
     /// transformation LOGAN's host applies to left-extension queries to
     /// obtain coalesced GPU memory access.
     pub fn reversed(&self) -> Seq {
-        Seq {
-            codes: self.codes.iter().rev().copied().collect(),
-            alphabet: self.alphabet,
-        }
+        Seq::owning(self.codes.iter().rev().copied().collect(), self.alphabet)
     }
 
     /// Reverse complement, as used when overlapping reads sampled from
@@ -186,11 +224,11 @@ impl Seq {
             Alphabet::Dna,
             "reverse_complement is defined on DNA sequences only"
         );
-        Seq {
-            // Complement in the 2-bit encoding is code XOR 3.
-            codes: self.codes.iter().rev().map(|&c| c ^ 3).collect(),
-            alphabet: Alphabet::Dna,
-        }
+        // Complement in the 2-bit encoding is code XOR 3.
+        Seq::owning(
+            self.codes.iter().rev().map(|&c| c ^ 3).collect(),
+            Alphabet::Dna,
+        )
     }
 
     /// ASCII rendering (upper-case).
@@ -214,7 +252,7 @@ impl Seq {
         assert_eq!(self.len(), other.len(), "hamming requires equal lengths");
         self.codes
             .iter()
-            .zip(&other.codes)
+            .zip(other.codes.iter())
             .filter(|(a, b)| a != b)
             .count()
     }
@@ -255,10 +293,7 @@ impl fmt::Display for Seq {
 
 impl FromIterator<Base> for Seq {
     fn from_iter<I: IntoIterator<Item = Base>>(iter: I) -> Seq {
-        Seq {
-            codes: iter.into_iter().map(|b| b as u8).collect(),
-            alphabet: Alphabet::Dna,
-        }
+        Seq::owning(iter.into_iter().map(|b| b as u8).collect(), Alphabet::Dna)
     }
 }
 
@@ -450,6 +485,85 @@ mod tests {
         s.push(Base::G);
         s.extend_from(&seq("T"));
         assert_eq!(s.to_ascii(), b"ACGT");
+    }
+
+    #[test]
+    fn clones_share_until_written() {
+        let original = seq("ACGTACGT");
+        let mut copy = original.clone();
+        assert!(
+            std::ptr::eq(original.as_slice(), copy.as_slice()),
+            "a clone reads the same buffer"
+        );
+        copy.push(Base::A);
+        assert_eq!(original.to_ascii(), b"ACGTACGT");
+        assert_eq!(copy.to_ascii(), b"ACGTACGTA");
+        // Once unshared, further writes stay in the copy's own buffer.
+        let own = copy.as_slice().as_ptr();
+        copy.clear();
+        copy.push(Base::C);
+        assert_eq!(copy.as_slice().as_ptr(), own);
+
+        // The source of an assignment may share the destination's buffer.
+        let mut dst = original.clone();
+        dst.assign_reversed_range(&original, 2, 6);
+        assert_eq!(dst.to_ascii(), b"CATG");
+        assert_eq!(original.to_ascii(), b"ACGTACGT");
+        let mut twice = original.clone();
+        twice.extend_from(&original);
+        assert_eq!(twice.to_ascii(), b"ACGTACGTACGTACGT");
+        assert_eq!(original.to_ascii(), b"ACGTACGT");
+    }
+
+    #[test]
+    fn default_sequences_do_not_share_writes() {
+        // Every empty sequence starts on one shared buffer.
+        let (mut a, b) = (Seq::new(), Seq::default());
+        a.push(Base::G);
+        assert_eq!(a.to_ascii(), b"G");
+        assert!(b.is_empty() && Seq::new().is_empty());
+        assert_eq!(b.alphabet(), Alphabet::Dna);
+    }
+
+    #[test]
+    fn json_is_the_plain_code_list() {
+        // The shared buffer is invisible on the wire: the text a
+        // `Vec<u8>`-backed `Seq` wrote.
+        assert_eq!(
+            serde_json::to_string(&seq("ACGTAC")).unwrap(),
+            r#"{"codes":[0,1,2,3,0,1],"alphabet":"Dna"}"#
+        );
+        assert_eq!(
+            serde_json::to_string(&Seq::from_protein_ascii(b"WYVHK").unwrap()).unwrap(),
+            r#"{"codes":[17,18,19,8,11],"alphabet":"Protein"}"#
+        );
+        assert_eq!(
+            serde_json::to_string(&Seq::new()).unwrap(),
+            r#"{"codes":[],"alphabet":"Dna"}"#
+        );
+        // A pair of clones of one read writes the read out twice.
+        let read = seq("GATTACA");
+        let pair = crate::readsim::ReadPair {
+            query: read.clone(),
+            target: read,
+            seed: crate::Seed {
+                qpos: 1,
+                tpos: 2,
+                len: 3,
+            },
+            template_len: 7,
+        };
+        let text = serde_json::to_string(&pair).unwrap();
+        assert_eq!(
+            text,
+            concat!(
+                r#"{"query":{"codes":[2,0,3,3,0,1,0],"alphabet":"Dna"},"#,
+                r#""target":{"codes":[2,0,3,3,0,1,0],"alphabet":"Dna"},"#,
+                r#""seed":{"qpos":1,"tpos":2,"len":3},"template_len":7}"#
+            )
+        );
+        let back: crate::readsim::ReadPair = serde_json::from_str(&text).unwrap();
+        assert_eq!((back.query, back.target), (pair.query, pair.target));
     }
 
     #[test]

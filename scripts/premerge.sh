@@ -135,9 +135,19 @@ step "minimizer-equivalence: rolling canonical + chaining subset diff clean"
 # one under adversarial budgets.
 cargo test -q --test minimizer_equivalence
 
-step "allocation-count: warm AlignWorkspace is allocation-free"
+step "candidates-equivalence: counter, matrix builder and SpGEMM diff clean vs naive references"
+# The candidate-generation contract: the sort-and-scan k-mer counter
+# equals a HashMap filled one k-mer at a time (homopolymers, reads
+# shorter than k, k = 1 and 32, windows sitting on occurring
+# multiplicities, every sharding); KmerMatrix::build equals any batching
+# of push_batch; spgemm_candidates equals the concatenated tiles for
+# every tile height and a scan of all row pairs.
+cargo test -q -p logan-bella --test candidates_equivalence
+
+step "allocation-count: warm AlignWorkspace and ReadPair::clone are allocation-free"
 # The DESIGN.md §7 contract: zero heap allocations per extension once a
-# workspace is warm, run as its own step so a regression names itself.
+# workspace is warm (and per cloned pair: reads are shared, §8), run as
+# its own step so a regression names itself.
 cargo test -q --test alloc_count
 
 step "streaming-equivalence: streaming pipeline diffs clean vs monolithic"
@@ -146,7 +156,7 @@ step "streaming-equivalence: streaming pipeline diffs clean vs monolithic"
 # (overlaps, stats, order) — from both the in-memory and FASTA sources.
 cargo test -q --test bella_pipeline streaming_
 
-step "peak-memory smoke: streaming peak bounded by batch, below monolithic"
+step "peak-memory smoke: streaming below monolithic, candidate pairs hold no sequence bytes"
 cargo test -q --test stream_mem
 
 if [[ $quick -eq 0 ]]; then

@@ -2,7 +2,8 @@
 //! global allocator: once an [`AlignWorkspace`] is warm (its buffers
 //! have grown to the workload's largest extension), every further
 //! extension through it — scalar or SIMD, single extension or whole
-//! seed-extend — performs **zero** heap allocations.
+//! seed-extend — performs **zero** heap allocations. So does cloning a
+//! [`ReadPair`]: its reads are shared, not copied (DESIGN.md §8).
 //!
 //! The whole check lives in one `#[test]` function: the counting
 //! allocator is process-global, so concurrently running test functions
@@ -166,9 +167,27 @@ fn warm_workspace_extensions_are_allocation_free() {
     assert!(warm.lanes8 > 0 && warm.lanes16 > 0);
     assert!(warm.escalations > 0, "no warm i8 run escalated: {warm:?}");
 
+    // Pairs share their reads: cloning one — what candidate
+    // materialisation, fleet block slicing and serve's request pool do
+    // per pair — copies no bases and allocates nothing, and the clone
+    // extends through the warm workspace like the original.
+    let p = &pairs[0];
+    let (d, shared) = alloc_delta(|| p.clone());
+    assert_eq!(d, 0, "ReadPair::clone allocated");
+    let (d, r) = alloc_delta(|| {
+        seed_extend_with(
+            &shared.query,
+            &shared.target,
+            shared.seed,
+            &ext_scalar,
+            &mut ws,
+        )
+    });
+    assert_eq!(d, 0, "warm seed_extend_with on a shared pair allocated");
+    assert_eq!(r, reference[0]);
+
     // Sanity check on the counter itself: the allocating wrappers (and
     // a cold workspace) must register, or the zeros above prove nothing.
-    let p = &pairs[0];
     let (d, _) = alloc_delta(|| seed_extend(&p.query, &p.target, p.seed, &ext_scalar));
     assert!(d > 0, "allocating wrapper registered no allocations");
     let (d, _) = alloc_delta(|| {

@@ -105,4 +105,51 @@ proptest! {
         let rev = xdrop_extend(&q.reversed(), &t.reversed(), Scoring::default(), big);
         prop_assert_eq!(fwd.cells, rev.cells);
     }
+
+    /// Clones share their codes (DESIGN.md §8), so every mutator must
+    /// write somewhere the other owners cannot see. Any sequence of
+    /// mutations applied to a clone — sources being the original, whose
+    /// storage the clone may still share, or a clone of the clone itself
+    /// — tracks a plain `Vec<u8>` model and never changes the original.
+    #[test]
+    fn mutating_a_clone_never_changes_the_original(
+        original in arb_seq(40),
+        ops in proptest::collection::vec((0u8..5, 0usize..64, 0usize..64, 0u8..4), 0..12),
+    ) {
+        let before = original.as_slice().to_vec();
+        let mut copy = original.clone();
+        let mut model = before.clone();
+        for (op, a, b, pick) in ops {
+            // The source: the original, or the copy's own current codes.
+            let src = if pick % 2 == 0 { original.clone() } else { copy.clone() };
+            let codes = src.as_slice().to_vec();
+            let (a, b) = (a % (codes.len() + 1), b % (codes.len() + 1));
+            let (lo, hi) = (a.min(b), a.max(b));
+            match op {
+                0 => {
+                    copy.push(logan::seq::Base::from_code(pick));
+                    model.push(pick);
+                }
+                1 => {
+                    copy.extend_from(&src);
+                    model.extend_from_slice(&codes);
+                }
+                2 => {
+                    copy.clear();
+                    model.clear();
+                }
+                3 => {
+                    copy.assign_range(&src, lo, hi);
+                    model = codes[lo..hi].to_vec();
+                }
+                _ => {
+                    copy.assign_reversed_range(&src, lo, hi);
+                    model = codes[lo..hi].iter().rev().copied().collect();
+                }
+            }
+            prop_assert_eq!(copy.as_slice(), &model[..]);
+            prop_assert_eq!(src.as_slice(), &codes[..]);
+            prop_assert_eq!(original.as_slice(), &before[..]);
+        }
+    }
 }

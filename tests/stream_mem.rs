@@ -1,9 +1,10 @@
-//! Peak-memory smoke check for the streaming pipeline (run as its own
-//! premerge step): the streaming dataflow must allocate a strictly
-//! lower peak than the monolithic pipeline on the same input, and its
-//! peak must move with the batch budget — the two measurable halves of
-//! the "peak memory is O(batch), not O(genome)" contract (DESIGN.md §8;
-//! the resident read store and k-mer index are O(input) by design).
+//! Peak-memory smoke check for the BELLA pipeline (run as its own
+//! premerge step), the measurable halves of the DESIGN.md §8 contract:
+//! the streaming dataflow allocates a strictly lower peak than the
+//! monolithic pipeline on the same input, and materialising candidate
+//! pairs costs a record per pair and no sequence bytes — pairs share
+//! their reads with the read store — so the candidate stage's peak is a
+//! multiple of the input, not of candidates × read length.
 //!
 //! Lives in its own integration-test binary because the measuring
 //! global allocator ([`logan_bench::memprobe`]) is process-wide (as
@@ -13,16 +14,16 @@
 use logan::bella::{BellaConfig, BellaPipeline, PipelineBudget};
 use logan::prelude::*;
 use logan::seq::readsim::ReadSimulator;
-use logan_bench::memprobe::{mib, peak_during, PeakAlloc};
+use logan_bench::memprobe::{live_bytes, mib, peak_during, PeakAlloc};
 
 #[global_allocator]
 static PEAK_ALLOC: PeakAlloc = PeakAlloc;
 
 #[test]
 fn streaming_peak_is_bounded_by_batch_not_input() {
-    // Depth-12 reads: every read overlaps ~20 others, so the monolithic
-    // candidate list (each pair cloning both full sequences) dwarfs the
-    // read set itself — the allocation pattern the streaming path bounds.
+    // Depth-12 reads: every read overlaps ~20 others, so a candidate
+    // list that copied both sequences into each pair would dwarf the
+    // read set itself.
     let sim = ReadSimulator {
         read_len: (800, 1400),
         depth: 12.0,
@@ -41,44 +42,29 @@ fn streaming_peak_is_bounded_by_batch_not_input() {
         ..BellaConfig::with_x(30)
     };
 
-    // Both measured regions own their copy of the reads (the clone /
-    // the ingested store), so the peaks compare like for like.
-    let (mono, mono_peak) = peak_during(|| {
-        let owned = seqs.clone();
-        BellaPipeline::new(config(PipelineBudget::default())).run(&owned, &backend)
-    });
+    // Neither measured region copies the reads (the streaming store
+    // ingests shared clones), so the peaks compare like for like.
+    let (mono, mono_peak) =
+        peak_during(|| BellaPipeline::new(config(PipelineBudget::default())).run(&seqs, &backend));
     assert!(
         mono.stats.candidates > seqs.len(),
         "workload too sparse to exercise the candidate stage"
     );
 
-    let streaming_peak = |batch_reads: usize| {
-        let budget = PipelineBudget {
-            batch_reads,
-            shards: 8,
-            inflight_blocks: 1,
-        };
-        let pipeline = BellaPipeline::new(config(budget));
-        let (out, peak) = peak_during(|| {
-            pipeline.run_streaming(
-                logan::seq::readsim::seq_batches(&seqs, batch_reads),
-                &backend,
-            )
-        });
-        assert_eq!(out.overlaps, mono.overlaps, "batch_reads={batch_reads}");
-        peak
+    let budget = PipelineBudget {
+        batch_reads: 16,
+        shards: 8,
+        inflight_blocks: 1,
     };
-
-    let small_batch = streaming_peak(16);
-    let whole_input_batch = streaming_peak(seqs.len().max(1));
-
+    let streaming = BellaPipeline::new(config(budget));
+    let (out, small_batch) = peak_during(|| {
+        streaming.run_streaming(logan::seq::readsim::seq_batches(&seqs, 16), &backend)
+    });
+    assert_eq!(out.overlaps, mono.overlaps);
     eprintln!(
-        "peaks: monolithic {:.1} MiB, streaming(batch=16) {:.1} MiB, \
-         streaming(batch=all {} reads) {:.1} MiB",
+        "peaks: monolithic {:.1} MiB, streaming(batch=16) {:.1} MiB",
         mib(mono_peak),
         mib(small_batch),
-        seqs.len(),
-        mib(whole_input_batch),
     );
 
     // (1) Streaming must beat the monolithic peak with real margin.
@@ -88,14 +74,40 @@ fn streaming_peak_is_bounded_by_batch_not_input() {
         mib(small_batch),
         mib(mono_peak)
     );
-    // (2) The peak must move with the batch budget: batching the whole
-    // input into one tile re-creates a monolithic-sized candidate
-    // block, so the small-batch peak sits measurably below it.
+    // (2) Candidate pairs share their reads. What `candidates()`
+    // returns retains a record per pair — the pair, its `meta` entry,
+    // growth slack — however long the reads are, and its peak (the
+    // k-mer counter's: a code per position plus the count table) is a
+    // multiple of the input bytes.
+    let pipeline = BellaPipeline::new(config(PipelineBudget::default()));
+    let live_before = live_bytes();
+    let ((pairs, meta, _), candidates_peak) = peak_during(|| pipeline.candidates(&seqs));
+    let retained = live_bytes() - live_before;
+    let input_bytes: usize = seqs.iter().map(|s| s.len()).sum();
+    let paired_bytes: usize = pairs.iter().map(|p| p.query.len() + p.target.len()).sum();
+    let record = std::mem::size_of::<ReadPair>() + std::mem::size_of_val(&meta[0]);
+    eprintln!(
+        "candidates(): {} pairs over {} input bytes pair up {} sequence bytes; \
+         retained {} bytes, peak {:.1} MiB",
+        pairs.len(),
+        input_bytes,
+        paired_bytes,
+        retained,
+        mib(candidates_peak),
+    );
     assert!(
-        (small_batch as f64) < 0.9 * whole_input_batch as f64,
-        "peak did not shrink with the batch budget: batch=16 {:.1} MiB \
-         vs batch=all {:.1} MiB",
-        mib(small_batch),
-        mib(whole_input_batch)
+        retained <= (2 * record * pairs.len()) as u64,
+        "{} candidates retain {retained} bytes, over 2 x {record} each",
+        pairs.len()
+    );
+    assert!(
+        paired_bytes > 10 * input_bytes && retained < paired_bytes as u64 / 10,
+        "retained {retained} bytes is not clearly below the {paired_bytes} \
+         sequence bytes paired up"
+    );
+    assert!(
+        candidates_peak < 32 * input_bytes as u64,
+        "candidates() peak {:.1} MiB exceeds 32 x the {input_bytes} input bytes",
+        mib(candidates_peak)
     );
 }
