@@ -9,7 +9,7 @@
 //! published tables.
 
 use crate::result::SeedExtendResult;
-use crate::seed_extend::Extender;
+use crate::xdrop::XDropExtender;
 use logan_seq::readsim::ReadPair;
 use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
@@ -70,32 +70,13 @@ impl CpuBatchAligner {
         self.threads
     }
 
-    /// Align every pair with the X-drop extender on the given compute
-    /// engine — the common case, spelled out so callers selecting an
-    /// engine at runtime don't have to build an extender themselves.
-    /// Accepts anything convertible to a [`logan_seq::ScoreProfile`]:
-    /// a plain [`logan_seq::Scoring`] takes the DNA fast path
-    /// bit-identically to the historical signature.
-    pub fn run_xdrop(
-        &self,
-        pairs: &[ReadPair],
-        profile: impl Into<logan_seq::ScoreProfile>,
-        x: i32,
-        engine: crate::simd::Engine,
-    ) -> BatchResult {
-        self.run(
-            pairs,
-            &crate::xdrop::ProfileExtender::new(profile.into(), x, engine),
-        )
-    }
-
     /// Align every pair with `ext`, in parallel. Each worker thread
     /// reuses one [`crate::workspace::AlignWorkspace`]
     /// ([`crate::workspace::with_thread_workspace`]), so a batch of a
     /// million pairs performs O(threads) scratch allocations, not
     /// O(pairs × diagonals) — the host-side analogue of the kernel's
     /// preallocated per-block buffers (DESIGN.md §7).
-    pub fn run<E: Extender + Sync>(&self, pairs: &[ReadPair], ext: &E) -> BatchResult {
+    pub fn run(&self, pairs: &[ReadPair], ext: &XDropExtender) -> BatchResult {
         use crate::workspace::with_thread_workspace;
         use rayon::prelude::*;
         let start = Instant::now();
@@ -134,24 +115,6 @@ impl CpuBatchAligner {
         }
     }
 
-    /// Bind this aligner to an X-drop configuration, yielding a
-    /// self-contained batch aligner whose `run` needs only the pairs —
-    /// the shape backend traits (e.g. `logan_core`'s `AlignBackend`)
-    /// dispatch over.
-    pub fn into_xdrop(
-        self,
-        profile: impl Into<logan_seq::ScoreProfile>,
-        x: i32,
-        engine: crate::simd::Engine,
-    ) -> XDropCpuAligner {
-        XDropCpuAligner {
-            aligner: self,
-            profile: profile.into(),
-            x,
-            engine,
-        }
-    }
-
     /// Map an arbitrary per-pair function over the batch in the pool —
     /// used by the harness to run ksw2 (which has no seed/extend split in
     /// the original benchmark: the paper aligns whole pairs).
@@ -167,28 +130,31 @@ impl CpuBatchAligner {
     }
 }
 
-/// A [`CpuBatchAligner`] bound to one X-drop configuration (score
-/// profile, X, compute engine) — BELLA's CPU backend as a single value.
-/// Where [`CpuBatchAligner::run`] needs the caller to supply an extender
-/// per call, this type closes over it, so schedulers that only hold a
-/// list of read pairs (the `AlignBackend` trait objects in `logan-core`)
-/// can drive the CPU loop without knowing alignment parameters.
+/// A [`CpuBatchAligner`] bound to one [`XDropExtender`] (score profile,
+/// X, compute engine) — BELLA's CPU backend as a single value. Where
+/// [`CpuBatchAligner::run`] needs the caller to supply an extender per
+/// call, this type closes over it, so schedulers that only hold a list
+/// of read pairs (the `AlignBackend` trait objects in `logan-core`) can
+/// drive the CPU loop without knowing alignment parameters.
 pub struct XDropCpuAligner {
     aligner: CpuBatchAligner,
-    profile: logan_seq::ScoreProfile,
-    x: i32,
-    engine: crate::simd::Engine,
+    ext: XDropExtender,
 }
 
 impl XDropCpuAligner {
     /// Build a pool of `threads` workers bound to the given parameters.
+    /// Accepts anything convertible to a [`logan_seq::ScoreProfile`]: a
+    /// plain [`logan_seq::Scoring`] takes the DNA fast path.
     pub fn new(
         threads: usize,
         profile: impl Into<logan_seq::ScoreProfile>,
         x: i32,
         engine: crate::simd::Engine,
     ) -> XDropCpuAligner {
-        CpuBatchAligner::new(threads).into_xdrop(profile, x, engine)
+        XDropCpuAligner {
+            aligner: CpuBatchAligner::new(threads),
+            ext: XDropExtender::with_engine(profile, x, engine),
+        }
     }
 
     /// Number of worker threads.
@@ -198,32 +164,32 @@ impl XDropCpuAligner {
 
     /// The bound X-drop threshold.
     pub fn x(&self) -> i32 {
-        self.x
+        self.ext.x
     }
 
     /// The bound scoring scheme. Panics when the bound profile is a
     /// substitution matrix — callers that may bind matrix profiles
     /// should use [`XDropCpuAligner::profile`].
     pub fn scoring(&self) -> logan_seq::Scoring {
-        self.profile
+        self.ext
+            .profile
             .as_match_mismatch()
             .expect("scoring() on a matrix-profile aligner; use profile()")
     }
 
     /// The bound score profile.
     pub fn profile(&self) -> logan_seq::ScoreProfile {
-        self.profile
+        self.ext.profile
     }
 
     /// The bound compute engine.
     pub fn engine(&self) -> crate::simd::Engine {
-        self.engine
+        self.ext.engine
     }
 
     /// Align every pair under the bound configuration.
     pub fn run(&self, pairs: &[ReadPair]) -> BatchResult {
-        self.aligner
-            .run_xdrop(pairs, self.profile, self.x, self.engine)
+        self.aligner.run(pairs, &self.ext)
     }
 }
 
@@ -232,7 +198,6 @@ mod tests {
     use super::*;
     use crate::ksw2::{ksw2_extend, Ksw2Params};
     use crate::seed_extend::seed_extend;
-    use crate::xdrop::XDropExtender;
     use logan_seq::readsim::PairSet;
     use logan_seq::Scoring;
 
@@ -281,10 +246,16 @@ mod tests {
         use crate::simd::Engine;
         let ps = pairs(6);
         let aligner = CpuBatchAligner::new(4);
-        let scalar = aligner.run_xdrop(&ps, Scoring::default(), 50, Engine::Scalar);
-        let simd = aligner.run_xdrop(&ps, Scoring::default(), 50, Engine::Simd);
-        let tier8 = aligner.run_xdrop(&ps, Scoring::default(), 50, Engine::I8);
-        let adaptive = aligner.run_xdrop(&ps, Scoring::default(), 50, Engine::Adaptive);
+        let run = |engine| {
+            aligner.run(
+                &ps,
+                &XDropExtender::with_engine(Scoring::default(), 50, engine),
+            )
+        };
+        let scalar = run(Engine::Scalar);
+        let simd = run(Engine::Simd);
+        let tier8 = run(Engine::I8);
+        let adaptive = run(Engine::Adaptive);
         for other in [&simd, &tier8, &adaptive] {
             assert_eq!(scalar.results, other.results);
             assert_eq!(scalar.total_cells, other.total_cells);
@@ -344,8 +315,8 @@ mod tests {
             .collect();
         let p = ScoreProfile::blosum62(-6);
         let aligner = CpuBatchAligner::new(2);
-        let scalar = aligner.run_xdrop(&ps, p, 50, Engine::Scalar);
-        let simd = aligner.run_xdrop(&ps, p, 50, Engine::Simd);
+        let scalar = aligner.run(&ps, &XDropExtender::with_engine(p, 50, Engine::Scalar));
+        let simd = aligner.run(&ps, &XDropExtender::with_engine(p, 50, Engine::Simd));
         assert_eq!(scalar.results, simd.results);
         assert!(scalar.results.iter().all(|r| r.score > 0));
         // The bound form agrees and reports the profile; scoring()
@@ -366,7 +337,10 @@ mod tests {
         use crate::simd::Engine;
         let ps = pairs(5);
         let bound = XDropCpuAligner::new(2, Scoring::default(), 40, Engine::Simd);
-        let loose = CpuBatchAligner::new(2).run_xdrop(&ps, Scoring::default(), 40, Engine::Simd);
+        let loose = CpuBatchAligner::new(2).run(
+            &ps,
+            &XDropExtender::with_engine(Scoring::default(), 40, Engine::Simd),
+        );
         let got = bound.run(&ps);
         assert_eq!(got.results, loose.results);
         assert_eq!(got.total_cells, loose.total_cells);

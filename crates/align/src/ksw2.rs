@@ -210,6 +210,32 @@ mod tests {
         assert_eq!(r.score, 13 * 2 - (4 + 3 * 2));
     }
 
+    /// The independent oracle check: with a free gap open the affine
+    /// recurrence is the linear one, so a band wider than the matrix and
+    /// a Z-drop that can never fire must reproduce the exact linear-gap
+    /// extension optimum of [`crate::full::extension_oracle`]. (Affine
+    /// costs proper are pinned by the hand-computed cases above.)
+    #[test]
+    fn unconstrained_free_open_equals_linear_extension_oracle() {
+        use logan_seq::{AffineScoring, Scoring};
+        let mut rng = StdRng::seed_from_u64(2);
+        let model = ErrorModel::new(ErrorProfile::pacbio(0.15));
+        for trial in 0..25 {
+            let len = 20 + (trial * 11) % 120;
+            let template = random_seq(len, &mut rng);
+            let (a, _) = model.corrupt(&template, &mut rng);
+            let (b, _) = model.corrupt(&template, &mut rng);
+            let params = Ksw2Params {
+                scoring: AffineScoring::new(2, -4, 0, 2),
+                band: Some(a.len() + b.len()),
+                zdrop: i32::MAX / 4,
+            };
+            let k = ksw2_extend(&a, &b, params);
+            let oracle = crate::full::extension_oracle(&a, &b, Scoring::new(2, -4, -2));
+            assert_eq!(k.score, oracle.score, "trial {trial}");
+        }
+    }
+
     #[test]
     fn zdrop_terminates_divergent_tail() {
         // A matching prefix followed by unrelated sequence: the aligner

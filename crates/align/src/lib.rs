@@ -9,11 +9,13 @@
 //!   Algorithm 1). This is the ground truth for `logan-core`'s kernel.
 //! * [`simd`] — the lane-parallel i16 and i8 analogues of the GPU
 //!   kernel's int16 math (paper §III-C), bit-identical to the scalar
-//!   routine, selected at runtime through [`Engine`] (including
-//!   per-pair adaptive tier selection with i8 → i16 escalation).
+//!   routine. [`Engine::extend_with`] is the one dispatcher over the
+//!   tiers (including per-pair adaptive selection with i8 → i16
+//!   escalation); there is no per-tier entry point beside it.
 //! * [`seed_extend`](mod@seed_extend) — the seed-and-extend driver (paper Fig. 5): a seed
 //!   splits each pair into a left extension (computed on reversed
-//!   prefixes) and a right extension.
+//!   prefixes) and a right extension, both run under one
+//!   [`XDropExtender`] (profile, X, engine).
 //! * [`full`] — exact Needleman–Wunsch and Smith–Waterman, quadratic,
 //!   used for oracle checks and as the CUDASW++-style workload.
 //! * [`banded`] — fixed-band Smith–Waterman (paper Fig. 2's contrast to
@@ -22,19 +24,22 @@
 //!   and Z-derived band, reproducing minimap2's `ksw2_extz` behaviour
 //!   (the paper's Table III / Fig. 9 baseline).
 //! * [`batch`] — a multi-threaded batch runner over read pairs: the
-//!   "SeqAn + OpenMP" configuration BELLA uses on the CPU.
+//!   "SeqAn + OpenMP" configuration BELLA uses on the CPU
+//!   ([`XDropCpuAligner`] is the pool bound to one extender).
 //! * [`protein`] — the protein/translated-search surface: re-exports of
 //!   [`logan_seq::ScoreProfile`] / BLOSUM62 plus the property tests that
 //!   pin matrix scoring to the DNA engines (paper §VIII).
 //! * [`workspace`] — reusable per-thread scratch ([`AlignWorkspace`])
 //!   owning every buffer the extension stack needs, so warm extensions
-//!   are allocation-free (DESIGN.md §7).
+//!   are allocation-free (DESIGN.md §7). Every entry point takes one;
+//!   the only allocating conveniences are [`xdrop_extend`] (the scalar
+//!   oracle), [`Engine::extend`] and [`seed_extend()`].
 //!
 //! # Position in the workspace
 //!
 //! Builds on [`logan_seq`] (sequences and scoring). The GPU side lives
 //! upstack: `logan-core`'s kernel must match [`xdrop_extend`] bit for
-//! bit, and `logan-bella` uses [`batch::CpuBatchAligner`] as its CPU
+//! bit, and `logan-bella` uses [`XDropCpuAligner`] as its CPU
 //! backend. See `DESIGN.md` for the full map.
 
 #![warn(missing_docs)]
@@ -44,7 +49,6 @@
 // kernels are checked against.
 #![allow(clippy::needless_range_loop)]
 
-pub mod affine;
 pub mod banded;
 pub mod batch;
 pub mod full;
@@ -53,26 +57,19 @@ pub mod protein;
 pub mod result;
 pub mod seed_extend;
 pub mod simd;
-pub mod traceback;
 pub mod workspace;
 pub mod xdrop;
 
-pub use affine::{gotoh_extension_oracle, gotoh_global};
 pub use banded::banded_sw;
 pub use batch::{BatchResult, CpuBatchAligner, XDropCpuAligner};
 pub use full::{needleman_wunsch, smith_waterman};
 pub use ksw2::{ksw2_extend, Ksw2Params};
 pub use protein::{ScoreProfile, SubstMatrix, AMINO_ACIDS};
 pub use result::{AlignmentResult, ExtensionResult, SeedExtendResult};
-pub use seed_extend::{seed_extend, seed_extend_with, Extender};
-pub use simd::{
-    simd8_eligible, simd_eligible, xdrop_extend_adaptive, xdrop_extend_adaptive_with,
-    xdrop_extend_simd, xdrop_extend_simd8, xdrop_extend_simd8_with, xdrop_extend_simd_with, Engine,
-    TierTally,
-};
-pub use traceback::{nw_traceback, Cigar, CigarOp};
+pub use seed_extend::{seed_extend, seed_extend_with};
+pub use simd::{simd8_eligible, simd_eligible, Engine, TierTally};
 pub use workspace::{with_thread_workspace, AlignWorkspace, AntiDiag, ScalarRings};
-pub use xdrop::{xdrop_extend, xdrop_extend_with, ProfileExtender, XDropExtender};
+pub use xdrop::{xdrop_extend, xdrop_extend_with, XDropExtender};
 
 /// Sentinel for "pruned / unreachable" DP cells. Chosen far from
 /// `i32::MIN` so that adding gap penalties can never wrap.

@@ -13,40 +13,9 @@
 
 use crate::result::{ExtensionResult, SeedExtendResult};
 use crate::workspace::AlignWorkspace;
+use crate::xdrop::XDropExtender;
 use logan_seq::readsim::Seed;
 use logan_seq::Seq;
-
-/// Anything that can extend a pair of sequences from their origin.
-/// Implemented by the scalar X-drop ([`crate::xdrop::XDropExtender`]) and
-/// by the GPU executor in `logan-core`.
-pub trait Extender {
-    /// Best semi-global extension of prefixes of `query` / `target`.
-    fn extend(&self, query: &Seq, target: &Seq) -> ExtensionResult;
-
-    /// Workspace-aware entry point (DESIGN.md §7): compute into
-    /// caller-owned scratch so repeated extensions are allocation-free.
-    /// The default ignores the workspace and defers to
-    /// [`Extender::extend`] — correct for extenders with no reusable
-    /// scratch (e.g. the simulated GPU executor, whose buffers live
-    /// device-side).
-    fn extend_with(&self, query: &Seq, target: &Seq, ws: &mut AlignWorkspace) -> ExtensionResult {
-        let _ = ws;
-        self.extend(query, target)
-    }
-
-    /// The match score, needed to credit the seed bases.
-    fn match_score(&self) -> i32;
-
-    /// Score credited to an exact seed whose query-side symbol codes are
-    /// `seed_symbols`. The default — `len × match_score` — is exact for
-    /// uniform match/mismatch scoring; matrix-profile extenders override
-    /// it with the sum of diagonal substitution scores, which varies per
-    /// residue (e.g. BLOSUM62 credits a tryptophan seed base 11, an
-    /// alanine 4).
-    fn seed_credit(&self, seed_symbols: &[u8]) -> i32 {
-        seed_symbols.len() as i32 * self.match_score()
-    }
-}
 
 /// Align `query` and `target` around `seed` using `ext` for both
 /// extensions.
@@ -57,12 +26,7 @@ pub trait Extender {
 ///
 /// Thin allocating wrapper over [`seed_extend_with`]; batch callers hold
 /// an [`AlignWorkspace`] (one per worker) and call that directly.
-pub fn seed_extend<E: Extender>(
-    query: &Seq,
-    target: &Seq,
-    seed: Seed,
-    ext: &E,
-) -> SeedExtendResult {
+pub fn seed_extend(query: &Seq, target: &Seq, seed: Seed, ext: &XDropExtender) -> SeedExtendResult {
     seed_extend_with(query, target, seed, ext, &mut AlignWorkspace::new())
 }
 
@@ -70,13 +34,14 @@ pub fn seed_extend<E: Extender>(
 /// prefixes of the left extension and the suffix views of the right
 /// extension are materialised into the workspace's sequence buffers
 /// (no `.reversed()`/`.subseq()` allocations), and the extensions
-/// themselves run through [`Extender::extend_with`] on the same
-/// workspace. Warm, the whole call performs zero heap allocations.
-pub fn seed_extend_with<E: Extender>(
+/// themselves run through [`Engine::extend_with`](crate::Engine::extend_with)
+/// on the same workspace. Warm, the whole call performs zero heap
+/// allocations.
+pub fn seed_extend_with(
     query: &Seq,
     target: &Seq,
     seed: Seed,
-    ext: &E,
+    ext: &XDropExtender,
     ws: &mut AlignWorkspace,
 ) -> SeedExtendResult {
     assert!(
@@ -100,7 +65,7 @@ pub fn seed_extend_with<E: Extender>(
     } else {
         qs.assign_reversed_range(query, 0, seed.qpos);
         ts.assign_reversed_range(target, 0, seed.tpos);
-        ext.extend_with(&qs, &ts, ws)
+        ext.engine.extend_with(&qs, &ts, ext.profile, ext.x, ws)
     };
 
     // Right: suffixes after the seed.
@@ -111,7 +76,7 @@ pub fn seed_extend_with<E: Extender>(
     } else {
         qs.assign_range(query, qr_start, query.len());
         ts.assign_range(target, tr_start, target.len());
-        ext.extend_with(&qs, &ts, ws)
+        ext.engine.extend_with(&qs, &ts, ext.profile, ext.x, ws)
     };
 
     ws.seq_q = qs;
@@ -119,7 +84,9 @@ pub fn seed_extend_with<E: Extender>(
 
     let score = left.score
         + right.score
-        + ext.seed_credit(&query.as_slice()[seed.qpos..seed.qpos + seed.len]);
+        + ext
+            .profile
+            .seed_credit(&query.as_slice()[seed.qpos..seed.qpos + seed.len]);
     SeedExtendResult {
         score,
         left,
@@ -134,7 +101,6 @@ pub fn seed_extend_with<E: Extender>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::xdrop::XDropExtender;
     use logan_seq::readsim::PairSet;
     use logan_seq::Scoring;
 

@@ -72,8 +72,8 @@
 //! Under these conditions every cell value, trim decision and tie-break
 //! is identical to the scalar routine, which the differential suites
 //! (`tests/simd_equivalence.rs`, `tests/engine_tiers.rs`) assert over
-//! random sequences, scorings and X values. Outside them, the entry
-//! points fall back to the scalar routine — every [`Engine`] is
+//! random sequences, scorings and X values. Outside them, the
+//! dispatcher falls back to the scalar routine — every [`Engine`] is
 //! therefore *always* bit-identical to [`Engine::Scalar`], just faster
 //! when the workload allows.
 //!
@@ -82,9 +82,9 @@
 //! [`SimdState`] exposes the extension one anti-diagonal at a time so
 //! that `logan-core`'s simulated GPU kernel can drive the same compute
 //! while accounting SIMT costs per iteration (see
-//! `logan_core::kernel::logan_block_extend_simd`). [`xdrop_extend_simd`]
-//! is the plain "run to completion" wrapper; [`Simd8State`] is the same
-//! stepper at i8 plus the escalation watch.
+//! `logan_core::kernel::logan_block_extend`). [`Engine::extend_with`]
+//! runs it to completion; [`Simd8State`] is the same stepper at i8 plus
+//! the escalation watch.
 //!
 //! # Tier telemetry
 //!
@@ -160,17 +160,15 @@ pub enum Engine {
     /// truth every other backend is tested against.
     #[default]
     Scalar,
-    /// The lane-parallel i16 kernel ([`xdrop_extend_simd`]); falls back
-    /// to the scalar routine when [`simd_eligible`] is false.
+    /// The lane-parallel i16 kernel; falls back to the scalar routine
+    /// when [`simd_eligible`] is false.
     Simd,
-    /// The lane-parallel i8 kernel ([`xdrop_extend_simd8`]), escalating
-    /// mid-extension to the i16 kernel if the live score approaches the
-    /// i8 window; falls back to the scalar routine when
-    /// [`simd8_eligible`] is false.
+    /// The lane-parallel i8 kernel, escalating mid-extension to the i16
+    /// kernel if the live score approaches the i8 window; falls back to
+    /// the scalar routine when [`simd8_eligible`] is false.
     I8,
-    /// Per-pair tier selection ([`xdrop_extend_adaptive`]): the
-    /// cheapest tier whose window provably holds — i8, then i16, then
-    /// scalar.
+    /// Per-pair tier selection: the cheapest tier whose window provably
+    /// holds — i8, then i16, then scalar.
     Adaptive,
 }
 
@@ -189,9 +187,16 @@ impl Engine {
         self.extend_with(query, target, profile, x, &mut AlignWorkspace::new())
     }
 
-    /// Extend with this engine into caller-owned scratch (DESIGN.md §7):
-    /// whichever kernel runs, all of its buffers come from `ws`, so a
-    /// warm workspace makes the call allocation-free.
+    /// Extend with this engine into caller-owned scratch (DESIGN.md §7)
+    /// — the one dispatcher over the tier ladder. Whichever kernel runs
+    /// (the engine's tier when its eligibility window holds, the scalar
+    /// routine otherwise), all of its buffers come from `ws`, so a warm
+    /// workspace makes the call allocation-free, and the tier that ran
+    /// (plus any i8 → i16 escalation) is recorded in `ws.tally`.
+    /// Results are bit-identical to [`xdrop_extend`](crate::xdrop::xdrop_extend)
+    /// on every path and independent of the workspace's history.
+    ///
+    /// Panics if `x` is negative.
     pub fn extend_with(
         self,
         query: &Seq,
@@ -200,11 +205,19 @@ impl Engine {
         x: i32,
         ws: &mut AlignWorkspace,
     ) -> ExtensionResult {
+        assert!(x >= 0, "X-drop parameter must be non-negative");
+        let profile = profile.into();
+        if query.is_empty() || target.is_empty() {
+            return ExtensionResult::zero();
+        }
         match self {
-            Engine::Scalar => xdrop_extend_with(query, target, profile, x, ws),
-            Engine::Simd => xdrop_extend_simd_with(query, target, profile, x, ws),
-            Engine::I8 => xdrop_extend_simd8_with(query, target, profile, x, ws),
-            Engine::Adaptive => xdrop_extend_adaptive_with(query, target, profile, x, ws),
+            Engine::I8 | Engine::Adaptive if simd8_eligible(query, target, profile, x) => {
+                run_i8(query, target, profile, x, ws)
+            }
+            Engine::Simd | Engine::Adaptive if simd_eligible(query, target, profile, x) => {
+                run_i16(query, target, profile, x, ws)
+            }
+            _ => xdrop_extend_with(query, target, profile, x, ws),
         }
     }
 
@@ -258,7 +271,7 @@ impl std::str::FromStr for Engine {
 /// extensions each kernel tier actually computed, and how many i8 runs
 /// escalated mid-extension to i16. Accumulated in
 /// [`AlignWorkspace::tally`](crate::workspace::AlignWorkspace) by every
-/// kernel entry point and surfaced per batch through
+/// kernel run and surfaced per batch through
 /// `logan_align::BatchResult` and `logan_core::BackendReport` — the
 /// measured answer to ROADMAP's "how often does scalar actually fire".
 ///
@@ -269,7 +282,7 @@ impl std::str::FromStr for Engine {
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct TierTally {
     /// Extensions computed by the scalar i32 reference (including
-    /// eligibility fallbacks from the SIMD entry points).
+    /// eligibility fallbacks of the SIMD engines).
     pub scalar: u64,
     /// Extensions computed by the 16-lane i16 kernel.
     pub lanes16: u64,
@@ -334,8 +347,9 @@ impl Deserialize for TierTally {
 }
 
 /// True when the i16 kernel can reproduce the scalar result exactly
-/// (see the module docs for why each bound is required). The SIMD entry
-/// points fall back to the scalar routine when this is false.
+/// (see the module docs for why each bound is required);
+/// [`Engine::extend_with`] falls back to the scalar routine when this
+/// is false.
 ///
 /// The bounds are computed from the *profile's* extreme substitution
 /// scores, not an assumed uniform match score: the best attainable
@@ -1155,53 +1169,15 @@ fn widen8(v: Biased8) -> i16 {
     }
 }
 
-/// Lane-parallel X-drop extension: bit-identical to [`xdrop_extend`](crate::xdrop::xdrop_extend)
-/// (to which it silently falls back when the inputs are not
-/// [`simd_eligible`]), typically several times faster on long
-/// extensions.
-///
-/// Thin allocating wrapper over [`xdrop_extend_simd_with`]; hot callers
-/// hold an [`AlignWorkspace`] and call that directly.
-pub fn xdrop_extend_simd(
-    query: &Seq,
-    target: &Seq,
-    profile: impl Into<ScoreProfile>,
-    x: i32,
-) -> ExtensionResult {
-    xdrop_extend_simd_with(query, target, profile, x, &mut AlignWorkspace::new())
-}
-
-/// [`xdrop_extend_simd`] computing into caller-owned scratch
-/// (DESIGN.md §7): the i16 rings and lane-widened sequence buffers come
-/// from `ws`, as do the scalar rings when the input falls back. A warm
-/// workspace makes the call allocation-free; results are bit-identical
-/// to a fresh-workspace run regardless of the workspace's history.
-pub fn xdrop_extend_simd_with(
-    query: &Seq,
-    target: &Seq,
-    profile: impl Into<ScoreProfile>,
-    x: i32,
-    ws: &mut AlignWorkspace,
-) -> ExtensionResult {
-    assert!(x >= 0, "X-drop parameter must be non-negative");
-    let profile = profile.into();
-    if query.is_empty() || target.is_empty() {
-        return ExtensionResult::zero();
-    }
-    if !simd_eligible(query, target, profile, x) {
-        return xdrop_extend_with(query, target, profile, x, ws);
-    }
-    run_i16(query, target, profile, x, ws)
-}
-
 /// Run an (already eligibility-checked, non-empty) extension on the i16
 /// kernel, tallying the dispatch.
 ///
-/// `inline(never)`: every entry point (fixed-tier wrappers, the
-/// adaptive selector, escalation) must share one machine-code copy, so
-/// tier choice is a pure dispatch decision — otherwise per-caller
-/// inlining gives each wrapper a differently-laid-out kernel and
-/// "identical" engines measure a few percent apart.
+/// `inline(never)`: every instantiation of the dispatcher
+/// ([`Engine::extend_with`] is generic over the profile argument) must
+/// share one machine-code copy, so tier choice is a pure dispatch
+/// decision — otherwise per-caller inlining gives each caller a
+/// differently-laid-out kernel and "identical" engines measure a few
+/// percent apart.
 #[inline(never)]
 fn run_i16(
     query: &Seq,
@@ -1247,83 +1223,6 @@ fn run_i8(
             }
             Simd8Step::Dropped { .. } | Simd8Step::Finished => return state.into_result(),
         }
-    }
-}
-
-/// Lane-parallel X-drop extension on the 32-lane i8 tier: bit-identical
-/// to [`xdrop_extend`](crate::xdrop::xdrop_extend). Extensions whose
-/// live score approaches the i8 window escalate mid-run to the i16
-/// kernel; inputs that are not [`simd8_eligible`] fall back to the
-/// scalar routine.
-///
-/// Thin allocating wrapper over [`xdrop_extend_simd8_with`].
-pub fn xdrop_extend_simd8(
-    query: &Seq,
-    target: &Seq,
-    profile: impl Into<ScoreProfile>,
-    x: i32,
-) -> ExtensionResult {
-    xdrop_extend_simd8_with(query, target, profile, x, &mut AlignWorkspace::new())
-}
-
-/// [`xdrop_extend_simd8`] computing into caller-owned scratch: the i8
-/// rings and lane buffers come from `ws`, as do the i16 rings on
-/// escalation and the scalar rings on fallback. A warm workspace makes
-/// the call allocation-free on the DNA path.
-pub fn xdrop_extend_simd8_with(
-    query: &Seq,
-    target: &Seq,
-    profile: impl Into<ScoreProfile>,
-    x: i32,
-    ws: &mut AlignWorkspace,
-) -> ExtensionResult {
-    assert!(x >= 0, "X-drop parameter must be non-negative");
-    let profile = profile.into();
-    if query.is_empty() || target.is_empty() {
-        return ExtensionResult::zero();
-    }
-    if !simd8_eligible(query, target, profile, x) {
-        return xdrop_extend_with(query, target, profile, x, ws);
-    }
-    run_i8(query, target, profile, x, ws)
-}
-
-/// Per-pair adaptive tier selection (the [`Engine::Adaptive`] kernel):
-/// the cheapest tier whose window provably holds — i8 (with mid-run
-/// escalation), else i16, else scalar. Bit-identical to
-/// [`xdrop_extend`](crate::xdrop::xdrop_extend) on every path.
-///
-/// Thin allocating wrapper over [`xdrop_extend_adaptive_with`].
-pub fn xdrop_extend_adaptive(
-    query: &Seq,
-    target: &Seq,
-    profile: impl Into<ScoreProfile>,
-    x: i32,
-) -> ExtensionResult {
-    xdrop_extend_adaptive_with(query, target, profile, x, &mut AlignWorkspace::new())
-}
-
-/// [`xdrop_extend_adaptive`] computing into caller-owned scratch; which
-/// tier ran (and whether an i8 run escalated) is recorded in
-/// `ws.tally`.
-pub fn xdrop_extend_adaptive_with(
-    query: &Seq,
-    target: &Seq,
-    profile: impl Into<ScoreProfile>,
-    x: i32,
-    ws: &mut AlignWorkspace,
-) -> ExtensionResult {
-    assert!(x >= 0, "X-drop parameter must be non-negative");
-    let profile = profile.into();
-    if query.is_empty() || target.is_empty() {
-        return ExtensionResult::zero();
-    }
-    if simd8_eligible(query, target, profile, x) {
-        run_i8(query, target, profile, x, ws)
-    } else if simd_eligible(query, target, profile, x) {
-        run_i16(query, target, profile, x, ws)
-    } else {
-        xdrop_extend_with(query, target, profile, x, ws)
     }
 }
 
@@ -1729,6 +1628,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "non-negative")]
     fn negative_x_rejected() {
-        let _ = xdrop_extend_simd(&seq("A"), &seq("A"), Scoring::default(), -1);
+        let _ = Engine::Simd.extend(&seq("A"), &seq("A"), Scoring::default(), -1);
     }
 }

@@ -25,7 +25,7 @@ use crate::result::ExtensionResult;
 use crate::simd::Engine;
 use crate::workspace::{AlignWorkspace, ScalarRings};
 use crate::NEG_INF;
-use logan_seq::{ScoreProfile, Scoring, Seq};
+use logan_seq::{ScoreProfile, Seq};
 
 /// Extend from the origin: best semi-global alignment of a prefix of
 /// `query` against a prefix of `target` under the X-drop condition.
@@ -35,7 +35,7 @@ use logan_seq::{ScoreProfile, Scoring, Seq};
 /// tests).
 ///
 /// Accepts anything convertible into a [`ScoreProfile`] — a plain
-/// [`Scoring`] runs the historical DNA match/mismatch fast path
+/// [`logan_seq::Scoring`] runs the historical DNA match/mismatch fast path
 /// (bit-identical to the pre-profile code), a matrix profile runs the
 /// same control flow with dense substitution lookups.
 ///
@@ -207,12 +207,16 @@ fn xdrop_core(
     }
 }
 
-/// An [`crate::seed_extend::Extender`] wrapping the X-drop extension
-/// with a fixed scoring scheme, X, and compute [`Engine`].
-#[derive(Debug, Clone, Copy)]
+/// The parameters of an X-drop extension — substitution model, X and
+/// compute [`Engine`] — bound into one value: what
+/// [`seed_extend_with`](crate::seed_extend::seed_extend_with) runs both
+/// flanks of a pair under, and what a
+/// [`CpuBatchAligner`](crate::batch::CpuBatchAligner) maps over a batch.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct XDropExtender {
-    /// Scoring scheme (linear gaps).
-    pub scoring: Scoring,
+    /// The substitution model (linear gaps): a plain [`logan_seq::Scoring`] is the
+    /// DNA match/mismatch fast path, a matrix profile BLOSUM-style.
+    pub profile: ScoreProfile,
     /// The X-drop threshold.
     pub x: i32,
     /// Which kernel computes each extension (bit-identical results
@@ -222,68 +226,17 @@ pub struct XDropExtender {
 
 impl XDropExtender {
     /// Create an extender running the scalar reference engine.
-    pub fn new(scoring: Scoring, x: i32) -> XDropExtender {
-        XDropExtender::with_engine(scoring, x, Engine::Scalar)
+    pub fn new(profile: impl Into<ScoreProfile>, x: i32) -> XDropExtender {
+        XDropExtender::with_engine(profile, x, Engine::Scalar)
     }
 
     /// Create an extender with an explicit compute engine.
-    pub fn with_engine(scoring: Scoring, x: i32, engine: Engine) -> XDropExtender {
-        XDropExtender { scoring, x, engine }
-    }
-}
-
-impl crate::seed_extend::Extender for XDropExtender {
-    fn extend(&self, query: &Seq, target: &Seq) -> ExtensionResult {
-        self.engine.extend(query, target, self.scoring, self.x)
-    }
-
-    fn extend_with(&self, query: &Seq, target: &Seq, ws: &mut AlignWorkspace) -> ExtensionResult {
-        self.engine
-            .extend_with(query, target, self.scoring, self.x, ws)
-    }
-
-    fn match_score(&self) -> i32 {
-        self.scoring.match_score
-    }
-}
-
-/// An [`crate::seed_extend::Extender`] running the X-drop extension
-/// under an arbitrary [`ScoreProfile`] — the matrix-capable counterpart
-/// of [`XDropExtender`]. With a [`ScoreProfile::MatchMismatch`] profile
-/// it is bit-identical to the equivalent `XDropExtender`.
-#[derive(Debug, Clone, Copy)]
-pub struct ProfileExtender {
-    /// The substitution model.
-    pub profile: ScoreProfile,
-    /// The X-drop threshold.
-    pub x: i32,
-    /// Which kernel computes each extension.
-    pub engine: Engine,
-}
-
-impl ProfileExtender {
-    /// Create an extender with an explicit compute engine.
-    pub fn new(profile: ScoreProfile, x: i32, engine: Engine) -> ProfileExtender {
-        ProfileExtender { profile, x, engine }
-    }
-}
-
-impl crate::seed_extend::Extender for ProfileExtender {
-    fn extend(&self, query: &Seq, target: &Seq) -> ExtensionResult {
-        self.engine.extend(query, target, self.profile, self.x)
-    }
-
-    fn extend_with(&self, query: &Seq, target: &Seq, ws: &mut AlignWorkspace) -> ExtensionResult {
-        self.engine
-            .extend_with(query, target, self.profile, self.x, ws)
-    }
-
-    fn match_score(&self) -> i32 {
-        self.profile.max_score()
-    }
-
-    fn seed_credit(&self, seed_symbols: &[u8]) -> i32 {
-        self.profile.seed_credit(seed_symbols)
+    pub fn with_engine(profile: impl Into<ScoreProfile>, x: i32, engine: Engine) -> XDropExtender {
+        XDropExtender {
+            profile: profile.into(),
+            x,
+            engine,
+        }
     }
 }
 
@@ -292,7 +245,7 @@ mod tests {
     use super::*;
     use crate::full::extension_oracle;
     use logan_seq::readsim::random_seq;
-    use logan_seq::{ErrorModel, ErrorProfile};
+    use logan_seq::{ErrorModel, ErrorProfile, Scoring};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

@@ -281,8 +281,12 @@ impl BellaPipeline {
     /// the config's X, so a mismatched backend would silently
     /// misclassify every overlap — the failure mode the old closed
     /// backend enum made impossible by construction.
+    ///
+    /// A matrix-profile backend has no `Scoring` rendering; the check
+    /// skips it rather than compare incommensurable schemes.
     fn check_backend(&self, backend: &dyn AlignBackend) {
-        if let Some((scoring, x)) = backend.xdrop_params() {
+        let declared = backend.profile_params();
+        if let Some((scoring, x)) = declared.and_then(|(p, x)| Some((p.as_match_mismatch()?, x))) {
             assert!(
                 scoring == self.config.scoring && x == self.config.x,
                 "backend {} aligns under {:?}/X={} but the pipeline is configured {:?}/X={}",
@@ -681,7 +685,7 @@ pub fn align_candidates_reference(
 mod tests {
     use super::*;
     use logan_align::{Engine, XDropCpuAligner};
-    use logan_core::{Fleet, GpuBackend, LoganConfig, LoganExecutor, MultiGpu};
+    use logan_core::{Fleet, GpuBackend, LoganConfig, LoganExecutor};
     use logan_gpusim::DeviceSpec;
     use logan_seq::readsim::ReadSimulator;
     use logan_seq::ErrorProfile;
@@ -752,7 +756,7 @@ mod tests {
         let rs = small_readset();
         let pipeline = BellaPipeline::new(test_config(30));
         let aligner = cpu_backend(2, 30);
-        let multi = MultiGpu::new(3, DeviceSpec::v100(), LoganConfig::with_x(30));
+        let multi = Fleet::static_gpus(3, DeviceSpec::v100(), LoganConfig::with_x(30));
         let (cpu_out, _) = pipeline.run_on_readset(&rs, &aligner, 600);
         let (mg_out, _) = pipeline.run_on_readset(&rs, &multi, 600);
         assert_eq!(cpu_out.kept_pairs(), mg_out.kept_pairs());
@@ -825,7 +829,7 @@ mod tests {
         let rs = small_readset();
         let aligner = cpu_backend(4, 50);
         let exec = LoganExecutor::new(DeviceSpec::v100(), LoganConfig::with_x(50));
-        let multi = MultiGpu::new(3, DeviceSpec::v100(), LoganConfig::with_x(50));
+        let multi = Fleet::static_gpus(3, DeviceSpec::v100(), LoganConfig::with_x(50));
         let backends: [&dyn AlignBackend; 3] = [&aligner, &exec, &multi];
         let budgets = [
             PipelineBudget::default(),
@@ -943,7 +947,7 @@ mod tests {
         assert!(out.backend.wall_s > 0.0, "CPU wall accumulates over blocks");
         assert_eq!(out.backend.sim_time_s, 0.0);
         assert!(out.backend.blocks > 1, "16-read tiles make several blocks");
-        let multi = MultiGpu::new(2, DeviceSpec::v100(), LoganConfig::with_x(50));
+        let multi = Fleet::static_gpus(2, DeviceSpec::v100(), LoganConfig::with_x(50));
         let (out, _) = pipeline.run_streaming_on_readset(&rs, &multi, 600);
         assert!(out.backend.sim_time_s > 0.0);
         assert_eq!(out.backend.total_cells, out.stats.total_cells);
@@ -959,7 +963,7 @@ mod tests {
         // A backend bound to X=99 must not run under a pipeline
         // configured at X=50: the adaptive threshold would misread its
         // scores. The old closed enum made this impossible; the trait
-        // seam enforces it through `AlignBackend::xdrop_params`.
+        // seam enforces it through `AlignBackend::profile_params`.
         let pipeline = BellaPipeline::new(test_config(50));
         let aligner = cpu_backend(1, 99);
         let _ = pipeline.run(&[], &aligner);

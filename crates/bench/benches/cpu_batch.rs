@@ -11,7 +11,7 @@
 //! and thread counts by construction, so rates are comparable GCUPS.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use logan_align::{CpuBatchAligner, Engine};
+use logan_align::{CpuBatchAligner, Engine, XDropExtender};
 use logan_seq::readsim::PairSet;
 use logan_seq::Scoring;
 
@@ -23,21 +23,14 @@ fn bench_cpu_batch(c: &mut Criterion) {
         let pairs = PairSet::generate_with_lengths(npairs, 0.15, 500, 900, 29).pairs;
         for &threads in &[1usize, 2] {
             let aligner = CpuBatchAligner::new(threads);
-            let total = aligner
-                .run_xdrop(&pairs, Scoring::default(), x, Engine::Scalar)
-                .total_cells;
+            let ext = |engine| XDropExtender::with_engine(Scoring::default(), x, engine);
+            let total = aligner.run(&pairs, &ext(Engine::Scalar)).total_cells;
             group.throughput(Throughput::Elements(total));
             for engine in [Engine::Scalar, Engine::Simd] {
                 group.bench_with_input(
                     BenchmarkId::new(engine.to_string(), format!("pairs{npairs}_t{threads}")),
                     &pairs,
-                    |b, pairs| {
-                        b.iter(|| {
-                            aligner
-                                .run_xdrop(pairs, Scoring::default(), x, engine)
-                                .total_cells
-                        })
-                    },
+                    |b, pairs| b.iter(|| aligner.run(pairs, &ext(engine)).total_cells),
                 );
             }
         }

@@ -10,7 +10,7 @@ mod logan_bench_reexports {
     pub use logan_core::calibration::{
         BALANCER_SETUP_S_PER_GPU, BELLA_GPU_MARSHAL_S_PER_PAIR, BELLA_OVERLAP_S_PER_PAIR,
     };
-    pub use logan_core::{CpuPlatformModel, LoganConfig, LoganExecutor, MultiGpu};
+    pub use logan_core::{CpuPlatformModel, Fleet, LoganConfig, LoganExecutor};
     pub use logan_gpusim::DeviceSpec;
     pub use logan_seq::DatasetPreset;
 }
@@ -86,8 +86,8 @@ pub fn run(exp: &BellaExperiment) {
     for (i, &x) in exp.xs.iter().enumerate() {
         let exec = LoganExecutor::new(DeviceSpec::v100(), LoganConfig::with_x(x));
         let (_, rep1) = exec.align_pairs(&pairs);
-        let multi = MultiGpu::new(exp.gpus, DeviceSpec::v100(), LoganConfig::with_x(x));
-        let (_, repn) = multi.align_pairs(&pairs);
+        let multi = Fleet::static_gpus(exp.gpus, DeviceSpec::v100(), LoganConfig::with_x(x));
+        let (_, repn) = multi.align_pairs_static(&pairs);
 
         let spec = DeviceSpec::v100();
         let cells_full = rep1.total_cells as f64 * factor;

@@ -17,7 +17,7 @@
 
 use logan_align::{banded_sw, xdrop_extend, Engine};
 use logan_bench::{fmt_s, heading, project_gpu_time, write_json, BenchScale, Table};
-use logan_core::{GpuBatchReport, LoganConfig, LoganExecutor, ThreadPolicy};
+use logan_core::{BackendReport, LoganConfig, LoganExecutor, ThreadPolicy};
 use logan_gpusim::DeviceSpec;
 use logan_seq::readsim::random_seq;
 use logan_seq::{PairSet, Scoring};
@@ -34,14 +34,14 @@ struct Ablation {
     unit: &'static str,
 }
 
-fn run(set: &PairSet, cfg: LoganConfig, factor: f64) -> (f64, GpuBatchReport) {
+fn run(set: &PairSet, cfg: LoganConfig, factor: f64) -> (f64, BackendReport) {
     let spec = DeviceSpec::v100();
     let exec = LoganExecutor::new(spec.clone(), cfg);
     let (_, rep) = exec.align_pairs(&set.pairs);
     (project_gpu_time(&spec, &rep, factor), rep)
 }
 
-fn hbm_bytes(rep: &GpuBatchReport) -> f64 {
+fn hbm_bytes(rep: &BackendReport) -> f64 {
     rep.kernel_reports
         .iter()
         .map(|kr| kr.stats.total.hbm_bytes() as f64)

@@ -10,7 +10,7 @@ use logan_bench::{
     fmt_s, fmt_x, heading, project_gpu_time, project_multi_time, write_json, BenchScale, Table,
 };
 use logan_core::calibration::BALANCER_SETUP_S_PER_GPU;
-use logan_core::{CpuPlatformModel, LoganConfig, LoganExecutor, MultiGpu};
+use logan_core::{CpuPlatformModel, Fleet, LoganConfig, LoganExecutor};
 use logan_gpusim::DeviceSpec;
 use logan_seq::PairSet;
 use serde::Serialize;
@@ -47,8 +47,8 @@ fn main() {
     for (i, &x) in XS.iter().enumerate() {
         let exec = LoganExecutor::new(DeviceSpec::v100(), LoganConfig::with_x(x));
         let (_, rep1) = exec.align_pairs(&set.pairs);
-        let multi = MultiGpu::new(6, DeviceSpec::v100(), LoganConfig::with_x(x));
-        let (_, rep6) = multi.align_pairs(&set.pairs);
+        let multi = Fleet::static_gpus(6, DeviceSpec::v100(), LoganConfig::with_x(x));
+        let (_, rep6) = multi.align_pairs_static(&set.pairs);
 
         let cells_full = rep1.total_cells as f64 * factor;
         let seqan_s = power9.time_s(cells_full as u64, 100_000);

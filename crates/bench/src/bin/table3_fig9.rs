@@ -13,7 +13,7 @@ use logan_bench::{
     fmt_s, fmt_x, heading, project_gpu_time, project_multi_time, write_json, BenchScale, Table,
 };
 use logan_core::calibration::BALANCER_SETUP_S_PER_GPU;
-use logan_core::{CpuPlatformModel, LoganConfig, LoganExecutor, MultiGpu};
+use logan_core::{CpuPlatformModel, Fleet, LoganConfig, LoganExecutor};
 use logan_gpusim::DeviceSpec;
 use logan_seq::PairSet;
 use serde::Serialize;
@@ -70,8 +70,8 @@ fn main() {
         // LOGAN with X = Z (the paper benchmarks both at the same drop).
         let exec = LoganExecutor::new(DeviceSpec::v100(), LoganConfig::with_x(z));
         let (_, rep1) = exec.align_pairs(&set.pairs);
-        let multi = MultiGpu::new(8, DeviceSpec::v100(), LoganConfig::with_x(z));
-        let (_, rep8) = multi.align_pairs(&set.pairs);
+        let multi = Fleet::static_gpus(8, DeviceSpec::v100(), LoganConfig::with_x(z));
+        let (_, rep8) = multi.align_pairs_static(&set.pairs);
         let logan1_s = project_gpu_time(&DeviceSpec::v100(), &rep1, factor);
         let logan8_s =
             project_multi_time(&DeviceSpec::v100(), &rep8, BALANCER_SETUP_S_PER_GPU, factor);

@@ -35,7 +35,7 @@
 pub mod bella_bench;
 pub mod memprobe;
 
-use logan_core::{GpuBatchReport, MultiGpuReport};
+use logan_core::{BackendReport, FleetReport};
 use serde::Serialize;
 use std::fmt::Display;
 use std::fs;
@@ -93,7 +93,7 @@ impl BenchScale {
 /// linearly, which is exact in the throughput regime.
 pub fn project_gpu_time(
     spec: &logan_gpusim::DeviceSpec,
-    report: &GpuBatchReport,
+    report: &BackendReport,
     factor: f64,
 ) -> f64 {
     const SATURATION_BLOCKS: usize = 200_000;
@@ -108,22 +108,22 @@ pub fn project_gpu_time(
     total
 }
 
-/// Project a multi-GPU report: each device's measured batch is
-/// re-scheduled at its full-scale share (the balancer splits pairs
-/// proportionally, so the per-device factor equals the overall one);
-/// the serial per-device setup is added unscaled.
+/// Project a multi-GPU (static fleet) report: each device's measured
+/// batch is re-scheduled at its full-scale share (the balancer splits
+/// pairs proportionally, so the per-device factor equals the overall
+/// one); the serial per-device setup is added unscaled.
 pub fn project_multi_time(
     spec: &logan_gpusim::DeviceSpec,
-    report: &MultiGpuReport,
+    report: &FleetReport,
     setup_per_gpu: f64,
     factor: f64,
 ) -> f64 {
     let max_dev = report
-        .per_gpu
+        .per_worker
         .iter()
         .map(|r| project_gpu_time(spec, r, factor))
         .fold(0.0f64, f64::max);
-    max_dev + setup_per_gpu * report.per_gpu.len() as f64
+    max_dev + setup_per_gpu * report.per_worker.len() as f64
 }
 
 /// A Markdown table builder for the harness binaries.

@@ -16,10 +16,14 @@
 //! * [`crate::executor::LoganExecutor`] — LOGAN on one simulated GPU.
 //! * [`GpuBackend`] — a [`LoganExecutor`] plus a private host driver
 //!   pool, for fleets where each device gets a bounded host share.
-//! * [`crate::multi_gpu::MultiGpu`] — the statically partitioned
-//!   multi-device deployment (itself a fleet in static mode).
-//! * [`crate::fleet::Fleet`] — the work-stealing heterogeneous
-//!   scheduler over any set of the above.
+//! * [`crate::fleet::Fleet`] — the multi-device scheduler over any set
+//!   of the above: work-stealing by default, the paper's static LPT
+//!   balancer when built with [`crate::fleet::Fleet::static_gpus`].
+//!
+//! One report type describes every run: [`BackendReport`] (host wall
+//! and simulated seconds side by side, never mixed), which the executor
+//! produces directly and fleets keep per worker inside
+//! [`crate::fleet::FleetReport`].
 //!
 //! Every backend must be *result-deterministic*: `align_block` on the
 //! same pairs returns bit-identical [`SeedExtendResult`]s regardless of
@@ -27,12 +31,11 @@
 //! concurrently. The differential suites (`tests/backend_equivalence.rs`)
 //! enforce this; it is what makes dynamic scheduling safe.
 
-use crate::executor::{GpuBatchReport, LoganExecutor};
+use crate::executor::LoganExecutor;
 use logan_align::{SeedExtendResult, XDropCpuAligner};
 use logan_gpusim::KernelReport;
 use logan_seq::readsim::ReadPair;
 use serde::{Deserialize, Serialize};
-use std::time::Instant;
 
 /// An alignment backend: anything that can extend a block of read pairs.
 ///
@@ -67,24 +70,13 @@ pub trait AlignBackend: Send + Sync {
         1
     }
 
-    /// The X-drop parameters this backend aligns under, when it has a
-    /// single fixed set: schedulers and pipelines whose *own*
-    /// configuration must agree with the backend (BELLA's adaptive
-    /// threshold interprets scores in its config's scoring system)
-    /// check against this instead of trusting call sites to keep two
-    /// values in sync. `None` means "unknown/heterogeneous" and skips
-    /// the check — or a matrix-profile backend, whose scoring has no
-    /// `Scoring` rendering (see [`AlignBackend::profile_params`]).
-    fn xdrop_params(&self) -> Option<(logan_seq::Scoring, i32)> {
-        self.profile_params()
-            .and_then(|(p, x)| p.as_match_mismatch().map(|s| (s, x)))
-    }
-
     /// The score profile and X this backend aligns under, when it has a
-    /// single fixed set. The generalized form of
-    /// [`AlignBackend::xdrop_params`]: defined for matrix profiles
-    /// (BLOSUM62 translated search) as well as the DNA fast path.
-    /// `None` means "unknown/heterogeneous".
+    /// single fixed set — matrix profiles (BLOSUM62 translated search)
+    /// as well as the DNA fast path. Schedulers and pipelines whose
+    /// *own* configuration must agree with the backend (BELLA's adaptive
+    /// threshold interprets scores in its config's scoring system) check
+    /// against this instead of trusting call sites to keep two values in
+    /// sync. `None` means "unknown/heterogeneous" and skips the check.
     fn profile_params(&self) -> Option<(logan_seq::ScoreProfile, i32)> {
         None
     }
@@ -156,10 +148,6 @@ impl<T: AlignBackend + ?Sized> AlignBackend for Box<T> {
 
     fn lanes(&self) -> usize {
         (**self).lanes()
-    }
-
-    fn xdrop_params(&self) -> Option<(logan_seq::Scoring, i32)> {
-        (**self).xdrop_params()
     }
 
     fn profile_params(&self) -> Option<(logan_seq::ScoreProfile, i32)> {
@@ -239,33 +227,6 @@ impl BackendReport {
             total_cells,
             wall_s,
             ..BackendReport::default()
-        }
-    }
-
-    /// Report of one block run on a simulated GPU.
-    pub fn from_gpu(pairs: usize, wall_s: f64, rep: GpuBatchReport) -> BackendReport {
-        BackendReport {
-            pairs,
-            blocks: 1,
-            total_cells: rep.total_cells,
-            wall_s,
-            sim_time_s: rep.sim_time_s,
-            launches: rep.launches,
-            hbm_peak_bytes: rep.hbm_peak_bytes,
-            tiers: logan_align::TierTally::default(),
-            kernel_reports: rep.kernel_reports,
-        }
-    }
-
-    /// View the simulated half of this report as a [`GpuBatchReport`] —
-    /// what [`crate::multi_gpu::MultiGpuReport`] records per device.
-    pub fn into_gpu_batch(self) -> GpuBatchReport {
-        GpuBatchReport {
-            sim_time_s: self.sim_time_s,
-            total_cells: self.total_cells,
-            kernel_reports: self.kernel_reports,
-            hbm_peak_bytes: self.hbm_peak_bytes,
-            launches: self.launches,
         }
     }
 
@@ -386,10 +347,7 @@ impl AlignBackend for LoganExecutor {
     }
 
     fn align_block(&self, block: &[ReadPair]) -> (Vec<SeedExtendResult>, BackendReport) {
-        let start = Instant::now();
-        let (results, rep) = self.align_pairs(block);
-        let wall_s = start.elapsed().as_secs_f64();
-        (results, BackendReport::from_gpu(block.len(), wall_s, rep))
+        self.align_pairs(block)
     }
 }
 
@@ -455,13 +413,10 @@ impl AlignBackend for GpuBackend {
     }
 
     fn align_block(&self, block: &[ReadPair]) -> (Vec<SeedExtendResult>, BackendReport) {
-        let start = Instant::now();
         // The install scopes the simulated device's host fan-out to this
         // backend's driver pool; simulated time is unaffected (the wave
         // scheduler counts work, not host threads).
-        let (results, rep) = self.driver.install(|| self.exec.align_pairs(block));
-        let wall_s = start.elapsed().as_secs_f64();
-        (results, BackendReport::from_gpu(block.len(), wall_s, rep))
+        self.driver.install(|| self.exec.align_pairs(block))
     }
 }
 
@@ -510,24 +465,13 @@ mod tests {
     }
 
     #[test]
-    fn xdrop_params_derives_from_profile_params() {
+    fn profile_params_survive_boxing() {
         use logan_seq::ScoreProfile;
         let cpu = XDropCpuAligner::new(1, Scoring::default(), 50, Engine::Scalar);
         assert_eq!(cpu.profile_params(), Some((ScoreProfile::default(), 50)));
-        assert_eq!(cpu.xdrop_params(), Some((Scoring::default(), 50)));
-        // A matrix-profile backend reports the profile but has no
-        // legacy Scoring rendering — the DNA-only seam reads None, so
-        // scoring-system consistency checks skip rather than compare
-        // incommensurable schemes.
+        // Boxed forwarding preserves a matrix profile too.
         let blosum = XDropCpuAligner::new(1, ScoreProfile::blosum62(-6), 50, Engine::Scalar);
-        assert_eq!(
-            blosum.profile_params(),
-            Some((ScoreProfile::blosum62(-6), 50))
-        );
-        assert_eq!(blosum.xdrop_params(), None);
-        // Boxed forwarding preserves both.
         let boxed: Box<dyn AlignBackend> = Box::new(blosum);
-        assert_eq!(boxed.xdrop_params(), None);
         assert_eq!(
             boxed.profile_params(),
             Some((ScoreProfile::blosum62(-6), 50))
@@ -595,19 +539,5 @@ mod tests {
                 }
             );
         }
-    }
-
-    #[test]
-    fn gpu_report_round_trips_to_batch_report() {
-        let ps = pairs(4);
-        let gpu = LoganExecutor::new(DeviceSpec::v100(), LoganConfig::with_x(50));
-        let (_, direct) = gpu.align_pairs(&ps);
-        let (_, rep) = gpu.align_block(&ps);
-        let back = rep.into_gpu_batch();
-        assert_eq!(back.sim_time_s, direct.sim_time_s);
-        assert_eq!(back.total_cells, direct.total_cells);
-        assert_eq!(back.launches, direct.launches);
-        assert_eq!(back.hbm_peak_bytes, direct.hbm_peak_bytes);
-        assert_eq!(back.kernel_reports.len(), direct.kernel_reports.len());
     }
 }

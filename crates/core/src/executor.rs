@@ -13,10 +13,11 @@
 //! 5. runs left and right batches as two streams and retrieves results
 //!    asynchronously.
 
+use crate::backend::BackendReport;
 use crate::calibration::*;
 use crate::kernel::{ExtensionJob, KernelPolicy, LoganKernel};
 use logan_align::{Engine, ExtensionResult, SeedExtendResult};
-use logan_gpusim::{Device, DeviceSpec, KernelReport, LaunchConfig, Timeline};
+use logan_gpusim::{Device, DeviceSpec, LaunchConfig, Timeline};
 use logan_seq::readsim::ReadPair;
 use logan_seq::{ScoreProfile, Seq};
 use serde::{Deserialize, Serialize};
@@ -86,41 +87,6 @@ impl LoganConfig {
     }
 }
 
-/// Simulated-performance report for a batch run on one GPU.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct GpuBatchReport {
-    /// Simulated seconds, including transfers and launch overheads.
-    pub sim_time_s: f64,
-    /// DP cells computed across all extensions.
-    pub total_cells: u64,
-    /// Per-launch kernel reports (two per chunk: left and right stream).
-    pub kernel_reports: Vec<KernelReport>,
-    /// Peak HBM bytes in flight.
-    pub hbm_peak_bytes: u64,
-    /// Number of kernel launches issued.
-    pub launches: usize,
-}
-
-impl GpuBatchReport {
-    /// Giga cell updates per simulated second; 0.0 (not NaN/∞) when no
-    /// simulated time has elapsed, as for an empty batch.
-    pub fn gcups(&self) -> f64 {
-        if self.sim_time_s == 0.0 {
-            return 0.0;
-        }
-        self.total_cells as f64 / self.sim_time_s / 1e9
-    }
-
-    /// Merge another report (e.g. the two streams of a pair batch).
-    pub fn merge(&mut self, other: GpuBatchReport) {
-        self.sim_time_s += other.sim_time_s;
-        self.total_cells += other.total_cells;
-        self.kernel_reports.extend(other.kernel_reports);
-        self.hbm_peak_bytes = self.hbm_peak_bytes.max(other.hbm_peak_bytes);
-        self.launches += other.launches;
-    }
-}
-
 /// A LOGAN instance bound to one (simulated) GPU.
 pub struct LoganExecutor {
     device: Device,
@@ -178,9 +144,13 @@ impl LoganExecutor {
         (1.0 - spec.l2_bytes as f64 / ws_total).clamp(0.0, 1.0)
     }
 
-    /// Extend a batch of jobs, chunking to fit HBM. Returns per-job
-    /// results in order and the simulated report.
-    pub fn extend_batch(&self, jobs: &[ExtensionJob]) -> (Vec<ExtensionResult>, GpuBatchReport) {
+    /// Extend a batch of jobs (one stream), chunking to fit HBM. Returns
+    /// per-job results in order and the stream's simulated half of a
+    /// [`BackendReport`] — cells, simulated seconds (transfers and launch
+    /// overheads included), launches, HBM peak, per-launch kernel
+    /// reports; `pairs`, `blocks` and `wall_s` describe a whole block and
+    /// are filled in by [`LoganExecutor::align_pairs`].
+    pub fn extend_batch(&self, jobs: &[ExtensionJob]) -> (Vec<ExtensionResult>, BackendReport) {
         let spec = self.device.spec().clone();
         let threads = self.threads();
         let warps = threads.div_ceil(spec.warp_size);
@@ -272,25 +242,31 @@ impl LoganExecutor {
 
         (
             results,
-            GpuBatchReport {
-                sim_time_s: timeline.seconds(),
+            BackendReport {
                 total_cells,
-                kernel_reports: reports,
-                hbm_peak_bytes: hbm_peak,
+                sim_time_s: timeline.seconds(),
                 launches,
+                hbm_peak_bytes: hbm_peak,
+                kernel_reports: reports,
+                ..BackendReport::default()
             },
         )
     }
 
     /// Align read pairs around their seeds: the full §IV-B pipeline
-    /// (seed split, left/right streams, result assembly).
-    pub fn align_pairs(&self, pairs: &[ReadPair]) -> (Vec<SeedExtendResult>, GpuBatchReport) {
+    /// (seed split, left/right streams, result assembly), reported as
+    /// one block — the two streams' simulated seconds add, and the host
+    /// wall clock of the whole call is measured beside them.
+    pub fn align_pairs(&self, pairs: &[ReadPair]) -> (Vec<SeedExtendResult>, BackendReport) {
+        let start = std::time::Instant::now();
         let (left_jobs, right_jobs) = split_jobs(pairs);
-        let (left_res, left_rep) = self.extend_batch(&left_jobs);
+        let (left_res, mut report) = self.extend_batch(&left_jobs);
         let (right_res, right_rep) = self.extend_batch(&right_jobs);
-        let mut report = left_rep;
         report.merge(right_rep);
         let results = assemble_results(pairs, &left_res, &right_res, self.config.profile);
+        report.pairs = pairs.len();
+        report.blocks = 1;
+        report.wall_s = start.elapsed().as_secs_f64();
         (results, report)
     }
 }
@@ -477,7 +453,6 @@ mod tests {
 
     #[test]
     fn matrix_profile_pipeline_matches_cpu_seed_extend() {
-        use logan_align::ProfileExtender;
         use logan_seq::readsim::Seed;
         use logan_seq::Alphabet;
         use rand::rngs::StdRng;
@@ -515,7 +490,7 @@ mod tests {
             cfg.engine = engine;
             let exec = LoganExecutor::new(DeviceSpec::v100(), cfg);
             let (gpu, rep) = exec.align_pairs(&ps);
-            let ext = ProfileExtender::new(p, 50, Engine::Scalar);
+            let ext = XDropExtender::new(p, 50);
             for (pair, g) in ps.iter().zip(&gpu) {
                 let cpu = seed_extend(&pair.query, &pair.target, pair.seed, &ext);
                 assert_eq!(*g, cpu, "protein pipeline must equal CPU seed-extend");

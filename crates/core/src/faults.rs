@@ -133,17 +133,21 @@ pub fn catch_align<T>(f: impl FnOnce() -> T) -> Result<T, BackendError> {
     })
 }
 
-/// Lock a mutex, recovering the guard if a previous holder panicked.
-/// Plain data behind the lock (counters, schedules) stays usable after
-/// a lane panic; see `DESIGN.md` §12 for why recovery is safe here.
-fn lock_recover<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+/// Lock a mutex, recovering the guard if a previous holder panicked —
+/// the one poison-recovering lock of the supervision stack (this
+/// module, the fleet scheduler, `logan-serve`). Every mutex it guards
+/// holds plain bookkeeping (counters, schedules, index ranges) whose
+/// mutations each complete under one guard, so recovery cannot observe
+/// a torn invariant; see `DESIGN.md` §12.
+pub fn lock_recover<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// SplitMix64 — the same tiny deterministic generator the minimizer
-/// sketch uses for hashing, kept private here so `logan-core` does not
-/// grow a `rand` dependency for two jitter draws.
-fn splitmix64(state: &mut u64) -> u64 {
+/// SplitMix64 — the tiny deterministic generator behind every seeded
+/// jitter stream of the supervision stack (storm plans and backoff
+/// here, the serve simulator's retry schedule), so a trace is a function
+/// of its seed alone and `logan-core` needs no `rand` dependency.
+pub fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

@@ -1,17 +1,28 @@
-//! The work-stealing heterogeneous fleet scheduler.
+//! The multi-device scheduler: one [`Fleet`], two schedules.
 //!
-//! A [`Fleet`] owns one [`AlignBackend`] per worker and drives them from
-//! one shared queue: candidate pairs queue up heaviest-first, a shared
-//! cursor marks the frontier, and each worker thread repeatedly
-//! *steals* the next chunk — weight-quota sized by its own
-//! [`AlignBackend::throughput_hint`] share of the remaining work — until
-//! the queue drains. A device that lands cheap pairs simply comes back
-//! for more; a device stuck on a repeat-heavy block steals nothing else
-//! meanwhile. That is the dynamic alternative to the static up-front
-//! partition of [`crate::multi_gpu::MultiGpu`] (paper §IV-C), whose
-//! weakness on skewed BELLA workloads motivates this module: sequence
-//! length predicts X-drop work only loosely, so equal-bases bins can
-//! carry wildly unequal cell counts.
+//! A [`Fleet`] owns one [`AlignBackend`] per worker. Its **dynamic**
+//! schedule ([`Fleet::align_pairs`]) drives them from one shared queue:
+//! candidate pairs queue up heaviest-first, a shared cursor marks the
+//! frontier, and each worker thread repeatedly *steals* the next chunk
+//! — weight-quota sized by its own [`AlignBackend::throughput_hint`]
+//! share of the remaining work — until the queue drains. A device that
+//! lands cheap pairs simply comes back for more; a device stuck on a
+//! repeat-heavy block steals nothing else meanwhile. Its **static**
+//! schedule ([`Fleet::align_pairs_static`]) is the paper's multi-GPU
+//! load balancer (§IV-C, Fig. 7): the host partitions pairs across
+//! devices up front, weighted by sequence length (longest-processing-
+//! time greedy), and every device runs its whole bin as one block.
+//! Devices run concurrently either way, so the simulated makespan is
+//! the *maximum* over devices plus a serial host-side setup charge per
+//! device — which is what keeps small-X multi-GPU speed-ups modest in
+//! Table II. The static schedule pins the published tables; its
+//! weakness on skewed BELLA workloads motivates the dynamic one:
+//! sequence length predicts X-drop work only loosely, so equal-bases
+//! bins can carry wildly unequal cell counts.
+//!
+//! Which schedule [`AlignBackend::align_block`] uses is fixed by the
+//! constructor: [`Fleet::static_gpus`] (CLI `multi:N`) keeps the static
+//! one, every other constructor the dynamic one.
 //!
 //! Both schedules produce **bit-identical results**: every backend is
 //! result-deterministic, per-pair results do not depend on batch
@@ -36,7 +47,7 @@
 use crate::backend::{AlignBackend, BackendReport, GpuBackend};
 use crate::calibration::BALANCER_SETUP_S_PER_GPU;
 use crate::executor::{LoganConfig, LoganExecutor};
-use crate::faults::{catch_align, BackendError, TraceEvent};
+use crate::faults::{catch_align, lock_recover, BackendError, TraceEvent};
 use logan_align::{SeedExtendResult, XDropCpuAligner};
 use logan_gpusim::DeviceSpec;
 use logan_seq::readsim::ReadPair;
@@ -44,14 +55,6 @@ use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
-
-/// Lock a mutex, recovering the guard if a previous holder panicked —
-/// the scheduler's bookkeeping is plain counters and index ranges,
-/// valid after any unwind point (every mutation completes under one
-/// guard), so recovery cannot observe a torn invariant.
-fn lock_recover<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// Guided self-scheduling divisor: each steal is quota-limited to the
 /// worker's hint share of a *quarter* of the remaining weight, so the
@@ -83,7 +86,13 @@ fn lpt_order(pairs: &[ReadPair]) -> Vec<usize> {
 /// Comparisons use exact integer cross-multiplication, so with equal
 /// hints this reduces bit-for-bit to the classic unweighted LPT the
 /// multi-GPU balancer has always used.
-pub(crate) fn lpt_partition(pairs: &[ReadPair], hints: &[f64]) -> Vec<Vec<usize>> {
+///
+/// Each pair weighs `max(bases, 1)`, so whenever `pairs.len() >= n`
+/// every bin is non-empty (without the floor a run of zero-length pairs
+/// would all land in bin 0, and per-bin `max/min` load ratios would
+/// divide by zero); with fewer pairs than bins exactly `pairs.len()`
+/// bins are non-empty.
+fn lpt_partition(pairs: &[ReadPair], hints: &[f64]) -> Vec<Vec<usize>> {
     let n = hints.len();
     assert!(n >= 1, "need at least one bin");
     // Scale hints to integers (milli-units) for exact comparisons.
@@ -277,6 +286,9 @@ pub struct Fleet {
     /// determinism witness — that is [`crate::faults::Supervised`]'s
     /// and the serve simulator's job.
     last_trace: Mutex<Vec<TraceEvent>>,
+    /// Whether [`AlignBackend::align_block`] keeps the static schedule
+    /// (set by [`Fleet::static_gpus`] only).
+    static_schedule: bool,
 }
 
 impl Fleet {
@@ -295,6 +307,7 @@ impl Fleet {
             setup_s_per_worker: BALANCER_SETUP_S_PER_GPU,
             supervision: FleetSupervision::default(),
             last_trace: Mutex::new(Vec::new()),
+            static_schedule: false,
         }
     }
 
@@ -309,9 +322,14 @@ impl Fleet {
     ///
     /// # Panics
     ///
-    /// Panics when `n == 0` (see [`Fleet::new`]).
+    /// Panics when `n == 0` (see [`Fleet::new`]) or `n` exceeds
+    /// [`MAX_FLEET_WORKERS`].
     pub fn homogeneous_gpus(n: usize, spec: DeviceSpec, config: LoganConfig) -> Fleet {
         assert!(n >= 1, "need at least one GPU");
+        assert!(
+            n <= MAX_FLEET_WORKERS,
+            "at most {MAX_FLEET_WORKERS} GPUs per fleet"
+        );
         let driver = (crate::backend::host_threads() / n).max(1);
         Fleet::new(
             (0..n)
@@ -323,6 +341,24 @@ impl Fleet {
                 })
                 .collect(),
         )
+    }
+
+    /// The paper's multi-GPU deployment (§IV-C): [`Fleet::homogeneous_gpus`]
+    /// behind the static LPT balancer. As a backend it is named `multi:N`
+    /// and [`AlignBackend::align_block`] runs
+    /// [`Fleet::align_pairs_static`], so every block pays
+    /// `max(device times) + setup · N` — the model the Table II–V
+    /// numbers are pinned to. The dynamic schedule stays available on
+    /// the same devices through [`Fleet::align_pairs`].
+    ///
+    /// # Panics
+    ///
+    /// As [`Fleet::homogeneous_gpus`].
+    pub fn static_gpus(n: usize, spec: DeviceSpec, config: LoganConfig) -> Fleet {
+        Fleet {
+            static_schedule: true,
+            ..Fleet::homogeneous_gpus(n, spec, config)
+        }
     }
 
     /// Number of workers.
@@ -818,10 +854,10 @@ impl Fleet {
     }
 
     /// Align `pairs` under the static LPT partition — the reference
-    /// schedule ([`crate::multi_gpu::MultiGpu`]'s semantics): each
-    /// worker gets its whole bin up front as one block. Workers still
-    /// run concurrently, so wall-clock comparisons against
-    /// [`Fleet::align_pairs`] isolate the *scheduling* policy.
+    /// schedule (the paper's balancer): each worker gets its whole bin
+    /// up front as one block. Workers still run concurrently, so
+    /// wall-clock comparisons against [`Fleet::align_pairs`] isolate the
+    /// *scheduling* policy.
     pub fn align_pairs_static(&self, pairs: &[ReadPair]) -> (Vec<SeedExtendResult>, FleetReport) {
         let start = Instant::now();
         let bins = self.partition(pairs);
@@ -928,6 +964,9 @@ impl Fleet {
 
 impl AlignBackend for Fleet {
     fn name(&self) -> String {
+        if self.static_schedule {
+            return format!("multi:{}", self.workers());
+        }
         let members: Vec<String> = self.backends.iter().map(|b| b.name()).collect();
         format!("fleet({})", members.join("+"))
     }
@@ -941,18 +980,26 @@ impl AlignBackend for Fleet {
     }
 
     fn align_block(&self, block: &[ReadPair]) -> (Vec<SeedExtendResult>, BackendReport) {
-        let (results, fr) = self.align_pairs(block);
+        let (results, fr) = if self.static_schedule {
+            self.align_pairs_static(block)
+        } else {
+            self.align_pairs(block)
+        };
         (results, self.block_report(fr))
     }
 
     /// The fleet's own supervision applied to one block: `Ok` when
     /// every pair completed (on whichever workers survived), an
     /// explicit [`BackendError`] when poison pairs remain or the whole
-    /// fleet died — instead of the infallible path's panic.
+    /// fleet died — instead of the infallible path's panic. The static
+    /// schedule has no supervision of its own and never fails.
     fn try_align_block(
         &self,
         block: &[ReadPair],
     ) -> Result<(Vec<SeedExtendResult>, BackendReport), BackendError> {
+        if self.static_schedule {
+            return Ok(self.align_block(block));
+        }
         let (slots, fr) = self.align_pairs_outcome(block);
         let failed = slots.iter().filter(|s| s.is_none()).count();
         if failed > 0 {
@@ -1022,6 +1069,42 @@ impl AlignBackend for Fleet {
     }
 }
 
+/// Most workers one fleet may have — `fleet:SPEC` counts summed,
+/// `multi:N`, `--gpus N`. Every worker is an OS thread plus a backend (a
+/// simulated device with its driver pool, or a CPU pool), so a count
+/// read from a command line is bounded before anything is built; the
+/// paper's largest deployment has 8 devices.
+pub const MAX_FLEET_WORKERS: usize = 64;
+
+/// Most threads one CPU pool (`cpu:T`) may have: the pool spawns up to
+/// one scoped thread per unit on every block (the paper's largest CPU
+/// run uses 168).
+pub const MAX_POOL_THREADS: usize = 1024;
+
+/// `n` if it is a valid fleet worker count, else an error naming
+/// [`MAX_FLEET_WORKERS`].
+pub fn check_workers(n: usize) -> Result<usize, String> {
+    if (1..=MAX_FLEET_WORKERS).contains(&n) {
+        Ok(n)
+    } else {
+        Err(format!(
+            "worker count must be between 1 and {MAX_FLEET_WORKERS}, got {n}"
+        ))
+    }
+}
+
+/// `threads` if it is a valid CPU pool width, else an error naming
+/// [`MAX_POOL_THREADS`].
+pub fn check_pool_threads(threads: usize) -> Result<usize, String> {
+    if (1..=MAX_POOL_THREADS).contains(&threads) {
+        Ok(threads)
+    } else {
+        Err(format!(
+            "pool threads must be between 1 and {MAX_POOL_THREADS}, got {threads}"
+        ))
+    }
+}
+
 /// One worker of a parsed [`FleetSpec`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FleetWorker {
@@ -1036,8 +1119,10 @@ pub enum FleetWorker {
 
 /// A textual fleet description, e.g. `2gpu+cpu` or `gpu+2cpu:4`:
 /// `+`-separated terms, each `[count]gpu` or `[count]cpu[:threads]`
-/// (count defaults to 1; CPU threads default to the machine width).
-/// This is what `logan_cli --backend fleet:SPEC` parses.
+/// (count defaults to 1; CPU threads default to the machine width;
+/// counts are bounded by [`MAX_FLEET_WORKERS`] in total and threads by
+/// [`MAX_POOL_THREADS`]). This is what `logan_cli --backend fleet:SPEC`
+/// parses.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FleetSpec {
     /// The workers, in declaration order.
@@ -1061,9 +1146,12 @@ impl std::str::FromStr for FleetSpec {
                     .parse()
                     .map_err(|e| format!("fleet term {term:?}: {e}"))?
             };
-            if count == 0 {
-                return Err(format!("fleet term {term:?}: count must be at least 1"));
-            }
+            // Checked before anything is allocated for the count; the
+            // second check bounds the running total (no overflow: both
+            // addends are at most the limit).
+            check_workers(count)
+                .and_then(|count| check_workers(workers.len() + count))
+                .map_err(|e| format!("fleet term {term:?}: {e}"))?;
             let (kind, threads) = match term[split..].split_once(':') {
                 Some((kind, t)) => (
                     kind,
@@ -1081,14 +1169,13 @@ impl std::str::FromStr for FleetSpec {
                     }
                     FleetWorker::Gpu
                 }
-                "cpu" => {
-                    if threads == Some(0) {
-                        return Err(format!("fleet term {term:?}: threads must be at least 1"));
-                    }
-                    FleetWorker::Cpu {
-                        threads: threads.unwrap_or_else(crate::backend::host_threads),
-                    }
-                }
+                "cpu" => FleetWorker::Cpu {
+                    threads: match threads {
+                        Some(t) => check_pool_threads(t)
+                            .map_err(|e| format!("fleet term {term:?}: {e}"))?,
+                        None => crate::backend::host_threads(),
+                    },
+                },
                 other => return Err(format!("unknown fleet backend {other:?} in {term:?}")),
             };
             workers.extend(std::iter::repeat_n(worker, count));
@@ -1509,5 +1596,180 @@ mod tests {
     #[should_panic(expected = "at least one GPU")]
     fn zero_gpu_fleet_rejected() {
         let _ = Fleet::homogeneous_gpus(0, DeviceSpec::v100(), LoganConfig::with_x(10));
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one GPU")]
+    fn zero_gpu_static_fleet_rejected() {
+        let _ = Fleet::static_gpus(0, DeviceSpec::v100(), LoganConfig::with_x(10));
+    }
+
+    // --- The static deployment (`Fleet::static_gpus`, paper §IV-C). ---
+
+    fn static_fleet(n: usize, x: i32) -> Fleet {
+        Fleet::static_gpus(n, DeviceSpec::v100(), LoganConfig::with_x(x))
+    }
+
+    fn empty_pair() -> ReadPair {
+        use logan_seq::{Seed, Seq};
+        ReadPair {
+            query: Seq::new(),
+            target: Seq::new(),
+            seed: Seed {
+                qpos: 0,
+                tpos: 0,
+                len: 0,
+            },
+            template_len: 0,
+        }
+    }
+
+    #[test]
+    fn static_gpus_is_a_backend_named_multi() {
+        let ps = pairs(10);
+        let multi = static_fleet(3, 50);
+        let backend: &dyn AlignBackend = &multi;
+        assert_eq!(backend.lanes(), 3);
+        assert_eq!(backend.name(), "multi:3");
+        let single = LoganExecutor::new(DeviceSpec::v100(), LoganConfig::with_x(50));
+        let (want, _) = single.align_pairs(&ps);
+        let (got, rep) = backend.align_block(&ps);
+        assert_eq!(got, want, "distribution must not change results");
+        assert_eq!(rep.pairs, ps.len());
+        assert_eq!(rep.blocks, 1, "one call is one block, whatever the fan-out");
+        // align_block keeps the static schedule: the block's simulated
+        // time is the static report's max + setup · devices, exactly.
+        let (_, fr) = multi.align_pairs_static(&ps);
+        assert_eq!(rep.sim_time_s, fr.sim_time_s);
+        assert_eq!(rep.total_cells, fr.total_cells);
+        assert_eq!(rep.launches, 2 * 3, "one bin per device, two streams each");
+        let (lane_res, _) = backend.align_block_on(1, &ps);
+        assert_eq!(lane_res, want);
+        let (tried, _) = backend.try_align_block(&ps).expect("static never fails");
+        assert_eq!(tried, want);
+    }
+
+    #[test]
+    fn static_partition_balances_bases() {
+        let ps = pairs(40);
+        let bins = static_fleet(4, 50).partition(&ps);
+        let loads: Vec<usize> = bins
+            .iter()
+            .map(|b| b.iter().map(|&i| weight(&ps[i])).sum())
+            .collect();
+        let max = *loads.iter().max().unwrap() as f64;
+        let min = *loads.iter().min().unwrap() as f64;
+        assert!(max / min < 1.3, "LPT should balance within 30%: {loads:?}");
+    }
+
+    #[test]
+    fn static_partition_is_deterministic() {
+        let ps = pairs(30);
+        let multi = static_fleet(3, 50);
+        assert_eq!(multi.partition(&ps), multi.partition(&ps));
+    }
+
+    #[test]
+    fn static_kernel_time_shrinks_with_gpus_but_overhead_grows() {
+        let ps = pairs(64);
+        let (_, r1) = static_fleet(1, 200).align_pairs_static(&ps);
+        let (_, r6) = static_fleet(6, 200).align_pairs_static(&ps);
+        // Per-device kernel time must shrink...
+        let k1 = r1.per_worker[0].sim_time_s;
+        let k6 = r6
+            .per_worker
+            .iter()
+            .map(|r| r.sim_time_s)
+            .fold(0.0f64, f64::max);
+        assert!(k6 < k1, "{k6} !< {k1}");
+        // ...but total time carries 6 setup charges.
+        assert!(r6.sim_time_s > 6.0 * BALANCER_SETUP_S_PER_GPU);
+        assert!((r1.sim_time_s - (k1 + BALANCER_SETUP_S_PER_GPU)).abs() < 1e-9);
+    }
+
+    #[test]
+    fn static_fewer_pairs_than_gpus_leaves_trailing_bins_empty_but_works() {
+        let ps = pairs(3);
+        let multi = static_fleet(6, 50);
+        let bins = multi.partition(&ps);
+        assert_eq!(bins.iter().filter(|b| !b.is_empty()).count(), 3);
+        assert_eq!(bins.iter().map(|b| b.len()).sum::<usize>(), 3);
+        // Alignment across empty bins must still reproduce single-GPU
+        // results — an empty bin is an empty batch, not an error.
+        let single = LoganExecutor::new(DeviceSpec::v100(), LoganConfig::with_x(50));
+        let (want, _) = single.align_pairs(&ps);
+        let (got, report) = multi.align_pairs_static(&ps);
+        assert_eq!(got, want);
+        assert_eq!(report.assignment_sizes, vec![1, 1, 1, 0, 0, 0]);
+    }
+
+    #[test]
+    fn static_zero_weight_pairs_still_fill_every_bin() {
+        // Pairs of empty sequences weigh zero bases; the max(w, 1) floor
+        // must keep LPT spreading them round-robin instead of stacking
+        // them all in bin 0 (the empty-bin / divide-by-zero bug).
+        let ps: Vec<ReadPair> = (0..8).map(|_| empty_pair()).collect();
+        let multi = static_fleet(4, 10);
+        let bins = multi.partition(&ps);
+        assert!(
+            bins.iter().all(|b| b.len() == 2),
+            "uniform zero-weight pairs must spread evenly: {bins:?}"
+        );
+        // And a mixed batch (real + empty pairs, pairs ≥ gpus) keeps
+        // every bin non-empty.
+        let mut mixed = pairs(5);
+        mixed.push(empty_pair());
+        mixed.push(empty_pair());
+        let bins = multi.partition(&mixed);
+        assert!(bins.iter().all(|b| !b.is_empty()), "{bins:?}");
+    }
+
+    /// Hostile specs are errors naming the problem — never a panic, and
+    /// never work proportional to a number in the spec (the counts here
+    /// would not fit in memory if they were honoured).
+    #[test]
+    fn hostile_fleet_specs_are_rejected_before_allocation() {
+        let max = usize::MAX;
+        for spec in [
+            format!("{max}gpu"),
+            format!("{max}cpu"),
+            "18446744073709551616gpu".to_string(), // usize::MAX + 1
+            "4000000000gpu".to_string(),
+            format!("{}gpu", MAX_FLEET_WORKERS + 1),
+            format!("{0}gpu+{0}gpu", MAX_FLEET_WORKERS / 2 + 1), // sum over the limit
+            format!("gpu+{max}gpu"),
+            "cpu:0".to_string(),
+            format!("cpu:{max}"),
+            format!("cpu:{}", MAX_POOL_THREADS + 1),
+            "cpu:-1".to_string(),
+            "0cpu".to_string(),
+            "+".to_string(),
+            "gpu+".to_string(),
+            "+gpu".to_string(),
+            "gpu++cpu".to_string(),
+            " ".to_string(),
+            "gpu:3".to_string(),
+            "3".to_string(),
+            ":".to_string(),
+            "cpu:".to_string(),
+            "\u{663}gpu".to_string(),   // ARABIC-INDIC DIGIT THREE
+            "cpu:\u{ff14}".to_string(), // FULLWIDTH DIGIT FOUR
+            "2\u{ff47}pu".to_string(),  // fullwidth 'g'
+        ] {
+            let got = spec.parse::<FleetSpec>();
+            assert!(got.is_err(), "{spec:?} must be rejected, got {got:?}");
+        }
+        // The limits themselves are accepted, and named when exceeded.
+        let at_limit: FleetSpec = format!("{MAX_FLEET_WORKERS}gpu").parse().unwrap();
+        assert_eq!(at_limit.workers.len(), MAX_FLEET_WORKERS);
+        assert!(format!("cpu:{MAX_POOL_THREADS}")
+            .parse::<FleetSpec>()
+            .is_ok());
+        let err = format!("{max}gpu").parse::<FleetSpec>().unwrap_err();
+        assert!(err.contains(&MAX_FLEET_WORKERS.to_string()), "{err}");
+        let err = format!("cpu:{max}").parse::<FleetSpec>().unwrap_err();
+        assert!(err.contains(&MAX_POOL_THREADS.to_string()), "{err}");
+        assert!(check_workers(0).is_err() && check_workers(max).is_err());
+        assert!(check_pool_threads(0).is_err() && check_pool_threads(max).is_err());
     }
 }

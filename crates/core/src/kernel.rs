@@ -93,8 +93,8 @@ impl BlockKernel for LoganKernel<'_> {
         // kernel does in HBM), not once per block. Accounted SIMT costs
         // are independent of the workspace, so this is purely a host
         // wall-clock optimisation.
-        with_thread_workspace(|ws| match self.policy.engine {
-            Engine::Scalar => logan_block_extend_with(
+        with_thread_workspace(|ws| {
+            logan_block_extend(
                 ctx,
                 &job.query,
                 &job.target,
@@ -102,20 +102,7 @@ impl BlockKernel for LoganKernel<'_> {
                 self.x,
                 &self.policy,
                 ws,
-            ),
-            // All SIMD tiers route to the i16 stepper path: per-anti-
-            // diagonal stats (and therefore every accounted SIMT cost)
-            // are tier-invariant, so the host's narrower-lane speedups
-            // are a CPU-backend concern, not a simulated-kernel one.
-            Engine::Simd | Engine::I8 | Engine::Adaptive => logan_block_extend_simd_with(
-                ctx,
-                &job.query,
-                &job.target,
-                self.profile,
-                self.x,
-                &self.policy,
-                ws,
-            ),
+            )
         })
     }
 }
@@ -191,36 +178,27 @@ fn charge_streaming(ctx: &mut BlockCtx, policy: &KernelPolicy, width: usize, cos
 }
 
 /// Execute one X-drop extension inside a block context, accounting SIMT
-/// costs as it goes. Mirrors `logan_align::xdrop_extend` statement for
-/// statement; any divergence is a bug caught by the equivalence tests.
+/// costs as it goes — the kernel's one entry point. Results equal
+/// `logan_align::xdrop_extend` bit for bit and the accounted costs are
+/// the same whichever host engine `policy.engine` names (both asserted
+/// by the equivalence tests); the engine only decides how the host
+/// computes the cell values:
 ///
-/// Thin allocating wrapper over [`logan_block_extend_with`]; the
-/// executor path reuses a per-thread workspace instead.
-pub fn logan_block_extend(
-    ctx: &mut BlockCtx,
-    query: &Seq,
-    target: &Seq,
-    profile: impl Into<ScoreProfile>,
-    x: i32,
-    policy: &KernelPolicy,
-) -> ExtensionResult {
-    logan_block_extend_with(
-        ctx,
-        query,
-        target,
-        profile,
-        x,
-        policy,
-        &mut AlignWorkspace::new(),
-    )
-}
-
-/// [`logan_block_extend`] computing into caller-owned scratch: the
-/// three anti-diagonal rings and the per-lane reduction scratch come
-/// from `ws` — the host mirror of the kernel's preallocated HBM
-/// buffers. Accounted SIMT costs do not depend on the workspace.
+/// * [`Engine::Scalar`] mirrors the scalar reference statement for
+///   statement (`block_core`);
+/// * every SIMD tier drives the lane-parallel i16 stepper of
+///   `logan-align` (`block_stepper`) — per-anti-diagonal widths and
+///   trim counts are tier-invariant, so narrower host lanes are a
+///   CPU-backend concern, not a simulated-kernel one — and falls back to
+///   the scalar body outside the i16 exactness window
+///   (`logan_align::simd::simd_eligible`).
+///
+/// All scratch — the three anti-diagonal rings, the stepper's buffers
+/// and the per-lane reduction scratch — comes from `ws`, the host
+/// mirror of the kernel's preallocated HBM buffers (the executor hands
+/// in one per host worker thread); accounted costs do not depend on it.
 #[allow(clippy::too_many_arguments)]
-pub fn logan_block_extend_with(
+pub fn logan_block_extend(
     ctx: &mut BlockCtx,
     query: &Seq,
     target: &Seq,
@@ -229,10 +207,19 @@ pub fn logan_block_extend_with(
     policy: &KernelPolicy,
     ws: &mut AlignWorkspace,
 ) -> ExtensionResult {
+    let profile = profile.into();
+    if policy.engine != Engine::Scalar
+        && !query.is_empty()
+        && !target.is_empty()
+        && simd_eligible(query, target, profile, x)
+    {
+        return block_stepper(ctx, query, target, profile, x, policy, ws);
+    }
     // Dispatch on the substitution model once, outside the cell loop:
     // each arm monomorphizes the block core with an inlined scorer, so
-    // the DNA arm compiles to the exact pre-profile loop.
-    match profile.into() {
+    // the DNA arm compiles to the exact pre-profile loop. (An empty job
+    // books nothing and scores zero there.)
+    match profile {
         ScoreProfile::MatchMismatch(s) => block_core(
             ctx,
             query,
@@ -387,60 +374,25 @@ fn block_core(
     }
 }
 
-/// The [`Engine::Simd`]-dispatched block path: the per-cell values come
-/// from the lane-parallel i16 stepper in `logan-align`, while every
-/// SIMT cost is booked through the same helpers and in the same order
-/// as [`logan_block_extend`]. Because the stepper reports the exact
-/// per-anti-diagonal widths and trim counts — and the engines are
-/// bit-identical — the accounted counters (and hence simulated time)
-/// are equal between engines; only host wall-clock differs.
-///
-/// Falls back to [`logan_block_extend`] when the job is outside the
-/// i16 kernel's exactness window (`logan_align::simd::simd_eligible`).
-///
-/// Thin allocating wrapper over [`logan_block_extend_simd_with`]; the
-/// executor path reuses a per-thread workspace instead.
-pub fn logan_block_extend_simd(
+/// The SIMD-engine block body for an eligible, non-empty job: the
+/// per-cell values come from the lane-parallel i16 stepper in
+/// `logan-align`, while every SIMT cost is booked through the same
+/// helpers and in the same order as [`block_core`]. Because the stepper
+/// reports the exact per-anti-diagonal widths and trim counts — and the
+/// engines are bit-identical — the accounted counters (and hence
+/// simulated time) are equal between engines; only host wall-clock
+/// differs.
+fn block_stepper(
     ctx: &mut BlockCtx,
     query: &Seq,
     target: &Seq,
-    profile: impl Into<ScoreProfile>,
-    x: i32,
-    policy: &KernelPolicy,
-) -> ExtensionResult {
-    logan_block_extend_simd_with(
-        ctx,
-        query,
-        target,
-        profile,
-        x,
-        policy,
-        &mut AlignWorkspace::new(),
-    )
-}
-
-/// [`logan_block_extend_simd`] computing into caller-owned scratch: the
-/// i16 stepper borrows the workspace's SIMD buffers and the reduction
-/// cost model its lane scratch. Accounted SIMT costs do not depend on
-/// the workspace (asserted by the engine-equivalence tests).
-#[allow(clippy::too_many_arguments)]
-pub fn logan_block_extend_simd_with(
-    ctx: &mut BlockCtx,
-    query: &Seq,
-    target: &Seq,
-    profile: impl Into<ScoreProfile>,
+    profile: ScoreProfile,
     x: i32,
     policy: &KernelPolicy,
     ws: &mut AlignWorkspace,
 ) -> ExtensionResult {
-    let profile = profile.into();
-    if query.is_empty() || target.is_empty() || !simd_eligible(query, target, profile, x) {
-        // Empty or ineligible job: the scalar path handles both (and
-        // books nothing for empty jobs, same as this early return).
-        return logan_block_extend_with(ctx, query, target, profile, x, policy, ws);
-    }
-    let mut state =
-        SimdState::new(query, target, profile, x, &mut ws.simd).expect("eligibility checked above");
+    let mut state = SimdState::new(query, target, profile, x, &mut ws.simd)
+        .expect("caller checked eligibility");
     let (m, n) = (query.len(), target.len());
     let threads = ctx.threads();
     let costs = block_prologue(ctx, m, n, policy);
@@ -497,9 +449,21 @@ mod tests {
         BlockCtx::new(threads, 32, 96 * 1024)
     }
 
+    /// The kernel entry point on a fresh workspace.
+    fn extend(
+        ctx: &mut BlockCtx,
+        q: &Seq,
+        t: &Seq,
+        profile: impl Into<ScoreProfile>,
+        x: i32,
+        policy: &KernelPolicy,
+    ) -> ExtensionResult {
+        logan_block_extend(ctx, q, t, profile, x, policy, &mut AlignWorkspace::new())
+    }
+
     fn run(q: &Seq, t: &Seq, x: i32, threads: usize) -> ExtensionResult {
         let mut c = ctx(threads);
-        logan_block_extend(
+        extend(
             &mut c,
             q,
             t,
@@ -548,7 +512,7 @@ mod tests {
         let (a, _) = model.corrupt(&template, &mut rng);
         let (b, _) = model.corrupt(&template, &mut rng);
         let mut c = ctx(128);
-        let r = logan_block_extend(
+        let r = extend(
             &mut c,
             &a,
             &b,
@@ -578,12 +542,10 @@ mod tests {
                     let mut pol = KernelPolicy::new(threads);
                     pol.hbm_charge_fraction = 0.5;
                     let mut c_scalar = ctx(threads);
-                    let r_scalar =
-                        logan_block_extend(&mut c_scalar, &a, &b, Scoring::default(), x, &pol);
+                    let r_scalar = extend(&mut c_scalar, &a, &b, Scoring::default(), x, &pol);
                     pol.engine = Engine::Simd;
                     let mut c_simd = ctx(threads);
-                    let r_simd =
-                        logan_block_extend_simd(&mut c_simd, &a, &b, Scoring::default(), x, &pol);
+                    let r_simd = extend(&mut c_simd, &a, &b, Scoring::default(), x, &pol);
                     assert_eq!(r_simd, r_scalar, "results: trial {trial} x {x} t {threads}");
                     assert_eq!(
                         c_simd.counters, c_scalar.counters,
@@ -596,7 +558,7 @@ mod tests {
 
     #[test]
     fn matrix_profile_block_path_matches_reference_and_counters() {
-        use logan_seq::{Alphabet, ScoreProfile};
+        use logan_seq::Alphabet;
         use rand::Rng;
         let p = ScoreProfile::blosum62(-6);
         let mut rng = StdRng::seed_from_u64(31);
@@ -616,13 +578,13 @@ mod tests {
             for x in [10, 60] {
                 let pol = KernelPolicy::new(64);
                 let mut c1 = ctx(64);
-                let r1 = logan_block_extend(&mut c1, &a, &b, p, x, &pol);
+                let r1 = extend(&mut c1, &a, &b, p, x, &pol);
                 let want = xdrop_extend(&a, &b, p, x);
                 assert_eq!(r1, want, "block vs reference, trial {trial} x {x}");
                 let mut pol_simd = pol;
                 pol_simd.engine = Engine::Simd;
                 let mut c2 = ctx(64);
-                let r2 = logan_block_extend_simd(&mut c2, &a, &b, p, x, &pol_simd);
+                let r2 = extend(&mut c2, &a, &b, p, x, &pol_simd);
                 assert_eq!(r2, r1, "simd block path, trial {trial} x {x}");
                 assert_eq!(c2.counters, c1.counters, "counters, trial {trial} x {x}");
             }
@@ -639,9 +601,11 @@ mod tests {
         let x = i32::MAX / 4;
         let pol = KernelPolicy::new(64);
         let mut c1 = ctx(64);
-        let r1 = logan_block_extend(&mut c1, &a, &b, Scoring::default(), x, &pol);
+        let r1 = extend(&mut c1, &a, &b, Scoring::default(), x, &pol);
+        let mut pol_simd = pol;
+        pol_simd.engine = Engine::Simd;
         let mut c2 = ctx(64);
-        let r2 = logan_block_extend_simd(&mut c2, &a, &b, Scoring::default(), x, &pol);
+        let r2 = extend(&mut c2, &a, &b, Scoring::default(), x, &pol_simd);
         assert_eq!(r1, r2);
         assert_eq!(c1.counters, c2.counters);
     }
@@ -695,11 +659,11 @@ mod tests {
         let mut pol = KernelPolicy::new(128);
         pol.hbm_charge_fraction = 1.0;
         let mut c_rev = ctx(128);
-        let r_rev = logan_block_extend(&mut c_rev, &a, &b, Scoring::default(), 50, &pol);
+        let r_rev = extend(&mut c_rev, &a, &b, Scoring::default(), 50, &pol);
 
         pol.reversed_layout = false;
         let mut c_str = ctx(128);
-        let r_str = logan_block_extend(&mut c_str, &a, &b, Scoring::default(), 50, &pol);
+        let r_str = extend(&mut c_str, &a, &b, Scoring::default(), 50, &pol);
 
         assert_eq!(r_rev, r_str, "layout must not change results");
         assert!(
@@ -717,7 +681,7 @@ mod tests {
         let mut pol = KernelPolicy::new(64);
         pol.antidiag_in_shared = true;
         let mut c = ctx(64);
-        let r = logan_block_extend(&mut c, &a, &b, Scoring::default(), 30, &pol);
+        let r = extend(&mut c, &a, &b, Scoring::default(), 30, &pol);
         assert!(c.shared_used() >= 3 * (a.len().min(b.len()) + 1) * 4);
         assert_eq!(
             c.counters.stall_cycles,
@@ -728,7 +692,7 @@ mod tests {
     #[test]
     fn empty_job_is_free() {
         let mut c = ctx(32);
-        let r = logan_block_extend(
+        let r = extend(
             &mut c,
             &Seq::new(),
             &random_seq(10, &mut StdRng::seed_from_u64(7)),
@@ -751,7 +715,7 @@ mod tests {
             let mut pol = KernelPolicy::new(128);
             pol.hbm_charge_fraction = frac;
             let mut c = ctx(128);
-            logan_block_extend(&mut c, &a, &b, Scoring::default(), 100, &pol);
+            extend(&mut c, &a, &b, Scoring::default(), 100, &pol);
             c.counters.hbm_bytes()
         };
         let t0 = traffic(0.0);

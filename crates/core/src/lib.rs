@@ -6,24 +6,26 @@
 //!
 //! * [`kernel`] — the block-per-alignment X-drop kernel (paper §IV-A,
 //!   Algorithm 2): grid-stride anti-diagonal segments, in-warp shuffle
-//!   max-reduction, X-drop pruning, adaptive bounds. Bit-equivalent to
-//!   the scalar reference in `logan-align` (enforced by tests).
+//!   max-reduction, X-drop pruning, adaptive bounds. One entry point
+//!   ([`kernel::logan_block_extend`]), bit-equivalent to the scalar
+//!   reference in `logan-align` (enforced by tests).
 //! * [`executor`] — the single-GPU host pipeline (paper §IV-B): seed
 //!   splitting into left/right extensions, sequence reversal for
 //!   coalesced access, dual streams, threads ∝ X scheduling, HBM
 //!   batch sizing.
 //! * [`backend`] — the [`backend::AlignBackend`] trait every extension
-//!   engine implements (CPU pool, single GPU, multi-GPU, fleet), plus
-//!   the unified mergeable [`backend::BackendReport`].
+//!   engine implements (CPU pool, single GPU, fleet), plus the one
+//!   mergeable run report, [`backend::BackendReport`].
 //! * [`faults`] — deterministic fault injection ([`faults::ChaosBackend`]
 //!   over a seeded [`faults::FaultPlan`]) and self-healing supervision
 //!   ([`faults::Supervised`]: bounded retry, re-dispatch, poison-block
 //!   detection) shared by the fleet scoreboard and the serve simulator.
-//! * [`multi_gpu`] — the multi-GPU load balancer (paper §IV-C, Fig. 7),
-//!   now the static schedule of a homogeneous fleet.
-//! * [`fleet`] — the work-stealing heterogeneous scheduler: one worker
-//!   thread per backend, chunks sized by throughput hints, results
-//!   order-normalized to be bit-identical to any static schedule.
+//! * [`fleet`] — the multi-device scheduler: one worker thread per
+//!   backend, either work-stealing (chunks sized by throughput hints) or
+//!   the paper's static length-weighted balancer (§IV-C, Fig. 7;
+//!   [`fleet::Fleet::static_gpus`]), results order-normalized so both
+//!   schedules are bit-identical; [`fleet::FleetReport`] is the
+//!   per-worker view of a run.
 //! * [`comparators`] — GPU comparator kernels for Fig. 12: a
 //!   CUDASW++-style full Smith–Waterman and a manymap-style banded
 //!   extension.
@@ -51,16 +53,14 @@ pub mod executor;
 pub mod faults;
 pub mod fleet;
 pub mod kernel;
-pub mod multi_gpu;
 pub mod platform;
 
 pub use backend::{AlignBackend, BackendReport, GpuBackend};
-pub use executor::{GpuBatchReport, LoganConfig, LoganExecutor, ThreadPolicy};
+pub use executor::{LoganConfig, LoganExecutor, ThreadPolicy};
 pub use faults::{
     BackendError, ChaosBackend, ChaosSpec, Fault, FaultPlan, SupervisePolicy, Supervised,
     TraceEvent,
 };
 pub use fleet::{Fleet, FleetReport, FleetSpec, FleetWorker};
 pub use kernel::{ExtensionJob, KernelPolicy, LoganKernel};
-pub use multi_gpu::{MultiGpu, MultiGpuReport};
 pub use platform::CpuPlatformModel;

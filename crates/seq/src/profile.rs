@@ -345,7 +345,7 @@ impl ScoreProfile {
     }
 
     /// The legacy [`Scoring`] when this is the DNA fast path, else
-    /// `None` — what `xdrop_params`-style compatibility seams report.
+    /// `None` — what DNA-only compatibility seams (BELLA's backend check) read.
     #[inline]
     pub fn as_match_mismatch(self) -> Option<Scoring> {
         match self {

@@ -13,12 +13,8 @@
 //! `poisoned_stats_lock_does_not_cascade` in `server.rs`).
 //! See `DESIGN.md` §12 for the full argument.
 
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
-
-/// Lock `m`, recovering the guard if a previous holder panicked.
-pub(crate) fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
+pub(crate) use logan_core::faults::lock_recover;
+use std::sync::{Condvar, MutexGuard, PoisonError};
 
 /// Wait on `cv` with `guard`, recovering the guard if a holder
 /// panicked while we slept.

@@ -45,7 +45,7 @@ use crate::admission::Admission;
 use crate::coalesce::{BatchSpan, Coalescer};
 use crate::config::ServeConfig;
 use crate::request::TenantId;
-use logan_core::faults::{FaultPlan, SupervisePolicy, TraceEvent};
+use logan_core::faults::{splitmix64, FaultPlan, SupervisePolicy, TraceEvent};
 use logan_core::AlignBackend;
 use logan_seq::readsim::{PairSet, ReadPair};
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -362,17 +362,6 @@ struct SimAssembly {
     pairs: usize,
     remaining: usize,
     batches: usize,
-}
-
-/// SplitMix64 for the supervision jitter stream — the same generator
-/// `logan_core::faults` uses, so the sim's backoff schedule is
-/// deterministic in the policy seed alone.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// The mutable simulation state, threaded through the event loop.

@@ -26,11 +26,11 @@ fn main() {
     );
     let mut t1 = 0.0f64;
     for gpus in [1usize, 2, 3, 4, 6, 8] {
-        let multi = MultiGpu::new(gpus, DeviceSpec::v100(), LoganConfig::with_x(500));
-        let (results, report) = multi.align_pairs(&set.pairs);
+        let multi = Fleet::static_gpus(gpus, DeviceSpec::v100(), LoganConfig::with_x(500));
+        let (results, report) = multi.align_pairs_static(&set.pairs);
         assert_eq!(results.len(), set.len());
         let max_dev = report
-            .per_gpu
+            .per_worker
             .iter()
             .map(|r| r.sim_time_s)
             .fold(0.0f64, f64::max);

@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
 # The paired rule of the choosing-metrics guide, for one workload of the
-# repo benchmark: a parent commit against the working tree.
+# repo benchmark — or, with `all`, for every workload BENCHMARK.json
+# names, one table each (what a no-claim PR shows to say "nothing
+# moved"): a parent commit against the working tree.
 #
-#     scripts/bench_pairs.sh <parent-ref> <workload> [pairs=10] [seed=42]
+#     scripts/bench_pairs.sh <parent-ref> <workload|all> [pairs=10] [seed=42]
 #
 # Exports <parent-ref> with `git archive` (no worktree entry is left in
 # .git), builds benchmark/ of both sides once into separate target
-# directories, then runs `pairs` alternating pairs of
+# directories, then per workload runs `pairs` alternating pairs of
 #
 #     benchmark run --workload W --seed N --seconds 15 --trace 0
 #
@@ -17,23 +19,29 @@
 # further apart than that distance.
 #
 # BENCH_PAIRS_DIR (default: a fresh mktemp directory) holds the export,
-# both target directories and every result line (parent.jsonl and
-# change.jsonl, one line per run, in pair order).
+# both target directories and every result line (<workload>.parent.jsonl
+# and <workload>.change.jsonl, one line per run, in pair order).
 set -euo pipefail
 
 if [[ $# -lt 2 ]]; then
-  sed -n '2,22p' "$0" >&2
+  sed -n '2,25p' "$0" >&2
   exit 2
 fi
 ref=$1
-workload=$2
+selection=$2
 pairs=${3:-10}
 seed=${4:-42}
 
 repo=$(cd "$(dirname "$0")/.." && pwd)
 work=${BENCH_PAIRS_DIR:-$(mktemp -d)}
 mkdir -p "$work/parent"
-echo "bench_pairs: $ref vs working tree, $workload, $pairs pairs, seed $seed, in $work" >&2
+if [[ $selection == all ]]; then
+  workloads=$(python3 -c 'import json, sys
+print(" ".join(w["name"] for w in json.load(open(sys.argv[1]))["workloads"]))' "$repo/BENCHMARK.json")
+else
+  workloads=$selection
+fi
+echo "bench_pairs: $ref vs working tree, $workloads, $pairs pairs each, seed $seed, in $work" >&2
 
 git -C "$repo" archive "$ref" | tar -x -C "$work/parent"
 CARGO_TARGET_DIR="$work/target-parent" \
@@ -41,30 +49,34 @@ CARGO_TARGET_DIR="$work/target-parent" \
 CARGO_TARGET_DIR="$work/target-change" \
   cargo build --release --quiet --manifest-path "$repo/benchmark/Cargo.toml"
 
-# One run of one side, from its own package root; the driver's result
-# line is the last line of standard output.
+# One run of one side of $workload, from its own package root; the
+# driver's result line is the last line of standard output.
 run_side() {
   local side=$1 root=$2
   (cd "$root/benchmark" &&
     "$work/target-$side/release/benchmark" run --workload "$workload" \
       --seed "$seed" --seconds 15 --trace 0 --out "$work/last-$side.json" |
-    tail -n 1) >>"$work/$side.jsonl"
+    tail -n 1) >>"$work/$workload.$side.jsonl"
 }
 
-: >"$work/parent.jsonl"
-: >"$work/change.jsonl"
-for ((i = 0; i < pairs; i++)); do
-  if ((i % 2 == 0)); then
-    run_side parent "$work/parent"
-    run_side change "$repo"
-  else
-    run_side change "$repo"
-    run_side parent "$work/parent"
-  fi
-  echo "bench_pairs: pair $((i + 1))/$pairs done" >&2
-done
+status=0
+for workload in $workloads; do
+  : >"$work/$workload.parent.jsonl"
+  : >"$work/$workload.change.jsonl"
+  for ((i = 0; i < pairs; i++)); do
+    if ((i % 2 == 0)); then
+      run_side parent "$work/parent"
+      run_side change "$repo"
+    else
+      run_side change "$repo"
+      run_side parent "$work/parent"
+    fi
+    echo "bench_pairs: $workload pair $((i + 1))/$pairs done" >&2
+  done
 
-python3 - "$work/parent.jsonl" "$work/change.jsonl" "$repo/BENCHMARK.json" <<'EOF'
+  echo "== $workload"
+  python3 - "$work/$workload.parent.jsonl" "$work/$workload.change.jsonl" \
+    "$repo/BENCHMARK.json" <<'EOF' || status=1
 import json, statistics, sys
 
 def load(path):
@@ -108,3 +120,5 @@ for metric in spec["end_to_end"]:
 if bad:
     sys.exit(f"output checks failed on: {', '.join(bad)}")
 EOF
+done
+exit $status

@@ -6,8 +6,12 @@
 #
 # Mirrors the tier-1 definition in ROADMAP.md plus the style gates:
 # no-#[ignore] guard, rustfmt, clippy (warnings are errors), release
-# build, the engine differential suite, the repo benchmark's own gate
-# (benchmark/check.sh), the full test suite, and warning-free rustdoc.
+# build, the bench-bin smokes, the repo benchmark's own gate
+# (benchmark/check.sh), the test suite, and warning-free rustdoc.
+# Every differential/contract suite (tests/*.rs, crates/*/tests/*.rs)
+# runs exactly once, inside the single `cargo test -q`; DESIGN.md §4
+# maps each suite to the contract it pins. Only steps that run
+# something `cargo test -q` does not get a step of their own.
 # `--quick` skips the release build, the bench smokes and the benchmark
 # gate, and leaves bench targets out of clippy.
 set -euo pipefail
@@ -19,8 +23,8 @@ quick=0
 step() { printf '\n==> %s\n' "$*"; }
 
 step "guard: no #[ignore]d tests"
-# An ignored test silently drops coverage — in particular the engine
-# differential suite must never be muted. Fail if any sneaks in.
+# An ignored test silently drops coverage — in particular the
+# differential suites must never be muted. Fail if any sneaks in.
 if grep -RIn --include='*.rs' -e '#\[ignore' crates src tests examples; then
   echo "error: #[ignore]d tests are not allowed (listed above)" >&2
   exit 1
@@ -82,84 +86,7 @@ if [[ $quick -eq 0 ]]; then
   # the unsupervised baseline's goodput >= 1.5x on the fleet, and
   # replay an identical recovery trace (asserted inside the binary).
   cargo run --release -q -p logan-bench --bin chaos_recovery -- --quick >/dev/null
-else
-  step "cargo clippy (quick: benches skipped)"
-  cargo clippy --workspace --lib --bins --tests --examples -- -D warnings
-fi
 
-step "differential suite: Engine::Simd vs Engine::Scalar vs gpusim"
-cargo test -q --test simd_equivalence
-
-step "engine-tiers: i8/i16/adaptive tier ladder diffs clean"
-# The DESIGN.md §14 contract: every tier (i8/32-lane, i16/16-lane,
-# adaptive) is bit-identical to scalar across random DNA and BLOSUM62
-# pairs, X values straddling both eligibility boundaries, and forced
-# saturation-escalation paths; tier dispatch and escalation counts are
-# pinned through TierTally.
-cargo test -q --test engine_tiers
-
-step "protein-equivalence: ScoreProfile seam diffs clean (DNA bit-identity + BLOSUM + six-frame)"
-# The profile contract: legacy Scoring, its profile wrapping and the
-# dense-matrix spelling are bit-identical across engines and backends
-# (proptest); scalar vs SIMD agree under BLOSUM62 on both sides of the
-# i16 eligibility boundary; six-frame translation round-trips and stop
-# codons segment frames exactly.
-cargo test -q --test protein_equivalence
-
-step "backend-equivalence: fleet/static/single backends diff clean"
-# The backend/fleet contract: every AlignBackend — CPU pool, single GPU,
-# static multi-GPU, work-stealing fleet — returns bit-identical results,
-# across seeds and worker interleavings (proptest included).
-cargo test -q --test backend_equivalence
-
-step "serve-equivalence: coalesced serving diffs clean + shutdown/fault drills"
-# The serving contract: whatever the coalescer batches or splits — and
-# whichever lane wins each batch — replies are bit-identical to direct
-# per-request alignment; admission refusals are explicit and quota-true;
-# graceful shutdown drains exactly once; a panicking lane fails only its
-# own requests and a fully-dead server fails fast instead of hanging.
-cargo test -q --test serve_equivalence --test serve_shutdown
-
-step "chaos-recovery: supervision transparent, storms recover, traces replay"
-# The DESIGN.md §12 contract: supervision over a fault-free backend is
-# bit-for-bit invisible (proptest); seeded storms through Supervised /
-# Fleet quarantine / the serve simulator recover results identical to a
-# healthy run; the same seed replays the identical TraceEvent sequence.
-cargo test -q --test chaos_supervision
-
-step "minimizer-equivalence: rolling canonical + chaining subset diff clean"
-# The seeding contract: the rolling canonical k-mer iterator is
-# bit-identical to the naive reverse complement; every minimizer-path
-# candidate pair is a SpGEMM candidate pair (proptest over read sets and
-# window sizes); the streaming minimizer pipeline matches the monolithic
-# one under adversarial budgets.
-cargo test -q --test minimizer_equivalence
-
-step "candidates-equivalence: counter, matrix builder and SpGEMM diff clean vs naive references"
-# The candidate-generation contract: the sort-and-scan k-mer counter
-# equals a HashMap filled one k-mer at a time (homopolymers, reads
-# shorter than k, k = 1 and 32, windows sitting on occurring
-# multiplicities, every sharding); KmerMatrix::build equals any batching
-# of push_batch; spgemm_candidates equals the concatenated tiles for
-# every tile height and a scan of all row pairs.
-cargo test -q -p logan-bella --test candidates_equivalence
-
-step "allocation-count: warm AlignWorkspace and ReadPair::clone are allocation-free"
-# The DESIGN.md §7 contract: zero heap allocations per extension once a
-# workspace is warm (and per cloned pair: reads are shared, §8), run as
-# its own step so a regression names itself.
-cargo test -q --test alloc_count
-
-step "streaming-equivalence: streaming pipeline diffs clean vs monolithic"
-# The DESIGN.md §8 contract: on a seeded read set, the streaming,
-# sharded dataflow reproduces the monolithic BELLA pipeline bit for bit
-# (overlaps, stats, order) — from both the in-memory and FASTA sources.
-cargo test -q --test bella_pipeline streaming_
-
-step "peak-memory smoke: streaming below monolithic, candidate pairs hold no sequence bytes"
-cargo test -q --test stream_mem
-
-if [[ $quick -eq 0 ]]; then
   step "benchmark/check.sh: repo benchmark on tiny inputs, golden output digests"
   # The benchmark package's own gate (fmt, clippy, unit tests) plus every
   # workload once at --quick size, end to end and traced: outputs are
@@ -168,9 +95,12 @@ if [[ $quick -eq 0 ]]; then
   # here before merge. (Design checks of a full-size `trace` describe
   # the kernel the benchmark was sized on and are not part of this gate.)
   benchmark/check.sh
+else
+  step "cargo clippy (quick: benches skipped)"
+  cargo clippy --workspace --lib --bins --tests --examples -- -D warnings
 fi
 
-step "cargo test -q"
+step "cargo test -q (tier-1: unit tests + every contract suite of DESIGN.md §4, once)"
 cargo test -q
 
 step "cargo doc --no-deps --workspace (warnings are errors)"

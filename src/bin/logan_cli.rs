@@ -74,6 +74,7 @@
 //! (a panic, and under `serve` a retired lane). See `DESIGN.md` §12.
 
 use logan::bella::{BellaConfig, BellaPipeline, PipelineBudget, Seeder};
+use logan::core::fleet::{check_pool_threads, check_workers};
 use logan::prelude::*;
 use logan::seq::fasta::{read_fasta, read_fasta_alphabet, FastaBatches};
 use logan::seq::kmer::CanonicalKmerIter;
@@ -268,9 +269,7 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
     if opts.x < 0 {
         return Err("-x must be non-negative".into());
     }
-    if opts.gpus == 0 {
-        return Err("--gpus must be at least 1".into());
-    }
+    check_workers(opts.gpus).map_err(|e| format!("--gpus: {e}"))?;
     if opts.budget.batch_reads == 0 || opts.budget.shards == 0 || opts.budget.inflight_blocks == 0 {
         return Err("--batch-reads/--shards/--inflight must be at least 1".into());
     }
@@ -324,16 +323,18 @@ impl std::str::FromStr for BackendSel {
             "gpu" => Ok(BackendSel::Gpu),
             other => {
                 if let Some(t) = other.strip_prefix("cpu:") {
-                    let threads: usize = t.parse().map_err(|e| format!("--backend cpu: {e}"))?;
-                    if threads == 0 {
-                        return Err("--backend cpu: threads must be at least 1".into());
-                    }
+                    let threads = t
+                        .parse()
+                        .map_err(|e: std::num::ParseIntError| e.to_string())
+                        .and_then(check_pool_threads)
+                        .map_err(|e| format!("--backend cpu: {e}"))?;
                     Ok(BackendSel::Cpu(Some(threads)))
                 } else if let Some(n) = other.strip_prefix("multi:") {
-                    let gpus: usize = n.parse().map_err(|e| format!("--backend multi: {e}"))?;
-                    if gpus == 0 {
-                        return Err("--backend multi: need at least one GPU".into());
-                    }
+                    let gpus = n
+                        .parse()
+                        .map_err(|e: std::num::ParseIntError| e.to_string())
+                        .and_then(check_workers)
+                        .map_err(|e| format!("--backend multi: {e}"))?;
                     Ok(BackendSel::Multi(gpus))
                 } else if let Some(fleet_spec) = other.strip_prefix("fleet:") {
                     Ok(BackendSel::Fleet(
@@ -370,9 +371,9 @@ fn build_backend(opts: &Opts) -> Box<dyn AlignBackend> {
             ))
         }
         Some(BackendSel::Gpu) => Box::new(LoganExecutor::new(spec, cfg)),
-        Some(BackendSel::Multi(gpus)) => Box::new(MultiGpu::new(*gpus, spec, cfg)),
+        Some(BackendSel::Multi(gpus)) => Box::new(Fleet::static_gpus(*gpus, spec, cfg)),
         Some(BackendSel::Fleet(parsed)) => Box::new(parsed.build(spec, cfg)),
-        None => Box::new(MultiGpu::new(opts.gpus, spec, cfg)),
+        None => Box::new(Fleet::static_gpus(opts.gpus, spec, cfg)),
     };
     if let Some(chaos) = &opts.chaos {
         let plan = chaos.resolve(backend.lanes());

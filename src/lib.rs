@@ -8,9 +8,11 @@
 //! This facade re-exports the workspace crates:
 //!
 //! * [`seq`] — sequences, scoring, read simulation, k-mers, FASTA;
-//! * [`align`] — the scalar X-drop reference, NW/SW/banded-SW, ksw2;
+//! * [`align`] — the scalar X-drop reference and its SIMD tiers behind
+//!   one engine dispatcher, NW/SW/banded-SW, ksw2;
 //! * [`gpusim`] — the execution-driven GPU simulator;
-//! * [`core`] — the LOGAN kernel, host executor, multi-GPU balancer,
+//! * [`core`] — the LOGAN kernel, host executor, the fleet scheduler
+//!   (work-stealing, or the paper's static multi-GPU balancer),
 //!   comparator kernels, CPU platform models, and the fault-injection
 //!   + self-healing supervision layer (`core::faults`);
 //! * [`bella`] — the BELLA many-to-many overlapper;
@@ -52,16 +54,15 @@ pub use logan_serve as serve;
 pub mod prelude {
     pub use logan_align::{
         banded_sw, ksw2_extend, needleman_wunsch, seed_extend, seed_extend_with, smith_waterman,
-        with_thread_workspace, xdrop_extend, xdrop_extend_adaptive, xdrop_extend_adaptive_with,
-        xdrop_extend_simd, xdrop_extend_simd8, xdrop_extend_simd8_with, xdrop_extend_simd_with,
-        xdrop_extend_with, AlignWorkspace, CpuBatchAligner, Engine, ExtensionResult, Ksw2Params,
-        SeedExtendResult, TierTally, XDropCpuAligner, XDropExtender,
+        with_thread_workspace, xdrop_extend, xdrop_extend_with, AlignWorkspace, CpuBatchAligner,
+        Engine, ExtensionResult, Ksw2Params, SeedExtendResult, TierTally, XDropCpuAligner,
+        XDropExtender,
     };
     pub use logan_bella::{BellaConfig, BellaPipeline, OverlapMetrics};
     pub use logan_core::{
         AlignBackend, BackendError, BackendReport, ChaosBackend, ChaosSpec, ExtensionJob, Fault,
-        FaultPlan, Fleet, FleetSpec, GpuBackend, GpuBatchReport, LoganConfig, LoganExecutor,
-        MultiGpu, SupervisePolicy, Supervised, ThreadPolicy, TraceEvent,
+        FaultPlan, Fleet, FleetSpec, GpuBackend, LoganConfig, LoganExecutor, SupervisePolicy,
+        Supervised, ThreadPolicy, TraceEvent,
     };
     pub use logan_gpusim::{Device, DeviceSpec, KernelReport, LaunchConfig};
     pub use logan_roofline::{InstructionRoofline, RooflinePoint};

@@ -105,9 +105,9 @@ fn warm_workspace_extensions_are_allocation_free() {
         seed_extend_with(&p.query, &p.target, p.seed, &ext_adaptive, &mut ws);
         seed_extend_with(&p.query, &p.target, p.seed, &ext_adaptive8, &mut ws);
         xdrop_extend_with(&p.query, &p.target, scoring, x, &mut ws);
-        xdrop_extend_simd_with(&p.query, &p.target, scoring, x, &mut ws);
-        xdrop_extend_simd8_with(&p.query, &p.target, scoring, x8, &mut ws);
-        xdrop_extend_adaptive_with(&p.query, &p.target, scoring, x, &mut ws);
+        Engine::Simd.extend_with(&p.query, &p.target, scoring, x, &mut ws);
+        Engine::I8.extend_with(&p.query, &p.target, scoring, x8, &mut ws);
+        Engine::Adaptive.extend_with(&p.query, &p.target, scoring, x, &mut ws);
     }
 
     // Warm pass: the heart of the test. Zero allocations per call, on
@@ -149,15 +149,15 @@ fn warm_workspace_extensions_are_allocation_free() {
         assert_eq!(d, 0, "warm scalar xdrop_extend_with allocated");
 
         let (d, _) =
-            alloc_delta(|| xdrop_extend_simd_with(&p.query, &p.target, scoring, x, &mut ws));
+            alloc_delta(|| Engine::Simd.extend_with(&p.query, &p.target, scoring, x, &mut ws));
         assert_eq!(d, 0, "warm SIMD xdrop_extend_with allocated");
 
         let (d, _) =
-            alloc_delta(|| xdrop_extend_simd8_with(&p.query, &p.target, scoring, x8, &mut ws));
+            alloc_delta(|| Engine::I8.extend_with(&p.query, &p.target, scoring, x8, &mut ws));
         assert_eq!(d, 0, "warm i8 xdrop_extend_with allocated");
 
         let (d, _) =
-            alloc_delta(|| xdrop_extend_adaptive_with(&p.query, &p.target, scoring, x, &mut ws));
+            alloc_delta(|| Engine::Adaptive.extend_with(&p.query, &p.target, scoring, x, &mut ws));
         assert_eq!(d, 0, "warm adaptive xdrop_extend_with allocated");
     }
 

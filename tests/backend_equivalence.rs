@@ -50,7 +50,7 @@ fn skewed_pairs(seed: u64) -> Vec<ReadPair> {
     order.into_iter().map(|i| pairs[i].clone()).collect()
 }
 
-/// The static `MultiGpu` path is the reference: fleet output (dynamic
+/// The static multi-GPU deployment is the reference: fleet output (dynamic
 /// *and* static schedule) must be bit-identical to it, on balanced and
 /// skewed workloads.
 #[test]
@@ -60,10 +60,10 @@ fn fleet_output_is_bit_identical_to_static_multi_gpu() {
         ("skewed", skewed_pairs(7)),
     ] {
         let x = 50;
-        let multi = MultiGpu::new(3, DeviceSpec::v100(), LoganConfig::with_x(x));
-        let (want, want_rep) = multi.align_pairs(&pairs);
+        let multi = Fleet::static_gpus(3, DeviceSpec::v100(), LoganConfig::with_x(x));
+        let (want, want_rep) = multi.align_pairs_static(&pairs);
         // The same devices under the dynamic schedule.
-        let (dynamic, dyn_rep) = multi.fleet().align_pairs(&pairs);
+        let (dynamic, dyn_rep) = multi.align_pairs(&pairs);
         assert_eq!(dynamic, want, "{name}: dynamic fleet != static multi-GPU");
         assert_eq!(dyn_rep.total_cells, want_rep.total_cells, "{name}");
         // A heterogeneous fleet, still bit-identical.

@@ -29,7 +29,7 @@ fn all_backends_agree_and_find_overlaps() {
 
     let cpu_aligner = XDropCpuAligner::new(4, Scoring::default(), 50, Engine::Scalar);
     let gpu = LoganExecutor::new(DeviceSpec::v100(), LoganConfig::with_x(50));
-    let multi = MultiGpu::new(3, DeviceSpec::v100(), LoganConfig::with_x(50));
+    let multi = Fleet::static_gpus(3, DeviceSpec::v100(), LoganConfig::with_x(50));
 
     let (cpu_out, cpu_metrics) = pipeline.run_on_readset(&rs, &cpu_aligner, 600);
     let (gpu_out, _) = pipeline.run_on_readset(&rs, &gpu, 600);

@@ -68,7 +68,7 @@ fn supervised_storm_run(
     seed: u64,
     blocks: &[Vec<ReadPair>],
 ) -> (Vec<SeedExtendResult>, Vec<TraceEvent>) {
-    let inner: Box<dyn AlignBackend> = Box::new(MultiGpu::new(
+    let inner: Box<dyn AlignBackend> = Box::new(Fleet::static_gpus(
         2,
         DeviceSpec::v100(),
         LoganConfig::with_x(40),
@@ -90,7 +90,7 @@ fn supervised_storm_run(
 fn storm_recovers_bit_identical_results_and_replays_its_trace() {
     let blocks: Vec<Vec<ReadPair>> = (0..10).map(|i| pairs(3, 100 + i)).collect();
     // Healthy reference: the same blocks on an unwrapped backend.
-    let healthy = MultiGpu::new(2, DeviceSpec::v100(), LoganConfig::with_x(40));
+    let healthy = Fleet::static_gpus(2, DeviceSpec::v100(), LoganConfig::with_x(40));
     let want: Vec<SeedExtendResult> = blocks
         .iter()
         .flat_map(|b| healthy.align_block(b).0)
@@ -128,7 +128,7 @@ fn storm_recovers_bit_identical_results_and_replays_its_trace() {
 fn poison_block_fails_alone_without_wedging_the_backend() {
     // Both lanes reject every block: supervision must give up on the
     // block (poison after 2 distinct lanes), not retry forever.
-    let inner: Box<dyn AlignBackend> = Box::new(MultiGpu::new(
+    let inner: Box<dyn AlignBackend> = Box::new(Fleet::static_gpus(
         2,
         DeviceSpec::v100(),
         LoganConfig::with_x(40),

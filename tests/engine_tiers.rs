@@ -30,7 +30,7 @@ use logan_align::simd::{
     DiagStats, Simd8Scratch, Simd8State, Simd8Step, SimdScratch, SimdState, SimdStep,
     SIMD8_MAX_SCORE, SIMD_MAX_X,
 };
-use logan_core::kernel::{logan_block_extend_simd, KernelPolicy};
+use logan_core::kernel::{logan_block_extend, KernelPolicy};
 use logan_gpusim::BlockCtx;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -134,9 +134,9 @@ proptest! {
         for (q, t, x) in &pairs {
             let fresh = Engine::Scalar.extend(q, t, scoring, *x);
             prop_assert_eq!(xdrop_extend_with(q, t, scoring, *x, &mut ws), fresh);
-            prop_assert_eq!(xdrop_extend_simd8_with(q, t, scoring, *x, &mut ws), fresh);
-            prop_assert_eq!(xdrop_extend_simd_with(q, t, scoring, *x, &mut ws), fresh);
-            prop_assert_eq!(xdrop_extend_adaptive_with(q, t, scoring, *x, &mut ws), fresh);
+            prop_assert_eq!(Engine::I8.extend_with(q, t, scoring, *x, &mut ws), fresh);
+            prop_assert_eq!(Engine::Simd.extend_with(q, t, scoring, *x, &mut ws), fresh);
+            prop_assert_eq!(Engine::Adaptive.extend_with(q, t, scoring, *x, &mut ws), fresh);
         }
     }
 }
@@ -274,9 +274,13 @@ fn all_paths_agree(
     let want = all_tiers_agree(q, t, profile, x);
     let threads = 128;
     let mut ctx = BlockCtx::new(threads, 32, 96 * 1024);
-    let policy = KernelPolicy::new(threads);
+    let policy = KernelPolicy {
+        engine: Engine::Simd,
+        ..KernelPolicy::new(threads)
+    };
+    let mut ws = AlignWorkspace::new();
     assert_eq!(
-        logan_block_extend_simd(&mut ctx, q, t, profile, x, &policy),
+        logan_block_extend(&mut ctx, q, t, profile, x, &policy, &mut ws),
         want,
         "gpusim stepper diverged from scalar (x = {x})"
     );

@@ -53,8 +53,8 @@ fn multi_gpu_any_count_matches_single() {
     let single = LoganExecutor::new(DeviceSpec::v100(), LoganConfig::with_x(100));
     let (expect, _) = single.align_pairs(&pairs);
     for gpus in [2usize, 3, 5, 8] {
-        let multi = MultiGpu::new(gpus, DeviceSpec::v100(), LoganConfig::with_x(100));
-        let (got, report) = multi.align_pairs(&pairs);
+        let multi = Fleet::static_gpus(gpus, DeviceSpec::v100(), LoganConfig::with_x(100));
+        let (got, report) = multi.align_pairs_static(&pairs);
         assert_eq!(got, expect, "{gpus} GPUs");
         assert_eq!(report.assignment_sizes.iter().sum::<usize>(), pairs.len());
     }

@@ -27,6 +27,7 @@ proptest! {
         let mut ctx = BlockCtx::new(threads, 32, 96 * 1024);
         let gpu = logan_block_extend(
             &mut ctx, &q, &t, Scoring::default(), x, &KernelPolicy::new(threads),
+            &mut AlignWorkspace::new(),
         );
         let cpu = xdrop_extend(&q, &t, Scoring::default(), x);
         prop_assert_eq!(gpu, cpu);

@@ -11,7 +11,7 @@
 use logan::prelude::*;
 use logan_align::simd::SIMD_MAX_X;
 use logan_align::xdrop_extend;
-use logan_core::kernel::{logan_block_extend, logan_block_extend_simd, KernelPolicy};
+use logan_core::kernel::{logan_block_extend, KernelPolicy};
 use logan_gpusim::BlockCtx;
 use proptest::prelude::*;
 
@@ -38,7 +38,7 @@ proptest! {
         for (q, t, x) in &pairs {
             let fresh = Engine::Scalar.extend(q, t, scoring, *x);
             prop_assert_eq!(xdrop_extend_with(q, t, scoring, *x, &mut ws), fresh);
-            prop_assert_eq!(xdrop_extend_simd_with(q, t, scoring, *x, &mut ws), fresh);
+            prop_assert_eq!(Engine::Simd.extend_with(q, t, scoring, *x, &mut ws), fresh);
         }
     }
 
@@ -94,9 +94,11 @@ proptest! {
         let scoring = Scoring::default();
         let policy = KernelPolicy::new(threads);
         let mut c_scalar = BlockCtx::new(threads, 32, 96 * 1024);
-        let gpu_scalar = logan_block_extend(&mut c_scalar, &q, &t, scoring, x, &policy);
+        let mut ws = AlignWorkspace::new();
+        let gpu_scalar = logan_block_extend(&mut c_scalar, &q, &t, scoring, x, &policy, &mut ws);
         let mut c_simd = BlockCtx::new(threads, 32, 96 * 1024);
-        let gpu_simd = logan_block_extend_simd(&mut c_simd, &q, &t, scoring, x, &policy);
+        let simd_policy = KernelPolicy { engine: Engine::Simd, ..policy };
+        let gpu_simd = logan_block_extend(&mut c_simd, &q, &t, scoring, x, &simd_policy, &mut ws);
         let reference = xdrop_extend(&q, &t, scoring, x);
         prop_assert_eq!(gpu_scalar, reference);
         prop_assert_eq!(gpu_simd, reference);
@@ -140,8 +142,14 @@ fn cpu_batch_engines_agree() {
     let pairs = PairSet::generate_with_lengths(10, 0.15, 500, 900, 7).pairs;
     let aligner = CpuBatchAligner::new(4);
     for x in [20, 150] {
-        let scalar = aligner.run_xdrop(&pairs, Scoring::default(), x, Engine::Scalar);
-        let simd = aligner.run_xdrop(&pairs, Scoring::default(), x, Engine::Simd);
+        let run = |engine| {
+            aligner.run(
+                &pairs,
+                &XDropExtender::with_engine(Scoring::default(), x, engine),
+            )
+        };
+        let scalar = run(Engine::Scalar);
+        let simd = run(Engine::Simd);
         assert_eq!(scalar.results, simd.results, "x {x}");
         assert_eq!(scalar.total_cells, simd.total_cells, "x {x}");
     }
@@ -188,7 +196,7 @@ fn workspace_reuse_survives_adversarial_shape_sequence() {
             "scalar reuse, case {k}"
         );
         assert_eq!(
-            xdrop_extend_simd_with(q, t, *scoring, *x, &mut ws),
+            Engine::Simd.extend_with(q, t, *scoring, *x, &mut ws),
             fresh,
             "simd reuse, case {k}"
         );
@@ -196,7 +204,7 @@ fn workspace_reuse_survives_adversarial_shape_sequence() {
     // Empty inputs mid-sequence must not disturb the workspace either.
     let empty = Seq::new();
     assert_eq!(
-        xdrop_extend_simd_with(&empty, &big_a, unit, 10, &mut ws),
+        Engine::Simd.extend_with(&empty, &big_a, unit, 10, &mut ws),
         ExtensionResult::zero()
     );
     let fresh = Engine::Scalar.extend(&big_a, &big_b, unit, 200);
