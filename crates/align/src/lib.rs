@@ -10,8 +10,8 @@
 //! * [`simd`] — the lane-parallel i16 and i8 analogues of the GPU
 //!   kernel's int16 math (paper §III-C), bit-identical to the scalar
 //!   routine. [`Engine::extend_with`] is the one dispatcher over the
-//!   tiers (including per-pair adaptive selection with i8 → i16
-//!   escalation); there is no per-tier entry point beside it.
+//!   tiers (including the per-pair adaptive choice and the i8 tier's
+//!   escalation to i16); there is no per-tier entry point beside it.
 //! * [`seed_extend`](mod@seed_extend) — the seed-and-extend driver (paper Fig. 5): a seed
 //!   splits each pair into a left extension (computed on reversed
 //!   prefixes) and a right extension, both run under one

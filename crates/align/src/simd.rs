@@ -22,27 +22,91 @@
 //! | i16    | [`LANES`]   | [`simd_eligible`]                   |
 //! | scalar | —           | always (the i32 ground truth)       |
 //!
-//! [`Engine`] picks a tier ([`Engine::Adaptive`] picks per pair); every
-//! tier is bit-identical to scalar, so the choice is purely a
-//! performance knob.
+//! [`Engine`] picks a tier; every tier is bit-identical to scalar, so
+//! the choice is purely a performance knob. [`Engine::Adaptive`] picks
+//! per pair from what it can observe — the i16 kernel when
+//! [`simd_eligible`], else scalar — and leaves the i8 tier to callers
+//! that name it ([`Engine::I8`]): i8 is ahead of i16 only while an
+//! extension stays inside the i8 window, which nothing known before the
+//! extension predicts (EXPERIMENTS.md, `engine_tiers`).
 //!
-//! # One row kernel, vector-only anti-diagonals
+//! # One recurrence body, vector-only anti-diagonals
 //!
-//! The two SIMD tiers are one stepper ([`LaneState`]) and one row
-//! kernel, written once over the lane element ([`Lane`]) and the lane
-//! count and monomorphised for `i16 × 16` and [`Biased8`]` × 32`. Like
-//! the GPU kernel — which gives every cell of an anti-diagonal a lane
-//! and idles the lanes past its end — the row kernel never drops to a
-//! serial loop: the interior of an anti-diagonal is rounded *up* to whole
-//! chunks, the five operand rows are sliced once, only full-width
-//! chunks run, and the lanes of the last chunk that lie past the band
-//! are forced to −∞ before they are reduced or stored. The loads those
-//! lanes make land in padding (one chunk behind each sequence buffer
-//! and profile, a chunk of sentinels around each anti-diagonal); only the
-//! two boundary cells (`i = 0`, `j = 0`), which have a single parent,
-//! are computed apart. The substitution source (DNA compare-select or
-//! query-profile gather) is chosen once per anti-diagonal, outside the
-//! chunk loop.
+//! The two SIMD tiers are one stepper ([`LaneState`]) and one
+//! recurrence body (`cells`), written once over the lane element
+//! ([`Lane`]) and the lane count and monomorphised for `i16 × 16` and
+//! [`Biased8`]` × 32`. Like the GPU kernel — which gives every cell of
+//! an anti-diagonal a lane and idles the lanes past its end — a step
+//! never drops to a serial loop: the window of an anti-diagonal is
+//! rounded *up* to whole chunks, only full-width chunks run, and the
+//! lanes outside the window are forced to −∞ before they are reduced or
+//! stored. The substitution source (DNA compare-select or query-profile
+//! gather) is chosen once per anti-diagonal, outside the chunk loop.
+//!
+//! # Buffer layout: absolute positions, nothing cleared
+//!
+//! Every buffer of a [`Scratch`] is indexed by query position `i`
+//! (1-based, as in the recurrence; `j = d − i`) and sized once per
+//! extension, never per step:
+//!
+//! * `q[i]` is the symbol of query position `i`; `q[0]` is a pad
+//!   symbol, and a chunk of padding follows position `m`;
+//! * `trev[n + i − d]` is the symbol of target position `j` (the target
+//!   is stored reversed, so an anti-diagonal walks both sequences in
+//!   increasing address order); index `n` is the first of a chunk of
+//!   padding;
+//! * the query profile has a row per query position, row 0 a pad row;
+//! * each of the three anti-diagonal buffers holds cell `i` at index
+//!   `FRONT + i`, with a chunk of slack behind position `m`.
+//!
+//! The anti-diagonal buffers are grow-only and *never cleared* — not
+//! between steps, not between extensions. What makes that sound: the
+//! window of anti-diagonal `d + 1` lies within `[lo − 1, hi + 1]` of
+//! window `[lo, hi]` of anti-diagonal `d` (bounds come from the trimmed
+//! live range, clamped to the matrix), so the only cells of `d` that
+//! steps `d + 1` and `d + 2` read as parents of a cell inside their own
+//! window are `lo − 1 ..= hi + 1`. A step writes its window and sets
+//! the cell on either side of it to −∞; whatever anti-diagonal `d − 3`,
+//! or an earlier extension, left anywhere else in the buffer is only
+//! ever loaded into lanes that are masked. Results therefore do not
+//! depend on a workspace's history (`tests/alloc_count.rs`,
+//! `tests/simd_equivalence.rs`).
+//!
+//! # Boundary cells need no special case
+//!
+//! Cell `i = 0` of an anti-diagonal has one parent (the cell to its
+//! left), cell `j = 0` one (the cell above). The general recurrence
+//! `max(p2[i − 1] + s, up[i − 1] + gap, left[i] + gap)` already yields
+//! both: the missing parents are exactly the −∞ cells a step keeps
+//! around each window (position −1 has an address: `FRONT`), and −∞
+//! plus any substitution score stays below the threshold (eligibility),
+//! so the `max` is decided by the one real parent or the cell is pruned
+//! — what the scalar routine computes. The substitution score the
+//! recurrence adds to −∞ needs symbols to come from: the pad symbol in
+//! front of the query (and the pad row in front of its profile) for
+//! `i = 0`, the first pad behind the reversed target for `j = 0`.
+//!
+//! # The lane mask: a slice of a table
+//!
+//! Lanes outside the window are not dead by themselves — their
+//! operands are padding and neighbours outside the band, and `p2` can
+//! hold a live cell there when the last anti-diagonal was trimmed
+//! shorter than the one before. They are killed by a lane-wise `min`
+//! against a slice of [`Lane::LANE_MASK`], a run of "keep" entries (the
+//! type's maximum) followed by a run of "kill" entries (−∞): where the
+//! slice starts decides how many leading lanes survive. Two vector
+//! instructions per masked chunk, where a compare on lane indices is
+//! widened by the compiler to 32-bit lanes and packed back (≈ 40
+//! instructions).
+//!
+//! # Thin bands: one chunk, nothing around it
+//!
+//! When the window fits one chunk — every step at small X — a step is
+//! the recurrence body called once on the operands' lanes: no row to
+//! assemble, no chunk loop, no lane-wise accumulator. Together with
+//! buffers that are never resized and boundary cells that are not
+//! branches, that leaves a step of a 7-cell band about as cheap as its
+//! sixteen lanes of arithmetic plus the trim.
 //!
 //! # Bit-for-bit equality, by construction
 //!
@@ -82,9 +146,11 @@
 //! [`SimdState`] exposes the extension one anti-diagonal at a time so
 //! that `logan-core`'s simulated GPU kernel can drive the same compute
 //! while accounting SIMT costs per iteration (see
-//! `logan_core::kernel::logan_block_extend`). [`Engine::extend_with`]
-//! runs it to completion; [`Simd8State`] is the same stepper at i8 plus
-//! the escalation watch.
+//! `logan_core::kernel::logan_block_extend`); [`Simd8State`] is the
+//! same stepper at i8 plus the escalation watch.
+//! [`Engine::extend_with`] runs the same step function to completion in
+//! a loop that owns everything a step changes as locals, so the
+//! per-step bookkeeping stays in registers.
 //!
 //! # Tier telemetry
 //!
@@ -104,12 +170,6 @@ use serde::{Deserialize, Serialize};
 /// vector; on narrower hardware LLVM splits the chunk, on wider it
 /// fuses iterations.
 pub const LANES: usize = 16;
-
-/// Padding (in cells) kept on both sides of every anti-diagonal buffer
-/// — one chunk of the widest tier — so neither the `i − 1` neighbour
-/// loads nor the row kernel's rounded-up last chunk need a range check:
-/// out-of-band reads land in the pad and read as −∞.
-const PAD: usize = LANES8;
 
 /// Row stride of the query profile (`Scratch::qprof`): the
 /// smallest power of two holding every alphabet (20 amino acids), so
@@ -167,8 +227,12 @@ pub enum Engine {
     /// kernel if the live score approaches the i8 window; falls back to
     /// the scalar routine when [`simd8_eligible`] is false.
     I8,
-    /// Per-pair tier selection: the cheapest tier whose window provably
-    /// holds — i8, then i16, then scalar.
+    /// Per-pair tier selection from what the dispatcher can observe:
+    /// the i16 kernel when [`simd_eligible`], else the scalar routine.
+    /// The i8 tier is never selected — whether an extension stays
+    /// inside its window is not observable up front, and measured
+    /// (EXPERIMENTS.md, `engine_tiers`) it is ahead of i16 only where it
+    /// does, on no workload of the repo benchmark.
     Adaptive,
 }
 
@@ -211,7 +275,7 @@ impl Engine {
             return ExtensionResult::zero();
         }
         match self {
-            Engine::I8 | Engine::Adaptive if simd8_eligible(query, target, profile, x) => {
+            Engine::I8 if simd8_eligible(query, target, profile, x) => {
                 run_i8(query, target, profile, x, ws)
             }
             Engine::Simd | Engine::Adaptive if simd_eligible(query, target, profile, x) => {
@@ -223,18 +287,19 @@ impl Engine {
 
     /// Read `LOGAN_ENGINE` (`scalar` / `simd` / `i8` / `adaptive`,
     /// case-insensitive) from the environment; unset selects
-    /// [`Engine::Scalar`], and an
-    /// unrecognized value selects it too but warns on stderr (a typo
-    /// would otherwise silently benchmark the wrong engine). Because
-    /// engines are bit-identical, flipping the variable can never
-    /// change any result or simulated metric — only host wall-clock.
+    /// [`Engine::Adaptive`] — the fastest engine that is always safe —
+    /// and an unrecognized value selects it too but warns on stderr (a
+    /// typo would otherwise silently benchmark the wrong engine).
+    /// Because engines are bit-identical, flipping the variable can
+    /// never change any result or simulated metric — only host
+    /// wall-clock. ([`Engine::default`] stays the scalar reference.)
     pub fn from_env() -> Engine {
         match std::env::var("LOGAN_ENGINE") {
             Ok(v) => v.parse().unwrap_or_else(|e| {
                 eprintln!("warning: LOGAN_ENGINE ignored: {e}");
-                Engine::Scalar
+                Engine::Adaptive
             }),
-            Err(_) => Engine::Scalar,
+            Err(_) => Engine::Adaptive,
         }
     }
 }
@@ -410,6 +475,12 @@ pub trait Lane: Copy + Ord + std::fmt::Debug + 'static {
     const NEG_INF: Self;
     /// Largest score that is exact at this width (the tier's window).
     const MAX_SCORE: i32;
+    /// The lane-mask table: [`LANES8`] "keep" entries (the type's
+    /// maximum, the identity of `min`) followed by as many "kill"
+    /// entries (−∞). A chunk's lane mask is a slice of it: the entries
+    /// from index `LANES8 − n` on keep the first `n` lanes and kill the
+    /// rest.
+    const LANE_MASK: &'static [Self; 2 * LANES8];
     /// Saturating addition — the overflow clamp of paper §III-C.
     fn sat_add(self, rhs: Self) -> Self;
     /// Narrow a value the eligibility check bounds within the window
@@ -422,9 +493,21 @@ pub trait Lane: Copy + Ord + std::fmt::Debug + 'static {
     fn eligible(query: &Seq, target: &Seq, profile: ScoreProfile, x: i32) -> bool;
 }
 
+/// [`Lane::LANE_MASK`] for one lane type.
+const fn lane_mask_table<T: Copy>(keep: T, kill: T) -> [T; 2 * LANES8] {
+    let mut mask = [keep; 2 * LANES8];
+    let mut k = LANES8;
+    while k < mask.len() {
+        mask[k] = kill;
+        k += 1;
+    }
+    mask
+}
+
 impl Lane for i16 {
     const NEG_INF: i16 = i16::MIN / 2;
     const MAX_SCORE: i32 = SIMD_MAX_SCORE;
+    const LANE_MASK: &'static [i16; 2 * LANES8] = &lane_mask_table(i16::MAX, Self::NEG_INF);
     #[inline(always)]
     fn sat_add(self, rhs: i16) -> i16 {
         self.saturating_add(rhs)
@@ -460,6 +543,8 @@ impl Biased8 {
 impl Lane for Biased8 {
     const NEG_INF: Biased8 = Biased8(0);
     const MAX_SCORE: i32 = SIMD8_MAX_SCORE;
+    const LANE_MASK: &'static [Biased8; 2 * LANES8] =
+        &lane_mask_table(Biased8(u8::MAX), Self::NEG_INF);
     /// `(a + 64) + (b + 64) − 64`, clamped below at −∞. The sum of two
     /// in-window operands is at most 254, so only the subtraction
     /// saturates: −∞ plus a penalty stays −∞, and −∞ plus a positive
@@ -481,85 +566,44 @@ impl Lane for Biased8 {
     }
 }
 
-/// One anti-diagonal of lane-typed scores.
-///
-/// `vals` holds the cells *computed* for the diagonal (before
-/// trimming), flanked by [`PAD`] sentinel cells on each side; the cell
-/// for query index `i` lives at `vals[PAD + i - base]`. Trimming only
-/// narrows the *live* window `[lo, lo + len)` — trimmed cells already
-/// hold the sentinel, so reads through the computed window stay
-/// correct without moving memory.
-#[derive(Debug, Default, Clone)]
-struct Diag<T> {
-    vals: Vec<T>,
-    /// Query index of the first computed cell (`vals[PAD]`).
-    base: usize,
-    /// Live (trimmed) window start.
-    lo: usize,
-    /// Live (trimmed) window length.
-    len: usize,
-}
-
-impl<T: Lane> Diag<T> {
-    /// Reset to an all-sentinel diagonal (reads −∞ everywhere), reusing
-    /// the allocation.
-    fn reset_sentinel(&mut self) {
-        self.vals.clear();
-        self.vals.resize(2 * PAD, T::NEG_INF);
-        self.base = 0;
-        self.lo = 0;
-        self.len = 0;
-    }
-
-    /// Reset to the `d = 0` origin diagonal (single cell scoring 0),
-    /// reusing the allocation.
-    fn reset_origin(&mut self) {
-        self.vals.clear();
-        self.vals.resize(2 * PAD + 1, T::NEG_INF);
-        self.vals[PAD] = T::narrow(0);
-        self.base = 0;
-        self.lo = 0;
-        self.len = 1;
-    }
-
-    /// The cell at query index `i`, which must lie within [`PAD`] of
-    /// the computed window (the pad reads −∞).
-    #[inline(always)]
-    fn at(&self, i: usize) -> T {
-        self.vals[PAD + i - self.base]
-    }
-}
+/// Cells of −∞ in front of position 0 of every anti-diagonal buffer:
+/// the cell at query position `i` lives at index `FRONT + i`, so the
+/// `i − 1` parents of the `i = 0` boundary cell have an address.
+const FRONT: usize = 1;
 
 /// One tier's scratch buffers, owned by an [`AlignWorkspace`]
-/// (DESIGN.md §7): the three padded anti-diagonal rings plus the
-/// lane-typed query/target buffers. Buffers grow to the largest
-/// extension seen and are then reused; every [`LaneState::new`] fully
-/// re-initialises what the kernel reads, so no state leaks between
-/// extensions.
+/// (DESIGN.md §7): the lane-typed query/target buffers, the query
+/// profile and the three anti-diagonals, all indexed by absolute query
+/// position (see the module docs for the layout). Buffers grow to the
+/// largest extension seen and are then reused; every [`LaneState::new`]
+/// re-initialises the cells the kernel can read, so no state leaks
+/// between extensions.
 #[derive(Debug, Default)]
 pub struct Scratch<T> {
-    /// Query codes as lane elements (index `i − 1` for query position
-    /// `i`), followed by one chunk of padding so the row kernel's
-    /// rounded-up last chunk loads in bounds.
+    /// Query codes as lane elements at index `i` for query position `i`
+    /// (1-based, as in the recurrence): one pad symbol in front — the
+    /// "symbol" of the `i = 0` boundary cell — and a chunk of padding
+    /// behind, so a rounded-up last chunk loads in bounds.
     q: Vec<T>,
     /// Target codes, *reversed*, then one chunk of padding: cell
     /// `(i, j = d − i)` reads `trev[n + i − d]`, so every anti-diagonal
     /// walks both sequences in increasing address order — the CPU
-    /// mirror of LOGAN's Fig. 6 sequence reversal.
+    /// mirror of LOGAN's Fig. 6 sequence reversal. Index `n` (the first
+    /// pad) is the "symbol" of the `j = 0` boundary cell.
     trev: Vec<T>,
     /// The query profile a matrix-scored extension gathers from: row
-    /// `i − 1` (one per query position plus one chunk of padding rows,
-    /// [`PROF_STRIDE`] entries wide) holds the substitution scores of
-    /// query symbol `q[i]` against every target code, so the per-lane
-    /// lookup is `qprof[(i − 1) · PROF_STRIDE + t]` — a shift, not a
+    /// `i` ([`PROF_STRIDE`] entries wide, laid out like `q`: one pad
+    /// row in front, a chunk of pad rows behind) holds the substitution
+    /// scores of query position `i` against every target code, so the
+    /// per-lane lookup is `qprof[i · PROF_STRIDE + t]` — a shift, not a
     /// multiply, with the row base walking the anti-diagonal
     /// contiguously. Empty (and never touched) on the DNA
     /// match/mismatch path, so the zero-allocation warm-workspace
     /// contract is unchanged there.
     qprof: Vec<T>,
-    prev2: Diag<T>,
-    prev: Diag<T>,
-    cur: Diag<T>,
+    /// Anti-diagonals `d`, `d − 1` and `d − 2` in some rotation, each
+    /// `FRONT + m + L` cells: sized once per extension, never per step.
+    diags: [Vec<T>; 3],
 }
 
 /// The i16 tier's scratch.
@@ -567,6 +611,21 @@ pub type SimdScratch = Scratch<i16>;
 /// The i8 tier's scratch; escalating runs use both this and the i16
 /// one.
 pub type Simd8Scratch = Scratch<Biased8>;
+
+/// Size a scratch's three anti-diagonals for a query of `m` symbols
+/// stepped in chunks of `lanes`, and hand them out. Grow-only, and
+/// nothing is cleared: a step reads no cell of an anti-diagonal that
+/// the step computing it did not write (module docs), so what an
+/// earlier extension left behind is unreachable.
+fn size_diags<T: Lane>(diags: &mut [Vec<T>; 3], m: usize, lanes: usize) -> [&mut [T]; 3] {
+    let cells = FRONT + m + lanes + 1;
+    diags.each_mut().map(|diag| {
+        if diag.len() < cells {
+            diag.resize(cells, T::NEG_INF);
+        }
+        &mut diag[..]
+    })
+}
 
 /// Per-anti-diagonal statistics reported by [`LaneState::step`], sized
 /// for `logan-core`'s SIMT cost accounting.
@@ -613,6 +672,42 @@ enum SubstMode<T> {
     Profile,
 }
 
+/// The part of a stepper that changes from one anti-diagonal to the
+/// next, as one `Copy` value: [`LaneState::step`] writes it back into
+/// the stepper, the run-to-completion loop ([`LaneState::run`]) carries
+/// it from iteration to iteration as a local, so it lives in registers.
+#[derive(Debug, Clone, Copy)]
+struct Frontier {
+    /// The last anti-diagonal computed — which is also how many were —
+    /// and its live (trimmed) window as query positions
+    /// `lo .. lo + len`.
+    d: usize,
+    lo: usize,
+    len: usize,
+    best: i32,
+    best_i: usize,
+    best_d: usize,
+    cells: u64,
+    max_width: usize,
+    dropped: bool,
+    finished: bool,
+}
+
+/// What an extension reads and never writes: the lane-typed sequences,
+/// the query profile and the scoring, fixed at [`LaneState::new`].
+#[derive(Debug, Clone, Copy)]
+struct Job<'w, T> {
+    q: &'w [T],
+    trev: &'w [T],
+    /// The query profile, row by row.
+    qprof: &'w [[T; PROF_STRIDE]],
+    m: usize,
+    n: usize,
+    mode: SubstMode<T>,
+    gap: T,
+    x: i32,
+}
+
 /// Rolling state of a lane-parallel X-drop extension over `L` lanes of
 /// `T`, advanced one anti-diagonal per [`step`](LaneState::step) call.
 /// All buffers are borrowed from a caller-owned [`Scratch`], so running
@@ -620,21 +715,12 @@ enum SubstMode<T> {
 /// allocation once the buffers are warm.
 #[derive(Debug)]
 pub struct LaneState<'w, T, const L: usize> {
-    scratch: &'w mut Scratch<T>,
-    m: usize,
-    n: usize,
-    mode: SubstMode<T>,
-    gap: T,
-    x: i32,
-    d: usize,
-    best: i32,
-    best_i: usize,
-    best_d: usize,
-    cells: u64,
-    iterations: u64,
-    max_width: usize,
-    dropped: bool,
-    finished: bool,
+    job: Job<'w, T>,
+    /// The buffers of anti-diagonals `d + 1` (the one the next step
+    /// writes), `d` and `d − 1`; rotated once per step, as the GPU
+    /// rotates its HBM anti-diagonals.
+    diags: [&'w mut [T]; 3],
+    at: Frontier,
 }
 
 /// The i16 tier's stepper.
@@ -644,8 +730,8 @@ impl<'w, T: Lane, const L: usize> LaneState<'w, T, L> {
     /// Start an extension in the given scratch, or `None` when the
     /// inputs are empty or outside the tier's window
     /// ([`Lane::eligible`]; callers then use a wider tier or the scalar
-    /// routine). Whatever the scratch held before is fully
-    /// re-initialised.
+    /// routine). Whatever the scratch held before is either
+    /// re-initialised or unreachable.
     ///
     /// Panics if `x` is negative, like [`xdrop_extend`](crate::xdrop::xdrop_extend).
     pub fn new(
@@ -656,21 +742,35 @@ impl<'w, T: Lane, const L: usize> LaneState<'w, T, L> {
         scratch: &'w mut Scratch<T>,
     ) -> Option<Self> {
         assert!(x >= 0, "X-drop parameter must be non-negative");
-        const { assert!(L <= PAD, "a chunk must fit in the anti-diagonal pad") };
+        const { assert!(L <= LANES8, "the lane-mask table covers one widest chunk") };
         let profile = profile.into();
         if query.is_empty() || target.is_empty() || !T::eligible(query, target, profile, x) {
             return None;
         }
         let (m, n) = (query.len(), target.len());
-        // The row kernel rounds the last chunk up; its masked lanes
-        // load (and ignore) one chunk of padding behind each sequence.
-        fn load<'a, T: Lane>(dst: &mut Vec<T>, codes: impl Iterator<Item = &'a u8>, pad: usize) {
+        let Scratch {
+            q,
+            trev,
+            qprof,
+            diags,
+        } = scratch;
+        // `front` pad symbols, the codes, `back` pad symbols: a row's
+        // last chunk is rounded up, and its masked lanes load (and
+        // ignore) the padding behind each sequence.
+        fn load<'a, T: Lane>(
+            dst: &mut Vec<T>,
+            front: usize,
+            codes: impl Iterator<Item = &'a u8>,
+            back: usize,
+        ) {
+            let pad = T::narrow(0);
             dst.clear();
+            dst.resize(front, pad);
             dst.extend(codes.map(|&b| T::narrow(b as i32)));
-            dst.resize(dst.len() + pad, T::narrow(0));
+            dst.resize(dst.len() + back, pad);
         }
-        load(&mut scratch.q, query.as_slice().iter(), L);
-        load(&mut scratch.trev, target.as_slice().iter().rev(), L);
+        load(q, 1, query.as_slice().iter(), L - 1);
+        load(trev, 0, target.as_slice().iter().rev(), L);
         let mode = match profile {
             ScoreProfile::MatchMismatch(s) => SubstMode::MatchMismatch {
                 mat: T::narrow(s.match_score),
@@ -682,227 +782,317 @@ impl<'w, T: Lane, const L: usize> LaneState<'w, T, L> {
                 // every target code. Eligibility bounds every table
                 // entry within the window, so the narrowing is exact;
                 // the pad past the alphabet is never read (target codes
-                // are < the alphabet size), and the L pad rows are only
-                // read by masked lanes.
+                // are < the alphabet size). The pad row in front serves
+                // the i = 0 boundary cell, whose diagonal parent is −∞
+                // whatever the score; the pad rows behind are only read
+                // by masked lanes.
                 let asize = mx.alphabet.size();
                 let table = mx.table();
-                scratch.qprof.clear();
-                scratch.qprof.resize((m + L) * PROF_STRIDE, T::NEG_INF);
+                qprof.clear();
+                qprof.resize((m + L) * PROF_STRIDE, T::NEG_INF);
                 for (i, &qc) in query.as_slice().iter().enumerate() {
                     let row = &table[qc as usize * asize..][..asize];
-                    for (dst, &s) in scratch.qprof[i * PROF_STRIDE..][..asize]
-                        .iter_mut()
-                        .zip(row)
-                    {
+                    for (dst, &s) in qprof[(i + 1) * PROF_STRIDE..][..asize].iter_mut().zip(row) {
                         *dst = T::narrow(s);
                     }
                 }
                 SubstMode::Profile
             }
         };
-        scratch.prev2.reset_sentinel();
-        // d = 0: the single origin cell with score 0.
-        scratch.prev.reset_origin();
-        scratch.cur.reset_sentinel();
+        let mut diags = size_diags(diags, m, L);
+        // d = 0 is the single origin cell with score 0 between its two
+        // sentinels; "d = −1" reads −∞ where the first step looks.
+        let [_, prev, prev2] = &mut diags;
+        prev[..FRONT + 2].copy_from_slice(&[T::NEG_INF, T::narrow(0), T::NEG_INF]);
+        prev2[..FRONT + 1].fill(T::NEG_INF);
         Some(LaneState {
-            scratch,
-            m,
-            n,
-            mode,
-            gap: T::narrow(profile.gap()),
-            x,
-            d: 0,
-            best: 0,
-            best_i: 0,
-            best_d: 0,
-            cells: 0,
-            iterations: 0,
-            max_width: 1,
-            dropped: false,
-            finished: false,
+            job: Job {
+                q,
+                trev,
+                qprof: qprof.as_chunks().0,
+                m,
+                n,
+                mode,
+                gap: T::narrow(profile.gap()),
+                x,
+            },
+            diags,
+            at: Frontier {
+                d: 0,
+                lo: 0,
+                len: 1,
+                best: 0,
+                best_i: 0,
+                best_d: 0,
+                cells: 0,
+                max_width: 1,
+                dropped: false,
+                finished: false,
+            },
         })
     }
 
     /// Compute, prune and trim the next anti-diagonal.
     pub fn step(&mut self) -> SimdStep {
-        if self.finished || self.dropped {
-            return SimdStep::Finished;
-        }
-        self.d += 1;
-        let d = self.d;
-        let (m, n) = (self.m, self.n);
-        if d > m + n {
-            self.finished = true;
-            return SimdStep::Finished;
-        }
-        // Candidate bounds from the previous live range, clamped to the
-        // matrix — identical to the scalar routine.
-        let lo = self.scratch.prev.lo.max(d.saturating_sub(n));
-        let hi = (self.scratch.prev.lo + self.scratch.prev.len).min(d).min(m);
-        if lo > hi {
-            self.finished = true;
-            return SimdStep::Finished;
-        }
-        let w = hi - lo + 1;
-        debug_assert!(
-            ((T::NEG_INF.widen() + 1)..=T::MAX_SCORE).contains(&(self.best - self.x)),
-            "threshold escaped the tier's exact window"
-        );
-        let thr = T::narrow(self.best - self.x);
-        let gap = self.gap;
+        let diags = std::mem::take(&mut self.diags);
+        let (diags, at, step) = self.job.advance::<L>(diags, self.at);
+        (self.diags, self.at) = (diags, at);
+        step
+    }
 
-        let row_max = {
-            let Scratch {
-                q,
-                trev,
-                qprof,
-                prev2,
-                prev,
-                cur,
-            } = &mut *self.scratch;
-            // Every computed cell is written below and the left pad is
-            // never written at all, so only the right pad needs the
-            // sentinel restored.
-            cur.vals.resize(w + 2 * PAD, T::NEG_INF);
-            cur.vals[PAD + w..][..PAD].fill(T::NEG_INF);
-            cur.base = lo;
-            let mut row_max = T::NEG_INF;
-
-            // Interior cells have i ≥ 1 and j ≥ 1: all three moves are
-            // in play. Their span is rounded up to whole chunks and
-            // every operand row sliced once, here; the loads past `ihi`
-            // land in the sequence and anti-diagonal pads, and the
-            // stores past it in `cur`'s right pad (and on the j = 0
-            // boundary cell, which is therefore written afterwards).
-            let ilo = lo.max(1);
-            let ihi = hi.min(d - 1);
-            if ilo <= ihi {
-                let live = ihi - ilo + 1;
-                let span = live.div_ceil(L) * L;
-                fn chunks<T, const L: usize>(s: &[T], span: usize) -> &[[T; L]] {
-                    s[..span].as_chunks().0
-                }
-                let p1 = &prev.vals[PAD + ilo - 1 - prev.base..];
-                let row = Row::<T, L> {
-                    q: chunks(&q[ilo - 1..], span),
-                    t: chunks(&trev[n + ilo - d..], span),
-                    p2: chunks(&prev2.vals[PAD + ilo - 1 - prev2.base..], span),
-                    up: chunks(p1, span),
-                    left: chunks(&p1[1..], span),
-                    out: cur.vals[PAD + ilo - lo..][..span].as_chunks_mut().0,
-                    live,
-                    gap,
-                    thr,
-                };
-                row_max = match self.mode {
-                    SubstMode::MatchMismatch { mat, mis } => row.run(CompareSelect { mat, mis }),
-                    SubstMode::Profile => row.run(Gather {
-                        rows: &qprof[(ilo - 1) * PROF_STRIDE..][..span * PROF_STRIDE],
-                    }),
-                };
+    /// Step to the end of the extension: [`step`](LaneState::step)
+    /// until it stops advancing, with everything that changes a local
+    /// of the loop.
+    fn run(self) -> ExtensionResult {
+        let LaneState {
+            job,
+            mut diags,
+            mut at,
+        } = self;
+        loop {
+            let step;
+            (diags, at, step) = job.advance::<L>(diags, at);
+            if !matches!(step, SimdStep::Advanced(_)) {
+                return at.into_result();
             }
-            // Boundary cell i = 0 (j = d): only the horizontal move —
-            // a gap consuming target bases — can reach it.
-            if lo == 0 {
-                let v = prune(prev.at(0).sat_add(gap), thr);
-                cur.vals[PAD] = v;
-                row_max = row_max.max(v);
-            }
-            // Boundary cell j = 0 (i = d): only the vertical move.
-            if hi == d {
-                let v = prune(prev.at(d - 1).sat_add(gap), thr);
-                cur.vals[PAD + d - lo] = v;
-                row_max = row_max.max(v);
-            }
-            row_max
-        };
-
-        self.cells += w as u64;
-        self.iterations += 1;
-
-        if row_max <= T::NEG_INF {
-            // Entire anti-diagonal pruned: the alignment dropped.
-            self.dropped = true;
-            return SimdStep::Dropped { width: w };
         }
-
-        // Trim −∞ runs from both ends. The scans exit early, so their
-        // cost is proportional to the trimmed cells, not the width.
-        let vals = &self.scratch.cur.vals[PAD..PAD + w];
-        let kf = vals.iter().position(|&v| v > T::NEG_INF).unwrap();
-        let kl = vals.iter().rposition(|&v| v > T::NEG_INF).unwrap();
-        self.scratch.cur.lo = lo + kf;
-        self.scratch.cur.len = kl - kf + 1;
-        self.max_width = self.max_width.max(self.scratch.cur.len);
-
-        // Raise the global best; the argmax scan (earliest i wins, the
-        // kernel reduction's tie-break) only runs on improvement, and
-        // skips ahead chunk-wise until the winning chunk.
-        if row_max.widen() > self.best {
-            let mut arg = 0;
-            'outer: for (ci, chunk) in vals.chunks(L).enumerate() {
-                let mut hit = false;
-                for &v in chunk {
-                    hit |= v == row_max;
-                }
-                if hit {
-                    for (k, &v) in chunk.iter().enumerate() {
-                        if v == row_max {
-                            arg = lo + ci * L + k;
-                            break 'outer;
-                        }
-                    }
-                }
-            }
-            self.best = row_max.widen();
-            self.best_i = arg;
-            self.best_d = d;
-        }
-
-        // Rotate the three buffers, as the GPU rotates its HBM
-        // anti-diagonals.
-        let s = &mut *self.scratch;
-        std::mem::swap(&mut s.prev2, &mut s.prev);
-        std::mem::swap(&mut s.prev, &mut s.cur);
-        SimdStep::Advanced(DiagStats {
-            width: w,
-            live_width: s.prev.len,
-            trim_front: kf,
-            trim_back: w - 1 - kl,
-            row_max: row_max.widen(),
-        })
     }
 
     /// Finish into an [`ExtensionResult`] (identical to what the scalar
     /// routine would return for the same inputs).
     pub fn into_result(self) -> ExtensionResult {
+        self.at.into_result()
+    }
+}
+
+impl Frontier {
+    fn into_result(self) -> ExtensionResult {
         ExtensionResult {
             score: self.best,
             query_end: self.best_i,
             target_end: self.best_d - self.best_i,
             cells: self.cells,
-            iterations: self.iterations,
+            iterations: self.d as u64,
             max_width: self.max_width,
             dropped: self.dropped,
         }
     }
 }
 
-#[inline(always)]
-fn prune<T: Lane>(v: T, thr: T) -> T {
-    if v < thr {
-        T::NEG_INF
-    } else {
-        v
+impl<'w, T: Lane> Job<'w, T> {
+    /// One step from frontier `at` with `diags` the buffers of
+    /// anti-diagonals `d + 1`, `d` and `d − 1`: the buffers rotated,
+    /// the frontier after the step, and what happened.
+    #[inline(always)]
+    fn advance<const L: usize>(
+        &self,
+        diags: [&'w mut [T]; 3],
+        mut at: Frontier,
+    ) -> ([&'w mut [T]; 3], Frontier, SimdStep) {
+        if at.finished || at.dropped {
+            return (diags, at, SimdStep::Finished);
+        }
+        let d = at.d + 1;
+        let (m, n) = (self.m, self.n);
+        // Candidate bounds from the previous live range, clamped to the
+        // matrix — identical to the scalar routine. Past the last
+        // anti-diagonal (d > m + n) they come out empty.
+        let lo = at.lo.max(d.saturating_sub(n));
+        let hi = (at.lo + at.len).min(d).min(m);
+        if lo > hi {
+            at.finished = true;
+            return (diags, at, SimdStep::Finished);
+        }
+        at.d = d;
+        let w = hi - lo + 1;
+        debug_assert!(
+            ((T::NEG_INF.widen() + 1)..=T::MAX_SCORE).contains(&(at.best - self.x)),
+            "threshold escaped the tier's exact window"
+        );
+        let thr = T::narrow(at.best - self.x);
+
+        let [cur, prev, prev2] = diags;
+        // The cells next to the window are the only ones outside it
+        // that the next two steps can read (module docs); whatever
+        // anti-diagonal d − 3 left there is re-sentinelled. (The row's
+        // masked lanes then overwrite those that fall in its chunks.)
+        cur[FRONT + lo - 1] = T::NEG_INF;
+        cur[FRONT + hi + 1] = T::NEG_INF;
+
+        let row_max = match self.mode {
+            SubstMode::MatchMismatch { mat, mis } => {
+                self.row::<L>(CompareSelect { mat, mis }, cur, prev, prev2, d, lo, w, thr)
+            }
+            SubstMode::Profile => {
+                self.row::<L>(Gather(self.qprof), cur, prev, prev2, d, lo, w, thr)
+            }
+        };
+
+        at.cells += w as u64;
+
+        if row_max <= T::NEG_INF {
+            // Entire anti-diagonal pruned: the alignment dropped.
+            at.dropped = true;
+            return ([prev2, cur, prev], at, SimdStep::Dropped { width: w });
+        }
+
+        // Trim −∞ runs from both ends. The scans exit early, so their
+        // cost is proportional to the trimmed cells, not the width.
+        let vals = &cur[FRONT + lo..][..w];
+        let live = |&v: &T| v > T::NEG_INF;
+        let kf = vals.iter().position(live).expect("the row maximum is live");
+        let kl = vals
+            .iter()
+            .rposition(live)
+            .expect("the row maximum is live");
+        at.lo = lo + kf;
+        at.len = kl - kf + 1;
+        at.max_width = at.max_width.max(at.len);
+
+        // Raise the global best; the argmax scan (earliest i wins, the
+        // kernel reduction's tie-break) only runs on improvement.
+        if row_max.widen() > at.best {
+            at.best = row_max.widen();
+            at.best_i = lo + first_at::<T, L>(vals, row_max);
+            at.best_d = d;
+        }
+
+        let stats = DiagStats {
+            width: w,
+            live_width: at.len,
+            trim_front: kf,
+            trim_back: w - 1 - kl,
+            row_max: row_max.widen(),
+        };
+        ([prev2, cur, prev], at, SimdStep::Advanced(stats))
+    }
+
+    /// Anti-diagonal `d`'s window — `w` cells from query position `lo` —
+    /// computed into `cur` from its two predecessors with `subst` the
+    /// substitution source: the row maximum.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    fn row<const L: usize>(
+        &self,
+        subst: impl Subst<T, L>,
+        cur: &mut [T],
+        prev: &[T],
+        prev2: &[T],
+        d: usize,
+        lo: usize,
+        w: usize,
+        thr: T,
+    ) -> T {
+        let t_from = self.n + lo - d;
+        if w <= L {
+            // The window fits one chunk — every step of a thin band:
+            // the recurrence body straight on the operands' lanes.
+            let subs = subst.scores(lo, lanes(self.q, lo), lanes(self.trev, t_from));
+            let p2 = lanes(prev2, FRONT + lo - 1);
+            let (up, left) = (lanes(prev, FRONT + lo - 1), lanes(prev, FRONT + lo));
+            let vals = cells(&subs, p2, up, left, [lane_mask(w)], self.gap, thr);
+            cur[FRONT + lo..][..L].copy_from_slice(&vals);
+            return vals.into_iter().fold(T::NEG_INF, T::max);
+        }
+        // Every operand cut to the window rounded up to whole chunks,
+        // lane 0 at query position lo.
+        let span = w.div_ceil(L) * L;
+        fn chunks<T, const L: usize>(operand: &[T], from: usize, span: usize) -> &[[T; L]] {
+            operand[from..from + span].as_chunks().0
+        }
+        let row = Row::<T, L> {
+            q: chunks(self.q, lo, span),
+            t: chunks(self.trev, t_from, span),
+            p2: chunks(prev2, FRONT + lo - 1, span),
+            up: chunks(prev, FRONT + lo - 1, span),
+            left: chunks(prev, FRONT + lo, span),
+            out: cur[FRONT + lo..FRONT + lo + span].as_chunks_mut().0,
+            live: w,
+            gap: self.gap,
+            thr,
+        };
+        row.run(subst, lo)
     }
 }
 
-/// Where the row kernel takes a chunk's substitution scores from. One
-/// implementation per source, so the kernel is monomorphised per source
-/// and nothing is dispatched inside it.
+/// Index of the first cell of `vals` equal to `max`, which is one of
+/// them: whole chunks are skipped on one vector compare each.
+#[inline]
+fn first_at<T: Lane, const L: usize>(vals: &[T], max: T) -> usize {
+    let skipped = vals
+        .as_chunks::<L>()
+        .0
+        .iter()
+        .take_while(|chunk| !chunk.iter().fold(false, |hit, &v| hit | (v == max)))
+        .count();
+    let from = skipped * L;
+    from + vals[from..]
+        .iter()
+        .position(|&v| v == max)
+        .expect("the maximum is one of the cells")
+}
+
+/// The `L` lanes of `operand` from index `from` on.
+#[inline(always)]
+fn lanes<T, const L: usize>(operand: &[T], from: usize) -> &[T; L] {
+    operand[from..]
+        .first_chunk()
+        .expect("every operand is padded by a chunk")
+}
+
+/// The lane mask that keeps the first `keep` lanes of a chunk
+/// (`1 ..= L` of them) and kills the rest: the slice of the keep/kill
+/// table ([`Lane::LANE_MASK`]) that starts that many entries before the
+/// kills. (The remainder only tells the compiler that the slice is in
+/// bounds.)
+#[inline(always)]
+fn lane_mask<T: Lane, const L: usize>(keep: usize) -> &'static [T; L] {
+    lanes(T::LANE_MASK, (LANES8 - keep) % LANES8)
+}
+
+/// One chunk of the anti-diagonal recurrence — the one recurrence body
+/// of both tiers, both substitution sources and both window shapes (one
+/// chunk, a row of them): `subs` the substitution scores, `p2` the diagonal
+/// parents (anti-diagonal `d − 2` at `i − 1`), `up` the vertical ones
+/// (`d − 1` at `i − 1`), `left` the horizontal ones (`d − 1` at `i`).
+///
+/// Everything is branch-free per lane (the `if`s compile to selects),
+/// which is what lets LLVM emit packed min/max/saturating-add. Each
+/// entry of `masks` is a slice of the keep/kill table
+/// ([`Lane::LANE_MASK`]); a lane-wise `min` against it forces the lanes
+/// outside the window to −∞ before they are reduced and stored. They
+/// are not dead by themselves: their operands come from padding and
+/// from neighbours outside the band — `p2` can hold a live cell there
+/// when `prev` was trimmed shorter than `prev2`.
+#[inline(always)]
+fn cells<T: Lane, const L: usize, const MASKS: usize>(
+    subs: &[T; L],
+    p2: &[T; L],
+    up: &[T; L],
+    left: &[T; L],
+    masks: [&[T; L]; MASKS],
+    gap: T,
+    thr: T,
+) -> [T; L] {
+    let mut vals = [T::NEG_INF; L];
+    for k in 0..L {
+        let diag = p2[k].sat_add(subs[k]);
+        let mut v = diag.max(up[k].sat_add(gap)).max(left[k].sat_add(gap));
+        for mask in masks {
+            v = v.min(mask[k]);
+        }
+        vals[k] = if v < thr { T::NEG_INF } else { v };
+    }
+    vals
+}
+
+/// Where a chunk's substitution scores come from. One implementation
+/// per source, so the recurrence is monomorphised per source and
+/// nothing is dispatched inside it.
 trait Subst<T, const L: usize> {
-    /// Scores of chunk `ci` of the row, whose symbols are `q` and `t`.
-    fn scores(&self, ci: usize, q: &[T; L], t: &[T; L]) -> [T; L];
+    /// Scores of the chunk whose lane 0 is query position `from` and
+    /// whose symbols are `q` and `t`.
+    fn scores(&self, from: usize, q: &[T; L], t: &[T; L]) -> [T; L];
 }
 
 /// DNA match/mismatch: compare-select between two constants.
@@ -923,33 +1113,31 @@ impl<T: Lane, const L: usize> Subst<T, L> for CompareSelect<T> {
 }
 
 /// Matrix profile: one table entry per lane from the query-profile rows
-/// of the row's span (`Scratch::qprof`, stride [`PROF_STRIDE`]).
-struct Gather<'a, T> {
-    rows: &'a [T],
-}
+/// (`Scratch::qprof`) of the chunk's lanes.
+struct Gather<'a, T>(&'a [[T; PROF_STRIDE]]);
 
 impl<T: Lane, const L: usize> Subst<T, L> for Gather<'_, T> {
     #[inline(always)]
-    fn scores(&self, ci: usize, _: &[T; L], t: &[T; L]) -> [T; L] {
-        let rows = &self.rows[ci * L * PROF_STRIDE..][..L * PROF_STRIDE];
+    fn scores(&self, from: usize, _: &[T; L], t: &[T; L]) -> [T; L] {
+        let rows: &[_; L] = lanes(self.0, from);
         let mut subs = [T::NEG_INF; L];
         for k in 0..L {
             // Masking the symbol code with PROF_STRIDE − 1 keeps the
             // index provably inside the lane's row, so the gather
             // compiles check-free.
-            subs[k] = rows[k * PROF_STRIDE + (t[k].widen() as usize & (PROF_STRIDE - 1))];
+            subs[k] = rows[k][t[k].widen() as usize & (PROF_STRIDE - 1)];
         }
         subs
     }
 }
 
-/// The interior of one anti-diagonal as the row kernel sees it: every
-/// operand sliced to the same whole number of `L`-cell chunks, lane `k`
-/// of chunk `ci` belonging to query index `ilo + ci · L + k`.
+/// One anti-diagonal wider than a chunk, as the row kernel sees it:
+/// every operand cut to the same whole number of `L`-lane chunks, lane
+/// `k` of chunk `ci` belonging to query position `lo + ci · L + k`.
 struct Row<'a, T, const L: usize> {
-    /// Query symbols (`q[i − 1]`).
+    /// Query symbols (`q[i]`).
     q: &'a [[T; L]],
-    /// Reversed-target symbols (`t[j − 1]`).
+    /// Reversed-target symbols (`t[j]`).
     t: &'a [[T; L]],
     /// Anti-diagonal `d − 2` at `i − 1`: the diagonal parent.
     p2: &'a [[T; L]],
@@ -959,59 +1147,43 @@ struct Row<'a, T, const L: usize> {
     left: &'a [[T; L]],
     /// Anti-diagonal `d`, written in full.
     out: &'a mut [[T; L]],
-    /// Cells that exist (`ihi − ilo + 1`); lanes from here on are
-    /// masked.
+    /// Cells in the window; lanes from here on are masked.
     live: usize,
     gap: T,
     thr: T,
 }
 
 impl<T: Lane, const L: usize> Row<'_, T, L> {
-    /// The anti-diagonal recurrence over every chunk of the row;
-    /// returns the row maximum.
+    /// The anti-diagonal recurrence over every chunk of the row, whose
+    /// lane 0 is query position `lo`; returns the row maximum. Only the
+    /// last chunk is masked.
     #[inline(always)]
-    fn run(mut self, subst: impl Subst<T, L>) -> T {
+    fn run(mut self, subst: impl Subst<T, L>, lo: usize) -> T {
         let last = self.out.len() - 1;
-        assert!(
-            [self.q, self.t, self.p2, self.up, self.left]
-                .iter()
-                .all(|operand| operand.len() == last + 1),
-            "operand rows must span the output row"
-        );
         let mut acc = [T::NEG_INF; L];
         for ci in 0..last {
-            self.chunk(&subst, ci, L, &mut acc);
+            self.chunk(&subst, lo, ci, [], &mut acc);
         }
-        self.chunk(&subst, last, self.live - last * L, &mut acc);
+        let above = lane_mask::<T, L>(self.live - last * L);
+        self.chunk(&subst, lo, last, [above], &mut acc);
         acc.into_iter().fold(T::NEG_INF, T::max)
     }
 
-    /// One chunk of the recurrence, the first `lanes` lanes of it live.
-    ///
-    /// Everything is branch-free per lane (the `if`s compile to
-    /// selects), which is what lets LLVM emit packed
-    /// min/max/saturating-add. Lanes from `lanes` on are forced to −∞
-    /// before the lane-max accumulate and the store. They are not dead
-    /// by themselves: their operands come from padding and from
-    /// neighbours outside the band — `p2` can hold a live cell there
-    /// when `prev` was trimmed shorter than `prev2`. With `lanes = L` a
-    /// constant the mask folds away, so only a row's last chunk pays
-    /// for it.
+    /// Chunk `ci` of the row: computed, stored, and folded into the
+    /// lane-wise maxima `acc`.
     #[inline(always)]
-    fn chunk(&mut self, subst: &impl Subst<T, L>, ci: usize, lanes: usize, acc: &mut [T; L]) {
-        let subs = subst.scores(ci, &self.q[ci], &self.t[ci]);
+    fn chunk<const MASKS: usize>(
+        &mut self,
+        subst: &impl Subst<T, L>,
+        lo: usize,
+        ci: usize,
+        masks: [&[T; L]; MASKS],
+        acc: &mut [T; L],
+    ) {
+        let subs = subst.scores(lo + ci * L, &self.q[ci], &self.t[ci]);
         let (p2, up, left) = (&self.p2[ci], &self.up[ci], &self.left[ci]);
-        let (gap, thr, zero) = (self.gap, self.thr, T::narrow(0));
-        // Lane k is masked when k > last, tested as the sign of
-        // last − k: that keeps the compare at lane width, where an
-        // index compare is widened to 32-bit lanes.
-        let last = T::narrow(lanes as i32 - 1);
-        let mut vals = [T::NEG_INF; L];
+        let vals = cells(&subs, p2, up, left, masks, self.gap, self.thr);
         for k in 0..L {
-            let diag = p2[k].sat_add(subs[k]);
-            let v = diag.max(up[k].sat_add(gap)).max(left[k].sat_add(gap));
-            let dead = (v < thr) | (last.sat_add(T::narrow(-(k as i32))) < zero);
-            vals[k] = if dead { T::NEG_INF } else { v };
             acc[k] = acc[k].max(vals[k]);
         }
         self.out[ci] = vals;
@@ -1058,8 +1230,8 @@ pub struct Simd8State<'w> {
 impl<'w> Simd8State<'w> {
     /// Start an extension in the given scratch, or `None` when the
     /// inputs are empty or not [`simd8_eligible`] (callers then use a
-    /// wider tier). Whatever the scratch held before is fully
-    /// re-initialised.
+    /// wider tier). Whatever the scratch held before is either
+    /// re-initialised or unreachable.
     ///
     /// Panics if `x` is negative, like [`xdrop_extend`](crate::xdrop::xdrop_extend).
     pub fn new(
@@ -1083,8 +1255,8 @@ impl<'w> Simd8State<'w> {
         // Escalation watch: the next anti-diagonal's values are bounded
         // by best + max_score. Checked before computing anything, so
         // every value this stepper ever stores is exact in i8.
-        let s = &self.lanes;
-        if !(s.finished || s.dropped) && s.best + self.max_sub > SIMD8_MAX_SCORE {
+        let at = &self.lanes.at;
+        if !(at.finished || at.dropped) && at.best + self.max_sub > SIMD8_MAX_SCORE {
             return Simd8Step::Escalate;
         }
         match self.lanes.step() {
@@ -1094,15 +1266,42 @@ impl<'w> Simd8State<'w> {
         }
     }
 
-    /// Hand this extension to the i16 stepper, widening every buffer
-    /// into `scratch16`. Both representations hold the exact DP values
-    /// over their windows, so the i16 stepper continues from anti-
-    /// diagonal `d + 1` with bit-identical state to an i16 run that had
-    /// computed diagonals `1..=d` itself — escalation can never change
-    /// a score, trim, or tie-break.
+    /// Step to the end of the extension — in the i8 window if it stays
+    /// there, else handing over to the i16 stepper in `scratch16` and
+    /// counting the escalation: the loop of [`LaneState::run`] behind
+    /// the watch of [`step`](Simd8State::step).
+    fn run(self, scratch16: &mut SimdScratch, tally: &mut TierTally) -> ExtensionResult {
+        let LaneState {
+            job,
+            mut diags,
+            mut at,
+        } = self.lanes;
+        while at.best + self.max_sub <= SIMD8_MAX_SCORE {
+            let step;
+            (diags, at, step) = job.advance::<LANES8>(diags, at);
+            if !matches!(step, SimdStep::Advanced(_)) {
+                return at.into_result();
+            }
+        }
+        tally.escalations += 1;
+        let lanes = LaneState { job, diags, at };
+        Simd8State { lanes, ..self }.escalate(scratch16).run()
+    }
+
+    /// Hand this extension to the i16 stepper, widening into
+    /// `scratch16` the sequences, the profile and the cells of the last
+    /// two anti-diagonals that a later step can read. Both
+    /// representations hold the exact DP values over their windows, so
+    /// the i16 stepper continues from anti-diagonal `d + 1` with
+    /// bit-identical state to an i16 run that had computed diagonals
+    /// `1..=d` itself — escalation can never change a score, trim, or
+    /// tie-break.
     pub fn escalate<'x>(self, scratch16: &'x mut SimdScratch) -> SimdState<'x> {
-        let s = self.lanes;
-        let s8 = &*s.scratch;
+        let LaneState {
+            job: s,
+            diags: diags8,
+            at,
+        } = self.lanes;
         // Sequences and profile rows are cut to the i16 kernel's own
         // (shorter) chunk of padding, so the i16 buffers' high-water
         // mark depends on the pair, not on the tier it started in.
@@ -1111,43 +1310,59 @@ impl<'w> Simd8State<'w> {
             dst.extend(src.iter().map(|&v| f(v)));
         }
         let exact = |v: Biased8| v.widen() as i16;
-        widen(&s8.q[..s.m + LANES], &mut scratch16.q, exact);
-        widen(&s8.trev[..s.n + LANES], &mut scratch16.trev, exact);
+        let Scratch {
+            q,
+            trev,
+            qprof,
+            diags,
+        } = scratch16;
+        widen(&s.q[..s.m + LANES], q, exact);
+        widen(&s.trev[..s.n + LANES], trev, exact);
         let mode = match s.mode {
             SubstMode::MatchMismatch { mat, mis } => SubstMode::MatchMismatch {
                 mat: exact(mat),
                 mis: exact(mis),
             },
             SubstMode::Profile => {
-                let rows = &s8.qprof[..(s.m + LANES) * PROF_STRIDE];
-                widen(rows, &mut scratch16.qprof, widen8);
+                let rows = s.qprof[..s.m + LANES].as_flattened();
+                widen(rows, qprof, widen8);
                 SubstMode::Profile
             }
         };
-        for (src, dst) in [
-            (&s8.prev2, &mut scratch16.prev2),
-            (&s8.prev, &mut scratch16.prev),
-        ] {
-            widen(&src.vals, &mut dst.vals, widen8);
-            (dst.base, dst.lo, dst.len) = (src.base, src.lo, src.len);
+        // The next two steps read anti-diagonals d and d − 1 only from
+        // one cell below the live window of d to one cell above it;
+        // the buffers keep their places in the rotation.
+        let mut diags = size_diags(diags, s.m, LANES);
+        let reach = FRONT + at.lo - 1..FRONT + at.lo + at.len + 1;
+        for (src, dst) in diags8.iter().zip(&mut diags) {
+            for (wide, &narrow) in dst[reach.clone()].iter_mut().zip(&src[reach.clone()]) {
+                *wide = widen8(narrow);
+            }
         }
-        scratch16.cur.reset_sentinel();
         LaneState {
-            scratch: scratch16,
-            m: s.m,
-            n: s.n,
-            mode,
-            gap: s.gap.widen() as i16,
-            x: s.x,
-            d: s.d,
-            best: s.best,
-            best_i: s.best_i,
-            best_d: s.best_d,
-            cells: s.cells,
-            iterations: s.iterations,
-            max_width: s.max_width,
-            dropped: false,
-            finished: false,
+            job: Job {
+                q,
+                trev,
+                qprof: qprof.as_chunks().0,
+                m: s.m,
+                n: s.n,
+                mode,
+                gap: s.gap.widen() as i16,
+                x: s.x,
+            },
+            diags,
+            at: Frontier {
+                d: at.d,
+                lo: at.lo,
+                len: at.len,
+                best: at.best,
+                best_i: at.best_i,
+                best_d: at.best_d,
+                cells: at.cells,
+                max_width: at.max_width,
+                dropped: false,
+                finished: false,
+            },
         }
     }
 
@@ -1187,10 +1402,9 @@ fn run_i16(
     ws: &mut AlignWorkspace,
 ) -> ExtensionResult {
     ws.tally.lanes16 += 1;
-    let mut state =
-        SimdState::new(query, target, profile, x, &mut ws.simd).expect("eligibility checked above");
-    while let SimdStep::Advanced(_) = state.step() {}
-    state.into_result()
+    SimdState::new(query, target, profile, x, &mut ws.simd)
+        .expect("eligibility checked above")
+        .run()
 }
 
 /// Run an (already eligibility-checked, non-empty) extension on the i8
@@ -1210,20 +1424,9 @@ fn run_i8(
         simd, simd8, tally, ..
     } = ws;
     tally.lanes8 += 1;
-    let mut state =
-        Simd8State::new(query, target, profile, x, simd8).expect("eligibility checked above");
-    loop {
-        match state.step() {
-            Simd8Step::Advanced(_) => {}
-            Simd8Step::Escalate => {
-                tally.escalations += 1;
-                let mut wide = state.escalate(simd);
-                while let SimdStep::Advanced(_) = wide.step() {}
-                return wide.into_result();
-            }
-            Simd8Step::Dropped { .. } | Simd8Step::Finished => return state.into_result(),
-        }
-    }
+    Simd8State::new(query, target, profile, x, simd8)
+        .expect("eligibility checked above")
+        .run(simd, tally)
 }
 
 #[cfg(test)]
@@ -1300,21 +1503,21 @@ mod tests {
         let s = seq("ACGTACGTACGT");
         // Scalar engine → scalar counter.
         Engine::Scalar.extend_with(&s, &s, Scoring::default(), 5, &mut ws);
-        // x = 5 keeps the pair i8-eligible (5 + 1 ≤ 63): both the fixed
-        // i8 engine and adaptive dispatch to the i8 kernel.
+        // x = 5 keeps the pair i8-eligible (5 + 1 ≤ 63), but only the
+        // fixed i8 engine dispatches that tier: adaptive picks i16.
         Engine::Simd.extend_with(&s, &s, Scoring::default(), 5, &mut ws);
         Engine::I8.extend_with(&s, &s, Scoring::default(), 5, &mut ws);
         Engine::Adaptive.extend_with(&s, &s, Scoring::default(), 5, &mut ws);
         // x = 100 pushes past the i8 window: I8 falls back to scalar,
-        // adaptive picks i16.
+        // adaptive still picks i16.
         Engine::I8.extend_with(&s, &s, Scoring::default(), 100, &mut ws);
         Engine::Adaptive.extend_with(&s, &s, Scoring::default(), 100, &mut ws);
         // Empty inputs run no kernel and are not counted.
         Engine::Adaptive.extend_with(&Seq::new(), &s, Scoring::default(), 5, &mut ws);
         let t = ws.tally;
         assert_eq!(t.scalar, 2);
-        assert_eq!(t.lanes16, 2);
-        assert_eq!(t.lanes8, 2);
+        assert_eq!(t.lanes16, 3);
+        assert_eq!(t.lanes8, 1);
         assert_eq!(t.escalations, 0);
         assert_eq!(t.total(), 6);
         let mut merged = TierTally::default();

@@ -1,40 +1,51 @@
-//! engine_tiers — the kernel tier ladder measured (PR 10): scalar vs
-//! 16-lane i16 vs 32-lane i8 vs the per-pair adaptive selector, across
-//! DNA and BLOSUM62 workloads, single host thread.
+//! engine_tiers — the kernel tier ladder measured: scalar vs 16-lane
+//! i16 vs 32-lane i8 vs the adaptive selector, across DNA and BLOSUM62
+//! regimes, single host thread. Next to GCUPS the table gives each row's
+//! nanoseconds per anti-diagonal and mean computed width — the pair of
+//! numbers that separates a step's fixed cost from its per-cell cost
+//! (GCUPS alone made thin bands look like a lane-occupancy problem).
 //!
-//! Three workloads bracket the tier ladder's regimes:
+//! Seven regimes:
 //!
+//! * `dna-thin` — true overlaps at 10% error, X = 7 (the repo
+//!   benchmark's minimizer workload): 7-cell windows, every
+//!   anti-diagonal one chunk. What a step costs whatever the band.
 //! * `dna-screen` — candidate screening: unrelated flanks around a
 //!   planted exact seed, scored `(1, -2, -1)` with X = 62 (the widest
 //!   i8-eligible X at match = +1). Extensions die inside the X-drop
-//!   band without the best score ever approaching the i8 ceiling, so
-//!   this is the pure-i8 regime — the row the i8-vs-i16 acceptance
-//!   bound is asserted on. The `(2X/|gap|)`-wide live band (~124 cells) keeps
-//!   anti-diagonals several 32-lane chunks wide.
+//!   band without the best score ever approaching the i8 ceiling: the
+//!   one regime where the i8 tier runs alone, several 32-lane chunks
+//!   wide, and the row the i8-vs-i16 bound is asserted on.
 //! * `dna-overlap` — true overlaps at 15% error, X = 60: the best
 //!   score outgrows the i8 window almost immediately, so the i8 tier
 //!   measures its escalation path (i8 prefix, then the i16 kernel).
+//! * `dna-x100` — the same overlaps at X = 100, past the i8 window:
+//!   the fixed i8 engine measures its scalar fallback.
+//! * `pinned-x7`, `pinned-x50` — pairs built so the best score never
+//!   passes 1 ([`pinned_pairs`]): the i8 tier never escalates and runs
+//!   the length of the reads, thin and wide. The i8-at-length
+//!   measurement behind the selector's rule.
 //! * `blosum62` — 400-aa homolog pairs under `blosum62:-6` at the
-//!   sensitive-search X = 400 (protein_bench's regime, wide bands).
-//!   X + 11 > 63 puts the workload outside the i8 window, so the fixed
-//!   i8 engine measures its scalar fallback and the adaptive selector
-//!   its i16 choice — the other two dispatch edges of the ladder.
+//!   sensitive-search X = 400 (protein_bench's regime, wide bands),
+//!   outside the i8 window.
 //!
 //! Asserted in-bin on every run:
-//! - all four engines produce bit-identical results on every workload;
+//! - all four engines produce bit-identical results on every regime;
 //! - on `dna-screen`, the i8 tier sustains ≥ 1.05× the i16 tier's
-//!   single-thread GCUPS (measured ≈ 1.17×; it was 1.93× while the i16
-//!   stepper still finished every anti-diagonal with a scalar remainder
-//!   loop — that headline was remainder-loop penalty, not lane width);
-//! - on every workload, the adaptive engine is within 3% of the best
-//!   fixed tier.
+//!   single-thread GCUPS;
+//! - the adaptive engine never dispatches or escalates i8, and is
+//!   within 3% of the tier it does dispatch (the better of i16 and
+//!   scalar) everywhere.
 //!
-//! Both ratios are medians over rounds of the *per-round* wall ratio:
-//! a round times all four engines within a fraction of a second, so
-//! the slow and fast bursts of a shared host cancel inside a round
-//! instead of landing on one engine (best-of-N walls, used before the
-//! kernels got this fast, let one engine catch a burst the other
-//! missed). The table reports each engine's median wall.
+//! The last line prints i8's speed over i16 per regime: the evidence
+//! for `Engine::Adaptive` leaving i8 alone (it is ahead only where it
+//! never escalates, which no input property predicts).
+//!
+//! Ratios are medians over rounds of the *per-round* wall ratio: a
+//! round times all four engines within a fraction of a second, so the
+//! slow and fast bursts of a shared host cancel inside a round instead
+//! of landing on one engine. The table reports each engine's median
+//! wall.
 //!
 //! The `--quick` smoke keeps the bit-identity assertion exact but
 //! loosens the two performance bounds (i8 ≥ i16 and 7%): its ~5 ms
@@ -60,8 +71,15 @@ struct Row {
     engine: String,
     pairs: usize,
     cells: u64,
+    /// Anti-diagonals computed (the sum of the extensions' `iterations`).
+    steps: u64,
     wall_s: f64,
     gcups: f64,
+    /// Wall nanoseconds per anti-diagonal: the per-step cost that GCUPS
+    /// hides behind the band width.
+    ns_per_step: f64,
+    /// Mean computed cells per anti-diagonal (`cells / steps`).
+    mean_width: f64,
     speedup_vs_scalar: f64,
     frac_scalar: f64,
     frac_i16: f64,
@@ -126,6 +144,39 @@ fn protein_pairs(n: usize, len: usize, seed_len: usize, sub_rate: f64, seed: u64
         .collect()
 }
 
+/// Pairs whose best score stays pinned at 1: the query is random over
+/// {A, C}; the target repeats it at even positions and holds a base
+/// from {G, T} — which matches nothing in the query — at odd ones. Under
+/// unit scoring every match is then preceded by a mismatch or a gap, on
+/// any path, so the best score never passes 1: the extension never
+/// drops, never approaches the i8 ceiling, and runs to the end of the
+/// reads inside a band set by X alone. The one shape on which the i8
+/// tier runs *at length* instead of handing over to i16 within the
+/// first ≈ 125 anti-diagonals.
+fn pinned_pairs(n: usize, len: usize, seed: u64) -> Vec<ReadPair> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..n)
+        .map(|_| {
+            let q: Vec<u8> = (0..len).map(|_| rng.gen_range(0..2u8)).collect();
+            let t = q
+                .iter()
+                .enumerate()
+                .map(|(i, &b)| if i < 2 || i % 2 == 0 { b } else { 2 + b })
+                .collect();
+            ReadPair {
+                query: Seq::from_codes(q, Alphabet::Dna),
+                target: Seq::from_codes(t, Alphabet::Dna),
+                seed: Seed {
+                    qpos: 0,
+                    tpos: 0,
+                    len: 2,
+                },
+                template_len: len,
+            }
+        })
+        .collect()
+}
+
 fn median(values: impl Iterator<Item = f64>) -> f64 {
     let mut v: Vec<f64> = values.collect();
     v.sort_by(f64::total_cmp);
@@ -134,6 +185,7 @@ fn median(values: impl Iterator<Item = f64>) -> f64 {
 
 const ENGINES: [Engine; 4] = [Engine::Scalar, Engine::Simd, Engine::I8, Engine::Adaptive];
 // Positions in `ENGINES`.
+const SCALAR: usize = 0;
 const SIMD: usize = 1;
 const I8: usize = 2;
 const ADAPTIVE: usize = 3;
@@ -167,7 +219,15 @@ fn main() {
     let n = if quick { 150 } else { 1600 };
     let reps = if quick { 7 } else { 21 };
 
+    let unit = ScoreProfile::MatchMismatch(Scoring::default());
+    let overlaps = PairSet::generate_with_lengths(n / 2, 0.15, 800, 1200, scale.seed + 1).pairs;
     let workloads = [
+        Workload {
+            name: "dna-thin",
+            pairs: PairSet::generate_with_lengths(n / 2, 0.10, 800, 1600, scale.seed + 3).pairs,
+            profile: unit,
+            x: 7,
+        },
         Workload {
             name: "dna-screen",
             pairs: screen_pairs(n, 500, 16, scale.seed),
@@ -176,9 +236,27 @@ fn main() {
         },
         Workload {
             name: "dna-overlap",
-            pairs: PairSet::generate_with_lengths(n / 2, 0.15, 800, 1200, scale.seed + 1).pairs,
-            profile: ScoreProfile::MatchMismatch(Scoring::default()),
+            pairs: overlaps.clone(),
+            profile: unit,
             x: 60,
+        },
+        Workload {
+            name: "dna-x100",
+            pairs: overlaps[..overlaps.len() / 4].to_vec(),
+            profile: unit,
+            x: 100,
+        },
+        Workload {
+            name: "pinned-x7",
+            pairs: pinned_pairs(n / 8, 1000, scale.seed + 4),
+            profile: unit,
+            x: 7,
+        },
+        Workload {
+            name: "pinned-x50",
+            pairs: pinned_pairs(n / 16, 1000, scale.seed + 4),
+            profile: unit,
+            x: 50,
         },
         Workload {
             name: "blosum62",
@@ -203,6 +281,7 @@ fn main() {
             .collect();
         let mut walls = Timings::default();
         let mut cells = [0u64; ENGINES.len()];
+        let mut steps = 0u64;
         let mut tiers = [TierTally::default(); ENGINES.len()];
         let mut reference: Option<Vec<_>> = None;
         for round in 0..reps {
@@ -213,7 +292,13 @@ fn main() {
                 cells[i] = rep.total_cells;
                 tiers[i] = rep.tiers;
                 match &reference {
-                    None => reference = Some(res),
+                    None => {
+                        steps = res
+                            .iter()
+                            .map(|r| r.left.iterations + r.right.iterations)
+                            .sum();
+                        reference = Some(res);
+                    }
                     Some(r) => assert_eq!(
                         r, &res,
                         "engine {} diverged from scalar on {}",
@@ -222,7 +307,7 @@ fn main() {
                 }
             }
         }
-        let scalar_gcups = cells[0] as f64 / walls.median_wall(0) / 1e9;
+        let scalar_gcups = cells[SCALAR] as f64 / walls.median_wall(SCALAR) / 1e9;
         for (i, &engine) in ENGINES.iter().enumerate() {
             let wall_s = walls.median_wall(i);
             let gcups = cells[i] as f64 / wall_s / 1e9;
@@ -232,8 +317,11 @@ fn main() {
                 engine: engine.to_string(),
                 pairs: w.pairs.len(),
                 cells: cells[i],
+                steps,
                 wall_s,
                 gcups,
+                ns_per_step: wall_s * 1e9 / steps as f64,
+                mean_width: cells[i] as f64 / steps as f64,
                 speedup_vs_scalar: gcups / scalar_gcups,
                 frac_scalar: tiers[i].scalar as f64 / total,
                 frac_i16: tiers[i].lanes16 as f64 / total,
@@ -255,6 +343,8 @@ fn main() {
         "DP cells",
         "Wall (s)",
         "GCUPS",
+        "ns/antidiag",
+        "Mean width",
         "vs scalar",
         "i8/i16/scalar",
         "Escal.",
@@ -267,6 +357,8 @@ fn main() {
             r.cells.to_string(),
             format!("{:.4}", r.wall_s),
             format!("{:.3}", r.gcups),
+            format!("{:.1}", r.ns_per_step),
+            format!("{:.1}", r.mean_width),
             format!("{:.2}x", r.speedup_vs_scalar),
             format!(
                 "{:.0}/{:.0}/{:.0}%",
@@ -283,31 +375,48 @@ fn main() {
     // ~5 ms walls jitter too much for the tight full-run bounds, so it
     // gates on looser thresholds that still catch a broken tier.
     let (i8_bound, adaptive_frac) = if quick { (1.0, 0.93) } else { (1.05, 0.97) };
-    let i8_vs_i16 = timings[0].speed_vs(I8, SIMD);
+    let screen = workloads
+        .iter()
+        .position(|w| w.name == "dna-screen")
+        .expect("dna-screen is a workload");
+    let i8_vs_i16 = timings[screen].speed_vs(I8, SIMD);
     assert!(
         i8_vs_i16 >= i8_bound,
         "i8 tier must sustain >= {i8_bound}x the i16 tier on eligible DNA pairs \
          (dna-screen), measured {i8_vs_i16:.2}x"
     );
+    // Adaptive dispatches i16 or scalar, never i8 (DESIGN.md §14): it
+    // must cost what the better of those two costs, and never escalate.
     let mut worst = f64::INFINITY;
     for (w, t) in workloads.iter().zip(&timings) {
-        let best_fixed = (0..ADAPTIVE)
+        let best_fixed = [SCALAR, SIMD]
+            .into_iter()
             .min_by(|&a, &b| t.median_wall(a).total_cmp(&t.median_wall(b)))
-            .expect("three fixed engines");
+            .expect("two tiers");
         let adaptive = t.speed_vs(ADAPTIVE, best_fixed);
         worst = worst.min(adaptive);
         assert!(
             adaptive >= adaptive_frac,
-            "adaptive must stay within {:.0}% of the best fixed tier on {}: \
+            "adaptive must stay within {:.0}% of the tier it dispatches on {}: \
              it runs at {adaptive:.3}x the {} engine",
             (1.0 - adaptive_frac) * 100.0,
             w.name,
             ENGINES[best_fixed]
         );
     }
+    assert!(
+        rows.iter()
+            .all(|r| r.engine != "adaptive" || (r.escalations == 0 && r.frac_i8 == 0.0)),
+        "adaptive dispatched the i8 tier"
+    );
     println!(
-        "engine_tiers: all engines bit-identical; i8 {i8_vs_i16:.2}x i16 on dna-screen; \
-         adaptive at worst {worst:.3}x the best fixed tier (floor {adaptive_frac}).",
+        "engine_tiers: all engines bit-identical; adaptive at worst {worst:.3}x the tier it \
+         dispatches (floor {adaptive_frac}). i8 vs i16 by regime:{}",
+        workloads
+            .iter()
+            .zip(&timings)
+            .map(|(w, t)| format!(" {} {:.2}x", w.name, t.speed_vs(I8, SIMD)))
+            .collect::<String>()
     );
     if !quick {
         // The quick smoke (premerge) must not clobber the recorded

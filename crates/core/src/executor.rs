@@ -63,18 +63,19 @@ pub struct LoganConfig {
     /// Keep anti-diagonals in shared memory (§IV-B ablation; limits
     /// residency and read length).
     pub antidiag_in_shared: bool,
-    /// Host engine computing the kernel's results (scalar reference or
-    /// one of the lane-parallel tiers — i16, i8-with-escalation, or
-    /// per-pair adaptive). Bit-identical results and identical
+    /// Host engine computing the kernel's results (scalar reference,
+    /// one of the lane-parallel tiers — i16, i8-with-escalation — or
+    /// the per-pair adaptive choice). Bit-identical results and identical
     /// accounted costs on every engine; the SIMD tiers just make the
     /// simulation run faster on the host.
     pub engine: Engine,
 }
 
 impl LoganConfig {
-    /// Paper defaults with the given X. The engine defaults to the
-    /// `LOGAN_ENGINE` environment variable ([`Engine::from_env`]),
-    /// which is safe precisely because engines cannot change results.
+    /// Paper defaults with the given X. The engine is
+    /// [`Engine::from_env`] — `LOGAN_ENGINE` if set, else
+    /// [`Engine::Adaptive`] — which is safe precisely because engines
+    /// cannot change results.
     pub fn with_x(x: i32) -> LoganConfig {
         LoganConfig {
             profile: ScoreProfile::default(),

@@ -4,7 +4,7 @@
 # names, one table each (what a no-claim PR shows to say "nothing
 # moved"): a parent commit against the working tree.
 #
-#     scripts/bench_pairs.sh <parent-ref> <workload|all> [pairs=10] [seed=42]
+#     scripts/bench_pairs.sh [--layers] <parent-ref> <workload|all> [pairs=10] [seed=42]
 #
 # Exports <parent-ref> with `git archive` (no worktree entry is left in
 # .git), builds benchmark/ of both sides once into separate target
@@ -18,13 +18,24 @@
 # change wins at least nine tenths of the pairs and the medians are
 # further apart than that distance.
 #
+# With --layers, each workload's table is followed by one traced run
+# (`--trace 1`) of each side and the per-layer metrics that differ: which
+# layer moved, from the same script as the verdict. One run a side is a
+# reading, not a measurement — counts repeat exactly, times carry the
+# run-to-run spread of the table above them.
+#
 # BENCH_PAIRS_DIR (default: a fresh mktemp directory) holds the export,
 # both target directories and every result line (<workload>.parent.jsonl
 # and <workload>.change.jsonl, one line per run, in pair order).
 set -euo pipefail
 
+layers=0
+if [[ ${1:-} == --layers ]]; then
+  layers=1
+  shift
+fi
 if [[ $# -lt 2 ]]; then
-  sed -n '2,25p' "$0" >&2
+  sed -n '2,31p' "$0" >&2
   exit 2
 fi
 ref=$1
@@ -49,14 +60,15 @@ CARGO_TARGET_DIR="$work/target-parent" \
 CARGO_TARGET_DIR="$work/target-change" \
   cargo build --release --quiet --manifest-path "$repo/benchmark/Cargo.toml"
 
-# One run of one side of $workload, from its own package root; the
-# driver's result line is the last line of standard output.
+# One run of one side of $workload, from its own package root, traced
+# or not; the driver's result line is the last line of standard output.
 run_side() {
-  local side=$1 root=$2
+  local side=$1 root=$2 trace=${3:-0}
+  local to=${4:-$work/$workload.$side.jsonl}
   (cd "$root/benchmark" &&
     "$work/target-$side/release/benchmark" run --workload "$workload" \
-      --seed "$seed" --seconds 15 --trace 0 --out "$work/last-$side.json" |
-    tail -n 1) >>"$work/$workload.$side.jsonl"
+      --seed "$seed" --seconds 15 --trace "$trace" --out "$work/last-$side.json" |
+    tail -n 1) >>"$to"
 }
 
 status=0
@@ -120,5 +132,27 @@ for metric in spec["end_to_end"]:
 if bad:
     sys.exit(f"output checks failed on: {', '.join(bad)}")
 EOF
+
+  if ((layers)); then
+    : >"$work/$workload.parent.layers.json"
+    : >"$work/$workload.change.layers.json"
+    run_side parent "$work/parent" 1 "$work/$workload.parent.layers.json"
+    run_side change "$repo" 1 "$work/$workload.change.layers.json"
+    echo "-- $workload, per layer (one traced run a side; metrics that read the same are left out)"
+    python3 - "$work/$workload.parent.layers.json" "$work/$workload.change.layers.json" \
+      "$repo/BENCHMARK.json" <<'EOF'
+import json, sys
+
+parent, change = (json.load(open(path))["metrics"] for path in sys.argv[1:3])
+print(f"{'layer metric':<34}{'parent':>16}{'change':>16}{'delta':>9}  unit")
+for metric in json.load(open(sys.argv[3]))["per_layer"]:
+    name = metric["name"]
+    p, c = (side.get(name, {}).get("value", 0.0) for side in (parent, change))
+    if p == c:
+        continue
+    rel = f"{(c - p) / abs(p):>+9.1%}" if p else f"{'new':>9}"
+    print(f"{name:<34}{p:>16.6g}{c:>16.6g}{rel}  {metric['unit']}")
+EOF
+  fi
 done
 exit $status

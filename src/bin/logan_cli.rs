@@ -17,6 +17,10 @@
 //!                                             [--chaos SEED:PLAN] [--supervise]
 //! ```
 //!
+//! `--engine` picks the host X-drop kernel and changes no output, only
+//! speed; the default is `adaptive` (i16 lanes where exact, else
+//! scalar), or whatever `LOGAN_ENGINE` names.
+//!
 //! `pairs` aligns record *i* of the first file against record *i* of the
 //! second (seed = first shared canonical 17-mer), printing one TSV row
 //! per pair. `overlap` runs the BELLA pipeline on a read set and prints
@@ -99,7 +103,8 @@ fn usage() -> ExitCode {
          backends: cpu[:T] | gpu | multi:N (default, N from --gpus) | fleet:SPEC \
          (e.g. fleet:2gpu+cpu:4)\n\
          fault injection (any command): [--chaos SEED:storm | SEED:LANE=FAULT/FAULT,...] \
-         [--supervise]"
+         [--supervise]\n\
+         --engine changes speed only, never output; default: adaptive, or $LOGAN_ENGINE"
     );
     ExitCode::from(2)
 }

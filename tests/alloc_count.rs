@@ -69,12 +69,12 @@ fn warm_workspace_extensions_are_allocation_free() {
     let ext_simd = XDropExtender::with_engine(scoring, x, Engine::Simd);
     let ext_adaptive = XDropExtender::with_engine(scoring, x, Engine::Adaptive);
     // A tighter X keeps `x + max_score` inside the i8 window, so the
-    // 32-lane tier (and its escalation into the i16 rings) gets real
+    // 32-lane tier (and its escalation into the i16 buffers) gets real
     // warm-path coverage rather than falling back to scalar.
     let x8 = 40;
     let ext_i8 = XDropExtender::with_engine(scoring, x8, Engine::I8);
-    // The adaptive selector inside the i8 window: i8 dispatch, then the
-    // escalation that widens the padded i8 buffers into the i16 ones.
+    // The adaptive selector inside the i8 window, where it runs i16
+    // all the same.
     let ext_adaptive8 = XDropExtender::with_engine(scoring, x8, Engine::Adaptive);
 
     // Reference results through fresh workspaces, for the bit-equality
@@ -114,6 +114,7 @@ fn warm_workspace_extensions_are_allocation_free() {
     // every entry point, for every pair shape, and results identical to
     // the fresh-workspace reference.
     let tally_before = ws.tally;
+    let mut adaptive = TierTally::default();
     for ((p, want), want8) in pairs
         .iter()
         .chain(&divergent)
@@ -135,6 +136,7 @@ fn warm_workspace_extensions_are_allocation_free() {
         assert_eq!(d, 0, "warm i8 seed_extend_with allocated");
         assert_eq!(&r, want8);
 
+        let before = ws.tally;
         let (d, r) =
             alloc_delta(|| seed_extend_with(&p.query, &p.target, p.seed, &ext_adaptive, &mut ws));
         assert_eq!(d, 0, "warm adaptive seed_extend_with allocated");
@@ -144,6 +146,7 @@ fn warm_workspace_extensions_are_allocation_free() {
             alloc_delta(|| seed_extend_with(&p.query, &p.target, p.seed, &ext_adaptive8, &mut ws));
         assert_eq!(d, 0, "warm adaptive (i8 window) seed_extend_with allocated");
         assert_eq!(&r, want8);
+        adaptive.merge(&ws.tally.diff(&before));
 
         let (d, _) = alloc_delta(|| xdrop_extend_with(&p.query, &p.target, scoring, x, &mut ws));
         assert_eq!(d, 0, "warm scalar xdrop_extend_with allocated");
@@ -161,11 +164,57 @@ fn warm_workspace_extensions_are_allocation_free() {
         assert_eq!(d, 0, "warm adaptive xdrop_extend_with allocated");
     }
 
-    // The i8 paths above must have taken the escalation edge (padded i8
-    // buffers widened into the i16 scratch), or its zeros prove nothing.
+    // The i8 engine above must have taken the escalation edge (i8
+    // buffers widened into the i16 scratch), or its zeros prove
+    // nothing; the adaptive one runs i16 from the start, in the i8
+    // window too.
     let warm = ws.tally.diff(&tally_before);
     assert!(warm.lanes8 > 0 && warm.lanes16 > 0);
     assert!(warm.escalations > 0, "no warm i8 run escalated: {warm:?}");
+    assert!(adaptive.lanes16 > 0);
+    assert_eq!(
+        (adaptive.lanes8, adaptive.escalations, adaptive.scalar),
+        (0, 0, 0)
+    );
+
+    // Anti-diagonal buffers are sized per extension, by the query: once
+    // the longest pair has been through, shorter ones of any shape fit
+    // — zero allocations — and read nothing the long one left behind:
+    // each result equals a fresh workspace's. DNA through both SIMD
+    // tiers, BLOSUM62 through the profile gather.
+    let long = PairSet::generate_with_lengths(1, 0.1, 1500, 1500, 19).pairs;
+    let short = PairSet::generate_with_lengths(5, 0.2, 40, 400, 20).pairs;
+    let protein = |n: usize, salt: usize| {
+        let codes = (0..n)
+            .map(|i| ((i * 7 + i / 5 + salt) % 20) as u8)
+            .collect();
+        Seq::from_codes(codes, logan::seq::Alphabet::Protein)
+    };
+    let b62 = logan::seq::ScoreProfile::blosum62(-6);
+    let (long_p, long_h) = (protein(900, 0), protein(900, 3));
+    for engine in [Engine::Simd, Engine::I8, Engine::Adaptive] {
+        let x = if engine == Engine::I8 { x8 } else { x };
+        let ext = XDropExtender::with_engine(scoring, x, engine);
+        let p = &long[0];
+        seed_extend_with(&p.query, &p.target, p.seed, &ext, &mut ws);
+        engine.extend_with(&long_p, &long_h, b62, 50, &mut ws);
+        for p in &short {
+            let (d, r) =
+                alloc_delta(|| seed_extend_with(&p.query, &p.target, p.seed, &ext, &mut ws));
+            assert_eq!(d, 0, "{engine}: a shorter pair after the longest allocated");
+            assert_eq!(
+                r,
+                seed_extend(&p.query, &p.target, p.seed, &ext),
+                "{engine}"
+            );
+        }
+        for n in [7, 60, 333] {
+            let (a, b) = (protein(n, 1), protein(n + 9, 2));
+            let (d, r) = alloc_delta(|| engine.extend_with(&a, &b, b62, 50, &mut ws));
+            assert_eq!(d, 0, "{engine}: a shorter protein pair allocated");
+            assert_eq!(r, engine.extend(&a, &b, b62, 50), "{engine} (BLOSUM62)");
+        }
+    }
 
     // Pairs share their reads: cloning one — what candidate
     // materialisation, fleet block slicing and serve's request pool do

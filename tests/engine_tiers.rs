@@ -25,6 +25,7 @@
 
 use logan::align::{simd8_eligible, simd_eligible};
 use logan::prelude::*;
+use logan::seq::readsim::Seed;
 use logan::seq::{Alphabet, ScoreProfile};
 use logan_align::simd::{
     DiagStats, Simd8Scratch, Simd8State, Simd8Step, SimdScratch, SimdState, SimdStep,
@@ -213,45 +214,49 @@ fn saturation_escalation_is_counted_and_bit_identical() {
         let want = all_tiers_agree(&q, &q, scoring, x);
         assert_eq!(want.score, n as i32, "perfect pair must score n");
 
-        for engine in [Engine::I8, Engine::Adaptive] {
-            let mut ws = AlignWorkspace::new();
-            engine.extend_with(&q, &q, scoring, x, &mut ws);
-            assert_eq!(
-                ws.tally.lanes8, 1,
-                "{engine} must dispatch the i8 tier (n = {n})"
-            );
-            assert_eq!(
-                ws.tally.escalations, 1,
-                "{engine} must escalate exactly once (n = {n})"
-            );
-            assert_eq!(ws.tally.scalar, 0, "{engine} must not touch scalar");
-        }
+        let mut ws = AlignWorkspace::new();
+        Engine::I8.extend_with(&q, &q, scoring, x, &mut ws);
+        assert_eq!(ws.tally.lanes8, 1, "i8 must dispatch its tier (n = {n})");
+        assert_eq!(
+            ws.tally.escalations, 1,
+            "i8 must escalate exactly once (n = {n})"
+        );
+        assert_eq!(ws.tally.scalar, 0, "i8 must not touch scalar");
+        // Adaptive never starts in i8, so it has nothing to escalate.
+        let mut ws = AlignWorkspace::new();
+        Engine::Adaptive.extend_with(&q, &q, scoring, x, &mut ws);
+        assert_eq!(
+            (ws.tally.lanes16, ws.tally.lanes8, ws.tally.escalations),
+            (1, 0, 0),
+            "adaptive must run i16 from the start (n = {n})"
+        );
     }
 }
 
-/// The adaptive selector picks the cheapest provably-safe tier, pinned
-/// through the tally: i8 inside the i8 window, i16 between the
-/// windows, scalar beyond both.
+/// The adaptive selector chooses from what it can observe, pinned
+/// through the tally: i16 wherever its window holds — inside the i8
+/// window too, where escalation would be the rule — and scalar beyond.
 #[test]
-fn adaptive_picks_the_cheapest_eligible_tier() {
+fn adaptive_picks_i16_when_eligible_else_scalar() {
     let pairs = PairSet::generate_with_lengths(2, 0.15, 200, 400, 9).pairs;
     let scoring = Scoring::default();
     // (x, expected tier) spanning the ladder.
     let cases = [
-        (40, (0u64, 0u64, 1u64)),          // i8 window → lanes8
-        (SIMD8_MAX_SCORE + 20, (0, 1, 0)), // past i8, inside i16 → lanes16
-        (SIMD_MAX_X + 20, (1, 0, 0)),      // past both → scalar
+        (40, (0u64, 1u64)),             // i8 window → still lanes16
+        (SIMD8_MAX_SCORE + 20, (0, 1)), // past i8, inside i16 → lanes16
+        (SIMD_MAX_X + 20, (1, 0)),      // past both → scalar
     ];
     for p in &pairs {
-        for (x, (scalar, lanes16, lanes8)) in cases {
+        for (x, (scalar, lanes16)) in cases {
             let mut ws = AlignWorkspace::new();
             let got = Engine::Adaptive.extend_with(&p.query, &p.target, scoring, x, &mut ws);
             assert_eq!(got, Engine::Scalar.extend(&p.query, &p.target, scoring, x));
             assert_eq!(
-                (ws.tally.scalar, ws.tally.lanes16, ws.tally.lanes8),
-                (scalar, lanes16, lanes8),
+                (ws.tally.scalar, ws.tally.lanes16),
+                (scalar, lanes16),
                 "adaptive dispatched the wrong tier at x = {x}"
             );
+            assert_eq!((ws.tally.lanes8, ws.tally.escalations), (0, 0));
             assert_eq!(ws.tally.total(), 1);
         }
     }
@@ -473,5 +478,240 @@ fn escalation_onto_a_sub_chunk_band() {
         let mut ws = AlignWorkspace::new();
         assert_eq!(Engine::I8.extend_with(s, s, profile, x, &mut ws), want);
         assert_eq!((ws.tally.lanes8, ws.tally.escalations), (1, 1));
+    }
+}
+
+// ---------------------------------------------------------------------
+// Band shapes of the lean step: anti-diagonals indexed by absolute query
+// position in buffers that are never cleared, boundary cells computed by
+// the general recurrence, and windows of at most one chunk stepped
+// without the row machinery. Each case runs both steppers one
+// anti-diagonal at a time and checks their statistics against the
+// result, on top of every engine agreeing with scalar.
+// ---------------------------------------------------------------------
+
+/// What a stepper's per-step statistics must add up to: every width is
+/// live + trimmed, the widths sum to the result's cells and the steps
+/// to its iterations.
+#[derive(Default)]
+struct Sums {
+    steps: Vec<DiagStats>,
+    cells: u64,
+    iterations: u64,
+}
+
+impl Sums {
+    fn advanced(&mut self, s: DiagStats) {
+        assert_eq!(s.width, s.live_width + s.trim_front + s.trim_back);
+        self.cells += s.width as u64;
+        self.iterations += 1;
+        self.steps.push(s);
+    }
+
+    fn dropped(&mut self, width: usize) {
+        self.cells += width as u64;
+        self.iterations += 1;
+    }
+
+    fn matches(&self, r: &ExtensionResult) {
+        assert_eq!((r.cells, r.iterations), (self.cells, self.iterations));
+    }
+}
+
+/// [`all_paths_agree`], plus both steppers driven one anti-diagonal at
+/// a time with their statistics checked against the result (the i8 one
+/// when eligible, and only if it reaches the end without escalating).
+/// Returns the i16 stepper's statistics.
+fn shapes_agree(
+    q: &Seq,
+    t: &Seq,
+    profile: impl Into<ScoreProfile> + Copy,
+    x: i32,
+) -> Vec<DiagStats> {
+    let want = all_paths_agree(q, t, profile, x);
+    let mut sums = Sums::default();
+    let mut scratch = SimdScratch::default();
+    let mut state = SimdState::new(q, t, profile, x, &mut scratch).expect("i16-eligible");
+    loop {
+        match state.step() {
+            SimdStep::Advanced(s) => sums.advanced(s),
+            SimdStep::Dropped { width } => break sums.dropped(width),
+            SimdStep::Finished => break,
+        }
+    }
+    sums.matches(&want);
+    assert_eq!(state.into_result(), want, "i16 stepper diverged (x = {x})");
+    if simd8_eligible(q, t, profile, x) {
+        let mut sums8 = Sums::default();
+        let mut scratch = Simd8Scratch::default();
+        let mut state = Simd8State::new(q, t, profile, x, &mut scratch).expect("i8-eligible");
+        let ended = loop {
+            match state.step() {
+                Simd8Step::Advanced(s) => sums8.advanced(s),
+                Simd8Step::Dropped { width } => {
+                    sums8.dropped(width);
+                    break true;
+                }
+                Simd8Step::Finished => break true,
+                Simd8Step::Escalate => break false,
+            }
+        };
+        // Up to an escalation the two tiers walk the same band.
+        for (a, b) in sums8.steps.iter().zip(&sums.steps) {
+            assert_eq!(
+                (a.width, a.live_width, a.trim_front, a.trim_back, a.row_max),
+                (b.width, b.live_width, b.trim_front, b.trim_back, b.row_max)
+            );
+        }
+        if ended {
+            sums8.matches(&want);
+            assert_eq!(state.into_result(), want, "i8 stepper diverged (x = {x})");
+        }
+    }
+    sums.steps
+}
+
+/// One extension whose window grows past a chunk and shrinks back
+/// below it, one cell a step: with nothing matching and unit costs,
+/// anti-diagonal `d` keeps the cells with `max(i, d − i) ≤ X` — `d + 1`
+/// of them up to `d = X`, `2X − d + 1` after. The step therefore
+/// switches from the single chunk to the row of chunks and back, at
+/// widths L − 1, L, L + 1 in both directions.
+#[test]
+fn window_crosses_the_one_chunk_switch_both_ways() {
+    let mut rng = StdRng::seed_from_u64(1301);
+    let unit = Scoring::default();
+    for (lanes, x) in [(16usize, 20), (32, 40)] {
+        let q = random_dna(x as usize + 30, AC, &mut rng);
+        let t = random_dna(x as usize + 25, GT, &mut rng);
+        let widths: Vec<usize> = shapes_agree(&q, &t, unit, x)
+            .iter()
+            .map(|s| s.width)
+            .collect();
+        for pair in [[lanes - 1, lanes], [lanes, lanes + 1]] {
+            let up = widths.windows(2).any(|w| w == pair);
+            let down = widths
+                .windows(2)
+                .any(|w| w[0] == pair[1] && w[1] == pair[0]);
+            assert!(
+                up && down,
+                "widths {pair:?} not crossed both ways (x = {x})"
+            );
+        }
+        shapes_agree(&t, &q, unit, x);
+    }
+}
+
+/// Both boundary cells (`i = 0` and `j = 0`) alive on the same
+/// anti-diagonal, for more than a chunk of steps — a perfect pair keeps
+/// cell `(0, d)` at `−d` above `d/2 − X` while `1.5 d ≤ X` — and then
+/// neither, for the rest of the extension. They come out of the same
+/// recurrence as every other cell: the window's statistics must say
+/// `lo = 0, hi = d`, all alive.
+#[test]
+fn both_boundary_cells_alive_then_neither() {
+    let q: Seq = (0..200)
+        .map(|i| logan::seq::Base::from_code((i * 7 % 4) as u8))
+        .collect();
+    for (lanes, x) in [(16usize, 30), (32, 54)] {
+        let steps = shapes_agree(&q, &q, Scoring::default(), x);
+        for (k, s) in steps.iter().take(lanes + 2).enumerate() {
+            let d = k + 1;
+            assert_eq!((s.width, s.live_width), (d + 1, d + 1), "d = {d}, x = {x}");
+        }
+        // Long after, the band is strictly inside the matrix.
+        let late = &steps[150];
+        assert!(late.width < 100, "band did not leave the boundaries");
+    }
+    // The same under BLOSUM62, where the i = 0 cell reads the pad row
+    // in front of the query profile.
+    let mut rng = StdRng::seed_from_u64(1302);
+    let p = random_protein(120, &mut rng);
+    let steps = shapes_agree(&p, &p, ScoreProfile::blosum62(-6), 52);
+    assert!(steps
+        .iter()
+        .take(5)
+        .enumerate()
+        .all(|(k, s)| s.width == k + 2));
+    shapes_agree(
+        &p,
+        &mutate(&p, 0.3, &mut rng),
+        ScoreProfile::blosum62(-6),
+        300,
+    );
+}
+
+/// The smallest matrices, and bands that run along a matrix edge: one
+/// sequence exhausted long before the other, so the window's low end
+/// is clamped (`lo = d − n`) and moves every step.
+#[test]
+fn degenerate_and_edge_hugging_pairs() {
+    let mut rng = StdRng::seed_from_u64(1303);
+    let one = random_dna(1, ACGT, &mut rng);
+    let long = random_dna(90, ACGT, &mut rng);
+    for x in [0, 1, 7, 40, 200] {
+        shapes_agree(&one, &one, Scoring::default(), x);
+        shapes_agree(&one, &long, Scoring::default(), x);
+        shapes_agree(&long, &one, Scoring::default(), x);
+        // A perfect prefix against the whole: the band reaches the
+        // short sequence's end and slides along it.
+        let prefix: Seq = long.as_slice()[..25]
+            .iter()
+            .map(|&c| logan::seq::Base::from_code(c))
+            .collect();
+        shapes_agree(&prefix, &long, Scoring::default(), x);
+        shapes_agree(&long, &prefix, Scoring::default(), x);
+    }
+    // Both flanks empty: the seed is the whole pair, no kernel runs.
+    let seed = Seed {
+        qpos: 0,
+        tpos: 0,
+        len: long.len(),
+    };
+    for engine in [Engine::Scalar, Engine::Simd, Engine::I8, Engine::Adaptive] {
+        let ext = XDropExtender::with_engine(Scoring::default(), 20, engine);
+        let mut ws = AlignWorkspace::new();
+        let r = seed_extend_with(&long, &long, seed, &ext, &mut ws);
+        assert_eq!((r.score, r.cells()), (long.len() as i32, 0), "{engine}");
+        assert_eq!(ws.tally.total(), 0, "{engine} ran a kernel on empty flanks");
+    }
+}
+
+/// The stale-cell case of absolute indexing: the band's top collapses —
+/// by two cells, by more than a chunk — and the band then grows back
+/// over positions whose buffers still hold the live values of three
+/// anti-diagonals ago. Nothing matches except one planted pair of
+/// symbols worth a large score: the step after it raises the threshold
+/// past every other cell at once.
+#[test]
+fn band_top_collapses_and_regrows() {
+    let mut rng = StdRng::seed_from_u64(1304);
+    // (match score, X, planted query position): the first is
+    // i16-only and collapses by more than a chunk; the second fits the
+    // i8 window, whose 63-point range cannot hold so steep a collapse.
+    for (mat, x, plant, collapse) in [(100, 40, 3usize, 16usize), (31, 31, 11, 8)] {
+        let scoring = Scoring::new(mat, -1, -1);
+        // A query over {A, C} against a target of G's, except for one
+        // T in each, which meet at cell (plant, tpos) while it is alive.
+        let tpos = if mat == 100 { 38 } else { 11 };
+        let mut q = random_dna(120, AC, &mut rng).as_slice().to_vec();
+        let mut t = vec![2u8; 110];
+        (q[plant - 1], t[tpos - 1]) = (3, 3);
+        let [q, t] = [q, t]
+            .map(|codes| -> Seq { codes.into_iter().map(logan::seq::Base::from_code).collect() });
+        let steps = shapes_agree(&q, &t, scoring, x);
+        let fell = steps
+            .iter()
+            .position(|s| s.trim_back >= collapse)
+            .unwrap_or_else(|| panic!("no collapse by >= {collapse} (mat = {mat})"));
+        assert!(steps.iter().any(|s| s.trim_back >= 2));
+        let narrow = steps[fell].live_width;
+        assert!(
+            steps[fell..]
+                .iter()
+                .any(|s| s.live_width >= narrow + collapse),
+            "band did not grow back (mat = {mat})"
+        );
+        shapes_agree(&t, &q, scoring, x);
     }
 }
