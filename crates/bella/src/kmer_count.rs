@@ -9,19 +9,23 @@
 //! 1. one pass over the reads sizes [`PARTITIONS`] hash partitions of
 //!    the canonical code space ([`partition_of`]);
 //! 2. a second pass scatters the codes of a *wave* — a contiguous group
-//!    of partitions — into one flat buffer, partition by partition;
+//!    of partitions — into one flat buffer, partition by partition; a
+//!    code of another wave's partition goes to a trash slot behind the
+//!    buffer, so the pass never asks which wave a code belongs to;
 //! 3. each partition (≈ total / 1024 codes, cache-sized) is sorted and
 //!    run-length counted while it is resident.
 //!
 //! Two entry points share it:
 //!
-//! * [`count_kmers`] — one wave over every partition, kept as a
-//!   [`KmerCounts`] table (the BELLA original's full table);
-//! * [`count_reliable_sharded`] — the streaming pipeline's counter:
-//!   `shards` waves, each reduced to its reliable survivors before the
-//!   next begins, so only `1/shards` of the codes is ever resident. The
-//!   price is one scatter pass over the (already resident) reads per
-//!   wave; DESIGN.md §8 records the trade.
+//! * [`count_reliable_sharded`] — the pipeline's counter, monolithic
+//!   (one wave) and streaming (`shards` waves) alike: a wave is reduced
+//!   to its reliable survivors as it is counted, so what is resident is
+//!   `1/shards` of the codes plus the reliable set, never a table of
+//!   every distinct k-mer (most are error k-mers seen once). A further
+//!   wave costs one more roll of the (already resident) reads;
+//!   DESIGN.md §8 records the trade.
+//! * [`count_kmers`] — one wave kept as a [`KmerCounts`] table (the
+//!   BELLA original's), for diagnostics, benches and reference tests.
 
 use crate::fxhash::FxHashSet;
 use crate::prune::ReliableBounds;
@@ -57,7 +61,7 @@ fn shard_partitions(shard: usize, shards: usize) -> Range<usize> {
 /// k-mer of `reads`, in `(partition, code)` order, holding the codes of
 /// one of `shards` waves at a time.
 fn for_each_count(reads: &[Seq], k: usize, shards: usize, mut each: impl FnMut(u64, u32)) {
-    let mut sizes = vec![0usize; PARTITIONS];
+    let mut sizes = [0usize; PARTITIONS];
     for read in reads {
         for (_, km, _) in CanonicalKmerIter::new(read, k) {
             sizes[partition_of(km.code)] += 1;
@@ -65,27 +69,30 @@ fn for_each_count(reads: &[Seq], k: usize, shards: usize, mut each: impl FnMut(u
     }
     for shard in 0..shards {
         let parts = shard_partitions(shard, shards);
-        // `next[p]` is where partition `parts.start + p` writes next;
-        // once the scatter is done it is that partition's end.
-        let mut next = Vec::with_capacity(parts.len());
-        let mut total = 0usize;
-        for &size in &sizes[parts.clone()] {
-            next.push(total);
-            total += size;
+        let total: usize = sizes[parts.clone()].iter().sum();
+        // Every partition has a cursor, so the scatter is roll →
+        // `partition_of` → store with no test of "is this partition in
+        // the wave?": `(at, step)` is where partition `p` writes next and
+        // how far that moves it. A partition of the wave walks its own
+        // stretch of the buffer; all the others write over one trash
+        // slot behind it and stay there.
+        let mut cursors = [(total, 0usize); PARTITIONS];
+        let mut at = 0usize;
+        for p in parts.clone() {
+            cursors[p] = (at, 1);
+            at += sizes[p];
         }
-        let mut codes = vec![0u64; total];
+        let mut codes = vec![0u64; total + 1];
         for read in reads {
             for (_, km, _) in CanonicalKmerIter::new(read, k) {
-                let p = partition_of(km.code);
-                if parts.contains(&p) {
-                    let at = &mut next[p - parts.start];
-                    codes[*at] = km.code;
-                    *at += 1;
-                }
+                let (at, step) = &mut cursors[partition_of(km.code)];
+                codes[*at] = km.code;
+                *at += *step;
             }
         }
+        // Each cursor of the wave now stands at its partition's end.
         let mut lo = 0usize;
-        for &hi in &next {
+        for &(hi, _) in &cursors[parts] {
             let partition = &mut codes[lo..hi];
             partition.sort_unstable();
             for run in partition.chunk_by(|a, b| a == b) {

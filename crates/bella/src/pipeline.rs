@@ -25,10 +25,10 @@
 
 use crate::binning::choose_seed;
 use crate::chain::{chain_candidates, chain_tiles, ChainConfig, ChainedCandidate, MinimizerIndex};
-use crate::kmer_count::{count_kmers, count_reliable_sharded};
+use crate::kmer_count::count_reliable_sharded;
 use crate::matrix::{KmerMatrix, KmerMatrixBuilder};
 use crate::metrics::OverlapMetrics;
-use crate::prune::{reliable_bounds, reliable_kmers, ReliableBounds};
+use crate::prune::{reliable_bounds, ReliableBounds};
 use crate::spgemm::{spgemm_candidates, spgemm_tiles, CandidatePair};
 use crate::threshold::AdaptiveThreshold;
 use logan_align::{seed_extend_with, AlignWorkspace, SeedExtendResult, XDropExtender};
@@ -50,8 +50,10 @@ pub struct PipelineBudget {
     pub batch_reads: usize,
     /// Waves of the k-mer counter; one wave's codes are resident at a
     /// time, so the counting peak is ~`1/shards` of the monolithic
-    /// counter's (at the price of `shards` scans of the resident
-    /// reads).
+    /// counter's. Every wave rolls the resident reads again, storing
+    /// the codes of the other waves' partitions to one trash slot:
+    /// ≈ 2 ns a base and wave, so 8 waves count in 1.3–1.5 × the time
+    /// of one (DESIGN.md §8 has the table).
     pub shards: usize,
     /// Candidate blocks buffered between the SpGEMM producer and the
     /// alignment consumer; the channel bound is the backpressure rule —
@@ -239,12 +241,9 @@ impl BellaPipeline {
         let bounds = cfg
             .reliable_override
             .unwrap_or_else(|| reliable_bounds(cfg.depth, cfg.error_rate, cfg.k, cfg.tail));
-        // The count table is the largest structure of the run and only
-        // the reliable set is read from here on: it dies in this block.
-        let (distinct_kmers, reliable) = {
-            let counts = count_kmers(reads, cfg.k);
-            (counts.len(), reliable_kmers(&counts, bounds))
-        };
+        // Only the reliable set is read from here on, so no count table
+        // is built: one wave of the counter, reduced as it is counted.
+        let (distinct_kmers, reliable) = count_reliable_sharded(reads, cfg.k, 1, bounds);
 
         let (nnz, block) = match cfg.seeder {
             Seeder::SpGemm => {

@@ -5,6 +5,9 @@
 //!
 //! * the counter ≡ a `HashMap` filled one k-mer at a time, through every
 //!   read accessor of [`KmerCounts`], for every sharding;
+//! * [`BellaPipeline::candidates`], which builds no count table ≡ the
+//!   table path (`count_kmers` + `reliable_kmers`) carried through the
+//!   matrix and the product;
 //! * [`KmerMatrix::build`] ≡ any batching of `push_batch`;
 //! * [`spgemm_candidates`] ≡ concatenated [`spgemm_tiles`] ≡ a scan of
 //!   every pair of rows.
@@ -14,6 +17,7 @@ use logan_bella::kmer_count::{count_kmers, count_reliable_sharded, KmerCounts, P
 use logan_bella::matrix::{KmerMatrix, KmerMatrixBuilder};
 use logan_bella::prune::{reliable_kmers, ReliableBounds};
 use logan_bella::spgemm::{spgemm_candidates, spgemm_tiles, CandidatePair, MAX_WITNESSES};
+use logan_bella::{BellaConfig, BellaPipeline};
 use logan_seq::readsim::random_seq;
 use logan_seq::{Kmer, Seq};
 use rand::rngs::StdRng;
@@ -96,10 +100,16 @@ fn check_against_naive(reads: &[Seq], k: usize) {
         let pruned = reliable_kmers(&got, bounds);
         assert_eq!(pruned.len(), reliable.len(), "k={k} {bounds:?}");
         assert!(pruned.iter().all(|c| reliable.contains(c)), "{bounds:?}");
-        // More shards than partitions (most waves empty) costs a pass
-        // over the reads per shard: once per input is enough.
-        let many = (bounds.hi == u32::MAX).then_some(PARTITIONS + 1);
-        for shards in [0, 1, 2, 7, 16].into_iter().chain(many) {
+        // A wave per partition, and more waves than partitions (some
+        // then hold no partition at all, and on these inputs most hold no
+        // k-mer: only the trash slot behind an empty buffer), cost a pass
+        // over the reads per wave: once per input is enough.
+        let many = if bounds.hi == u32::MAX {
+            vec![PARTITIONS, PARTITIONS + 5]
+        } else {
+            vec![]
+        };
+        for shards in [0, 1, 2, 7, 8, 16].into_iter().chain(many) {
             let (distinct, sharded) = count_reliable_sharded(reads, k, shards, bounds);
             assert_eq!(distinct, want.len(), "k={k} shards={shards}");
             assert_eq!(sharded, pruned, "k={k} shards={shards} {bounds:?}");
@@ -128,13 +138,71 @@ fn counter_equals_naive_reference_on_adversarial_inputs() {
                 .reverse_complement(),
         );
     }
+    // Every read shorter than k: every wave of every sharding is empty.
+    let short = vec![seq("ACGTA"), seq("TT"), Seq::new()];
     for k in [1, 4, 17, 32] {
         check_against_naive(&[], k);
         check_against_naive(&homopolymers, k);
         check_against_naive(&mixed, k);
         check_against_naive(&overlapping, k);
+        check_against_naive(&short, k);
     }
     assert_eq!(count_kmers(&homopolymers, 17).len(), 1);
+    assert!(count_kmers(&short, 17).is_empty());
+}
+
+/// `candidates()` counts straight into the reliable set; the table
+/// path it no longer runs must still describe it: the same distinct
+/// count, the same reliable set (seen through its size, the matrix it
+/// selects and the pairs that matrix yields).
+#[test]
+fn candidates_equal_the_count_table_path() {
+    let mut rng = StdRng::seed_from_u64(41);
+    let genome = random_seq(900, &mut rng);
+    let mut reads: Vec<Seq> = (0..14)
+        .map(|i| genome.subseq(i * 50, i * 50 + 220))
+        .collect();
+    reads.push(reads[2].reverse_complement());
+    reads.push(seq("ACGTACGTACGTACGTACGTACGTACGTACGTACGTACGTACGT"));
+    reads.push(seq("ACG")); // shorter than every k below
+    reads.push(Seq::new());
+    for k in [5, 17, 32] {
+        let counts = count_kmers(&reads, k);
+        let top = counts.values().copied().max().unwrap();
+        assert!(top >= 3, "k={k}: windows below must cut somewhere");
+        for (lo, hi) in [
+            (1, u32::MAX),
+            (2, top),
+            (2, 2),
+            (3, top - 1),
+            (top + 1, top + 9),
+        ] {
+            let bounds = ReliableBounds { lo, hi };
+            let config = BellaConfig {
+                k,
+                reliable_override: Some(bounds),
+                ..BellaConfig::with_x(20)
+            };
+            let (pairs, meta, stats) = BellaPipeline::new(config).candidates(&reads);
+            let reliable = reliable_kmers(&counts, bounds);
+            let matrix = KmerMatrix::build(&reads, k, &reliable);
+            let want = spgemm_candidates(&matrix);
+            assert_eq!(stats.distinct_kmers, counts.len(), "k={k} {bounds:?}");
+            assert_eq!(stats.reliable_kmers, reliable.len(), "k={k} {bounds:?}");
+            assert_eq!(stats.matrix_nnz, matrix.nnz(), "k={k} {bounds:?}");
+            assert_eq!(stats.candidates, want.len(), "k={k} {bounds:?}");
+            let got: Vec<(u32, u32)> = meta.iter().map(|m| (m.0 as u32, m.1 as u32)).collect();
+            let want: Vec<(u32, u32)> = want.iter().map(|c| (c.r1, c.r2)).collect();
+            assert_eq!(got, want, "k={k} {bounds:?}");
+            assert_eq!(pairs.len(), meta.len());
+            // What candidates() computes is the one-wave case of the
+            // sharded counter, set included.
+            assert_eq!(
+                count_reliable_sharded(&reads, k, 1, bounds),
+                (counts.len(), reliable)
+            );
+        }
+    }
 }
 
 /// Any batching — empty batches, one read at a time, uneven cuts —

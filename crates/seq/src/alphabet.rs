@@ -9,11 +9,17 @@
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::LazyLock;
 
 /// The 20 standard amino acids in code order: protein symbol code `c`
 /// renders as `AMINO_ACIDS[c]`. The order matches the BLOSUM62 table in
 /// [`crate::profile`].
 pub const AMINO_ACIDS: &[u8; 20] = b"ARNDCQEGHILKMFPSTWYV";
+
+/// What [`Alphabet::ascii_codes`] holds for a byte outside the
+/// alphabet. Symbol codes stay below 32, so the OR of a line's table
+/// entries equals this exactly when some byte of the line was invalid.
+pub(crate) const NOT_A_SYMBOL: u8 = 0xFF;
 
 /// Which symbol set a sequence's codes index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
@@ -57,6 +63,19 @@ impl Alphabet {
                 .position(|&a| a == ch.to_ascii_uppercase())
                 .map(|i| i as u8),
         }
+    }
+
+    /// [`Alphabet::from_ascii`] for every byte at once: the symbol code
+    /// of each ASCII letter, [`NOT_A_SYMBOL`] everywhere else. Derived
+    /// from `from_ascii` on first use, so that stays the definition; the
+    /// parsers encode through this table.
+    pub(crate) fn ascii_codes(self) -> &'static [u8; 256] {
+        static TABLES: LazyLock<[[u8; 256]; 2]> = LazyLock::new(|| {
+            [Alphabet::Dna, Alphabet::Protein].map(|alphabet| {
+                std::array::from_fn(|ch| alphabet.from_ascii(ch as u8).unwrap_or(NOT_A_SYMBOL))
+            })
+        });
+        &TABLES[self as usize]
     }
 
     /// Human-readable name for error messages.
@@ -235,6 +254,22 @@ mod tests {
         }
         assert_eq!(Base::from_ascii(b'N'), None);
         assert_eq!(Base::from_ascii(b'-'), None);
+    }
+
+    #[test]
+    fn code_table_is_from_ascii_for_every_byte() {
+        for alphabet in [Alphabet::Dna, Alphabet::Protein] {
+            let table = alphabet.ascii_codes();
+            for ch in 0..=255u8 {
+                match alphabet.from_ascii(ch) {
+                    // Below 32, so no OR of codes reaches NOT_A_SYMBOL.
+                    Some(code) => assert!(code < 32 && table[ch as usize] == code),
+                    None => assert_eq!(table[ch as usize], NOT_A_SYMBOL, "{ch}"),
+                }
+            }
+            let letters = table.iter().filter(|&&c| c != NOT_A_SYMBOL).count();
+            assert_eq!(letters, 2 * alphabet.size(), "upper and lower case");
+        }
     }
 
     #[test]

@@ -3,11 +3,15 @@
 //! The benchmark harnesses are fully synthetic, but a real adopter of a
 //! long-read aligner needs to get reads in and out of files; this module
 //! supplies buffered readers/writers for the two ubiquitous formats.
-//! Lines are read with a reusable buffer (no per-line allocation), per
-//! the Rust performance guide.
+//!
+//! Both readers work on bytes (minimap2-style): a line is read into a
+//! reusable buffer, never validated as UTF-8 (only a header's id has to
+//! be text), and a sequence line is encoded straight into codes through
+//! the alphabet's 256-entry table — the one encoder behind
+//! [`Seq::from_ascii_alphabet`] too.
 
 use crate::alphabet::Alphabet;
-use crate::seq::Seq;
+use crate::seq::{encode_ascii, Seq};
 use std::fmt;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 
@@ -51,24 +55,62 @@ impl From<io::Error> for FastaError {
     }
 }
 
-/// First whitespace-delimited token of a header body, or `None` when
-/// the header is bare (`>` / `@` alone) or whitespace-only. Anonymous
-/// records used to silently collapse to the id `""` and collide
-/// downstream; callers now surface a [`FastaError::Parse`] instead.
-///
-/// Duplicate ids across *distinct, named* records are deliberately
-/// allowed — real FASTA files (resequenced runs, concatenated inputs)
-/// contain them, and every downstream consumer addresses reads by
-/// ordinal, not id. Only the empty id is an error, because it is never
-/// intentional.
-fn parse_id(header: &str) -> Option<String> {
-    header.split_whitespace().next().map(str::to_string)
+/// The input as lines of bytes: `\n`- or `\r\n`-terminated (or ended by
+/// the end of input), trailing ASCII whitespace trimmed, one reusable
+/// buffer.
+struct Lines<R: Read> {
+    br: BufReader<R>,
+    buf: Vec<u8>,
+    /// 1-based number of the current line; the end of input counts as
+    /// one more line.
+    lineno: usize,
 }
 
-fn empty_header_error(line: usize) -> FastaError {
-    FastaError::Parse {
-        line,
-        message: "empty header: record has no id".into(),
+impl<R: Read> Lines<R> {
+    fn new(reader: R) -> Lines<R> {
+        Lines {
+            br: BufReader::new(reader),
+            buf: Vec::new(),
+            lineno: 0,
+        }
+    }
+
+    /// Move to the next line; `false` at the end of input, where
+    /// [`Lines::line`] reads empty.
+    fn advance(&mut self) -> io::Result<bool> {
+        self.buf.clear();
+        let n = self.br.read_until(b'\n', &mut self.buf)?;
+        self.lineno += 1;
+        Ok(n > 0)
+    }
+
+    fn line(&self) -> &[u8] {
+        self.buf.trim_ascii_end()
+    }
+
+    /// A parse error at the current line.
+    fn error(&self, message: impl Into<String>) -> FastaError {
+        FastaError::Parse {
+            line: self.lineno,
+            message: message.into(),
+        }
+    }
+
+    /// The id of the current line, a header whose marker (`>` / `@`)
+    /// has been cut off: its first whitespace-delimited token. A bare or
+    /// whitespace-only header is an error — anonymous records used to
+    /// silently collapse to the id `""` and collide downstream.
+    ///
+    /// Duplicate ids across *distinct, named* records are deliberately
+    /// allowed — real FASTA files (resequenced runs, concatenated inputs)
+    /// contain them, and every downstream consumer addresses reads by
+    /// ordinal, not id. Only the empty id is an error, because it is never
+    /// intentional.
+    fn id(&self, header: &[u8]) -> Result<String, FastaError> {
+        let header = std::str::from_utf8(header).map_err(|_| self.error("header is not UTF-8"))?;
+        let id = header.split_whitespace().next();
+        id.map(str::to_string)
+            .ok_or_else(|| self.error("empty header: record has no id"))
     }
 }
 
@@ -106,12 +148,14 @@ pub fn read_fasta_alphabet<R: Read>(
 /// implemented on top of this iterator. After the first `Err` (or the
 /// end of input) the iterator is fused: further calls yield `None`.
 pub struct FastaBatches<R: Read> {
-    br: BufReader<R>,
+    lines: Lines<R>,
     batch_reads: usize,
-    line: String,
-    lineno: usize,
-    /// Header + accumulated sequence bytes of the record being read.
-    current: Option<(String, Vec<u8>)>,
+    /// Id of the record being read, once its header has been seen.
+    current: Option<String>,
+    /// Its codes so far. Reused from record to record: a finished
+    /// record takes an exact-size copy, so no record carries the growth
+    /// slack of a buffer that was appended to line by line.
+    codes: Vec<u8>,
     alphabet: Alphabet,
     done: bool,
 }
@@ -126,19 +170,54 @@ impl<R: Read> FastaBatches<R> {
     /// [`FastaBatches::new`] parameterized by alphabet.
     pub fn new_alphabet(reader: R, batch_reads: usize, alphabet: Alphabet) -> FastaBatches<R> {
         FastaBatches {
-            br: BufReader::new(reader),
+            lines: Lines::new(reader),
             batch_reads: batch_reads.max(1),
-            line: String::new(),
-            lineno: 0,
             current: None,
+            codes: Vec::new(),
             alphabet,
             done: false,
         }
     }
 
-    fn fail(&mut self, e: FastaError) -> Option<Result<Vec<Record>, FastaError>> {
+    /// Close the record being read (if any) and open the one `next_id`
+    /// names (if any).
+    fn turn_record(&mut self, next_id: Option<String>) -> Option<Record> {
+        let id = std::mem::replace(&mut self.current, next_id)?;
+        let seq = Seq::owning(self.codes.to_vec(), self.alphabet);
+        self.codes.clear();
+        Some(Record { id, seq })
+    }
+
+    /// The next batch; empty only at the end of input.
+    fn read_batch(&mut self) -> Result<Vec<Record>, FastaError> {
+        let mut out = Vec::new();
+        while self.lines.advance()? {
+            match self.lines.line() {
+                [] => {}
+                [b'>', header @ ..] => {
+                    let id = self.lines.id(header)?;
+                    out.extend(self.turn_record(Some(id)));
+                    if out.len() >= self.batch_reads {
+                        // The next record's header is already stashed in
+                        // `current`; resume from it on the next call.
+                        return Ok(out);
+                    }
+                }
+                line => {
+                    let Some(id) = &self.current else {
+                        return Err(self.lines.error("sequence data before first header"));
+                    };
+                    let at = self.codes.len();
+                    encode_ascii(line, self.alphabet, &mut self.codes).map_err(|mut e| {
+                        e.position += at;
+                        self.lines.error(format!("record {id}: {e}"))
+                    })?;
+                }
+            }
+        }
         self.done = true;
-        Some(Err(e))
+        out.extend(self.turn_record(None));
+        Ok(out)
     }
 }
 
@@ -149,61 +228,11 @@ impl<R: Read> Iterator for FastaBatches<R> {
         if self.done {
             return None;
         }
-        let mut out: Vec<Record> = Vec::new();
-        loop {
-            self.line.clear();
-            let n = match self.br.read_line(&mut self.line) {
-                Ok(n) => n,
-                Err(e) => return self.fail(e.into()),
-            };
-            self.lineno += 1;
-            let at_eof = n == 0;
-            let trimmed = self.line.trim_end();
-            if !at_eof && trimmed.is_empty() {
-                continue;
-            }
-            if at_eof || trimmed.starts_with('>') {
-                if let Some((id, bytes)) = self.current.take() {
-                    match Seq::from_ascii_alphabet(&bytes, self.alphabet) {
-                        Ok(seq) => out.push(Record { id, seq }),
-                        Err(e) => {
-                            let line = self.lineno;
-                            return self.fail(FastaError::Parse {
-                                line,
-                                message: format!("record {id}: {e}"),
-                            });
-                        }
-                    }
-                }
-                if at_eof {
-                    self.done = true;
-                    return if out.is_empty() { None } else { Some(Ok(out)) };
-                }
-                let id = match parse_id(&trimmed[1..]) {
-                    Some(id) => id,
-                    None => {
-                        let line = self.lineno;
-                        return self.fail(empty_header_error(line));
-                    }
-                };
-                self.current = Some((id, Vec::new()));
-                if out.len() >= self.batch_reads {
-                    // The next record's header is already stashed in
-                    // `current`; resume from it on the next call.
-                    return Some(Ok(out));
-                }
-            } else {
-                match self.current.as_mut() {
-                    Some((_, bytes)) => bytes.extend_from_slice(trimmed.as_bytes()),
-                    None => {
-                        let line = self.lineno;
-                        return self.fail(FastaError::Parse {
-                            line,
-                            message: "sequence data before first header".into(),
-                        });
-                    }
-                }
-            }
+        let batch = self.read_batch();
+        self.done |= batch.is_err();
+        match batch {
+            Ok(records) if records.is_empty() => None,
+            batch => Some(batch),
         }
     }
 }
@@ -227,58 +256,33 @@ pub fn write_fasta<W: Write>(writer: W, records: &[Record], width: usize) -> io:
 /// discarded — the aligners are quality-agnostic, like the original
 /// LOGAN).
 pub fn read_fastq<R: Read>(reader: R) -> Result<Vec<Record>, FastaError> {
-    let mut br = BufReader::new(reader);
+    let mut lines = Lines::new(reader);
     let mut records = Vec::new();
-    let mut line = String::new();
-    let mut lineno = 0usize;
-    loop {
-        line.clear();
-        if br.read_line(&mut line)? == 0 {
-            break;
-        }
-        lineno += 1;
-        let header = line.trim_end().to_string();
-        if header.is_empty() {
-            continue;
-        }
-        if !header.starts_with('@') {
-            return Err(FastaError::Parse {
-                line: lineno,
-                message: format!("expected '@' header, found {header:?}"),
-            });
-        }
-        let id = parse_id(&header[1..]).ok_or_else(|| empty_header_error(lineno))?;
+    while lines.advance()? {
+        let id = match lines.line() {
+            [] => continue,
+            [b'@', header @ ..] => lines.id(header)?,
+            other => {
+                let found = String::from_utf8_lossy(other);
+                return Err(lines.error(format!("expected '@' header, found {found:?}")));
+            }
+        };
 
-        line.clear();
-        br.read_line(&mut line)?;
-        lineno += 1;
-        let seq = Seq::from_ascii(line.trim_end().as_bytes()).map_err(|e| FastaError::Parse {
-            line: lineno,
-            message: e.to_string(),
-        })?;
+        lines.advance()?;
+        let seq = Seq::from_ascii(lines.line()).map_err(|e| lines.error(e.to_string()))?;
 
-        line.clear();
-        br.read_line(&mut line)?;
-        lineno += 1;
-        if !line.starts_with('+') {
-            return Err(FastaError::Parse {
-                line: lineno,
-                message: "expected '+' separator".into(),
-            });
+        lines.advance()?;
+        if lines.line().first() != Some(&b'+') {
+            return Err(lines.error("expected '+' separator"));
         }
 
-        line.clear();
-        br.read_line(&mut line)?;
-        lineno += 1;
-        if line.trim_end().len() != seq.len() {
-            return Err(FastaError::Parse {
-                line: lineno,
-                message: format!(
-                    "quality length {} != sequence length {}",
-                    line.trim_end().len(),
-                    seq.len()
-                ),
-            });
+        lines.advance()?;
+        let quality = lines.line().len();
+        if quality != seq.len() {
+            return Err(lines.error(format!(
+                "quality length {quality} != sequence length {}",
+                seq.len()
+            )));
         }
         records.push(Record { id, seq });
     }
@@ -464,5 +468,158 @@ mod tests {
         // Same error (message and line) as the monolithic reader.
         let whole_err = read_fasta(&text[..]).unwrap_err();
         assert_eq!(err.to_string(), whole_err.to_string());
+    }
+
+    /// What a hostile input must come to: these records (id, bases), or
+    /// a parse error at this line whose message holds this text.
+    enum Want {
+        Records(&'static [(&'static str, &'static str)]),
+        ParseError(usize, &'static str),
+    }
+    use Want::{ParseError, Records};
+
+    fn check(what: &[u8], got: Result<Vec<Record>, FastaError>, want: &Want) {
+        let what = String::from_utf8_lossy(what);
+        match (got, want) {
+            (Ok(got), Records(want)) => {
+                let got: Vec<(String, String)> =
+                    got.into_iter().map(|r| (r.id, r.seq.to_string())).collect();
+                let want: Vec<(String, String)> = want
+                    .iter()
+                    .map(|&(id, seq)| (id.to_string(), seq.to_string()))
+                    .collect();
+                assert_eq!(got, want, "{what:?}");
+            }
+            (Err(FastaError::Parse { line, message }), &ParseError(at, text)) => {
+                assert_eq!(line, at, "{what:?}: {message}");
+                assert!(message.contains(text), "{what:?}: {message}");
+            }
+            (got, _) => panic!("{what:?}: unexpected {got:?}"),
+        }
+    }
+
+    #[test]
+    fn hostile_fasta_is_records_or_a_parse_error_with_its_line() {
+        let cases: &[(&[u8], Want)] = &[
+            (b"", Records(&[])),
+            (b"\n\r\n  \n", Records(&[])),
+            // End of input without a newline, blank and blank-ish lines.
+            (b">a\nACGT", Records(&[("a", "ACGT")])),
+            (b">a", Records(&[("a", "")])),
+            (b">a\n  \nAC\n\t\nGT  \n", Records(&[("a", "ACGT")])),
+            // CRLF files parse to what the LF file parses to.
+            (
+                b">a desc\r\nAC\r\nGT\r\n\r\n>b\r\nTT\r\n",
+                Records(&[("a", "ACGT"), ("b", "TT")]),
+            ),
+            (b">a\r\nACGT\r", Records(&[("a", "ACGT")])),
+            // A lone CR is no line break: whitespace in a header, an
+            // invalid symbol inside a sequence line.
+            (b">a\rACGT\n", Records(&[("a", "")])),
+            (
+                b">a\nAC\rGT\n",
+                ParseError(2, "record a: invalid DNA character '\\r' at position 2"),
+            ),
+            // Bytes that are not text at all.
+            (
+                b">a\nAC\0GT\n",
+                ParseError(2, "invalid DNA character '\\0' at position 2"),
+            ),
+            (
+                b">a\nACGT\nAC\xFFT\n>b\nTT\n",
+                ParseError(3, "record a: invalid DNA character '\u{ff}' at position 6"),
+            ),
+            (b">a\xFF\nACGT\n", ParseError(1, "header is not UTF-8")),
+            (b">a\n>\xC3\n", ParseError(2, "header is not UTF-8")),
+            (
+                b">r\xC3\xA9sum\xC3\xA9 x\nAC\n",
+                Records(&[("r\u{e9}sum\u{e9}", "AC")]),
+            ),
+            // The error names the line of the offending byte, not the
+            // line on which the record ended.
+            (
+                b">a\nACGT\nACNT\nACGT\n>b\nTT\n",
+                ParseError(3, "invalid DNA character 'N' at position 6"),
+            ),
+            (
+                b">a\n ACGT\n",
+                ParseError(2, "invalid DNA character ' ' at position 0"),
+            ),
+            // Structure.
+            (b">", ParseError(1, "empty header")),
+            (b">\n", ParseError(1, "empty header")),
+            (b">a\nAC\n> \t\r\n", ParseError(3, "empty header")),
+            (b"ACGT\n>a\nACGT\n", ParseError(1, "before first header")),
+            (b"\n\n\xFF\n", ParseError(3, "before first header")),
+            (
+                b";comment\n>a\nACGT\n",
+                ParseError(1, "before first header"),
+            ),
+        ];
+        for (input, want) in cases {
+            check(input, read_fasta(*input), want);
+            // The batch size moves no record, line number or message.
+            for batch_reads in [1, 2] {
+                let got = FastaBatches::new(*input, batch_reads)
+                    .collect::<Result<Vec<_>, _>>()
+                    .map(|batches| batches.concat());
+                check(input, got, want);
+            }
+        }
+        // The same per alphabet: position counts across lines, the
+        // record is named, lower case is accepted.
+        let err = read_fasta_alphabet(&b">p\nmkwf\nAR\xFFD\n"[..], Alphabet::Protein);
+        let want = ParseError(
+            3,
+            "record p: invalid protein character '\u{ff}' at position 6",
+        );
+        check(b"protein", err, &want);
+    }
+
+    #[test]
+    fn hostile_fastq_is_records_or_a_parse_error_with_its_line() {
+        let cases: &[(&[u8], Want)] = &[
+            (b"\n\r\n", Records(&[])),
+            (b"@r\nACGT\n+\nIIII", Records(&[("r", "ACGT")])),
+            (
+                b"@r d\r\nACGT\r\n+r\r\nIIII\r\n\r\n@s\r\nGG\r\n+\r\nII\r\n",
+                Records(&[("r", "ACGT"), ("s", "GG")]),
+            ),
+            // Qualities are only measured, so they need not be text.
+            (b"@r\nACGT\n+\n\xFF\xFE\0!\n", Records(&[("r", "ACGT")])),
+            (b"@r\n\n+\n\n", Records(&[("r", "")])),
+            (
+                b"@r\nAC\xFFT\n+\nIIII\n",
+                ParseError(2, "invalid DNA character '\u{ff}' at position 2"),
+            ),
+            (
+                b"@r\nAC\0T\n+\nIIII\n",
+                ParseError(2, "invalid DNA character '\\0' at position 2"),
+            ),
+            (
+                b"@r\xFF\nACGT\n+\nIIII\n",
+                ParseError(1, "header is not UTF-8"),
+            ),
+            (
+                b"\xFFr\nACGT\n+\nIIII\n",
+                ParseError(1, "expected '@' header"),
+            ),
+            (b"@\n", ParseError(1, "empty header")),
+            (b"@", ParseError(1, "empty header")),
+            // Input that ends inside a record.
+            (b"@r", ParseError(3, "'+' separator")),
+            (b"@r\nACGT\n", ParseError(3, "'+' separator")),
+            (
+                b"@r\nACGT\n+\n",
+                ParseError(4, "quality length 0 != sequence length 4"),
+            ),
+            (
+                b"@r\nAC\rGT\n+\nIIIII\n",
+                ParseError(2, "invalid DNA character '\\r'"),
+            ),
+        ];
+        for (input, want) in cases {
+            check(input, read_fastq(*input), want);
+        }
     }
 }

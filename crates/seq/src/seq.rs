@@ -18,7 +18,7 @@
 //! shares its buffer leaves it to the other owners and continues in a
 //! buffer of its own.
 
-use crate::alphabet::{Alphabet, Base};
+use crate::alphabet::{Alphabet, Base, NOT_A_SYMBOL};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::Index;
@@ -65,7 +65,7 @@ impl Seq {
     }
 
     /// Wrap freshly built codes (already checked against `alphabet`).
-    fn owning(codes: Vec<u8>, alphabet: Alphabet) -> Seq {
+    pub(crate) fn owning(codes: Vec<u8>, alphabet: Alphabet) -> Seq {
         Seq {
             codes: Arc::new(codes),
             alphabet,
@@ -112,18 +112,7 @@ impl Seq {
     /// Parse from ASCII under an explicit alphabet.
     pub fn from_ascii_alphabet(s: &[u8], alphabet: Alphabet) -> Result<Seq, SeqParseError> {
         let mut codes = Vec::with_capacity(s.len());
-        for (i, &ch) in s.iter().enumerate() {
-            match alphabet.from_ascii(ch) {
-                Some(c) => codes.push(c),
-                None => {
-                    return Err(SeqParseError {
-                        position: i,
-                        byte: ch,
-                        alphabet,
-                    })
-                }
-            }
-        }
+        encode_ascii(s, alphabet, &mut codes)?;
         Ok(Seq::owning(codes, alphabet))
     }
 
@@ -297,6 +286,40 @@ impl FromIterator<Base> for Seq {
     }
 }
 
+/// The one ASCII → code encoder: append the codes of `ascii` under
+/// `alphabet` to `codes`. The first byte outside the alphabet is the
+/// error, with its position in `ascii`; `codes` is then left as it was.
+///
+/// One table load per byte and no branch: an invalid byte shows in the
+/// OR of the line's codes, and only then is it looked for.
+pub(crate) fn encode_ascii(
+    ascii: &[u8],
+    alphabet: Alphabet,
+    codes: &mut Vec<u8>,
+) -> Result<(), SeqParseError> {
+    let table = alphabet.ascii_codes();
+    let start = codes.len();
+    let mut seen = 0u8;
+    codes.extend(ascii.iter().map(|&ch| {
+        let code = table[ch as usize];
+        seen |= code;
+        code
+    }));
+    if seen != NOT_A_SYMBOL {
+        return Ok(());
+    }
+    codes.truncate(start);
+    let position = ascii
+        .iter()
+        .position(|&ch| table[ch as usize] == NOT_A_SYMBOL)
+        .expect("only an invalid byte sets every bit of `seen`");
+    Err(SeqParseError {
+        position,
+        byte: ascii[position],
+        alphabet,
+    })
+}
+
 /// Error produced when parsing a sequence from ASCII.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SeqParseError {
@@ -357,6 +380,19 @@ mod tests {
         assert_eq!(err.position, 2);
         assert_eq!(err.byte, b'B');
         assert!(err.to_string().contains("invalid protein"));
+    }
+
+    #[test]
+    fn encoder_appends_or_leaves_the_buffer_alone() {
+        let mut codes = vec![3, 3];
+        encode_ascii(b"acGT", Alphabet::Dna, &mut codes).unwrap();
+        assert_eq!(codes, [3, 3, 0, 1, 2, 3]);
+        // The first of several invalid bytes is the one reported.
+        let err = encode_ascii(b"AC-GN\xFF", Alphabet::Dna, &mut codes).unwrap_err();
+        assert_eq!((err.position, err.byte), (2, b'-'));
+        assert_eq!(codes, [3, 3, 0, 1, 2, 3]);
+        encode_ascii(b"", Alphabet::Protein, &mut codes).unwrap();
+        assert_eq!(codes.len(), 6);
     }
 
     #[test]

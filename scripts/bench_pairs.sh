@@ -21,8 +21,13 @@
 # With --layers, each workload's table is followed by one traced run
 # (`--trace 1`) of each side and the per-layer metrics that differ: which
 # layer moved, from the same script as the verdict. One run a side is a
-# reading, not a measurement — counts repeat exactly, times carry the
-# run-to-run spread of the table above them.
+# reading, not a measurement — times carry the run-to-run spread of the
+# table above them. Counts of work repeat exactly, so a metric of unit
+# `count` that differs between the sides is marked COUNT MOVED and the
+# script exits non-zero: a change that aligns fewer cells or keeps fewer
+# k-mers has not made the same work faster. (`serve.*` counts are what
+# the coalescer did on the wall clock — batches formed, pairs a batch —
+# and differ between two runs of one binary; they are only marked.)
 #
 # BENCH_PAIRS_DIR (default: a fresh mktemp directory) holds the export,
 # both target directories and every result line (<workload>.parent.jsonl
@@ -35,7 +40,7 @@ if [[ ${1:-} == --layers ]]; then
   shift
 fi
 if [[ $# -lt 2 ]]; then
-  sed -n '2,31p' "$0" >&2
+  sed -n '2,34p' "$0" >&2
   exit 2
 fi
 ref=$1
@@ -140,10 +145,11 @@ EOF
     run_side change "$repo" 1 "$work/$workload.change.layers.json"
     echo "-- $workload, per layer (one traced run a side; metrics that read the same are left out)"
     python3 - "$work/$workload.parent.layers.json" "$work/$workload.change.layers.json" \
-      "$repo/BENCHMARK.json" <<'EOF'
+      "$repo/BENCHMARK.json" <<'EOF' || status=1
 import json, sys
 
 parent, change = (json.load(open(path))["metrics"] for path in sys.argv[1:3])
+moved = []
 print(f"{'layer metric':<34}{'parent':>16}{'change':>16}{'delta':>9}  unit")
 for metric in json.load(open(sys.argv[3]))["per_layer"]:
     name = metric["name"]
@@ -151,7 +157,15 @@ for metric in json.load(open(sys.argv[3]))["per_layer"]:
     if p == c:
         continue
     rel = f"{(c - p) / abs(p):>+9.1%}" if p else f"{'new':>9}"
-    print(f"{name:<34}{p:>16.6g}{c:>16.6g}{rel}  {metric['unit']}")
+    note = ""
+    if metric["unit"] == "count" and name.startswith("serve."):
+        note = "  (follows the clock)"
+    elif metric["unit"] == "count":
+        note = "  COUNT MOVED"
+        moved.append(name)
+    print(f"{name:<34}{p:>16.6g}{c:>16.6g}{rel}  {metric['unit']}{note}")
+if moved:
+    sys.exit(f"the sides did different work: {', '.join(moved)}")
 EOF
   fi
 done
