@@ -7,10 +7,42 @@
 //! low-precision striped inner loop with escalation to a wider type on
 //! overflow. This module does the same with *portable* fixed-width
 //! chunks — `[i16; LANES]` and `[Biased8; LANES8]` arrays with
-//! saturating arithmetic, which LLVM auto-vectorizes to whatever SIMD
-//! width the host offers — while keeping the exact bounds, pruning,
-//! trimming, tie-break and termination logic of the scalar ground
-//! truth [`xdrop_extend`](crate::xdrop::xdrop_extend).
+//! saturating arithmetic, which LLVM auto-vectorizes to the vectors of
+//! whatever instruction set it is generating code for — while keeping
+//! the exact bounds, pruning, trimming, tie-break and termination logic
+//! of the scalar ground truth
+//! [`xdrop_extend`](crate::xdrop::xdrop_extend).
+//!
+//! # One source, two compilations
+//!
+//! A chunk is sized for a 256-bit vector, but nothing in this workspace
+//! sets a target feature, so a plain build generates code for the
+//! target's baseline — on x86-64 that is SSE2: every chunk two 128-bit
+//! halves, every select an `and/andn/or` triple, every row maximum a
+//! shuffle ladder. The run-to-completion kernels (`i16_kernel`,
+//! `i8_kernel`: stepper construction, the loop of [`LaneState`]'s `run`
+//! and everything it inlines — `advance`, `row`, `cells`, the
+//! substitution sources, the i8 → i16 hand-over) are therefore
+//! `#[inline(always)]` bodies instantiated twice: once in the portable
+//! entry point and, on x86-64, once inside a thin
+//! `#[target_feature(enable = "avx2")]` wrapper, where the same source
+//! becomes one `vpaddsw`/`vpmaxsw` per operand, `vpblendvb` and
+//! `vphminposuw` — about half the instructions per chunk. The tallying
+//! entry points (`run_i16`, `run_i8`) pick per CPU at run time
+//! (`is_x86_feature_detected!("avx2")`, one cached relaxed load) — the
+//! way minimap2 builds KSW2 for SSE2 and SSE4.1 and picks by CPUID.
+//! Calling a wrapper is the only `unsafe` in this crate; there are no
+//! intrinsics and no second kernel source, and on every other
+//! architecture (or an x86-64 CPU without AVX2) the portable body runs.
+//! Both compilations are the same safe, bounds-checked integer code, so
+//! they are bit-identical by construction; `extend_portable` (a
+//! doc-hidden test seam) pins the portable one so the differential
+//! suites and `engine_tiers` run both on one machine.
+//!
+//! What is *not* dispatched: [`LaneState::step`], the
+//! one-anti-diagonal API `logan-core`'s SIMT accounting drives. A
+//! dispatched call per step could not inline into its caller, and that
+//! path's time goes to the accounting around the step, not the step.
 //!
 //! # The tier ladder (DESIGN.md §14)
 //!
@@ -167,8 +199,10 @@ use logan_seq::{ScoreProfile, Seq};
 use serde::{Deserialize, Serialize};
 
 /// Number of `i16` lanes processed per chunk. 16 lanes = one 256-bit
-/// vector; on narrower hardware LLVM splits the chunk, on wider it
-/// fuses iterations.
+/// vector in the AVX2 compilation of the kernel (module docs, "One
+/// source, two compilations"); in the portable compilation LLVM splits
+/// the chunk into the target's baseline vectors — two 128-bit halves
+/// under SSE2 or NEON.
 pub const LANES: usize = 16;
 
 /// Row stride of the query profile (`Scratch::qprof`): the
@@ -199,7 +233,9 @@ pub const SIMD_MAX_SCORE: i32 = i16::MAX as i32;
 pub const SIMD_MAX_X: i32 = -(<i16 as Lane>::NEG_INF as i32) - 1;
 
 /// Number of `i8` lanes processed per chunk: 32 lanes = one 256-bit
-/// vector of bytes, twice the cells per instruction of the i16 tier.
+/// vector of bytes in the AVX2 compilation (two 128-bit halves in the
+/// portable one), twice the cells per instruction of the i16 tier
+/// either way.
 pub const LANES8: usize = 32;
 
 /// The i8 tier's score window (see [`simd8_eligible`]): best score,
@@ -269,17 +305,32 @@ impl Engine {
         x: i32,
         ws: &mut AlignWorkspace,
     ) -> ExtensionResult {
+        self.dispatch(query, target, profile.into(), x, ws, false)
+    }
+
+    /// [`extend_with`](Engine::extend_with) behind its generic
+    /// argument; `portable` pins the lane kernels to their portable
+    /// compilation ([`extend_portable`], the test seam).
+    #[inline]
+    fn dispatch(
+        self,
+        query: &Seq,
+        target: &Seq,
+        profile: ScoreProfile,
+        x: i32,
+        ws: &mut AlignWorkspace,
+        portable: bool,
+    ) -> ExtensionResult {
         assert!(x >= 0, "X-drop parameter must be non-negative");
-        let profile = profile.into();
         if query.is_empty() || target.is_empty() {
             return ExtensionResult::zero();
         }
         match self {
             Engine::I8 if simd8_eligible(query, target, profile, x) => {
-                run_i8(query, target, profile, x, ws)
+                run_i8(query, target, profile, x, ws, portable)
             }
             Engine::Simd | Engine::Adaptive if simd_eligible(query, target, profile, x) => {
-                run_i16(query, target, profile, x, ws)
+                run_i16(query, target, profile, x, ws, portable)
             }
             _ => xdrop_extend_with(query, target, profile, x, ws),
         }
@@ -531,8 +582,10 @@ impl Lane for i16 {
 /// Biased rather than signed because the byte operations a baseline
 /// x86-64 vector unit has are the unsigned ones (`pmaxub`, `paddusb`,
 /// `psubusb` — the reason KSW2 and SSW bias their 8-bit scores too): a
-/// signed byte max costs four instructions there, an unsigned one a
-/// single instruction, and the recurrence takes three per cell.
+/// signed byte max costs four instructions in the portable (SSE2)
+/// compilation, an unsigned one a single instruction, and the
+/// recurrence takes three per cell. (The AVX2 compilation has `pmaxsb`
+/// and would not care; one representation serves both.)
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Biased8(u8);
 
@@ -842,7 +895,10 @@ impl<'w, T: Lane, const L: usize> LaneState<'w, T, L> {
 
     /// Step to the end of the extension: [`step`](LaneState::step)
     /// until it stops advancing, with everything that changes a local
-    /// of the loop.
+    /// of the loop. Always inlined, so the step is code-generated
+    /// inside — and for the instruction set of — whichever kernel body
+    /// calls it (module docs, "One source, two compilations").
+    #[inline(always)]
     fn run(self) -> ExtensionResult {
         let LaneState {
             job,
@@ -1269,7 +1325,9 @@ impl<'w> Simd8State<'w> {
     /// Step to the end of the extension — in the i8 window if it stays
     /// there, else handing over to the i16 stepper in `scratch16` and
     /// counting the escalation: the loop of [`LaneState::run`] behind
-    /// the watch of [`step`](Simd8State::step).
+    /// the watch of [`step`](Simd8State::step). Always inlined, like
+    /// [`LaneState::run`].
+    #[inline(always)]
     fn run(self, scratch16: &mut SimdScratch, tally: &mut TierTally) -> ExtensionResult {
         let LaneState {
             job,
@@ -1384,8 +1442,111 @@ fn widen8(v: Biased8) -> i16 {
     }
 }
 
+/// The i16 kernel from first anti-diagonal to result, on an (already
+/// eligibility-checked, non-empty) extension. Always inlined: this is
+/// the one source both compilations of the kernel are generated from
+/// (module docs, "One source, two compilations").
+#[inline(always)]
+fn i16_kernel(
+    query: &Seq,
+    target: &Seq,
+    profile: ScoreProfile,
+    x: i32,
+    scratch: &mut SimdScratch,
+) -> ExtensionResult {
+    SimdState::new(query, target, profile, x, scratch)
+        .expect("eligibility checked by the dispatcher")
+        .run()
+}
+
+/// The i8 kernel likewise, handing over to the i16 stepper in
+/// `scratch16` (and counting the escalation) if the window closes.
+#[inline(always)]
+fn i8_kernel(
+    query: &Seq,
+    target: &Seq,
+    profile: ScoreProfile,
+    x: i32,
+    scratch8: &mut Simd8Scratch,
+    scratch16: &mut SimdScratch,
+    tally: &mut TierTally,
+) -> ExtensionResult {
+    Simd8State::new(query, target, profile, x, scratch8)
+        .expect("eligibility checked by the dispatcher")
+        .run(scratch16, tally)
+}
+
+/// [`i16_kernel`] compiled for AVX2: the same body inlined into a
+/// function whose code generation may use 256-bit integer vectors.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn i16_kernel_avx2(
+    query: &Seq,
+    target: &Seq,
+    profile: ScoreProfile,
+    x: i32,
+    scratch: &mut SimdScratch,
+) -> ExtensionResult {
+    i16_kernel(query, target, profile, x, scratch)
+}
+
+/// [`i8_kernel`] compiled for AVX2, its i16 continuation included.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn i8_kernel_avx2(
+    query: &Seq,
+    target: &Seq,
+    profile: ScoreProfile,
+    x: i32,
+    scratch8: &mut Simd8Scratch,
+    scratch16: &mut SimdScratch,
+    tally: &mut TierTally,
+) -> ExtensionResult {
+    i8_kernel(query, target, profile, x, scratch8, scratch16, tally)
+}
+
+/// Whether this CPU runs the AVX2 compilation of the lane kernels.
+/// Cached by the standard library after the first call (one relaxed
+/// load), and never allocates.
+#[inline]
+fn avx2_detected() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    return std::arch::is_x86_feature_detected!("avx2");
+    #[cfg(not(target_arch = "x86_64"))]
+    return false;
+}
+
+/// Which compilation of the lane kernels [`Engine::extend_with`] runs
+/// on this CPU: `"avx2"` or `"portable"` (the build target's baseline
+/// vectors). For bench headings and the test seam's diagnostics.
+#[doc(hidden)]
+pub fn kernel_isa() -> &'static str {
+    if avx2_detected() {
+        "avx2"
+    } else {
+        "portable"
+    }
+}
+
+/// Test seam: [`Engine::extend_with`] with the lane kernels pinned to
+/// their portable compilation, whatever the CPU — so the differential
+/// suites and `engine_tiers` can run both compilations on one machine.
+/// Same dispatch, same tallies, same results.
+#[doc(hidden)]
+pub fn extend_portable(
+    engine: Engine,
+    query: &Seq,
+    target: &Seq,
+    profile: impl Into<ScoreProfile>,
+    x: i32,
+    ws: &mut AlignWorkspace,
+) -> ExtensionResult {
+    engine.dispatch(query, target, profile.into(), x, ws, true)
+}
+
 /// Run an (already eligibility-checked, non-empty) extension on the i16
-/// kernel, tallying the dispatch.
+/// kernel, tallying the dispatch: on its AVX2 compilation when the CPU
+/// has it and `portable` does not pin the other one.
 ///
 /// `inline(never)`: every instantiation of the dispatcher
 /// ([`Engine::extend_with`] is generic over the profile argument) must
@@ -1400,18 +1561,23 @@ fn run_i16(
     profile: ScoreProfile,
     x: i32,
     ws: &mut AlignWorkspace,
+    portable: bool,
 ) -> ExtensionResult {
     ws.tally.lanes16 += 1;
-    SimdState::new(query, target, profile, x, &mut ws.simd)
-        .expect("eligibility checked above")
-        .run()
+    if !portable && avx2_detected() {
+        // SAFETY: `avx2_detected` has just seen that this CPU supports
+        // AVX2, the one target feature `i16_kernel_avx2` enables.
+        #[cfg(target_arch = "x86_64")]
+        return unsafe { i16_kernel_avx2(query, target, profile, x, &mut ws.simd) };
+    }
+    i16_kernel(query, target, profile, x, &mut ws.simd)
 }
 
 /// Run an (already eligibility-checked, non-empty) extension on the i8
 /// kernel, escalating to the i16 kernel if the stepper reports the
 /// window closing; tallies the dispatch and any escalation.
 ///
-/// `inline(never)` for the same reason as [`run_i16`].
+/// `inline(never)` and dispatched for the same reasons as [`run_i16`].
 #[inline(never)]
 fn run_i8(
     query: &Seq,
@@ -1419,14 +1585,19 @@ fn run_i8(
     profile: ScoreProfile,
     x: i32,
     ws: &mut AlignWorkspace,
+    portable: bool,
 ) -> ExtensionResult {
     let AlignWorkspace {
         simd, simd8, tally, ..
     } = ws;
     tally.lanes8 += 1;
-    Simd8State::new(query, target, profile, x, simd8)
-        .expect("eligibility checked above")
-        .run(simd, tally)
+    if !portable && avx2_detected() {
+        // SAFETY: `avx2_detected` has just seen that this CPU supports
+        // AVX2, the one target feature `i8_kernel_avx2` enables.
+        #[cfg(target_arch = "x86_64")]
+        return unsafe { i8_kernel_avx2(query, target, profile, x, simd8, simd, tally) };
+    }
+    i8_kernel(query, target, profile, x, simd8, simd, tally)
 }
 
 #[cfg(test)]
@@ -1444,13 +1615,16 @@ mod tests {
         Seq::from_str_strict(s).unwrap()
     }
 
-    /// Every engine on the same input; returns the (asserted equal)
+    /// Every engine on the same input, the SIMD ones through both
+    /// compilations of their kernel; returns the (asserted equal)
     /// result.
     fn both(q: &Seq, t: &Seq, scoring: Scoring, x: i32) -> ExtensionResult {
         let scalar = Engine::Scalar.extend(q, t, scoring, x);
         for engine in [Engine::Simd, Engine::I8, Engine::Adaptive] {
             let r = engine.extend(q, t, scoring, x);
             assert_eq!(r, scalar, "{engine} diverged from scalar (x={x})");
+            let r = extend_portable(engine, q, t, scoring, x, &mut AlignWorkspace::new());
+            assert_eq!(r, scalar, "portable {engine} diverged from scalar (x={x})");
         }
         scalar
     }

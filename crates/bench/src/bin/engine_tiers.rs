@@ -1,9 +1,15 @@
 //! engine_tiers — the kernel tier ladder measured: scalar vs 16-lane
 //! i16 vs 32-lane i8 vs the adaptive selector, across DNA and BLOSUM62
-//! regimes, single host thread. Next to GCUPS the table gives each row's
-//! nanoseconds per anti-diagonal and mean computed width — the pair of
-//! numbers that separates a step's fixed cost from its per-cell cost
-//! (GCUPS alone made thin bands look like a lane-occupancy problem).
+//! regimes, single host thread. The lane kernels are compiled twice —
+//! for the build target's baseline vectors and for AVX2, picked per CPU
+//! at run time (DESIGN.md §14); the heading names the compilation the
+//! engines dispatch to here, and a `simd-portable` row per regime runs
+//! the i16 tier's other compilation through the test seam
+//! (`logan_align::simd::extend_portable`), so both sit in one table.
+//! Next to GCUPS the table gives each row's nanoseconds per
+//! anti-diagonal and mean computed width — the pair of numbers that
+//! separates a step's fixed cost from its per-cell cost (GCUPS alone
+//! made thin bands look like a lane-occupancy problem).
 //!
 //! Seven regimes:
 //!
@@ -30,7 +36,8 @@
 //!   outside the i8 window.
 //!
 //! Asserted in-bin on every run:
-//! - all four engines produce bit-identical results on every regime;
+//! - all four engines, and the portable compilation, produce
+//!   bit-identical results on every regime;
 //! - on `dna-screen`, the i8 tier sustains ≥ 1.05× the i16 tier's
 //!   single-thread GCUPS;
 //! - the adaptive engine never dispatches or escalates i8, and is
@@ -56,7 +63,10 @@
 //! cargo run --release -p logan-bench --bin engine_tiers -- --quick # smoke
 //! ```
 
-use logan_align::{Engine, TierTally, XDropCpuAligner};
+use logan_align::simd::{extend_portable, kernel_isa};
+use logan_align::{
+    AlignWorkspace, Engine, ExtensionResult, SeedExtendResult, TierTally, XDropCpuAligner,
+};
 use logan_bench::{heading, write_json, BenchScale, Table};
 use logan_core::backend::AlignBackend;
 use logan_seq::readsim::{PairSet, ReadPair, Seed};
@@ -64,6 +74,7 @@ use logan_seq::{Alphabet, ScoreProfile, Scoring, Seq};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::Serialize;
+use std::time::Instant;
 
 #[derive(Serialize)]
 struct Row {
@@ -177,6 +188,39 @@ fn pinned_pairs(n: usize, len: usize, seed: u64) -> Vec<ReadPair> {
         .collect()
 }
 
+/// The i16 tier's *portable* compilation over a block: what
+/// `seed_extend_with` does per pair — flanks copied into sequence
+/// scratch, left then right, one warm workspace — with both extensions
+/// through the test seam. Returns the `(left, right)` extension results,
+/// the wall seconds and the tier tally.
+fn portable_block(
+    pairs: &[ReadPair],
+    profile: ScoreProfile,
+    x: i32,
+    ws: &mut AlignWorkspace,
+) -> (Vec<[ExtensionResult; 2]>, f64, TierTally) {
+    let (mut q, mut t) = (Seq::new(), Seq::new());
+    let before = ws.tally;
+    let start = Instant::now();
+    let results = pairs
+        .iter()
+        .map(|p| {
+            let Seed { qpos, tpos, len } = p.seed;
+            q.assign_reversed_range(&p.query, 0, qpos);
+            t.assign_reversed_range(&p.target, 0, tpos);
+            let left = extend_portable(Engine::Simd, &q, &t, profile, x, ws);
+            q.assign_range(&p.query, qpos + len, p.query.len());
+            t.assign_range(&p.target, tpos + len, p.target.len());
+            [left, extend_portable(Engine::Simd, &q, &t, profile, x, ws)]
+        })
+        .collect();
+    (
+        results,
+        start.elapsed().as_secs_f64(),
+        ws.tally.diff(&before),
+    )
+}
+
 fn median(values: impl Iterator<Item = f64>) -> f64 {
     let mut v: Vec<f64> = values.collect();
     v.sort_by(f64::total_cmp);
@@ -189,10 +233,20 @@ const SCALAR: usize = 0;
 const SIMD: usize = 1;
 const I8: usize = 2;
 const ADAPTIVE: usize = 3;
+/// The table's fifth row per regime: the i16 tier's portable
+/// compilation ([`portable_block`]), timed in the same rotation.
+const PORTABLE: usize = ENGINES.len();
+const ROWS: usize = ENGINES.len() + 1;
 
-/// One workload's wall times, `[engine][round]`.
+fn row_label(row: usize) -> String {
+    ENGINES
+        .get(row)
+        .map_or("simd-portable".to_string(), Engine::to_string)
+}
+
+/// One workload's wall times, `[row][round]`.
 #[derive(Default)]
-struct Timings([Vec<f64>; ENGINES.len()]);
+struct Timings([Vec<f64>; ROWS]);
 
 impl Timings {
     fn median_wall(&self, engine: usize) -> f64 {
@@ -279,14 +333,30 @@ fn main() {
             .iter()
             .map(|&e| XDropCpuAligner::new(1, w.profile, w.x, e))
             .collect();
+        let mut portable_ws = AlignWorkspace::new();
         let mut walls = Timings::default();
-        let mut cells = [0u64; ENGINES.len()];
+        let mut cells = [0u64; ROWS];
         let mut steps = 0u64;
-        let mut tiers = [TierTally::default(); ENGINES.len()];
-        let mut reference: Option<Vec<_>> = None;
+        let mut tiers = [TierTally::default(); ROWS];
+        let mut reference: Option<Vec<SeedExtendResult>> = None;
         for round in 0..reps {
-            for k in 0..backends.len() {
-                let i = (round + k) % backends.len();
+            for k in 0..ROWS {
+                let i = (round + k) % ROWS;
+                if i == PORTABLE {
+                    let (res, wall_s, tally) =
+                        portable_block(&w.pairs, w.profile, w.x, &mut portable_ws);
+                    walls.0[i].push(wall_s);
+                    cells[i] = res.iter().flatten().map(|r| r.cells).sum();
+                    tiers[i] = tally;
+                    if let Some(r) = &reference {
+                        assert!(
+                            r.iter().map(|r| [r.left, r.right]).eq(res),
+                            "the portable i16 kernel diverged from scalar on {}",
+                            w.name
+                        );
+                    }
+                    continue;
+                }
                 let (res, rep) = backends[i].align_block(&w.pairs);
                 walls.0[i].push(rep.wall_s);
                 cells[i] = rep.total_cells;
@@ -308,13 +378,13 @@ fn main() {
             }
         }
         let scalar_gcups = cells[SCALAR] as f64 / walls.median_wall(SCALAR) / 1e9;
-        for (i, &engine) in ENGINES.iter().enumerate() {
+        for i in 0..ROWS {
             let wall_s = walls.median_wall(i);
             let gcups = cells[i] as f64 / wall_s / 1e9;
             let total = tiers[i].total().max(1) as f64;
             rows.push(Row {
                 workload: w.name.to_string(),
-                engine: engine.to_string(),
+                engine: row_label(i),
                 pairs: w.pairs.len(),
                 cells: cells[i],
                 steps,
@@ -333,7 +403,9 @@ fn main() {
     }
 
     heading(format!(
-        "engine_tiers — tier ladder, 1 host thread, median of {reps} rounds{}",
+        "engine_tiers — tier ladder, lane kernels on their {} compilation, 1 host thread, \
+         median of {reps} rounds{}",
+        kernel_isa(),
         if quick { " [--quick]" } else { "" }
     ));
     let mut t = Table::new(&[
@@ -409,14 +481,22 @@ fn main() {
             .all(|r| r.engine != "adaptive" || (r.escalations == 0 && r.frac_i8 == 0.0)),
         "adaptive dispatched the i8 tier"
     );
-    println!(
-        "engine_tiers: all engines bit-identical; adaptive at worst {worst:.3}x the tier it \
-         dispatches (floor {adaptive_frac}). i8 vs i16 by regime:{}",
+    let by_regime = |a: usize, b: usize| -> String {
         workloads
             .iter()
             .zip(&timings)
-            .map(|(w, t)| format!(" {} {:.2}x", w.name, t.speed_vs(I8, SIMD)))
-            .collect::<String>()
+            .map(|(w, t)| format!(" {} {:.2}x", w.name, t.speed_vs(a, b)))
+            .collect()
+    };
+    println!(
+        "engine_tiers: all engines bit-identical; adaptive at worst {worst:.3}x the tier it \
+         dispatches (floor {adaptive_frac}). i8 vs i16 by regime:{}",
+        by_regime(I8, SIMD)
+    );
+    println!(
+        "engine_tiers: i16 on its {} compilation vs its portable one by regime:{}",
+        kernel_isa(),
+        by_regime(SIMD, PORTABLE)
     );
     if !quick {
         // The quick smoke (premerge) must not clobber the recorded

@@ -5,9 +5,10 @@
 #     ./scripts/premerge.sh --quick  # skip the release build and benches
 #
 # Mirrors the tier-1 definition in ROADMAP.md plus the style gates:
-# no-#[ignore] guard, rustfmt, clippy (warnings are errors), release
-# build, the bench-bin smokes, the repo benchmark's own gate
-# (benchmark/check.sh), the test suite, and warning-free rustdoc.
+# no-#[ignore] guard, one-kernel-source guard, rustfmt, clippy (warnings
+# are errors), release build, the bench-bin smokes, the repo benchmark's
+# own gate (benchmark/check.sh), the test suite, and warning-free
+# rustdoc.
 # Every differential/contract suite (tests/*.rs, crates/*/tests/*.rs)
 # runs exactly once, inside the single `cargo test -q`; DESIGN.md §4
 # maps each suite to the contract it pins. Only steps that run
@@ -27,6 +28,28 @@ step "guard: no #[ignore]d tests"
 # differential suites must never be muted. Fail if any sneaks in.
 if grep -RIn --include='*.rs' -e '#\[ignore' crates src tests examples; then
   echo "error: #[ignore]d tests are not allowed (listed above)" >&2
+  exit 1
+fi
+
+step "guard: one kernel source (unsafe only at the two ISA dispatch calls, no intrinsics)"
+# logan-align is safe, bounds-checked code compiled twice (DESIGN.md
+# §14): the only `unsafe` allowed under crates/align/src is the call of
+# an AVX2-compiled wrapper in run_i16 and run_i8, and vendor intrinsics
+# are not allowed at all — a hand-written kernel would be a second
+# source the differential suites do not know about.
+unsafe_sites=$(grep -RInE --include='*.rs' '\bunsafe\b' crates/align/src |
+  grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)
+dispatch_sites=$(grep -cE 'simd\.rs:[0-9]+:[[:space:]]*return unsafe \{ i(8|16)_kernel_avx2\(' \
+  <<<"$unsafe_sites" || true)
+if [[ $(grep -c . <<<"$unsafe_sites" || true) -ne 2 || $dispatch_sites -ne 2 ]]; then
+  echo "$unsafe_sites"
+  echo "error: crates/align/src must hold exactly two \`unsafe\` sites, the" \
+    "i16_kernel_avx2 / i8_kernel_avx2 dispatch calls in simd.rs (found above)" >&2
+  exit 1
+fi
+if grep -RInE --include='*.rs' \
+  -e 'core::arch::' -e 'std::arch::[a-z0-9_]+::' -e '\b_mm[0-9]*_' crates/align/src; then
+  echo "error: vendor intrinsics are not allowed under crates/align/src (listed above)" >&2
   exit 1
 fi
 
@@ -62,7 +85,8 @@ if [[ $quick -eq 0 ]]; then
 
   step "engine_tiers --quick smoke"
   # The tier ladder's acceptance bar in smoke form: all four engines
-  # bit-identical on every workload, with loosened (smoke) performance
+  # and the i16 kernel's portable compilation bit-identical on every
+  # workload, with loosened (smoke) performance
   # floors on the i8-vs-i16 and adaptive-vs-best-fixed ratios (i8 >=
   # i16 and 7%; the tight 1.05x / 3% bounds are asserted by the full
   # binary).

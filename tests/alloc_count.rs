@@ -3,13 +3,17 @@
 //! have grown to the workload's largest extension), every further
 //! extension through it — scalar or SIMD, single extension or whole
 //! seed-extend — performs **zero** heap allocations. So does cloning a
-//! [`ReadPair`]: its reads are shared, not copied (DESIGN.md §8).
+//! [`ReadPair`]: its reads are shared, not copied (DESIGN.md §8). The
+//! lane kernels are picked per CPU at run time (DESIGN.md §14); the
+//! process's first dispatched call, feature detection included, is
+//! held to the same zero.
 //!
 //! The whole check lives in one `#[test]` function: the counting
 //! allocator is process-global, so concurrently running test functions
 //! would pollute each other's deltas.
 
 use logan::prelude::*;
+use logan_align::simd::extend_portable;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -76,6 +80,46 @@ fn warm_workspace_extensions_are_allocation_free() {
     // The adaptive selector inside the i8 window, where it runs i16
     // all the same.
     let ext_adaptive8 = XDropExtender::with_engine(scoring, x8, Engine::Adaptive);
+
+    let protein = |n: usize, salt: usize| {
+        let codes = (0..n)
+            .map(|i| ((i * 7 + i / 5 + salt) % 20) as u8)
+            .collect();
+        Seq::from_codes(codes, logan::seq::Alphabet::Protein)
+    };
+    let b62 = logan::seq::ScoreProfile::blosum62(-6);
+    let (long_p, long_h) = (protein(900, 0), protein(900, 3));
+
+    // Nothing above ran a lane kernel, so the calls below are the
+    // process's first dispatched ones: CPU feature detection happens
+    // inside them. On a workspace warmed through the portable seam
+    // (which detects nothing) they must allocate nothing — DNA and
+    // BLOSUM62, the i16 tier and an escalating i8 run.
+    {
+        let p = &pairs[0];
+        let dna = logan::seq::ScoreProfile::from(scoring);
+        let cases = [
+            (Engine::I8, &p.query, &p.target, dna, x8),
+            (Engine::I8, &long_p, &long_h, b62, 50),
+            (Engine::Simd, &p.query, &p.target, dna, x),
+            (Engine::Simd, &long_p, &long_h, b62, 50),
+        ];
+        let mut ws = AlignWorkspace::new();
+        let warm: Vec<ExtensionResult> = cases
+            .iter()
+            .map(|&(engine, q, t, profile, x)| extend_portable(engine, q, t, profile, x, &mut ws))
+            .collect();
+        assert_eq!(ws.tally.escalations, 2, "both i8 warm-ups must escalate");
+        for (&(engine, q, t, profile, x), want) in cases.iter().zip(&warm) {
+            let (d, r) = alloc_delta(|| engine.extend_with(q, t, profile, x, &mut ws));
+            assert_eq!(d, 0, "a first dispatched {engine} extension allocated");
+            assert_eq!(&r, want);
+        }
+        assert_eq!(
+            ws.tally.escalations, 4,
+            "both dispatched i8 runs must escalate"
+        );
+    }
 
     // Reference results through fresh workspaces, for the bit-equality
     // side of the contract.
@@ -184,14 +228,6 @@ fn warm_workspace_extensions_are_allocation_free() {
     // tiers, BLOSUM62 through the profile gather.
     let long = PairSet::generate_with_lengths(1, 0.1, 1500, 1500, 19).pairs;
     let short = PairSet::generate_with_lengths(5, 0.2, 40, 400, 20).pairs;
-    let protein = |n: usize, salt: usize| {
-        let codes = (0..n)
-            .map(|i| ((i * 7 + i / 5 + salt) % 20) as u8)
-            .collect();
-        Seq::from_codes(codes, logan::seq::Alphabet::Protein)
-    };
-    let b62 = logan::seq::ScoreProfile::blosum62(-6);
-    let (long_p, long_h) = (protein(900, 0), protein(900, 3));
     for engine in [Engine::Simd, Engine::I8, Engine::Adaptive] {
         let x = if engine == Engine::I8 { x8 } else { x };
         let ext = XDropExtender::with_engine(scoring, x, engine);

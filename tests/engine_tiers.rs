@@ -21,15 +21,27 @@
 //!   profiles shorter than a chunk, boundary cells inside the masked
 //!   store, masked lanes over live parents, escalation onto a
 //!   sub-chunk band — each witnessed through the steppers' per-step
-//!   statistics so the case cannot silently stop being exercised.
+//!   statistics so the case cannot silently stop being exercised;
+//! * the structured inputs random pairs miss (ROADMAP item 4(a)):
+//!   homopolymers, all-`N` pairs, seeds at offset 0 and `len − k`,
+//!   X = 0 and X past the full score, best scores exactly on the i8 and
+//!   i16 ceilings, bands of L − 1, L, L + 1 cells right after a trim.
+//!
+//! The lane kernels exist in two compilations of one source — the
+//! build target's baseline vectors and AVX2, picked per CPU at run time
+//! (DESIGN.md §14). Every comparison here runs an engine through the
+//! dispatched entry point *and* through the portable body
+//! (`logan_align::simd::extend_portable`, the test seam) and diffs both
+//! against scalar, tier tallies included; on a CPU without AVX2 the two
+//! are the same code and [`both_compilations_are_named`] says so.
 
 use logan::align::{simd8_eligible, simd_eligible};
 use logan::prelude::*;
 use logan::seq::readsim::Seed;
 use logan::seq::{Alphabet, ScoreProfile};
 use logan_align::simd::{
-    DiagStats, Simd8Scratch, Simd8State, Simd8Step, SimdScratch, SimdState, SimdStep,
-    SIMD8_MAX_SCORE, SIMD_MAX_X,
+    extend_portable, kernel_isa, DiagStats, Simd8Scratch, Simd8State, Simd8Step, SimdScratch,
+    SimdState, SimdStep, SIMD8_MAX_SCORE, SIMD_MAX_SCORE, SIMD_MAX_X,
 };
 use logan_core::kernel::{logan_block_extend, KernelPolicy};
 use logan_gpusim::BlockCtx;
@@ -60,8 +72,32 @@ fn mutate(q: &Seq, sub_rate: f64, rng: &mut StdRng) -> Seq {
     Seq::from_codes(codes, Alphabet::Protein)
 }
 
-/// Assert every tier matches scalar on one input, and return the
-/// scalar result.
+/// One engine through both compilations of its lane kernel — the
+/// dispatched entry point and the portable body — each on a fresh
+/// workspace: the results (asserted equal) and the tier tally (asserted
+/// equal too: same dispatch, same escalation).
+fn both_compilations(
+    engine: Engine,
+    q: &Seq,
+    t: &Seq,
+    profile: impl Into<ScoreProfile> + Copy,
+    x: i32,
+) -> (ExtensionResult, TierTally) {
+    let (mut ws, mut ws_portable) = (AlignWorkspace::new(), AlignWorkspace::new());
+    let dispatched = engine.extend_with(q, t, profile, x, &mut ws);
+    let portable = extend_portable(engine, q, t, profile, x, &mut ws_portable);
+    assert_eq!(
+        dispatched,
+        portable,
+        "{engine}: the {} and portable compilations disagree (x = {x})",
+        kernel_isa()
+    );
+    assert_eq!(ws.tally, ws_portable.tally, "{engine} (x = {x})");
+    (dispatched, ws.tally)
+}
+
+/// Assert every tier matches scalar on one input, in both compilations,
+/// and return the scalar result.
 fn all_tiers_agree(
     q: &Seq,
     t: &Seq,
@@ -71,12 +107,25 @@ fn all_tiers_agree(
     let want = Engine::Scalar.extend(q, t, profile, x);
     for engine in [Engine::Simd, Engine::I8, Engine::Adaptive] {
         assert_eq!(
-            engine.extend(q, t, profile, x),
+            both_compilations(engine, q, t, profile, x).0,
             want,
             "{engine} diverged from scalar (x = {x})"
         );
     }
     want
+}
+
+/// Which compilation the dispatched half of every comparison in this
+/// suite ran; without AVX2 both halves are the portable body.
+#[test]
+fn both_compilations_are_named() {
+    match kernel_isa() {
+        "avx2" => println!("engine_tiers: dispatched = avx2, seam = portable"),
+        "portable" => {
+            println!("engine_tiers: no AVX2 on this CPU — every comparison is portable vs portable")
+        }
+        other => panic!("unknown kernel ISA {other:?}"),
+    }
 }
 
 proptest! {
@@ -96,11 +145,7 @@ proptest! {
         mis in -5i32..0,
         gap in -5i32..0,
     ) {
-        let scoring = Scoring::new(mat, mis, gap);
-        let want = Engine::Scalar.extend(&q, &t, scoring, x);
-        for engine in [Engine::Simd, Engine::I8, Engine::Adaptive] {
-            prop_assert_eq!(engine.extend(&q, &t, scoring, x), want);
-        }
+        all_tiers_agree(&q, &t, Scoring::new(mat, mis, gap), x);
     }
 
     /// Headline property, BLOSUM62: random homolog pairs under the
@@ -116,11 +161,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let q = random_protein(n, &mut rng);
         let t = mutate(&q, sub_pct as f64 / 100.0, &mut rng);
-        let p = ScoreProfile::blosum62(-6);
-        let want = Engine::Scalar.extend(&q, &t, p, x);
-        for engine in [Engine::Simd, Engine::I8, Engine::Adaptive] {
-            prop_assert_eq!(engine.extend(&q, &t, p, x), want);
-        }
+        all_tiers_agree(&q, &t, ScoreProfile::blosum62(-6), x);
     }
 
     /// Workspace-reuse across tiers: interleaving all four engines on
@@ -138,6 +179,10 @@ proptest! {
             prop_assert_eq!(Engine::I8.extend_with(q, t, scoring, *x, &mut ws), fresh);
             prop_assert_eq!(Engine::Simd.extend_with(q, t, scoring, *x, &mut ws), fresh);
             prop_assert_eq!(Engine::Adaptive.extend_with(q, t, scoring, *x, &mut ws), fresh);
+            // Both compilations of a kernel share the scratch, too.
+            prop_assert_eq!(extend_portable(Engine::I8, q, t, scoring, *x, &mut ws), fresh);
+            prop_assert_eq!(Engine::I8.extend_with(q, t, scoring, *x, &mut ws), fresh);
+            prop_assert_eq!(extend_portable(Engine::Simd, q, t, scoring, *x, &mut ws), fresh);
         }
     }
 }
@@ -713,5 +758,303 @@ fn band_top_collapses_and_regrows() {
             "band did not grow back (mat = {mat})"
         );
         shapes_agree(&t, &q, scoring, x);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Structured oracle inputs (ROADMAP item 4(a)): what random pairs miss.
+// Every case goes through `all_tiers_agree` — scalar against each engine
+// in both compilations of its kernel — usually by way of `shapes_agree`,
+// which adds the simulated GPU's block path and both steppers.
+// ---------------------------------------------------------------------
+
+fn dna(s: &str) -> Seq {
+    Seq::from_str_strict(s).expect("valid DNA")
+}
+
+/// Homopolymer runs: every cell of the band ties with its neighbours,
+/// so the earliest-`i` tie-break and the trims decide everything; runs
+/// of unequal length and a run-length shift around one foreign base add
+/// the gapped variants.
+#[test]
+fn homopolymer_runs() {
+    let run = |base: char, n: usize| dna(&base.to_string().repeat(n));
+    let shifted = |a: usize, b: usize| dna(&format!("{}C{}", "A".repeat(a), "A".repeat(b)));
+    let cases = [
+        (run('A', 50), run('A', 50)),
+        (run('A', 50), run('A', 37)),
+        (run('A', 33), run('T', 33)),
+        (shifted(20, 20), shifted(25, 15)),
+        (shifted(31, 40), run('A', 72)),
+    ];
+    for (q, t) in &cases {
+        for x in [0, 1, 5, 15, 31, 62, 200] {
+            shapes_agree(q, t, Scoring::default(), x);
+            shapes_agree(t, q, Scoring::new(2, -3, -2), x);
+        }
+    }
+    // A perfect homopolymer pair reaches the corner whatever the ties.
+    let r = all_tiers_agree(&cases[0].0, &cases[0].1, Scoring::default(), 5);
+    assert_eq!((r.score, r.query_end, r.target_end), (50, 50, 50));
+}
+
+/// All-`N` pairs. The DNA alphabet has no `N` — the parser rejects it,
+/// so no kernel ever sees one — which leaves the protein alphabet's
+/// poly-asparagine: a homopolymer under BLOSUM62 (`N`/`N` scores 6),
+/// against itself, a shorter run and a run of a residue it scores
+/// negatively with.
+#[test]
+fn all_n_pairs() {
+    assert!(Seq::from_ascii(b"NNNNNNNN").is_err());
+    let poly = |residue: u8, n: usize| {
+        Seq::from_protein_ascii(&vec![residue; n]).expect("a valid residue")
+    };
+    let p62 = ScoreProfile::blosum62(-6);
+    for n in [1usize, 15, 16, 17, 40, 90] {
+        let q = poly(b'N', n);
+        for t in [poly(b'N', n), poly(b'N', n / 2 + 1), poly(b'W', n)] {
+            // 52 is the last i8-eligible X under BLOSUM62.
+            for x in [0, 6, 12, 52, 53, 400] {
+                shapes_agree(&q, &t, p62, x);
+                shapes_agree(&t, &q, p62, x);
+            }
+        }
+    }
+    let n40 = poly(b'N', 40);
+    assert_eq!(all_tiers_agree(&n40, &n40, p62, 20).score, 240);
+}
+
+/// Seeds at offset 0 and at `len − k`, on one sequence or both: the
+/// flank on that side is empty, no kernel runs for it (pinned through
+/// the tally), and the other flank is an ordinary extension — checked
+/// per engine through `seed_extend_with` and per compilation on the
+/// flanks themselves.
+#[test]
+fn seeds_at_offset_zero_and_at_the_last_kmer() {
+    let k = 17;
+    let p = &PairSet::generate_with_lengths(1, 0.1, 400, 400, 1401).pairs[0];
+    // A read and a noisy copy of it cut to the same length, with the
+    // read's k-mer at `qpos` planted at `tpos` of the copy.
+    let read = &p.query;
+    let len = read.len();
+    let last = len - k;
+    let planted = |qpos: usize, tpos: usize| -> Seq {
+        let mut codes = p.target.as_slice().to_vec();
+        codes.resize(len, 0);
+        codes[tpos..tpos + k].copy_from_slice(&read.as_slice()[qpos..qpos + k]);
+        codes.into_iter().map(logan::seq::Base::from_code).collect()
+    };
+    // (qpos, tpos): both at the start, both on the last k-mer, and the
+    // mixed cases where only one sequence has an empty flank.
+    for (qpos, tpos) in [
+        (0, 0),
+        (last, last),
+        (0, 40),
+        (40, 0),
+        (last, 60),
+        (60, last),
+    ] {
+        let target = planted(qpos, tpos);
+        let seed = Seed { qpos, tpos, len: k };
+        let empty_sides =
+            usize::from(qpos == 0 || tpos == 0) + usize::from(qpos == last || tpos == last);
+        let want = seed_extend(
+            read,
+            &target,
+            seed,
+            &XDropExtender::with_engine(Scoring::default(), 30, Engine::Scalar),
+        );
+        for engine in [Engine::Simd, Engine::I8, Engine::Adaptive] {
+            let ext = XDropExtender::with_engine(Scoring::default(), 30, engine);
+            let mut ws = AlignWorkspace::new();
+            assert_eq!(
+                seed_extend_with(read, &target, seed, &ext, &mut ws),
+                want,
+                "{engine}, seed at ({qpos}, {tpos})"
+            );
+            assert_eq!(
+                ws.tally.total() as usize,
+                2 - empty_sides,
+                "{engine} ran a kernel on an empty flank, seed at ({qpos}, {tpos})"
+            );
+        }
+        // The flanks themselves, through both compilations.
+        let left = all_tiers_agree(
+            &read.subseq(0, qpos).reversed(),
+            &target.subseq(0, tpos).reversed(),
+            Scoring::default(),
+            30,
+        );
+        let right = all_tiers_agree(
+            &read.subseq(qpos + k, len),
+            &target.subseq(tpos + k, len),
+            Scoring::default(),
+            30,
+        );
+        assert_eq!((left, right), (want.left, want.right));
+    }
+}
+
+/// X = 0 (the first anti-diagonal that does not raise the best ends the
+/// extension) and X at and past the full score, where nothing is ever
+/// pruned and the band is the whole matrix.
+#[test]
+fn x_zero_and_x_past_the_full_score() {
+    let mut rng = StdRng::seed_from_u64(1402);
+    let unit = Scoring::default();
+    let q = random_dna(14, ACGT, &mut rng);
+    let t = random_dna(11, ACGT, &mut rng);
+    for (a, b) in [(&q, &t), (&t, &q), (&q, &q)] {
+        let zero = shapes_agree(a, b, unit, 0);
+        assert!(zero.len() <= 2 * a.len().min(b.len()));
+        // No cell scores below −(m + n) and the best is at most
+        // min(m, n): from X = m + n + min(m, n) on, X-drop prunes
+        // nothing. 36 + 1 is still inside the i8 window.
+        let full = (a.len() + b.len() + a.len().min(b.len())) as i32;
+        for x in [full, full + 1, SIMD8_MAX_SCORE - 1, 5_000] {
+            let r = all_paths_agree(a, b, unit, x);
+            assert_eq!(
+                r.cells as usize,
+                (a.len() + 1) * (b.len() + 1) - 1,
+                "x = {x} must fill the matrix"
+            );
+            assert!(!r.dropped);
+            shapes_agree(a, b, unit, x);
+        }
+    }
+    // X exactly the full score of a perfect pair, one below, one above.
+    let s = random_dna(40, ACGT, &mut rng);
+    for x in [39, 40, 41] {
+        assert_eq!(shapes_agree(&s, &s, unit, x).len(), 80);
+    }
+}
+
+/// Best scores exactly on the tiers' ceilings. A perfect pair of `n`
+/// symbols scores `n · match` on its last anti-diagonal, `2n`; the i8
+/// stepper hands over before the first step that could pass
+/// [`SIMD8_MAX_SCORE`], that is once the best exceeds
+/// `SIMD8_MAX_SCORE − match`. So a pair ending one match short of the
+/// ceiling must finish in i8, a pair ending *on* it must hand over —
+/// with nothing left to compute — and both compilations must agree on
+/// which, or their hand-overs sit on different anti-diagonals.
+#[test]
+fn best_scores_on_the_tier_ceilings() {
+    let perfect = |n: usize| -> Seq {
+        (0..n)
+            .map(|i| logan::seq::Base::from_code((i * 5 % 4) as u8))
+            .collect()
+    };
+    let ceiling = SIMD8_MAX_SCORE as usize;
+    for (mat, x) in [(1, 20), (3, 20), (7, 20)] {
+        let scoring = Scoring::new(mat, -mat, -mat);
+        let per_match = mat as usize;
+        // `on`: the length whose full score is the last multiple of
+        // `match` at or below the ceiling; `hand_over_at`: the first
+        // length whose full score exceeds `ceiling − match`.
+        let on = ceiling / per_match;
+        let hand_over_at = (ceiling - per_match) / per_match + 1;
+        for n in [on - 1, on, on + 1] {
+            let s = perfect(n);
+            let want = all_paths_agree(&s, &s, scoring, x);
+            assert_eq!(want.score, n as i32 * mat);
+            let (_, tally) = both_compilations(Engine::I8, &s, &s, scoring, x);
+            let escalates = n >= hand_over_at;
+            assert_eq!(
+                (tally.lanes8, tally.escalations),
+                (1, u64::from(escalates)),
+                "match = {mat}, n = {n}: full score {} vs ceiling {ceiling}",
+                want.score
+            );
+            // The stepper names the anti-diagonal: the hand-over comes
+            // after exactly the steps that brought the best past
+            // `ceiling − match` — two per symbol of a perfect pair.
+            let mut scratch = Simd8Scratch::default();
+            let mut state = Simd8State::new(&s, &s, scoring, x, &mut scratch).expect("eligible");
+            let mut advanced = 0;
+            let last = loop {
+                match state.step() {
+                    Simd8Step::Advanced(_) => advanced += 1,
+                    other => break other,
+                }
+            };
+            assert_eq!(matches!(last, Simd8Step::Escalate), escalates);
+            if escalates {
+                assert_eq!(advanced, 2 * hand_over_at);
+            }
+        }
+        // On the ceiling mid-extension: the run continues in i16 through
+        // a tail that drops.
+        let mut codes = perfect(on).as_slice().to_vec();
+        let mut other = codes.clone();
+        codes.extend(std::iter::repeat_n(0, 60));
+        other.extend(std::iter::repeat_n(3, 60));
+        let [q, t] = [codes, other]
+            .map(|c| -> Seq { c.into_iter().map(logan::seq::Base::from_code).collect() });
+        let r = all_paths_agree(&q, &t, scoring, x);
+        assert_eq!(r.score, on as i32 * mat);
+        assert!(r.dropped);
+    }
+    // The i16 ceiling: a full score of exactly i16::MAX is exact in
+    // both compilations (32 767 = 7 · 4 681); one symbol more is outside
+    // the window and every SIMD engine falls back to scalar.
+    for (mat, n) in [(1, SIMD_MAX_SCORE as usize), (7, 4_681)] {
+        let scoring = Scoring::new(mat, -mat, -mat);
+        let s = perfect(n);
+        assert!(simd_eligible(&s, &s, scoring, 20));
+        let r = all_tiers_agree(&s, &s, scoring, 20);
+        assert_eq!((r.score, r.dropped), (SIMD_MAX_SCORE, false));
+        assert_eq!(
+            both_compilations(Engine::Simd, &s, &s, scoring, 20)
+                .1
+                .lanes16,
+            1
+        );
+        let over = perfect(n + 1);
+        assert!(!simd_eligible(&over, &over, scoring, 20));
+        all_tiers_agree(&over, &over, scoring, 20);
+        assert_eq!(
+            both_compilations(Engine::Simd, &over, &over, scoring, 20)
+                .1
+                .scalar,
+            1
+        );
+    }
+}
+
+/// Bands of L − 1, L and L + 1 cells on the step right after a trim,
+/// for both chunk widths: the window moved *and* sits on the one-chunk
+/// switch, so the lane mask, the rounded-up store and the re-sentinelled
+/// neighbours all change at once. Noisy pairs at the X values that put
+/// the band near a chunk produce them constantly; the steppers'
+/// statistics prove they did.
+#[test]
+fn chunk_wide_bands_right_after_a_trim() {
+    let scoring = Scoring::new(1, -1, -1);
+    let after_trim = |steps: &[DiagStats], width: usize| {
+        steps
+            .windows(2)
+            .filter(|p| p[0].trim_front + p[0].trim_back > 0 && p[1].width == width)
+            .count()
+    };
+    for (lanes, xs) in [(16usize, [8, 9, 10]), (32, [20, 22, 24])] {
+        // At 30 % error under (1, −1, −1) the best grows slowly, so the
+        // i8 stepper walks hundreds of anti-diagonals before it
+        // escalates.
+        let pairs = PairSet::generate_with_lengths(6, 0.30, 300, 500, 1403 + lanes as u64).pairs;
+        let mut hits = [[0usize; 3]; 2];
+        for p in &pairs {
+            for x in xs {
+                let steps16 = shapes_agree(&p.query, &p.target, scoring, x);
+                let steps8 = i8_steps(&p.query, &p.target, scoring, x);
+                for (k, width) in [lanes - 1, lanes, lanes + 1].into_iter().enumerate() {
+                    hits[0][k] += after_trim(&steps16, width);
+                    hits[1][k] += after_trim(&steps8, width);
+                }
+            }
+        }
+        assert!(
+            hits.iter().flatten().all(|&n| n > 0),
+            "L = {lanes}: widths L − 1, L, L + 1 after a trim seen [i16, i8] = {hits:?}"
+        );
     }
 }

@@ -7,9 +7,14 @@
 //! This suite is the premerge gate's "differential" step: any change to
 //! any engine that shifts a single score, end position or cell count
 //! fails here first.
+//!
+//! The i16 kernel is one source compiled twice (portable vectors and
+//! AVX2, picked per CPU; DESIGN.md §14): every host-engine comparison
+//! below runs it through the dispatched entry point *and* the portable
+//! body ([`simd_both`]), on the same workspace where one is reused.
 
 use logan::prelude::*;
-use logan_align::simd::SIMD_MAX_X;
+use logan_align::simd::{extend_portable, kernel_isa, SIMD_MAX_X};
 use logan_align::xdrop_extend;
 use logan_core::kernel::{logan_block_extend, KernelPolicy};
 use logan_gpusim::BlockCtx;
@@ -18,6 +23,26 @@ use proptest::prelude::*;
 fn arb_seq(max_len: usize) -> impl Strategy<Value = Seq> {
     proptest::collection::vec(0u8..4, 0..max_len)
         .prop_map(|codes| codes.into_iter().map(logan::seq::Base::from_code).collect())
+}
+
+/// `Engine::Simd` through both compilations of its kernel on one
+/// workspace — the dispatched entry point, then the portable body —
+/// asserted equal (on a CPU without AVX2: portable twice).
+fn simd_both(
+    q: &Seq,
+    t: &Seq,
+    scoring: Scoring,
+    x: i32,
+    ws: &mut AlignWorkspace,
+) -> ExtensionResult {
+    let dispatched = Engine::Simd.extend_with(q, t, scoring, x, ws);
+    assert_eq!(
+        extend_portable(Engine::Simd, q, t, scoring, x, ws),
+        dispatched,
+        "the portable and {} compilations disagree (x = {x})",
+        kernel_isa()
+    );
+    dispatched
 }
 
 proptest! {
@@ -38,7 +63,7 @@ proptest! {
         for (q, t, x) in &pairs {
             let fresh = Engine::Scalar.extend(q, t, scoring, *x);
             prop_assert_eq!(xdrop_extend_with(q, t, scoring, *x, &mut ws), fresh);
-            prop_assert_eq!(Engine::Simd.extend_with(q, t, scoring, *x, &mut ws), fresh);
+            prop_assert_eq!(simd_both(q, t, scoring, *x, &mut ws), fresh);
         }
     }
 
@@ -57,7 +82,7 @@ proptest! {
     ) {
         let scoring = Scoring::new(mat, mis, gap);
         prop_assert_eq!(
-            Engine::Simd.extend(&q, &t, scoring, x),
+            simd_both(&q, &t, scoring, x, &mut AlignWorkspace::new()),
             Engine::Scalar.extend(&q, &t, scoring, x)
         );
     }
@@ -74,7 +99,7 @@ proptest! {
         let scoring = Scoring::default();
         // Walk X across the boundary (x + match <= SIMD_MAX_X).
         let x = SIMD_MAX_X - 3 + dx;
-        let simd = Engine::Simd.extend(&q, &t, scoring, x);
+        let simd = simd_both(&q, &t, scoring, x, &mut AlignWorkspace::new());
         let scalar = Engine::Scalar.extend(&q, &t, scoring, x);
         prop_assert_eq!(simd, scalar);
     }
@@ -196,7 +221,7 @@ fn workspace_reuse_survives_adversarial_shape_sequence() {
             "scalar reuse, case {k}"
         );
         assert_eq!(
-            Engine::Simd.extend_with(q, t, *scoring, *x, &mut ws),
+            simd_both(q, t, *scoring, *x, &mut ws),
             fresh,
             "simd reuse, case {k}"
         );
@@ -246,7 +271,7 @@ fn divergent_pairs_drop_identically() {
         let b = random_seq(450, &mut rng);
         for x in [0, 5, 30] {
             let scalar = Engine::Scalar.extend(&a, &b, scoring, x);
-            let simd = Engine::Simd.extend(&a, &b, scoring, x);
+            let simd = simd_both(&a, &b, scoring, x, &mut AlignWorkspace::new());
             assert_eq!(scalar, simd);
             assert!(simd.dropped, "x {x} should drop on divergent input");
         }
