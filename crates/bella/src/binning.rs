@@ -48,15 +48,16 @@ pub fn overlap_estimate(len1: usize, len2: usize, pos1: usize, pos2: usize, k: u
 /// in-bounds for the extension stage, and the 0 estimate then fails
 /// any positive `min_overlap` floor at the keep step.
 pub fn choose_seed(len1: usize, len2: usize, cand: &CandidatePair, k: usize) -> (Seed, usize) {
-    assert!(!cand.witnesses.is_empty(), "candidate without witnesses");
+    let witnesses = cand.witnesses();
+    assert!(!witnesses.is_empty(), "candidate without witnesses");
     let mut best = (0usize, 0usize); // (witness index, estimate)
-    for (i, &(p1, p2)) in cand.witnesses.iter().enumerate() {
+    for (i, &(p1, p2)) in witnesses.iter().enumerate() {
         let est = overlap_estimate(len1, len2, p1 as usize, p2 as usize, k);
         if est > best.1 {
             best = (i, est);
         }
     }
-    let (p1, p2) = cand.witnesses[best.0];
+    let (p1, p2) = witnesses[best.0];
     let (mut qpos, mut tpos, mut len) = (p1 as usize, p2 as usize, k);
     if best.1 == 0 {
         // All witnesses degenerate (a valid one would estimate >= k):
@@ -73,12 +74,7 @@ mod tests {
     use super::*;
 
     fn cand(witnesses: Vec<(u32, u32)>) -> CandidatePair {
-        CandidatePair {
-            r1: 0,
-            r2: 1,
-            shared: witnesses.len() as u32,
-            witnesses,
-        }
+        CandidatePair::new(0, 1, witnesses.len() as u32, &witnesses)
     }
 
     #[test]

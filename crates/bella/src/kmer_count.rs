@@ -2,30 +2,31 @@
 //!
 //! Hashing every k-mer of a long-read set into one table costs a DRAM
 //! miss per k-mer (the table is hundreds of megabytes, the k-mers arrive
-//! in random order), and the benchmark trace shows it: counting is the
-//! largest stage of candidate generation. Minimap2 builds its index the
-//! other way, and so does this module — there is one counter:
+//! in random order). Minimap2 builds its index the other way, sorting
+//! (hash, read, position) together so the occurrences ride with the key,
+//! and so does this module — one counter over packed keys `code <<
+//! occ_bits | read << pos_bits | pos` ([`KeyLayout`]; `u64` while they
+//! fit, else `u128`):
 //!
 //! 1. one pass over the reads sizes [`PARTITIONS`] hash partitions of
 //!    the canonical code space ([`partition_of`]);
-//! 2. a second pass scatters the codes of a *wave* — a contiguous group
+//! 2. a second pass scatters the keys of a *wave* — a contiguous group
 //!    of partitions — into one flat buffer, partition by partition; a
-//!    code of another wave's partition goes to a trash slot behind the
-//!    buffer, so the pass never asks which wave a code belongs to;
-//! 3. each partition (≈ total / 1024 codes, cache-sized) is sorted and
-//!    run-length counted while it is resident.
+//!    key of another wave's partition goes to a trash slot behind the
+//!    buffer, so the pass never asks which wave a key belongs to;
+//! 3. each partition (≈ total / 1024 keys, cache-sized) is sorted and
+//!    scanned while resident: a run is one canonical code, its length the
+//!    multiplicity, its keys its occurrences in `(read, position)` order.
+//!    Keys the caller keeps are compacted in place behind the scan.
 //!
-//! Two entry points share it:
-//!
-//! * [`count_reliable_sharded`] — the pipeline's counter, monolithic
-//!   (one wave) and streaming (`shards` waves) alike: a wave is reduced
-//!   to its reliable survivors as it is counted, so what is resident is
-//!   `1/shards` of the codes plus the reliable set, never a table of
-//!   every distinct k-mer (most are error k-mers seen once). A further
-//!   wave costs one more roll of the (already resident) reads;
-//!   DESIGN.md §8 records the trade.
-//! * [`count_kmers`] — one wave kept as a [`KmerCounts`] table (the
-//!   BELLA original's), for diagnostics, benches and reference tests.
+//! Three entry points share it: [`crate::matrix::KmerMatrix::count_and_build`]
+//! (the SpGEMM path: it keeps each reliable run's first key per read, the
+//! matrix column's postings); [`count_reliable_sharded`] (the minimizer
+//! path and the benchmark: codes only, each wave reduced to the reliable
+//! set as it is counted, `1/shards` of the codes resident); and
+//! [`count_kmers`], a [`KmerCounts`] table for diagnostics, benches and
+//! reference tests. A further wave costs one more roll of the resident
+//! reads; DESIGN.md §8 records the trade.
 
 use crate::fxhash::FxHashSet;
 use crate::prune::ReliableBounds;
@@ -57,10 +58,133 @@ fn shard_partitions(shard: usize, shards: usize) -> Range<usize> {
     shard * PARTITIONS / shards..(shard + 1) * PARTITIONS / shards
 }
 
-/// The counter: `each(code, multiplicity)` for every distinct canonical
-/// k-mer of `reads`, in `(partition, code)` order, holding the codes of
-/// one of `shards` waves at a time.
-fn for_each_count(reads: &[Seq], k: usize, shards: usize, mut each: impl FnMut(u64, u32)) {
+/// Bits needed to write `x` (0 for 0).
+fn bits(x: u64) -> u32 {
+    u64::BITS - x.leading_zeros()
+}
+
+/// The low `n ≤ 64` bits set.
+fn low_mask(n: u32) -> u64 {
+    u64::MAX.checked_shr(u64::BITS - n).unwrap_or(0)
+}
+
+/// How an occurrence packs below its canonical code in a counter key:
+/// `code << occ_bits | read << pos_bits | pos`, so keys sort by code,
+/// then read, then position. `KeyLayout::CODE_ONLY` packs none.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KeyLayout {
+    /// Bits of a position: the width of the longest read's last one.
+    pub pos_bits: u32,
+    /// Bits of an occurrence: the last read id's and `pos_bits`.
+    pub occ_bits: u32,
+}
+
+impl KeyLayout {
+    /// No occurrence below the code, as a count needs.
+    pub(crate) const CODE_ONLY: KeyLayout = KeyLayout {
+        pos_bits: 0,
+        occ_bits: 0,
+    };
+
+    /// The layout of `reads`: see [`KeyLayout::new`].
+    pub fn of(reads: &[Seq]) -> KeyLayout {
+        let longest = reads.iter().map(Seq::len).max().unwrap_or(0);
+        KeyLayout::new(reads.len(), longest)
+    }
+
+    /// The layout of `reads` reads, the longest `longest` bases.
+    ///
+    /// # Panics
+    ///
+    /// Past the `u32` read ids and positions the matrix stores: more than
+    /// `u32::MAX` reads, or a read longer than 2³² bases.
+    pub fn new(reads: usize, longest: usize) -> KeyLayout {
+        assert!(
+            u32::try_from(reads).is_ok(),
+            "{reads} reads: read ids are u32, so at most u32::MAX reads"
+        );
+        assert!(
+            longest as u64 <= 1 << 32,
+            "a read of {longest} bases has positions past u32::MAX"
+        );
+        let pos_bits = bits(longest.saturating_sub(1) as u64);
+        KeyLayout {
+            pos_bits,
+            occ_bits: bits(reads.saturating_sub(1) as u64) + pos_bits,
+        }
+    }
+
+    /// Do keys of k-mer length `k` fit a `u64` (`2k + occ_bits ≤ 64`)?
+    pub fn fits_u64(self, k: usize) -> bool {
+        2 * k as u64 + self.occ_bits as u64 <= u64::BITS as u64
+    }
+
+    /// The occurrence bits of position `pos` of read `read` (none under
+    /// [`KeyLayout::CODE_ONLY`]).
+    #[inline]
+    pub(crate) fn occ(self, read: usize, pos: usize) -> u64 {
+        ((read as u64) << self.pos_bits | pos as u64) & low_mask(self.occ_bits)
+    }
+
+    /// `(read, position)` back out of a key's low 64 bits.
+    #[inline]
+    pub(crate) fn unpack(self, low: u64) -> (u32, u32) {
+        let occ = low & low_mask(self.occ_bits);
+        (
+            (occ >> self.pos_bits) as u32,
+            (occ & low_mask(self.pos_bits)) as u32,
+        )
+    }
+}
+
+/// A counter key: a `u64` while code and occurrence fit, else a `u128`.
+pub(crate) trait Key: Copy + Ord {
+    /// `code << occ_bits | occ`.
+    fn pack(code: u64, occ: u64, occ_bits: u32) -> Self;
+    /// The canonical code above `occ_bits`.
+    fn code(self, occ_bits: u32) -> u64;
+    /// The low 64 bits, where the occurrence is.
+    fn low(self) -> u64;
+}
+
+macro_rules! key {
+    ($t:ty) => {
+        impl Key for $t {
+            #[inline]
+            fn pack(code: u64, occ: u64, occ_bits: u32) -> $t {
+                (code as $t) << occ_bits | occ as $t
+            }
+            #[inline]
+            fn code(self, occ_bits: u32) -> u64 {
+                (self >> occ_bits) as u64
+            }
+            #[inline]
+            fn low(self) -> u64 {
+                self as u64
+            }
+        }
+    };
+}
+key!(u64);
+key!(u128);
+
+/// The counter, holding the keys of one of `shards` waves at a time.
+///
+/// `keep(code, run)` sees every distinct canonical k-mer of `reads`, in
+/// `(partition, code)` order: `run` holds its keys in `(read, position)`
+/// order, so `run.len()` is its multiplicity. It may move keys to the
+/// front of `run` and returns how many of them to keep. The kept keys of
+/// a wave are compacted, in order, to the front of its buffer, and
+/// `wave` receives that buffer truncated to them.
+pub(crate) fn for_each_count<K: Key>(
+    reads: &[Seq],
+    k: usize,
+    shards: usize,
+    layout: KeyLayout,
+    mut keep: impl FnMut(u64, &mut [K]) -> usize,
+    mut wave: impl FnMut(Vec<K>),
+) {
+    let occ_bits = layout.occ_bits;
     let mut sizes = [0usize; PARTITIONS];
     for read in reads {
         for (_, km, _) in CanonicalKmerIter::new(read, k) {
@@ -82,25 +206,48 @@ fn for_each_count(reads: &[Seq], k: usize, shards: usize, mut each: impl FnMut(u
             cursors[p] = (at, 1);
             at += sizes[p];
         }
-        let mut codes = vec![0u64; total + 1];
-        for read in reads {
-            for (_, km, _) in CanonicalKmerIter::new(read, k) {
+        let mut keys = vec![K::pack(0, 0, 0); total + 1];
+        for (r, read) in reads.iter().enumerate() {
+            let occ = layout.occ(r, 0);
+            for (pos, km, _) in CanonicalKmerIter::new(read, k) {
                 let (at, step) = &mut cursors[partition_of(km.code)];
-                codes[*at] = km.code;
+                keys[*at] = K::pack(km.code, occ | layout.occ(0, pos), occ_bits);
                 *at += *step;
             }
         }
         // Each cursor of the wave now stands at its partition's end.
         let mut lo = 0usize;
+        let mut kept = 0usize;
         for &(hi, _) in &cursors[parts] {
-            let partition = &mut codes[lo..hi];
-            partition.sort_unstable();
-            for run in partition.chunk_by(|a, b| a == b) {
-                each(run[0], run.len() as u32);
+            keys[lo..hi].sort_unstable();
+            let mut run = lo;
+            while run < hi {
+                let code = keys[run].code(occ_bits);
+                let end = keys[run + 1..hi]
+                    .iter()
+                    .position(|key| key.code(occ_bits) != code)
+                    .map_or(hi, |n| run + 1 + n);
+                let n = keep(code, &mut keys[run..end]);
+                if n > 0 {
+                    keys.copy_within(run..run + n, kept);
+                    kept += n;
+                }
+                run = end;
             }
             lo = hi;
         }
+        keys.truncate(kept);
+        wave(keys);
     }
+}
+
+/// The counter over codes alone: `each(code, multiplicity)`, no key kept.
+fn for_each_code(reads: &[Seq], k: usize, shards: usize, mut each: impl FnMut(u64, u32)) {
+    let count = |code, run: &mut [u64]| {
+        each(code, run.len() as u32);
+        0
+    };
+    for_each_count(reads, k, shards, KeyLayout::CODE_ONLY, count, drop);
 }
 
 /// Multiplicity of every distinct canonical k-mer of a read set: the
@@ -166,7 +313,7 @@ impl Index<&u64> for KmerCounts {
 /// later caps what survives).
 pub fn count_kmers(reads: &[Seq], k: usize) -> KmerCounts {
     let mut table = KmerCounts::default();
-    for_each_count(reads, k, 1, |code, n| {
+    for_each_code(reads, k, 1, |code, n| {
         table.codes.push(code);
         table.counts.push(n);
     });
@@ -189,7 +336,7 @@ pub fn count_reliable_sharded(
 ) -> (usize, FxHashSet<u64>) {
     let mut distinct = 0usize;
     let mut reliable = FxHashSet::default();
-    for_each_count(reads, k, shards.max(1), |code, n| {
+    for_each_code(reads, k, shards.max(1), |code, n| {
         distinct += 1;
         if bounds.contains(n) {
             reliable.insert(code);
@@ -317,6 +464,66 @@ mod tests {
             *sizes.iter().max().unwrap() as f64,
         );
         assert!(max / min < 1.25, "shard skew too high: {sizes:?}");
+    }
+
+    #[test]
+    fn key_layout_widths_at_their_edges() {
+        let layout = |reads, longest| {
+            let l = KeyLayout::new(reads, longest);
+            (l.pos_bits, l.occ_bits)
+        };
+        // Nothing to pack: no reads, or one read of at most one base.
+        assert_eq!(layout(0, 0), (0, 0));
+        assert_eq!(layout(1, 1), (0, 0));
+        // A width grows one past a power of two: ids 0..=63 take 6 bits,
+        // 64 a seventh; positions 0..=255 take 8, 256 a ninth.
+        assert_eq!(layout(64, 256), (8, 14));
+        assert_eq!(layout(65, 256), (8, 15));
+        assert_eq!(layout(64, 257), (9, 15));
+        // The largest read set that fits packs into exactly 64 bits.
+        let widest = KeyLayout::new(u32::MAX as usize, 1 << 32);
+        assert_eq!((widest.pos_bits, widest.occ_bits), (32, 64));
+        // k = 25 leaves 14 occurrence bits in a u64, not 15.
+        assert!(KeyLayout::new(16, 1024).fits_u64(25));
+        assert!(!KeyLayout::new(16, 1025).fits_u64(25));
+        assert!(!KeyLayout::new(17, 1024).fits_u64(25));
+        // k = 32 fills a u64 with the code alone.
+        assert!(KeyLayout::CODE_ONLY.fits_u64(32));
+        assert!(!KeyLayout::new(2, 1).fits_u64(32));
+    }
+
+    #[test]
+    fn keys_round_trip_at_the_widest_layout() {
+        let widest = KeyLayout::new(u32::MAX as usize, 1 << 32);
+        let code = u64::MAX; // k = 32, every base a T
+        for (read, pos) in [(0, 0), (u32::MAX - 1, u32::MAX), (7, 1 << 31)] {
+            let occ = widest.occ(read as usize, pos as usize);
+            let key = u128::pack(code, occ, widest.occ_bits);
+            assert_eq!(key.code(widest.occ_bits), code);
+            assert_eq!(widest.unpack(key.low()), (read, pos));
+        }
+        let narrow = KeyLayout::new(65, 257);
+        let key = u64::pack(0x3_FFFF, narrow.occ(64, 256), narrow.occ_bits);
+        assert_eq!(key.code(narrow.occ_bits), 0x3_FFFF);
+        assert_eq!(narrow.unpack(key.low()), (64, 256));
+        // Keys order by code, then read, then position.
+        let at = |read, pos| u64::pack(5, narrow.occ(read, pos), narrow.occ_bits);
+        assert!(at(3, 256) < at(4, 0) && at(4, 0) < at(4, 1));
+        assert!(at(64, 256) < u64::pack(6, 0, narrow.occ_bits));
+        // No occurrence leaks into a code-only key.
+        assert_eq!(KeyLayout::CODE_ONLY.occ(12345, 678), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most u32::MAX reads")]
+    fn too_many_reads_for_u32_ids_panics() {
+        let _ = KeyLayout::new(u32::MAX as usize + 1, 100);
+    }
+
+    #[test]
+    #[should_panic(expected = "positions past u32::MAX")]
+    fn a_position_past_u32_panics() {
+        let _ = KeyLayout::new(10, (1 << 32) + 1);
     }
 
     #[test]

@@ -15,7 +15,10 @@
 //!    candidates;
 //! 3. **sparse overlap detection** ([`matrix`], [`spgemm`]) — the
 //!    reads × k-mers matrix `A` multiplied with its transpose: every
-//!    nonzero of `A·Aᵀ` is a candidate pair with shared-k-mer witnesses;
+//!    nonzero of `A·Aᵀ` is a candidate pair with shared-k-mer witnesses.
+//!    Stages 1–3 are one sort here: the counter's keys carry each
+//!    k-mer's read and position, so `A` falls out of counting
+//!    ([`matrix::KmerMatrix::count_and_build`]);
 //! 4. **binning** ([`binning`]) — witness positions estimate the overlap
 //!    and pick the seed to extend from;
 //!    *or, behind [`pipeline::Seeder::Minimizer`],* stages 3–4 are

@@ -1,26 +1,35 @@
-//! The sparse reads × reliable-k-mers matrix `A`: CSR, and its CSC
-//! transpose.
+//! The sparse reads × reliable-k-mers matrix `A`: CSR rows and CSC
+//! postings, both straight from the counter's sort.
 //!
 //! BELLA phrases overlap detection as sparse matrix multiplication:
-//! `A(i, j) = position of reliable k-mer j in read i`. We store CSR with
-//! one entry per *(read, k-mer)* pair — the first occurrence position —
-//! which is what the binning stage needs to estimate offsets.
+//! `A(i, j) = position of reliable k-mer j in read i`. We store one entry
+//! per *(read, k-mer)* pair — the first occurrence position — which is
+//! what the binning stage needs to estimate offsets.
 //!
-//! Building it visits every k-mer of every read, so the builder spends
-//! exactly one hash probe per k-mer: a single code → column map, seeded
-//! with every reliable code before the first read, answers "reliable?"
-//! and "which column?" together, and a per-column stamp of the last row
-//! that recorded it replaces a per-read set of seen columns.
-//! [`KmerMatrix::transpose`] turns the rows into flat column-major
-//! [`Postings`] — the other operand of the SpGEMM — by counting sort.
+//! There is no second pass over the k-mers. The counter
+//! ([`crate::kmer_count`]) sorts packed `(code | read | position)` keys,
+//! so a run of one code is a column candidate: its length is the
+//! multiplicity, and its keys are its occurrences in `(read, position)`
+//! order. A reliable run keeps its first key per read, compacted in place
+//! behind the counter's scan: those are the column's postings, reads
+//! ascending, first position kept. Column ids follow the first-encounter
+//! order of a walk over the reads — the rank of a column's first
+//! occurrence, which is its first posting — so one sort of the columns'
+//! first occurrences numbers them. One pass over the kept keys then
+//! copies each column to its id's place in the flat [`Postings`], and
+//! walking the columns in id order fills every CSR row with its columns
+//! ascending.
+//!
+//! Memory: the counter's key buffer (8 bytes a k-mer position, 16 past
+//! `2k + occ_bits = 64`) is the peak; a wave's buffer shrinks to its
+//! postings before the next wave, or the numbering, allocates.
 
-use crate::fxhash::{FxHashMap, FxHashSet};
-use logan_seq::{CanonicalKmerIter, Seq};
+use crate::fxhash::FxHashSet;
+use crate::kmer_count::{for_each_count, Key, KeyLayout};
+use crate::prune::ReliableBounds;
+use logan_seq::Seq;
 
-/// Column of a reliable code no read has shown yet.
-const UNASSIGNED: u32 = u32::MAX;
-
-/// CSR matrix of reads over reliable k-mer columns.
+/// CSR matrix of reads over reliable k-mer columns, with its postings.
 #[derive(Debug, Clone)]
 pub struct KmerMatrix {
     /// Number of reads (rows).
@@ -29,73 +38,15 @@ pub struct KmerMatrix {
     pub n_cols: usize,
     /// CSR row pointers, length `n_reads + 1`.
     pub row_ptr: Vec<usize>,
-    /// Column index per nonzero.
+    /// Column index per nonzero; ascending within a row.
     pub col_idx: Vec<u32>,
     /// Position (of the k-mer in the read) per nonzero.
     pub pos: Vec<u32>,
-    /// Column per reliable canonical code ([`UNASSIGNED`] for a code
-    /// that occurs in no read).
-    col_of_code: FxHashMap<u64, u32>,
+    /// The same nonzeros column-major: the CSC side of the SpGEMM.
+    pub postings: Postings,
 }
 
-impl KmerMatrix {
-    /// Build from reads and the reliable k-mer set. Column ids are
-    /// assigned in first-encounter order (deterministic given the read
-    /// order). One-shot form of [`KmerMatrixBuilder`].
-    pub fn build(reads: &[Seq], k: usize, reliable: &FxHashSet<u64>) -> KmerMatrix {
-        let mut builder = KmerMatrixBuilder::new(k, reliable);
-        builder.push_batch(reads);
-        builder.finish()
-    }
-
-    /// Nonzeros in the matrix.
-    pub fn nnz(&self) -> usize {
-        self.col_idx.len()
-    }
-
-    /// The column of a canonical k-mer code, if it has one.
-    pub fn col_of(&self, code: u64) -> Option<u32> {
-        self.col_of_code
-            .get(&code)
-            .copied()
-            .filter(|&col| col != UNASSIGNED)
-    }
-
-    /// The (column, position) entries of one read.
-    pub fn row(&self, read: usize) -> impl Iterator<Item = (u32, u32)> + '_ {
-        let lo = self.row_ptr[read];
-        let hi = self.row_ptr[read + 1];
-        self.col_idx[lo..hi]
-            .iter()
-            .copied()
-            .zip(self.pos[lo..hi].iter().copied())
-    }
-
-    /// Transpose into column-major [`Postings`] — the CSC side of the
-    /// SpGEMM. A counting sort on the column id: rows are walked in
-    /// order, so every column lists its reads ascending.
-    pub fn transpose(&self) -> Postings {
-        let mut col_ptr = vec![0usize; self.n_cols + 1];
-        for &col in &self.col_idx {
-            col_ptr[col as usize + 1] += 1;
-        }
-        for col in 0..self.n_cols {
-            col_ptr[col + 1] += col_ptr[col];
-        }
-        let mut next = col_ptr.clone();
-        let mut entries = vec![(0u32, 0u32); self.nnz()];
-        for read in 0..self.n_reads {
-            for (col, p) in self.row(read) {
-                let at = &mut next[col as usize];
-                entries[*at] = (read as u32, p);
-                *at += 1;
-            }
-        }
-        Postings { col_ptr, entries }
-    }
-}
-
-/// A [`KmerMatrix`] transposed: for each column the `(read, position)`
+/// A [`KmerMatrix`]'s columns: for each column the `(read, position)`
 /// entries in ascending read order, all columns in one flat array.
 #[derive(Debug, Clone)]
 pub struct Postings {
@@ -105,91 +56,177 @@ pub struct Postings {
     pub entries: Vec<(u32, u32)>,
 }
 
-/// Incremental [`KmerMatrix`] construction from a stream of read
-/// batches. The streaming pipeline appends rows batch by batch as reads
-/// arrive; `build` is `new` + one `push_batch` + `finish`, so both
-/// paths produce identical matrices by construction.
-pub struct KmerMatrixBuilder {
-    k: usize,
-    col_of_code: FxHashMap<u64, u32>,
-    /// Per assigned column, the last row that recorded it.
-    last_row: Vec<u32>,
-    row_ptr: Vec<usize>,
-    col_idx: Vec<u32>,
-    pos: Vec<u32>,
+impl KmerMatrix {
+    /// Count, prune and build in one sort, in `shards` waves (0 counts as
+    /// 1; the matrix is the same for any): the columns are the k-mers
+    /// whose multiplicity `bounds` holds. Also returns how many distinct
+    /// canonical k-mers the reads have.
+    pub fn count_and_build(
+        reads: &[Seq],
+        k: usize,
+        shards: usize,
+        bounds: ReliableBounds,
+    ) -> (usize, KmerMatrix) {
+        one_sort(reads, k, shards.max(1), |_, n| bounds.contains(n))
+    }
+
+    /// [`KmerMatrix::count_and_build`] with "in `reliable`" for "in the
+    /// window": the columns are the codes of the set that occur.
+    pub fn build(reads: &[Seq], k: usize, reliable: &FxHashSet<u64>) -> KmerMatrix {
+        one_sort(reads, k, 1, |code, _| reliable.contains(&code)).1
+    }
+
+    /// Nonzeros in the matrix.
+    pub fn nnz(&self) -> usize {
+        self.col_idx.len()
+    }
+
+    /// The (column, position) entries of one read, columns ascending.
+    pub fn row(&self, read: usize) -> impl Iterator<Item = (u32, u32)> + '_ {
+        let lo = self.row_ptr[read];
+        let hi = self.row_ptr[read + 1];
+        self.col_idx[lo..hi]
+            .iter()
+            .copied()
+            .zip(self.pos[lo..hi].iter().copied())
+    }
 }
 
-impl KmerMatrixBuilder {
-    /// Start an empty matrix over the reliable k-mer set.
-    pub fn new(k: usize, reliable: &FxHashSet<u64>) -> KmerMatrixBuilder {
-        let mut col_of_code: FxHashMap<u64, u32> = FxHashMap::default();
-        col_of_code.reserve(reliable.len());
-        col_of_code.extend(reliable.iter().map(|&code| (code, UNASSIGNED)));
-        KmerMatrixBuilder {
-            k,
-            col_of_code,
-            last_row: Vec::new(),
-            row_ptr: vec![0],
-            col_idx: Vec::new(),
-            pos: Vec::new(),
-        }
+/// [`one_sort_as`] on the narrowest keys that hold `reads` at `k`.
+fn one_sort(
+    reads: &[Seq],
+    k: usize,
+    shards: usize,
+    column: impl FnMut(u64, u32) -> bool,
+) -> (usize, KmerMatrix) {
+    let layout = KeyLayout::of(reads);
+    if layout.fits_u64(k) {
+        one_sort_as::<u64>(reads, k, shards, layout, column)
+    } else {
+        one_sort_as::<u128>(reads, k, shards, layout, column)
     }
+}
 
-    /// Rows appended so far.
-    pub fn rows(&self) -> usize {
-        self.row_ptr.len() - 1
-    }
-
-    /// Append `reads` as new rows. Row ids continue from the rows
-    /// already pushed; column ids keep their global first-encounter
-    /// assignment, so pushing a read set in any batching produces the
-    /// same matrix as one [`KmerMatrix::build`] over the whole set.
-    pub fn push_batch(&mut self, reads: &[Seq]) {
-        for read in reads {
-            let row = self.rows() as u32;
-            for (p, km, _) in CanonicalKmerIter::new(read, self.k) {
-                let Some(col) = self.col_of_code.get_mut(&km.code) else {
-                    continue; // not reliable
-                };
-                if *col == UNASSIGNED {
-                    *col = self.last_row.len() as u32;
-                    self.last_row.push(row);
-                } else {
-                    // First occurrence per (read, k-mer) — later copies
-                    // of a reliable k-mer inside the same read carry no
-                    // extra pairing information and would bloat the
-                    // SpGEMM.
-                    let last = &mut self.last_row[*col as usize];
-                    if *last == row {
-                        continue;
-                    }
-                    *last = row;
-                }
-                self.col_idx.push(*col);
-                self.pos.push(p as u32);
+/// The counter over `(code | read | position)` keys, keeping the first
+/// key per read of every run that `column(code, multiplicity)` accepts;
+/// then the columns numbered and the matrix filled from those keys.
+fn one_sort_as<K: Key>(
+    reads: &[Seq],
+    k: usize,
+    shards: usize,
+    layout: KeyLayout,
+    mut column: impl FnMut(u64, u32) -> bool,
+) -> (usize, KmerMatrix) {
+    let n_reads = reads.len();
+    let occ_bits = layout.occ_bits;
+    let (mut distinct, mut n_cols) = (0usize, 0usize);
+    // Nonzeros per row, at `row_ptr[read + 1]` until the prefix sum.
+    let mut row_ptr = vec![0usize; n_reads + 1];
+    // Each wave's postings, its buffer shrunk to them. Nothing else grows
+    // while a wave's keys are resident.
+    let mut waves: Vec<Vec<K>> = Vec::with_capacity(shards);
+    for_each_count(
+        reads,
+        k,
+        shards,
+        layout,
+        |code, run: &mut [K]| {
+            distinct += 1;
+            if !column(code, run.len() as u32) {
+                return 0;
             }
-            self.row_ptr.push(self.col_idx.len());
-        }
-    }
+            n_cols += 1;
+            let mut kept = 0;
+            let mut last = usize::MAX; // no read id
+            for i in 0..run.len() {
+                let read = layout.unpack(run[i].low()).0 as usize;
+                if read != last {
+                    run[kept] = run[i];
+                    kept += 1;
+                    last = read;
+                    row_ptr[read + 1] += 1;
+                }
+            }
+            kept
+        },
+        |mut keys| {
+            keys.shrink_to_fit();
+            waves.push(keys);
+        },
+    );
+    assert!(
+        u32::try_from(n_cols).is_ok(),
+        "{n_cols} reliable k-mers: column ids are u32"
+    );
 
-    /// Finish into the CSR matrix.
-    pub fn finish(self) -> KmerMatrix {
-        KmerMatrix {
-            n_reads: self.row_ptr.len() - 1,
-            n_cols: self.last_row.len(),
-            row_ptr: self.row_ptr,
-            col_idx: self.col_idx,
-            pos: self.pos,
-            col_of_code: self.col_of_code,
+    // Column ids in first-encounter order: a column's first posting is
+    // its first occurrence, `read << 32 | pos`, and no two columns share
+    // one. Beside it, the column's place in the waves and its length.
+    let runs = || {
+        waves
+            .iter()
+            .flat_map(|keys| keys.chunk_by(|a, b| a.code(occ_bits) == b.code(occ_bits)))
+    };
+    let mut first: Vec<(u64, u32, u32)> = Vec::with_capacity(n_cols);
+    for (found, run) in runs().enumerate() {
+        let (read, p) = layout.unpack(run[0].low());
+        first.push((
+            (read as u64) << 32 | p as u64,
+            found as u32,
+            run.len() as u32,
+        ));
+    }
+    first.sort_unstable();
+    let mut id_of = vec![0u32; n_cols];
+    let mut col_ptr = Vec::with_capacity(n_cols + 1);
+    col_ptr.push(0);
+    for (col, &(_, found, len)) in first.iter().enumerate() {
+        id_of[found as usize] = col as u32;
+        col_ptr.push(col_ptr[col] + len as usize);
+    }
+    drop(first);
+
+    // The postings in column-id order, from one pass over the waves.
+    let nnz = col_ptr[n_cols];
+    let mut entries = vec![(0u32, 0u32); nnz];
+    for (run, &col) in runs().zip(&id_of) {
+        let at = col_ptr[col as usize];
+        for (entry, key) in entries[at..at + run.len()].iter_mut().zip(run) {
+            *entry = layout.unpack(key.low());
         }
     }
+    drop((waves, id_of));
+
+    // Each row's columns ascending, from one pass over the postings.
+    for read in 0..n_reads {
+        row_ptr[read + 1] += row_ptr[read];
+    }
+    let mut next = row_ptr[..n_reads].to_vec();
+    let (mut col_idx, mut pos) = (vec![0u32; nnz], vec![0u32; nnz]);
+    for col in 0..n_cols {
+        for &(read, p) in &entries[col_ptr[col]..col_ptr[col + 1]] {
+            let slot = &mut next[read as usize];
+            col_idx[*slot] = col as u32;
+            pos[*slot] = p;
+            *slot += 1;
+        }
+    }
+    let matrix = KmerMatrix {
+        n_reads,
+        n_cols,
+        row_ptr,
+        col_idx,
+        pos,
+        postings: Postings { col_ptr, entries },
+    };
+    (distinct, matrix)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::kmer_count::count_kmers;
-    use crate::prune::{reliable_kmers, ReliableBounds};
+    use crate::prune::reliable_kmers;
 
     fn seq(s: &str) -> Seq {
         Seq::from_str_strict(s).unwrap()
@@ -207,22 +244,25 @@ mod tests {
         assert_eq!(m.n_reads, 2);
         assert_eq!(m.row_ptr.len(), 3);
         assert_eq!(m.nnz(), m.col_idx.len());
-        // Row iteration covers each read's entries exactly once.
+        // Row iteration covers each read's entries exactly once, columns
+        // ascending.
         let r0: Vec<_> = m.row(0).collect();
         let r1: Vec<_> = m.row(1).collect();
         assert_eq!(r0.len() + r1.len(), m.nnz());
+        for row in [&r0, &r1] {
+            assert!(row.windows(2).all(|w| w[0].0 < w[1].0), "{row:?}");
+        }
     }
 
     #[test]
     fn first_occurrence_position_kept() {
-        // ACGT occurs at 0 and 4; position stored must be 0.
+        // ACGT occurs at 0 and 4; position stored must be 0. It is the
+        // read's first k-mer, so it is column 0.
         let reads = vec![seq("ACGTACGT")];
         let rel = all_reliable(&reads, 4);
         let m = KmerMatrix::build(&reads, 4, &rel);
-        let acgt = logan_seq::Kmer::from_bases(seq("ACGT").as_slice()).canonical();
-        let acgt_col = m.col_of(acgt.code).unwrap();
-        let entry = m.row(0).find(|&(c, _)| c == acgt_col).unwrap();
-        assert_eq!(entry.1, 0);
+        assert_eq!(m.row(0).next(), Some((0, 0)));
+        assert_eq!(m.postings.entries[..m.postings.col_ptr[1]], [(0, 0)]);
     }
 
     #[test]
@@ -232,18 +272,18 @@ mod tests {
         // Canonical classes in ACGTACGTACGT (k=4): ACGT (palindromic,
         // ×3), {CGTA, TACG} (RC partners, ×4 combined), GTAC
         // (palindromic, ×2). A lo=3 window keeps the first two classes.
-        let rel = reliable_kmers(&counts, ReliableBounds { lo: 3, hi: 100 });
+        let bounds = ReliableBounds { lo: 3, hi: 100 };
+        let rel = reliable_kmers(&counts, bounds);
         assert_eq!(rel.len(), 2);
         let m = KmerMatrix::build(&reads, 4, &rel);
         assert_eq!(m.n_cols, rel.len());
-        // One first-occurrence entry per reliable class.
-        assert_eq!(m.nnz(), 2);
-
-        // GTAC (multiplicity 2) must be gone.
-        let gtac = logan_seq::Kmer::from_bases(seq("GTAC").as_slice())
-            .canonical()
-            .code;
-        assert!(!rel.contains(&gtac));
+        // One first-occurrence entry per reliable class: ACGT at 0, CGTA
+        // at 1.
+        assert_eq!(m.row(0).collect::<Vec<_>>(), [(0, 0), (1, 1)]);
+        let (distinct, windowed) = KmerMatrix::count_and_build(&reads, 4, 1, bounds);
+        assert_eq!(distinct, counts.len());
+        assert_eq!(windowed.col_idx, m.col_idx);
+        assert_eq!(windowed.pos, m.pos);
     }
 
     #[test]
@@ -251,7 +291,7 @@ mod tests {
         let reads = vec![seq("ACGTACGTAA"), seq("CCACGTACGG"), seq("ACGTTTTTTT")];
         let rel = all_reliable(&reads, 4);
         let m = KmerMatrix::build(&reads, 4, &rel);
-        let t = m.transpose();
+        let t = &m.postings;
         assert_eq!(t.col_ptr.len(), m.n_cols + 1);
         assert_eq!((t.col_ptr[0], t.col_ptr[m.n_cols]), (0, m.nnz()));
         assert_eq!(t.entries.len(), m.nnz());
@@ -272,7 +312,7 @@ mod tests {
     }
 
     #[test]
-    fn incremental_builder_matches_one_shot_build() {
+    fn waves_do_not_change_the_matrix() {
         use logan_seq::readsim::ReadSimulator;
         let sim = ReadSimulator {
             read_len: (200, 500),
@@ -281,25 +321,18 @@ mod tests {
         };
         let rs = sim.generate(44);
         let seqs: Vec<Seq> = rs.reads.iter().map(|r| r.seq.clone()).collect();
-        let counts = count_kmers(&seqs, 13);
-        let rel = reliable_kmers(&counts, ReliableBounds { lo: 2, hi: 20 });
-        let whole = KmerMatrix::build(&seqs, 13, &rel);
-        for batch in [1, 3, 17, 1000] {
-            let mut builder = KmerMatrixBuilder::new(13, &rel);
-            for chunk in seqs.chunks(batch) {
-                builder.push_batch(chunk);
-            }
-            assert_eq!(builder.rows(), seqs.len());
-            let m = builder.finish();
-            assert_eq!(m.n_reads, whole.n_reads, "batch={batch}");
+        let bounds = ReliableBounds { lo: 2, hi: 20 };
+        let (distinct, whole) = KmerMatrix::count_and_build(&seqs, 13, 1, bounds);
+        assert!(whole.nnz() > 0);
+        for shards in [0, 3, 17] {
+            let (d, m) = KmerMatrix::count_and_build(&seqs, 13, shards, bounds);
+            assert_eq!(d, distinct, "shards={shards}");
             assert_eq!(m.n_cols, whole.n_cols);
             assert_eq!(m.row_ptr, whole.row_ptr);
-            assert_eq!(
-                m.col_idx, whole.col_idx,
-                "column ids must not depend on batching"
-            );
+            assert_eq!(m.col_idx, whole.col_idx, "shards={shards}");
             assert_eq!(m.pos, whole.pos);
-            assert_eq!(m.col_of_code, whole.col_of_code);
+            assert_eq!(m.postings.col_ptr, whole.postings.col_ptr);
+            assert_eq!(m.postings.entries, whole.postings.entries);
         }
     }
 
@@ -310,5 +343,7 @@ mod tests {
         let m = KmerMatrix::build(&reads, 4, &rel);
         assert_eq!(m.nnz(), 0);
         assert_eq!(m.n_cols, 0);
+        assert_eq!(m.row_ptr, [0, 0]);
+        assert_eq!(m.postings.col_ptr, [0]);
     }
 }

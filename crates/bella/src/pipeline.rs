@@ -13,8 +13,9 @@
 //! * [`BellaPipeline::run`] — the monolithic original: every stage
 //!   materializes its full output before the next starts.
 //! * [`BellaPipeline::run_streaming`] — the bounded-memory dataflow:
-//!   reads arrive in [`ReadBatch`]es, the k-mer table is counted in
-//!   hash shards that never coexist, the SpGEMM emits candidate tiles
+//!   reads arrive in [`ReadBatch`]es, the k-mers are counted (and, on the
+//!   SpGEMM path, the matrix built) in waves of hash partitions that
+//!   never coexist, the SpGEMM emits candidate tiles
 //!   incrementally, and a producer thread feeds candidate blocks
 //!   through a bounded channel to one consumer per backend *lane*
 //!   ([`AlignBackend::lanes`]) so extension overlaps candidate
@@ -26,7 +27,7 @@
 use crate::binning::choose_seed;
 use crate::chain::{chain_candidates, chain_tiles, ChainConfig, ChainedCandidate, MinimizerIndex};
 use crate::kmer_count::count_reliable_sharded;
-use crate::matrix::{KmerMatrix, KmerMatrixBuilder};
+use crate::matrix::KmerMatrix;
 use crate::metrics::OverlapMetrics;
 use crate::prune::{reliable_bounds, ReliableBounds};
 use crate::spgemm::{spgemm_candidates, spgemm_tiles, CandidatePair};
@@ -45,15 +46,19 @@ use std::sync::{mpsc, Arc, Mutex};
 /// O(input), as in any overlapper that random-accesses reads).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PipelineBudget {
-    /// Reads per [`ReadBatch`] at ingest, rows per SpGEMM tile, and the
-    /// granularity of incremental matrix construction.
+    /// Reads per [`ReadBatch`] at ingest, rows per SpGEMM (or chaining)
+    /// tile, and reads per batch of the minimizer sketch. It sets no
+    /// grain of the SpGEMM path's matrix, which comes out of the
+    /// counter's sort whole.
     pub batch_reads: usize,
-    /// Waves of the k-mer counter; one wave's codes are resident at a
-    /// time, so the counting peak is ~`1/shards` of the monolithic
-    /// counter's. Every wave rolls the resident reads again, storing
-    /// the codes of the other waves' partitions to one trash slot:
-    /// ≈ 2 ns a base and wave, so 8 waves count in 1.3–1.5 × the time
-    /// of one (DESIGN.md §8 has the table).
+    /// Waves of the k-mer counter — on the SpGEMM path the counter that
+    /// also builds the matrix. One wave's keys are resident at a time, so
+    /// the counting peak is ~`1/shards` of the monolithic counter's,
+    /// beside the matrix postings of the waves already done. Every wave
+    /// rolls the resident reads again, storing the keys of the other
+    /// waves' partitions to one trash slot: ≈ 2 ns a base and wave, so
+    /// 8 waves count in 1.3–1.5 × the time of one (DESIGN.md §8 has the
+    /// table).
     pub shards: usize,
     /// Candidate blocks buffered between the SpGEMM producer and the
     /// alignment consumer; the channel bound is the backpressure rule —
@@ -241,30 +246,29 @@ impl BellaPipeline {
         let bounds = cfg
             .reliable_override
             .unwrap_or_else(|| reliable_bounds(cfg.depth, cfg.error_rate, cfg.k, cfg.tail));
-        // Only the reliable set is read from here on, so no count table
-        // is built: one wave of the counter, reduced as it is counted.
-        let (distinct_kmers, reliable) = count_reliable_sharded(reads, cfg.k, 1, bounds);
-
-        let (nnz, block) = match cfg.seeder {
+        // No count table is built: one wave of the counter, reduced as it
+        // is counted — to the matrix itself on the SpGEMM path, to the
+        // reliable set the sketch filters by on the minimizer path.
+        let (distinct_kmers, reliable_kmers, nnz, block) = match cfg.seeder {
             Seeder::SpGemm => {
-                let matrix = KmerMatrix::build(reads, cfg.k, &reliable);
+                let (distinct, matrix) = KmerMatrix::count_and_build(reads, cfg.k, 1, bounds);
                 let cands = spgemm_candidates(&matrix);
-                (matrix.nnz(), CandidateBlock::build(&cands, reads, cfg.k))
+                let block = CandidateBlock::build(&cands, reads, cfg.k);
+                (distinct, matrix.n_cols, matrix.nnz(), block)
             }
             Seeder::Minimizer => {
+                let (distinct, reliable) = count_reliable_sharded(reads, cfg.k, 1, bounds);
                 let mut index = MinimizerIndex::new(cfg.minimizer_w, cfg.k);
                 index.push_batch(reads, &reliable);
                 let chained = chain_candidates(&index, ChainConfig::default());
-                (
-                    index.nnz(),
-                    CandidateBlock::from_chained(&chained, reads, cfg.min_overlap),
-                )
+                let block = CandidateBlock::from_chained(&chained, reads, cfg.min_overlap);
+                (distinct, reliable.len(), index.nnz(), block)
             }
         };
         let stats = StageStats {
             reads: reads.len(),
             distinct_kmers,
-            reliable_kmers: reliable.len(),
+            reliable_kmers,
             bounds,
             matrix_nnz: nnz,
             candidates: block.meta.len(),
@@ -348,13 +352,14 @@ impl BellaPipeline {
     /// 1. **Ingest** — `batches` are drained into the resident read
     ///    store; sources ([`logan_seq::fasta::FastaBatches`],
     ///    [`ReadSet::seq_batches`]) hold one bounded batch at a time.
-    /// 2. **Sharded counting** — [`count_reliable_sharded`] reduces the
-    ///    k-mers to the reliable set one wave of hash partitions at a
-    ///    time, so at most `1/shards` of the codes is ever resident.
-    /// 3. **Index** — the reads × reliable-k-mers matrix is appended
-    ///    batch by batch ([`KmerMatrixBuilder`]) and stays resident (it
-    ///    is the index alignment reads from, O(nnz)).
-    /// 4. **Candidates ∥ alignment** — a producer thread walks
+    /// 2. **Sharded counting into the index** — one wave of hash
+    ///    partitions at a time, so at most `1/shards` of the k-mers is
+    ///    ever resident: [`KmerMatrix::count_and_build`] reduces them
+    ///    straight to the reads × reliable-k-mers matrix, which stays
+    ///    resident (it is the index alignment reads from, O(nnz)); on the
+    ///    minimizer path [`count_reliable_sharded`] reduces them to the
+    ///    reliable set and the sketch index is built batch by batch.
+    /// 3. **Candidates ∥ alignment** — a producer thread walks
     ///    [`spgemm_tiles`], turns each tile into a sequence-numbered
     ///    candidate block (seeds chosen, read pairs materialized) and
     ///    sends it down a channel bounded at `inflight_blocks`; one
@@ -384,37 +389,34 @@ impl BellaPipeline {
             reads.extend(batch.seqs);
         }
 
-        // Stage 2: sharded counting straight into the reliable window.
+        // Stage 2: sharded counting straight into the seeder's index —
+        // the CSR k-mer matrix, or the minimizer sketch index over the
+        // reliable set. The waves and the sketch's batches are both
+        // invisible in the result, so this equals the monolithic build.
         let bounds = cfg
             .reliable_override
             .unwrap_or_else(|| reliable_bounds(cfg.depth, cfg.error_rate, cfg.k, cfg.tail));
-        let (distinct, reliable) = count_reliable_sharded(&reads, cfg.k, budget.shards, bounds);
-
-        // Stage 3: incremental index construction — the CSR k-mer
-        // matrix or the minimizer sketch index, per the configured
-        // seeder. Both builders are batching-invariant, so any chunking
-        // equals the monolithic one-shot build.
-        let index = match cfg.seeder {
+        let (distinct, reliable_kmers, index) = match cfg.seeder {
             Seeder::SpGemm => {
-                let mut builder = KmerMatrixBuilder::new(cfg.k, &reliable);
-                for chunk in reads.chunks(budget.batch_reads) {
-                    builder.push_batch(chunk);
-                }
-                SeedIndex::SpGemm(builder.finish())
+                let (distinct, matrix) =
+                    KmerMatrix::count_and_build(&reads, cfg.k, budget.shards, bounds);
+                (distinct, matrix.n_cols, SeedIndex::SpGemm(matrix))
             }
             Seeder::Minimizer => {
+                let (distinct, reliable) =
+                    count_reliable_sharded(&reads, cfg.k, budget.shards, bounds);
                 let mut index = MinimizerIndex::new(cfg.minimizer_w, cfg.k);
                 for chunk in reads.chunks(budget.batch_reads) {
                     index.push_batch(chunk, &reliable);
                 }
-                SeedIndex::Minimizer(index)
+                (distinct, reliable.len(), SeedIndex::Minimizer(index))
             }
         };
 
         let mut stats = StageStats {
             reads: reads.len(),
             distinct_kmers: distinct,
-            reliable_kmers: reliable.len(),
+            reliable_kmers,
             bounds,
             matrix_nnz: match &index {
                 SeedIndex::SpGemm(m) => m.nnz(),
@@ -425,7 +427,7 @@ impl BellaPipeline {
             total_cells: 0,
         };
 
-        // Stage 4: one producer, `lanes` consumers. The producer owns
+        // Stage 3: one producer, `lanes` consumers. The producer owns
         // candidate generation; each consumer owns one backend lane.
         let lanes = backend.lanes().max(1);
         let (tx, rx) = mpsc::sync_channel::<(usize, CandidateBlock)>(budget.inflight_blocks);
@@ -598,8 +600,8 @@ struct CandidateBlock {
 
 /// The seeder-specific candidate index of the streaming pipeline: the
 /// CSR reads × k-mers matrix (SpGEMM path) or the minimizer sketch
-/// index (chaining path). Built once in stage 3, walked tile by tile by
-/// the stage-4 producer.
+/// index (chaining path). Built once in stage 2, walked tile by tile by
+/// the stage-3 producer.
 enum SeedIndex {
     SpGemm(KmerMatrix),
     Minimizer(MinimizerIndex),

@@ -4,35 +4,62 @@
 //! least one reliable k-mer, annotated with up to two *witnesses* — the
 //! shared k-mer's positions in both reads — which is exactly what
 //! BELLA's binning stage consumes. There is one kernel: row-wise
-//! Gustavson. Row `i` of `A` (its columns in ascending id) is combined
-//! with the columns of `Aᵀ`'s flat [`Postings`], scattering into a dense
-//! accumulator indexed by read id; the reads it touched are then
-//! gathered in order. Rows are walked ascending, so a per-column cursor
-//! always stands at row `i`'s own posting and everything after it is a
-//! read `j > i`: no posting is visited that does not become a
-//! `(pair, column)` incidence. The reliable upper bound caps column
-//! lengths, which is what keeps this quadratic-in-column-degree step
-//! linear in practice (and is why BELLA prunes repeats *before* the
-//! multiply).
+//! Gustavson. Row `i` of `A` (its columns ascending, as the matrix
+//! stores them) is combined with the columns of `Aᵀ` — the matrix's own
+//! [`crate::matrix::Postings`] — scattering into a dense accumulator
+//! indexed by read id; the reads it touched are then gathered in order.
+//! Rows are walked ascending, so a per-column cursor always stands at row
+//! `i`'s own posting and everything after it is a read `j > i`: no
+//! posting is visited that does not become a `(pair, column)` incidence.
+//! The reliable upper bound caps column lengths, which is what keeps this
+//! quadratic-in-column-degree step linear in practice (and is why BELLA
+//! prunes repeats *before* the multiply).
 
-use crate::matrix::{KmerMatrix, Postings};
+use crate::matrix::KmerMatrix;
 use serde::{Deserialize, Serialize};
 
 /// Maximum witnesses retained per candidate pair (BELLA keeps 2).
 pub const MAX_WITNESSES: usize = 2;
 
-/// A candidate read pair with shared-k-mer evidence.
+/// A candidate read pair with shared-k-mer evidence. Its witnesses live
+/// inline, so a candidate costs no allocation of its own.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CandidatePair {
     /// Lower read id.
     pub r1: u32,
     /// Higher read id.
     pub r2: u32,
-    /// Up to [`MAX_WITNESSES`] shared k-mer positions `(pos_in_r1,
-    /// pos_in_r2)`, in discovery order.
-    pub witnesses: Vec<(u32, u32)>,
-    /// Total shared reliable k-mers (may exceed `witnesses.len()`).
+    /// The first `min(shared, MAX_WITNESSES)` slots are the witnesses;
+    /// the rest are zero.
+    witnesses: [(u32, u32); MAX_WITNESSES],
+    /// Total shared reliable k-mers (may exceed the witnesses).
     pub shared: u32,
+}
+
+impl CandidatePair {
+    /// A pair sharing `shared` reliable k-mers, the first of them
+    /// `witnesses`; panics unless there are `min(shared, MAX_WITNESSES)`.
+    pub fn new(r1: u32, r2: u32, shared: u32, witnesses: &[(u32, u32)]) -> CandidatePair {
+        assert_eq!(
+            witnesses.len(),
+            MAX_WITNESSES.min(shared as usize),
+            "a candidate carries min(shared, MAX_WITNESSES) witnesses"
+        );
+        let mut slots = [(0, 0); MAX_WITNESSES];
+        slots[..witnesses.len()].copy_from_slice(witnesses);
+        CandidatePair {
+            r1,
+            r2,
+            witnesses: slots,
+            shared,
+        }
+    }
+
+    /// Up to [`MAX_WITNESSES`] shared k-mer positions `(pos_in_r1,
+    /// pos_in_r2)`, in column-id order.
+    pub fn witnesses(&self) -> &[(u32, u32)] {
+        &self.witnesses[..MAX_WITNESSES.min(self.shared as usize)]
+    }
 }
 
 /// Compute all candidate pairs from the k-mer matrix: the one-tile case
@@ -61,14 +88,11 @@ pub fn spgemm_candidates(matrix: &KmerMatrix) -> Vec<CandidatePair> {
 /// walked in ascending id, and a pair `(i, j)` is only ever touched
 /// from row `i`.
 pub fn spgemm_tiles(matrix: &KmerMatrix, tile_rows: usize) -> SpgemmTiles<'_> {
-    let postings = matrix.transpose();
     SpgemmTiles {
-        cursor: postings.col_ptr[..matrix.n_cols].to_vec(),
-        postings,
+        cursor: matrix.postings.col_ptr[..matrix.n_cols].to_vec(),
         matrix,
         acc: vec![(0, [(0, 0); MAX_WITNESSES]); matrix.n_reads],
         touched: Vec::new(),
-        row_cols: Vec::new(),
         next_row: 0,
         tile_rows: tile_rows.max(1),
     }
@@ -77,19 +101,14 @@ pub fn spgemm_tiles(matrix: &KmerMatrix, tile_rows: usize) -> SpgemmTiles<'_> {
 /// Iterator of candidate blocks; see [`spgemm_tiles`].
 pub struct SpgemmTiles<'a> {
     matrix: &'a KmerMatrix,
-    /// Column-major `Aᵀ`, shared by all tiles.
-    postings: Postings,
     /// Per column, the posting of the next row to be walked: the
     /// postings before it belong to rows already done.
     cursor: Vec<usize>,
     /// The sparse accumulator, dense over read ids: `(shared, first
-    /// witnesses)` of the pair `(current row, j)`; `shared` is zero
-    /// between rows.
+    /// witnesses)` of the pair `(current row, j)`; all zero between rows.
     acc: Vec<(u32, [(u32, u32); MAX_WITNESSES])>,
     /// The `j` with a nonzero `acc` entry.
     touched: Vec<u32>,
-    /// The current row's `(column, position)` entries, sorted.
-    row_cols: Vec<(u32, u32)>,
     next_row: usize,
     tile_rows: usize,
 }
@@ -98,17 +117,14 @@ impl SpgemmTiles<'_> {
     /// Candidates of one anchor row `i`: every read `j > i` sharing a
     /// reliable column, ascending `j`, witnesses in column-id order.
     fn row_candidates(&mut self, i: usize, out: &mut Vec<CandidatePair>) {
-        self.row_cols.clear();
-        self.row_cols.extend(self.matrix.row(i));
-        // Row entries are in first-encounter order within the read;
-        // witness order must follow global column ids.
-        self.row_cols.sort_unstable();
-        for &(col, p1) in &self.row_cols {
+        let matrix = self.matrix;
+        let postings = &matrix.postings;
+        for (col, p1) in matrix.row(i) {
             let col = col as usize;
             let own = self.cursor[col];
-            debug_assert_eq!(self.postings.entries[own].0 as usize, i);
+            debug_assert_eq!(postings.entries[own].0 as usize, i);
             self.cursor[col] = own + 1;
-            for &(j, p2) in &self.postings.entries[own + 1..self.postings.col_ptr[col + 1]] {
+            for &(j, p2) in &postings.entries[own + 1..postings.col_ptr[col + 1]] {
                 let (shared, witnesses) = &mut self.acc[j as usize];
                 if *shared == 0 {
                     self.touched.push(j);
@@ -125,7 +141,7 @@ impl SpgemmTiles<'_> {
             out.push(CandidatePair {
                 r1: i as u32,
                 r2: j,
-                witnesses: witnesses[..MAX_WITNESSES.min(*shared as usize)].to_vec(),
+                witnesses: std::mem::take(witnesses),
                 shared: std::mem::take(shared),
             });
         }
@@ -180,7 +196,7 @@ mod tests {
         let c = &cands[0];
         assert_eq!((c.r1, c.r2), (0, 1));
         assert!(c.shared >= 1);
-        assert!(!c.witnesses.is_empty());
+        assert!(!c.witnesses().is_empty());
     }
 
     #[test]
@@ -191,7 +207,7 @@ mod tests {
         let m = matrix_of(&[r1.clone(), r2.clone()], 10);
         let cands = spgemm_candidates(&m);
         assert_eq!(cands.len(), 1);
-        for &(p1, p2) in &cands[0].witnesses {
+        for &(p1, p2) in cands[0].witnesses() {
             // The witnessed k-mers must actually match.
             let w1 = r1.subseq(p1 as usize, p1 as usize + 10);
             let w2 = r2.subseq(p2 as usize, p2 as usize + 10);
@@ -208,7 +224,7 @@ mod tests {
         let cands = spgemm_candidates(&m);
         assert_eq!(cands.len(), 1);
         assert!(cands[0].shared as usize > MAX_WITNESSES);
-        assert_eq!(cands[0].witnesses.len(), MAX_WITNESSES);
+        assert_eq!(cands[0].witnesses().len(), MAX_WITNESSES);
     }
 
     #[test]

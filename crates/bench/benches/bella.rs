@@ -5,7 +5,7 @@ use logan_bella::binning::choose_seed;
 use logan_bella::kmer_count::{count_kmers, count_reliable_sharded};
 use logan_bella::matrix::KmerMatrix;
 use logan_bella::pipeline::{BellaConfig, BellaPipeline};
-use logan_bella::prune::{reliable_bounds, reliable_kmers};
+use logan_bella::prune::reliable_bounds;
 use logan_bella::spgemm::spgemm_candidates;
 use logan_seq::readsim::{ReadPair, ReadSimulator};
 use logan_seq::{ErrorProfile, Seq};
@@ -28,19 +28,22 @@ fn bench_stages(c: &mut Criterion) {
     group.throughput(Throughput::Elements(total_bases as u64));
     group.bench_function("kmer_count_k17", |b| b.iter(|| count_kmers(&reads, 17)));
 
-    let counts = count_kmers(&reads, 17);
     let bounds = reliable_bounds(8.0, 0.10, 17, 1e-4);
-    // The streaming counter: the same partitions in 8 waves, reduced to
-    // the reliable set as it goes (one extra scatter pass per wave).
+    // The minimizer path's counter: the same partitions in 8 waves,
+    // codes only, reduced to the reliable set as it goes (one extra
+    // scatter pass per wave).
     group.bench_function("count_reliable_sharded_8", |b| {
         b.iter(|| count_reliable_sharded(&reads, 17, 8, bounds))
     });
-    let reliable = reliable_kmers(&counts, bounds);
-    group.bench_function("matrix_build", |b| {
-        b.iter(|| KmerMatrix::build(&reads, 17, &reliable))
-    });
+    // The SpGEMM path's one sort: counting, pruning and the matrix from
+    // packed (code | read | position) keys, monolithic and streaming.
+    for waves in [1, 8] {
+        group.bench_function(format!("count_and_build_{waves}"), |b| {
+            b.iter(|| KmerMatrix::count_and_build(&reads, 17, waves, bounds))
+        });
+    }
 
-    let matrix = KmerMatrix::build(&reads, 17, &reliable);
+    let (_, matrix) = KmerMatrix::count_and_build(&reads, 17, 1, bounds);
     group.bench_function("spgemm", |b| b.iter(|| spgemm_candidates(&matrix)));
 
     // Binning plus pair materialisation: two shared-read clones and a

@@ -6,7 +6,8 @@
 //! [`ReadPair`]: its reads are shared, not copied (DESIGN.md §8). The
 //! lane kernels are picked per CPU at run time (DESIGN.md §14); the
 //! process's first dispatched call, feature detection included, is
-//! held to the same zero.
+//! held to the same zero. Candidate pairs carry their witnesses inline,
+//! so the SpGEMM and binning allocate per growing vector, not per pair.
 //!
 //! The whole check lives in one `#[test]` function: the counting
 //! allocator is process-global, so concurrently running test functions
@@ -59,8 +60,71 @@ fn alloc_delta<R>(f: impl FnOnce() -> R) -> (u64, R) {
     (allocs() - before, out)
 }
 
+/// The allocations of `spgemm_candidates` + binning on a read set, and
+/// the candidates they produced.
+fn candidate_allocations(reads: &[Seq]) -> (u64, usize) {
+    use logan::bella::binning::choose_seed;
+    use logan::bella::kmer_count::count_kmers;
+    use logan::bella::matrix::KmerMatrix;
+    use logan::bella::prune::{reliable_kmers, ReliableBounds};
+    use logan::bella::spgemm::spgemm_candidates;
+    let k = 17;
+    let reliable = reliable_kmers(&count_kmers(reads, k), ReliableBounds { lo: 2, hi: 30 });
+    let matrix = KmerMatrix::build(reads, k, &reliable);
+    let (d, (n, seeded)) = alloc_delta(|| {
+        let cands = spgemm_candidates(&matrix);
+        let lens = |c: &logan::bella::spgemm::CandidatePair| {
+            (reads[c.r1 as usize].len(), reads[c.r2 as usize].len())
+        };
+        let seeded = cands
+            .iter()
+            .map(|c| choose_seed(lens(c).0, lens(c).1, c, k).0)
+            .filter(|seed| seed.len == k)
+            .count();
+        (cands.len(), seeded)
+    });
+    assert_eq!(seeded, n, "every candidate seeds a k-mer");
+    (d, n)
+}
+
+/// Doubling the candidates — a second genome's reads beside the first's
+/// — may cost the vectors that grow one more doubling each: O(log), not
+/// O(candidates).
+fn candidate_allocations_grow_by_doubling_only() {
+    use logan::seq::readsim::ReadSimulator;
+    let reads_of = |seed| {
+        let sim = ReadSimulator {
+            read_len: (400, 700),
+            errors: logan::seq::ErrorProfile::pacbio(0.05),
+            ..ReadSimulator::uniform(15_000, 6.0)
+        };
+        let reads = sim.generate(seed).reads.into_iter();
+        reads.map(|r| r.seq).collect::<Vec<Seq>>()
+    };
+    let one = reads_of(1);
+    let mut two = one.clone();
+    two.extend(reads_of(2));
+    let (allocs_one, cands_one) = candidate_allocations(&one);
+    let (allocs_two, cands_two) = candidate_allocations(&two);
+    assert!(
+        cands_one > 500,
+        "{cands_one} candidates are too few to tell"
+    );
+    assert!(
+        cands_two > 19 * cands_one / 10,
+        "{cands_two} candidates do not double {cands_one}"
+    );
+    assert!(
+        allocs_two <= allocs_one + 4,
+        "{cands_one} -> {cands_two} candidates took {allocs_one} -> {allocs_two} allocations"
+    );
+}
+
 #[test]
 fn warm_workspace_extensions_are_allocation_free() {
+    // Same process-wide counter, so the same test function.
+    candidate_allocations_grow_by_doubling_only();
+
     // A mixed workload: divergent pair (drops early), noisy related
     // pairs of different lengths, and a seeded pair for seed_extend.
     let pairs = PairSet::generate_with_lengths(6, 0.15, 300, 700, 17).pairs;

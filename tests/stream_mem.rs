@@ -6,9 +6,10 @@
 //! their reads with the read store — so the candidate stage's peak is a
 //! multiple of the input, not of candidates × read length.
 //!
-//! Two more peaks pin the serial front end: `candidates()` counts
-//! k-mers into the reliable set without a count table beside the code
-//! buffer, and parsing FASTA leaves no growth slack on the records.
+//! Two more peaks pin the serial front end: `candidates()` counts,
+//! prunes and builds the k-mer matrix in one sort whose key buffer is the
+//! peak — no count table, reliable set or matrix builder beside it — and
+//! parsing FASTA leaves no growth slack on the records.
 //!
 //! Lives in its own integration-test binary because the measuring
 //! global allocator ([`logan_bench::memprobe`]) is process-wide (as
@@ -89,10 +90,11 @@ fn streaming_peak_is_bounded_by_batch_not_input() {
     // Depth-12 reads: every read overlaps ~20 others, so a candidate
     // list that copied both sequences into each pair would dwarf the
     // read set itself. At the paper's 15 % error the monolithic peak is
-    // the counter's code buffer, the thing streaming divides by
-    // `shards`; on cleaner reads (10 %) the resident index and the
-    // results, which both shapes hold, are as large as that buffer and
-    // the two peaks meet (1.7 MiB each on this genome).
+    // the one-sort counter's key buffer (8 bytes a k-mer position), the
+    // thing streaming divides by `shards`; the streaming peak is then the
+    // resident index with the alignment stage beside it. On cleaner reads
+    // (10 %) that index and the results, which both shapes hold, are as
+    // large as the key buffer and the two peaks meet.
     let sim = ReadSimulator {
         read_len: (800, 1400),
         depth: 12.0,
@@ -146,9 +148,11 @@ fn streaming_peak_is_bounded_by_batch_not_input() {
     // (2) Candidate pairs share their reads. What `candidates()`
     // returns retains a record per pair — the pair, its `meta` entry,
     // growth slack — however long the reads are, and its peak is the
-    // k-mer counter's: one 8-byte code per k-mer position, the reliable
-    // set growing beside it. A table of every distinct k-mer (12 bytes
-    // each, most of them error k-mers seen once) does not fit the bound.
+    // one-sort counter's key buffer: one 8-byte `(code | read | position)`
+    // key per k-mer position, shrunk to the matrix postings before
+    // anything else is allocated. A table of every distinct k-mer (12
+    // bytes each, most of them error k-mers seen once) does not fit the
+    // bound.
     let pipeline = BellaPipeline::new(config(PipelineBudget::default()));
     let live_before = live_bytes();
     let ((pairs, meta, stats), candidates_peak) = peak_during(|| pipeline.candidates(&seqs));
@@ -184,7 +188,7 @@ fn streaming_peak_is_bounded_by_batch_not_input() {
     );
     assert!(
         candidates_peak < bound,
-        "candidates() peak {:.2} MiB is over code buffer + reads + 25 % = {:.2} MiB",
+        "candidates() peak {:.2} MiB is over key buffer + reads + 25 % = {:.2} MiB",
         mib(candidates_peak),
         mib(bound)
     );
