@@ -67,7 +67,7 @@ pub use ksw2::{ksw2_extend, Ksw2Params};
 pub use protein::{ScoreProfile, SubstMatrix, AMINO_ACIDS};
 pub use result::{AlignmentResult, ExtensionResult, SeedExtendResult};
 pub use seed_extend::{seed_extend, seed_extend_with};
-pub use simd::{simd8_eligible, simd_eligible, Engine, TierTally};
+pub use simd::{simd8_eligible, simd_eligible, DiagStats, Engine, StepSink, TierTally};
 pub use workspace::{with_thread_workspace, AlignWorkspace, AntiDiag, ScalarRings};
 pub use xdrop::{xdrop_extend, xdrop_extend_with, XDropExtender};
 

@@ -20,9 +20,9 @@
 //! target's baseline — on x86-64 that is SSE2: every chunk two 128-bit
 //! halves, every select an `and/andn/or` triple, every row maximum a
 //! shuffle ladder. The run-to-completion kernels (`i16_kernel`,
-//! `i8_kernel`: stepper construction, the loop of [`LaneState`]'s `run`
-//! and everything it inlines — `advance`, `row`, `cells`, the
-//! substitution sources, the i8 → i16 hand-over) are therefore
+//! `i8_kernel`: stepper construction, the stepper's run loop and
+//! everything it inlines — `advance`, `row`, `cells`, the substitution
+//! sources, the per-step [`StepSink`], the i8 → i16 hand-over) are therefore
 //! `#[inline(always)]` bodies instantiated twice: once in the portable
 //! entry point and, on x86-64, once inside a thin
 //! `#[target_feature(enable = "avx2")]` wrapper, where the same source
@@ -39,10 +39,12 @@
 //! doc-hidden test seam) pins the portable one so the differential
 //! suites and `engine_tiers` run both on one machine.
 //!
-//! What is *not* dispatched: [`LaneState::step`], the
-//! one-anti-diagonal API `logan-core`'s SIMT accounting drives. A
-//! dispatched call per step could not inline into its caller, and that
-//! path's time goes to the accounting around the step, not the step.
+//! The run loops report every anti-diagonal they compute to a
+//! [`StepSink`], a type parameter of the kernels: the CPU engines pass
+//! `()`, whose no-op compiles away, so every CPU caller shares one
+//! instantiation of each kernel; `logan-core`'s simulated GPU kernel
+//! passes a sink that books the SIMT costs of the step, and so runs the
+//! same dispatched compilation.
 //!
 //! # The tier ladder (DESIGN.md §14)
 //!
@@ -64,7 +66,7 @@
 //!
 //! # One recurrence body, vector-only anti-diagonals
 //!
-//! The two SIMD tiers are one stepper ([`LaneState`]) and one
+//! The two SIMD tiers are one stepper (`LaneState`) and one
 //! recurrence body (`cells`), written once over the lane element
 //! ([`Lane`]) and the lane count and monomorphised for `i16 × 16` and
 //! [`Biased8`]` × 32`. Like the GPU kernel — which gives every cell of
@@ -158,12 +160,12 @@
 //!
 //! The i8 kernel tightens the same three bounds to the i8 window
 //! ([`SIMD8_MAX_SCORE`]) — except the best-score bound, which it
-//! enforces *dynamically*: the stepper watches the live best and, when
-//! the next anti-diagonal could carry a value past the window
-//! ([`Simd8Step::Escalate`]), hands its exact mid-extension state to
-//! the i16 stepper ([`Simd8State::escalate`]) instead of dropping to
-//! scalar. Both representations are exact over their windows, so the
-//! handoff changes no value, trim, or tie-break.
+//! enforces *dynamically*: the run loop watches the live best and, when
+//! the next anti-diagonal could carry a value past the window, hands
+//! its exact mid-extension state to the i16 stepper (`escalate`)
+//! instead of dropping to scalar. Both representations are exact over
+//! their windows, so the handoff changes no value, trim, or tie-break,
+//! and the sink sees one unbroken sequence of anti-diagonals.
 //!
 //! Under these conditions every cell value, trim decision and tie-break
 //! is identical to the scalar routine, which the differential suites
@@ -175,14 +177,12 @@
 //!
 //! # The stepper
 //!
-//! [`SimdState`] exposes the extension one anti-diagonal at a time so
-//! that `logan-core`'s simulated GPU kernel can drive the same compute
-//! while accounting SIMT costs per iteration (see
-//! `logan_core::kernel::logan_block_extend`); [`Simd8State`] is the
-//! same stepper at i8 plus the escalation watch.
-//! [`Engine::extend_with`] runs the same step function to completion in
-//! a loop that owns everything a step changes as locals, so the
-//! per-step bookkeeping stays in registers.
+//! `LaneState` is one extension at one precision; its run loop calls
+//! the step function (`advance`) to completion with everything a step
+//! changes held as locals, so the per-step bookkeeping stays in
+//! registers, and hands each step's [`DiagStats`] to the sink. There is
+//! no public one-step API: a caller that wants the steps passes a sink
+//! to [`Engine::extend_with_sink`].
 //!
 //! # Tier telemetry
 //!
@@ -194,7 +194,8 @@
 
 use crate::result::ExtensionResult;
 use crate::workspace::AlignWorkspace;
-use crate::xdrop::xdrop_extend_with;
+use crate::xdrop::xdrop_run;
+use crate::NEG_INF;
 use logan_seq::{ScoreProfile, Seq};
 use serde::{Deserialize, Serialize};
 
@@ -305,14 +306,46 @@ impl Engine {
         x: i32,
         ws: &mut AlignWorkspace,
     ) -> ExtensionResult {
-        self.dispatch(query, target, profile.into(), x, ws, false)
+        self.extend_cpu(query, target, profile.into(), x, ws)
     }
 
-    /// [`extend_with`](Engine::extend_with) behind its generic
+    /// [`extend_with`](Engine::extend_with) behind its generic argument:
+    /// not generic and not inlined, so the kernels' `()`-sink
+    /// instantiation is compiled once, here, and every CPU caller runs
+    /// that one copy ([`run_i16`]).
+    fn extend_cpu(
+        self,
+        query: &Seq,
+        target: &Seq,
+        profile: ScoreProfile,
+        x: i32,
+        ws: &mut AlignWorkspace,
+    ) -> ExtensionResult {
+        self.dispatch(query, target, profile, x, ws, false, &mut ())
+    }
+
+    /// [`extend_with`](Engine::extend_with), handing the [`DiagStats`]
+    /// of every anti-diagonal the kernel computes to `sink`, in order —
+    /// the dropped one included, across an i8 → i16 escalation too. The
+    /// statistics are the same whichever tier runs.
+    pub fn extend_with_sink(
+        self,
+        query: &Seq,
+        target: &Seq,
+        profile: impl Into<ScoreProfile>,
+        x: i32,
+        ws: &mut AlignWorkspace,
+        sink: &mut impl StepSink,
+    ) -> ExtensionResult {
+        self.dispatch(query, target, profile.into(), x, ws, false, sink)
+    }
+
+    /// [`extend_with_sink`](Engine::extend_with_sink) behind its generic
     /// argument; `portable` pins the lane kernels to their portable
     /// compilation ([`extend_portable`], the test seam).
     #[inline]
-    fn dispatch(
+    #[allow(clippy::too_many_arguments)]
+    fn dispatch<S: StepSink>(
         self,
         query: &Seq,
         target: &Seq,
@@ -320,6 +353,7 @@ impl Engine {
         x: i32,
         ws: &mut AlignWorkspace,
         portable: bool,
+        sink: &mut S,
     ) -> ExtensionResult {
         assert!(x >= 0, "X-drop parameter must be non-negative");
         if query.is_empty() || target.is_empty() {
@@ -327,12 +361,12 @@ impl Engine {
         }
         match self {
             Engine::I8 if simd8_eligible(query, target, profile, x) => {
-                run_i8(query, target, profile, x, ws, portable)
+                run_i8(query, target, profile, x, ws, portable, sink)
             }
             Engine::Simd | Engine::Adaptive if simd_eligible(query, target, profile, x) => {
-                run_i16(query, target, profile, x, ws, portable)
+                run_i16(query, target, profile, x, ws, portable, sink)
             }
-            _ => xdrop_extend_with(query, target, profile, x, ws),
+            _ => xdrop_run(query, target, profile, x, ws, sink),
         }
     }
 
@@ -515,7 +549,7 @@ pub fn simd8_eligible(query: &Seq, target: &Seq, profile: impl Into<ScoreProfile
 }
 
 /// The element type of a SIMD tier — what the stepper
-/// ([`LaneState`]) and its row kernel are written once over and
+/// (`LaneState`) and its row kernel are written once over and
 /// monomorphised for. Implemented for `i16` (the [`LANES`]-lane tier)
 /// and [`Biased8`] (the [`LANES8`]-lane i8 tier); the lane count is the
 /// stepper's const parameter.
@@ -539,9 +573,6 @@ pub trait Lane: Copy + Ord + std::fmt::Debug + 'static {
     fn narrow(v: i32) -> Self;
     /// Widen back to the scalar engine's i32.
     fn widen(self) -> i32;
-    /// Whether this tier reproduces the scalar result exactly
-    /// ([`simd_eligible`] / [`simd8_eligible`]).
-    fn eligible(query: &Seq, target: &Seq, profile: ScoreProfile, x: i32) -> bool;
 }
 
 /// [`Lane::LANE_MASK`] for one lane type.
@@ -570,9 +601,6 @@ impl Lane for i16 {
     #[inline(always)]
     fn widen(self) -> i32 {
         self as i32
-    }
-    fn eligible(query: &Seq, target: &Seq, profile: ScoreProfile, x: i32) -> bool {
-        simd_eligible(query, target, profile, x)
     }
 }
 
@@ -614,9 +642,6 @@ impl Lane for Biased8 {
     fn widen(self) -> i32 {
         self.0 as i32 - Biased8::BIAS as i32
     }
-    fn eligible(query: &Seq, target: &Seq, profile: ScoreProfile, x: i32) -> bool {
-        simd8_eligible(query, target, profile, x)
-    }
 }
 
 /// Cells of −∞ in front of position 0 of every anti-diagonal buffer:
@@ -628,7 +653,7 @@ const FRONT: usize = 1;
 /// (DESIGN.md §7): the lane-typed query/target buffers, the query
 /// profile and the three anti-diagonals, all indexed by absolute query
 /// position (see the module docs for the layout). Buffers grow to the
-/// largest extension seen and are then reused; every [`LaneState::new`]
+/// largest extension seen and are then reused; every `LaneState::new`
 /// re-initialises the cells the kernel can read, so no state leaks
 /// between extensions.
 #[derive(Debug, Default)]
@@ -680,40 +705,57 @@ fn size_diags<T: Lane>(diags: &mut [Vec<T>; 3], m: usize, lanes: usize) -> [&mut
     })
 }
 
-/// Per-anti-diagonal statistics reported by [`LaneState::step`], sized
-/// for `logan-core`'s SIMT cost accounting.
-#[derive(Debug, Clone, Copy)]
+/// What one anti-diagonal of an X-drop extension did: the statistics
+/// every run loop — scalar and lane, every tier — hands its
+/// [`StepSink`], sized for `logan-core`'s SIMT cost accounting. The
+/// same for every engine on the same input; `width == live_width +
+/// trim_front + trim_back` on every step.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DiagStats {
     /// Cells computed on this anti-diagonal (before trimming).
     pub width: usize,
-    /// Cells alive after X-drop trimming.
+    /// Cells alive after X-drop trimming; 0 when the whole
+    /// anti-diagonal fell below `best − X` and the extension dropped.
     pub live_width: usize,
-    /// −∞ cells trimmed from the low end.
+    /// −∞ cells trimmed from the low end — all `width` of them on the
+    /// anti-diagonal that dropped.
     pub trim_front: usize,
     /// −∞ cells trimmed from the high end.
     pub trim_back: usize,
-    /// Maximum score on this anti-diagonal (exact, widened to i32).
+    /// Maximum score on this anti-diagonal (exact, widened to i32;
+    /// [`NEG_INF`] on the one that dropped).
     pub row_max: i32,
 }
 
-/// Outcome of one [`LaneState::step`].
-#[derive(Debug, Clone, Copy)]
-pub enum SimdStep {
-    /// An anti-diagonal was computed and trimmed; the extension
-    /// continues.
-    Advanced(DiagStats),
-    /// Every cell of the anti-diagonal fell below `best − X`: the
-    /// extension dropped. `width` cells were still computed.
-    Dropped {
-        /// Cells computed on the final (fully pruned) anti-diagonal.
-        width: usize,
-    },
-    /// The band slid off the matrix or the last anti-diagonal was
-    /// already computed; nothing happened.
-    Finished,
+impl DiagStats {
+    /// The statistics of an anti-diagonal of `width` cells that dropped.
+    #[inline(always)]
+    pub(crate) fn dropped(width: usize) -> DiagStats {
+        DiagStats {
+            width,
+            live_width: 0,
+            trim_front: width,
+            trim_back: 0,
+            row_max: NEG_INF,
+        }
+    }
 }
 
-/// How the kernel scores a substitution, fixed at [`LaneState::new`]
+/// Receives every anti-diagonal an extension computes, in order
+/// ([`Engine::extend_with_sink`]). The run loops are generic over it and
+/// call it once a step, inlined: `()` is the no-op every CPU caller
+/// passes, `logan-core`'s simulated kernel books SIMT costs in one.
+pub trait StepSink {
+    /// One anti-diagonal was computed, pruned and trimmed.
+    fn diag(&mut self, s: &DiagStats);
+}
+
+impl StepSink for () {
+    #[inline(always)]
+    fn diag(&mut self, _: &DiagStats) {}
+}
+
+/// How the kernel scores a substitution, fixed at `LaneState::new`
 /// and dispatched once per anti-diagonal, so each source gets its own
 /// monomorphised copy of the row kernel.
 #[derive(Debug, Clone, Copy)]
@@ -726,9 +768,9 @@ enum SubstMode<T> {
 }
 
 /// The part of a stepper that changes from one anti-diagonal to the
-/// next, as one `Copy` value: [`LaneState::step`] writes it back into
-/// the stepper, the run-to-completion loop ([`LaneState::run`]) carries
-/// it from iteration to iteration as a local, so it lives in registers.
+/// next, as one `Copy` value: the run loop (`LaneState::run_while`)
+/// carries it from iteration to iteration as a local, so it lives in
+/// registers.
 #[derive(Debug, Clone, Copy)]
 struct Frontier {
     /// The last anti-diagonal computed — which is also how many were —
@@ -743,11 +785,10 @@ struct Frontier {
     cells: u64,
     max_width: usize,
     dropped: bool,
-    finished: bool,
 }
 
 /// What an extension reads and never writes: the lane-typed sequences,
-/// the query profile and the scoring, fixed at [`LaneState::new`].
+/// the query profile and the scoring, fixed at `LaneState::new`.
 #[derive(Debug, Clone, Copy)]
 struct Job<'w, T> {
     q: &'w [T],
@@ -762,12 +803,11 @@ struct Job<'w, T> {
 }
 
 /// Rolling state of a lane-parallel X-drop extension over `L` lanes of
-/// `T`, advanced one anti-diagonal per [`step`](LaneState::step) call.
-/// All buffers are borrowed from a caller-owned [`Scratch`], so running
-/// extensions back to back through the same scratch performs no heap
-/// allocation once the buffers are warm.
+/// `T`. All buffers are borrowed from a caller-owned [`Scratch`], so
+/// running extensions back to back through the same scratch performs no
+/// heap allocation once the buffers are warm.
 #[derive(Debug)]
-pub struct LaneState<'w, T, const L: usize> {
+struct LaneState<'w, T, const L: usize> {
     job: Job<'w, T>,
     /// The buffers of anti-diagonals `d + 1` (the one the next step
     /// writes), `d` and `d − 1`; rotated once per step, as the GPU
@@ -776,30 +816,19 @@ pub struct LaneState<'w, T, const L: usize> {
     at: Frontier,
 }
 
-/// The i16 tier's stepper.
-pub type SimdState<'w> = LaneState<'w, i16, LANES>;
-
 impl<'w, T: Lane, const L: usize> LaneState<'w, T, L> {
-    /// Start an extension in the given scratch, or `None` when the
-    /// inputs are empty or outside the tier's window
-    /// ([`Lane::eligible`]; callers then use a wider tier or the scalar
-    /// routine). Whatever the scratch held before is either
-    /// re-initialised or unreachable.
-    ///
-    /// Panics if `x` is negative, like [`xdrop_extend`](crate::xdrop::xdrop_extend).
-    pub fn new(
+    /// Start a non-empty extension, inside the tier's window
+    /// ([`simd_eligible`] / [`simd8_eligible`], checked by the
+    /// dispatcher), in the given scratch. Whatever the scratch held
+    /// before is either re-initialised or unreachable.
+    fn new(
         query: &Seq,
         target: &Seq,
-        profile: impl Into<ScoreProfile>,
+        profile: ScoreProfile,
         x: i32,
         scratch: &'w mut Scratch<T>,
-    ) -> Option<Self> {
-        assert!(x >= 0, "X-drop parameter must be non-negative");
+    ) -> Self {
         const { assert!(L <= LANES8, "the lane-mask table covers one widest chunk") };
-        let profile = profile.into();
-        if query.is_empty() || target.is_empty() || !T::eligible(query, target, profile, x) {
-            return None;
-        }
         let (m, n) = (query.len(), target.len());
         let Scratch {
             q,
@@ -858,7 +887,7 @@ impl<'w, T: Lane, const L: usize> LaneState<'w, T, L> {
         let [_, prev, prev2] = &mut diags;
         prev[..FRONT + 2].copy_from_slice(&[T::NEG_INF, T::narrow(0), T::NEG_INF]);
         prev2[..FRONT + 1].fill(T::NEG_INF);
-        Some(LaneState {
+        LaneState {
             job: Job {
                 q,
                 trev,
@@ -880,44 +909,48 @@ impl<'w, T: Lane, const L: usize> LaneState<'w, T, L> {
                 cells: 0,
                 max_width: 1,
                 dropped: false,
-                finished: false,
             },
-        })
+        }
     }
 
-    /// Compute, prune and trim the next anti-diagonal.
-    pub fn step(&mut self) -> SimdStep {
-        let diags = std::mem::take(&mut self.diags);
-        let (diags, at, step) = self.job.advance::<L>(diags, self.at);
-        (self.diags, self.at) = (diags, at);
-        step
-    }
-
-    /// Step to the end of the extension: [`step`](LaneState::step)
-    /// until it stops advancing, with everything that changes a local
-    /// of the loop. Always inlined, so the step is code-generated
-    /// inside — and for the instruction set of — whichever kernel body
-    /// calls it (module docs, "One source, two compilations").
+    /// Step while `stay` holds for the frontier, handing each step to
+    /// `sink`, with everything that changes a local of the loop: the
+    /// result once the extension ends (`Ok`), or the stepper where
+    /// `stay` first failed (`Err`). Always inlined, so the step is
+    /// code-generated inside — and for the instruction set of —
+    /// whichever kernel body calls it (module docs, "One source, two
+    /// compilations"), which is also why the large `Err` is never
+    /// materialised.
     #[inline(always)]
-    fn run(self) -> ExtensionResult {
+    #[allow(clippy::result_large_err)]
+    fn run_while(
+        self,
+        stay: impl Fn(&Frontier) -> bool,
+        sink: &mut impl StepSink,
+    ) -> Result<ExtensionResult, Self> {
         let LaneState {
             job,
             mut diags,
             mut at,
         } = self;
-        loop {
+        while stay(&at) {
             let step;
             (diags, at, step) = job.advance::<L>(diags, at);
-            if !matches!(step, SimdStep::Advanced(_)) {
-                return at.into_result();
+            match step {
+                Some(stats) => sink.diag(&stats),
+                None => return Ok(at.into_result()),
             }
         }
+        Err(LaneState { job, diags, at })
     }
 
-    /// Finish into an [`ExtensionResult`] (identical to what the scalar
-    /// routine would return for the same inputs).
-    pub fn into_result(self) -> ExtensionResult {
-        self.at.into_result()
+    /// [`run_while`](LaneState::run_while) to the end of the extension.
+    #[inline(always)]
+    fn run(self, sink: &mut impl StepSink) -> ExtensionResult {
+        match self.run_while(|_| true, sink) {
+            Ok(r) => r,
+            Err(_) => unreachable!("a run without a stop condition ends the extension"),
+        }
     }
 }
 
@@ -938,15 +971,17 @@ impl Frontier {
 impl<'w, T: Lane> Job<'w, T> {
     /// One step from frontier `at` with `diags` the buffers of
     /// anti-diagonals `d + 1`, `d` and `d − 1`: the buffers rotated,
-    /// the frontier after the step, and what happened.
+    /// the frontier after the step, and the step's statistics — `None`
+    /// when there is no next anti-diagonal (the extension dropped, the
+    /// band slid off the matrix, or `m + n` was the last).
     #[inline(always)]
     fn advance<const L: usize>(
         &self,
         diags: [&'w mut [T]; 3],
         mut at: Frontier,
-    ) -> ([&'w mut [T]; 3], Frontier, SimdStep) {
-        if at.finished || at.dropped {
-            return (diags, at, SimdStep::Finished);
+    ) -> ([&'w mut [T]; 3], Frontier, Option<DiagStats>) {
+        if at.dropped {
+            return (diags, at, None);
         }
         let d = at.d + 1;
         let (m, n) = (self.m, self.n);
@@ -956,8 +991,7 @@ impl<'w, T: Lane> Job<'w, T> {
         let lo = at.lo.max(d.saturating_sub(n));
         let hi = (at.lo + at.len).min(d).min(m);
         if lo > hi {
-            at.finished = true;
-            return (diags, at, SimdStep::Finished);
+            return (diags, at, None);
         }
         at.d = d;
         let w = hi - lo + 1;
@@ -989,7 +1023,7 @@ impl<'w, T: Lane> Job<'w, T> {
         if row_max <= T::NEG_INF {
             // Entire anti-diagonal pruned: the alignment dropped.
             at.dropped = true;
-            return ([prev2, cur, prev], at, SimdStep::Dropped { width: w });
+            return ([prev2, cur, prev], at, Some(DiagStats::dropped(w)));
         }
 
         // Trim −∞ runs from both ends. The scans exit early, so their
@@ -1020,7 +1054,7 @@ impl<'w, T: Lane> Job<'w, T> {
             trim_back: w - 1 - kl,
             row_max: row_max.widen(),
         };
-        ([prev2, cur, prev], at, SimdStep::Advanced(stats))
+        ([prev2, cur, prev], at, Some(stats))
     }
 
     /// Anti-diagonal `d`'s window — `w` cells from query position `lo` —
@@ -1246,106 +1280,7 @@ impl<T: Lane, const L: usize> Row<'_, T, L> {
     }
 }
 
-/// Outcome of one [`Simd8State::step`]: [`SimdStep`] plus the
-/// escalation signal.
-#[derive(Debug, Clone, Copy)]
-pub enum Simd8Step {
-    /// An anti-diagonal was computed and trimmed; the extension
-    /// continues.
-    Advanced(DiagStats),
-    /// Every cell of the anti-diagonal fell below `best − X`.
-    Dropped {
-        /// Cells computed on the final (fully pruned) anti-diagonal.
-        width: usize,
-    },
-    /// The band slid off the matrix or the last anti-diagonal was
-    /// already computed; nothing happened.
-    Finished,
-    /// The next anti-diagonal could carry a value past the i8 window
-    /// (`best + max_score > `[`SIMD8_MAX_SCORE`]): nothing was
-    /// computed, and the caller must hand the extension to the i16
-    /// stepper via [`Simd8State::escalate`]. The signal is sticky —
-    /// stepping again returns it again.
-    Escalate,
-}
-
-/// Rolling state of a 32-lane i8 X-drop extension: the same stepper as
-/// [`SimdState`] at the narrower precision, plus the escalation watch.
-/// Every value it stores is exact (the stepper escalates before any
-/// reachable value could leave the i8 window), which is what makes
-/// [`escalate`](Simd8State::escalate) a pure representation change.
-#[derive(Debug)]
-pub struct Simd8State<'w> {
-    lanes: LaneState<'w, Biased8, LANES8>,
-    /// The profile's `max_score`, cached for the per-step escalation
-    /// check (`best + max_sub` is the largest value the next
-    /// anti-diagonal can reach).
-    max_sub: i32,
-}
-
-impl<'w> Simd8State<'w> {
-    /// Start an extension in the given scratch, or `None` when the
-    /// inputs are empty or not [`simd8_eligible`] (callers then use a
-    /// wider tier). Whatever the scratch held before is either
-    /// re-initialised or unreachable.
-    ///
-    /// Panics if `x` is negative, like [`xdrop_extend`](crate::xdrop::xdrop_extend).
-    pub fn new(
-        query: &Seq,
-        target: &Seq,
-        profile: impl Into<ScoreProfile>,
-        x: i32,
-        scratch: &'w mut Simd8Scratch,
-    ) -> Option<Simd8State<'w>> {
-        let profile = profile.into();
-        Some(Simd8State {
-            lanes: LaneState::new(query, target, profile, x, scratch)?,
-            max_sub: profile.max_score(),
-        })
-    }
-
-    /// Compute, prune and trim the next anti-diagonal — or report
-    /// [`Simd8Step::Escalate`] (computing nothing) when the next
-    /// anti-diagonal could leave the i8 window.
-    pub fn step(&mut self) -> Simd8Step {
-        // Escalation watch: the next anti-diagonal's values are bounded
-        // by best + max_score. Checked before computing anything, so
-        // every value this stepper ever stores is exact in i8.
-        let at = &self.lanes.at;
-        if !(at.finished || at.dropped) && at.best + self.max_sub > SIMD8_MAX_SCORE {
-            return Simd8Step::Escalate;
-        }
-        match self.lanes.step() {
-            SimdStep::Advanced(stats) => Simd8Step::Advanced(stats),
-            SimdStep::Dropped { width } => Simd8Step::Dropped { width },
-            SimdStep::Finished => Simd8Step::Finished,
-        }
-    }
-
-    /// Step to the end of the extension — in the i8 window if it stays
-    /// there, else handing over to the i16 stepper in `scratch16` and
-    /// counting the escalation: the loop of [`LaneState::run`] behind
-    /// the watch of [`step`](Simd8State::step). Always inlined, like
-    /// [`LaneState::run`].
-    #[inline(always)]
-    fn run(self, scratch16: &mut SimdScratch, tally: &mut TierTally) -> ExtensionResult {
-        let LaneState {
-            job,
-            mut diags,
-            mut at,
-        } = self.lanes;
-        while at.best + self.max_sub <= SIMD8_MAX_SCORE {
-            let step;
-            (diags, at, step) = job.advance::<LANES8>(diags, at);
-            if !matches!(step, SimdStep::Advanced(_)) {
-                return at.into_result();
-            }
-        }
-        tally.escalations += 1;
-        let lanes = LaneState { job, diags, at };
-        Simd8State { lanes, ..self }.escalate(scratch16).run()
-    }
-
+impl<'w> LaneState<'w, Biased8, LANES8> {
     /// Hand this extension to the i16 stepper, widening into
     /// `scratch16` the sequences, the profile and the cells of the last
     /// two anti-diagonals that a later step can read. Both
@@ -1354,12 +1289,12 @@ impl<'w> Simd8State<'w> {
     /// bit-identical state to an i16 run that had computed diagonals
     /// `1..=d` itself — escalation can never change a score, trim, or
     /// tie-break.
-    pub fn escalate<'x>(self, scratch16: &'x mut SimdScratch) -> SimdState<'x> {
+    fn escalate<'x>(self, scratch16: &'x mut SimdScratch) -> LaneState<'x, i16, LANES> {
         let LaneState {
             job: s,
             diags: diags8,
             at,
-        } = self.lanes;
+        } = self;
         // Sequences and profile rows are cut to the i16 kernel's own
         // (shorter) chunk of padding, so the i16 buffers' high-water
         // mark depends on the pair, not on the tier it started in.
@@ -1419,15 +1354,8 @@ impl<'w> Simd8State<'w> {
                 cells: at.cells,
                 max_width: at.max_width,
                 dropped: false,
-                finished: false,
             },
         }
-    }
-
-    /// Finish into an [`ExtensionResult`] (identical to what the scalar
-    /// routine would return for the same inputs).
-    pub fn into_result(self) -> ExtensionResult {
-        self.lanes.into_result()
     }
 }
 
@@ -1453,15 +1381,19 @@ fn i16_kernel(
     profile: ScoreProfile,
     x: i32,
     scratch: &mut SimdScratch,
+    sink: &mut impl StepSink,
 ) -> ExtensionResult {
-    SimdState::new(query, target, profile, x, scratch)
-        .expect("eligibility checked by the dispatcher")
-        .run()
+    LaneState::<i16, LANES>::new(query, target, profile, x, scratch).run(sink)
 }
 
-/// The i8 kernel likewise, handing over to the i16 stepper in
-/// `scratch16` (and counting the escalation) if the window closes.
+/// The i8 kernel likewise: in the i8 window while the next
+/// anti-diagonal cannot leave it (`best + max_score` bounds its
+/// values), then handed over to the i16 stepper in `scratch16`, the
+/// escalation counted. Every value the i8 stepper stores is therefore
+/// exact, which is what makes the hand-over a pure representation
+/// change.
 #[inline(always)]
+#[allow(clippy::too_many_arguments)]
 fn i8_kernel(
     query: &Seq,
     target: &Seq,
@@ -1470,10 +1402,15 @@ fn i8_kernel(
     scratch8: &mut Simd8Scratch,
     scratch16: &mut SimdScratch,
     tally: &mut TierTally,
+    sink: &mut impl StepSink,
 ) -> ExtensionResult {
-    Simd8State::new(query, target, profile, x, scratch8)
-        .expect("eligibility checked by the dispatcher")
-        .run(scratch16, tally)
+    let max_sub = profile.max_score();
+    let narrow = LaneState::<Biased8, LANES8>::new(query, target, profile, x, scratch8)
+        .run_while(|at| at.best + max_sub <= SIMD8_MAX_SCORE, sink);
+    narrow.unwrap_or_else(|stepper| {
+        tally.escalations += 1;
+        stepper.escalate(scratch16).run(sink)
+    })
 }
 
 /// [`i16_kernel`] compiled for AVX2: the same body inlined into a
@@ -1486,13 +1423,15 @@ fn i16_kernel_avx2(
     profile: ScoreProfile,
     x: i32,
     scratch: &mut SimdScratch,
+    sink: &mut impl StepSink,
 ) -> ExtensionResult {
-    i16_kernel(query, target, profile, x, scratch)
+    i16_kernel(query, target, profile, x, scratch, sink)
 }
 
 /// [`i8_kernel`] compiled for AVX2, its i16 continuation included.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
+#[allow(clippy::too_many_arguments)]
 fn i8_kernel_avx2(
     query: &Seq,
     target: &Seq,
@@ -1501,8 +1440,9 @@ fn i8_kernel_avx2(
     scratch8: &mut Simd8Scratch,
     scratch16: &mut SimdScratch,
     tally: &mut TierTally,
+    sink: &mut impl StepSink,
 ) -> ExtensionResult {
-    i8_kernel(query, target, profile, x, scratch8, scratch16, tally)
+    i8_kernel(query, target, profile, x, scratch8, scratch16, tally, sink)
 }
 
 /// Whether this CPU runs the AVX2 compilation of the lane kernels.
@@ -1528,10 +1468,10 @@ pub fn kernel_isa() -> &'static str {
     }
 }
 
-/// Test seam: [`Engine::extend_with`] with the lane kernels pinned to
-/// their portable compilation, whatever the CPU — so the differential
-/// suites and `engine_tiers` can run both compilations on one machine.
-/// Same dispatch, same tallies, same results.
+/// Test seam: [`Engine::extend_with_sink`] with the lane kernels
+/// pinned to their portable compilation, whatever the CPU — so the
+/// differential suites and `engine_tiers` can run both compilations on
+/// one machine. Same dispatch, same tallies, same steps, same results.
 #[doc(hidden)]
 pub fn extend_portable(
     engine: Engine,
@@ -1540,20 +1480,20 @@ pub fn extend_portable(
     profile: impl Into<ScoreProfile>,
     x: i32,
     ws: &mut AlignWorkspace,
+    sink: &mut impl StepSink,
 ) -> ExtensionResult {
-    engine.dispatch(query, target, profile.into(), x, ws, true)
+    engine.dispatch(query, target, profile.into(), x, ws, true, sink)
 }
 
 /// Run an (already eligibility-checked, non-empty) extension on the i16
 /// kernel, tallying the dispatch: on its AVX2 compilation when the CPU
 /// has it and `portable` does not pin the other one.
 ///
-/// `inline(never)`: every instantiation of the dispatcher
-/// ([`Engine::extend_with`] is generic over the profile argument) must
-/// share one machine-code copy, so tier choice is a pure dispatch
-/// decision — otherwise per-caller inlining gives each caller a
-/// differently-laid-out kernel and "identical" engines measure a few
-/// percent apart.
+/// `inline(never)`: every CPU caller must share one machine-code copy
+/// (the `()` sink's, instantiated once, by [`Engine::extend_cpu`]), so
+/// tier choice is a pure dispatch decision — otherwise per-caller
+/// inlining gives each caller a differently-laid-out kernel and
+/// "identical" engines measure a few percent apart.
 #[inline(never)]
 fn run_i16(
     query: &Seq,
@@ -1562,20 +1502,21 @@ fn run_i16(
     x: i32,
     ws: &mut AlignWorkspace,
     portable: bool,
+    sink: &mut impl StepSink,
 ) -> ExtensionResult {
     ws.tally.lanes16 += 1;
     if !portable && avx2_detected() {
         // SAFETY: `avx2_detected` has just seen that this CPU supports
         // AVX2, the one target feature `i16_kernel_avx2` enables.
         #[cfg(target_arch = "x86_64")]
-        return unsafe { i16_kernel_avx2(query, target, profile, x, &mut ws.simd) };
+        return unsafe { i16_kernel_avx2(query, target, profile, x, &mut ws.simd, sink) };
     }
-    i16_kernel(query, target, profile, x, &mut ws.simd)
+    i16_kernel(query, target, profile, x, &mut ws.simd, sink)
 }
 
 /// Run an (already eligibility-checked, non-empty) extension on the i8
-/// kernel, escalating to the i16 kernel if the stepper reports the
-/// window closing; tallies the dispatch and any escalation.
+/// kernel, escalating to the i16 kernel if the window closes; tallies
+/// the dispatch and any escalation.
 ///
 /// `inline(never)` and dispatched for the same reasons as [`run_i16`].
 #[inline(never)]
@@ -1586,6 +1527,7 @@ fn run_i8(
     x: i32,
     ws: &mut AlignWorkspace,
     portable: bool,
+    sink: &mut impl StepSink,
 ) -> ExtensionResult {
     let AlignWorkspace {
         simd, simd8, tally, ..
@@ -1595,9 +1537,9 @@ fn run_i8(
         // SAFETY: `avx2_detected` has just seen that this CPU supports
         // AVX2, the one target feature `i8_kernel_avx2` enables.
         #[cfg(target_arch = "x86_64")]
-        return unsafe { i8_kernel_avx2(query, target, profile, x, simd8, simd, tally) };
+        return unsafe { i8_kernel_avx2(query, target, profile, x, simd8, simd, tally, sink) };
     }
-    i8_kernel(query, target, profile, x, simd8, simd, tally)
+    i8_kernel(query, target, profile, x, simd8, simd, tally, sink)
 }
 
 #[cfg(test)]
@@ -1623,7 +1565,15 @@ mod tests {
         for engine in [Engine::Simd, Engine::I8, Engine::Adaptive] {
             let r = engine.extend(q, t, scoring, x);
             assert_eq!(r, scalar, "{engine} diverged from scalar (x={x})");
-            let r = extend_portable(engine, q, t, scoring, x, &mut AlignWorkspace::new());
+            let r = extend_portable(
+                engine,
+                q,
+                t,
+                scoring,
+                x,
+                &mut AlignWorkspace::new(),
+                &mut (),
+            );
             assert_eq!(r, scalar, "portable {engine} diverged from scalar (x={x})");
         }
         scalar
@@ -1970,36 +1920,73 @@ mod tests {
         }
     }
 
+    /// Counts the steps a run loop hands its sink.
+    #[derive(Default)]
+    struct Count(usize);
+
+    impl StepSink for Count {
+        fn diag(&mut self, _: &DiagStats) {
+            self.0 += 1;
+        }
+    }
+
+    /// Every engine hands its sink each anti-diagonal it computes —
+    /// the dropped one included — and they add up to its result.
     #[test]
     fn stepper_reports_consistent_stats() {
+        struct Sums(u64, u64);
+        impl StepSink for Sums {
+            fn diag(&mut self, s: &DiagStats) {
+                assert_eq!(s.width, s.live_width + s.trim_front + s.trim_back);
+                self.0 += s.width as u64;
+                self.1 += 1;
+            }
+        }
         let mut rng = StdRng::seed_from_u64(13);
         let template = random_seq(300, &mut rng);
         let model = ErrorModel::new(ErrorProfile::pacbio(0.12));
         let (a, _) = model.corrupt(&template, &mut rng);
         let (b, _) = model.corrupt(&template, &mut rng);
-        let mut scratch = SimdScratch::default();
-        let mut st = SimdState::new(&a, &b, Scoring::default(), 40, &mut scratch).unwrap();
-        let mut widths = 0u64;
-        let mut iters = 0u64;
-        loop {
-            match st.step() {
-                SimdStep::Advanced(s) => {
-                    assert_eq!(s.width, s.live_width + s.trim_front + s.trim_back);
-                    widths += s.width as u64;
-                    iters += 1;
-                }
-                SimdStep::Dropped { width } => {
-                    widths += width as u64;
-                    iters += 1;
-                    break;
-                }
-                SimdStep::Finished => break,
+        for x in [3, 40] {
+            let want = xdrop_extend(&a, &b, Scoring::default(), x);
+            for engine in [Engine::Scalar, Engine::Simd, Engine::I8, Engine::Adaptive] {
+                let mut sums = Sums(0, 0);
+                let mut ws = AlignWorkspace::new();
+                let r = engine.extend_with_sink(&a, &b, Scoring::default(), x, &mut ws, &mut sums);
+                assert_eq!(r, want, "{engine} x={x}");
+                assert_eq!((sums.0, sums.1), (r.cells, r.iterations), "{engine} x={x}");
             }
         }
-        let r = st.into_result();
-        assert_eq!(r.cells, widths);
-        assert_eq!(r.iterations, iters);
-        assert_eq!(r, xdrop_extend(&a, &b, Scoring::default(), 40));
+    }
+
+    /// The i8 stepper hands over before the first anti-diagonal that
+    /// could pass the window: after exactly the steps that brought the
+    /// best past `SIMD8_MAX_SCORE − match` — two per symbol of a
+    /// perfect pair — and not at all when the full score stays a match
+    /// short of the ceiling.
+    #[test]
+    fn i8_hands_over_after_the_steps_that_reach_the_ceiling() {
+        let perfect =
+            |n: usize| -> Seq { (0..n).map(|i| Base::from_code((i * 5 % 4) as u8)).collect() };
+        let ceiling = SIMD8_MAX_SCORE as usize;
+        for mat in [1, 3, 7] {
+            let scoring = Scoring::new(mat, -mat, -mat);
+            let per_match = mat as usize;
+            let on = ceiling / per_match;
+            let hand_over_at = (ceiling - per_match) / per_match + 1;
+            for n in [on - 1, on, on + 1] {
+                let s = perfect(n);
+                let profile = ScoreProfile::from(scoring);
+                let mut scratch = Simd8Scratch::default();
+                let mut steps = Count::default();
+                let stepper = LaneState::<Biased8, LANES8>::new(&s, &s, profile, 20, &mut scratch);
+                let ran = stepper.run_while(|at| at.best + mat <= SIMD8_MAX_SCORE, &mut steps);
+                assert_eq!(ran.is_err(), n >= hand_over_at, "match = {mat}, n = {n}");
+                if ran.is_err() {
+                    assert_eq!(steps.0, 2 * hand_over_at, "match = {mat}, n = {n}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -8,9 +8,10 @@
 //! [`AlignWorkspace`] is the host-side equivalent of the GPU block's
 //! preallocated storage: one value owning *every* scratch buffer the
 //! extension stack needs, handed down by `&mut` through
-//! [`crate::xdrop::xdrop_extend_with`], the SIMD stepper
-//! ([`crate::simd::SimdState`]), [`crate::seed_extend::seed_extend_with`]
-//! and `logan-core`'s simulated block paths.
+//! [`crate::xdrop::xdrop_extend_with`], the lane kernels
+//! ([`crate::simd::Engine::extend_with`]),
+//! [`crate::seed_extend::seed_extend_with`] and `logan-core`'s simulated
+//! block path.
 //!
 //! # Ownership model and reuse contract
 //!
@@ -175,8 +176,7 @@ impl ScalarRings {
 /// allocations once warm. See the module docs for the reuse contract.
 #[derive(Debug, Default)]
 pub struct AlignWorkspace {
-    /// i32 anti-diagonal rings for the scalar engine and `logan-core`'s
-    /// scalar block path.
+    /// i32 anti-diagonal rings for the scalar engine.
     pub rings: ScalarRings,
     /// i16 state for the SIMD engine: the three padded anti-diagonals
     /// plus the lane-widened query/target buffers.
@@ -190,9 +190,6 @@ pub struct AlignWorkspace {
     /// `BatchResult::tiers`; a plain field write, so the warm
     /// zero-allocation contract is untouched.
     pub tally: TierTally,
-    /// Per-lane `(value, index)` reduction scratch for `logan-core`'s
-    /// simulated block reduction.
-    pub lanes: Vec<(i32, usize)>,
     /// Sequence scratch: reversed prefixes (left extension) or suffixes
     /// (right extension) are materialised here by
     /// [`crate::seed_extend::seed_extend_with`] instead of into fresh
@@ -292,11 +289,11 @@ mod tests {
     #[test]
     fn thread_workspace_is_reentrant_safe() {
         let outer = with_thread_workspace(|ws| {
-            ws.lanes.push((1, 1));
+            ws.seq_q.push(logan_seq::Base::A);
             // A nested call must not alias the borrowed workspace.
-            with_thread_workspace(|inner| inner.lanes.len())
+            with_thread_workspace(|inner| inner.seq_q.len())
         });
         assert_eq!(outer, 0);
-        with_thread_workspace(|ws| ws.lanes.clear());
+        with_thread_workspace(|ws| ws.seq_q.clear());
     }
 }

@@ -17,12 +17,13 @@
 //! Termination: the trimmed anti-diagonal is empty (the alignment
 //! *dropped*), or the last anti-diagonal (`m + n`) was computed.
 //!
-//! This scalar routine is the semantic ground truth for the GPU kernel in
-//! `logan-core`: property tests assert bit-equality of scores, end
-//! positions and cell counts between the two.
+//! This scalar routine is the semantic ground truth every lane tier is
+//! tested against, and the scalar tier the simulated GPU kernel in
+//! `logan-core` runs (charging each anti-diagonal's SIMT costs from the
+//! [`DiagStats`] it hands its sink).
 
 use crate::result::ExtensionResult;
-use crate::simd::Engine;
+use crate::simd::{DiagStats, Engine, StepSink};
 use crate::workspace::{AlignWorkspace, ScalarRings};
 use crate::NEG_INF;
 use logan_seq::{ScoreProfile, Seq};
@@ -61,20 +62,42 @@ pub fn xdrop_extend_with(
     x: i32,
     ws: &mut AlignWorkspace,
 ) -> ExtensionResult {
+    xdrop_run(query, target, profile.into(), x, ws, &mut ())
+}
+
+/// [`xdrop_extend_with`] behind its generic argument, handing every
+/// anti-diagonal's statistics to `sink` — the scalar tier of
+/// [`Engine::extend_with_sink`].
+pub(crate) fn xdrop_run(
+    query: &Seq,
+    target: &Seq,
+    profile: ScoreProfile,
+    x: i32,
+    ws: &mut AlignWorkspace,
+    sink: &mut impl StepSink,
+) -> ExtensionResult {
     // Dispatch once, outside the hot loop: each variant monomorphizes
     // the core with an inlined substitution scorer, so the DNA path
     // compiles to exactly the pre-profile loop.
-    match profile.into() {
-        ScoreProfile::MatchMismatch(s) => {
-            xdrop_core(query, target, |a, b| s.substitution(a == b), s.gap, x, ws)
+    match profile {
+        ScoreProfile::MatchMismatch(s) => xdrop_core(
+            query,
+            target,
+            |a, b| s.substitution(a == b),
+            s.gap,
+            x,
+            ws,
+            sink,
+        ),
+        ScoreProfile::Matrix(m) => {
+            xdrop_core(query, target, |a, b| m.score(a, b), m.gap, x, ws, sink)
         }
-        ScoreProfile::Matrix(m) => xdrop_core(query, target, |a, b| m.score(a, b), m.gap, x, ws),
     }
 }
 
 /// The anti-diagonal X-drop recurrence, generic over the per-cell
-/// substitution scorer. `sub` receives the two symbol *codes* at the
-/// cell (query, target).
+/// substitution scorer and the per-step sink. `sub` receives the two
+/// symbol *codes* at the cell (query, target).
 fn xdrop_core(
     query: &Seq,
     target: &Seq,
@@ -82,6 +105,7 @@ fn xdrop_core(
     gap: i32,
     x: i32,
     ws: &mut AlignWorkspace,
+    sink: &mut impl StepSink,
 ) -> ExtensionResult {
     assert!(x >= 0, "X-drop parameter must be non-negative");
     let m = query.len();
@@ -162,16 +186,13 @@ fn xdrop_core(
         // Trim -inf runs from both ends (ReduceAntiDiagFromStart/End) —
         // offset moves only, no memmove.
         let computed = cur.computed();
-        match computed.iter().position(|&v| v > NEG_INF) {
-            None => {
-                dropped = true;
-                break;
-            }
-            Some(kf) => {
-                let kl = computed.iter().rposition(|&v| v > NEG_INF).unwrap();
-                cur.trim(kf, kl);
-            }
-        }
+        let Some(kf) = computed.iter().position(|&v| v > NEG_INF) else {
+            sink.diag(&DiagStats::dropped(width));
+            dropped = true;
+            break;
+        };
+        let kl = computed.iter().rposition(|&v| v > NEG_INF).unwrap();
+        cur.trim(kf, kl);
         max_width = max_width.max(cur.live_len());
 
         // Raise the global best to this anti-diagonal's maximum, taking
@@ -189,6 +210,13 @@ fn xdrop_core(
             best_i = row_arg;
             best_d = d;
         }
+        sink.diag(&DiagStats {
+            width,
+            live_width: cur.live_len(),
+            trim_front: kf,
+            trim_back: width - 1 - kl,
+            row_max,
+        });
 
         // Rotate buffers: reuse allocations, as the GPU reuses its three
         // HBM anti-diagonal buffers.

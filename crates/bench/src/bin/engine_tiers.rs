@@ -208,10 +208,13 @@ fn portable_block(
             let Seed { qpos, tpos, len } = p.seed;
             q.assign_reversed_range(&p.query, 0, qpos);
             t.assign_reversed_range(&p.target, 0, tpos);
-            let left = extend_portable(Engine::Simd, &q, &t, profile, x, ws);
+            let left = extend_portable(Engine::Simd, &q, &t, profile, x, ws, &mut ());
             q.assign_range(&p.query, qpos + len, p.query.len());
             t.assign_range(&p.target, tpos + len, p.target.len());
-            [left, extend_portable(Engine::Simd, &q, &t, profile, x, ws)]
+            [
+                left,
+                extend_portable(Engine::Simd, &q, &t, profile, x, ws, &mut ()),
+            ]
         })
         .collect();
     (

@@ -86,9 +86,7 @@ pub fn fullsw_account(ctx: &mut BlockCtx, m: usize, n: usize) {
         ctx.sync_threads();
         ctx.stall(ITER_STALL_CYCLES_HBM);
     }
-    let lanes = ctx.threads().min(m.min(n).max(1));
-    let dummy: Vec<(i32, usize)> = vec![(0, 0); lanes];
-    ctx.block_reduce_max_idx(&dummy);
+    ctx.charge_block_reduce(ctx.threads().min(m.min(n).max(1)));
 }
 
 /// Account a manymap-style banded extension block: row-parallel band,
@@ -110,9 +108,7 @@ pub fn manymap_account(ctx: &mut BlockCtx, m: usize, n: usize, band: usize) {
         ctx.sync_threads();
         ctx.stall(ITER_STALL_CYCLES_HBM);
     }
-    let lanes = ctx.threads().min(m.min(n).max(1));
-    let dummy: Vec<(i32, usize)> = vec![(0, 0); lanes];
-    ctx.block_reduce_max_idx(&dummy);
+    ctx.charge_block_reduce(ctx.threads().min(m.min(n).max(1)));
 }
 
 /// The real CUDASW++-style kernel: full SW scores plus accounting.

@@ -65,9 +65,10 @@ pub struct LoganConfig {
     pub antidiag_in_shared: bool,
     /// Host engine computing the kernel's results (scalar reference,
     /// one of the lane-parallel tiers — i16, i8-with-escalation — or
-    /// the per-pair adaptive choice). Bit-identical results and identical
-    /// accounted costs on every engine; the SIMD tiers just make the
-    /// simulation run faster on the host.
+    /// the per-pair adaptive choice), dispatched exactly as on the CPU
+    /// path. Bit-identical results and identical accounted costs on
+    /// every engine; the SIMD tiers just make the simulation run faster
+    /// on the host.
     pub engine: Engine,
 }
 

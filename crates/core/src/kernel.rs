@@ -7,16 +7,19 @@
 //! bounds update runs on thread 0. Only three anti-diagonals are live,
 //! stored in HBM (or in shared memory under the §IV-B ablation).
 //!
-//! The kernel's *results* are computed exactly — cell by cell, with the
-//! same recurrence, pruning, trimming, tie-breaks and termination as the
-//! scalar reference [`logan_align::xdrop_extend`]; the property tests in
-//! this module assert bit-equality. Its *costs* are accounted through
-//! [`BlockCtx`] and the constants in [`crate::calibration`].
+//! The kernel holds no recurrence of its own. Its *results* come from
+//! the host engine `policy.engine` names — the same dispatched kernels
+//! the CPU backends run ([`Engine::extend_with_sink`]) — so they equal
+//! the scalar reference [`logan_align::xdrop_extend`] by construction.
+//! Its *costs* are a function of each anti-diagonal's shape alone
+//! (width, trims, whether it dropped): the engine hands the
+//! [`DiagStats`] of every anti-diagonal to a sink that books them
+//! through [`BlockCtx`] and the constants in [`crate::calibration`], so
+//! they are the same whichever engine computed the cells.
 
 use crate::calibration::*;
-use logan_align::simd::{simd_eligible, SimdState, SimdStep};
-use logan_align::workspace::{with_thread_workspace, ScalarRings};
-use logan_align::{AlignWorkspace, Engine, ExtensionResult, NEG_INF};
+use logan_align::workspace::with_thread_workspace;
+use logan_align::{AlignWorkspace, DiagStats, Engine, ExtensionResult, StepSink};
 use logan_gpusim::{AccessPattern, BlockCtx, BlockKernel};
 use logan_seq::{ScoreProfile, Seq};
 
@@ -46,14 +49,15 @@ pub struct KernelPolicy {
     /// HBM (the remainder hits L2); the executor derives it from the
     /// estimated hot working set across resident blocks.
     pub hbm_charge_fraction: f64,
-    /// Which host engine computes the block's results. Results and
-    /// accounted costs are identical across every engine (asserted by
-    /// the engine-equivalence tests); the choice only changes how fast
-    /// the simulation itself runs on the host. The SIMD tiers
-    /// ([`Engine::Simd`] / [`Engine::I8`] / [`Engine::Adaptive`]) all
-    /// drive the same per-anti-diagonal stepper accounting, so the
-    /// simulated device sees one int16 kernel regardless of which host
-    /// lane width computed it.
+    /// Which host engine computes the block's results: dispatched
+    /// exactly as on the CPU path (i16, i8 with escalation, adaptive, or
+    /// the scalar reference; every lane tier falls back to scalar
+    /// outside its window). Results and accounted costs are identical
+    /// across every engine (asserted by the engine-equivalence tests):
+    /// costs are charged from per-anti-diagonal statistics every tier
+    /// reports alike, so the simulated device sees one kernel whichever
+    /// host lane width computed it, and the choice only changes how fast
+    /// the simulation itself runs on the host.
     pub engine: Engine,
 }
 
@@ -107,96 +111,125 @@ impl BlockKernel for LoganKernel<'_> {
     }
 }
 
-/// Per-block cost constants and one-time charges resolved from the
-/// policy — shared by the scalar and SIMD block paths so the two
-/// engines account *identical* SIMT costs (asserted by the
-/// engine-equivalence tests).
-struct BlockCosts {
+/// The block's SIMT costs, charged one anti-diagonal at a time from the
+/// [`DiagStats`] the host engine reports — the kernel's [`StepSink`].
+/// The per-cell and per-step constants are resolved from the policy
+/// once, by [`BlockCharger::prologue`].
+struct BlockCharger<'c> {
+    ctx: &'c mut BlockCtx,
+    policy: &'c KernelPolicy,
     instr_per_cell: u32,
     iter_stall: u64,
     char_pattern: AccessPattern,
 }
 
-/// Book the kernel prologue: anti-diagonal buffer allocation (shared or
-/// HBM), reduction scratch, and the cold sequence load.
-fn block_prologue(ctx: &mut BlockCtx, m: usize, n: usize, policy: &KernelPolicy) -> BlockCosts {
-    let cap = m.min(n) + 1;
-    // Anti-diagonal storage: three buffers of capacity `cap`.
-    if policy.antidiag_in_shared {
-        ctx.alloc_shared(3 * cap * 4)
-            .expect("anti-diagonals exceed shared memory: the shared-memory ablation only supports short reads");
-    } else {
-        // Cold allocation traffic: the buffers are written once up front.
-        ctx.hbm_write(3 * cap as u64 * 4, AccessPattern::Coalesced, 4);
+impl<'c> BlockCharger<'c> {
+    /// Book the kernel prologue — anti-diagonal buffer allocation
+    /// (shared or HBM), reduction scratch, and the cold sequence load —
+    /// and return the charger for its anti-diagonals.
+    fn prologue(
+        ctx: &'c mut BlockCtx,
+        m: usize,
+        n: usize,
+        policy: &'c KernelPolicy,
+    ) -> BlockCharger<'c> {
+        let cap = m.min(n) + 1;
+        // Anti-diagonal storage: three buffers of capacity `cap`.
+        if policy.antidiag_in_shared {
+            ctx.alloc_shared(3 * cap * 4)
+                .expect("anti-diagonals exceed shared memory: the shared-memory ablation only supports short reads");
+        } else {
+            // Cold allocation traffic: the buffers are written once up front.
+            ctx.hbm_write(3 * cap as u64 * 4, AccessPattern::Coalesced, 4);
+        }
+        // Reduction scratch: one (value, index) partial per warp.
+        ctx.alloc_shared(ctx.warps() * 8)
+            .expect("reduction scratch always fits");
+        let char_pattern = if policy.reversed_layout {
+            AccessPattern::Coalesced
+        } else {
+            AccessPattern::Strided
+        };
+        // Cold sequence load (both sequences stream in once; reuse is L2's
+        // job and is charged via hbm_charge_fraction below). The query
+        // streams forward; the target's pattern depends on whether the host
+        // reversed its layout (Fig. 6) — an un-reversed target is walked
+        // backwards along every anti-diagonal and pays per-element sectors.
+        ctx.hbm_read(m as u64, AccessPattern::Coalesced, 1);
+        ctx.hbm_read(n as u64, char_pattern, 1);
+        BlockCharger {
+            ctx,
+            policy,
+            instr_per_cell: if policy.reversed_layout {
+                LOGAN_INSTR_PER_CELL
+            } else {
+                LOGAN_INSTR_PER_CELL + STRIDED_REPLAY_INSTR
+            },
+            iter_stall: if policy.antidiag_in_shared {
+                ITER_STALL_CYCLES_SHARED
+            } else {
+                ITER_STALL_CYCLES_HBM
+            },
+            char_pattern,
+        }
     }
-    // Reduction scratch: one (value, index) partial per warp.
-    ctx.alloc_shared(ctx.warps() * 8)
-        .expect("reduction scratch always fits");
-    let char_pattern = if policy.reversed_layout {
-        AccessPattern::Coalesced
-    } else {
-        AccessPattern::Strided
-    };
-    // Cold sequence load (both sequences stream in once; reuse is L2's
-    // job and is charged via hbm_charge_fraction below). The query
-    // streams forward; the target's pattern depends on whether the host
-    // reversed its layout (Fig. 6) — an un-reversed target is walked
-    // backwards along every anti-diagonal and pays per-element sectors.
-    ctx.hbm_read(m as u64, AccessPattern::Coalesced, 1);
-    ctx.hbm_read(n as u64, char_pattern, 1);
-    BlockCosts {
-        instr_per_cell: if policy.reversed_layout {
-            LOGAN_INSTR_PER_CELL
-        } else {
-            LOGAN_INSTR_PER_CELL + STRIDED_REPLAY_INSTR
-        },
-        iter_stall: if policy.antidiag_in_shared {
-            ITER_STALL_CYCLES_SHARED
-        } else {
-            ITER_STALL_CYCLES_HBM
-        },
-        char_pattern,
+
+    /// Streaming traffic for one anti-diagonal: two reads + one write of
+    /// score words, plus one character of each sequence per cell. Only
+    /// the L2-spilled fraction reaches HBM.
+    fn charge_streaming(&mut self, width: usize) {
+        let f = self.policy.hbm_charge_fraction;
+        if !self.policy.antidiag_in_shared && f > 0.0 {
+            let score_read = (2 * width * 4) as f64 * f;
+            let score_write = (width * 4) as f64 * f;
+            self.ctx
+                .hbm_read(score_read as u64, AccessPattern::Coalesced, 4);
+            self.ctx
+                .hbm_write(score_write as u64, AccessPattern::Coalesced, 4);
+        }
+        if f > 0.0 {
+            let q_bytes = (width as f64 * f) as u64;
+            self.ctx.hbm_read(q_bytes, AccessPattern::Coalesced, 1);
+            self.ctx.hbm_read(q_bytes, self.char_pattern, 1);
+        }
     }
 }
 
-/// Streaming traffic for one anti-diagonal: two reads + one write of
-/// score words, plus one character of each sequence per cell. Only the
-/// L2-spilled fraction reaches HBM.
-fn charge_streaming(ctx: &mut BlockCtx, policy: &KernelPolicy, width: usize, costs: &BlockCosts) {
-    let f = policy.hbm_charge_fraction;
-    if !policy.antidiag_in_shared && f > 0.0 {
-        let score_read = (2 * width * 4) as f64 * f;
-        let score_write = (width * 4) as f64 * f;
-        ctx.hbm_read(score_read as u64, AccessPattern::Coalesced, 4);
-        ctx.hbm_write(score_write as u64, AccessPattern::Coalesced, 4);
-    }
-    if f > 0.0 {
-        let q_bytes = (width as f64 * f) as u64;
-        ctx.hbm_read(q_bytes, AccessPattern::Coalesced, 1);
-        ctx.hbm_read(q_bytes, costs.char_pattern, 1);
+impl StepSink for BlockCharger<'_> {
+    /// One anti-diagonal of Algorithms 1–2: the grid-stride compute
+    /// (Algorithm 2), thread 0's scan and trim of the −∞ runs (Algorithm
+    /// 1 lines 10–15; on the anti-diagonal that drops, it scans all of
+    /// it) and — while the extension lives — the block-wide max
+    /// reduction (in-warp shuffles) and the serial dependency to the
+    /// next anti-diagonal.
+    #[inline]
+    fn diag(&mut self, s: &DiagStats) {
+        let lanes = s.width.min(self.ctx.threads());
+        self.ctx.record_iteration(lanes);
+        self.ctx.strided_loop(s.width, self.instr_per_cell);
+        self.charge_streaming(s.width);
+        self.ctx.sync_threads();
+        self.ctx.thread0(
+            BOUNDS_UPDATE_BASE_INSTR + TRIM_INSTR_PER_CELL * (s.trim_front + s.trim_back) as u32,
+        );
+        if s.live_width > 0 {
+            self.ctx.charge_block_reduce(lanes);
+            self.ctx.stall(self.iter_stall);
+        }
     }
 }
 
 /// Execute one X-drop extension inside a block context, accounting SIMT
-/// costs as it goes — the kernel's one entry point. Results equal
-/// `logan_align::xdrop_extend` bit for bit and the accounted costs are
-/// the same whichever host engine `policy.engine` names (both asserted
-/// by the equivalence tests); the engine only decides how the host
-/// computes the cell values:
+/// costs as it goes — the kernel's one entry point. The host engine
+/// `policy.engine` names computes the result exactly as on the CPU path
+/// (so it equals `logan_align::xdrop_extend` bit for bit), handing each
+/// anti-diagonal's statistics to a sink that charges `ctx`; the accounted
+/// costs are therefore the same whichever engine runs (asserted by the
+/// equivalence tests), and an empty job books nothing.
 ///
-/// * [`Engine::Scalar`] mirrors the scalar reference statement for
-///   statement (`block_core`);
-/// * every SIMD tier drives the lane-parallel i16 stepper of
-///   `logan-align` (`block_stepper`) — per-anti-diagonal widths and
-///   trim counts are tier-invariant, so narrower host lanes are a
-///   CPU-backend concern, not a simulated-kernel one — and falls back to
-///   the scalar body outside the i16 exactness window
-///   (`logan_align::simd::simd_eligible`).
-///
-/// All scratch — the three anti-diagonal rings, the stepper's buffers
-/// and the per-lane reduction scratch — comes from `ws`, the host
-/// mirror of the kernel's preallocated HBM buffers (the executor hands
-/// in one per host worker thread); accounted costs do not depend on it.
+/// All scratch comes from `ws`, the host mirror of the kernel's
+/// preallocated HBM buffers (the executor hands in one per host worker
+/// thread); accounted costs do not depend on it.
 #[allow(clippy::too_many_arguments)]
 pub fn logan_block_extend(
     ctx: &mut BlockCtx,
@@ -207,239 +240,20 @@ pub fn logan_block_extend(
     policy: &KernelPolicy,
     ws: &mut AlignWorkspace,
 ) -> ExtensionResult {
-    let profile = profile.into();
-    if policy.engine != Engine::Scalar
-        && !query.is_empty()
-        && !target.is_empty()
-        && simd_eligible(query, target, profile, x)
-    {
-        return block_stepper(ctx, query, target, profile, x, policy, ws);
-    }
-    // Dispatch on the substitution model once, outside the cell loop:
-    // each arm monomorphizes the block core with an inlined scorer, so
-    // the DNA arm compiles to the exact pre-profile loop. (An empty job
-    // books nothing and scores zero there.)
-    match profile {
-        ScoreProfile::MatchMismatch(s) => block_core(
-            ctx,
-            query,
-            target,
-            |a, b| s.substitution(a == b),
-            s.gap,
-            x,
-            policy,
-            ws,
-        ),
-        ScoreProfile::Matrix(m) => block_core(
-            ctx,
-            query,
-            target,
-            |a, b| m.score(a, b),
-            m.gap,
-            x,
-            policy,
-            ws,
-        ),
-    }
-}
-
-/// The scalar block body, generic over the substitution scorer.
-#[allow(clippy::too_many_arguments)]
-fn block_core(
-    ctx: &mut BlockCtx,
-    query: &Seq,
-    target: &Seq,
-    sub: impl Fn(u8, u8) -> i32,
-    gap: i32,
-    x: i32,
-    policy: &KernelPolicy,
-    ws: &mut AlignWorkspace,
-) -> ExtensionResult {
     assert!(x >= 0, "X-drop parameter must be non-negative");
-    let m = query.len();
-    let n = target.len();
-    if m == 0 || n == 0 {
+    if query.is_empty() || target.is_empty() {
         return ExtensionResult::zero();
     }
-    let q = query.as_slice();
-    let t = target.as_slice();
-    let threads = ctx.threads();
-    let costs = block_prologue(ctx, m, n, policy);
-
-    let mut best: i32 = 0;
-    let mut best_i: usize = 0;
-    let mut best_d: usize = 0;
-    let mut cells: u64 = 0;
-    let mut iterations: u64 = 0;
-    let mut max_width: usize = 1;
-    let mut dropped = false;
-
-    ws.rings.reset();
-    let ScalarRings { prev2, prev, cur } = &mut ws.rings;
-    // Per-lane local maxima for the reduction, reused across iterations
-    // (and across blocks, via the workspace).
-    let lane_best = &mut ws.lanes;
-
-    for d in 1..=(m + n) {
-        let lo = prev.lo().max(d.saturating_sub(n));
-        let hi = (prev.lo() + prev.live_len()).min(d).min(m);
-        if lo > hi {
-            break;
-        }
-        let width = hi - lo + 1;
-
-        // --- Phase 1: grid-stride cell computation (Algorithm 2). ---
-        let out = cur.begin(lo, width);
-        lane_best.clear();
-        lane_best.resize(width.min(threads), (NEG_INF, usize::MAX));
-        let threshold = best - x;
-        for (k, cell) in out.iter_mut().enumerate() {
-            let i = lo + k;
-            let j = d - i;
-            let diag = if i >= 1 && j >= 1 {
-                prev2.get(i - 1) + sub(q[i - 1], t[j - 1])
-            } else {
-                NEG_INF
-            };
-            let up = if i >= 1 {
-                prev.get(i - 1) + gap
-            } else {
-                NEG_INF
-            };
-            let left = if j >= 1 { prev.get(i) + gap } else { NEG_INF };
-            let mut val = diag.max(up).max(left);
-            if val < threshold {
-                val = NEG_INF;
-            }
-            *cell = val;
-            // Thread k % threads keeps its running maximum in a register;
-            // strictly-greater keeps the earliest (smallest i) per lane.
-            let lane = k % threads;
-            if val > lane_best[lane].0 {
-                lane_best[lane] = (val, i);
-            }
-        }
-        cells += width as u64;
-        iterations += 1;
-        ctx.record_iteration(width.min(threads));
-        ctx.strided_loop(width, costs.instr_per_cell);
-        charge_streaming(ctx, policy, width, &costs);
-        ctx.sync_threads();
-
-        // --- Phase 2: trim −∞ runs (thread 0, Algorithm 1 lines 10–15)
-        // --- — offset moves only, no memmove.
-        let computed = cur.computed();
-        let (trim_front, trim_back) = match computed.iter().position(|&v| v > NEG_INF) {
-            None => {
-                ctx.thread0(BOUNDS_UPDATE_BASE_INSTR + TRIM_INSTR_PER_CELL * width as u32);
-                dropped = true;
-                break;
-            }
-            Some(kf) => {
-                let kl = computed.iter().rposition(|&v| v > NEG_INF).unwrap();
-                cur.trim(kf, kl);
-                (kf, width - 1 - kl)
-            }
-        };
-        ctx.thread0(
-            BOUNDS_UPDATE_BASE_INSTR + TRIM_INSTR_PER_CELL * (trim_front + trim_back) as u32,
-        );
-        max_width = max_width.max(cur.live_len());
-
-        // --- Phase 3: block-wide max reduction (in-warp shuffles). ---
-        let live_lanes = width.min(threads);
-        let (row_max, row_arg) = ctx.block_reduce_max_idx(&lane_best[..live_lanes]);
-        if row_max > best {
-            best = row_max;
-            best_i = row_arg;
-            best_d = d;
-        }
-
-        // Serial dependency to the next anti-diagonal.
-        ctx.stall(costs.iter_stall);
-
-        // Rotate buffers.
-        std::mem::swap(prev2, prev);
-        std::mem::swap(prev, cur);
-    }
-
-    ExtensionResult {
-        score: best,
-        query_end: best_i,
-        target_end: best_d - best_i,
-        cells,
-        iterations,
-        max_width,
-        dropped,
-    }
-}
-
-/// The SIMD-engine block body for an eligible, non-empty job: the
-/// per-cell values come from the lane-parallel i16 stepper in
-/// `logan-align`, while every SIMT cost is booked through the same
-/// helpers and in the same order as [`block_core`]. Because the stepper
-/// reports the exact per-anti-diagonal widths and trim counts — and the
-/// engines are bit-identical — the accounted counters (and hence
-/// simulated time) are equal between engines; only host wall-clock
-/// differs.
-fn block_stepper(
-    ctx: &mut BlockCtx,
-    query: &Seq,
-    target: &Seq,
-    profile: ScoreProfile,
-    x: i32,
-    policy: &KernelPolicy,
-    ws: &mut AlignWorkspace,
-) -> ExtensionResult {
-    let mut state = SimdState::new(query, target, profile, x, &mut ws.simd)
-        .expect("caller checked eligibility");
-    let (m, n) = (query.len(), target.len());
-    let threads = ctx.threads();
-    let costs = block_prologue(ctx, m, n, policy);
-    // Scratch handed to the reduction cost model. Its *cost* depends
-    // only on the lane count; the stepper already performed the exact
-    // max/argmax, so lane 0 carries the row maximum and the rest are
-    // idle sentinels.
-    let lane_vals = &mut ws.lanes;
-
-    loop {
-        match state.step() {
-            SimdStep::Finished => break,
-            SimdStep::Dropped { width } => {
-                ctx.record_iteration(width.min(threads));
-                ctx.strided_loop(width, costs.instr_per_cell);
-                charge_streaming(ctx, policy, width, &costs);
-                ctx.sync_threads();
-                // Thread 0 scans the whole (dead) anti-diagonal before
-                // concluding the drop, as in the scalar path.
-                ctx.thread0(BOUNDS_UPDATE_BASE_INSTR + TRIM_INSTR_PER_CELL * width as u32);
-                break;
-            }
-            SimdStep::Advanced(stats) => {
-                ctx.record_iteration(stats.width.min(threads));
-                ctx.strided_loop(stats.width, costs.instr_per_cell);
-                charge_streaming(ctx, policy, stats.width, &costs);
-                ctx.sync_threads();
-                ctx.thread0(
-                    BOUNDS_UPDATE_BASE_INSTR
-                        + TRIM_INSTR_PER_CELL * (stats.trim_front + stats.trim_back) as u32,
-                );
-                let live_lanes = stats.width.min(threads);
-                lane_vals.clear();
-                lane_vals.resize(live_lanes, (NEG_INF, usize::MAX));
-                lane_vals[0] = (stats.row_max, 0);
-                ctx.block_reduce_max_idx(lane_vals);
-                ctx.stall(costs.iter_stall);
-            }
-        }
-    }
-    state.into_result()
+    let mut charger = BlockCharger::prologue(ctx, query.len(), target.len(), policy);
+    policy
+        .engine
+        .extend_with_sink(query, target, profile, x, ws, &mut charger)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use logan_align::xdrop_extend;
+    use logan_align::{simd8_eligible, simd_eligible, xdrop_extend};
     use logan_seq::readsim::{random_seq, PairSet};
     use logan_seq::{ErrorModel, ErrorProfile, Scoring};
     use rand::rngs::StdRng;
@@ -528,6 +342,29 @@ mod tests {
         assert!(c.counters.thread_ops >= r.cells * LOGAN_INSTR_PER_CELL as u64);
     }
 
+    const ENGINES: [Engine; 4] = [Engine::Scalar, Engine::Simd, Engine::I8, Engine::Adaptive];
+
+    /// The block path under every engine: results equal to the scalar
+    /// reference and counters equal across engines; returns them.
+    fn engines_agree(
+        a: &Seq,
+        b: &Seq,
+        profile: impl Into<ScoreProfile> + Copy,
+        x: i32,
+        pol: KernelPolicy,
+    ) -> (ExtensionResult, logan_gpusim::BlockCounters) {
+        let want = xdrop_extend(a, b, profile, x);
+        let mut first = None;
+        for engine in ENGINES {
+            let mut c = ctx(pol.threads);
+            let r = extend(&mut c, a, b, profile, x, &KernelPolicy { engine, ..pol });
+            assert_eq!(r, want, "{engine}: result, x {x} t {}", pol.threads);
+            let counters = first.get_or_insert(c.counters);
+            assert_eq!(&c.counters, counters, "{engine}: counters, x {x}");
+        }
+        (want, first.unwrap())
+    }
+
     #[test]
     fn simd_block_path_matches_scalar_results_and_counters() {
         let mut rng = StdRng::seed_from_u64(9);
@@ -541,18 +378,132 @@ mod tests {
                 for threads in [32, 256] {
                     let mut pol = KernelPolicy::new(threads);
                     pol.hbm_charge_fraction = 0.5;
-                    let mut c_scalar = ctx(threads);
-                    let r_scalar = extend(&mut c_scalar, &a, &b, Scoring::default(), x, &pol);
-                    pol.engine = Engine::Simd;
-                    let mut c_simd = ctx(threads);
-                    let r_simd = extend(&mut c_simd, &a, &b, Scoring::default(), x, &pol);
-                    assert_eq!(r_simd, r_scalar, "results: trial {trial} x {x} t {threads}");
-                    assert_eq!(
-                        c_simd.counters, c_scalar.counters,
-                        "counters: trial {trial} x {x} t {threads}"
-                    );
+                    engines_agree(&a, &b, Scoring::default(), x, pol);
                 }
             }
+        }
+        // An i8 run that escalates: a perfect pair outscores the i8
+        // window mid-extension and continues in i16.
+        let s = random_seq(300, &mut rng);
+        assert!(simd8_eligible(&s, &s, Scoring::default(), 20));
+        let mut ws = AlignWorkspace::new();
+        let mut c = ctx(64);
+        let pol = KernelPolicy {
+            engine: Engine::I8,
+            ..KernelPolicy::new(64)
+        };
+        logan_block_extend(&mut c, &s, &s, Scoring::default(), 20, &pol, &mut ws);
+        assert_eq!((ws.tally.lanes8, ws.tally.escalations), (1, 1));
+        let (r, _) = engines_agree(&s, &s, Scoring::default(), 20, KernelPolicy::new(64));
+        assert_eq!(r.score, 300);
+        // Past the i16 bound (a perfect 17-base run at match = 2000
+        // scores 34 000): every engine falls back to scalar.
+        let big = Scoring::new(2000, -2000, -2000);
+        let t = random_seq(17, &mut rng);
+        assert!(!simd_eligible(&t, &t, big, 50));
+        engines_agree(&t, &t, big, 50, KernelPolicy::new(32));
+    }
+
+    /// Fixed blocks covering every charge: live and dropped anti-diagonals,
+    /// L2-spilled streaming, the strided layout, the shared-memory ablation
+    /// and a matrix profile.
+    fn golden_cases() -> Vec<(Seq, Seq, ScoreProfile, i32, KernelPolicy)> {
+        use logan_seq::readsim::random_seq;
+        use logan_seq::{ErrorModel, ErrorProfile, Scoring};
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(2929);
+        let model = ErrorModel::new(ErrorProfile::pacbio(0.15));
+        let template = random_seq(400, &mut rng);
+        let (a, _) = model.corrupt(&template, &mut rng);
+        let (b, _) = model.corrupt(&template, &mut rng);
+        let (c, d) = (random_seq(300, &mut rng), random_seq(300, &mut rng));
+        let protein = |rng: &mut StdRng| {
+            let codes = (0..150).map(|_| rng.gen_range(0..20u8)).collect();
+            Seq::from_codes(codes, logan_seq::Alphabet::Protein)
+        };
+        let (p, q) = (protein(&mut rng), protein(&mut rng));
+        let dna: ScoreProfile = Scoring::default().into();
+        let spilled = KernelPolicy {
+            hbm_charge_fraction: 0.5,
+            ..KernelPolicy::new(128)
+        };
+        let strided = KernelPolicy {
+            reversed_layout: false,
+            hbm_charge_fraction: 1.0,
+            ..KernelPolicy::new(256)
+        };
+        let shared = KernelPolicy {
+            antidiag_in_shared: true,
+            ..KernelPolicy::new(64)
+        };
+        vec![
+            (a.clone(), b.clone(), dna, 50, spilled),
+            (
+                c.clone(),
+                d.clone(),
+                Scoring::new(1, -2, -2).into(),
+                20,
+                spilled,
+            ),
+            (a.clone(), b.clone(), dna, 0, KernelPolicy::new(32)),
+            (a, b, dna, 100, strided),
+            (c, d, dna, 30, shared),
+            (
+                p.clone(),
+                p,
+                ScoreProfile::blosum62(-6),
+                60,
+                KernelPolicy::new(64),
+            ),
+            (
+                q.clone(),
+                q.reversed(),
+                ScoreProfile::blosum62(-6),
+                40,
+                spilled,
+            ),
+        ]
+    }
+
+    /// The SIMT counters of [`golden_cases`], captured from the kernel
+    /// before it charged from the engines' per-step statistics (when it
+    /// held its own copy of the recurrence): whatever computes the
+    /// cells, the charges must not move.
+    #[test]
+    fn counters_match_the_recorded_kernel() {
+        const GOLDEN: [[u64; 10]; 7] = [
+            [
+                349582, 215488, 91488, 9593, 25080, 2430, 831, 37257, 2396506, 166200,
+            ],
+            [25185, 8832, 5920, 461, 568, 143, 72, 603, 55396, 14200],
+            [332, 832, 4992, 182, 0, 1, 1, 2, 374, 0],
+            [
+                421370, 2810624, 287552, 96818, 37112, 2430, 831, 67802, 4710176, 166200,
+            ],
+            [260680, 640, 0, 20, 17568, 1732, 600, 32864, 2260703, 36000],
+            [103752, 320, 1824, 67, 2400, 600, 300, 2380, 223192, 60000],
+            [
+                104920, 36192, 11424, 1488, 2400, 600, 300, 2796, 247288, 60000,
+            ],
+        ];
+        for (k, ((q, t, profile, x, policy), want)) in
+            golden_cases().into_iter().zip(GOLDEN).enumerate()
+        {
+            let (_, c) = engines_agree(&q, &t, profile, x, policy);
+            let got = [
+                c.warp_instructions,
+                c.hbm_read_bytes,
+                c.hbm_write_bytes,
+                c.hbm_transactions,
+                c.shared_bytes,
+                c.barriers,
+                c.iterations,
+                c.active_thread_sum,
+                c.thread_ops,
+                c.stall_cycles,
+            ];
+            assert_eq!(got, want, "case {k}");
         }
     }
 
@@ -576,38 +527,25 @@ mod tests {
             }
             let b = Seq::from_codes(hom, Alphabet::Protein);
             for x in [10, 60] {
-                let pol = KernelPolicy::new(64);
-                let mut c1 = ctx(64);
-                let r1 = extend(&mut c1, &a, &b, p, x, &pol);
-                let want = xdrop_extend(&a, &b, p, x);
-                assert_eq!(r1, want, "block vs reference, trial {trial} x {x}");
-                let mut pol_simd = pol;
-                pol_simd.engine = Engine::Simd;
-                let mut c2 = ctx(64);
-                let r2 = extend(&mut c2, &a, &b, p, x, &pol_simd);
-                assert_eq!(r2, r1, "simd block path, trial {trial} x {x}");
-                assert_eq!(c2.counters, c1.counters, "counters, trial {trial} x {x}");
+                engines_agree(&a, &b, p, x, KernelPolicy::new(64));
             }
         }
     }
 
     #[test]
     fn simd_block_path_falls_back_when_ineligible() {
-        // X beyond the i16 window: the SIMD path must defer to the
-        // scalar block kernel (identical results and counters).
+        // X beyond the i16 window: every lane tier defers to the scalar
+        // engine (identical results and counters).
         let mut rng = StdRng::seed_from_u64(10);
         let a = random_seq(150, &mut rng);
         let b = random_seq(150, &mut rng);
-        let x = i32::MAX / 4;
-        let pol = KernelPolicy::new(64);
-        let mut c1 = ctx(64);
-        let r1 = extend(&mut c1, &a, &b, Scoring::default(), x, &pol);
-        let mut pol_simd = pol;
-        pol_simd.engine = Engine::Simd;
-        let mut c2 = ctx(64);
-        let r2 = extend(&mut c2, &a, &b, Scoring::default(), x, &pol_simd);
-        assert_eq!(r1, r2);
-        assert_eq!(c1.counters, c2.counters);
+        engines_agree(
+            &a,
+            &b,
+            Scoring::default(),
+            i32::MAX / 4,
+            KernelPolicy::new(64),
+        );
     }
 
     #[test]

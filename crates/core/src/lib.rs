@@ -7,8 +7,9 @@
 //! * [`kernel`] — the block-per-alignment X-drop kernel (paper §IV-A,
 //!   Algorithm 2): grid-stride anti-diagonal segments, in-warp shuffle
 //!   max-reduction, X-drop pruning, adaptive bounds. One entry point
-//!   ([`kernel::logan_block_extend`]), bit-equivalent to the scalar
-//!   reference in `logan-align` (enforced by tests).
+//!   ([`kernel::logan_block_extend`]), which runs a `logan-align`
+//!   engine for the results and charges SIMT costs from its
+//!   per-anti-diagonal statistics.
 //! * [`executor`] — the single-GPU host pipeline (paper §IV-B): seed
 //!   splitting into left/right extensions, sequence reversal for
 //!   coalesced access, dual streams, threads ∝ X scheduling, HBM

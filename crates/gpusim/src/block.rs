@@ -12,7 +12,8 @@
 //!   one active lane in a warp costs as much as thirty-two;
 //! * [`BlockCtx::block_reduce_max_idx`] — the in-warp shuffle reduction
 //!   LOGAN uses for the anti-diagonal maximum (§IV-A), with the partials
-//!   staged through shared memory;
+//!   staged through shared memory ([`BlockCtx::charge_block_reduce`]
+//!   books its cost alone);
 //! * [`BlockCtx::hbm_read`] / [`BlockCtx::hbm_write`] — effective DRAM
 //!   traffic under the coalescing model;
 //! * [`BlockCtx::sync_threads`], [`BlockCtx::thread0`],
@@ -169,6 +170,30 @@ impl BlockCtx {
         self.counters.stall_cycles += cycles;
     }
 
+    /// Book the cost of [`block_reduce_max_idx`](Self::block_reduce_max_idx)
+    /// over `lanes` participating threads, without computing anything:
+    /// for callers that already hold the exact maximum (the kernel's
+    /// host engines) or model a reduction whose values do not matter.
+    pub fn charge_block_reduce(&mut self, lanes: usize) {
+        assert!(lanes <= self.threads, "more lane values than threads");
+        assert!(lanes > 0, "reduction over no lanes");
+
+        // Cost model: each shuffle level is shuffle + compare + select
+        // (3 warp instructions) per active warp; log2(warp_size) levels.
+        let levels = (usize::BITS - (self.warp_size - 1).leading_zeros()) as u64;
+        let warps = lanes.div_ceil(self.warp_size) as u64;
+        self.counters.warp_instructions += warps * levels * 3;
+        self.counters.thread_ops += lanes as u64 * levels * 3;
+        // One partial (value + index = 8 bytes) per warp through shared.
+        self.counters.shared_bytes += warps * 8;
+        self.sync_threads();
+        if warps > 1 {
+            self.counters.warp_instructions += levels * 3;
+            self.counters.shared_bytes += warps * 8;
+            self.sync_threads();
+        }
+    }
+
     /// Block-wide max reduction with index, implemented the way the
     /// LOGAN kernel does it: per-warp `__shfl_down` trees, partials in
     /// shared memory, final tree in the first warp. Ties break toward
@@ -178,26 +203,7 @@ impl BlockCtx {
     /// `lane_values` holds one `(value, index)` per participating thread
     /// (at most [`BlockCtx::threads`]); the returned pair is exact.
     pub fn block_reduce_max_idx(&mut self, lane_values: &[(i32, usize)]) -> (i32, usize) {
-        assert!(
-            lane_values.len() <= self.threads,
-            "more lane values than threads"
-        );
-        assert!(!lane_values.is_empty(), "reduction over no lanes");
-
-        // Cost model: each shuffle level is shuffle + compare + select
-        // (3 warp instructions) per active warp; log2(warp_size) levels.
-        let levels = (usize::BITS - (self.warp_size - 1).leading_zeros()) as u64;
-        let warps = lane_values.len().div_ceil(self.warp_size) as u64;
-        self.counters.warp_instructions += warps * levels * 3;
-        self.counters.thread_ops += lane_values.len() as u64 * levels * 3;
-        // One partial (value + index = 8 bytes) per warp through shared.
-        self.counters.shared_bytes += warps * 8;
-        self.sync_threads();
-        if warps > 1 {
-            self.counters.warp_instructions += levels * 3;
-            self.counters.shared_bytes += warps * 8;
-            self.sync_threads();
-        }
+        self.charge_block_reduce(lane_values.len());
 
         // Exact result with min-index tie-break.
         let mut best = lane_values[0];
@@ -285,6 +291,18 @@ mod tests {
         big.block_reduce_max_idx(&vals1024);
         assert!(big.counters.warp_instructions > small.counters.warp_instructions);
         assert!(big.counters.shared_bytes > small.counters.shared_bytes);
+    }
+
+    #[test]
+    fn charged_reduce_costs_what_the_reduction_does() {
+        for (threads, lanes) in [(32, 1), (32, 32), (128, 33), (1024, 1024)] {
+            let vals: Vec<(i32, usize)> = (0..lanes).map(|i| (i as i32, i)).collect();
+            let mut reduced = ctx(threads);
+            reduced.block_reduce_max_idx(&vals);
+            let mut charged = ctx(threads);
+            charged.charge_block_reduce(lanes);
+            assert_eq!(charged.counters, reduced.counters, "{lanes} of {threads}");
+        }
     }
 
     #[test]

@@ -5,10 +5,10 @@
 #     ./scripts/premerge.sh --quick  # skip the release build and benches
 #
 # Mirrors the tier-1 definition in ROADMAP.md plus the style gates:
-# no-#[ignore] guard, one-kernel-source guard, rustfmt, clippy (warnings
-# are errors), release build, the bench-bin smokes, the repo benchmark's
-# own gate (benchmark/check.sh), the test suite, and warning-free
-# rustdoc.
+# no-#[ignore] guard, one-kernel-source and one-recurrence guards,
+# rustfmt, clippy (warnings are errors), release build, the bench-bin
+# smokes, the repo benchmark's own gate (benchmark/check.sh), the test
+# suite, and warning-free rustdoc.
 # Every differential/contract suite (tests/*.rs, crates/*/tests/*.rs)
 # runs exactly once, inside the single `cargo test -q`; DESIGN.md §4
 # maps each suite to the contract it pins. Only steps that run
@@ -50,6 +50,22 @@ fi
 if grep -RInE --include='*.rs' \
   -e 'core::arch::' -e 'std::arch::[a-z0-9_]+::' -e '\b_mm[0-9]*_' crates/align/src; then
   echo "error: vendor intrinsics are not allowed under crates/align/src (listed above)" >&2
+  exit 1
+fi
+
+step "guard: one recurrence (the simulated kernel charges costs, it computes no cells)"
+# The LOGAN kernel in logan-core runs the host engines' recurrence and
+# books SIMT costs from the per-anti-diagonal statistics they hand its
+# sink (DESIGN.md §2). Outside #[cfg(test)], crates/core/src must not
+# name the scalar rings, the lane stepper or the −∞ sentinel: a fourth
+# copy of the recurrence could not be written without them.
+recurrence_sites=$(for f in crates/core/src/*.rs; do
+  awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ":" $0 }' "$f"
+done | grep -E '\b(ScalarRings|AntiDiag|SimdState|NEG_INF)\b' || true)
+if [[ -n "$recurrence_sites" ]]; then
+  echo "$recurrence_sites"
+  echo "error: crates/core/src computes X-drop cells itself (listed above);" \
+    "run an Engine with a StepSink instead (logan_core::kernel)" >&2
   exit 1
 fi
 

@@ -171,7 +171,9 @@ fn warm_workspace_extensions_are_allocation_free() {
         let mut ws = AlignWorkspace::new();
         let warm: Vec<ExtensionResult> = cases
             .iter()
-            .map(|&(engine, q, t, profile, x)| extend_portable(engine, q, t, profile, x, &mut ws))
+            .map(|&(engine, q, t, profile, x)| {
+                extend_portable(engine, q, t, profile, x, &mut ws, &mut ())
+            })
             .collect();
         assert_eq!(ws.tally.escalations, 2, "both i8 warm-ups must escalate");
         for (&(engine, q, t, profile, x), want) in cases.iter().zip(&warm) {
@@ -314,6 +316,50 @@ fn warm_workspace_extensions_are_allocation_free() {
             assert_eq!(d, 0, "{engine}: a shorter protein pair allocated");
             assert_eq!(r, engine.extend(&a, &b, b62, 50), "{engine} (BLOSUM62)");
         }
+    }
+
+    // The simulated GPU kernel through the per-thread workspace the
+    // executor hands it: once warm, a block allocates nothing under any
+    // engine — an escalating i8 run included — and computes what the
+    // scalar reference does.
+    {
+        use logan_align::with_thread_workspace;
+        use logan_core::kernel::{logan_block_extend, KernelPolicy};
+        use logan_gpusim::BlockCtx;
+        let block = |engine: Engine, q: &Seq, t: &Seq, x: i32| {
+            let policy = KernelPolicy {
+                engine,
+                ..KernelPolicy::new(128)
+            };
+            let mut ctx = BlockCtx::new(128, 32, 96 * 1024);
+            let r = alloc_delta(|| {
+                with_thread_workspace(|ws| {
+                    logan_block_extend(&mut ctx, q, t, scoring, x, &policy, ws)
+                })
+            });
+            (r, ctx.counters)
+        };
+        let engines = [Engine::Scalar, Engine::Simd, Engine::I8, Engine::Adaptive];
+        let x_of = |engine| if engine == Engine::I8 { x8 } else { x };
+        for engine in engines {
+            for p in pairs.iter().chain(&divergent) {
+                block(engine, &p.query, &p.target, x_of(engine));
+            }
+        }
+        let escalations = with_thread_workspace(|ws| ws.tally.escalations);
+        for engine in engines {
+            let x = x_of(engine);
+            for p in pairs.iter().chain(&divergent) {
+                let ((d, r), counters) = block(engine, &p.query, &p.target, x);
+                assert_eq!(d, 0, "a warm {engine} block allocated");
+                assert_eq!(r, Engine::Scalar.extend(&p.query, &p.target, scoring, x));
+                assert_eq!(counters, block(Engine::Scalar, &p.query, &p.target, x).1);
+            }
+        }
+        assert!(
+            with_thread_workspace(|ws| ws.tally.escalations) > escalations,
+            "no warm i8 block escalated"
+        );
     }
 
     // Pairs share their reads: cloning one — what candidate

@@ -20,8 +20,9 @@
 //!   widths pinned on both sides of every chunk boundary, flanks and
 //!   profiles shorter than a chunk, boundary cells inside the masked
 //!   store, masked lanes over live parents, escalation onto a
-//!   sub-chunk band — each witnessed through the steppers' per-step
-//!   statistics so the case cannot silently stop being exercised;
+//!   sub-chunk band — each witnessed through the per-step statistics
+//!   the engines hand their sink, so the case cannot silently stop
+//!   being exercised;
 //! * the structured inputs random pairs miss (ROADMAP item 4(a)):
 //!   homopolymers, all-`N` pairs, seeds at offset 0 and `len − k`,
 //!   X = 0 and X past the full score, best scores exactly on the i8 and
@@ -39,10 +40,8 @@ use logan::align::{simd8_eligible, simd_eligible};
 use logan::prelude::*;
 use logan::seq::readsim::Seed;
 use logan::seq::{Alphabet, ScoreProfile};
-use logan_align::simd::{
-    extend_portable, kernel_isa, DiagStats, Simd8Scratch, Simd8State, Simd8Step, SimdScratch,
-    SimdState, SimdStep, SIMD8_MAX_SCORE, SIMD_MAX_SCORE, SIMD_MAX_X,
-};
+use logan_align::simd::{extend_portable, kernel_isa, SIMD8_MAX_SCORE, SIMD_MAX_SCORE, SIMD_MAX_X};
+use logan_align::{DiagStats, StepSink};
 use logan_core::kernel::{logan_block_extend, KernelPolicy};
 use logan_gpusim::BlockCtx;
 use proptest::prelude::*;
@@ -85,7 +84,7 @@ fn both_compilations(
 ) -> (ExtensionResult, TierTally) {
     let (mut ws, mut ws_portable) = (AlignWorkspace::new(), AlignWorkspace::new());
     let dispatched = engine.extend_with(q, t, profile, x, &mut ws);
-    let portable = extend_portable(engine, q, t, profile, x, &mut ws_portable);
+    let portable = extend_portable(engine, q, t, profile, x, &mut ws_portable, &mut ());
     assert_eq!(
         dispatched,
         portable,
@@ -180,9 +179,9 @@ proptest! {
             prop_assert_eq!(Engine::Simd.extend_with(q, t, scoring, *x, &mut ws), fresh);
             prop_assert_eq!(Engine::Adaptive.extend_with(q, t, scoring, *x, &mut ws), fresh);
             // Both compilations of a kernel share the scratch, too.
-            prop_assert_eq!(extend_portable(Engine::I8, q, t, scoring, *x, &mut ws), fresh);
+            prop_assert_eq!(extend_portable(Engine::I8, q, t, scoring, *x, &mut ws, &mut ()), fresh);
             prop_assert_eq!(Engine::I8.extend_with(q, t, scoring, *x, &mut ws), fresh);
-            prop_assert_eq!(extend_portable(Engine::Simd, q, t, scoring, *x, &mut ws), fresh);
+            prop_assert_eq!(extend_portable(Engine::Simd, q, t, scoring, *x, &mut ws, &mut ()), fresh);
         }
     }
 }
@@ -313,8 +312,8 @@ fn adaptive_picks_i16_when_eligible_else_scalar() {
 // end. The cases below sit on both sides of each chunk boundary.
 // ---------------------------------------------------------------------
 
-/// [`all_tiers_agree`] plus the simulated GPU's block path, which
-/// drives the i16 stepper one anti-diagonal at a time.
+/// [`all_tiers_agree`] plus the simulated GPU's block path under every
+/// engine: the same results, and the same SIMT counters.
 fn all_paths_agree(
     q: &Seq,
     t: &Seq,
@@ -323,39 +322,98 @@ fn all_paths_agree(
 ) -> ExtensionResult {
     let want = all_tiers_agree(q, t, profile, x);
     let threads = 128;
-    let mut ctx = BlockCtx::new(threads, 32, 96 * 1024);
-    let policy = KernelPolicy {
-        engine: Engine::Simd,
-        ..KernelPolicy::new(threads)
-    };
-    let mut ws = AlignWorkspace::new();
-    assert_eq!(
-        logan_block_extend(&mut ctx, q, t, profile, x, &policy, &mut ws),
-        want,
-        "gpusim stepper diverged from scalar (x = {x})"
-    );
+    let mut counters = None;
+    for engine in [Engine::Scalar, Engine::Simd, Engine::I8, Engine::Adaptive] {
+        let mut ctx = BlockCtx::new(threads, 32, 96 * 1024);
+        let policy = KernelPolicy {
+            engine,
+            ..KernelPolicy::new(threads)
+        };
+        let mut ws = AlignWorkspace::new();
+        assert_eq!(
+            logan_block_extend(&mut ctx, q, t, profile, x, &policy, &mut ws),
+            want,
+            "gpusim {engine} diverged from scalar (x = {x})"
+        );
+        let first = counters.get_or_insert(ctx.counters);
+        assert_eq!(&ctx.counters, first, "gpusim {engine} counters (x = {x})");
+    }
     want
 }
 
-/// Per-step statistics of the i16 stepper, run to completion.
-fn i16_steps(q: &Seq, t: &Seq, profile: impl Into<ScoreProfile>, x: i32) -> Vec<DiagStats> {
-    let mut scratch = SimdScratch::default();
-    let mut state = SimdState::new(q, t, profile, x, &mut scratch).expect("i16-eligible");
-    let mut steps = Vec::new();
-    while let SimdStep::Advanced(stats) = state.step() {
-        steps.push(stats);
+/// Every anti-diagonal an extension computed, as its sink saw them;
+/// each must be live + trimmed cells.
+#[derive(Default)]
+struct Steps(Vec<DiagStats>);
+
+impl StepSink for Steps {
+    fn diag(&mut self, s: &DiagStats) {
+        assert_eq!(s.width, s.live_width + s.trim_front + s.trim_back);
+        self.0.push(*s);
     }
-    steps
 }
 
-/// Per-step statistics of the i8 stepper up to its end or escalation.
-fn i8_steps(q: &Seq, t: &Seq, profile: impl Into<ScoreProfile>, x: i32) -> Vec<DiagStats> {
-    let mut scratch = Simd8Scratch::default();
-    let mut state = Simd8State::new(q, t, profile, x, &mut scratch).expect("i8-eligible");
-    let mut steps = Vec::new();
-    while let Simd8Step::Advanced(stats) = state.step() {
-        steps.push(stats);
-    }
+/// One engine's steps through both compilations of its kernel (asserted
+/// equal, like the results and tallies), checked to add up to the
+/// result's cells and iterations.
+fn steps_of(
+    engine: Engine,
+    q: &Seq,
+    t: &Seq,
+    profile: impl Into<ScoreProfile> + Copy,
+    x: i32,
+) -> (Vec<DiagStats>, ExtensionResult, TierTally) {
+    let (mut ws, mut ws_portable) = (AlignWorkspace::new(), AlignWorkspace::new());
+    let (mut steps, mut steps_portable) = (Steps::default(), Steps::default());
+    let r = engine.extend_with_sink(q, t, profile, x, &mut ws, &mut steps);
+    let portable = extend_portable(
+        engine,
+        q,
+        t,
+        profile,
+        x,
+        &mut ws_portable,
+        &mut steps_portable,
+    );
+    assert_eq!(r, portable, "{engine} (x = {x})");
+    assert_eq!(ws.tally, ws_portable.tally, "{engine} (x = {x})");
+    assert_eq!(
+        steps.0,
+        steps_portable.0,
+        "{engine}: the {} and portable compilations stepped apart (x = {x})",
+        kernel_isa()
+    );
+    let cells: u64 = steps.0.iter().map(|s| s.width as u64).sum();
+    assert_eq!((r.cells, r.iterations), (cells, steps.0.len() as u64));
+    (steps.0, r, ws.tally)
+}
+
+/// Per-step statistics of the i16 kernel, run to completion.
+fn i16_steps(q: &Seq, t: &Seq, profile: impl Into<ScoreProfile> + Copy, x: i32) -> Vec<DiagStats> {
+    assert!(simd_eligible(q, t, profile, x), "i16-eligible");
+    steps_of(Engine::Simd, q, t, profile, x).0
+}
+
+/// Per-step statistics of the i8 kernel up to its end or its hand-over
+/// to i16: the steps before the first one whose values the best so far
+/// could have lifted past the i8 window.
+fn i8_steps(q: &Seq, t: &Seq, profile: impl Into<ScoreProfile> + Copy, x: i32) -> Vec<DiagStats> {
+    assert!(simd8_eligible(q, t, profile, x), "i8-eligible");
+    let (mut steps, _, tally) = steps_of(Engine::I8, q, t, profile, x);
+    let max_sub = profile.into().max_score();
+    let mut best = 0;
+    let in_window = steps
+        .iter()
+        .take_while(|s| {
+            let stay = best + max_sub <= SIMD8_MAX_SCORE;
+            best = best.max(s.row_max);
+            stay
+        })
+        .count();
+    // A hand-over can come after the last step; one before it cannot
+    // go uncounted.
+    assert!(in_window == steps.len() || tally.escalations == 1);
+    steps.truncate(in_window);
     steps
 }
 
@@ -377,7 +435,7 @@ const GT: &[u8] = &[2, 3];
 /// Interior widths pinned at 1, L − 1, L, L + 1, 2L − 1 and 2L for both
 /// chunk widths. With `m = W < n` and nothing pruned, anti-diagonals
 /// `m < d ≤ n` hold the `i = 0` boundary cell plus exactly `W` interior
-/// cells; the steppers' statistics witness it.
+/// cells; the per-step statistics witness it.
 #[test]
 fn interior_widths_pinned_at_chunk_edges() {
     let mut rng = StdRng::seed_from_u64(1201);
@@ -482,7 +540,7 @@ fn flanks_shorter_than_a_chunk() {
 /// is trimmed by two or more cells at its high end, the first masked
 /// lane of anti-diagonal `d` reads a diagonal parent that is still
 /// inside `d − 2`'s live window. Seeded noisy pairs at small X hit it
-/// constantly; the steppers' statistics prove they did.
+/// constantly; the per-step statistics prove they did.
 #[test]
 fn masked_lanes_over_live_parents() {
     let pairs = PairSet::generate_with_lengths(12, 0.15, 150, 400, 1204).pairs;
@@ -530,90 +588,31 @@ fn escalation_onto_a_sub_chunk_band() {
 // Band shapes of the lean step: anti-diagonals indexed by absolute query
 // position in buffers that are never cleared, boundary cells computed by
 // the general recurrence, and windows of at most one chunk stepped
-// without the row machinery. Each case runs both steppers one
-// anti-diagonal at a time and checks their statistics against the
-// result, on top of every engine agreeing with scalar.
+// without the row machinery. Each case collects every engine's
+// per-step statistics through its sink and checks them against each
+// other and the result, on top of every engine agreeing with scalar.
 // ---------------------------------------------------------------------
 
-/// What a stepper's per-step statistics must add up to: every width is
-/// live + trimmed, the widths sum to the result's cells and the steps
-/// to its iterations.
-#[derive(Default)]
-struct Sums {
-    steps: Vec<DiagStats>,
-    cells: u64,
-    iterations: u64,
-}
-
-impl Sums {
-    fn advanced(&mut self, s: DiagStats) {
-        assert_eq!(s.width, s.live_width + s.trim_front + s.trim_back);
-        self.cells += s.width as u64;
-        self.iterations += 1;
-        self.steps.push(s);
-    }
-
-    fn dropped(&mut self, width: usize) {
-        self.cells += width as u64;
-        self.iterations += 1;
-    }
-
-    fn matches(&self, r: &ExtensionResult) {
-        assert_eq!((r.cells, r.iterations), (self.cells, self.iterations));
-    }
-}
-
-/// [`all_paths_agree`], plus both steppers driven one anti-diagonal at
-/// a time with their statistics checked against the result (the i8 one
-/// when eligible, and only if it reaches the end without escalating).
-/// Returns the i16 stepper's statistics.
+/// [`all_paths_agree`], plus every engine's steps through its sink in
+/// both compilations: the same anti-diagonals whichever tier computes
+/// them — across an i8 → i16 hand-over too — adding up to the result.
+/// Returns them.
 fn shapes_agree(
     q: &Seq,
     t: &Seq,
     profile: impl Into<ScoreProfile> + Copy,
     x: i32,
 ) -> Vec<DiagStats> {
+    assert!(simd_eligible(q, t, profile, x), "i16-eligible");
     let want = all_paths_agree(q, t, profile, x);
-    let mut sums = Sums::default();
-    let mut scratch = SimdScratch::default();
-    let mut state = SimdState::new(q, t, profile, x, &mut scratch).expect("i16-eligible");
-    loop {
-        match state.step() {
-            SimdStep::Advanced(s) => sums.advanced(s),
-            SimdStep::Dropped { width } => break sums.dropped(width),
-            SimdStep::Finished => break,
-        }
+    let (steps, r, _) = steps_of(Engine::Scalar, q, t, profile, x);
+    assert_eq!(r, want);
+    for engine in [Engine::Simd, Engine::I8, Engine::Adaptive] {
+        let (tier_steps, r, _) = steps_of(engine, q, t, profile, x);
+        assert_eq!(r, want, "{engine} (x = {x})");
+        assert_eq!(tier_steps, steps, "{engine} walked another band (x = {x})");
     }
-    sums.matches(&want);
-    assert_eq!(state.into_result(), want, "i16 stepper diverged (x = {x})");
-    if simd8_eligible(q, t, profile, x) {
-        let mut sums8 = Sums::default();
-        let mut scratch = Simd8Scratch::default();
-        let mut state = Simd8State::new(q, t, profile, x, &mut scratch).expect("i8-eligible");
-        let ended = loop {
-            match state.step() {
-                Simd8Step::Advanced(s) => sums8.advanced(s),
-                Simd8Step::Dropped { width } => {
-                    sums8.dropped(width);
-                    break true;
-                }
-                Simd8Step::Finished => break true,
-                Simd8Step::Escalate => break false,
-            }
-        };
-        // Up to an escalation the two tiers walk the same band.
-        for (a, b) in sums8.steps.iter().zip(&sums.steps) {
-            assert_eq!(
-                (a.width, a.live_width, a.trim_front, a.trim_back, a.row_max),
-                (b.width, b.live_width, b.trim_front, b.trim_back, b.row_max)
-            );
-        }
-        if ended {
-            sums8.matches(&want);
-            assert_eq!(state.into_result(), want, "i8 stepper diverged (x = {x})");
-        }
-    }
-    sums.steps
+    steps
 }
 
 /// One extension whose window grows past a chunk and shrinks back
@@ -765,7 +764,7 @@ fn band_top_collapses_and_regrows() {
 // Structured oracle inputs (ROADMAP item 4(a)): what random pairs miss.
 // Every case goes through `all_tiers_agree` — scalar against each engine
 // in both compilations of its kernel — usually by way of `shapes_agree`,
-// which adds the simulated GPU's block path and both steppers.
+// which adds the simulated GPU's block path and every engine's steps.
 // ---------------------------------------------------------------------
 
 fn dna(s: &str) -> Seq {
@@ -965,22 +964,6 @@ fn best_scores_on_the_tier_ceilings() {
                 "match = {mat}, n = {n}: full score {} vs ceiling {ceiling}",
                 want.score
             );
-            // The stepper names the anti-diagonal: the hand-over comes
-            // after exactly the steps that brought the best past
-            // `ceiling − match` — two per symbol of a perfect pair.
-            let mut scratch = Simd8Scratch::default();
-            let mut state = Simd8State::new(&s, &s, scoring, x, &mut scratch).expect("eligible");
-            let mut advanced = 0;
-            let last = loop {
-                match state.step() {
-                    Simd8Step::Advanced(_) => advanced += 1,
-                    other => break other,
-                }
-            };
-            assert_eq!(matches!(last, Simd8Step::Escalate), escalates);
-            if escalates {
-                assert_eq!(advanced, 2 * hand_over_at);
-            }
         }
         // On the ceiling mid-extension: the run continues in i16 through
         // a tail that drops.
@@ -1025,7 +1008,7 @@ fn best_scores_on_the_tier_ceilings() {
 /// for both chunk widths: the window moved *and* sits on the one-chunk
 /// switch, so the lane mask, the rounded-up store and the re-sentinelled
 /// neighbours all change at once. Noisy pairs at the X values that put
-/// the band near a chunk produce them constantly; the steppers'
+/// the band near a chunk produce them constantly; the per-step
 /// statistics prove they did.
 #[test]
 fn chunk_wide_bands_right_after_a_trim() {

@@ -37,7 +37,7 @@ fn simd_both(
 ) -> ExtensionResult {
     let dispatched = Engine::Simd.extend_with(q, t, scoring, x, ws);
     assert_eq!(
-        extend_portable(Engine::Simd, q, t, scoring, x, ws),
+        extend_portable(Engine::Simd, q, t, scoring, x, ws, &mut ()),
         dispatched,
         "the portable and {} compilations disagree (x = {x})",
         kernel_isa()
