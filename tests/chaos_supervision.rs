@@ -13,7 +13,7 @@
 //!   [`TraceEvent`] sequence, byte for byte.
 
 use logan::prelude::*;
-use logan::serve::sim::{seeded_requests, simulate, ArrivalProcess, SimConfig};
+use logan::serve::sim::{seeded_requests, simulate, ArrivalProcess, SimConfig, SimReport};
 use proptest::prelude::*;
 
 fn pairs(n: usize, seed: u64) -> Vec<ReadPair> {
@@ -68,13 +68,21 @@ fn supervised_storm_run(
     seed: u64,
     blocks: &[Vec<ReadPair>],
 ) -> (Vec<SeedExtendResult>, Vec<TraceEvent>) {
+    supervised_storm_run_with(seed, blocks, fast_policy())
+}
+
+fn supervised_storm_run_with(
+    seed: u64,
+    blocks: &[Vec<ReadPair>],
+    policy: SupervisePolicy,
+) -> (Vec<SeedExtendResult>, Vec<TraceEvent>) {
     let inner: Box<dyn AlignBackend> = Box::new(Fleet::static_gpus(
         2,
         DeviceSpec::v100(),
         LoganConfig::with_x(40),
     ));
     let chaos = ChaosBackend::new(inner, FaultPlan::storm(seed, 2));
-    let sup = Supervised::new(chaos, fast_policy());
+    let sup = Supervised::new(chaos, policy);
     let mut results = Vec::new();
     // Round-robin the preferred lane, the way a multi-lane caller
     // would — so the storm's fail-stop lane actually gets dispatched
@@ -124,10 +132,9 @@ fn storm_recovers_bit_identical_results_and_replays_its_trace() {
     assert_ne!(trace, other, "the seed must matter");
 }
 
-#[test]
-fn poison_block_fails_alone_without_wedging_the_backend() {
-    // Both lanes reject every block: supervision must give up on the
-    // block (poison after 2 distinct lanes), not retry forever.
+/// A [`Supervised`] over a 2-lane backend whose lanes both reject
+/// every block.
+fn poison_backend(policy: SupervisePolicy) -> Supervised<ChaosBackend> {
     let inner: Box<dyn AlignBackend> = Box::new(Fleet::static_gpus(
         2,
         DeviceSpec::v100(),
@@ -148,7 +155,14 @@ fn poison_block_fails_alone_without_wedging_the_backend() {
                 count: 1000,
             },
         );
-    let sup = Supervised::new(ChaosBackend::new(inner, plan), fast_policy());
+    Supervised::new(ChaosBackend::new(inner, plan), policy)
+}
+
+#[test]
+fn poison_block_fails_alone_without_wedging_the_backend() {
+    // Both lanes reject every block: supervision must give up on the
+    // block (poison after 2 distinct lanes), not retry forever.
+    let sup = poison_backend(fast_policy());
     let err = sup.try_align_block(&pairs(2, 5)).unwrap_err();
     assert_eq!(err.kind(), "poison");
     assert!(sup
@@ -306,5 +320,256 @@ fn chaos_spec_grammar_resolves_and_rejects() {
             bad.parse::<ChaosSpec>().is_err(),
             "{bad:?} must be rejected"
         );
+    }
+}
+
+// ---------------------------------------------------------------- //
+// Goldens: every supervision decision, byte for byte.               //
+// ---------------------------------------------------------------- //
+
+/// A policy whose backoff delays are long enough in microseconds that
+/// the seeded jitter shows in the trace, and short enough not to slow
+/// the suite down.
+fn jitter_policy() -> SupervisePolicy {
+    SupervisePolicy {
+        backoff_base_s: 1e-4,
+        backoff_max_s: 1e-3,
+        ..SupervisePolicy::default()
+    }
+}
+
+/// One trace event per line, in their `Display` form.
+fn render_trace(trace: &[TraceEvent]) -> String {
+    trace.iter().map(|e| format!("{e}\n")).collect()
+}
+
+/// Compare `actual` with `tests/golden/chaos/<name>.txt`, byte for
+/// byte, naming the first line that differs.
+fn assert_golden(name: &str, actual: &str) {
+    let path = format!(
+        "{}/tests/golden/chaos/{name}.txt",
+        env!("CARGO_MANIFEST_DIR")
+    );
+    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+    if want != actual {
+        let (w, a): (Vec<&str>, Vec<&str>) = (want.lines().collect(), actual.lines().collect());
+        let at = (0..w.len().max(a.len()))
+            .find(|&i| w.get(i) != a.get(i))
+            .unwrap_or(0);
+        panic!(
+            "{name}: differs from {path} at line {}: want {:?}, got {:?}",
+            at + 1,
+            w.get(at),
+            a.get(at)
+        );
+    }
+}
+
+#[test]
+fn supervised_storm_traces_match_their_goldens() {
+    let blocks: Vec<Vec<ReadPair>> = (0..10).map(|i| pairs(3, 100 + i)).collect();
+    for seed in [9u64, 10] {
+        let (_, trace) = supervised_storm_run_with(seed, &blocks, jitter_policy());
+        assert_golden(&format!("supervised_storm_{seed}"), &render_trace(&trace));
+    }
+}
+
+#[test]
+fn poison_trace_matches_its_golden() {
+    let sup = poison_backend(jitter_policy());
+    let err = sup.try_align_block(&pairs(2, 5)).unwrap_err();
+    let got = format!(
+        "{}error {err}\ndead {:?}\n",
+        render_trace(&sup.trace()),
+        sup.dead_lanes()
+    );
+    assert_golden("supervised_poison", &got);
+}
+
+/// Requests of the chaos-recovery contrast: one storm seed, 80
+/// requests.
+const RECOVERY_SEED: u64 = 42;
+const RECOVERY_REQUESTS: usize = 80;
+
+/// The two backend shapes of the chaos-recovery contrast: one simulated
+/// GPU, and a `2gpu+cpu` fleet (CPU width pinned so the CPU lane's
+/// rate-derived service time does not depend on the host).
+fn recovery_backends() -> Vec<(&'static str, Box<dyn AlignBackend>)> {
+    let config = LoganConfig::with_x(30);
+    let spec: FleetSpec = "2gpu+cpu:2".parse().expect("fleet spec");
+    vec![
+        (
+            "gpu",
+            Box::new(LoganExecutor::new(DeviceSpec::tiny(), config)) as Box<dyn AlignBackend>,
+        ),
+        ("fleet", Box::new(spec.build(DeviceSpec::tiny(), config))),
+    ]
+}
+
+/// Deep queue, wide quota, no deadline: every outcome of the contrast
+/// is completed or failed — it measures recovery, not shedding.
+fn recovery_serve() -> ServeConfig {
+    ServeConfig {
+        batch_pairs: 64,
+        queue_depth: RECOVERY_REQUESTS,
+        quota_pairs: 100_000,
+        ..ServeConfig::default()
+    }
+}
+
+/// Offered arrival rate for a comfortable load on the backend's lane
+/// 0 alone, self-calibrated from a probe batch: the storm, not the
+/// queue, should be the reason anything is late.
+fn offered_rps(backend: &dyn AlignBackend, serve: &ServeConfig) -> f64 {
+    let probe = PairSet::generate_with_lengths(64, 0.2, 150, 450, 0xca11b).pairs;
+    let (_, rep) = backend.align_block_on(0, &probe);
+    let device_s = if rep.sim_time_s > 0.0 {
+        rep.sim_time_s
+    } else {
+        rep.total_cells as f64 / (backend.throughput_hint_on(0) * 1e9)
+    };
+    let per_pair_s = device_s / probe.len() as f64;
+    // Mean request is 2.5 pairs (uniform 1..=4); offer 60% of what one
+    // healthy lane serves per request.
+    0.6 / (serve.batch_setup_s + 2.5 * per_pair_s)
+}
+
+/// The contrast's supervision policy: poison only a batch that failed
+/// on every lane of the backend.
+fn recovery_policy(backend: &dyn AlignBackend) -> SupervisePolicy {
+    SupervisePolicy {
+        poison_lanes: backend.lanes().max(2),
+        ..SupervisePolicy::default()
+    }
+}
+
+/// One run of the storm through the simulator, bare (`supervise:
+/// None`) or supervised.
+fn recovery_run(backend: &dyn AlignBackend, supervise: Option<SupervisePolicy>) -> SimReport {
+    let serve = recovery_serve();
+    // Bursty arrivals keep the queue deep enough that batches coalesce
+    // to full width, so a faulted batch carries real work.
+    let arrivals = ArrivalProcess::Bursty {
+        rate_rps: offered_rps(backend, &serve),
+        burst: 16,
+    };
+    let requests = seeded_requests(RECOVERY_REQUESTS, 4, 4, &arrivals, RECOVERY_SEED);
+    let cfg = SimConfig {
+        serve,
+        coalesce: true,
+        supervise,
+        chaos: Some(FaultPlan::storm(RECOVERY_SEED, backend.lanes())),
+    };
+    simulate(backend, &cfg, &requests)
+}
+
+/// A simulator run as golden text: the trace, every outcome, and the
+/// recovery counters.
+fn render_sim(rep: &SimReport) -> String {
+    let mut out = render_trace(&rep.trace);
+    for (i, o) in rep.outcomes.iter().enumerate() {
+        out.push_str(&format!("outcome {i} {o:?}\n"));
+    }
+    out.push_str(&format!(
+        "recoveries {}\nlanes_retired {}\n",
+        rep.recoveries, rep.lanes_retired
+    ));
+    out
+}
+
+#[test]
+fn simulated_storm_traces_match_their_goldens() {
+    for (name, backend) in recovery_backends() {
+        let backend = backend.as_ref();
+        let bare = recovery_run(backend, None);
+        assert_golden(&format!("sim_{name}_bare"), &render_sim(&bare));
+        let sup = recovery_run(backend, Some(recovery_policy(backend)));
+        assert_golden(&format!("sim_{name}_supervised"), &render_sim(&sup));
+    }
+    // Poison at the first lane a batch exhausts: the simulator records
+    // a fail-stop's lane death before the poison verdict.
+    let (_, fleet) = recovery_backends().pop().expect("fleet backend");
+    let poison = SupervisePolicy {
+        poison_lanes: 1,
+        ..SupervisePolicy::default()
+    };
+    let rep = recovery_run(fleet.as_ref(), Some(poison));
+    assert_golden("sim_fleet_poison", &render_sim(&rep));
+}
+
+/// A one-thread scalar CPU member.
+fn cpu_member() -> Box<dyn AlignBackend> {
+    Box::new(XDropCpuAligner::new(
+        1,
+        Scoring::default(),
+        30,
+        Engine::Scalar,
+    ))
+}
+
+/// A CPU member behind one injected fault.
+fn faulty_member(fault: Fault) -> Box<dyn AlignBackend> {
+    Box::new(ChaosBackend::new(
+        cpu_member(),
+        FaultPlan::new(3).with_fault(0, fault),
+    ))
+}
+
+/// The threaded fleet's scoreboard counters on the storms where they
+/// do not depend on thread timing (repeated runs agree).
+#[test]
+fn fleet_report_counters_match_their_goldens() {
+    type Members = Vec<Box<dyn AlignBackend>>;
+    let ps = pairs(40, 77);
+    let transient = |count| Fault::Transient {
+        nth_block: 0,
+        count,
+    };
+    let failstop = |after| Fault::FailStop { after };
+    // errors, hedges, quarantines, reinstatements, retired, poison pairs
+    let cases: Vec<(&str, Members, &str)> = vec![
+        (
+            "flaky",
+            vec![faulty_member(transient(2)), cpu_member()],
+            "[2, 0] 0 1 1 [] 0",
+        ),
+        (
+            "failstop@0",
+            vec![faulty_member(failstop(0)), cpu_member()],
+            "[1, 0] 0 0 0 [0] 0",
+        ),
+        (
+            "failstop@1",
+            vec![faulty_member(failstop(1)), cpu_member()],
+            "[1, 0] 0 0 0 [0] 0",
+        ),
+        (
+            "both transient",
+            vec![
+                faulty_member(transient(1000)),
+                faulty_member(transient(1000)),
+            ],
+            "[4, 4] 0 2 0 [0, 1] 40",
+        ),
+        (
+            "both dead",
+            vec![faulty_member(failstop(0)), faulty_member(failstop(0))],
+            "[1, 1] 0 0 0 [0, 1] 40",
+        ),
+    ];
+    for (name, members, want) in cases {
+        let mut fleet = Fleet::new(members);
+        if name == "flaky" {
+            // Zero delays: the quarantine → probation → reinstated arc
+            // fits in one short run.
+            fleet.supervision.probation_delay_s = 0.0;
+            fleet.supervision.error_clock_s = 0.0;
+        }
+        let (_, r) = fleet.align_pairs_outcome(&ps);
+        let got = format!(
+            "{:?} {} {} {} {:?} {}",
+            r.errors, r.hedges, r.quarantines, r.reinstatements, r.retired, r.poison_pairs
+        );
+        assert_eq!(got, want, "{name}");
     }
 }
