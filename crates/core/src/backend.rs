@@ -100,22 +100,13 @@ pub trait AlignBackend: Send + Sync {
         self.align_block(block)
     }
 
-    /// Fallible [`AlignBackend::align_block`]: faults surface as
+    /// Fallible [`AlignBackend::align_block_on`]: faults surface as
     /// [`crate::faults::BackendError`] values instead of unwinds. The
     /// default wraps the infallible path and never fails; fault
     /// injectors ([`crate::faults::ChaosBackend`]) and supervisors
     /// ([`crate::faults::Supervised`], [`crate::fleet::Fleet`])
     /// override it. Panics are *not* caught here — that happens once,
     /// at the supervision boundary ([`crate::faults::catch_align`]).
-    fn try_align_block(
-        &self,
-        block: &[ReadPair],
-    ) -> Result<(Vec<SeedExtendResult>, BackendReport), crate::faults::BackendError> {
-        Ok(self.align_block(block))
-    }
-
-    /// Fallible [`AlignBackend::align_block_on`]; same contract as
-    /// [`AlignBackend::try_align_block`].
     fn try_align_block_on(
         &self,
         lane: usize,
@@ -128,7 +119,7 @@ pub trait AlignBackend: Send + Sync {
 /// Boxed backends are backends: forwarding keeps wrapper stacks
 /// (`Supervised<Box<dyn AlignBackend>>`, chaos over a boxed fleet)
 /// composable without re-borrowing gymnastics. Every method forwards —
-/// including the fallible pair, so a box never hides an override.
+/// including the fallible one, so a box never hides an override.
 impl<T: AlignBackend + ?Sized> AlignBackend for Box<T> {
     fn name(&self) -> String {
         (**self).name()
@@ -164,13 +155,6 @@ impl<T: AlignBackend + ?Sized> AlignBackend for Box<T> {
         block: &[ReadPair],
     ) -> (Vec<SeedExtendResult>, BackendReport) {
         (**self).align_block_on(lane, block)
-    }
-
-    fn try_align_block(
-        &self,
-        block: &[ReadPair],
-    ) -> Result<(Vec<SeedExtendResult>, BackendReport), crate::faults::BackendError> {
-        (**self).try_align_block(block)
     }
 
     fn try_align_block_on(

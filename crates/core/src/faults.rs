@@ -14,24 +14,30 @@
 //!   ([`AlignBackend::try_align_block_on`]) and as panics on the
 //!   infallible path, so unsupervised stacks keep their pre-existing
 //!   panic-equals-retirement semantics.
-//! * [`Supervised`] — per-block bounded retry with exponential backoff
-//!   and deterministic seeded jitter, re-dispatch to a different lane
-//!   after retry exhaustion, and poison-block detection (a block that
-//!   fails on [`SupervisePolicy::poison_lanes`] distinct lanes fails
-//!   alone instead of taking the service down). Every decision is
-//!   recorded as a [`TraceEvent`]; driven sequentially, the trace is
-//!   bit-reproducible from the seeds.
+//! * [`Supervisor`] — the one per-block fault rule of the stack.
+//!   Clock-free: a block's [`BlockLedger`] (distinct failed lanes,
+//!   retries on this lane) and a [`BackendError`] go in, a [`Verdict`]
+//!   comes out — retry here after a backoff with seeded jitter, move,
+//!   poison (a block that failed on [`SupervisePolicy::poison_lanes`]
+//!   distinct lanes fails alone instead of taking the service down), or
+//!   fail. [`BlockLedger::may_take`] is the one retake rule: which lane
+//!   may take a failed block.
+//! * Three callers apply those verdicts, each on its own clock:
+//!   [`Supervised`] wraps any backend and sleeps its backoffs;
+//!   [`crate::fleet::Fleet`] charges a worker's virtual clock and keeps
+//!   its lane-health scoreboard (quarantine → probation → reinstatement)
+//!   to itself; `logan-serve`'s simulator adds busy seconds on the
+//!   simulated clock. Every decision is recorded as a [`TraceEvent`];
+//!   driven sequentially, the trace is bit-reproducible from the seeds.
 //!
-//! The error taxonomy and the trace vocabulary are shared with
-//! [`crate::fleet::Fleet`]'s health scoreboard (quarantine → probation
-//! → reinstatement) and `logan-serve`'s simulator, so one seed replays
-//! the same storm at every layer. See `DESIGN.md` §12.
+//! One seed therefore replays the same storm at every layer. See
+//! `DESIGN.md` §12.
 
 use crate::backend::{AlignBackend, BackendReport};
 use logan_align::SeedExtendResult;
 use logan_seq::readsim::ReadPair;
 use std::any::Any;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::str::FromStr;
 use std::sync::{Mutex, PoisonError};
@@ -324,7 +330,9 @@ impl FaultPlan {
         }
         for f in faults {
             if let Fault::Transient { nth_block, count } = f {
-                if n >= *nth_block && n < nth_block + count {
+                // `n - nth_block`, not `nth_block + count`: a window
+                // that runs to `usize::MAX` must not overflow.
+                if n >= *nth_block && n - nth_block < *count {
                     return Some(BackendError::Transient {
                         detail: format!(
                             "injected transient on lane {lane} (block {n} in window {nth_block}+{count})"
@@ -552,20 +560,6 @@ impl ChaosBackend {
         seen[lane] += 1;
         n
     }
-
-    fn run_on(
-        &self,
-        lane: usize,
-        block: &[ReadPair],
-    ) -> Result<(Vec<SeedExtendResult>, BackendReport), BackendError> {
-        let n = self.next_index(lane);
-        if let Some(err) = self.plan.injected_error(lane, n) {
-            return Err(err);
-        }
-        let (results, mut rep) = self.inner.try_align_block_on(lane, block)?;
-        self.plan.shape_report(lane, n, &mut rep);
-        Ok((results, rep))
-    }
 }
 
 impl AlignBackend for ChaosBackend {
@@ -594,10 +588,7 @@ impl AlignBackend for ChaosBackend {
     }
 
     fn align_block(&self, block: &[ReadPair]) -> (Vec<SeedExtendResult>, BackendReport) {
-        match self.try_align_block(block) {
-            Ok(out) => out,
-            Err(e) => panic!("injected fault: {e}"),
-        }
+        self.align_block_on(0, block)
     }
 
     fn align_block_on(
@@ -605,17 +596,8 @@ impl AlignBackend for ChaosBackend {
         lane: usize,
         block: &[ReadPair],
     ) -> (Vec<SeedExtendResult>, BackendReport) {
-        match self.try_align_block_on(lane, block) {
-            Ok(out) => out,
-            Err(e) => panic!("injected fault: {e}"),
-        }
-    }
-
-    fn try_align_block(
-        &self,
-        block: &[ReadPair],
-    ) -> Result<(Vec<SeedExtendResult>, BackendReport), BackendError> {
-        self.run_on(0, block)
+        self.try_align_block_on(lane, block)
+            .unwrap_or_else(|e| panic!("injected fault: {e}"))
     }
 
     fn try_align_block_on(
@@ -623,12 +605,19 @@ impl AlignBackend for ChaosBackend {
         lane: usize,
         block: &[ReadPair],
     ) -> Result<(Vec<SeedExtendResult>, BackendReport), BackendError> {
-        self.run_on(lane, block)
+        let n = self.next_index(lane);
+        if let Some(err) = self.plan.injected_error(lane, n) {
+            return Err(err);
+        }
+        let (results, mut rep) = self.inner.try_align_block_on(lane, block)?;
+        self.plan.shape_report(lane, n, &mut rep);
+        Ok((results, rep))
     }
 }
 
-/// Knobs for [`Supervised`] and for the fleet/serve supervision built
-/// on the same vocabulary. `Copy` so configs stay literal.
+/// The per-block fault rule's knobs, shared by [`Supervised`] and the
+/// serve simulator (the fleet runs [`SupervisePolicy::default`] with no
+/// in-place retries). `Copy` so configs stay literal.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SupervisePolicy {
     /// Same-lane retries per block before re-dispatching elsewhere.
@@ -673,8 +662,7 @@ impl SupervisePolicy {
 
 /// One step of a supervision run. Traces are the reproducibility
 /// witness: the same seeds replay the same event sequence, byte for
-/// byte (asserted by `tests/chaos_supervision.rs` and the
-/// `chaos_recovery` bench).
+/// byte (asserted against goldens by `tests/chaos_supervision.rs`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceEvent {
     /// A block was dispatched to a lane.
@@ -769,19 +757,167 @@ impl fmt::Display for TraceEvent {
     }
 }
 
+/// One block's fault history: the distinct lanes it failed on (most
+/// recent last) and the retries spent on the lane it is on. A block
+/// that never faulted has an empty ledger, which allocates nothing.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct BlockLedger {
+    failed: Vec<usize>,
+    retries_here: usize,
+}
+
+impl BlockLedger {
+    /// The lane this block last gave up on, if any.
+    pub fn last_failed(&self) -> Option<usize> {
+        self.failed.last().copied()
+    }
+
+    /// The first live lane at or after `from` (wrapping, over `lanes`
+    /// lanes) that this block has not failed on.
+    pub fn fresh_lane(
+        &self,
+        from: usize,
+        lanes: usize,
+        live: impl Fn(usize) -> bool,
+    ) -> Option<usize> {
+        (0..lanes)
+            .map(|i| (from + i) % lanes)
+            .find(|&l| live(l) && !self.failed.contains(&l))
+    }
+
+    /// The retake rule: live `lane` may take this block if the block
+    /// has not failed on it, or once no live lane is left that it has
+    /// not failed on (fault windows count attempts, so a retake can
+    /// still clear; refusing would strand the block).
+    pub fn may_take(&self, lane: usize, lanes: usize, live: impl Fn(usize) -> bool) -> bool {
+        !self.failed.contains(&lane) || self.fresh_lane(0, lanes, live).is_none()
+    }
+}
+
+/// What a supervisor does with a block after one of its attempts
+/// failed. Each caller applies it on its own clock: [`Supervised`]
+/// sleeps, the fleet charges a worker's virtual clock, the serve
+/// simulator adds busy seconds.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Verdict {
+    /// Retry on the same lane after `delay_s` seconds; `attempt` is the
+    /// 0-based retry number on this lane.
+    Retry {
+        /// 0-based retry number on this lane.
+        attempt: usize,
+        /// Backoff delay, jitter included.
+        delay_s: f64,
+    },
+    /// Give up on this lane: the block moves to a lane
+    /// [`BlockLedger::may_take`] admits.
+    Move,
+    /// The block failed on `lanes` distinct lanes: it is poison and
+    /// fails alone.
+    Poison {
+        /// Distinct lanes the block failed on.
+        lanes: usize,
+    },
+    /// Fail the block as it is: it is unsupervised, or a nested
+    /// supervisor already declared it poison.
+    Fail,
+}
+
+impl Verdict {
+    /// The trace event that records this verdict for `block` on
+    /// `lane`: a backoff or a poisoning. A move is recorded by its
+    /// caller as a [`TraceEvent::Redispatch`] when a lane takes the
+    /// block.
+    pub fn event(&self, lane: usize, block: u64) -> Option<TraceEvent> {
+        match *self {
+            Verdict::Retry { attempt, delay_s } => Some(TraceEvent::Backoff {
+                lane,
+                attempt,
+                delay_us: (delay_s * 1e6) as u64,
+            }),
+            Verdict::Poison { lanes } => Some(TraceEvent::Poisoned { block, lanes }),
+            Verdict::Move | Verdict::Fail => None,
+        }
+    }
+}
+
+/// The one per-block fault rule of the supervision stack, with its
+/// seeded jitter stream. Clock-free: a ledger and a fault go in, a
+/// [`Verdict`] comes out, and the caller spends the delay on whatever
+/// clock it runs on.
+#[derive(Debug, Clone)]
+pub struct Supervisor {
+    policy: Option<SupervisePolicy>,
+    rng: u64,
+}
+
+impl Supervisor {
+    /// A supervisor under `policy` whose jitter stream starts at
+    /// `policy.seed ^ salt`; `None` supervises nothing (every fault
+    /// fails its block).
+    pub fn new(policy: Option<SupervisePolicy>, salt: u64) -> Supervisor {
+        Supervisor {
+            policy,
+            rng: policy.map_or(0, |p| p.seed) ^ salt,
+        }
+    }
+
+    /// The verdict on `err`, the failure of `ledger`'s block on `lane`,
+    /// updating the ledger. Transient faults and panics retry in place
+    /// while `max_retries` allows; a fail-stop or an exhausted lane
+    /// counts as a failed lane, and `poison_lanes` distinct ones make
+    /// the block poison.
+    pub fn verdict(
+        &mut self,
+        ledger: &mut BlockLedger,
+        lane: usize,
+        err: &BackendError,
+    ) -> Verdict {
+        let Some(policy) = self.policy else {
+            return Verdict::Fail;
+        };
+        if let BackendError::Poison { .. } = err {
+            return Verdict::Fail;
+        }
+        if !err.retires_lane() && ledger.retries_here < policy.max_retries {
+            let attempt = ledger.retries_here;
+            ledger.retries_here += 1;
+            let jitter_u01 = (splitmix64(&mut self.rng) >> 11) as f64 / (1u64 << 53) as f64;
+            return Verdict::Retry {
+                attempt,
+                delay_s: policy.backoff_s(attempt, jitter_u01),
+            };
+        }
+        ledger.retries_here = 0;
+        ledger.failed.retain(|&l| l != lane);
+        ledger.failed.push(lane);
+        if ledger.failed.len() >= policy.poison_lanes {
+            Verdict::Poison {
+                lanes: ledger.failed.len(),
+            }
+        } else {
+            Verdict::Move
+        }
+    }
+}
+
+/// Salt of [`Supervised`]'s jitter stream (the serve simulator has its
+/// own, so the two replay independently).
+const SUPERVISED_JITTER_SALT: u64 = 0x005E_ED0F_5AFE;
+
 struct SupState {
     dead: Vec<bool>,
-    rng: u64,
+    supervisor: Supervisor,
     next_block: u64,
     trace: Vec<TraceEvent>,
 }
 
-/// Self-healing wrapper over any backend: bounded same-lane retries
-/// with exponential backoff + seeded jitter, re-dispatch to another
-/// lane on repeat failure, poison-block detection, and a full
-/// [`TraceEvent`] log. Over a fault-free backend it is bit-for-bit
-/// transparent (proptested); under a [`ChaosBackend`] storm it turns
-/// injected faults into completed blocks wherever a live lane remains.
+/// Self-healing wrapper over any backend: it applies [`Supervisor`]'s
+/// verdicts synchronously — sleeping out backoffs, re-dispatching to
+/// the next live lane the block has not failed on, failing a poison
+/// block alone — and keeps a full [`TraceEvent`] log. Over a
+/// fault-free backend it is bit-for-bit transparent (proptested);
+/// under a [`ChaosBackend`] storm it turns injected faults into
+/// completed blocks wherever a live lane remains.
 pub struct Supervised<B: AlignBackend> {
     inner: B,
     policy: SupervisePolicy,
@@ -797,7 +933,7 @@ impl<B: AlignBackend> Supervised<B> {
             policy,
             state: Mutex::new(SupState {
                 dead: vec![false; lanes],
-                rng: policy.seed ^ 0x005E_ED0F_5AFE,
+                supervisor: Supervisor::new(Some(policy), SUPERVISED_JITTER_SALT),
                 next_block: 0,
                 trace: Vec::new(),
             }),
@@ -831,53 +967,12 @@ impl<B: AlignBackend> Supervised<B> {
             .collect()
     }
 
-    fn push(&self, ev: TraceEvent) {
-        lock_recover(&self.state).trace.push(ev);
-    }
-
-    fn claim_block(&self) -> u64 {
-        let mut st = lock_recover(&self.state);
-        let id = st.next_block;
-        st.next_block += 1;
-        id
-    }
-
-    fn jitter_u01(&self) -> f64 {
-        let mut st = lock_recover(&self.state);
-        let mut rng = st.rng;
-        let draw = splitmix64(&mut rng);
-        st.rng = rng;
-        (draw >> 11) as f64 / (1u64 << 53) as f64
-    }
-
-    /// The first live lane at or after `from` (wrapping), excluding
-    /// lanes in `exclude`; `None` when no such lane remains.
-    fn pick_lane(&self, from: usize, exclude: &BTreeSet<usize>) -> Option<usize> {
+    /// The first live lane at or after `from` that `ledger`'s block has
+    /// not failed on. A synchronous supervisor does not retake: with
+    /// every live lane failed, it has no later to wait for.
+    fn fresh_lane(&self, from: usize, ledger: &BlockLedger) -> Option<usize> {
         let st = lock_recover(&self.state);
-        let lanes = st.dead.len();
-        (0..lanes)
-            .map(|i| (from + i) % lanes)
-            .find(|l| !st.dead[*l] && !exclude.contains(l))
-    }
-
-    fn mark_dead(&self, lane: usize) {
-        let mut st = lock_recover(&self.state);
-        if !st.dead[lane] {
-            st.dead[lane] = true;
-            st.trace.push(TraceEvent::LaneDead { lane });
-        }
-    }
-
-    fn backoff(&self, lane: usize, attempt: usize) {
-        let delay_s = self.policy.backoff_s(attempt, self.jitter_u01());
-        self.push(TraceEvent::Backoff {
-            lane,
-            attempt,
-            delay_us: (delay_s * 1e6) as u64,
-        });
-        if delay_s > 0.0 {
-            std::thread::sleep(std::time::Duration::from_secs_f64(delay_s));
-        }
+        ledger.fresh_lane(from, st.dead.len(), |l| !st.dead[l])
     }
 
     /// Supervise one block with lane routing, starting on `preferred`.
@@ -886,72 +981,67 @@ impl<B: AlignBackend> Supervised<B> {
         preferred: usize,
         block: &[ReadPair],
     ) -> Result<(Vec<SeedExtendResult>, BackendReport), BackendError> {
-        let block_id = self.claim_block();
-        let mut failed: BTreeSet<usize> = BTreeSet::new();
-        let mut lane = match self.pick_lane(preferred, &failed) {
-            Some(l) => l,
-            None => {
-                return Err(BackendError::FailStop {
-                    detail: "all lanes dead".to_string(),
-                })
-            }
+        let block_id = {
+            let mut st = lock_recover(&self.state);
+            st.next_block += 1;
+            st.next_block - 1
         };
-        let mut retries_here = 0usize;
+        let mut ledger = BlockLedger::default();
+        let Some(mut lane) = self.fresh_lane(preferred, &ledger) else {
+            return Err(BackendError::FailStop {
+                detail: "all lanes dead".to_string(),
+            });
+        };
         loop {
-            self.push(TraceEvent::Attempt {
+            lock_recover(&self.state).trace.push(TraceEvent::Attempt {
                 lane,
                 block: block_id,
             });
-            let attempt = catch_align(|| self.inner.try_align_block_on(lane, block))
-                .and_then(|inner_result| inner_result);
-            let err = match attempt {
-                Ok(out) => return Ok(out),
-                Err(e) => e,
+            let err = match catch_align(|| self.inner.try_align_block_on(lane, block)) {
+                Ok(Ok(out)) => return Ok(out),
+                Ok(Err(e)) | Err(e) => e,
             };
-            self.push(TraceEvent::Fault {
-                lane,
-                block: block_id,
-                kind: err.kind(),
-            });
-            if let BackendError::Poison { .. } = err {
-                // A nested supervisor already condemned the block.
-                return Err(err);
-            }
-            let exhausted = if err.retires_lane() {
-                self.mark_dead(lane);
-                true
-            } else if retries_here < self.policy.max_retries {
-                self.backoff(lane, retries_here);
-                retries_here += 1;
-                false
-            } else {
-                true
-            };
-            if !exhausted {
-                continue;
-            }
-            failed.insert(lane);
-            if failed.len() >= self.policy.poison_lanes {
-                self.push(TraceEvent::Poisoned {
+            let verdict = {
+                let mut st = lock_recover(&self.state);
+                st.trace.push(TraceEvent::Fault {
+                    lane,
                     block: block_id,
-                    lanes: failed.len(),
+                    kind: err.kind(),
                 });
-                return Err(BackendError::Poison {
-                    detail: format!("block {block_id}: {err}"),
-                    lanes: failed.len(),
-                });
-            }
-            match self.pick_lane(lane + 1, &failed) {
-                Some(next) => {
-                    self.push(TraceEvent::Redispatch {
-                        block: block_id,
-                        from: lane,
-                        to: next,
-                    });
-                    lane = next;
-                    retries_here = 0;
+                if err.retires_lane() && !st.dead[lane] {
+                    st.dead[lane] = true;
+                    st.trace.push(TraceEvent::LaneDead { lane });
                 }
-                None => return Err(err),
+                let verdict = st.supervisor.verdict(&mut ledger, lane, &err);
+                st.trace.extend(verdict.event(lane, block_id));
+                verdict
+            };
+            match verdict {
+                Verdict::Retry { delay_s, .. } => {
+                    if delay_s > 0.0 {
+                        std::thread::sleep(std::time::Duration::from_secs_f64(delay_s));
+                    }
+                }
+                Verdict::Move => match self.fresh_lane(lane + 1, &ledger) {
+                    Some(next) => {
+                        lock_recover(&self.state)
+                            .trace
+                            .push(TraceEvent::Redispatch {
+                                block: block_id,
+                                from: lane,
+                                to: next,
+                            });
+                        lane = next;
+                    }
+                    None => return Err(err),
+                },
+                Verdict::Poison { lanes } => {
+                    return Err(BackendError::Poison {
+                        detail: format!("block {block_id}: {err}"),
+                        lanes,
+                    })
+                }
+                Verdict::Fail => return Err(err),
             }
         }
     }
@@ -983,10 +1073,7 @@ impl<B: AlignBackend> AlignBackend for Supervised<B> {
     }
 
     fn align_block(&self, block: &[ReadPair]) -> (Vec<SeedExtendResult>, BackendReport) {
-        match self.try_align_block(block) {
-            Ok(out) => out,
-            Err(e) => panic!("supervision exhausted: {e}"),
-        }
+        self.align_block_on(0, block)
     }
 
     fn align_block_on(
@@ -994,17 +1081,8 @@ impl<B: AlignBackend> AlignBackend for Supervised<B> {
         lane: usize,
         block: &[ReadPair],
     ) -> (Vec<SeedExtendResult>, BackendReport) {
-        match self.try_align_block_on(lane, block) {
-            Ok(out) => out,
-            Err(e) => panic!("supervision exhausted: {e}"),
-        }
-    }
-
-    fn try_align_block(
-        &self,
-        block: &[ReadPair],
-    ) -> Result<(Vec<SeedExtendResult>, BackendReport), BackendError> {
-        self.supervise_on(0, block)
+        self.supervise_on(lane, block)
+            .unwrap_or_else(|e| panic!("supervision exhausted: {e}"))
     }
 
     fn try_align_block_on(
@@ -1116,10 +1194,10 @@ mod tests {
         );
         let chaos = ChaosBackend::new(gpu(), plan);
         let ps = pairs(4);
-        assert!(chaos.try_align_block(&ps).is_ok(), "block 0 clean");
-        let err = chaos.try_align_block(&ps).unwrap_err();
+        assert!(chaos.try_align_block_on(0, &ps).is_ok(), "block 0 clean");
+        let err = chaos.try_align_block_on(0, &ps).unwrap_err();
         assert_eq!(err.kind(), "transient");
-        assert!(chaos.try_align_block(&ps).is_ok(), "window cleared");
+        assert!(chaos.try_align_block_on(0, &ps).is_ok(), "window cleared");
     }
 
     #[test]
@@ -1136,7 +1214,7 @@ mod tests {
             )
             .with_fault(0, Fault::Stall { sim_secs: 0.25 });
         let chaos = ChaosBackend::new(gpu(), plan);
-        let (res, rep) = chaos.try_align_block(&ps).unwrap();
+        let (res, rep) = chaos.try_align_block_on(0, &ps).unwrap();
         let (want, _) = gpu().align_block(&ps);
         assert_eq!(res, want, "faults shape time, never results");
         let expect = clean.sim_time_s * 3.0 + 0.25;
@@ -1165,7 +1243,9 @@ mod tests {
         );
         let sup = Supervised::new(ChaosBackend::new(gpu(), plan), quick_policy());
         let ps = pairs(4);
-        let (res, _) = sup.try_align_block(&ps).expect("retries clear the window");
+        let (res, _) = sup
+            .try_align_block_on(0, &ps)
+            .expect("retries clear the window");
         let (want, _) = gpu().align_block(&ps);
         assert_eq!(res, want);
         let trace = sup.trace();
@@ -1195,7 +1275,7 @@ mod tests {
             ..quick_policy()
         };
         let sup = Supervised::new(ChaosBackend::new(gpu(), plan), policy);
-        let err = sup.try_align_block(&pairs(2)).unwrap_err();
+        let err = sup.try_align_block_on(0, &pairs(2)).unwrap_err();
         assert_eq!(err.kind(), "poison");
         assert!(sup
             .trace()
@@ -1204,7 +1284,10 @@ mod tests {
         // The backend itself is still fine for later blocks… but lane 0
         // is the only lane, so a fresh block hits the same window and
         // poisons too — the point is the error is per-block.
-        assert_eq!(sup.try_align_block(&pairs(2)).unwrap_err().kind(), "poison");
+        assert_eq!(
+            sup.try_align_block_on(0, &pairs(2)).unwrap_err().kind(),
+            "poison"
+        );
     }
 
     #[test]
@@ -1229,7 +1312,7 @@ mod tests {
         let ps = pairs(3);
         let run = |sup: Supervised<ChaosBackend>| {
             for _ in 0..4 {
-                let _ = sup.try_align_block(&ps);
+                let _ = sup.try_align_block_on(0, &ps);
             }
             sup.trace()
         };
@@ -1237,6 +1320,75 @@ mod tests {
         let b = run(mk());
         assert_eq!(a, b, "same seeds must replay the same trace");
         assert!(!a.is_empty());
+    }
+
+    #[test]
+    fn verdicts_retry_then_move_then_poison() {
+        let transient = BackendError::Transient { detail: "t".into() };
+        let failstop = BackendError::FailStop { detail: "f".into() };
+        let mut sup = Supervisor::new(Some(SupervisePolicy::default()), 0);
+        let mut ledger = BlockLedger::default();
+        // Two in-place retries with doubling, jittered backoff…
+        for attempt in 0..2 {
+            match sup.verdict(&mut ledger, 0, &transient) {
+                Verdict::Retry {
+                    attempt: a,
+                    delay_s,
+                } => {
+                    assert_eq!(a, attempt);
+                    let base = 0.002 * (1 << attempt) as f64;
+                    assert!((base..base * 1.2).contains(&delay_s), "{delay_s}");
+                }
+                other => panic!("retry {attempt} expected, got {other:?}"),
+            }
+        }
+        // …then the lane is given up on, and the block moves.
+        assert_eq!(sup.verdict(&mut ledger, 0, &transient), Verdict::Move);
+        assert_eq!(ledger.last_failed(), Some(0));
+        // A fail-stop never retries; a second distinct lane poisons.
+        assert_eq!(
+            sup.verdict(&mut ledger, 1, &failstop),
+            Verdict::Poison { lanes: 2 }
+        );
+        assert_eq!(ledger.last_failed(), Some(1));
+        // A nested poison and an unsupervised fault fail as they are.
+        let nested = BackendError::Poison {
+            detail: "p".into(),
+            lanes: 2,
+        };
+        let mut fresh = BlockLedger::default();
+        assert_eq!(sup.verdict(&mut fresh, 0, &nested), Verdict::Fail);
+        let mut bare = Supervisor::new(None, 0);
+        assert_eq!(bare.verdict(&mut fresh, 0, &transient), Verdict::Fail);
+        assert_eq!(fresh, BlockLedger::default());
+    }
+
+    #[test]
+    fn retake_rule_prefers_fresh_lanes_then_admits_any_live_lane() {
+        let mut sup = Supervisor::new(
+            Some(SupervisePolicy {
+                max_retries: 0,
+                poison_lanes: 4,
+                ..SupervisePolicy::default()
+            }),
+            0,
+        );
+        let err = BackendError::Transient { detail: "t".into() };
+        let mut ledger = BlockLedger::default();
+        assert_eq!(sup.verdict(&mut ledger, 1, &err), Verdict::Move);
+        let all_live = |_| true;
+        assert!(!ledger.may_take(1, 3, all_live), "a fresh lane remains");
+        assert!(ledger.may_take(0, 3, all_live) && ledger.may_take(2, 3, all_live));
+        assert_eq!(ledger.fresh_lane(1, 3, all_live), Some(2));
+        // With lane 2 dead and lane 0 failed too, every live lane has
+        // failed the block: any live lane may retake it.
+        assert_eq!(sup.verdict(&mut ledger, 0, &err), Verdict::Move);
+        let two_dead = |l| l != 2;
+        assert_eq!(ledger.fresh_lane(0, 3, two_dead), None);
+        assert!(ledger.may_take(0, 3, two_dead) && ledger.may_take(1, 3, two_dead));
+        // A repeat failure moves its lane to the back of the ledger.
+        assert_eq!(sup.verdict(&mut ledger, 1, &err), Verdict::Move);
+        assert_eq!(ledger.last_failed(), Some(1));
     }
 
     #[test]

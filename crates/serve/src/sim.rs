@@ -27,14 +27,15 @@
 //! like [`logan_core::ChaosBackend`]. Without supervision
 //! ([`SimConfig::supervise`]` = None`) a faulted batch fails its
 //! requests and a fail-stop retires the lane for good — the PR 5/6
-//! degenerate behavior. With a [`SupervisePolicy`], faulted batches
-//! are retried in place with exponential backoff + seeded jitter,
-//! re-dispatched to a surviving lane after exhaustion, and declared
-//! poison only after failing on `poison_lanes` distinct lanes. Every
-//! decision lands in the [`SimReport::trace`], byte-reproducible from
-//! the seeds. [`ServeConfig::deadline_s`] evicts requests that age out
-//! while fully queued, with an explicit
-//! [`SimOutcome::DeadlineExceeded`].
+//! degenerate behavior. With a [`SupervisePolicy`], the simulator is
+//! one of the three callers of [`logan_core::faults::Supervisor`]: the
+//! supervisor's verdict on each fault decides whether the batch retries
+//! in place (its backoff is added to the lane's busy seconds), moves to
+//! a lane the retake rule admits, or fails as poison; the simulator
+//! keeps no copy of those rules. Every decision lands in the
+//! [`SimReport::trace`], byte-reproducible from the seeds.
+//! [`ServeConfig::deadline_s`] evicts requests that age out while fully
+//! queued, with an explicit [`SimOutcome::DeadlineExceeded`].
 //!
 //! Every run is also an **assert-mode** check of the service
 //! invariants: every arrival resolves to exactly one outcome (no
@@ -45,11 +46,13 @@ use crate::admission::Admission;
 use crate::coalesce::{BatchSpan, Coalescer};
 use crate::config::ServeConfig;
 use crate::request::TenantId;
-use logan_core::faults::{splitmix64, FaultPlan, SupervisePolicy, TraceEvent};
+use logan_core::faults::{
+    BlockLedger, FaultPlan, SupervisePolicy, Supervisor, TraceEvent, Verdict,
+};
 use logan_core::AlignBackend;
 use logan_seq::readsim::{PairSet, ReadPair};
 use rand::{rngs::StdRng, Rng, SeedableRng};
-use std::collections::{BTreeSet, BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 
 /// A seeded arrival-time process.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -209,7 +212,8 @@ pub struct SimConfig {
     /// `Some(policy)`: faulted batches are retried/re-dispatched per
     /// the policy. `None`: any fault fails the batch, and a fail-stop
     /// retires the lane for good — the pre-supervision degenerate
-    /// behavior the `chaos_recovery` bench uses as its baseline.
+    /// behavior the chaos-recovery contrast
+    /// (`tests/chaos_supervision.rs`) uses as its baseline.
     pub supervise: Option<SupervisePolicy>,
     /// The fault storm to inject, keyed by per-lane attempt index on
     /// the simulated clock. `None` for a healthy run.
@@ -287,28 +291,19 @@ pub struct SimReport {
     pub outcomes: Vec<SimOutcome>,
 }
 
-/// A batch that failed on at least one lane and is waiting for
-/// re-dispatch.
-struct RetryBatch {
+/// Salt of the simulator's jitter stream (independent of
+/// [`logan_core::Supervised`]'s, so the two replay independently).
+const SIM_JITTER_SALT: u64 = 0x5EED_0F5A_FE00_0001;
+
+/// One unit of work handed to a lane: a fresh coalesced batch (empty
+/// ledger) or one a lane gave up on, waiting for re-dispatch.
+struct Job {
     /// Trace id assigned at the batch's first dispatch.
     block_id: u64,
     pairs: Vec<ReadPair>,
     spans: Vec<BatchSpan>,
-    /// Distinct lanes the batch has failed on (poison accounting).
-    failed_on: BTreeSet<usize>,
-    /// The lane it failed on last (trace `from`).
-    last_lane: usize,
+    ledger: BlockLedger,
     /// Simulated time of the batch's first fault (recovery metric).
-    first_fault_s: f64,
-}
-
-/// One unit of work handed to a lane: a fresh coalesced batch
-/// (`failed_on` empty) or a re-dispatched [`RetryBatch`].
-struct DispatchJob {
-    block_id: u64,
-    pairs: Vec<ReadPair>,
-    spans: Vec<BatchSpan>,
-    failed_on: BTreeSet<usize>,
     first_fault_s: Option<f64>,
 }
 
@@ -323,7 +318,7 @@ enum BatchOutcome {
     /// Fail the batch's requests (unsupervised fault or poison).
     Fail { spans: Vec<BatchSpan> },
     /// Hand the batch to another lane.
-    Requeue(RetryBatch),
+    Requeue(Job),
 }
 
 /// A pending completion event: min-heap by time, then insertion order
@@ -370,7 +365,7 @@ struct Sim<'a> {
     cfg: &'a SimConfig,
     serve: ServeConfig,
     queue: Coalescer,
-    retry: VecDeque<RetryBatch>,
+    retry: VecDeque<Job>,
     admission: Admission,
     assemblies: HashMap<u64, SimAssembly>,
     outcomes: Vec<Option<SimOutcome>>,
@@ -388,7 +383,7 @@ struct Sim<'a> {
     completed_pairs: usize,
     last_completion: f64,
     trace: Vec<TraceEvent>,
-    jitter_rng: u64,
+    supervisor: Supervisor,
     recoveries: usize,
     recovery_s_sum: f64,
 }
@@ -399,20 +394,13 @@ impl<'a> Sim<'a> {
     }
 
     /// Resolve one dispatch on `lane` at time `now`: walk the injected
-    /// faults (and, when supervised, the retry/backoff chain) until the
-    /// batch succeeds, exhausts the lane, or the lane dies. Returns the
-    /// lane's total busy seconds and what to do when they elapse.
-    fn resolve_dispatch(&mut self, now: f64, lane: usize, job: DispatchJob) -> (f64, BatchOutcome) {
-        let DispatchJob {
-            block_id,
-            pairs,
-            spans,
-            mut failed_on,
-            mut first_fault_s,
-        } = job;
+    /// faults and the supervisor's verdicts (retrying in place on the
+    /// simulated clock) until the batch succeeds, fails, or moves on.
+    /// Returns the lane's total busy seconds and what to do when they
+    /// elapse.
+    fn resolve_dispatch(&mut self, now: f64, lane: usize, mut job: Job) -> (f64, BatchOutcome) {
         let backend = self.backend;
         let mut busy = 0.0f64;
-        let mut retries_here = 0usize;
         let tracing = self.cfg.chaos.is_some() || self.cfg.supervise.is_some();
         loop {
             if tracing {
@@ -420,7 +408,7 @@ impl<'a> Sim<'a> {
                 // per-attempt log only matters when faults can occur.
                 self.trace.push(TraceEvent::Attempt {
                     lane,
-                    block: block_id,
+                    block: job.block_id,
                 });
             }
             let n = self.lane_attempts[lane];
@@ -435,7 +423,7 @@ impl<'a> Sim<'a> {
                 // the batch's simulated device seconds (or a
                 // rate-derived charge on host-only lanes) plus setup,
                 // shaped by any degrade/stall fault on this index.
-                let (_results, rep) = backend.align_block_on(lane, &pairs);
+                let (_results, rep) = backend.align_block_on(lane, &job.pairs);
                 let base = if rep.sim_time_s > 0.0 {
                     rep.sim_time_s
                 } else {
@@ -450,87 +438,48 @@ impl<'a> Sim<'a> {
                     .unwrap_or(0.0);
                 busy += self.serve.batch_setup_s + base + extra;
                 self.batches += 1;
-                self.batched_pairs += pairs.len();
+                self.batched_pairs += job.pairs.len();
                 self.total_cells += rep.total_cells;
                 return (
                     busy,
                     BatchOutcome::Success {
-                        spans,
-                        recovered_from: first_fault_s,
+                        spans: job.spans,
+                        recovered_from: job.first_fault_s,
                     },
                 );
             };
             // A faulted attempt still pays its launch setup.
             busy += self.serve.batch_setup_s;
-            first_fault_s.get_or_insert(now + busy);
+            job.first_fault_s.get_or_insert(now + busy);
             self.trace.push(TraceEvent::Fault {
                 lane,
-                block: block_id,
+                block: job.block_id,
                 kind: err.kind(),
             });
-            if err.retires_lane() {
-                if !self.lane_retired[lane] {
-                    self.lane_retired[lane] = true;
-                    self.trace.push(TraceEvent::LaneDead { lane });
-                }
-                failed_on.insert(lane);
-                break;
+            if err.retires_lane() && !self.lane_retired[lane] {
+                self.lane_retired[lane] = true;
+                self.trace.push(TraceEvent::LaneDead { lane });
             }
-            // Transient: retry in place if the policy allows.
-            if let Some(policy) = self.cfg.supervise {
-                if retries_here < policy.max_retries {
-                    let jitter =
-                        (splitmix64(&mut self.jitter_rng) >> 11) as f64 / (1u64 << 53) as f64;
-                    let delay_s = policy.backoff_s(retries_here, jitter);
-                    self.trace.push(TraceEvent::Backoff {
-                        lane,
-                        attempt: retries_here,
-                        delay_us: (delay_s * 1e6) as u64,
-                    });
-                    busy += delay_s;
-                    retries_here += 1;
-                    continue;
+            let verdict = self.supervisor.verdict(&mut job.ledger, lane, &err);
+            self.trace.extend(verdict.event(lane, job.block_id));
+            match verdict {
+                Verdict::Retry { delay_s, .. } => busy += delay_s,
+                Verdict::Move => return (busy, BatchOutcome::Requeue(job)),
+                Verdict::Poison { .. } | Verdict::Fail => {
+                    return (busy, BatchOutcome::Fail { spans: job.spans })
                 }
             }
-            failed_on.insert(lane);
-            break;
         }
-        // The lane gave up on this batch.
-        let Some(policy) = self.cfg.supervise else {
-            return (busy, BatchOutcome::Fail { spans });
-        };
-        if failed_on.len() >= policy.poison_lanes {
-            self.trace.push(TraceEvent::Poisoned {
-                block: block_id,
-                lanes: failed_on.len(),
-            });
-            return (busy, BatchOutcome::Fail { spans });
-        }
-        (
-            busy,
-            BatchOutcome::Requeue(RetryBatch {
-                block_id,
-                pairs,
-                spans,
-                failed_on,
-                last_lane: lane,
-                first_fault_s: first_fault_s.unwrap_or(now),
-            }),
-        )
     }
 
-    /// The first retry batch `lane` may take: one it has not failed, or
-    /// — when every live lane has failed it — any (the retake rule that
-    /// keeps a cleared transient reachable without deadlock).
-    fn take_retry(&mut self, lane: usize) -> Option<RetryBatch> {
-        let idx = self.retry.iter().position(|rb| {
-            !rb.failed_on.contains(&lane)
-                || self
-                    .lane_retired
-                    .iter()
-                    .enumerate()
-                    .all(|(l, retired)| *retired || rb.failed_on.contains(&l))
-        })?;
+    /// The first retry batch `lane` may take under the retake rule
+    /// ([`BlockLedger::may_take`]).
+    fn take_retry(&mut self, lane: usize) -> Option<Job> {
+        let retired = &self.lane_retired;
+        let idx = self
+            .retry
+            .iter()
+            .position(|job| job.ledger.may_take(lane, retired.len(), |l| !retired[l]))?;
         self.retry.remove(idx)
     }
 
@@ -547,21 +496,15 @@ impl<'a> Sim<'a> {
             if self.lane_busy[lane] || self.lane_retired[lane] {
                 continue;
             }
-            let job = if let Some(rb) = self.take_retry(lane) {
-                if rb.last_lane != lane {
+            let job = if let Some(job) = self.take_retry(lane) {
+                if let Some(from) = job.ledger.last_failed().filter(|&from| from != lane) {
                     self.trace.push(TraceEvent::Redispatch {
-                        block: rb.block_id,
-                        from: rb.last_lane,
+                        block: job.block_id,
+                        from,
                         to: lane,
                     });
                 }
-                DispatchJob {
-                    block_id: rb.block_id,
-                    pairs: rb.pairs,
-                    spans: rb.spans,
-                    failed_on: rb.failed_on,
-                    first_fault_s: Some(rb.first_fault_s),
-                }
+                job
             } else if !self.queue.is_empty() {
                 let batch = if self.cfg.coalesce {
                     self.queue.next_batch()
@@ -569,11 +512,11 @@ impl<'a> Sim<'a> {
                     self.queue.next_request_batch()
                 }
                 .expect("non-empty queue yields a batch");
-                DispatchJob {
+                Job {
                     block_id: self.seq,
                     pairs: batch.pairs,
                     spans: batch.spans,
-                    failed_on: BTreeSet::new(),
+                    ledger: BlockLedger::default(),
                     first_fault_s: None,
                 }
             } else {
@@ -642,7 +585,7 @@ impl<'a> Sim<'a> {
                     self.resolve_request(span.req, SimOutcome::Failed);
                 }
             }
-            BatchOutcome::Requeue(rb) => self.retry.push_back(rb),
+            BatchOutcome::Requeue(job) => self.retry.push_back(job),
         }
         if self.live_lanes() == 0 && self.completions.is_empty() {
             // The last lane died and nothing is in flight: nobody is
@@ -650,8 +593,8 @@ impl<'a> Sim<'a> {
             for id in self.queue.drain_requests() {
                 self.resolve_request(id, SimOutcome::Failed);
             }
-            while let Some(rb) = self.retry.pop_front() {
-                for span in &rb.spans {
+            while let Some(job) = self.retry.pop_front() {
+                for span in &job.spans {
                     self.resolve_request(span.req, SimOutcome::Failed);
                 }
             }
@@ -685,7 +628,6 @@ pub fn simulate(backend: &dyn AlignBackend, cfg: &SimConfig, requests: &[SimRequ
             .then(a.cmp(&b))
     });
 
-    let jitter_seed = cfg.supervise.map(|p| p.seed).unwrap_or(0);
     let mut sim = Sim {
         backend,
         cfg,
@@ -707,7 +649,7 @@ pub fn simulate(backend: &dyn AlignBackend, cfg: &SimConfig, requests: &[SimRequ
         completed_pairs: 0,
         last_completion: f64::NEG_INFINITY,
         trace: Vec::new(),
-        jitter_rng: jitter_seed ^ 0x5EED_0F5A_FE00_0001,
+        supervisor: Supervisor::new(cfg.supervise, SIM_JITTER_SALT),
         recoveries: 0,
         recovery_s_sum: 0.0,
     };

@@ -5,10 +5,10 @@
 #     ./scripts/premerge.sh --quick  # skip the release build and benches
 #
 # Mirrors the tier-1 definition in ROADMAP.md plus the style gates:
-# no-#[ignore] guard, one-kernel-source and one-recurrence guards,
-# rustfmt, clippy (warnings are errors), release build, the bench-bin
-# smokes, the repo benchmark's own gate (benchmark/check.sh), the test
-# suite, and warning-free rustdoc.
+# no-#[ignore] guard, one-kernel-source, one-recurrence and
+# one-supervisor guards, rustfmt, clippy (warnings are errors), release
+# build, the bench-bin smokes, the repo benchmark's own gate
+# (benchmark/check.sh), the test suite, and warning-free rustdoc.
 # Every differential/contract suite (tests/*.rs, crates/*/tests/*.rs)
 # runs exactly once, inside the single `cargo test -q`; DESIGN.md §4
 # maps each suite to the contract it pins. Only steps that run
@@ -69,6 +69,28 @@ if [[ -n "$recurrence_sites" ]]; then
   exit 1
 fi
 
+step "guard: one supervisor (a block's fate after a fault is decided once, in logan_core::faults)"
+# Supervised, the fleet and the serve simulator apply the verdicts of
+# faults::Supervisor, each on its own clock (DESIGN.md §12). Outside
+# #[cfg(test)] and comments, crates/*/src builds TraceEvent::Poisoned at
+# exactly one site and calls backoff_s( at exactly one: a second
+# supervision loop could not poison a block or back off without them.
+non_test_src=$(find crates/*/src -name '*.rs' | sort | while read -r f; do
+  awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ":" $0 }' "$f"
+done | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)
+# (A `Poisoned { .. } =>` match arm reads the event; it builds nothing.)
+poison_sites=$(grep -E 'TraceEvent::Poisoned \{' <<<"$non_test_src" |
+  grep -vE 'Poisoned \{[^}]*\}[[:space:]]*=>' || true)
+backoff_sites=$(grep -E '\bbackoff_s\(' <<<"$non_test_src" | grep -vE 'fn backoff_s\(' || true)
+if [[ $(grep -c . <<<"$poison_sites" || true) -ne 1 ||
+  $(grep -c . <<<"$backoff_sites" || true) -ne 1 ]]; then
+  printf '%s\n%s\n' "$poison_sites" "$backoff_sites"
+  echo "error: crates/*/src must build TraceEvent::Poisoned at exactly one site and" \
+    "call backoff_s( at exactly one (found above); apply a faults::Supervisor" \
+    "verdict instead of re-implementing it" >&2
+  exit 1
+fi
+
 step "cargo fmt --check"
 cargo fmt --check
 
@@ -119,13 +141,6 @@ if [[ $quick -eq 0 ]]; then
   # The §VIII future-work demo: the homolog must rank first through both
   # engines (asserted equal) and through a profile-bound backend.
   cargo run --release -q --example protein_homology >/dev/null
-
-  step "chaos_recovery --quick smoke"
-  # One seeded storm on the simulated clock, both backend shapes:
-  # supervised runs must complete 100% of non-poison requests, beat
-  # the unsupervised baseline's goodput >= 1.5x on the fleet, and
-  # replay an identical recovery trace (asserted inside the binary).
-  cargo run --release -q -p logan-bench --bin chaos_recovery -- --quick >/dev/null
 
   step "benchmark/check.sh: repo benchmark on tiny inputs, golden output digests"
   # The benchmark package's own gate (fmt, clippy, unit tests) plus every

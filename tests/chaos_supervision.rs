@@ -163,7 +163,7 @@ fn poison_block_fails_alone_without_wedging_the_backend() {
     // Both lanes reject every block: supervision must give up on the
     // block (poison after 2 distinct lanes), not retry forever.
     let sup = poison_backend(fast_policy());
-    let err = sup.try_align_block(&pairs(2, 5)).unwrap_err();
+    let err = sup.try_align_block_on(0, &pairs(2, 5)).unwrap_err();
     assert_eq!(err.kind(), "poison");
     assert!(sup
         .trace()
@@ -309,6 +309,18 @@ fn chaos_spec_grammar_resolves_and_rejects() {
     let plan = spec.resolve(2);
     assert_eq!(plan.faults_for(0).len(), 2);
     assert_eq!(plan.faults_for(1), &[Fault::FailStop { after: 4 }]);
+    // A window running to the end of the index space: `nth_block +
+    // count` overflows, so the window must be tested without the sum.
+    let spec: ChaosSpec = format!("1:0=transient@5x{}", usize::MAX).parse().unwrap();
+    let plan = spec.resolve(1);
+    assert!(plan.injected_error(0, 4).is_none());
+    for n in [5, 6, usize::MAX] {
+        assert_eq!(
+            plan.injected_error(0, n).map(|e| e.kind()),
+            Some("transient"),
+            "block {n} is inside the window"
+        );
+    }
     for bad in [
         "storm",
         "7:",
@@ -377,7 +389,7 @@ fn supervised_storm_traces_match_their_goldens() {
 #[test]
 fn poison_trace_matches_its_golden() {
     let sup = poison_backend(jitter_policy());
-    let err = sup.try_align_block(&pairs(2, 5)).unwrap_err();
+    let err = sup.try_align_block_on(0, &pairs(2, 5)).unwrap_err();
     let got = format!(
         "{}error {err}\ndead {:?}\n",
         render_trace(&sup.trace()),
@@ -475,6 +487,48 @@ fn render_sim(rep: &SimReport) -> String {
         rep.recoveries, rep.lanes_retired
     ));
     out
+}
+
+/// The chaos-recovery contrast on both backend shapes: the storm hurts
+/// the bare simulator, and supervision completes every request.
+#[test]
+fn supervision_recovers_the_storm_the_bare_simulator_fails() {
+    for (name, backend) in recovery_backends() {
+        let backend = backend.as_ref();
+        let policy = recovery_policy(backend);
+        let bare = recovery_run(backend, None);
+        let sup = recovery_run(backend, Some(policy));
+        assert_eq!(
+            (sup.shed, sup.over_quota, bare.shed, bare.over_quota),
+            (0, 0, 0, 0),
+            "{name}: queue and quota keep shedding out of the contrast"
+        );
+        assert_eq!(
+            sup.completed, RECOVERY_REQUESTS,
+            "{name}: supervision completes every non-poison request ({} failed)",
+            sup.failed
+        );
+        assert!(bare.failed > 0, "{name}: the storm must hurt the bare run");
+        assert!(
+            sup.recoveries > 0 && sup.mean_recovery_s > 0.0,
+            "{name}: supervision must have recovered a batch"
+        );
+        if backend.lanes() > 1 {
+            assert!(
+                sup.goodput_pairs_per_s >= 1.5 * bare.goodput_pairs_per_s,
+                "{name}: supervised goodput {:.0} pairs/s must be ≥ 1.5× bare {:.0}",
+                sup.goodput_pairs_per_s,
+                bare.goodput_pairs_per_s
+            );
+            assert_eq!(
+                sup.lanes_retired, 1,
+                "{name}: the storm's fail-stop retires exactly one lane"
+            );
+        }
+        let replay = recovery_run(backend, Some(policy));
+        assert_eq!(sup.trace, replay.trace, "{name}: trace must replay");
+        assert_eq!(sup.outcomes, replay.outcomes);
+    }
 }
 
 #[test]
