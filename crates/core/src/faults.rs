@@ -800,8 +800,7 @@ impl BlockLedger {
 /// simulator adds busy seconds.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Verdict {
-    /// Retry on the same lane after `delay_s` seconds; `attempt` is the
-    /// 0-based retry number on this lane.
+    /// Retry on the same lane after a backoff.
     Retry {
         /// 0-based retry number on this lane.
         attempt: usize,

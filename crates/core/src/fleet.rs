@@ -175,8 +175,8 @@ pub struct FleetReport {
     pub total_cells: u64,
     /// Failed attempts per worker, in worker order.
     pub errors: Vec<usize>,
-    /// Always 0: tail hedging was removed; the field stays so report
-    /// artifacts keep their shape.
+    /// Always 0 (the fleet does not hedge); kept so report artifacts
+    /// keep their shape.
     pub hedges: usize,
     /// Workers quarantined at least once during the run.
     pub quarantines: usize,

@@ -1,16 +1,19 @@
-//! Cross-crate chaos suite, run as its own premerge step
-//! (`chaos-recovery`): seeded fault storms injected under the
-//! supervision stack at every layer it composes through —
+//! Cross-crate chaos suite: seeded fault storms injected under the
+//! supervision stack at every layer that applies its verdicts —
 //! [`Supervised`] over a [`ChaosBackend`], a [`Fleet`] with a
 //! chaos-wrapped member, and the serve simulator's supervised event
-//! loop. Three properties anchor it (`DESIGN.md` §12):
+//! loop. Four properties anchor it (`DESIGN.md` §12):
 //!
 //! * **Transparency** — over a fault-free backend, supervision is
 //!   bit-for-bit invisible (proptested);
 //! * **Recovery** — under a storm that leaves any live lane, every
-//!   block completes with results identical to a healthy run;
+//!   block completes with results identical to a healthy run, and the
+//!   supervised simulator completes what the bare one fails;
 //! * **Reproducibility** — the same seeds replay the identical
-//!   [`TraceEvent`] sequence, byte for byte.
+//!   [`TraceEvent`] sequence;
+//! * **Goldens** — every `Supervised` and simulator trace matches
+//!   `tests/golden/chaos/`, byte for byte, as do the threaded fleet's
+//!   timing-independent scoreboard counters.
 
 use logan::prelude::*;
 use logan::serve::sim::{seeded_requests, simulate, ArrivalProcess, SimConfig, SimReport};
