@@ -58,7 +58,7 @@ pub mod translate;
 pub use alphabet::{Alphabet, Base, PackedSeq, AMINO_ACIDS};
 pub use error::{ErrorModel, ErrorProfile};
 pub use kmer::{canonical_kmer, CanonicalKmerIter, Kmer, KmerIter};
-pub use minimizer::{minimizer_hash, minimizers, Minimizer};
+pub use minimizer::{minimizer_hash, minimizers, Minimizer, Sketcher};
 pub use profile::{ScoreProfile, SubstMatrix};
 pub use readsim::{
     seq_batches, DatasetPreset, PairSet, ReadBatch, ReadPair, ReadSet, ReadSimulator, Seed,

@@ -15,7 +15,6 @@
 
 use crate::kmer::CanonicalKmerIter;
 use crate::seq::Seq;
-use std::collections::VecDeque;
 
 /// A selected minimizer: position of the k-mer in the read, its
 /// canonical code, and which strand the canonical form came from.
@@ -42,52 +41,101 @@ pub fn minimizer_hash(code: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Extract the (w,k) minimizers of `seq`, deduplicated and in
-/// ascending position order.
+/// The (w,k) sketcher: the last `w` k-mers' ranks on a fixed ring
+/// buffer, kept from read to read so sketching a read set allocates
+/// nothing per read.
 ///
-/// `w = 1` degenerates to "every canonical k-mer". A read with fewer
-/// than `w` k-mers (but at least one) yields its single overall
-/// minimum, so short reads are never sketched down to nothing.
+/// The window's minimum is carried from k-mer to k-mer: a new k-mer of
+/// lower or equal rank replaces it (equal keeps the rightmost), and
+/// only when it slides out of the window is the ring rescanned. A k-mer
+/// thus costs one well-predicted comparison, where a monotone deque
+/// would run a pop loop whose trip count depends on the data.
+#[derive(Debug, Clone)]
+pub struct Sketcher {
+    w: usize,
+    k: usize,
+    ring: Vec<(u64, Minimizer)>,
+}
+
+impl Sketcher {
+    /// A sketcher for windows of `w >= 1` k-mers of length `k`.
+    pub fn new(w: usize, k: usize) -> Sketcher {
+        assert!(w >= 1, "window size must be >= 1");
+        Sketcher {
+            w,
+            k,
+            ring: Vec::new(),
+        }
+    }
+
+    /// Hand `emit` the (w,k) minimizers of `seq`, deduplicated and in
+    /// ascending position order.
+    ///
+    /// A window longer than the read is the whole read: a read with at
+    /// least one but fewer than `w` k-mers yields its single overall
+    /// minimum, so short reads are never sketched down to nothing.
+    pub fn sketch(&mut self, seq: &Seq, mut emit: impl FnMut(Minimizer)) {
+        let n_kmers = (seq.len() + 1).saturating_sub(self.k);
+        if n_kmers == 0 {
+            return;
+        }
+        // Clamping the window to the read keeps `pos + w` from wrapping
+        // and selects the same k-mers: no full window ever forms past
+        // the read's end, so the read's single minimum is its sketch.
+        let w = self.w.min(n_kmers);
+        if self.ring.len() < w {
+            let blank = Minimizer {
+                pos: 0,
+                code: 0,
+                fwd: true,
+            };
+            self.ring.resize(w, (0, blank));
+        }
+        let ring = &mut self.ring[..w];
+        // `slot` is where the k-mer at `pos` goes: `pos % w`.
+        let mut slot = 0usize;
+        let mut min = (0u64, ring[0].1);
+        let mut last: Option<u32> = None;
+        for (pos, km, fwd) in CanonicalKmerIter::new(seq, self.k) {
+            let m = Minimizer {
+                pos: pos as u32,
+                code: km.code,
+                fwd,
+            };
+            let rank = minimizer_hash(km.code);
+            ring[slot] = (rank, m);
+            if pos == 0 || rank <= min.0 {
+                min = (rank, m);
+            } else if (min.1.pos as usize) + w <= pos {
+                // The minimum left the window [pos + 1 - w, pos], which
+                // is full: rescan it oldest to newest, `<=` keeping the
+                // rightmost of equal ranks.
+                min = ring[slot + 1..].iter().chain(&ring[..=slot]).fold(
+                    ring[(slot + 1) % w],
+                    |best, &e| if e.0 <= best.0 { e } else { best },
+                );
+            }
+            slot += 1;
+            if slot == w {
+                slot = 0;
+            }
+            if pos + 1 >= w && last != Some(min.1.pos) {
+                last = Some(min.1.pos);
+                emit(min.1);
+            }
+        }
+    }
+}
+
+/// Extract the (w,k) minimizers of `seq`, deduplicated and in
+/// ascending position order; see [`Sketcher::sketch`].
+///
+/// `w = 1` degenerates to "every canonical k-mer".
 pub fn minimizers(seq: &Seq, w: usize, k: usize) -> Vec<Minimizer> {
-    assert!(w >= 1, "window size must be >= 1");
+    let mut sketcher = Sketcher::new(w, k);
     let n_kmers = (seq.len() + 1).saturating_sub(k);
-    let mut out: Vec<Minimizer> = Vec::with_capacity(2 * n_kmers / (w + 1) + 1);
-    // Monotone deque of (rank, minimizer), increasing rank front to
-    // back. `>=` when popping keeps the rightmost of equal-rank k-mers.
-    let mut deque: VecDeque<(u64, Minimizer)> = VecDeque::new();
-    for (pos, km, fwd) in CanonicalKmerIter::new(seq, k) {
-        let m = Minimizer {
-            pos: pos as u32,
-            code: km.code,
-            fwd,
-        };
-        let rank = minimizer_hash(km.code);
-        while deque.back().is_some_and(|&(r, _)| r >= rank) {
-            deque.pop_back();
-        }
-        deque.push_back((rank, m));
-        // Drop the front once it falls out of the current window
-        // [pos + 1 - w, pos].
-        if pos + 1 >= w {
-            while deque
-                .front()
-                .is_some_and(|&(_, f)| (f.pos as usize) + w <= pos)
-            {
-                deque.pop_front();
-            }
-            let front = deque.front().expect("deque holds current k-mer").1;
-            if out.last() != Some(&front) {
-                out.push(front);
-            }
-        }
-    }
-    // Fewer than w k-mers in total: no full window ever formed, emit
-    // the overall minimum so the read still has a sketch.
-    if out.is_empty() {
-        if let Some(&(_, front)) = deque.front() {
-            out.push(front);
-        }
-    }
+    let mut out = Vec::with_capacity(2 * n_kmers / (w.min(n_kmers) + 1) + 1);
+    sketcher.sketch(seq, |m| out.push(m));
     out
 }
 
@@ -219,6 +267,34 @@ mod tests {
         let ms = minimizers(&s, 8, 5);
         assert_eq!(ms.len(), 1);
         assert_eq!(ms, brute_force(&s, 8, 5));
+    }
+
+    #[test]
+    fn window_longer_than_the_read_selects_its_minimum() {
+        // Windows past the read's length, up to one whose `w + 1` and
+        // `pos + w` would wrap: the read's single minimum, as brute force
+        // picks it with the window clamped to the read.
+        let s = pseudo_seq(40, 13);
+        let n_kmers = s.len() - 9 + 1;
+        let want = brute_force(&s, n_kmers, 9);
+        assert_eq!(want.len(), 1);
+        for w in [n_kmers, n_kmers + 1, 1 << 40, usize::MAX - 1, usize::MAX] {
+            assert_eq!(minimizers(&s, w, 9), want, "w={w}");
+        }
+    }
+
+    #[test]
+    fn one_sketcher_across_reads_matches_fresh_ones() {
+        // The ring is sized by the longest clamped window seen so far
+        // and reused; a reused sketcher must not leak state between
+        // reads of different lengths.
+        let mut sketcher = Sketcher::new(11, 7);
+        for salt in 0..8u64 {
+            let s = pseudo_seq([5, 300, 9, 17, 0, 120, 6, 64][salt as usize], salt + 3);
+            let mut got = Vec::new();
+            sketcher.sketch(&s, |m| got.push(m));
+            assert_eq!(got, brute_force(&s, 11, 7), "salt={salt}");
+        }
     }
 
     #[test]
