@@ -15,8 +15,9 @@
 //! by `tests/minimizer_equivalence.rs`).
 
 use crate::binning::overlap_estimate;
-use crate::fxhash::{FxHashMap, FxHashSet};
-use logan_seq::minimizer::{minimizers, Minimizer};
+use crate::fxhash::FxHashSet;
+use crate::kmer_count::{partition_of, PARTITIONS};
+use logan_seq::minimizer::{Minimizer, Sketcher};
 use logan_seq::{Seed, Seq};
 
 /// A shared minimizer between two reads: its position in each, plus
@@ -146,13 +147,29 @@ fn chain_class(anchors: &[Anchor], k: usize, cfg: &ChainConfig, rev: bool) -> Op
 /// nonsense). Returns `None` only for an empty anchor list; a single
 /// anchor yields a single-anchor chain of score `k`. Ties between the
 /// two classes go to the same-strand chain.
+///
+/// Equal anchors are interchangeable, so the chain depends only on the
+/// multiset of `anchors`, not on their order.
 pub fn chain_anchors(anchors: &[Anchor], k: usize, cfg: &ChainConfig) -> Option<Chain> {
-    let mut fwd: Vec<Anchor> = anchors.iter().copied().filter(|a| a.fwd).collect();
-    let mut rev: Vec<Anchor> = anchors.iter().copied().filter(|a| !a.fwd).collect();
-    fwd.sort_unstable_by_key(|a| (a.qpos, a.tpos));
-    rev.sort_unstable_by_key(|a| (a.qpos, std::cmp::Reverse(a.tpos)));
-    let cf = chain_class(&fwd, k, cfg, false);
-    let cr = chain_class(&rev, k, cfg, true);
+    let mut sorted = anchors.to_vec();
+    sorted.sort_unstable_by_key(class_order);
+    let same = sorted.partition_point(|a| a.fwd);
+    best_chain(&sorted[..same], &sorted[same..], k, cfg)
+}
+
+/// The order [`best_chain`] takes a pair's anchors in: same-strand
+/// first, each class ascending by `qpos`, then by `tpos` ascending
+/// (same strand) or descending (opposite strand).
+fn class_order(a: &Anchor) -> (bool, u32, u32) {
+    let t = if a.fwd { a.tpos } else { !a.tpos };
+    (!a.fwd, a.qpos, t)
+}
+
+/// [`chain_anchors`] over anchors already split into the two strand
+/// classes, each in [`class_order`].
+fn best_chain(fwd: &[Anchor], rev: &[Anchor], k: usize, cfg: &ChainConfig) -> Option<Chain> {
+    let cf = chain_class(fwd, k, cfg, false);
+    let cr = chain_class(rev, k, cfg, true);
     match (cf, cr) {
         (Some(a), Some(b)) => Some(if b.score > a.score { b } else { a }),
         (a, b) => a.or(b),
@@ -185,19 +202,23 @@ pub fn choose_chain_seed(len1: usize, len2: usize, chain: &Chain, k: usize) -> (
     (Seed { qpos, tpos, len }, best.1)
 }
 
-/// The reads × minimizers index: one reliable-filtered (w,k) sketch per
-/// read. The minimizer-path analogue of [`crate::matrix::KmerMatrix`],
-/// built incrementally batch by batch (sketching is per-read, so any
-/// batching produces the same index as one shot).
+/// The reads × minimizers index: every read's reliable-filtered (w,k)
+/// sketch, laid end to end in one array. The minimizer-path analogue of
+/// [`crate::matrix::KmerMatrix`], built incrementally batch by batch
+/// (sketching is per-read, so any batching produces the same index as
+/// one shot). It retains 16 bytes a minimizer and 8 a read.
 #[derive(Debug, Clone)]
 pub struct MinimizerIndex {
     /// Window size.
     pub w: usize,
     /// K-mer length.
     pub k: usize,
-    sketches: Vec<Vec<Minimizer>>,
-    read_lens: Vec<usize>,
-    nnz: usize,
+    /// Every read's retained minimizers, read after read, each read's in
+    /// ascending position.
+    mins: Vec<Minimizer>,
+    /// Read `i`'s sketch is `mins[starts[i]..starts[i + 1]]`.
+    starts: Vec<u32>,
+    read_lens: Vec<u32>,
 }
 
 impl MinimizerIndex {
@@ -206,9 +227,9 @@ impl MinimizerIndex {
         MinimizerIndex {
             w: w.max(1),
             k,
-            sketches: Vec::new(),
+            mins: Vec::new(),
+            starts: vec![0],
             read_lens: Vec::new(),
-            nnz: 0,
         }
     }
 
@@ -216,50 +237,142 @@ impl MinimizerIndex {
     /// in `reliable` are dropped — the same pruning the SpGEMM path
     /// applies, and what makes this path's candidates a subset of its.
     pub fn push_batch(&mut self, reads: &[Seq], reliable: &FxHashSet<u64>) {
+        let mut sketcher = Sketcher::new(self.w, self.k);
+        self.starts.reserve_exact(reads.len());
+        self.read_lens.reserve_exact(reads.len());
         for read in reads {
-            let sketch: Vec<Minimizer> = minimizers(read, self.w, self.k)
-                .into_iter()
-                .filter(|m| reliable.contains(&m.code))
-                .collect();
-            self.nnz += sketch.len();
-            self.sketches.push(sketch);
-            self.read_lens.push(read.len());
+            sketcher.sketch(read, |m| {
+                if reliable.contains(&m.code) {
+                    self.mins.push(m);
+                }
+            });
+            self.starts
+                .push(u32::try_from(self.mins.len()).expect("index holds under 2^32 minimizers"));
+            self.read_lens
+                .push(u32::try_from(read.len()).expect("read shorter than 4 GiB"));
         }
+        // The sketches grew by doubling: hand the slack back, so what
+        // the index retains between batches is its data.
+        self.mins.shrink_to_fit();
     }
 
     /// Reads indexed so far.
     pub fn n_reads(&self) -> usize {
-        self.sketches.len()
+        self.read_lens.len()
     }
 
     /// Total retained minimizers (the index's analogue of matrix nnz).
     pub fn nnz(&self) -> usize {
-        self.nnz
+        self.mins.len()
     }
 
     /// Length of read `i`.
     pub fn read_len(&self, i: usize) -> usize {
-        self.read_lens[i]
+        self.read_lens[i] as usize
     }
 
     /// The sketch of read `i`.
     pub fn sketch(&self, i: usize) -> &[Minimizer] {
-        &self.sketches[i]
+        &self.mins[self.starts[i] as usize..self.starts[i + 1] as usize]
     }
+}
 
-    /// Column-major postings: minimizer code → `(read, pos, fwd)` in
-    /// read order, then sketch order within a read.
-    pub fn postings(&self) -> FxHashMap<u64, Vec<(u32, u32, bool)>> {
-        let mut postings: FxHashMap<u64, Vec<(u32, u32, bool)>> = FxHashMap::default();
-        for (read, sketch) in self.sketches.iter().enumerate() {
-            for m in sketch {
-                postings
-                    .entry(m.code)
-                    .or_default()
-                    .push((read as u32, m.pos, m.fwd));
+/// One occurrence of a minimizer: which read, where in it, and which
+/// strand its canonical form came from.
+#[derive(Debug, Clone, Copy)]
+struct Posting {
+    read: u32,
+    pos: u32,
+    fwd: bool,
+}
+
+/// Column-major postings of a [`MinimizerIndex`] as flat arrays: the
+/// distinct codes in `(partition, code)` order — the k-mer counter's
+/// order ([`partition_of`]) — and each code's occurrences in read order,
+/// then sketch order within a read.
+struct Postings {
+    /// Partition `p`'s codes are `codes[parts[p]..parts[p + 1]]`.
+    parts: Vec<u32>,
+    codes: Vec<u64>,
+    /// Code `codes[c]` occurs at `entries[offsets[c]..offsets[c + 1]]`.
+    offsets: Vec<u32>,
+    entries: Vec<Posting>,
+}
+
+impl Postings {
+    /// A place numbers a minimizer of the index, in read order, then
+    /// sketch order. The places are bucketed by their code's partition
+    /// (a stable counting sort, so each bucket keeps place order), then
+    /// each bucket is sorted by `(code, place)` through a bucket-sized
+    /// scratch of codes: beside the postings, nothing holds more than
+    /// the places and one bucket's keys.
+    fn build(index: &MinimizerIndex) -> Postings {
+        let mins = &index.mins;
+        let mut parts = vec![0u32; PARTITIONS + 1];
+        for m in mins {
+            parts[partition_of(m.code) + 1] += 1;
+        }
+        for p in 0..PARTITIONS {
+            parts[p + 1] += parts[p];
+        }
+        let mut cursor = parts.clone();
+        let mut places = vec![0u32; mins.len()];
+        for (g, m) in mins.iter().enumerate() {
+            let at = &mut cursor[partition_of(m.code)];
+            places[*at as usize] = g as u32;
+            *at += 1;
+        }
+
+        let mut codes: Vec<u64> = Vec::new();
+        let mut offsets: Vec<u32> = Vec::new();
+        let mut entries: Vec<Posting> = Vec::with_capacity(mins.len());
+        let mut bucket: Vec<(u64, u32)> = Vec::new();
+        for p in 0..PARTITIONS {
+            let span = parts[p] as usize..parts[p + 1] as usize;
+            // From here on `parts` numbers codes, not places.
+            parts[p] = codes.len() as u32;
+            bucket.clear();
+            bucket.extend(places[span].iter().map(|&g| (mins[g as usize].code, g)));
+            bucket.sort_unstable();
+            for &(code, g) in &bucket {
+                if codes.last() != Some(&code) {
+                    codes.push(code);
+                    offsets.push(entries.len() as u32);
+                }
+                // The last read whose sketch starts at or before `g`
+                // holds it (reads with empty sketches start where the
+                // next one does).
+                let read = index.starts.partition_point(|&s| s <= g) - 1;
+                let m = mins[g as usize];
+                entries.push(Posting {
+                    read: read as u32,
+                    pos: m.pos,
+                    fwd: m.fwd,
+                });
             }
         }
-        postings
+        parts[PARTITIONS] = codes.len() as u32;
+        offsets.push(entries.len() as u32);
+        codes.shrink_to_fit();
+        offsets.shrink_to_fit();
+        Postings {
+            parts,
+            codes,
+            offsets,
+            entries,
+        }
+    }
+
+    /// The occurrences of `code`, in read order (empty if it has none).
+    fn of(&self, code: u64) -> &[Posting] {
+        let p = partition_of(code);
+        let lo = self.parts[p] as usize;
+        match self.codes[lo..self.parts[p + 1] as usize].binary_search(&code) {
+            Ok(c) => {
+                &self.entries[self.offsets[lo + c] as usize..self.offsets[lo + c + 1] as usize]
+            }
+            Err(_) => &[],
+        }
     }
 }
 
@@ -292,11 +405,13 @@ pub fn chain_tiles<'a>(
     cfg: ChainConfig,
 ) -> ChainTiles<'a> {
     ChainTiles {
-        postings: index.postings(),
+        postings: Postings::build(index),
         index,
         cfg,
         next_row: 0,
         tile_rows: tile_rows.max(1),
+        gathered: Vec::new(),
+        pair: Vec::new(),
     }
 }
 
@@ -309,38 +424,47 @@ pub fn chain_candidates(index: &MinimizerIndex, cfg: ChainConfig) -> Vec<Chained
 
 /// Iterator of chained-candidate tiles; see [`chain_tiles`].
 pub struct ChainTiles<'a> {
-    postings: FxHashMap<u64, Vec<(u32, u32, bool)>>,
+    postings: Postings,
     index: &'a MinimizerIndex,
     cfg: ChainConfig,
     next_row: usize,
     tile_rows: usize,
+    /// One row's anchors with their partner read, reused row to row.
+    gathered: Vec<(u32, Anchor)>,
+    /// One pair's anchors, reused pair to pair.
+    pair: Vec<Anchor>,
 }
 
 impl ChainTiles<'_> {
     /// Candidates of anchor row `i`: every read `j > i` sharing a
     /// retained minimizer, chained and seeded.
-    fn row_candidates(&self, i: usize, out: &mut Vec<ChainedCandidate>) {
-        let mut acc: FxHashMap<u32, Vec<Anchor>> = FxHashMap::default();
+    fn row_candidates(&mut self, i: usize, out: &mut Vec<ChainedCandidate>) {
+        let gathered = &mut self.gathered;
+        gathered.clear();
         for m in self.index.sketch(i) {
-            if let Some(entries) = self.postings.get(&m.code) {
-                for &(j, tpos, fwd) in entries {
-                    if (j as usize) <= i {
-                        continue;
-                    }
-                    acc.entry(j).or_default().push(Anchor {
-                        qpos: m.pos,
-                        tpos,
-                        fwd: m.fwd == fwd,
-                    });
-                }
-            }
+            let entries = self.postings.of(m.code);
+            // Entries are in read order: the partners are a suffix.
+            let later = entries.partition_point(|e| e.read as usize <= i);
+            gathered.extend(entries[later..].iter().map(|e| {
+                let anchor = Anchor {
+                    qpos: m.pos,
+                    tpos: e.pos,
+                    fwd: m.fwd == e.fwd,
+                };
+                (e.read, anchor)
+            }));
         }
-        let mut partners: Vec<u32> = acc.keys().copied().collect();
-        partners.sort_unstable();
-        for j in partners {
-            let anchors = &acc[&j];
-            let chain = chain_anchors(anchors, self.index.k, &self.cfg)
-                .expect("partner with no anchors cannot be in the accumulator");
+        // By partner, then in the order `best_chain` takes: each pair's
+        // anchors are then one run, already split and sorted.
+        gathered.sort_unstable_by_key(|(j, a)| (*j, class_order(a)));
+        for run in gathered.chunk_by(|a, b| a.0 == b.0) {
+            let j = run[0].0;
+            self.pair.clear();
+            self.pair.extend(run.iter().map(|&(_, a)| a));
+            let same = self.pair.partition_point(|a| a.fwd);
+            let (fwd, rev) = self.pair.split_at(same);
+            let chain = best_chain(fwd, rev, self.index.k, &self.cfg)
+                .expect("a partner has at least one anchor");
             let (seed, est) = choose_chain_seed(
                 self.index.read_len(i),
                 self.index.read_len(j as usize),
@@ -554,6 +678,29 @@ mod tests {
         assert_eq!(est, 0);
         assert_eq!(seed.len, 4);
         assert!(seed.qpos + seed.len <= 6 && seed.tpos + seed.len <= 4);
+    }
+
+    #[test]
+    fn equal_scores_go_to_the_first_anchor_of_its_class_order() {
+        // Anchors at one query position never chain to each other, so
+        // each is a chain of score k and the first in the class's order
+        // wins: ascending tpos on the same strand, descending on the
+        // opposite one, whatever order the anchors come in.
+        let cfg = ChainConfig::default();
+        for anchors in [
+            [fwd_anchor(10, 290), fwd_anchor(10, 100)],
+            [fwd_anchor(10, 100), fwd_anchor(10, 290)],
+        ] {
+            let chain = chain_anchors(&anchors, K, &cfg).unwrap();
+            assert_eq!(chain.anchors, vec![fwd_anchor(10, 100)]);
+        }
+        for anchors in [
+            [rev_anchor(10, 100), rev_anchor(10, 290)],
+            [rev_anchor(10, 290), rev_anchor(10, 100)],
+        ] {
+            let chain = chain_anchors(&anchors, K, &cfg).unwrap();
+            assert_eq!(chain.anchors, vec![rev_anchor(10, 290)]);
+        }
     }
 
     #[test]

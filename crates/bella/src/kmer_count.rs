@@ -58,6 +58,13 @@ fn shard_partitions(shard: usize, shards: usize) -> Range<usize> {
     shard * PARTITIONS / shards..(shard + 1) * PARTITIONS / shards
 }
 
+/// The waves a request for `shards` runs: at least one, and no more
+/// than [`PARTITIONS`] — a wave past the last partition would be an
+/// empty pass over every read.
+pub(crate) fn waves(shards: usize) -> usize {
+    shards.clamp(1, PARTITIONS)
+}
+
 /// Bits needed to write `x` (0 for 0).
 fn bits(x: u64) -> u32 {
     u64::BITS - x.leading_zeros()
@@ -168,7 +175,8 @@ macro_rules! key {
 key!(u64);
 key!(u128);
 
-/// The counter, holding the keys of one of `shards` waves at a time.
+/// The counter, holding the keys of one of `shards` waves at a time
+/// ([`waves`] clamps the count).
 ///
 /// `keep(code, run)` sees every distinct canonical k-mer of `reads`, in
 /// `(partition, code)` order: `run` holds its keys in `(read, position)`
@@ -184,6 +192,7 @@ pub(crate) fn for_each_count<K: Key>(
     mut keep: impl FnMut(u64, &mut [K]) -> usize,
     mut wave: impl FnMut(Vec<K>),
 ) {
+    let shards = waves(shards);
     let occ_bits = layout.occ_bits;
     let mut sizes = [0usize; PARTITIONS];
     for read in reads {
@@ -336,7 +345,7 @@ pub fn count_reliable_sharded(
 ) -> (usize, FxHashSet<u64>) {
     let mut distinct = 0usize;
     let mut reliable = FxHashSet::default();
-    for_each_code(reads, k, shards.max(1), |code, n| {
+    for_each_code(reads, k, shards, |code, n| {
         distinct += 1;
         if bounds.contains(n) {
             reliable.insert(code);
@@ -434,6 +443,14 @@ mod tests {
         // shards = 0 clamps instead of dividing by zero.
         let (distinct, _) = count_reliable_sharded(&seqs, 17, 0, ReliableBounds { lo: 2, hi: 8 });
         assert_eq!(distinct, counts.len());
+        // Past PARTITIONS, one wave a partition: no wave is an empty
+        // pass, so even usize::MAX waves return.
+        let few = &seqs[..3];
+        let bounds = ReliableBounds { lo: 1, hi: 1000 };
+        let want = count_reliable_sharded(few, 17, 1, bounds);
+        for shards in [PARTITIONS + 5, usize::MAX] {
+            assert_eq!(count_reliable_sharded(few, 17, shards, bounds), want);
+        }
     }
 
     #[test]

@@ -67,7 +67,7 @@ impl KmerMatrix {
         shards: usize,
         bounds: ReliableBounds,
     ) -> (usize, KmerMatrix) {
-        one_sort(reads, k, shards.max(1), |_, n| bounds.contains(n))
+        one_sort(reads, k, shards, |_, n| bounds.contains(n))
     }
 
     /// [`KmerMatrix::count_and_build`] with "in `reliable`" for "in the
@@ -124,7 +124,7 @@ fn one_sort_as<K: Key>(
     let mut row_ptr = vec![0usize; n_reads + 1];
     // Each wave's postings, its buffer shrunk to them. Nothing else grows
     // while a wave's keys are resident.
-    let mut waves: Vec<Vec<K>> = Vec::with_capacity(shards);
+    let mut waves: Vec<Vec<K>> = Vec::with_capacity(crate::kmer_count::waves(shards));
     for_each_count(
         reads,
         k,
@@ -324,7 +324,7 @@ mod tests {
         let bounds = ReliableBounds { lo: 2, hi: 20 };
         let (distinct, whole) = KmerMatrix::count_and_build(&seqs, 13, 1, bounds);
         assert!(whole.nnz() > 0);
-        for shards in [0, 3, 17] {
+        for shards in [0, 3, 17, usize::MAX] {
             let (d, m) = KmerMatrix::count_and_build(&seqs, 13, shards, bounds);
             assert_eq!(d, distinct, "shards={shards}");
             assert_eq!(m.n_cols, whole.n_cols);

@@ -52,7 +52,9 @@ pub struct PipelineBudget {
     /// counter's sort whole.
     pub batch_reads: usize,
     /// Waves of the k-mer counter — on the SpGEMM path the counter that
-    /// also builds the matrix. One wave's keys are resident at a time, so
+    /// also builds the matrix — clamped to
+    /// `1..=`[`crate::kmer_count::PARTITIONS`], so no wave is an empty
+    /// pass over the reads. One wave's keys are resident at a time, so
     /// the counting peak is ~`1/shards` of the monolithic counter's,
     /// beside the matrix postings of the waves already done. Every wave
     /// rolls the resident reads again, storing the keys of the other
@@ -62,7 +64,8 @@ pub struct PipelineBudget {
     pub shards: usize,
     /// Candidate blocks buffered between the SpGEMM producer and the
     /// alignment consumer; the channel bound is the backpressure rule —
-    /// a fast producer blocks instead of ballooning.
+    /// a fast producer blocks instead of ballooning. A bound above the
+    /// number of tiles is clamped to it: no more blocks exist.
     pub inflight_blocks: usize,
 }
 
@@ -373,7 +376,9 @@ impl BellaPipeline {
     ///    stage O(batch) instead of O(genome). Blocks carry shared
     ///    reads, not copies; aligned blocks are reassembled in
     ///    sequence-number order, so outputs do not depend on lane
-    ///    interleaving.
+    ///    interleaving. The producer owns the index and frees it with
+    ///    its last block, so reassembly never holds it beside the
+    ///    results.
     pub fn run_streaming<I>(&self, batches: I, backend: &dyn AlignBackend) -> BellaOutput
     where
         I: IntoIterator<Item = ReadBatch>,
@@ -430,23 +435,31 @@ impl BellaPipeline {
         // Stage 3: one producer, `lanes` consumers. The producer owns
         // candidate generation; each consumer owns one backend lane.
         let lanes = backend.lanes().max(1);
-        let (tx, rx) = mpsc::sync_channel::<(usize, CandidateBlock)>(budget.inflight_blocks);
+        // No more blocks than tiles are ever produced, so a larger bound
+        // never blocks the producer either; clamping it keeps the channel
+        // from allocating the requested bound up front.
+        let tiles = reads.len().div_ceil(budget.batch_reads).max(1);
+        let bound = budget.inflight_blocks.min(tiles);
+        let (tx, rx) = mpsc::sync_channel::<(usize, CandidateBlock)>(bound);
         // The receiver is shared by all consumers behind a mutex; each
         // holds one Arc clone and the spawning frame drops its own, so
         // when every consumer has exited (or panicked) the receiver is
         // gone and a producer blocked in `send` gets an Err instead of
         // deadlocking the scope join.
         let rx = Arc::new(Mutex::new(rx));
-        let (reads_ref, index_ref) = (&reads, &index);
+        let reads_ref = &reads;
         let k = cfg.k;
         let min_overlap = cfg.min_overlap;
         let mut done: Vec<(usize, AlignedBlock)> = Vec::new();
         let mut lane_reports: Vec<BackendReport> = Vec::new();
         std::thread::scope(|scope| {
+            // The producer owns the index: it is freed as soon as the
+            // last block is produced, before the consumers finish and
+            // the results are reassembled.
             scope.spawn(move || {
-                match index_ref {
+                match index {
                     SeedIndex::SpGemm(matrix) => {
-                        for (seq_no, tile) in spgemm_tiles(matrix, budget.batch_reads)
+                        for (seq_no, tile) in spgemm_tiles(&matrix, budget.batch_reads)
                             .filter(|t| !t.is_empty())
                             .enumerate()
                         {
@@ -463,7 +476,7 @@ impl BellaPipeline {
                         // filter above; the per-candidate filter equals
                         // the monolithic path's by construction.
                         for (seq_no, block) in
-                            chain_tiles(mindex, budget.batch_reads, ChainConfig::default())
+                            chain_tiles(&mindex, budget.batch_reads, ChainConfig::default())
                                 .map(|tile| {
                                     CandidateBlock::from_chained(&tile, reads_ref, min_overlap)
                                 })
@@ -476,7 +489,7 @@ impl BellaPipeline {
                         }
                     }
                 }
-                // tx drops here, closing the channel.
+                // tx (closing the channel) and the index drop here.
             });
             let consumers: Vec<_> = (0..lanes)
                 .map(|lane| {

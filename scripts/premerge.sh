@@ -114,13 +114,6 @@ if [[ $quick -eq 0 ]]; then
   # coalescing beats per-request submission at overload.
   cargo run --release -q -p logan-bench --bin serve_load -- --quick >/dev/null
 
-  step "minimizer_bench --quick smoke"
-  # The seeding front-end's acceptance bar on a small seeded read set:
-  # at the default (w=8, k=17) the minimizer + chaining seeder must
-  # reach >= 95% of the SpGEMM path's recall while aligning <= 50% of
-  # its candidate pairs (asserted inside the binary).
-  cargo run --release -q -p logan-bench --bin minimizer_bench -- --quick >/dev/null
-
   step "engine_tiers --quick smoke"
   # The tier ladder's acceptance bar in smoke form: all four engines
   # and the i16 kernel's portable compilation bit-identical on every

@@ -81,7 +81,7 @@ use logan::bella::{BellaConfig, BellaPipeline, PipelineBudget, Seeder};
 use logan::core::fleet::{check_pool_threads, check_workers};
 use logan::prelude::*;
 use logan::seq::fasta::{read_fasta, read_fasta_alphabet, FastaBatches};
-use logan::seq::kmer::CanonicalKmerIter;
+use logan::seq::kmer::{CanonicalKmerIter, MAX_K};
 use logan::seq::readsim::ReadBatch;
 use logan::seq::translate::{six_frame_segments, Frame};
 use logan::seq::{Alphabet, ScoreProfile};
@@ -305,6 +305,10 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
         if !(1..=12).contains(&opts.k) {
             return Err("--translated: -k must be between 1 and 12 (protein seed length)".into());
         }
+    } else if !(1..=MAX_K).contains(&opts.k) {
+        return Err(format!(
+            "-k must be between 1 and {MAX_K} (a k-mer packs into 64 bits)"
+        ));
     }
     Ok(opts)
 }

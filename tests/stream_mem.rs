@@ -16,7 +16,10 @@
 //! `alloc_count.rs` does for the zero-allocation contract). One test
 //! function, so nothing runs concurrently with the measurement.
 
-use logan::bella::{BellaConfig, BellaPipeline, PipelineBudget};
+use logan::bella::chain::MinimizerIndex;
+use logan::bella::kmer_count::count_reliable_sharded;
+use logan::bella::prune::reliable_bounds;
+use logan::bella::{BellaConfig, BellaPipeline, Overlap, PipelineBudget, Seeder};
 use logan::prelude::*;
 use logan::seq::fasta::{write_fasta, FastaBatches, Record};
 use logan::seq::readsim::ReadSimulator;
@@ -82,10 +85,102 @@ fn parsed_fasta_holds_the_bases_and_one_batch() {
     );
 }
 
+/// The minimizer path's memory. The index retains its data: 16 bytes a
+/// retained minimizer and 8 a read, with at most a quarter more in
+/// slack. The streaming peak above the resident reads is the larger of
+/// one counting wave and the index with its postings, the blocks in
+/// flight and the results — never the two at once.
+fn minimizer_path_holds_its_data() {
+    let sim = ReadSimulator {
+        read_len: (800, 1600),
+        errors: ErrorProfile::pacbio(0.10),
+        ..ReadSimulator::uniform(30_000, 20.0)
+    };
+    let rs = sim.generate(17);
+    let seqs: Vec<Seq> = rs.reads.iter().map(|r| r.seq.clone()).collect();
+    let config = BellaConfig {
+        error_rate: 0.10,
+        depth: rs.depth(),
+        min_overlap: 1000,
+        seeder: Seeder::Minimizer,
+        budget: PipelineBudget {
+            batch_reads: 128,
+            ..PipelineBudget::default()
+        },
+        ..BellaConfig::with_x(7)
+    };
+    let (k, shards) = (config.k, config.budget.shards);
+
+    let bounds = reliable_bounds(config.depth, config.error_rate, k, config.tail);
+    let (_, reliable) = count_reliable_sharded(&seqs, k, shards, bounds);
+    let live_before = live_bytes();
+    let index = {
+        let mut index = MinimizerIndex::new(config.minimizer_w, k);
+        for chunk in seqs.chunks(config.budget.batch_reads) {
+            index.push_batch(chunk, &reliable);
+        }
+        index
+    };
+    let retained = live_bytes() - live_before;
+    let (nnz, reads) = (index.nnz(), index.n_reads());
+    let data = (16 * nnz + 8 * reads) as u64;
+    eprintln!(
+        "minimizer index: {nnz} minimizers of {reads} reads retain {retained} bytes \
+         ({:.1} a minimizer), data {data}",
+        retained as f64 / nnz as f64
+    );
+    assert!(nnz > 20 * reads, "too few minimizers to weigh the layout");
+    assert!(
+        retained <= data * 5 / 4,
+        "the index retains {retained} bytes, over 1.25 x its {data} bytes of data"
+    );
+    let n_reliable = reliable.len();
+    drop(index);
+    drop(reliable);
+
+    let backend = XDropCpuAligner::new(1, Scoring::default(), 7, Engine::Scalar);
+    let pipeline = BellaPipeline::new(config);
+    let (out, peak) = peak_during(|| {
+        pipeline.run_streaming(
+            logan::seq::readsim::seq_batches(&seqs, config.budget.batch_reads),
+            &backend,
+        )
+    });
+    assert!(out.stats.candidates > seqs.len(), "workload too sparse");
+    // Counting: one wave's 8-byte keys beside the reliable set, at
+    // worst mid-rehash (old and new tables of 9-byte buckets at 7/8
+    // load: under 32 bytes a code).
+    let positions: usize = seqs.iter().map(|s| (s.len() + 1).saturating_sub(k)).sum();
+    let counting = (8 * positions / shards + 32 * n_reliable) as u64;
+    // Chaining: the index's data; the postings — a 12-byte entry a
+    // minimizer, the places sorted to build them, one code and offset
+    // a distinct code — under 20 more bytes a minimizer; the aligned
+    // blocks and the overlaps reassembled from them.
+    let results = (2 * out.overlaps.len() * std::mem::size_of::<Overlap>()) as u64;
+    let chaining = data + 20 * nnz as u64 + results;
+    let bound = counting.max(chaining) * 5 / 4;
+    eprintln!(
+        "minimizer streaming peak {:.2} MiB: counting {:.2}, chaining {:.2}, bound {:.2} MiB",
+        mib(peak),
+        mib(counting),
+        mib(chaining),
+        mib(bound)
+    );
+    assert!(
+        peak <= bound,
+        "minimizer streaming peak {:.2} MiB over 1.25 x the larger of counting \
+         {:.2} MiB and chaining {:.2} MiB",
+        mib(peak),
+        mib(counting),
+        mib(chaining)
+    );
+}
+
 #[test]
 fn streaming_peak_is_bounded_by_batch_not_input() {
     // Same process-wide counters, so the same test function.
     parsed_fasta_holds_the_bases_and_one_batch();
+    minimizer_path_holds_its_data();
 
     // Depth-12 reads: every read overlaps ~20 others, so a candidate
     // list that copied both sequences into each pair would dwarf the
