@@ -9,7 +9,9 @@
 //! Two more peaks pin the serial front end: `candidates()` counts,
 //! prunes and builds the k-mer matrix in one sort whose key buffer is the
 //! peak — no count table, reliable set or matrix builder beside it — and
-//! parsing FASTA leaves no growth slack on the records.
+//! parsing FASTA leaves no growth slack on the records. Two pin the
+//! minimizer path: its index retains its data and no more, and its
+//! streaming peak is the larger of counting and chaining, not their sum.
 //!
 //! Lives in its own integration-test binary because the measuring
 //! global allocator ([`logan_bench::memprobe`]) is process-wide (as
