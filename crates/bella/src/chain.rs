@@ -302,10 +302,9 @@ struct Postings {
 impl Postings {
     /// A place numbers a minimizer of the index, in read order, then
     /// sketch order. The places are bucketed by their code's partition
-    /// (a stable counting sort, so each bucket keeps place order), then
-    /// each bucket is sorted by `(code, place)` through a bucket-sized
-    /// scratch of codes: beside the postings, nothing holds more than
-    /// the places and one bucket's keys.
+    /// (a counting sort), then each bucket is sorted by `(code, place)`
+    /// through a bucket-sized scratch of codes: beside the postings,
+    /// nothing holds more than the places and one bucket's keys.
     fn build(index: &MinimizerIndex) -> Postings {
         let mins = &index.mins;
         let mut parts = vec![0u32; PARTITIONS + 1];

@@ -31,8 +31,9 @@ pub struct Minimizer {
 /// Invertible finalizer (splitmix64 tail) used to rank k-mers.
 ///
 /// Invertibility means distinct codes get distinct ranks, so the
-/// minimum of a window is unique per code and the deque tie-break below
-/// only ever fires for *equal codes at different positions*.
+/// minimum of a window is unique per code and the rightmost-wins
+/// tie-break below only ever fires for *equal codes at different
+/// positions*.
 #[inline]
 pub fn minimizer_hash(code: u64) -> u64 {
     let mut z = code.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -110,10 +111,12 @@ impl Sketcher {
                 // The minimum left the window [pos + 1 - w, pos], which
                 // is full: rescan it oldest to newest, `<=` keeping the
                 // rightmost of equal ranks.
-                min = ring[slot + 1..].iter().chain(&ring[..=slot]).fold(
-                    ring[(slot + 1) % w],
-                    |best, &e| if e.0 <= best.0 { e } else { best },
-                );
+                min = ring[slot + 1..]
+                    .iter()
+                    .chain(&ring[..=slot])
+                    .copied()
+                    .reduce(|best, e| if e.0 <= best.0 { e } else { best })
+                    .expect("a full window holds w >= 1 k-mers");
             }
             slot += 1;
             if slot == w {
