@@ -97,12 +97,7 @@ const MEAN_PAIRS_PER_REQUEST: f64 = 2.5;
 fn per_request_capacity_rps(backend: &dyn AlignBackend, serve: &ServeConfig) -> f64 {
     let probe = PairSet::generate_with_lengths(64, 0.2, 150, 450, 0xca11b).pairs;
     let (_, rep) = backend.align_block_on(0, &probe);
-    let device_s = if rep.sim_time_s > 0.0 {
-        rep.sim_time_s
-    } else {
-        rep.total_cells as f64 / (backend.throughput_hint_on(0) * 1e9)
-    };
-    let per_pair_s = device_s / probe.len() as f64;
+    let per_pair_s = rep.device_s(backend.throughput_hint_on(0)) / probe.len() as f64;
     backend.lanes() as f64 / (serve.batch_setup_s + MEAN_PAIRS_PER_REQUEST * per_pair_s)
 }
 

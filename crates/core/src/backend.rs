@@ -171,7 +171,7 @@ impl<T: AlignBackend + ?Sized> AlignBackend for Box<T> {
 /// reports without knowing who produced them. Host-only backends leave
 /// the simulated fields at zero; simulated backends also measure host
 /// wall time, so the two time domains never mix.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct BackendReport {
     /// Pairs aligned.
     pub pairs: usize,
@@ -244,6 +244,17 @@ impl BackendReport {
         self.hbm_peak_bytes = self.hbm_peak_bytes.max(other.hbm_peak_bytes);
         self.tiers.merge(&other.tiers);
         self.kernel_reports.extend(other.kernel_reports);
+    }
+
+    /// Device seconds this report charges a scheduler's virtual clock: a
+    /// simulated run's `sim_time_s`; for a host-only run, its cells at
+    /// `hint_gcups` plus whatever `sim_time_s` an injected stall added.
+    /// Never the measured wall, so the charge is the same on every run.
+    pub fn device_s(&self, hint_gcups: f64) -> f64 {
+        if self.launches > 0 {
+            return self.sim_time_s;
+        }
+        self.total_cells as f64 / (hint_gcups.max(f64::MIN_POSITIVE) * 1e9) + self.sim_time_s
     }
 
     /// Giga cell updates per *simulated* second; 0.0 (not NaN/∞) when no

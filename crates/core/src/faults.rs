@@ -141,7 +141,7 @@ pub fn catch_align<T>(f: impl FnOnce() -> T) -> Result<T, BackendError> {
 
 /// Lock a mutex, recovering the guard if a previous holder panicked —
 /// the one poison-recovering lock of the supervision stack (this
-/// module, the fleet scheduler, `logan-serve`). Every mutex it guards
+/// module, the fleet's trace slot, `logan-serve`). Every mutex it guards
 /// holds plain bookkeeping (counters, schedules, index ranges) whose
 /// mutations each complete under one guard, so recovery cannot observe
 /// a torn invariant; see `DESIGN.md` §12.

@@ -1,21 +1,22 @@
 //! The multi-device scheduler: one [`Fleet`], two schedules.
 //!
 //! A [`Fleet`] owns one [`AlignBackend`] per worker. Its **dynamic**
-//! schedule ([`Fleet::align_pairs`]) drives them from one shared queue:
-//! candidate pairs queue up heaviest-first, a shared cursor marks the
-//! frontier, and each worker thread repeatedly *steals* the next chunk
-//! — weight-quota sized by its own [`AlignBackend::throughput_hint`]
-//! share of the remaining work — until the queue drains. A device that
-//! lands cheap pairs simply comes back for more; a device stuck on a
-//! repeat-heavy block steals nothing else meanwhile. Its **static**
+//! schedule ([`Fleet::align_pairs`]) drives them from one queue:
+//! candidate pairs queue up heaviest-first, and whichever worker is
+//! first in *virtual* device time takes the next chunk — weight-quota
+//! sized by its share of the fleet's throughput — until the queue
+//! drains. It is one event loop on the calling thread, so the schedule
+//! is a function of the input alone. A device that lands cheap pairs
+//! simply comes back for more; a device stuck on a repeat-heavy block
+//! takes nothing else meanwhile. Its **static**
 //! schedule ([`Fleet::align_pairs_static`]) is the paper's multi-GPU
 //! load balancer (§IV-C, Fig. 7): the host partitions pairs across
 //! devices up front, weighted by sequence length (longest-processing-
 //! time greedy), and every device runs its whole bin as one block.
-//! Devices run concurrently either way, so the simulated makespan is
-//! the *maximum* over devices plus a serial host-side setup charge per
-//! device — which is what keeps small-X multi-GPU speed-ups modest in
-//! Table II. The static schedule pins the published tables; its
+//! Devices run concurrently in the model either way, so the simulated
+//! makespan is the *maximum* over devices plus a serial host-side setup
+//! charge per device — which is what keeps small-X multi-GPU speed-ups
+//! modest in Table II. The static schedule pins the published tables; its
 //! weakness on skewed BELLA workloads motivates the dynamic one:
 //! sequence length predicts X-drop work only loosely, so equal-bases
 //! bins can carry wildly unequal cell counts.
@@ -40,9 +41,9 @@
 //! makespan), and faster backends take proportionally bigger bites.
 //! Rate shares start from the nameplate [`AlignBackend::throughput_hint`]
 //! and switch to each worker's *observed* throughput after a cheap
-//! calibration probe, and steals are paced by virtual device time —
-//! see [`Fleet::align_pairs`] for both rules and DESIGN.md §9 for the
-//! full argument.
+//! calibration probe, and turns go by virtual device time — see
+//! [`Fleet::align_pairs`] for both rules and DESIGN.md §9 for the full
+//! argument.
 
 use crate::backend::{AlignBackend, BackendReport, GpuBackend};
 use crate::calibration::BALANCER_SETUP_S_PER_GPU;
@@ -55,7 +56,7 @@ use logan_align::{SeedExtendResult, XDropCpuAligner};
 use logan_gpusim::DeviceSpec;
 use logan_seq::readsim::ReadPair;
 use serde::{Deserialize, Serialize};
-use std::sync::{Mutex, PoisonError};
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// Guided self-scheduling divisor: each steal is quota-limited to the
@@ -132,8 +133,8 @@ pub struct FleetSupervision {
     /// Consecutive errors on one worker before it is quarantined.
     pub quarantine_after: usize,
     /// Virtual device seconds a quarantined worker sits out before its
-    /// probation probe (charged to its virtual clock, so the existing
-    /// pacing gate defers it — no new wait machinery).
+    /// probation probe (charged to its virtual clock, so its next turn
+    /// comes that much later — no wait machinery).
     pub probation_delay_s: f64,
     /// Failed probation probes before a quarantined worker is retired
     /// for good (the PR 5 behavior, now the *last* resort).
@@ -155,19 +156,19 @@ impl Default for FleetSupervision {
 }
 
 /// Report of a fleet run: per-worker detail plus deployment aggregates.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FleetReport {
     /// Per-worker reports, in worker order.
     pub per_worker: Vec<BackendReport>,
-    /// Pairs each worker aligned. Under the dynamic schedule these
-    /// depend on thread timing and are **not** deterministic — only
-    /// their sum is.
+    /// Pairs each worker aligned (deterministic under both schedules).
     pub assignment_sizes: Vec<usize>,
     /// Chunks each worker stole from the queue.
     pub chunks: Vec<usize>,
     /// Simulated deployment seconds: workers run concurrently, so the
     /// makespan is the slowest worker plus the serial per-worker host
-    /// setup charge (same model as the static balancer).
+    /// setup charge (same model as the static balancer). Under the
+    /// dynamic schedule a worker's time is its virtual clock, fault
+    /// charges included.
     pub sim_time_s: f64,
     /// Measured host wall-clock of the whole call, seconds.
     pub wall_s: f64,
@@ -261,8 +262,8 @@ impl FleetReport {
     }
 }
 
-/// A heterogeneous deployment: one worker thread per backend, all
-/// pulling from one shared queue.
+/// A heterogeneous deployment: one worker per backend, all fed from one
+/// queue.
 pub struct Fleet {
     backends: Vec<Box<dyn AlignBackend>>,
     /// Smallest chunk a worker may steal (≥ 1).
@@ -272,11 +273,9 @@ pub struct Fleet {
     pub setup_s_per_worker: f64,
     /// Health scoreboard / recovery knobs (see [`FleetSupervision`]).
     pub supervision: FleetSupervision,
-    /// Supervision trace of the most recent dynamic run. Interleaving
-    /// under the threaded scheduler is timing-dependent, so this trace
-    /// is diagnostic (which lanes erred/quarantined/recovered), not a
-    /// determinism witness — that is [`crate::faults::Supervised`]'s
-    /// and the serve simulator's job.
+    /// Supervision trace of the most recent dynamic run, stored once at
+    /// its end. The schedule is deterministic, so the same fleet and
+    /// pairs replay the same trace byte for byte.
     last_trace: Mutex<Vec<TraceEvent>>,
     /// Whether [`AlignBackend::align_block`] keeps the static schedule
     /// (set by [`Fleet::static_gpus`] only).
@@ -372,8 +371,8 @@ impl Fleet {
 
     /// The throughput rate assumed for worker `w` when sizing chunks, in
     /// cells per second: the *observed* rate once the worker has aligned
-    /// a chunk ([`Fleet::align_pairs`] measures cells per simulated
-    /// second, or per host second for host-only backends), otherwise the
+    /// a chunk (cells per [`BackendReport::device_s`] second, which for
+    /// a healthy host-only backend is its hint again), otherwise the
     /// nameplate [`AlignBackend::throughput_hint`]. Nameplate ratios
     /// routinely misstate effective throughput — a latency-bound
     /// workload can run at a fraction of a device's compute ceiling —
@@ -398,13 +397,13 @@ impl Fleet {
         cur: usize,
         hi: usize,
         observed: &[Option<f64>],
-        done: &[bool],
+        retired: &[bool],
     ) -> usize {
         debug_assert!(cur < hi && hi < prefix.len());
-        // Exited workers steal nothing more; their rates must not dilute
+        // Retired workers take nothing more; their rates must not dilute
         // the shares of the workers still draining the tail.
         let total_rate: f64 = (0..self.backends.len())
-            .filter(|&g| !done[g])
+            .filter(|&g| !retired[g])
             .map(|g| self.assumed_rate(g, observed))
             .sum();
         let share = self.assumed_rate(w, observed) / total_rate.max(f64::MIN_POSITIVE);
@@ -439,25 +438,23 @@ impl Fleet {
     ///
     /// A worker's first steal is a *calibration probe*: `min_chunk` of
     /// the **lightest** queued pairs, taken from the tail. Once it has
-    /// an observed rate (cells per simulated second; host second for
-    /// host-only backends), its quota share switches from the nameplate
-    /// hint to the observation — so a backend whose effective speed
-    /// belies its spec sheet (a latency-bound device, a busy CPU) is
-    /// never handed a nameplate-sized bite of the expensive head, and
-    /// stops being overfed after one cheap probe.
+    /// an observed rate (cells per device second), its quota share
+    /// switches from the nameplate hint to the observation — so a
+    /// device whose effective speed belies its spec sheet (a
+    /// latency-bound one) is never handed a nameplate-sized bite of the
+    /// expensive head, and stops being overfed after one cheap probe.
     ///
-    /// Steals are paced by **virtual device time**: each worker keeps a
-    /// clock summing the device seconds of the chunks it has run
-    /// (simulated seconds for device backends, host seconds for
-    /// host-only ones), and a free worker may steal only when its clock
-    /// is minimal among the free workers. That is exactly a real
-    /// deployment — "whichever device finishes first pulls next" — and
-    /// it decouples the schedule from how fast the *host* happens to
-    /// execute each simulated chunk; without the gate, every worker
-    /// would steal at host speed and a slow device would ingest work as
-    /// fast as a quick one. Which worker aligned which chunk (and hence
-    /// [`FleetReport::assignment_sizes`]) can still vary run to run;
-    /// results never do.
+    /// Turns go by **virtual device time**: each worker keeps a clock
+    /// summing the [`BackendReport::device_s`] of the chunks it has run
+    /// (simulated seconds for device backends, cells at the throughput
+    /// hint for host-only ones), and the next chunk goes to the worker
+    /// whose clock is least, ties to the lowest index. That is exactly
+    /// a real deployment — "whichever device finishes first pulls
+    /// next" — run as one event loop on the calling thread: a member
+    /// aligns its chunk (with its own internal parallelism) and the
+    /// loop applies the outcome before the next turn. Nothing the host
+    /// measures feeds the schedule, so the whole [`FleetReport`] but
+    /// its wall fields, and [`Fleet::trace`], replay exactly.
     pub fn align_pairs(&self, pairs: &[ReadPair]) -> (Vec<SeedExtendResult>, FleetReport) {
         let (slots, report) = self.align_pairs_outcome(pairs);
         let failed = slots.iter().filter(|s| s.is_none()).count();
@@ -484,25 +481,23 @@ impl Fleet {
     ///
     /// Supervision (health knobs under [`Fleet::supervision`]):
     ///
-    /// * Worker errors are *values* — each steal runs through
+    /// * Worker errors are *values* — each chunk runs through
     ///   [`AlignBackend::try_align_block_on`] behind
     ///   [`crate::faults::catch_align`], and the [`Supervisor`]'s
     ///   verdict on the error either fails the chunk as poison or
-    ///   requeues it for a worker [`BlockLedger::may_take`] admits
-    ///   (requeued chunks bypass the pacing gate: recovery is
-    ///   latency-sensitive retry, not fresh load). The fleet never
-    ///   retries in place: a failed attempt costs the worker
-    ///   `error_clock_s` of virtual time instead.
+    ///   requeues it. A requeued chunk goes, ahead of fresh work, to
+    ///   the first worker in virtual time that [`BlockLedger::may_take`]
+    ///   admits. The fleet never retries in place: a failed attempt
+    ///   costs the worker `error_clock_s` of virtual time instead.
     /// * A worker whose errors hit `quarantine_after` consecutively is
     ///   quarantined: its virtual clock is pushed `probation_delay_s`
-    ///   into the future (the pacing gate thus defers it), then its
-    ///   next steal is a probation probe (`min_chunk`, like the
-    ///   calibration probe). Success reinstates it; `max_probe_failures`
-    ///   failures retire it for good — one-way retirement is only the
-    ///   last resort.
-    /// * Fail-stop errors retire the worker immediately; when the last
-    ///   live worker dies, the remaining work fails explicitly instead
-    ///   of hanging.
+    ///   into the future (so its turn comes later), then its next
+    ///   chunk is a probation probe (`min_chunk`, like the calibration
+    ///   probe). Success reinstates it; `max_probe_failures` failures
+    ///   retire it for good — one-way retirement is only the last
+    ///   resort.
+    /// * Fail-stop errors retire the worker immediately; once no live
+    ///   worker is left, whatever is still queued fails explicitly.
     pub fn align_pairs_outcome(
         &self,
         pairs: &[ReadPair],
@@ -517,269 +512,149 @@ impl Fleet {
         for &i in &order {
             prefix.push(prefix.last().unwrap() + weight(&pairs[i]) as u64);
         }
-        let n_workers = self.backends.len();
-        type Span = (usize, usize);
-        struct QueueState {
-            /// Heavy frontier: next unstolen index in `order`.
-            lo: usize,
-            /// Light frontier: one past the last unstolen index.
-            hi: usize,
-            observed: Vec<Option<f64>>,
-            /// Virtual device clock per worker, seconds.
-            clock: Vec<f64>,
-            /// The span a worker is currently executing.
-            in_flight: Vec<Option<Span>>,
-            /// Worker thread has exited its loop.
-            done: Vec<bool>,
-            /// Health scoreboard.
-            quarantined: Vec<bool>,
-            retired: Vec<bool>,
-            consecutive: Vec<usize>,
-            errors: Vec<usize>,
-            probe_failures: Vec<usize>,
-            /// Failed spans awaiting re-dispatch, with their fault
-            /// ledgers.
-            requeued: Vec<(Span, BlockLedger)>,
-            supervisor: Supervisor,
-            /// Pairs not yet completed or failed.
-            outstanding: usize,
-            poison_pairs: usize,
-            quarantines: usize,
-            reinstatements: usize,
-            trace: Vec<TraceEvent>,
-        }
-        let queue = Mutex::new(QueueState {
-            lo: 0,
-            hi: order.len(),
-            observed: vec![None; n_workers],
-            clock: vec![0.0; n_workers],
-            in_flight: vec![None; n_workers],
-            done: vec![false; n_workers],
-            quarantined: vec![false; n_workers],
-            retired: vec![false; n_workers],
-            consecutive: vec![0; n_workers],
-            errors: vec![0; n_workers],
-            probe_failures: vec![0; n_workers],
-            requeued: Vec::new(),
-            // No in-place retries, so no jitter is ever drawn.
-            supervisor: Supervisor::new(
-                Some(SupervisePolicy {
-                    max_retries: 0,
-                    ..SupervisePolicy::default()
-                }),
-                0,
-            ),
-            outstanding: order.len(),
-            poison_pairs: 0,
-            quarantines: 0,
-            reinstatements: 0,
-            trace: Vec::new(),
-        });
-        let turnstile = std::sync::Condvar::new();
-        let worker_out = self.run_workers(|w, backend| {
-            let mut report = BackendReport::empty();
-            let mut placed: Vec<(usize, SeedExtendResult)> = Vec::new();
-            let mut chunks = 0usize;
-            loop {
-                let work: Option<(Span, BlockLedger)> = {
-                    let mut q = lock_recover(&queue);
-                    loop {
-                        if q.outstanding == 0 {
-                            q.done[w] = true;
-                            turnstile.notify_all();
-                            break None;
-                        }
-                        if q.retired[w] {
-                            q.done[w] = true;
-                            // Last live worker dying strands the rest of
-                            // the queue: fail it now instead of hanging.
-                            if (0..n_workers).all(|g| q.done[g] || q.retired[g]) {
-                                let stranded = (q.hi - q.lo)
-                                    + q.requeued.iter().map(|(s, _)| s.1 - s.0).sum::<usize>();
-                                q.poison_pairs += stranded;
-                                q.outstanding = q.outstanding.saturating_sub(stranded);
-                                q.lo = q.hi;
-                                q.requeued.clear();
-                            }
-                            turnstile.notify_all();
-                            break None;
-                        }
-                        // Re-dispatch first: requeued spans are recovery
-                        // work and bypass the pacing gate.
-                        let live = |g: usize| !q.done[g] && !q.retired[g];
-                        if let Some(i) = q
-                            .requeued
-                            .iter()
-                            .position(|(_, ledger)| ledger.may_take(w, n_workers, live))
-                        {
-                            let (s, ledger) = q.requeued.remove(i);
-                            q.trace.push(TraceEvent::Redispatch {
-                                block: s.0 as u64,
-                                from: ledger.last_failed().unwrap_or(w),
-                                to: w,
-                            });
-                            if q.quarantined[w] {
-                                q.trace.push(TraceEvent::Probation { lane: w });
-                            }
-                            q.in_flight[w] = Some(s);
-                            turnstile.notify_all();
-                            break Some((s, ledger));
-                        }
-                        if q.lo < q.hi {
-                            // Steal fresh work when this worker is first
-                            // in virtual time: lexicographic minimum
-                            // among the free workers (exactly one
-                            // qualifies), and no busy worker is running
-                            // *behind* this clock — a busy worker's
-                            // clock lower-bounds the virtual time of its
-                            // next steal, so stealing past it would let
-                            // a host-fast worker outrun a device-slow
-                            // one.
-                            let may_steal = (0..n_workers)
-                                .filter(|&g| g != w && !q.done[g] && !q.retired[g])
-                                .all(|g| {
-                                    if q.in_flight[g].is_some() {
-                                        q.clock[w] <= q.clock[g]
-                                    } else {
-                                        (q.clock[w], w) < (q.clock[g], g)
-                                    }
-                                });
-                            if may_steal {
-                                // Calibration and probation probes both
-                                // take `min_chunk` off the light tail —
-                                // a cheap, makespan-safe test drive.
-                                let probing = q.observed[w].is_none() || q.quarantined[w];
-                                let span = if probing {
-                                    let take = self.min_chunk.max(1).min(q.hi - q.lo);
-                                    q.hi -= take;
-                                    (q.hi, q.hi + take)
-                                } else {
-                                    let exited: Vec<bool> =
-                                        (0..n_workers).map(|g| q.done[g] || q.retired[g]).collect();
-                                    let take = self.chunk_len(
-                                        w,
-                                        &prefix,
-                                        q.lo,
-                                        q.hi,
-                                        &q.observed,
-                                        &exited,
-                                    );
-                                    let lo = q.lo;
-                                    q.lo += take;
-                                    (lo, lo + take)
-                                };
-                                if q.quarantined[w] {
-                                    q.trace.push(TraceEvent::Probation { lane: w });
-                                }
-                                q.in_flight[w] = Some(span);
-                                turnstile.notify_all();
-                                break Some((span, BlockLedger::default()));
-                            }
-                        }
-                        q = turnstile.wait(q).unwrap_or_else(PoisonError::into_inner);
+        let n = self.backends.len();
+        // The unstolen range of `order`: heavy frontier `lo`, light
+        // frontier `hi`.
+        let (mut lo, mut hi) = (0usize, order.len());
+        // Failed spans awaiting re-dispatch, with their fault ledgers.
+        let mut requeued: Vec<((usize, usize), BlockLedger)> = Vec::new();
+        // Virtual device clock per worker, seconds, and the health
+        // scoreboard.
+        let mut clock = vec![0.0f64; n];
+        let mut observed: Vec<Option<f64>> = vec![None; n];
+        let mut quarantined = vec![false; n];
+        let mut retired = vec![false; n];
+        let mut consecutive = vec![0usize; n];
+        let mut probe_failures = vec![0usize; n];
+        // No in-place retries, so no jitter is ever drawn.
+        let mut supervisor = Supervisor::new(
+            Some(SupervisePolicy {
+                max_retries: 0,
+                ..SupervisePolicy::default()
+            }),
+            0,
+        );
+        let mut trace = Vec::new();
+        let mut slots: Vec<Option<SeedExtendResult>> = vec![None; pairs.len()];
+        let mut fr = FleetReport::empty(n);
+        loop {
+            let live = |g: usize| !retired[g];
+            let redispatch = |w: usize| {
+                requeued
+                    .iter()
+                    .position(|(_, ledger)| ledger.may_take(w, n, live))
+            };
+            // The turn goes to the live worker first in virtual time
+            // (ties to the lowest index) that may take something.
+            let Some(w) = (0..n)
+                .filter(|&g| live(g) && (lo < hi || redispatch(g).is_some()))
+                .min_by(|&a, &b| clock[a].total_cmp(&clock[b]))
+            else {
+                break;
+            };
+            // Requeued spans first; then calibration and probation
+            // probes take `min_chunk` off the light tail (a cheap,
+            // makespan-safe test drive); else a quota-sized chunk off
+            // the heavy head.
+            let (span, mut ledger) = if let Some(i) = redispatch(w) {
+                let (span, ledger) = requeued.remove(i);
+                trace.push(TraceEvent::Redispatch {
+                    block: span.0 as u64,
+                    from: ledger.last_failed().unwrap_or(w),
+                    to: w,
+                });
+                (span, ledger)
+            } else if observed[w].is_none() || quarantined[w] {
+                let take = self.min_chunk.max(1).min(hi - lo);
+                hi -= take;
+                ((hi, hi + take), BlockLedger::default())
+            } else {
+                let take = self.chunk_len(w, &prefix, lo, hi, &observed, &retired);
+                lo += take;
+                ((lo - take, lo), BlockLedger::default())
+            };
+            if quarantined[w] {
+                trace.push(TraceEvent::Probation { lane: w });
+            }
+            let idxs = &order[span.0..span.1];
+            let block: Vec<ReadPair> = idxs.iter().map(|&i| pairs[i].clone()).collect();
+            let backend = &*self.backends[w];
+            // The supervision boundary: panics become values here,
+            // injected faults arrive as values already. Every member
+            // is driven as one lane.
+            match catch_align(|| backend.try_align_block_on(0, &block)).and_then(|inner| inner) {
+                Ok((results, rep)) => {
+                    let hint = backend.throughput_hint();
+                    clock[w] += rep.device_s(hint);
+                    consecutive[w] = 0;
+                    if quarantined[w] {
+                        quarantined[w] = false;
+                        probe_failures[w] = 0;
+                        fr.reinstatements += 1;
+                        trace.push(TraceEvent::Reinstated { lane: w });
                     }
-                };
-                let Some((span, mut ledger)) = work else {
-                    break;
-                };
-                let idxs = &order[span.0..span.1];
-                let block: Vec<ReadPair> = idxs.iter().map(|&i| pairs[i].clone()).collect();
-                // The supervision boundary: panics become values here,
-                // injected faults arrive as values already. Every member
-                // is driven as one lane.
-                let outcome =
-                    catch_align(|| backend.try_align_block_on(0, &block)).and_then(|inner| inner);
-                match outcome {
-                    Ok((results, rep)) => {
-                        let chunk_device_s = if rep.sim_time_s > 0.0 {
-                            rep.sim_time_s
-                        } else {
-                            rep.wall_s
-                        };
-                        report.merge(rep);
-                        chunks += 1;
-                        let mut q = lock_recover(&queue);
-                        q.in_flight[w] = None;
-                        q.clock[w] += chunk_device_s;
-                        q.consecutive[w] = 0;
-                        if q.quarantined[w] {
-                            q.quarantined[w] = false;
-                            q.probe_failures[w] = 0;
-                            q.reinstatements += 1;
-                            q.trace.push(TraceEvent::Reinstated { lane: w });
-                        }
-                        q.outstanding -= span.1 - span.0;
-                        // Publish the observed lifetime rate for quota
-                        // sizing.
-                        let elapsed = if report.sim_time_s > 0.0 {
-                            report.sim_time_s
-                        } else {
-                            report.wall_s
-                        };
-                        if report.total_cells > 0 && elapsed > 0.0 {
-                            q.observed[w] = Some(report.total_cells as f64 / elapsed);
-                        }
-                        turnstile.notify_all();
-                        drop(q);
-                        placed.extend(idxs.iter().copied().zip(results));
+                    fr.assignment_sizes[w] += idxs.len();
+                    fr.chunks[w] += 1;
+                    let done = &mut fr.per_worker[w];
+                    done.merge(rep);
+                    // The observed lifetime rate sizes its next quotas.
+                    let busy_s = done.device_s(hint);
+                    if done.total_cells > 0 && busy_s > 0.0 {
+                        observed[w] = Some(done.total_cells as f64 / busy_s);
                     }
-                    Err(e) => {
-                        let mut q = lock_recover(&queue);
-                        q.in_flight[w] = None;
-                        q.clock[w] += sup.error_clock_s;
-                        q.errors[w] += 1;
-                        q.consecutive[w] += 1;
-                        q.trace.push(TraceEvent::Fault {
-                            lane: w,
-                            block: span.0 as u64,
-                            kind: e.kind(),
-                        });
-                        let verdict = q.supervisor.verdict(&mut ledger, w, &e);
-                        q.trace.extend(verdict.event(w, span.0 as u64));
-                        match verdict {
-                            // `Retry` cannot occur: no in-place retries.
-                            Verdict::Move | Verdict::Retry { .. } => {
-                                q.requeued.push((span, ledger));
-                            }
-                            Verdict::Poison { .. } | Verdict::Fail => {
-                                q.outstanding -= span.1 - span.0;
-                                q.poison_pairs += span.1 - span.0;
-                            }
+                    for (&i, r) in idxs.iter().zip(results) {
+                        slots[i] = Some(r);
+                    }
+                }
+                Err(e) => {
+                    clock[w] += sup.error_clock_s;
+                    fr.errors[w] += 1;
+                    consecutive[w] += 1;
+                    trace.push(TraceEvent::Fault {
+                        lane: w,
+                        block: span.0 as u64,
+                        kind: e.kind(),
+                    });
+                    let verdict = supervisor.verdict(&mut ledger, w, &e);
+                    trace.extend(verdict.event(w, span.0 as u64));
+                    match verdict {
+                        // `Retry` cannot occur: no in-place retries.
+                        Verdict::Move | Verdict::Retry { .. } => requeued.push((span, ledger)),
+                        Verdict::Poison { .. } | Verdict::Fail => {
+                            fr.poison_pairs += span.1 - span.0;
                         }
-                        // Health scoreboard: fail-stop retires at once;
-                        // repeat offenders go quarantine → probation →
-                        // reinstated-or-retired.
-                        if e.retires_lane() {
-                            q.retired[w] = true;
-                            q.trace.push(TraceEvent::LaneDead { lane: w });
-                        } else if q.quarantined[w] {
-                            q.probe_failures[w] += 1;
-                            if q.probe_failures[w] >= sup.max_probe_failures {
-                                q.retired[w] = true;
-                                q.trace.push(TraceEvent::LaneDead { lane: w });
-                            } else {
-                                q.clock[w] += sup.probation_delay_s;
-                            }
-                        } else if q.consecutive[w] >= sup.quarantine_after {
-                            q.quarantined[w] = true;
-                            q.quarantines += 1;
-                            q.clock[w] += sup.probation_delay_s;
-                            q.trace.push(TraceEvent::Quarantined { lane: w });
+                    }
+                    // Health scoreboard: fail-stop retires at once;
+                    // repeat offenders go quarantine → probation →
+                    // reinstated-or-retired.
+                    if e.retires_lane() {
+                        retired[w] = true;
+                        trace.push(TraceEvent::LaneDead { lane: w });
+                    } else if quarantined[w] {
+                        probe_failures[w] += 1;
+                        if probe_failures[w] >= sup.max_probe_failures {
+                            retired[w] = true;
+                            trace.push(TraceEvent::LaneDead { lane: w });
+                        } else {
+                            clock[w] += sup.probation_delay_s;
                         }
-                        turnstile.notify_all();
+                    } else if consecutive[w] >= sup.quarantine_after {
+                        quarantined[w] = true;
+                        fr.quarantines += 1;
+                        clock[w] += sup.probation_delay_s;
+                        trace.push(TraceEvent::Quarantined { lane: w });
                     }
                 }
             }
-            (report, placed, chunks)
-        });
-        let q = queue.into_inner().unwrap_or_else(PoisonError::into_inner);
-        let (slots, mut fr) = self.assemble(pairs.len(), worker_out, start);
-        fr.errors = q.errors;
-        fr.quarantines = q.quarantines;
-        fr.reinstatements = q.reinstatements;
-        fr.retired = (0..n_workers).filter(|&g| q.retired[g]).collect();
-        fr.poison_pairs = q.poison_pairs;
-        *lock_recover(&self.last_trace) = q.trace;
+        }
+        // No live worker is left to take what is still queued: it fails.
+        fr.poison_pairs += hi - lo + requeued.iter().map(|(s, _)| s.1 - s.0).sum::<usize>();
+        fr.total_cells = fr.per_worker.iter().map(|r| r.total_cells).sum();
+        fr.sim_time_s =
+            clock.iter().fold(0.0f64, |a, &b| a.max(b)) + self.setup_s_per_worker * n as f64;
+        fr.wall_s = start.elapsed().as_secs_f64();
+        fr.retired = (0..n).filter(|&g| retired[g]).collect();
+        *lock_recover(&self.last_trace) = trace;
         (slots, fr)
     }
 
@@ -965,10 +840,10 @@ impl AlignBackend for Fleet {
 }
 
 /// Most workers one fleet may have — `fleet:SPEC` counts summed,
-/// `multi:N`, `--gpus N`. Every worker is an OS thread plus a backend (a
-/// simulated device with its driver pool, or a CPU pool), so a count
-/// read from a command line is bounded before anything is built; the
-/// paper's largest deployment has 8 devices.
+/// `multi:N`, `--gpus N`. Every worker is a backend (a simulated device
+/// with its driver pool, or a CPU pool), so a count read from a command
+/// line is bounded before anything is built; the paper's largest
+/// deployment has 8 devices.
 pub const MAX_FLEET_WORKERS: usize = 64;
 
 /// Most threads one CPU pool (`cpu:T`) may have: the pool spawns up to
@@ -1158,6 +1033,71 @@ mod tests {
         assert_eq!(sr.assignment_sizes.iter().sum::<usize>(), ps.len());
         assert_eq!(dr.total_cells, sr.total_cells);
         assert!(dr.chunks.iter().sum::<usize>() >= fleet.workers());
+    }
+
+    /// A GPU-only fleet shaped like `fleet_scaling`'s: `DeviceSpec::tiny`
+    /// devices, the second half of a mixed fleet an older generation
+    /// whose nameplate overstates its throughput; no setup charge.
+    fn scaling_fleet(n: usize, mixed: bool) -> Fleet {
+        let oldgen = || {
+            let mut s = DeviceSpec::tiny();
+            s.clock_ghz = 1.4;
+            s.max_blocks_per_sm = 1;
+            s.max_threads_per_sm = 256;
+            s.warps_to_saturate_sm = 24;
+            s
+        };
+        let mut cfg = LoganConfig::with_x(100);
+        cfg.engine = Engine::Scalar;
+        let mut fleet = Fleet::new(
+            (0..n)
+                .map(|i| {
+                    let spec = if mixed && i >= n / 2 {
+                        oldgen()
+                    } else {
+                        DeviceSpec::tiny()
+                    };
+                    Box::new(GpuBackend::new(LoganExecutor::new(spec, cfg), 1))
+                        as Box<dyn AlignBackend>
+                })
+                .collect(),
+        );
+        fleet.setup_s_per_worker = 0.0;
+        fleet.min_chunk = 1;
+        fleet
+    }
+
+    /// The dynamic schedule on device-only fleets, pinned: which worker
+    /// ran how many pairs in how many chunks, and every device clock to
+    /// the bit. The values were recorded from the threaded scheduler,
+    /// whose virtual-time gate already fixed the order on such fleets.
+    #[test]
+    fn dynamic_schedule_on_gpu_fleets_is_pinned() {
+        let ps = PairSet::generate_with_lengths(32, 0.15, 200, 1600, 5).pairs;
+        for (mixed, sizes, chunks, clocks) in [
+            (
+                false,
+                vec![18usize, 14],
+                vec![14usize, 14],
+                vec![4578124449793391745u64, 4578127198070028349],
+            ),
+            (
+                true,
+                vec![26, 6],
+                vec![17, 6],
+                vec![4580324993166940370, 4580471815888230374],
+            ),
+        ] {
+            let (_, r) = scaling_fleet(2, mixed).align_pairs(&ps);
+            let got: Vec<u64> = r
+                .per_worker
+                .iter()
+                .map(|w| w.sim_time_s.to_bits())
+                .collect();
+            assert_eq!(r.assignment_sizes, sizes, "mixed={mixed}");
+            assert_eq!(r.chunks, chunks, "mixed={mixed}");
+            assert_eq!(got, clocks, "mixed={mixed}");
+        }
     }
 
     #[test]
@@ -1408,6 +1348,32 @@ mod tests {
         assert!(trace
             .iter()
             .any(|e| matches!(e, TraceEvent::LaneDead { lane: 0 })));
+    }
+
+    /// A stall injected into a host-only member's report is charged on
+    /// top of the chunk's own work, not in place of it.
+    #[test]
+    fn a_stalled_host_member_is_charged_its_work_and_the_stall() {
+        use crate::backend::CPU_THREAD_GCUPS_HINT;
+        use crate::faults::{ChaosBackend, Fault, FaultPlan};
+        let cpu = || XDropCpuAligner::new(1, Scoring::default(), 30, Engine::Scalar);
+        let stall_s = 1.0;
+        let mut fleet = Fleet::new(vec![
+            Box::new(ChaosBackend::new(
+                Box::new(cpu()),
+                FaultPlan::new(3).with_fault(0, Fault::Stall { sim_secs: stall_s }),
+            )),
+            Box::new(cpu()),
+        ]);
+        fleet.setup_s_per_worker = 0.0;
+        let (_, rep) = fleet.align_pairs(&pairs(12));
+        // The stall puts the first member so far behind that it runs
+        // its probe only, and its clock is the makespan.
+        let stalled = &rep.per_worker[0];
+        assert_eq!(rep.chunks[0], 1);
+        assert!(stalled.total_cells > 0);
+        let work_s = stalled.total_cells as f64 / (CPU_THREAD_GCUPS_HINT * 1e9);
+        assert_eq!(rep.sim_time_s, work_s + stall_s);
     }
 
     #[test]

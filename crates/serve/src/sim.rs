@@ -424,12 +424,7 @@ impl<'a> Sim<'a> {
                 // rate-derived charge on host-only lanes) plus setup,
                 // shaped by any degrade/stall fault on this index.
                 let (_results, rep) = backend.align_block_on(lane, &job.pairs);
-                let base = if rep.sim_time_s > 0.0 {
-                    rep.sim_time_s
-                } else {
-                    rep.total_cells as f64
-                        / (backend.throughput_hint_on(lane).max(f64::MIN_POSITIVE) * 1e9)
-                };
+                let base = rep.device_s(backend.throughput_hint_on(lane));
                 let extra = self
                     .cfg
                     .chaos

@@ -5,10 +5,11 @@
 #     ./scripts/premerge.sh --quick  # skip the release build and benches
 #
 # Mirrors the tier-1 definition in ROADMAP.md plus the style gates:
-# no-#[ignore] guard, one-kernel-source, one-recurrence and
-# one-supervisor guards, rustfmt, clippy (warnings are errors), release
-# build, the bench-bin smokes, the repo benchmark's own gate
-# (benchmark/check.sh), the test suite, and warning-free rustdoc.
+# no-#[ignore] guard, one-kernel-source, one-recurrence,
+# one-supervisor and one-concurrent-component guards, rustfmt, clippy
+# (warnings are errors), release build, the bench-bin smokes, the repo
+# benchmark's own gate (benchmark/check.sh), the test suite, and
+# warning-free rustdoc.
 # Every differential/contract suite (tests/*.rs, crates/*/tests/*.rs)
 # runs exactly once, inside the single `cargo test -q`; DESIGN.md §4
 # maps each suite to the contract it pins. Only steps that run
@@ -88,6 +89,20 @@ if [[ $(grep -c . <<<"$poison_sites" || true) -ne 1 ||
   echo "error: crates/*/src must build TraceEvent::Poisoned at exactly one site and" \
     "call backoff_s( at exactly one (found above); apply a faults::Supervisor" \
     "verdict instead of re-implementing it" >&2
+  exit 1
+fi
+
+step "guard: one concurrent component (only logan-serve waits on a condition variable)"
+# The fleet's dynamic schedule is one event loop on the virtual clock
+# (DESIGN.md §9), so logan-serve's Server is the one component whose
+# threads wait on each other. Outside #[cfg(test)] and comments,
+# crates/*/src names Condvar only under crates/serve/src: a second
+# turnstile would bring thread interleaving back into an outcome.
+condvar_sites=$(grep -E '\bCondvar\b' <<<"$non_test_src" | grep -vE '^crates/serve/src/' || true)
+if [[ -n "$condvar_sites" ]]; then
+  echo "$condvar_sites"
+  echo "error: Condvar outside crates/serve/src (listed above); schedule on a" \
+    "virtual clock instead of making threads wait" >&2
   exit 1
 fi
 

@@ -1,19 +1,32 @@
-//! Differential test harness for the backend/fleet seam, run as its own
-//! premerge step (`backend-equivalence`): every [`AlignBackend`] — the
-//! CPU pool, one simulated GPU, the statically partitioned multi-GPU
-//! deployment, and the work-stealing heterogeneous fleet — must produce
-//! bit-identical [`SeedExtendResult`]s for the same pairs, and the
-//! fleet's dynamic schedule must be unobservable in every output: the
-//! results are order-normalized back to input slots no matter which
-//! worker stole which chunk.
+//! Differential test harness for the backend/fleet seam: every
+//! [`AlignBackend`] — the CPU pool, one simulated GPU, the statically
+//! partitioned multi-GPU deployment, and the work-stealing
+//! heterogeneous fleet — must produce bit-identical
+//! [`SeedExtendResult`]s for the same pairs, and the fleet's dynamic
+//! schedule must be unobservable in every output: the results are
+//! order-normalized back to input slots no matter which worker took
+//! which chunk.
 //!
-//! Scheduling is the one place real nondeterminism enters this codebase
-//! (worker threads race for the queue), so the properties here are run
-//! across random workloads *and* repeated runs — a determinism bug
-//! shows up as a diff between two executions of the very same call.
+//! The dynamic schedule is one event loop on the virtual clock, so a
+//! rerun must reproduce the whole [`FleetReport`] — who took what, every
+//! clock, the scoreboard — and not only the results; only the host wall
+//! fields may differ. The threads left inside members (the CPU pool,
+//! the GPU driver pool) write results back by index, so `logan-serve`'s
+//! `Server` is the only real concurrency an outcome can depend on.
 
+use logan::core::FleetReport;
 use logan::prelude::*;
 use proptest::prelude::*;
+
+/// `r` with its host wall fields zeroed: everything a rerun must
+/// reproduce.
+fn without_wall(mut r: FleetReport) -> FleetReport {
+    r.wall_s = 0.0;
+    for w in &mut r.per_worker {
+        w.wall_s = 0.0;
+    }
+    r
+}
 
 fn fleet_2gpu_cpu(x: i32) -> Fleet {
     let cfg = LoganConfig::with_x(x);
@@ -75,17 +88,23 @@ fn fleet_output_is_bit_identical_to_static_multi_gpu() {
     }
 }
 
-/// Repeated dynamic runs agree with themselves: worker interleaving
-/// varies between executions, the output must not.
+/// Repeated dynamic runs agree with themselves: results, the whole
+/// report but its wall fields, and the trace.
 #[test]
 fn dynamic_schedule_is_deterministic_across_runs() {
     let pairs = skewed_pairs(21);
     let fleet = fleet_2gpu_cpu(30);
-    let (first, _) = fleet.align_pairs(&pairs);
+    let (first, first_rep) = fleet.align_pairs(&pairs);
+    let (first_rep, first_trace) = (without_wall(first_rep), fleet.trace());
+    assert_eq!(
+        first_rep.assignment_sizes.iter().sum::<usize>(),
+        pairs.len()
+    );
     for _ in 0..4 {
         let (again, rep) = fleet.align_pairs(&pairs);
         assert_eq!(again, first, "rerun diverged");
-        assert_eq!(rep.assignment_sizes.iter().sum::<usize>(), pairs.len());
+        assert_eq!(without_wall(rep), first_rep, "rerun report diverged");
+        assert_eq!(fleet.trace(), first_trace);
     }
 }
 
@@ -128,10 +147,9 @@ fn bella_pipeline_through_fleet_matches_single_backend() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The satellite property: across random seeds, sizes, error rates
-    /// and X values — and whatever worker interleaving each execution
-    /// happens to produce — a `fleet:2gpu+cpu` run equals the
-    /// single-backend run bit-for-bit on all outputs.
+    /// Across random seeds, sizes, error rates and X values, a
+    /// `fleet:2gpu+cpu` run equals the single-backend run bit-for-bit
+    /// on all outputs, and a second run reproduces its whole report.
     #[test]
     fn fleet_matches_single_backend_across_seeds(
         seed in 0u64..1_000_000,
@@ -148,8 +166,8 @@ proptest! {
         prop_assert_eq!(&got, &want);
         prop_assert_eq!(rep.total_cells, want_rep.total_cells);
         prop_assert_eq!(rep.assignment_sizes.iter().sum::<usize>(), pairs.len());
-        // And a second run, with a different interleaving, agrees too.
-        let (again, _) = fleet.align_pairs(&pairs);
+        let (again, again_rep) = fleet.align_pairs(&pairs);
         prop_assert_eq!(again, want);
+        prop_assert_eq!(without_wall(again_rep), without_wall(rep));
     }
 }

@@ -11,9 +11,9 @@
 //!   supervised simulator completes what the bare one fails;
 //! * **Reproducibility** — the same seeds replay the identical
 //!   [`TraceEvent`] sequence;
-//! * **Goldens** — every `Supervised` and simulator trace matches
-//!   `tests/golden/chaos/`, byte for byte, as do the threaded fleet's
-//!   timing-independent scoreboard counters.
+//! * **Goldens** — every `Supervised`, fleet and simulator trace
+//!   matches `tests/golden/chaos/`, byte for byte; each fleet golden
+//!   holds the whole report too, all but its host wall fields.
 
 use logan::prelude::*;
 use logan::serve::sim::{seeded_requests, simulate, ArrivalProcess, SimConfig, SimReport};
@@ -223,10 +223,10 @@ fn fleet_quarantines_probes_and_reinstates_a_flaky_member() {
         "recovered fleet output must be bit-identical"
     );
     assert_eq!(rep.poison_pairs, 0);
-    assert!(rep.errors[0] >= 2, "{:?}", rep.errors);
-    assert!(rep.quarantines >= 1, "{rep:?}");
-    assert!(
-        rep.reinstatements >= 1,
+    assert_eq!(rep.errors, vec![2, 0]);
+    assert_eq!(rep.quarantines, 1, "{rep:?}");
+    assert_eq!(
+        rep.reinstatements, 1,
         "the probation probe must have readmitted worker 0: {rep:?}"
     );
     assert!(rep.retired.is_empty(), "a recovered lane must not retire");
@@ -438,12 +438,7 @@ fn recovery_serve() -> ServeConfig {
 fn offered_rps(backend: &dyn AlignBackend, serve: &ServeConfig) -> f64 {
     let probe = PairSet::generate_with_lengths(64, 0.2, 150, 450, 0xca11b).pairs;
     let (_, rep) = backend.align_block_on(0, &probe);
-    let device_s = if rep.sim_time_s > 0.0 {
-        rep.sim_time_s
-    } else {
-        rep.total_cells as f64 / (backend.throughput_hint_on(0) * 1e9)
-    };
-    let per_pair_s = device_s / probe.len() as f64;
+    let per_pair_s = rep.device_s(backend.throughput_hint_on(0)) / probe.len() as f64;
     // Mean request is 2.5 pairs (uniform 1..=4); offer 60% of what one
     // healthy lane serves per request.
     0.6 / (serve.batch_setup_s + 2.5 * per_pair_s)
@@ -572,61 +567,76 @@ fn faulty_member(fault: Fault) -> Box<dyn AlignBackend> {
     ))
 }
 
-/// The threaded fleet's scoreboard counters on the storms where they
-/// do not depend on thread timing (repeated runs agree).
+/// A fleet report as text, one field a line, without the host wall
+/// fields (the only ones a rerun may change).
+fn render_fleet_report(r: &logan::core::FleetReport) -> String {
+    format!("{r:#?}")
+        .lines()
+        .filter(|l| !l.trim_start().starts_with("wall_s:"))
+        .map(|l| format!("{l}\n"))
+        .collect()
+}
+
+/// Five fleet storms: their scoreboard counters, and each run's trace
+/// and whole report, which replay byte for byte and match
+/// `tests/golden/chaos/fleet_<case>.txt`.
 #[test]
 fn fleet_report_counters_match_their_goldens() {
-    type Members = Vec<Box<dyn AlignBackend>>;
     let ps = pairs(40, 77);
-    let transient = |count| Fault::Transient {
-        nth_block: 0,
-        count,
+    let transient = |count| {
+        Some(Fault::Transient {
+            nth_block: 0,
+            count,
+        })
     };
-    let failstop = |after| Fault::FailStop { after };
-    // errors, hedges, quarantines, reinstatements, retired, poison pairs
-    let cases: Vec<(&str, Members, &str)> = vec![
+    let failstop = |after| Some(Fault::FailStop { after });
+    // Each member's fault (`None`: a healthy one), then errors, hedges,
+    // quarantines, reinstatements, retired, poison pairs.
+    let cases: [(&str, [Option<Fault>; 2], &str); 5] = [
+        ("flaky", [transient(2), None], "[2, 0] 0 1 1 [] 0"),
+        ("failstop_0", [failstop(0), None], "[1, 0] 0 0 0 [0] 0"),
+        ("failstop_1", [failstop(1), None], "[1, 0] 0 0 0 [0] 0"),
         (
-            "flaky",
-            vec![faulty_member(transient(2)), cpu_member()],
-            "[2, 0] 0 1 1 [] 0",
-        ),
-        (
-            "failstop@0",
-            vec![faulty_member(failstop(0)), cpu_member()],
-            "[1, 0] 0 0 0 [0] 0",
-        ),
-        (
-            "failstop@1",
-            vec![faulty_member(failstop(1)), cpu_member()],
-            "[1, 0] 0 0 0 [0] 0",
-        ),
-        (
-            "both transient",
-            vec![
-                faulty_member(transient(1000)),
-                faulty_member(transient(1000)),
-            ],
+            "both_transient",
+            [transient(1000), transient(1000)],
             "[4, 4] 0 2 0 [0, 1] 40",
         ),
         (
-            "both dead",
-            vec![faulty_member(failstop(0)), faulty_member(failstop(0))],
+            "both_dead",
+            [failstop(0), failstop(0)],
             "[1, 1] 0 0 0 [0, 1] 40",
         ),
     ];
-    for (name, members, want) in cases {
-        let mut fleet = Fleet::new(members);
-        if name == "flaky" {
-            // Zero delays: the quarantine → probation → reinstated arc
-            // fits in one short run.
-            fleet.supervision.probation_delay_s = 0.0;
-            fleet.supervision.error_clock_s = 0.0;
-        }
-        let (_, r) = fleet.align_pairs_outcome(&ps);
-        let got = format!(
-            "{:?} {} {} {} {:?} {}",
-            r.errors, r.hedges, r.quarantines, r.reinstatements, r.retired, r.poison_pairs
-        );
-        assert_eq!(got, want, "{name}");
+    for (name, faults, want) in cases {
+        // A fresh fleet per run: a chaos member counts its blocks.
+        let run = || {
+            let mut fleet = Fleet::new(
+                faults
+                    .iter()
+                    .map(|f| f.map_or_else(cpu_member, faulty_member))
+                    .collect(),
+            );
+            if name == "flaky" {
+                // Zero delays: the quarantine → probation → reinstated
+                // arc fits in one short run.
+                fleet.supervision.probation_delay_s = 0.0;
+                fleet.supervision.error_clock_s = 0.0;
+            }
+            let (_, r) = fleet.align_pairs_outcome(&ps);
+            let counters = format!(
+                "{:?} {} {} {} {:?} {}",
+                r.errors, r.hedges, r.quarantines, r.reinstatements, r.retired, r.poison_pairs
+            );
+            let text = format!(
+                "{}{}",
+                render_trace(&fleet.trace()),
+                render_fleet_report(&r)
+            );
+            (counters, text)
+        };
+        let (counters, text) = run();
+        assert_eq!(counters, want, "{name}");
+        assert_eq!(run().1, text, "{name}: a rerun diverged");
+        assert_golden(&format!("fleet_{name}"), &text);
     }
 }
