@@ -18,17 +18,21 @@
 //!   data sets (default 0.004);
 //! * `LOGAN_SEED` — RNG seed (default 42);
 //! * `LOGAN_RESULTS_DIR` — where [`write_json`] puts artifacts
-//!   (default `results/` at the repository root);
-//! * `LOGAN_ENGINE` — host compute engine (`scalar` / `simd`); results
-//!   are engine-independent, only host wall-clock changes.
+//!   (default `results/` at the repository root).
+//!
+//! The host engine is not a knob: the binaries run
+//! [`LoganConfig::with_x`](logan_core::LoganConfig::with_x)'s
+//! `Engine::Adaptive`, and results are engine-independent anyway.
+//! `engine_tiers` times every engine side by side instead.
 //!
 //! # Position in the workspace
 //!
-//! The leaf of the crate DAG: depends on every sibling —
-//! [`logan_seq`], [`logan_align`], [`logan_gpusim`], [`logan_core`],
-//! [`logan_bella`] and [`logan_roofline`] — and owns the five Criterion
-//! micro-benchmarks under `benches/`. See `DESIGN.md` for the
-//! figure/table → binary index.
+//! The leaf of the crate DAG: depends on [`logan_seq`],
+//! [`logan_align`], [`logan_gpusim`], [`logan_core`], [`logan_bella`]
+//! and [`logan_roofline`]. Its nine binaries are the eight paper
+//! artifacts and `engine_tiers`; the repo benchmark (`benchmark/`)
+//! times everything else. See `DESIGN.md` for the figure/table →
+//! binary index.
 
 #![warn(missing_docs)]
 

@@ -1,6 +1,5 @@
-//! Exact allocation-peak instrumentation shared by the `streaming`
-//! bench binary and the `stream_mem` premerge smoke test (DESIGN.md §8
-//! measurements).
+//! Exact allocation-peak instrumentation for the `stream_mem` contract
+//! suite (`tests/stream_mem.rs`, DESIGN.md §8 measurements).
 //!
 //! [`PeakAlloc`] counts live heap bytes and keeps a resettable
 //! high-water mark. The measuring helpers only see allocations routed
@@ -15,11 +14,10 @@
 //!
 //! The counters are process-global statics; measured regions must not
 //! run concurrently with each other (run one measurement at a time, as
-//! both consumers do).
+//! the suite does).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
 
 /// Tracks live heap bytes and a resettable high-water mark.
 pub struct PeakAlloc;
@@ -69,13 +67,6 @@ pub fn peak_during<R>(f: impl FnOnce() -> R) -> (R, u64) {
     PEAK.store(base, Ordering::Relaxed);
     let out = f();
     (out, PEAK.load(Ordering::Relaxed).saturating_sub(base))
-}
-
-/// [`peak_during`] plus wall-clock seconds.
-pub fn measure<R>(f: impl FnOnce() -> R) -> (R, u64, f64) {
-    let start = Instant::now();
-    let (out, peak) = peak_during(f);
-    (out, peak, start.elapsed().as_secs_f64())
 }
 
 /// Bytes as MiB, for reporting.

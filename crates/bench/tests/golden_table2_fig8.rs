@@ -106,12 +106,9 @@ fn assert_json_close(got: &str, want: &str) {
 fn table2_fig8_matches_golden_snapshot() {
     let out_dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("golden_results");
     std::fs::create_dir_all(&out_dir).expect("scratch dir");
-    // The SIMD engine halves the runtime and — being bit-identical —
-    // cannot change a byte of the artifact.
     let output = Command::new(env!("CARGO_BIN_EXE_table2_fig8"))
         .env("LOGAN_SCALE", "0.00001")
         .env("LOGAN_SEED", "42")
-        .env("LOGAN_ENGINE", "simd")
         .env("LOGAN_RESULTS_DIR", &out_dir)
         .output()
         .expect("failed to launch table2_fig8");

@@ -73,10 +73,10 @@ pub struct LoganConfig {
 }
 
 impl LoganConfig {
-    /// Paper defaults with the given X. The engine is
-    /// [`Engine::from_env`] — `LOGAN_ENGINE` if set, else
-    /// [`Engine::Adaptive`] — which is safe precisely because engines
-    /// cannot change results.
+    /// Paper defaults with the given X on [`Engine::Adaptive`]. The
+    /// library reads no environment: binaries that honour
+    /// `LOGAN_ENGINE` set `engine` from [`Engine::from_env`] themselves,
+    /// which is safe precisely because engines cannot change results.
     pub fn with_x(x: i32) -> LoganConfig {
         LoganConfig {
             profile: ScoreProfile::default(),
@@ -84,7 +84,7 @@ impl LoganConfig {
             thread_policy: ThreadPolicy::ProportionalToX,
             reversed_layout: true,
             antidiag_in_shared: false,
-            engine: Engine::from_env(),
+            engine: Engine::Adaptive,
         }
     }
 }

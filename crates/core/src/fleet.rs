@@ -1035,9 +1035,12 @@ mod tests {
         assert!(dr.chunks.iter().sum::<usize>() >= fleet.workers());
     }
 
-    /// A GPU-only fleet shaped like `fleet_scaling`'s: `DeviceSpec::tiny`
-    /// devices, the second half of a mixed fleet an older generation
-    /// whose nameplate overstates its throughput; no setup charge.
+    /// A GPU-only fleet of `DeviceSpec::tiny` devices; the second half
+    /// of a mixed fleet is an older generation whose nameplate (clock ×
+    /// cores) overstates its throughput on latency-bound X-drop work,
+    /// because one resident block per SM cannot fill a pipeline that
+    /// needs many warps in flight. No setup charge, so makespans
+    /// isolate the schedule.
     fn scaling_fleet(n: usize, mixed: bool) -> Fleet {
         let oldgen = || {
             let mut s = DeviceSpec::tiny();
@@ -1097,6 +1100,26 @@ mod tests {
             assert_eq!(r.assignment_sizes, sizes, "mixed={mixed}");
             assert_eq!(r.chunks, chunks, "mixed={mixed}");
             assert_eq!(got, clocks, "mixed={mixed}");
+        }
+    }
+
+    /// The scheduling claim on the simulated clock. Where nameplate
+    /// hints overstate the old generation, the hint-weighted static
+    /// partition overfeeds it and probe-then-observe stealing corrects
+    /// after one chunk; on identical devices the static split is
+    /// already near-optimal and stealing must cost next to nothing.
+    /// `min_chunk = 8`: smaller tail chunks leave the simulated SMs idle.
+    #[test]
+    fn dynamic_schedule_beats_static_where_hints_lie() {
+        let ps = PairSet::generate_with_lengths(32, 0.15, 200, 1600, 5).pairs;
+        for (mixed, floor) in [(true, 1.2), (false, 0.8)] {
+            let mut fleet = scaling_fleet(2, mixed);
+            fleet.min_chunk = 8;
+            let (stat, sr) = fleet.align_pairs_static(&ps);
+            let (dynamic, dr) = fleet.align_pairs(&ps);
+            assert_eq!(stat, dynamic, "mixed={mixed}");
+            let ratio = sr.sim_time_s / dr.sim_time_s;
+            assert!(ratio >= floor, "mixed={mixed}: static/dynamic {ratio}");
         }
     }
 

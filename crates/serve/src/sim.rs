@@ -883,14 +883,16 @@ mod tests {
         assert!(a.horizon_s >= a.makespan_s);
     }
 
+    /// Coalescing (SOAP3-dp's trick) against per-request submission,
+    /// each discipline offered the same schedule, on two inputs: bursty
+    /// traffic the quota never binds, where both serve the same work;
+    /// and Poisson traffic at 1.6× the per-request capacity under a
+    /// tight quota, where coalescing must serve strictly more pairs a
+    /// second and per-request submission must refuse something.
     #[test]
     fn coalescing_batches_more_pairs_per_submission() {
-        let arr = ArrivalProcess::Bursty {
-            rate_rps: 2000.0,
-            burst: 8,
-        };
-        let reqs = seeded_requests(48, 2, 3, &arr, 5);
-        let serve = ServeConfig {
+        let gpu = gpu();
+        let roomy = ServeConfig {
             batch_pairs: 32,
             queue_depth: 64,
             quota_pairs: 4096,
@@ -898,35 +900,60 @@ mod tests {
             deadline_s: None,
             ..ServeConfig::default()
         };
-        let gpu = gpu();
-        let co = simulate(
-            &gpu,
-            &SimConfig {
-                serve,
-                coalesce: true,
-                ..SimConfig::default()
-            },
-            &reqs,
-        );
-        let single = simulate(
-            &gpu,
-            &SimConfig {
-                serve,
-                coalesce: false,
-                ..SimConfig::default()
-            },
-            &reqs,
-        );
-        assert!(
-            co.mean_batch_pairs > single.mean_batch_pairs,
-            "coalescing must raise pairs per submission: {} vs {}",
-            co.mean_batch_pairs,
-            single.mean_batch_pairs
-        );
-        assert!(co.batches < single.batches);
-        // Same work served either way at this (admission-unconstrained)
-        // load.
-        assert_eq!(co.completed, single.completed);
+        let tight = ServeConfig {
+            batch_pairs: 64,
+            queue_depth: 32,
+            quota_pairs: 16,
+            ..ServeConfig::default()
+        };
+        // Per-request capacity: every lane serving one mean-sized
+        // request (2.5 pairs under `max_pairs = 4`) per submission,
+        // each paying the setup, priced on a probe of the same lengths.
+        let probe = PairSet::generate_with_lengths(64, 0.2, 150, 450, 0xca11b).pairs;
+        let (_, rep) = gpu.align_block_on(0, &probe);
+        let per_pair_s = rep.device_s(gpu.throughput_hint_on(0)) / probe.len() as f64;
+        let capacity = gpu.lanes() as f64 / (tight.batch_setup_s + 2.5 * per_pair_s);
+        let bursty = ArrivalProcess::Bursty {
+            rate_rps: 2000.0,
+            burst: 8,
+        };
+        let overload = ArrivalProcess::Poisson {
+            rate_rps: 1.6 * capacity,
+        };
+        for (serve, reqs, overloaded) in [
+            (roomy, seeded_requests(48, 2, 3, &bursty, 5), false),
+            (tight, seeded_requests(60, 4, 4, &overload, 42), true),
+        ] {
+            let run = |coalesce| {
+                let cfg = SimConfig {
+                    serve,
+                    coalesce,
+                    ..SimConfig::default()
+                };
+                simulate(&gpu, &cfg, &reqs)
+            };
+            let (co, single) = (run(true), run(false));
+            assert!(
+                co.mean_batch_pairs > single.mean_batch_pairs,
+                "coalescing must raise pairs per submission: {} vs {}",
+                co.mean_batch_pairs,
+                single.mean_batch_pairs
+            );
+            assert!(co.batches < single.batches);
+            if overloaded {
+                assert!(
+                    co.pairs_per_s > single.pairs_per_s,
+                    "coalescing must serve more at overload: {} vs {} pairs/s",
+                    co.pairs_per_s,
+                    single.pairs_per_s
+                );
+                assert!(co.completed >= single.completed);
+                assert!(single.over_quota > 0, "the overload never hit the quota");
+            } else {
+                // Same work served either way when admission never binds.
+                assert_eq!(co.completed, single.completed);
+            }
+        }
     }
 
     /// The chaos contrast on one lane: unsupervised, a transient window

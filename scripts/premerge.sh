@@ -2,20 +2,20 @@
 # Pre-merge gate for LOGAN-rs. Run from the repository root:
 #
 #     ./scripts/premerge.sh          # full gate (what CI runs)
-#     ./scripts/premerge.sh --quick  # skip the release build and benches
+#     ./scripts/premerge.sh --quick  # skip the release build and what runs on it
 #
 # Mirrors the tier-1 definition in ROADMAP.md plus the style gates:
 # no-#[ignore] guard, one-kernel-source, one-recurrence,
 # one-supervisor and one-concurrent-component guards, rustfmt, clippy
-# (warnings are errors), release build, the bench-bin smokes, the repo
-# benchmark's own gate (benchmark/check.sh), the test suite, and
-# warning-free rustdoc.
+# (warnings are errors), release build, the engine_tiers smoke, the
+# protein_homology example, the repo benchmark's own gate
+# (benchmark/check.sh), the test suite, and warning-free rustdoc.
 # Every differential/contract suite (tests/*.rs, crates/*/tests/*.rs)
 # runs exactly once, inside the single `cargo test -q`; DESIGN.md §4
 # maps each suite to the contract it pins. Only steps that run
 # something `cargo test -q` does not get a step of their own.
-# `--quick` skips the release build, the bench smokes and the benchmark
-# gate, and leaves bench targets out of clippy.
+# `--quick` skips the release build, the release smokes and the
+# benchmark gate.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -109,41 +109,19 @@ fi
 step "cargo fmt --check"
 cargo fmt --check
 
-if [[ $quick -eq 0 ]]; then
-  step "cargo clippy --workspace --all-targets -- -D warnings"
-  cargo clippy --workspace --all-targets -- -D warnings
+step "cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
+if [[ $quick -eq 0 ]]; then
   step "cargo build --release"
   cargo build --release
 
-  step "fleet_scaling --quick smoke"
-  # The scheduler bench in smoke mode: asserts both schedules stay
-  # bit-identical on a real workload and exercises the probe/steal path
-  # end to end (full-sweep speedup assertions run in the full binary).
-  cargo run --release -q -p logan-bench --bin fleet_scaling -- --quick >/dev/null
-
-  step "serve_load --quick smoke"
-  # The serving harness in smoke mode: open-loop Poisson sweep on the
-  # simulated clock, asserting the service invariants (exactly-one
-  # outcome per arrival, per-tenant quota never exceeded) and that
-  # coalescing beats per-request submission at overload.
-  cargo run --release -q -p logan-bench --bin serve_load -- --quick >/dev/null
-
   step "engine_tiers --quick smoke"
-  # The tier ladder's acceptance bar in smoke form: all four engines
-  # and the i16 kernel's portable compilation bit-identical on every
-  # workload, with loosened (smoke) performance
-  # floors on the i8-vs-i16 and adaptive-vs-best-fixed ratios (i8 >=
-  # i16 and 7%; the tight 1.05x / 3% bounds are asserted by the full
-  # binary).
+  # The tier ladder in smoke form: all four engines and the i16
+  # kernel's portable compilation bit-identical on every regime, and
+  # each engine running the tiers it should (read from TierTally; no
+  # wall-clock bound is asserted).
   cargo run --release -q -p logan-bench --bin engine_tiers -- --quick >/dev/null
-
-  step "protein_bench --quick smoke"
-  # The protein scoring path's acceptance bar: scalar and SIMD engines
-  # and a second backend bit-identical under BLOSUM62, and the i16
-  # query-profile kernel sustaining >= 1.5x the scalar single-thread
-  # GCUPS (asserted inside the binary).
-  cargo run --release -q -p logan-bench --bin protein_bench -- --quick >/dev/null
 
   step "protein_homology example (asserts in-binary)"
   # The §VIII future-work demo: the homolog must rank first through both
@@ -158,9 +136,6 @@ if [[ $quick -eq 0 ]]; then
   # here before merge. (Design checks of a full-size `trace` describe
   # the kernel the benchmark was sized on and are not part of this gate.)
   benchmark/check.sh
-else
-  step "cargo clippy (quick: benches skipped)"
-  cargo clippy --workspace --lib --bins --tests --examples -- -D warnings
 fi
 
 step "cargo test -q (tier-1: unit tests + every contract suite of DESIGN.md §4, once)"

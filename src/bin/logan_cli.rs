@@ -31,9 +31,10 @@
 //! seeded synthetic requests from `--clients` concurrent client
 //! threads across `--tenants` tenants, prints one TSV row per request
 //! (outcome, batches, score sum), and reports the coalescing and
-//! admission ledger on exit. Latency *measurements* live in the
-//! simulated-time harness (`serve_load` in `logan-bench`), not here —
-//! this proves the daemon end to end.
+//! admission ledger on exit. Latency *measurements* live on the
+//! simulated clock (`logan_serve::simulate`) and in the repo
+//! benchmark's `serve_cpu_open` workload, not here — this proves the
+//! daemon end to end.
 //!
 //! `--backend` selects the alignment backend (all bit-identical):
 //! `cpu[:T]` (host pool of T threads), `gpu` (one simulated V100),
@@ -700,7 +701,8 @@ fn cmd_overlap(opts: &Opts) -> Result<(), String> {
 /// Smoke-run the always-on service end to end: seeded synthetic
 /// requests from concurrent client threads through the threaded
 /// [`Server`], one TSV row per request, ledger on stderr. Measurements
-/// belong to `serve_load` (simulated clock); this proves the daemon.
+/// belong to `logan_serve::simulate` (simulated clock); this proves the
+/// daemon.
 fn cmd_serve(opts: &Opts) -> Result<(), String> {
     if !opts.positional.is_empty() {
         return Err("serve takes no positional arguments".into());

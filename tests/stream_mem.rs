@@ -1,5 +1,5 @@
-//! Peak-memory smoke check for the BELLA pipeline (run as its own
-//! premerge step), the measurable halves of the DESIGN.md §8 contract:
+//! Peak-memory contract suite for the BELLA pipeline, the measurable
+//! halves of the DESIGN.md §8 contract:
 //! the streaming dataflow allocates a strictly lower peak than the
 //! monolithic pipeline on the same input, and materialising candidate
 //! pairs costs a record per pair and no sequence bytes — pairs share
