@@ -26,8 +26,9 @@
 //!   [`Supervised`] wraps any backend and sleeps its backoffs;
 //!   [`crate::fleet::Fleet`] charges a worker's virtual clock and keeps
 //!   its lane-health scoreboard (quarantine → probation → reinstatement)
-//!   to itself; `logan-serve`'s simulator adds busy seconds on the
-//!   simulated clock. Every decision is recorded as a [`TraceEvent`];
+//!   to itself; `logan-serve`'s serving core hands a backoff to its
+//!   driver, which sleeps it (the threaded server) or adds busy seconds
+//!   on the simulated clock (the simulator). Every decision is recorded as a [`TraceEvent`];
 //!   driven sequentially, the trace is bit-reproducible from the seeds.
 //!
 //! One seed therefore replays the same storm at every layer. See
@@ -117,7 +118,7 @@ impl std::error::Error for BackendError {}
 
 /// Render a panic payload (what [`std::panic::catch_unwind`] hands
 /// back) as a human-readable string. Shared by [`Supervised`],
-/// [`crate::fleet::Fleet`], and `logan-serve`'s lane retirement so the
+/// [`crate::fleet::Fleet`], and `logan-serve`'s serving core so the
 /// payload-downcast logic lives in exactly one place.
 pub fn panic_detail(payload: &(dyn Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -151,7 +152,7 @@ pub fn lock_recover<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 
 /// SplitMix64 — the tiny deterministic generator behind every seeded
 /// jitter stream of the supervision stack (storm plans and backoff
-/// here, the serve simulator's retry schedule), so a trace is a function
+/// here, the serving core's retry schedule), so a trace is a function
 /// of its seed alone and `logan-core` needs no `rand` dependency.
 pub fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -615,8 +616,8 @@ impl AlignBackend for ChaosBackend {
     }
 }
 
-/// The per-block fault rule's knobs, shared by [`Supervised`] and the
-/// serve simulator (the fleet runs [`SupervisePolicy::default`] with no
+/// The per-block fault rule's knobs, shared by [`Supervised`] and
+/// `logan-serve`'s serving core (the fleet runs [`SupervisePolicy::default`] with no
 /// in-place retries). `Copy` so configs stay literal.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SupervisePolicy {
@@ -796,8 +797,8 @@ impl BlockLedger {
 
 /// What a supervisor does with a block after one of its attempts
 /// failed. Each caller applies it on its own clock: [`Supervised`]
-/// sleeps, the fleet charges a worker's virtual clock, the serve
-/// simulator adds busy seconds.
+/// sleeps, the fleet charges a worker's virtual clock, the serving
+/// core's drivers sleep (threaded) or add busy seconds (simulated).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Verdict {
     /// Retry on the same lane after a backoff.
@@ -899,8 +900,8 @@ impl Supervisor {
     }
 }
 
-/// Salt of [`Supervised`]'s jitter stream (the serve simulator has its
-/// own, so the two replay independently).
+/// Salt of [`Supervised`]'s jitter stream (`logan-serve`'s serving core
+/// has its own, so the two replay independently).
 const SUPERVISED_JITTER_SALT: u64 = 0x005E_ED0F_5AFE;
 
 struct SupState {

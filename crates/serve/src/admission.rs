@@ -5,28 +5,20 @@
 //! pairs never exceed its quota: a request is admitted iff it fits, and
 //! refused with an explicit [`ServeError::OverQuota`] reply otherwise.
 //!
-//! The accounting is shared by the threaded server and the simulated
-//! one, so the admission property tests exercise exactly the code the
-//! daemon runs.
+//! The serving core owns the one controller, so the threaded server,
+//! the simulator and the order explorer all run this code.
 
-use crate::lock::lock_recover;
 use crate::request::{ServeError, TenantId};
-use std::collections::HashMap;
-use std::sync::Mutex;
+use std::collections::BTreeMap;
 
-/// Thread-safe per-tenant in-flight accounting against one shared
-/// quota. Also records each tenant's high-water mark, which is what the
-/// load generator's assert mode checks against the quota invariant.
-#[derive(Debug)]
+/// Per-tenant in-flight accounting against one shared quota. Also
+/// records each tenant's high-water mark, the witness the simulator's
+/// assert mode checks against the quota invariant.
+#[derive(Debug, Clone)]
 pub struct Admission {
     quota_pairs: usize,
-    state: Mutex<AdmissionState>,
-}
-
-#[derive(Debug, Default)]
-struct AdmissionState {
-    in_flight: HashMap<TenantId, usize>,
-    peak: HashMap<TenantId, usize>,
+    in_flight: BTreeMap<TenantId, usize>,
+    peak: usize,
 }
 
 impl Admission {
@@ -41,7 +33,8 @@ impl Admission {
         assert!(quota_pairs >= 1, "admission quota must be at least 1 pair");
         Admission {
             quota_pairs,
-            state: Mutex::new(AdmissionState::default()),
+            in_flight: BTreeMap::new(),
+            peak: 0,
         }
     }
 
@@ -52,9 +45,8 @@ impl Admission {
 
     /// Admit `pairs` for `tenant`, or explain the refusal. On success
     /// the pairs count against the tenant until [`Admission::release`].
-    pub fn try_admit(&self, tenant: TenantId, pairs: usize) -> Result<(), ServeError> {
-        let mut st = lock_recover(&self.state);
-        let in_flight = st.in_flight.get(&tenant).copied().unwrap_or(0);
+    pub fn try_admit(&mut self, tenant: TenantId, pairs: usize) -> Result<(), ServeError> {
+        let in_flight = self.in_flight(tenant);
         if in_flight + pairs > self.quota_pairs {
             return Err(ServeError::OverQuota {
                 tenant,
@@ -63,42 +55,30 @@ impl Admission {
                 requested: pairs,
             });
         }
-        let now = in_flight + pairs;
-        st.in_flight.insert(tenant, now);
-        let peak = st.peak.entry(tenant).or_insert(0);
-        *peak = (*peak).max(now);
+        self.in_flight.insert(tenant, in_flight + pairs);
+        self.peak = self.peak.max(in_flight + pairs);
         Ok(())
     }
 
     /// Return `pairs` of quota to `tenant` — called exactly once per
     /// admitted request, when its single reply is sent (success *or*
     /// failure), so refused work never leaks quota.
-    pub fn release(&self, tenant: TenantId, pairs: usize) {
-        let mut st = lock_recover(&self.state);
-        let in_flight = st.in_flight.entry(tenant).or_insert(0);
+    pub fn release(&mut self, tenant: TenantId, pairs: usize) {
+        let in_flight = self.in_flight.entry(tenant).or_insert(0);
         debug_assert!(*in_flight >= pairs, "released more pairs than admitted");
         *in_flight = in_flight.saturating_sub(pairs);
     }
 
     /// Current in-flight pairs for `tenant`.
     pub fn in_flight(&self, tenant: TenantId) -> usize {
-        lock_recover(&self.state)
-            .in_flight
-            .get(&tenant)
-            .copied()
-            .unwrap_or(0)
+        self.in_flight.get(&tenant).copied().unwrap_or(0)
     }
 
     /// The highest in-flight count any single tenant ever reached —
     /// the invariant witness: it must never exceed
     /// [`Admission::quota_pairs`].
     pub fn peak_in_flight(&self) -> usize {
-        lock_recover(&self.state)
-            .peak
-            .values()
-            .copied()
-            .max()
-            .unwrap_or(0)
+        self.peak
     }
 }
 
@@ -108,7 +88,7 @@ mod tests {
 
     #[test]
     fn admits_within_quota_and_refuses_past_it() {
-        let adm = Admission::new(10);
+        let mut adm = Admission::new(10);
         assert!(adm.try_admit(1, 6).is_ok());
         assert!(adm.try_admit(1, 4).is_ok());
         // Tenant 1 is now full; tenant 2 is untouched (quotas are
@@ -133,7 +113,7 @@ mod tests {
 
     #[test]
     fn oversized_request_is_refused_with_the_full_story() {
-        let adm = Admission::new(5);
+        let mut adm = Admission::new(5);
         match adm.try_admit(7, 9).unwrap_err() {
             ServeError::OverQuota {
                 tenant,

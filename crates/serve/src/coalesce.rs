@@ -7,10 +7,10 @@
 //! slice of which request each stretch of the batch came from, so
 //! results scatter back per-request in the request's own pair order.
 //!
-//! The coalescer is deliberately single-threaded state (the server
-//! drives it under its queue lock; the simulator drives it inline):
-//! batching decisions are FIFO-deterministic given the admission order,
-//! which is what makes the differential suite meaningful.
+//! The coalescer is deliberately single-threaded state, owned by the
+//! serving core (`core.rs`) that every driver runs: batching decisions
+//! are FIFO-deterministic given the admission order, which is what
+//! makes the differential suite meaningful.
 
 use crate::request::RequestId;
 use logan_seq::readsim::ReadPair;
@@ -48,7 +48,7 @@ impl Batch {
     }
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct PendingRequest {
     id: RequestId,
     pairs: Vec<ReadPair>,
@@ -62,7 +62,7 @@ struct PendingRequest {
 }
 
 /// The FIFO coalescing queue.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Coalescer {
     batch_pairs: usize,
     pending: VecDeque<PendingRequest>,
@@ -83,17 +83,6 @@ impl Coalescer {
             pending: VecDeque::new(),
             pending_pairs: 0,
         }
-    }
-
-    /// Enqueue an admitted request's pairs (arrival time 0 — use
-    /// [`Coalescer::push_at`] when deadlines matter).
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty request — the server replies to those
-    /// directly without queueing (nothing to align).
-    pub fn push(&mut self, id: RequestId, pairs: Vec<ReadPair>) {
-        self.push_at(id, pairs, 0.0);
     }
 
     /// Enqueue an admitted request's pairs, stamped with its arrival
@@ -197,6 +186,16 @@ impl Coalescer {
         Some(batch)
     }
 
+    /// Each pending request's id, first unbatched pair and arrival
+    /// stamp in FIFO order: the queue's state but for the pairs.
+    #[cfg(test)]
+    pub(crate) fn cursors(&self) -> Vec<(RequestId, usize, u64)> {
+        self.pending
+            .iter()
+            .map(|r| (r.id, r.cursor, r.arrival_s.to_bits()))
+            .collect()
+    }
+
     /// Abandon the queue, returning the ids of every request that still
     /// had unbatched pairs (each id once, FIFO order) — the failure
     /// path when no backend lane survives to drain them.
@@ -220,9 +219,9 @@ mod tests {
     #[test]
     fn coalesces_small_requests_into_one_batch() {
         let mut c = Coalescer::new(10);
-        c.push(1, pairs(3, 1));
-        c.push(2, pairs(4, 2));
-        c.push(3, pairs(2, 3));
+        c.push_at(1, pairs(3, 1), 0.0);
+        c.push_at(2, pairs(4, 2), 0.0);
+        c.push_at(3, pairs(2, 3), 0.0);
         assert_eq!((c.pending_requests(), c.pending_pairs()), (3, 9));
         let b = c.next_batch().unwrap();
         assert_eq!(b.pairs.len(), 9);
@@ -255,7 +254,7 @@ mod tests {
     fn splits_an_oversized_request_across_batches() {
         let mut c = Coalescer::new(4);
         let p = pairs(10, 9);
-        c.push(7, p.clone());
+        c.push_at(7, p.clone(), 0.0);
         let mut seen = Vec::new();
         let mut batches = 0;
         while let Some(b) = c.next_batch() {
@@ -280,8 +279,8 @@ mod tests {
     #[test]
     fn batch_boundary_splits_the_straddling_request() {
         let mut c = Coalescer::new(5);
-        c.push(1, pairs(3, 4));
-        c.push(2, pairs(4, 5));
+        c.push_at(1, pairs(3, 4), 0.0);
+        c.push_at(2, pairs(4, 5), 0.0);
         let b1 = c.next_batch().unwrap();
         assert_eq!(b1.pairs.len(), 5);
         assert_eq!(b1.spans[1].req, 2);
@@ -301,8 +300,8 @@ mod tests {
     #[test]
     fn per_request_mode_never_mixes_requests() {
         let mut c = Coalescer::new(100);
-        c.push(1, pairs(3, 6));
-        c.push(2, pairs(5, 7));
+        c.push_at(1, pairs(3, 6), 0.0);
+        c.push_at(2, pairs(5, 7), 0.0);
         let b1 = c.next_request_batch().unwrap();
         assert_eq!((b1.spans.len(), b1.pairs.len()), (1, 3));
         let b2 = c.next_request_batch().unwrap();
@@ -336,8 +335,8 @@ mod tests {
     #[test]
     fn drain_names_each_abandoned_request_once() {
         let mut c = Coalescer::new(2);
-        c.push(5, pairs(5, 8));
-        c.push(6, pairs(1, 9));
+        c.push_at(5, pairs(5, 8), 0.0);
+        c.push_at(6, pairs(1, 9), 0.0);
         let _ = c.next_batch(); // request 5 now split: 2 taken, 3 pending
         assert_eq!(c.drain_requests(), vec![5, 6]);
         assert!(c.is_empty());

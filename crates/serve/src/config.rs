@@ -16,8 +16,8 @@ pub struct ServeConfig {
     pub batch_pairs: usize,
     /// Bounded submission queue, in *requests* awaiting batching. The
     /// threaded server blocks submitters at the bound (backpressure);
-    /// the open-loop simulator sheds with an explicit
-    /// [`crate::ServeError::QueueFull`] reply instead.
+    /// the open-loop simulator, whose arrivals cannot wait, records
+    /// [`crate::SimOutcome::Shed`] instead.
     pub queue_depth: usize,
     /// Per-tenant admission quota, in in-flight pairs (queued plus
     /// being aligned). A request is admitted iff the tenant's in-flight

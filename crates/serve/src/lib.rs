@@ -19,23 +19,25 @@
 //!   submitters at the bound (backpressure, the PR 4 idiom); the
 //!   open-loop simulator ([`sim`]) sheds with an explicit outcome.
 //!
-//! Correctness and performance live in different harnesses on purpose.
-//! The threaded [`Server`] proves the concurrent behavior — exactly-once
-//! replies, graceful shutdown draining in-flight work, panic-safe lane
-//! retirement — on real threads. The discrete-event simulator in
-//! [`sim`] makes every *latency and throughput* claim on the simulated
-//! clock, the repo's only performance time domain (the container is
-//! single-core; threaded wall time would measure the host). Both run
-//! the same coalescer and admission code, and the backends are
-//! result-deterministic, so the differential suite can demand
-//! bit-identical results against direct per-request alignment.
+//! One clockless serving core (`core.rs`) holds all of that state —
+//! the coalescer, admission, per-request assemblies, the supervisor's
+//! per-batch ledgers, lane liveness and the exactly-once ledger — and
+//! three drivers feed it events. The threaded [`Server`] runs it under
+//! one mutex on real threads and the wall clock. The discrete-event
+//! simulator in [`sim`] runs it on the simulated clock, the repo's only
+//! performance time domain, and makes every *latency and throughput*
+//! claim. A test-only explorer runs it through every order of events up
+//! to a bound and checks the ledger after each step. So what a fault
+//! does to a request is decided once, whichever driver runs it, and the
+//! backends are result-deterministic, so the differential suite can
+//! demand bit-identical results against direct per-request alignment.
 
 #![warn(missing_docs)]
 
 pub mod admission;
 pub mod coalesce;
 pub mod config;
-mod lock;
+mod core;
 pub mod request;
 pub mod server;
 pub mod sim;
@@ -43,8 +45,6 @@ pub mod sim;
 pub use admission::Admission;
 pub use coalesce::{Batch, BatchSpan, Coalescer};
 pub use config::ServeConfig;
-pub use request::{
-    AlignRequest, AlignResponse, Reply, ReplyHandle, RequestId, ServeError, TenantId,
-};
+pub use request::{AlignResponse, Reply, ReplyHandle, RequestId, ServeError, TenantId};
 pub use server::{ServeStats, Server};
 pub use sim::{simulate, ArrivalProcess, SimConfig, SimOutcome, SimReport, SimRequest};

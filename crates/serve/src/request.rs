@@ -13,19 +13,6 @@ pub type RequestId = u64;
 /// of it says it is; quotas are per-id.
 pub type TenantId = u32;
 
-/// One alignment request: a tenant asking for a block of read pairs to
-/// be seed-extended. Pairs are aligned independently, so the service is
-/// free to coalesce them with other requests' pairs or split them
-/// across batches — results come back in the request's own pair order
-/// regardless.
-#[derive(Debug, Clone)]
-pub struct AlignRequest {
-    /// Who is asking (admission accounting key).
-    pub tenant: TenantId,
-    /// The pairs to align, each with its planted seed.
-    pub pairs: Vec<logan_seq::readsim::ReadPair>,
-}
-
 /// A successful reply: per-pair results in the request's pair order —
 /// bit-identical to aligning the request's pairs directly on the
 /// backend, whatever batching the service chose (the `serve-equivalence`
@@ -59,20 +46,12 @@ pub enum ServeError {
         /// Pairs this request asked for.
         requested: usize,
     },
-    /// The open-loop harness shed the request because the bounded
-    /// submission queue was full. The threaded server never sheds — a
-    /// full queue *blocks* the submitting client (closed-loop
-    /// backpressure, PR 4's bounded-channel rule); only the simulator's
-    /// open-loop arrivals, which cannot block, turn queue pressure into
-    /// an explicit rejection.
-    QueueFull {
-        /// The configured queue depth (requests).
-        depth: usize,
-    },
-    /// The backend lane aligning (part of) this request panicked, or
-    /// every lane has already retired. Only requests with pairs in a
-    /// panicking batch — plus everything still queued once *no* lane
-    /// survives — fail this way; other requests are unaffected.
+    /// A batch carrying (part of) this request failed past recovery
+    /// (a backend error or panic the supervision policy, if any, could
+    /// not absorb), or every lane has already retired. Only requests
+    /// with pairs in the failed batch — plus everything still queued
+    /// once *no* lane survives — fail this way; other requests are
+    /// unaffected.
     BackendFailed {
         /// Human-readable cause (panic payload or retirement note).
         detail: String,
@@ -103,9 +82,6 @@ impl std::fmt::Display for ServeError {
                 f,
                 "tenant {tenant} over quota: {in_flight} pairs in flight + {requested} requested > quota {quota}"
             ),
-            ServeError::QueueFull { depth } => {
-                write!(f, "submission queue full ({depth} requests)")
-            }
             ServeError::BackendFailed { detail } => write!(f, "backend failed: {detail}"),
             ServeError::ShuttingDown => write!(f, "server is shutting down"),
             ServeError::DeadlineExceeded => {

@@ -1,263 +1,101 @@
 //! The threaded server: a long-running daemon over any
-//! [`AlignBackend`]. One worker thread per backend lane pulls coalesced
-//! batches from a bounded FIFO queue; admission control refuses work
-//! up front; shutdown drains everything admitted; a panicking lane
-//! retires itself and fails only the requests it was carrying.
+//! [`AlignBackend`]. It is the serving core (`core.rs`) behind one
+//! mutex, a condition variable, and one thread per backend lane that
+//! takes a batch, aligns it outside the lock and hands the outcome back.
+//! Replies are sent after the lock is dropped, a retry's backoff is
+//! slept outside it, and a full queue blocks the submitter. The lock
+//! recovers from poisoning: the core is plain bookkeeping, and a backend
+//! panic is caught outside it (`DESIGN.md` §12).
 //!
-//! ```text
-//! submit() ──admission──▶ [bounded queue / Coalescer] ──▶ lane 0 ──▶
-//!    │  over quota: Err        │ blocks submitters        lane 1 ──▶ scatter ──▶ Reply
-//!    └──────────────▶ Reply    │ when full (PR 4 rule)    ...lanes()
-//! ```
-//!
-//! **Exactly-once replies.** Every submission resolves to exactly one
-//! [`Reply`]: an immediate rejection (over quota, shutting down, all
-//! lanes dead, or a trivially empty request), a success carrying
-//! per-pair results in request order, or a backend failure. The
-//! shutdown and fault suites (`tests/serve_shutdown.rs`) pin this.
-//!
-//! **Bit-identical results.** Pairs are aligned independently by a
-//! result-deterministic backend, so however the coalescer batches or
-//! splits requests — and whichever lane runs each batch — a successful
-//! reply equals aligning the request's pairs directly on the backend
-//! (`tests/serve_equivalence.rs`, premerge step `serve-equivalence`).
+//! Every submission gets exactly one [`Reply`] (`tests/serve_shutdown.rs`
+//! drives the core's ledger on threads), and however the coalescer
+//! batches or splits requests, a successful reply equals aligning the
+//! request's pairs directly on the backend (`tests/serve_equivalence.rs`).
 
-use crate::admission::Admission;
-use crate::coalesce::{Batch, Coalescer};
 use crate::config::ServeConfig;
-use crate::lock::{lock_recover, wait_recover};
-use crate::request::{AlignResponse, Reply, ReplyHandle, RequestId, ServeError, TenantId};
-use logan_align::SeedExtendResult;
-use logan_core::faults::{catch_align, BackendError};
+pub use crate::core::ServeStats;
+use crate::core::{run_batch, ServeCore, Step};
+use crate::request::{Reply, ReplyHandle, TenantId};
+use logan_core::faults::{lock_recover, SupervisePolicy};
 use logan_core::AlignBackend;
 use logan_seq::readsim::ReadPair;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-/// Lifetime counters of one server, returned by [`Server::shutdown`].
-/// `submitted == completed + failed + over_quota + rejected_shutdown +
-/// deadline_exceeded` once the server has drained — the exactly-once
-/// ledger.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ServeStats {
-    /// Requests submitted (including refused ones).
-    pub submitted: usize,
-    /// Requests answered with results.
-    pub completed: usize,
-    /// Requests answered with [`ServeError::BackendFailed`].
-    pub failed: usize,
-    /// Requests refused at admission ([`ServeError::OverQuota`]).
-    pub over_quota: usize,
-    /// Requests refused because shutdown had begun.
-    pub rejected_shutdown: usize,
-    /// Requests evicted from the queue past their deadline
-    /// ([`ServeError::DeadlineExceeded`]).
-    pub deadline_exceeded: usize,
-    /// Backend submissions issued.
-    pub batches: usize,
-    /// Pairs across all submissions.
-    pub batched_pairs: usize,
-    /// Submissions that coalesced more than one request.
-    pub coalesced_batches: usize,
-    /// Largest single submission, in pairs.
-    pub max_batch_pairs: usize,
-    /// Lanes that retired after a backend panic.
-    pub lanes_retired: usize,
-}
-
-struct Assembly {
-    tenant: TenantId,
-    slots: Vec<Option<SeedExtendResult>>,
-    filled: usize,
-    batches: usize,
-    tx: mpsc::Sender<Reply>,
-}
-
-struct QueueState {
-    queue: Coalescer,
-    /// Shutdown has begun: no new admissions, drain what is queued.
-    closed: bool,
-    /// Lanes still serving (decremented on panic retirement).
-    alive: usize,
-}
+type Core = ServeCore<mpsc::Sender<Reply>>;
 
 struct Shared {
     cfg: ServeConfig,
     backend: Arc<dyn AlignBackend>,
-    state: Mutex<QueueState>,
+    core: Mutex<Core>,
     cv: Condvar,
-    assemblies: Mutex<HashMap<RequestId, Assembly>>,
-    admission: Admission,
-    stats: Mutex<ServeStats>,
-    next_id: AtomicU64,
-    /// Wall-clock origin for request ages (deadline accounting).
+    /// Wall-clock origin of the core's time (deadline accounting).
     epoch: Instant,
 }
 
+/// Wait on `cv`, recovering the core's guard if a holder panicked
+/// while this thread slept (see [`lock_recover`]).
+fn wait_recover<'a>(cv: &Condvar, guard: MutexGuard<'a, Core>) -> MutexGuard<'a, Core> {
+    cv.wait(guard).unwrap_or_else(PoisonError::into_inner)
+}
+
 impl Shared {
-    /// Scatter one successful batch back to its requests; any request
-    /// whose last outstanding pair this fills gets its (single) reply.
-    fn complete_batch(&self, batch: &Batch, results: Vec<SeedExtendResult>) {
-        debug_assert_eq!(results.len(), batch.pairs.len());
-        let mut asm = lock_recover(&self.assemblies);
-        let mut off = 0usize;
-        for span in &batch.spans {
-            let chunk = &results[off..off + span.len];
-            off += span.len;
-            // A request that already failed (another batch of it
-            // panicked) has left the table; its surviving slices are
-            // aligned and discarded.
-            let Some(a) = asm.get_mut(&span.req) else {
-                continue;
-            };
-            for (k, r) in chunk.iter().enumerate() {
-                debug_assert!(a.slots[span.offset + k].is_none(), "pair filled twice");
-                a.slots[span.offset + k] = Some(*r);
-            }
-            a.filled += span.len;
-            a.batches += 1;
-            if a.filled == a.slots.len() {
-                let a = asm.remove(&span.req).expect("assembly vanished");
-                let pairs = a.slots.len();
-                let results = a
-                    .slots
-                    .into_iter()
-                    .map(|s| s.expect("slot empty"))
-                    .collect();
-                let _ = a.tx.send(Ok(AlignResponse {
-                    id: span.req,
-                    results,
-                    batches: a.batches,
-                }));
-                self.admission.release(a.tenant, pairs);
-                lock_recover(&self.stats).completed += 1;
-            }
+    fn now(&self) -> f64 {
+        self.epoch.elapsed().as_secs_f64()
+    }
+
+    /// Wake every waiter, drop the lock, then send the replies the core
+    /// produced while it was held.
+    fn release(&self, mut core: MutexGuard<'_, Core>) {
+        let replies = core.take_replies();
+        self.cv.notify_all();
+        drop(core);
+        for (tx, reply) in replies {
+            let _ = tx.send(reply);
         }
     }
 
-    /// Fail one request (if it has not already been replied to):
-    /// explicit error reply, quota released, counted.
-    fn fail_request(&self, id: RequestId, detail: &str) {
-        let mut asm = lock_recover(&self.assemblies);
-        if let Some(a) = asm.remove(&id) {
-            let _ = a.tx.send(Err(ServeError::BackendFailed {
-                detail: detail.to_string(),
-            }));
-            self.admission.release(a.tenant, a.slots.len());
-            lock_recover(&self.stats).failed += 1;
-        }
-    }
-
-    /// Expire one queued request past its deadline: explicit
-    /// [`ServeError::DeadlineExceeded`] reply, quota released, counted.
-    fn expire_request(&self, id: RequestId) {
-        let mut asm = lock_recover(&self.assemblies);
-        if let Some(a) = asm.remove(&id) {
-            let _ = a.tx.send(Err(ServeError::DeadlineExceeded));
-            self.admission.release(a.tenant, a.slots.len());
-            lock_recover(&self.stats).deadline_exceeded += 1;
-        }
-    }
-
-    fn bump_batch_stats(&self, batch: &Batch) {
-        let mut stats = lock_recover(&self.stats);
-        stats.batches += 1;
-        stats.batched_pairs += batch.pairs.len();
-        stats.coalesced_batches += batch.is_coalesced() as usize;
-        stats.max_batch_pairs = stats.max_batch_pairs.max(batch.pairs.len());
-    }
-
-    /// Retire this lane; if it was the last, fail everything queued so
-    /// nothing waits on a server that can no longer serve.
-    fn retire_lane(&self) {
-        let orphans = {
-            let mut st = lock_recover(&self.state);
-            st.alive -= 1;
-            lock_recover(&self.stats).lanes_retired += 1;
-            let orphans = if st.alive == 0 {
-                // Last lane down: nobody is left to drain the queue —
-                // fail it rather than hang it.
-                st.queue.drain_requests()
-            } else {
-                Vec::new()
-            };
-            self.cv.notify_all();
-            orphans
-        };
-        for id in orphans {
-            self.fail_request(id, "all backend lanes retired after panics");
-        }
-    }
-
-    /// One lane's serving loop: evict deadline-expired requests, take a
-    /// batch, align it on the fallible path ([`AlignBackend::try_align_block_on`]
-    /// with panics caught as [`BackendError::Panic`]), scatter the
-    /// results. A transient or poison error fails only that batch's
-    /// requests — the lane keeps serving; a fail-stop or panic retires
-    /// the lane (PR 5's one-way retirement, now the degenerate case).
+    /// One lane's loop: take a batch (or wait for one), then attempt it
+    /// outside the lock until the core is done with it — a retry here
+    /// after its backoff, or a settle. The core decides everything else.
     fn serve_lane(&self, lane: usize) {
         loop {
-            let (batch, expired) = {
-                let mut st = lock_recover(&self.state);
-                loop {
-                    let expired = match self.cfg.deadline_s {
-                        Some(d) => st
-                            .queue
-                            .purge_expired(self.epoch.elapsed().as_secs_f64(), d),
-                        None => Vec::new(),
-                    };
-                    if let Some(batch) = st.queue.next_batch() {
-                        // Queue space freed: wake blocked submitters
-                        // (and idle lanes, if pairs remain).
-                        self.cv.notify_all();
-                        break (Some(batch), expired);
-                    }
-                    if st.closed {
-                        break (None, expired);
-                    }
-                    if !expired.is_empty() {
-                        // Evictions freed queue space too.
-                        self.cv.notify_all();
-                        break (None, expired);
-                    }
-                    st = wait_recover(&self.cv, st);
+            let mut core = lock_recover(&self.core);
+            let job = loop {
+                core.expire(self.now());
+                if let Some(job) = core.take(lane) {
+                    break Some(job);
                 }
+                if core.lane_done(lane) || core.has_replies() {
+                    break None;
+                }
+                core = wait_recover(&self.cv, core);
             };
-            for id in expired {
-                self.expire_request(id);
-            }
-            let Some(batch) = batch else {
-                let closed = lock_recover(&self.state).closed;
-                if closed {
-                    return; // drained and closed: graceful exit
+            let done = job.is_none() && core.lane_done(lane);
+            self.release(core);
+            let Some(mut job) = job else {
+                if done {
+                    return;
                 }
-                continue; // only evictions this round: keep serving
+                continue; // deadline evictions answered: wait again
             };
-            self.bump_batch_stats(&batch);
-            let outcome = catch_align(|| self.backend.try_align_block_on(lane, &batch.pairs))
-                .and_then(|inner| inner);
-            match outcome {
-                Ok((results, _report)) => self.complete_batch(&batch, results),
-                Err(err) => {
-                    let detail = err.to_string();
-                    for span in &batch.spans {
-                        self.fail_request(span.req, &detail);
+            loop {
+                let result = run_batch(&*self.backend, lane, &job.batch.pairs);
+                let mut core = lock_recover(&self.core);
+                let retry = match core.finish(lane, job, result.map(|(results, _)| results)) {
+                    Step::Retry { job, delay_s } => Some((job, delay_s)),
+                    Step::Done(settle) => {
+                        core.settle(settle);
+                        None
                     }
-                    match err {
-                        // Recoverable or data-bound: the batch failed,
-                        // the lane is fine.
-                        BackendError::Transient { .. } | BackendError::Poison { .. } => continue,
-                        // The lane is gone (device off the bus) or in
-                        // an unknown state (unwound mid-kernel): retire.
-                        BackendError::FailStop { .. } | BackendError::Panic { .. } => {
-                            self.retire_lane();
-                            return; // this lane is done
-                        }
-                    }
-                }
+                };
+                self.release(core);
+                let Some((again, delay_s)) = retry else {
+                    break;
+                };
+                std::thread::sleep(Duration::try_from_secs_f64(delay_s).unwrap_or_default());
+                job = again;
             }
         }
     }
@@ -275,9 +113,21 @@ pub struct Server {
 impl Server {
     /// Start serving: validates `cfg`, then spawns one worker thread
     /// per backend lane ([`AlignBackend::lanes`]), each feeding its
-    /// lane via [`AlignBackend::align_block_on`] — a fleet backend gets
-    /// one server lane per member, a single device gets one.
+    /// lane via [`AlignBackend::try_align_block_on`] — a fleet backend
+    /// gets one server lane per member, a single device gets one.
+    /// Unsupervised: a failed batch fails its requests.
     pub fn start(backend: Arc<dyn AlignBackend>, cfg: ServeConfig) -> Result<Server, String> {
+        Server::start_with(backend, cfg, None)
+    }
+
+    /// [`Server::start`], with the serving core applying `supervise`'s
+    /// verdicts to failed batches: a retry on the lane after a backoff,
+    /// a move to another lane, or a poison failure (`DESIGN.md` §12).
+    pub fn start_with(
+        backend: Arc<dyn AlignBackend>,
+        cfg: ServeConfig,
+        supervise: Option<SupervisePolicy>,
+    ) -> Result<Server, String> {
         let cfg = cfg.validated()?;
         // The config's score profile (the `matrix=` knob) is a promise
         // to clients about the scoring system replies are expressed in;
@@ -293,16 +143,8 @@ impl Server {
         }
         let lanes = backend.lanes().max(1);
         let shared = Arc::new(Shared {
-            admission: Admission::new(cfg.quota_pairs),
-            state: Mutex::new(QueueState {
-                queue: Coalescer::new(cfg.batch_pairs),
-                closed: false,
-                alive: lanes,
-            }),
+            core: Mutex::new(ServeCore::new(cfg, lanes, supervise, true, false)),
             cv: Condvar::new(),
-            assemblies: Mutex::new(HashMap::new()),
-            stats: Mutex::new(ServeStats::default()),
-            next_id: AtomicU64::new(0),
             epoch: Instant::now(),
             cfg,
             backend,
@@ -340,66 +182,20 @@ impl Server {
     /// results — there is nothing to align.
     pub fn submit(&self, tenant: TenantId, pairs: Vec<ReadPair>) -> ReplyHandle {
         let shared = &self.shared;
-        let id = shared.next_id.fetch_add(1, Ordering::Relaxed);
         let (tx, rx) = mpsc::channel();
-        let handle = ReplyHandle { id, rx };
-        lock_recover(&shared.stats).submitted += 1;
-        if pairs.is_empty() {
-            let _ = tx.send(Ok(AlignResponse {
-                id,
-                results: Vec::new(),
-                batches: 0,
-            }));
-            lock_recover(&shared.stats).completed += 1;
-            return handle;
-        }
-        if let Err(refusal) = shared.admission.try_admit(tenant, pairs.len()) {
-            let _ = tx.send(Err(refusal));
-            lock_recover(&shared.stats).over_quota += 1;
-            return handle;
-        }
-        // Admitted: hold quota until the single reply, whatever it is.
-        let mut st = lock_recover(&shared.state);
-        while st.queue.pending_requests() >= shared.cfg.queue_depth && !st.closed && st.alive > 0 {
-            st = wait_recover(&shared.cv, st);
-        }
-        if st.closed || st.alive == 0 {
-            let reply = if st.closed {
-                lock_recover(&shared.stats).rejected_shutdown += 1;
-                Err(ServeError::ShuttingDown)
-            } else {
-                lock_recover(&shared.stats).failed += 1;
-                Err(ServeError::BackendFailed {
-                    detail: "all backend lanes retired after panics".into(),
-                })
-            };
-            drop(st);
-            shared.admission.release(tenant, pairs.len());
-            let _ = tx.send(reply);
-            return handle;
-        }
-        // Register the assembly before the queue sees the request, so a
-        // fast lane cannot complete pairs that have nowhere to land.
-        lock_recover(&shared.assemblies).insert(
-            id,
-            Assembly {
-                tenant,
-                slots: vec![None; pairs.len()],
-                filled: 0,
-                batches: 0,
-                tx,
-            },
-        );
-        st.queue
-            .push_at(id, pairs, shared.epoch.elapsed().as_secs_f64());
-        shared.cv.notify_all();
-        drop(st);
-        handle
-    }
-
-    /// A submit taking the request struct (same semantics).
-    pub fn submit_request(&self, request: crate::AlignRequest) -> ReplyHandle {
-        self.submit(request.tenant, request.pairs)
+        let mut core = lock_recover(&shared.core);
+        let mut request = (tx, pairs);
+        let id = loop {
+            match core.submit(tenant, request.1, request.0, shared.now()) {
+                Ok(id) => break id,
+                Err(full) => {
+                    request = full;
+                    core = wait_recover(&shared.cv, core);
+                }
+            }
+        };
+        shared.release(core);
+        ReplyHandle { id, rx }
     }
 
     /// Graceful shutdown: refuse new submissions, drain every queued
@@ -407,33 +203,26 @@ impl Server {
     /// the lifetime stats. Idempotent — later calls just return the
     /// (final) stats again.
     pub fn shutdown(&self) -> ServeStats {
-        {
-            let mut st = lock_recover(&self.shared.state);
-            st.closed = true;
-            self.shared.cv.notify_all();
-        }
+        lock_recover(&self.shared.core).close();
+        self.shared.cv.notify_all();
         let workers: Vec<_> = lock_recover(&self.workers).drain(..).collect();
         for w in workers {
             let _ = w.join();
         }
         // Defensive sweep: with the lanes joined, every admitted
-        // request must have been replied to. If one slipped through
-        // (e.g. a lane died with a lock poisoned mid-scatter), a late
-        // error reply still beats a client waiting forever.
-        let leftovers: Vec<RequestId> = lock_recover(&self.shared.assemblies)
-            .keys()
-            .copied()
-            .collect();
-        for id in leftovers {
-            self.shared
-                .fail_request(id, "server shut down with the request unreplied");
-        }
-        lock_recover(&self.shared.stats).clone()
+        // request has been answered, unless a lane thread died outside
+        // its batch. A late error reply still beats a client waiting
+        // forever.
+        let mut core = lock_recover(&self.shared.core);
+        core.fail_all("server shut down with the request unreplied");
+        let stats = core.stats().clone();
+        self.shared.release(core);
+        stats
     }
 
     /// Lifetime counters so far (shutdown returns the final ledger).
     pub fn stats(&self) -> ServeStats {
-        lock_recover(&self.shared.stats).clone()
+        lock_recover(&self.shared.core).stats().clone()
     }
 }
 
@@ -446,7 +235,9 @@ impl Drop for Server {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use logan_align::{Engine, XDropCpuAligner};
+    use crate::request::ServeError;
+    use logan_align::{Engine, SeedExtendResult, XDropCpuAligner};
+    use logan_core::faults::BackendError;
     use logan_seq::readsim::PairSet;
     use logan_seq::Scoring;
 
@@ -554,19 +345,18 @@ mod tests {
         assert_eq!(server.stats().rejected_shutdown, 1);
     }
 
-    /// The satellite regression: a lane dying while it holds the stats
-    /// mutex used to poison it, and every later `.expect("stats
-    /// poisoned")` turned unrelated submissions into panics. With the
-    /// recovering lock discipline the server keeps serving.
+    /// A thread dying while it holds the core's lock poisons it; with
+    /// the recovering lock discipline every later submission and lane
+    /// still gets through, so one death cannot cascade into panics.
     #[test]
     fn poisoned_stats_lock_does_not_cascade() {
         let server = Server::start(cpu_backend(), ServeConfig::default()).unwrap();
-        // Panic mid-stats-update, exactly as a dying lane would.
+        // Panic mid-update, exactly as a dying lane would.
         let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _guard = server.shared.stats.lock().unwrap();
+            let _guard = server.shared.core.lock().unwrap();
             panic!("injected: lane died mid-stats-update");
         }));
-        assert!(server.shared.stats.is_poisoned(), "the lock is poisoned");
+        assert!(server.shared.core.is_poisoned(), "the lock is poisoned");
         // Unrelated requests still complete, and the ledger still adds up.
         let pairs = reqs(&[3], 21).remove(0);
         let resp = server.submit(0, pairs).recv().expect("server must survive");

@@ -1,58 +1,40 @@
 //! The open-loop latency harness: a deterministic discrete-event
-//! simulation of the serving loop on the **simulated clock**, the same
-//! time domain as every other performance claim in this repo (this
-//! container is single-core, so threaded wall-clock latency would
-//! measure the host, not the service).
+//! simulation of the serving core (`core.rs`) on the **simulated
+//! clock**, the time domain of every performance claim in this repo
+//! (threaded wall-clock latency on this host would measure the host,
+//! not the service).
 //!
-//! The simulator runs the *real* service components — the
-//! [`Coalescer`] and the [`Admission`] controller the threaded server
-//! uses — against a real backend: each batch is actually aligned
-//! (`align_block_on`), and its service time is the batch's simulated
-//! device seconds plus the per-submission setup charge
-//! ([`ServeConfig::batch_setup_s`]). Host-only lanes, which report no
-//! simulated time, are charged `cells / throughput_hint_on(lane)`
-//! instead — deterministic either way, so every latency percentile is
-//! reproducible bit for bit from the seed.
+//! The core is the one the threaded server runs, and the backend is
+//! real: each batch is aligned through the same caught, fallible call
+//! the server makes, and its service time is the batch's simulated
+//! device seconds (`cells / throughput_hint_on(lane)` on host-only
+//! lanes) plus the setup charge ([`ServeConfig::batch_setup_s`]), so
+//! every percentile is reproducible bit for bit from the seed. A lane is
+//! busy until that time, and only then is its batch settled. Arrivals
+//! are open-loop ([`ArrivalProcess`]): they cannot wait, so a full
+//! queue *sheds* ([`SimOutcome::Shed`]) where the server blocks.
 //!
-//! Arrivals are an open-loop process ([`ArrivalProcess`]): requests
-//! arrive when they arrive, regardless of service state — millions of
-//! users are arrival rates, not threads. A full queue therefore *sheds*
-//! (the explicit [`SimOutcome::Shed`] outcome) where the closed-loop
-//! threaded server would block the submitter.
-//!
-//! **Chaos and supervision** (`DESIGN.md` §12): a [`FaultPlan`] in
-//! [`SimConfig::chaos`] injects the storm on the simulated clock —
-//! transient launch failures, fail-stop lane deaths, degraded and
-//! stalled service times — keyed by per-lane *attempt* index, exactly
-//! like [`logan_core::ChaosBackend`]. Without supervision
-//! ([`SimConfig::supervise`]` = None`) a faulted batch fails its
-//! requests and a fail-stop retires the lane for good — the PR 5/6
-//! degenerate behavior. With a [`SupervisePolicy`], the simulator is
-//! one of the three callers of [`logan_core::faults::Supervisor`]: the
-//! supervisor's verdict on each fault decides whether the batch retries
-//! in place (its backoff is added to the lane's busy seconds), moves to
-//! a lane the retake rule admits, or fails as poison; the simulator
-//! keeps no copy of those rules. Every decision lands in the
-//! [`SimReport::trace`], byte-reproducible from the seeds.
-//! [`ServeConfig::deadline_s`] evicts requests that age out while fully
-//! queued, with an explicit [`SimOutcome::DeadlineExceeded`].
+//! **Chaos** (`DESIGN.md` §12): a [`FaultPlan`] in [`SimConfig::chaos`]
+//! injects the storm keyed by per-lane *attempt* index, exactly like
+//! [`logan_core::ChaosBackend`], and a batch's retry chain is resolved
+//! at dispatch: the core's verdict on each fault retries in place (the
+//! backoff adds to the lane's busy seconds), moves the batch, or fails
+//! it. Every decision lands in [`SimReport::trace`], byte-reproducible
+//! from the seeds.
 //!
 //! Every run is also an **assert-mode** check of the service
-//! invariants: every arrival resolves to exactly one outcome (no
-//! silent drops), no tenant's in-flight pairs ever exceed the quota,
-//! and all admitted quota is returned by the end.
+//! invariants: every arrival resolves to exactly one outcome, no
+//! tenant's in-flight pairs ever exceed the quota, and all admitted
+//! quota is returned by the end.
 
-use crate::admission::Admission;
-use crate::coalesce::{BatchSpan, Coalescer};
 use crate::config::ServeConfig;
-use crate::request::TenantId;
-use logan_core::faults::{
-    BlockLedger, FaultPlan, SupervisePolicy, Supervisor, TraceEvent, Verdict,
-};
+use crate::core::{run_batch, Job, ServeCore, Settle, Step};
+use crate::request::{ServeError, TenantId};
+use logan_core::faults::{FaultPlan, SupervisePolicy, TraceEvent};
 use logan_core::AlignBackend;
 use logan_seq::readsim::{PairSet, ReadPair};
 use rand::{rngs::StdRng, Rng, SeedableRng};
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::BTreeMap;
 
 /// A seeded arrival-time process.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -77,23 +59,6 @@ pub enum ArrivalProcess {
 }
 
 impl ArrivalProcess {
-    /// The process's mean rate in requests per second.
-    pub fn rate_rps(&self) -> f64 {
-        match *self {
-            ArrivalProcess::Poisson { rate_rps } | ArrivalProcess::Bursty { rate_rps, .. } => {
-                rate_rps
-            }
-        }
-    }
-
-    /// Short label for tables (`poisson` / `bursty:8`).
-    pub fn label(&self) -> String {
-        match *self {
-            ArrivalProcess::Poisson { .. } => "poisson".into(),
-            ArrivalProcess::Bursty { burst, .. } => format!("bursty:{burst}"),
-        }
-    }
-
     /// `n` seeded arrival times, non-decreasing, starting after 0.
     ///
     /// # Panics
@@ -291,311 +256,145 @@ pub struct SimReport {
     pub outcomes: Vec<SimOutcome>,
 }
 
-/// Salt of the simulator's jitter stream (independent of
-/// [`logan_core::Supervised`]'s, so the two replay independently).
-const SIM_JITTER_SALT: u64 = 0x5EED_0F5A_FE00_0001;
-
-/// One unit of work handed to a lane: a fresh coalesced batch (empty
-/// ledger) or one a lane gave up on, waiting for re-dispatch.
-struct Job {
-    /// Trace id assigned at the batch's first dispatch.
-    block_id: u64,
-    pairs: Vec<ReadPair>,
-    spans: Vec<BatchSpan>,
-    ledger: BlockLedger,
-    /// Simulated time of the batch's first fault (recovery metric).
-    first_fault_s: Option<f64>,
+/// The key that orders lane completions: the time, in
+/// [`f64::total_cmp`] order, then the dispatch number (a deterministic
+/// tie-break).
+fn completion_key(at_s: f64, seq: u64) -> (i64, u64) {
+    let bits = at_s.to_bits() as i64;
+    (bits ^ (((bits >> 63) as u64) >> 1) as i64, seq)
 }
 
-/// What a lane resolves to when its busy period ends.
-enum BatchOutcome {
-    /// Scatter results; `recovered_from` is the first-fault time if
-    /// the batch ever faulted.
-    Success {
-        spans: Vec<BatchSpan>,
-        recovered_from: Option<f64>,
-    },
-    /// Fail the batch's requests (unsupervised fault or poison).
-    Fail { spans: Vec<BatchSpan> },
-    /// Hand the batch to another lane.
-    Requeue(Job),
-}
-
-/// A pending completion event: min-heap by time, then insertion order
-/// (deterministic tie-break).
-struct Completion {
-    at_s: f64,
-    seq: u64,
-    lane: usize,
-    outcome: BatchOutcome,
-}
-
-impl PartialEq for Completion {
-    fn eq(&self, other: &Self) -> bool {
-        self.at_s == other.at_s && self.seq == other.seq
-    }
-}
-impl Eq for Completion {}
-impl PartialOrd for Completion {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Completion {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want the earliest.
-        other
-            .at_s
-            .total_cmp(&self.at_s)
-            .then(other.seq.cmp(&self.seq))
-    }
-}
-
-struct SimAssembly {
-    tenant: TenantId,
-    arrival_s: f64,
-    pairs: usize,
-    remaining: usize,
-    batches: usize,
-}
-
-/// The mutable simulation state, threaded through the event loop.
+/// The simulation's clock, lanes and metrics around the serving core,
+/// whose reply tokens are arrival indices.
 struct Sim<'a> {
     backend: &'a dyn AlignBackend,
     cfg: &'a SimConfig,
-    serve: ServeConfig,
-    queue: Coalescer,
-    retry: VecDeque<Job>,
-    admission: Admission,
-    assemblies: HashMap<u64, SimAssembly>,
+    requests: &'a [SimRequest],
+    core: ServeCore<usize>,
     outcomes: Vec<Option<SimOutcome>>,
     lane_busy: Vec<bool>,
-    lane_retired: Vec<bool>,
     /// Per-lane attempt counter — the fault plan's block index, so a
     /// failed attempt consumes an index exactly like [`logan_core::ChaosBackend`].
     lane_attempts: Vec<usize>,
-    completions: BinaryHeap<Completion>,
+    /// Lanes' busy periods, earliest end first: the lane and the batch
+    /// to settle when it ends.
+    completions: BTreeMap<(i64, u64), (f64, usize, Settle)>,
     seq: u64,
-    batches: usize,
-    batched_pairs: usize,
     total_cells: u64,
     latencies: Vec<f64>,
     completed_pairs: usize,
     last_completion: f64,
-    trace: Vec<TraceEvent>,
-    supervisor: Supervisor,
     recoveries: usize,
     recovery_s_sum: f64,
 }
 
 impl<'a> Sim<'a> {
-    fn live_lanes(&self) -> usize {
-        self.lane_retired.iter().filter(|r| !**r).count()
+    /// Record the core's replies, answered at `now`, as outcomes.
+    fn record_replies(&mut self, now: f64) {
+        for (i, reply) in self.core.take_replies() {
+            let outcome = match reply {
+                Ok(response) => {
+                    let latency_s = now - self.requests[i].arrival_s;
+                    self.latencies.push(latency_s);
+                    self.completed_pairs += response.results.len();
+                    SimOutcome::Completed {
+                        latency_s,
+                        batches: response.batches,
+                    }
+                }
+                Err(ServeError::OverQuota { .. }) => SimOutcome::OverQuota,
+                Err(ServeError::DeadlineExceeded) => SimOutcome::DeadlineExceeded,
+                Err(_) => SimOutcome::Failed,
+            };
+            assert!(
+                self.outcomes[i].replace(outcome).is_none(),
+                "request {i} answered twice"
+            );
+        }
     }
 
     /// Resolve one dispatch on `lane` at time `now`: walk the injected
-    /// faults and the supervisor's verdicts (retrying in place on the
-    /// simulated clock) until the batch succeeds, fails, or moves on.
-    /// Returns the lane's total busy seconds and what to do when they
+    /// faults and the core's verdicts (retrying in place on the
+    /// simulated clock) until the lane is done with the batch. Returns
+    /// the lane's busy seconds and the outcome to settle when they
     /// elapse.
-    fn resolve_dispatch(&mut self, now: f64, lane: usize, mut job: Job) -> (f64, BatchOutcome) {
-        let backend = self.backend;
+    fn dispatch(&mut self, now: f64, lane: usize, mut job: Job) -> (f64, Settle) {
+        let setup_s = self.cfg.serve.batch_setup_s;
         let mut busy = 0.0f64;
-        let tracing = self.cfg.chaos.is_some() || self.cfg.supervise.is_some();
         loop {
-            if tracing {
-                // Healthy, unsupervised runs keep an empty trace — the
-                // per-attempt log only matters when faults can occur.
-                self.trace.push(TraceEvent::Attempt {
-                    lane,
-                    block: job.block_id,
-                });
-            }
             let n = self.lane_attempts[lane];
             self.lane_attempts[lane] += 1;
-            let err = self
-                .cfg
-                .chaos
-                .as_ref()
-                .and_then(|plan| plan.injected_error(lane, n));
-            let Some(err) = err else {
-                // Healthy attempt: align for real. The service time is
-                // the batch's simulated device seconds (or a
-                // rate-derived charge on host-only lanes) plus setup,
-                // shaped by any degrade/stall fault on this index.
-                let (_results, rep) = backend.align_block_on(lane, &job.pairs);
-                let base = rep.device_s(backend.throughput_hint_on(lane));
-                let extra = self
-                    .cfg
-                    .chaos
-                    .as_ref()
-                    .map(|plan| plan.extra_sim_secs(lane, n, base))
-                    .unwrap_or(0.0);
-                busy += self.serve.batch_setup_s + base + extra;
-                self.batches += 1;
-                self.batched_pairs += job.pairs.len();
-                self.total_cells += rep.total_cells;
-                return (
-                    busy,
-                    BatchOutcome::Success {
-                        spans: job.spans,
-                        recovered_from: job.first_fault_s,
-                    },
-                );
+            let chaos = self.cfg.chaos.as_ref();
+            let result = match chaos.and_then(|plan| plan.injected_error(lane, n)) {
+                Some(err) => Err(err),
+                None => run_batch(self.backend, lane, &job.batch.pairs),
             };
-            // A faulted attempt still pays its launch setup.
-            busy += self.serve.batch_setup_s;
-            job.first_fault_s.get_or_insert(now + busy);
-            self.trace.push(TraceEvent::Fault {
-                lane,
-                block: job.block_id,
-                kind: err.kind(),
-            });
-            if err.retires_lane() && !self.lane_retired[lane] {
-                self.lane_retired[lane] = true;
-                self.trace.push(TraceEvent::LaneDead { lane });
-            }
-            let verdict = self.supervisor.verdict(&mut job.ledger, lane, &err);
-            self.trace.extend(verdict.event(lane, job.block_id));
-            match verdict {
-                Verdict::Retry { delay_s, .. } => busy += delay_s,
-                Verdict::Move => return (busy, BatchOutcome::Requeue(job)),
-                Verdict::Poison { .. } | Verdict::Fail => {
-                    return (busy, BatchOutcome::Fail { spans: job.spans })
+            let result = match result {
+                Ok((results, rep)) => {
+                    // The service time is the batch's simulated device
+                    // seconds (or a rate-derived charge on host-only
+                    // lanes) plus setup, shaped by any degrade/stall
+                    // fault on this index.
+                    let base = rep.device_s(self.backend.throughput_hint_on(lane));
+                    let extra = chaos.map_or(0.0, |plan| plan.extra_sim_secs(lane, n, base));
+                    busy += setup_s + base + extra;
+                    self.total_cells += rep.total_cells;
+                    Ok(results)
                 }
+                Err(err) => {
+                    // A faulted attempt still pays its launch setup.
+                    busy += setup_s;
+                    job.faulted_at.get_or_insert(now + busy);
+                    Err(err)
+                }
+            };
+            match self.core.finish(lane, job, result) {
+                Step::Retry {
+                    job: again,
+                    delay_s,
+                } => {
+                    busy += delay_s;
+                    job = again;
+                }
+                Step::Done(settle) => return (busy, settle),
             }
         }
     }
 
-    /// The first retry batch `lane` may take under the retake rule
-    /// ([`BlockLedger::may_take`]).
-    fn take_retry(&mut self, lane: usize) -> Option<Job> {
-        let retired = &self.lane_retired;
-        let idx = self
-            .retry
-            .iter()
-            .position(|job| job.ledger.may_take(lane, retired.len(), |l| !retired[l]))?;
-        self.retry.remove(idx)
-    }
-
-    /// Evict deadline-expired requests, then start every idle live lane
-    /// the queues can fill at time `now` — retry batches first
-    /// (recovery is latency-critical), then fresh coalesced batches.
+    /// Evict deadline-expired requests, then start every idle lane the
+    /// core gives work at time `now`.
     fn start_lanes(&mut self, now: f64) {
-        if let Some(d) = self.serve.deadline_s {
-            for id in self.queue.purge_expired(now, d) {
-                self.resolve_request(id, SimOutcome::DeadlineExceeded);
-            }
-        }
+        self.core.expire(now);
+        self.record_replies(now);
         for lane in 0..self.lane_busy.len() {
-            if self.lane_busy[lane] || self.lane_retired[lane] {
+            if self.lane_busy[lane] {
                 continue;
             }
-            let job = if let Some(job) = self.take_retry(lane) {
-                if let Some(from) = job.ledger.last_failed().filter(|&from| from != lane) {
-                    self.trace.push(TraceEvent::Redispatch {
-                        block: job.block_id,
-                        from,
-                        to: lane,
-                    });
-                }
-                job
-            } else if !self.queue.is_empty() {
-                let batch = if self.cfg.coalesce {
-                    self.queue.next_batch()
-                } else {
-                    self.queue.next_request_batch()
-                }
-                .expect("non-empty queue yields a batch");
-                Job {
-                    block_id: self.seq,
-                    pairs: batch.pairs,
-                    spans: batch.spans,
-                    ledger: BlockLedger::default(),
-                    first_fault_s: None,
-                }
-            } else {
+            let Some(job) = self.core.take(lane) else {
                 continue;
             };
-            let (busy, outcome) = self.resolve_dispatch(now, lane, job);
+            let (busy, settle) = self.dispatch(now, lane, job);
             self.lane_busy[lane] = true;
-            self.completions.push(Completion {
-                at_s: now + busy,
-                seq: self.seq,
-                lane,
-                outcome,
-            });
+            let at_s = now + busy;
+            let key = completion_key(at_s, self.seq);
+            self.completions.insert(key, (at_s, lane, settle));
             self.seq += 1;
         }
     }
 
-    /// Give `id` its single terminal outcome (if still in flight):
-    /// release quota, record the outcome.
-    fn resolve_request(&mut self, id: u64, outcome: SimOutcome) {
-        if let Some(a) = self.assemblies.remove(&id) {
-            self.admission.release(a.tenant, a.pairs);
-            self.outcomes[id as usize] = Some(outcome);
+    /// The busy period of `lane` ended at `at_s`: settle its batch.
+    fn on_completion(&mut self, at_s: f64, lane: usize, settle: Settle) {
+        self.last_completion = self.last_completion.max(at_s);
+        self.lane_busy[lane] = false;
+        if let Settle::Served(job, _) = &settle {
+            if let Some(t0) = job.faulted_at {
+                self.recoveries += 1;
+                self.recovery_s_sum += (at_s - t0).max(0.0);
+            }
         }
-    }
-
-    /// Handle one fired completion event.
-    fn on_completion(&mut self, c: Completion) {
-        self.last_completion = self.last_completion.max(c.at_s);
-        self.lane_busy[c.lane] = false;
-        match c.outcome {
-            BatchOutcome::Success {
-                spans,
-                recovered_from,
-            } => {
-                if let Some(t0) = recovered_from {
-                    self.recoveries += 1;
-                    self.recovery_s_sum += (c.at_s - t0).max(0.0);
-                }
-                for span in &spans {
-                    // A request another batch already failed has left
-                    // the table; its surviving slices are discarded.
-                    let Some(a) = self.assemblies.get_mut(&span.req) else {
-                        continue;
-                    };
-                    a.remaining -= span.len;
-                    a.batches += 1;
-                    if a.remaining == 0 {
-                        let latency = c.at_s - a.arrival_s;
-                        let batches = a.batches;
-                        let pairs = a.pairs;
-                        self.latencies.push(latency);
-                        self.completed_pairs += pairs;
-                        self.resolve_request(
-                            span.req,
-                            SimOutcome::Completed {
-                                latency_s: latency,
-                                batches,
-                            },
-                        );
-                    }
-                }
-            }
-            BatchOutcome::Fail { spans } => {
-                for span in &spans {
-                    self.resolve_request(span.req, SimOutcome::Failed);
-                }
-            }
-            BatchOutcome::Requeue(job) => self.retry.push_back(job),
-        }
-        if self.live_lanes() == 0 && self.completions.is_empty() {
-            // The last lane died and nothing is in flight: nobody is
-            // left to drain the queues — fail them rather than hang.
-            for id in self.queue.drain_requests() {
-                self.resolve_request(id, SimOutcome::Failed);
-            }
-            while let Some(job) = self.retry.pop_front() {
-                for span in &job.spans {
-                    self.resolve_request(span.req, SimOutcome::Failed);
-                }
-            }
-            return;
-        }
-        self.start_lanes(c.at_s);
+        self.core.settle(settle);
+        self.record_replies(at_s);
+        self.start_lanes(at_s);
     }
 }
 
@@ -609,8 +408,8 @@ impl<'a> Sim<'a> {
 /// # Panics
 ///
 /// Panics if a service invariant breaks: an arrival without an
-/// outcome, quota exceeded or leaked, or an invalid `cfg` — this *is*
-/// the load generator's assert mode.
+/// outcome or with two, quota exceeded or leaked, or an invalid `cfg`
+/// — this *is* the load generator's assert mode.
 pub fn simulate(backend: &dyn AlignBackend, cfg: &SimConfig, requests: &[SimRequest]) -> SimReport {
     let serve = cfg.serve.validated().expect("invalid serve config");
     let lanes = backend.lanes().max(1);
@@ -623,28 +422,23 @@ pub fn simulate(backend: &dyn AlignBackend, cfg: &SimConfig, requests: &[SimRequ
             .then(a.cmp(&b))
     });
 
+    // Healthy, unsupervised runs keep an empty trace — the per-attempt
+    // log only matters when faults can occur.
+    let tracing = cfg.chaos.is_some() || cfg.supervise.is_some();
     let mut sim = Sim {
         backend,
         cfg,
-        serve,
-        queue: Coalescer::new(serve.batch_pairs),
-        retry: VecDeque::new(),
-        admission: Admission::new(serve.quota_pairs),
-        assemblies: HashMap::new(),
+        requests,
+        core: ServeCore::new(serve, lanes, cfg.supervise, cfg.coalesce, tracing),
         outcomes: vec![None; requests.len()],
         lane_busy: vec![false; lanes],
-        lane_retired: vec![false; lanes],
         lane_attempts: vec![0; lanes],
-        completions: BinaryHeap::new(),
+        completions: BTreeMap::new(),
         seq: 0,
-        batches: 0,
-        batched_pairs: 0,
         total_cells: 0,
         latencies: Vec::new(),
         completed_pairs: 0,
         last_completion: f64::NEG_INFINITY,
-        trace: Vec::new(),
-        supervisor: Supervisor::new(cfg.supervise, SIM_JITTER_SALT),
         recoveries: 0,
         recovery_s_sum: 0.0,
     };
@@ -657,57 +451,28 @@ pub fn simulate(backend: &dyn AlignBackend, cfg: &SimConfig, requests: &[SimRequ
             .unwrap_or(f64::INFINITY);
         let t_comp = sim
             .completions
-            .peek()
-            .map(|c| c.at_s)
-            .unwrap_or(f64::INFINITY);
+            .values()
+            .next()
+            .map_or(f64::INFINITY, |c| c.0);
         if t_comp <= t_arr {
             // Completion first on ties: frees lanes and quota before
             // the simultaneous arrival is considered.
-            let c = sim.completions.pop().expect("peeked completion");
-            sim.on_completion(c);
+            let (_, (at_s, lane, settle)) = sim.completions.pop_first().expect("a completion");
+            sim.on_completion(at_s, lane, settle);
         } else {
             let i = order[next_arrival];
             next_arrival += 1;
             let req = &requests[i];
-            if req.pairs.is_empty() {
-                // Nothing to align: served instantly, like the server.
-                sim.outcomes[i] = Some(SimOutcome::Completed {
-                    latency_s: 0.0,
-                    batches: 0,
-                });
-                continue;
-            }
-            if sim.live_lanes() == 0 {
-                // No lane will ever serve it (mirrors the threaded
-                // server's all-lanes-retired refusal).
-                sim.outcomes[i] = Some(SimOutcome::Failed);
-                continue;
-            }
-            if sim.queue.pending_requests() >= serve.queue_depth {
-                sim.outcomes[i] = Some(SimOutcome::Shed);
-                continue;
-            }
-            if sim
-                .admission
-                .try_admit(req.tenant, req.pairs.len())
-                .is_err()
+            match sim
+                .core
+                .submit(req.tenant, req.pairs.clone(), i, req.arrival_s)
             {
-                sim.outcomes[i] = Some(SimOutcome::OverQuota);
-                continue;
+                // The queue is full: an open-loop arrival cannot wait.
+                Err(_) => sim.outcomes[i] = Some(SimOutcome::Shed),
+                // Answered at once: empty, no live lane, or over quota.
+                Ok(_) if sim.core.has_replies() => sim.record_replies(req.arrival_s),
+                Ok(_) => sim.start_lanes(req.arrival_s),
             }
-            sim.assemblies.insert(
-                i as u64,
-                SimAssembly {
-                    tenant: req.tenant,
-                    arrival_s: req.arrival_s,
-                    pairs: req.pairs.len(),
-                    remaining: req.pairs.len(),
-                    batches: 0,
-                },
-            );
-            sim.queue
-                .push_at(i as u64, req.pairs.clone(), req.arrival_s);
-            sim.start_lanes(req.arrival_s);
         }
     }
 
@@ -718,35 +483,23 @@ pub fn simulate(backend: &dyn AlignBackend, cfg: &SimConfig, requests: &[SimRequ
         .enumerate()
         .map(|(i, o)| o.unwrap_or_else(|| panic!("request {i} has no outcome (silent drop)")))
         .collect();
-    assert!(
-        sim.assemblies.is_empty(),
-        "requests left in flight at the end"
+    let s = sim.core.stats().clone();
+    assert_eq!(
+        s.submitted,
+        s.completed + s.failed + s.over_quota + s.rejected_shutdown + s.deadline_exceeded,
+        "the ledger does not balance"
     );
-    let peak = sim.admission.peak_in_flight();
+    let admission = sim.core.admission();
+    let peak = admission.peak_in_flight();
     assert!(
         peak <= serve.quota_pairs,
         "admission invariant violated: peak in-flight {peak} > quota {}",
         serve.quota_pairs
     );
-    let (mut completed, mut over_quota, mut shed, mut failed, mut deadline_exceeded) =
-        (0usize, 0usize, 0usize, 0usize, 0usize);
-    for o in &outcomes {
-        match o {
-            SimOutcome::Completed { .. } => completed += 1,
-            SimOutcome::OverQuota => over_quota += 1,
-            SimOutcome::Shed => shed += 1,
-            SimOutcome::Failed => failed += 1,
-            SimOutcome::DeadlineExceeded => deadline_exceeded += 1,
-        }
-    }
-    assert_eq!(
-        completed + over_quota + shed + failed + deadline_exceeded,
-        requests.len(),
-        "outcome ledger does not balance"
+    assert!(
+        requests.iter().all(|r| admission.in_flight(r.tenant) == 0),
+        "a tenant leaked quota"
     );
-    for t in requests.iter().map(|r| r.tenant) {
-        assert_eq!(sim.admission.in_flight(t), 0, "tenant {t} leaked quota");
-    }
 
     sim.latencies.sort_by(f64::total_cmp);
     let first_arrival = order.first().map(|&i| requests[i].arrival_s).unwrap_or(0.0);
@@ -758,51 +511,41 @@ pub fn simulate(backend: &dyn AlignBackend, cfg: &SimConfig, requests: &[SimRequ
     };
     let horizon_s = (sim.last_completion.max(last_arrival) - first_arrival).max(0.0);
     let latencies = &sim.latencies;
+    let served = sim.completed_pairs as f64;
     SimReport {
         arrivals: requests.len(),
-        completed,
-        over_quota,
-        shed,
-        failed,
-        deadline_exceeded,
+        completed: s.completed,
+        over_quota: s.over_quota,
+        shed: requests.len() - s.submitted,
+        failed: s.failed,
+        deadline_exceeded: s.deadline_exceeded,
         p50_s: percentile(latencies, 50.0),
         p99_s: percentile(latencies, 99.0),
-        mean_s: if latencies.is_empty() {
-            0.0
-        } else {
-            latencies.iter().sum::<f64>() / latencies.len() as f64
-        },
+        mean_s: ratio(latencies.iter().sum(), latencies.len() as f64),
         max_s: latencies.last().copied().unwrap_or(0.0),
         makespan_s,
         horizon_s,
         completed_pairs: sim.completed_pairs,
-        pairs_per_s: if makespan_s > 0.0 {
-            sim.completed_pairs as f64 / makespan_s
-        } else {
-            0.0
-        },
-        goodput_pairs_per_s: if horizon_s > 0.0 {
-            sim.completed_pairs as f64 / horizon_s
-        } else {
-            0.0
-        },
+        pairs_per_s: ratio(served, makespan_s),
+        goodput_pairs_per_s: ratio(served, horizon_s),
         total_cells: sim.total_cells,
-        batches: sim.batches,
-        mean_batch_pairs: if sim.batches > 0 {
-            sim.batched_pairs as f64 / sim.batches as f64
-        } else {
-            0.0
-        },
+        batches: s.batches,
+        mean_batch_pairs: ratio(s.batched_pairs as f64, s.batches as f64),
         peak_tenant_in_flight: peak,
-        lanes_retired: sim.lane_retired.iter().filter(|r| **r).count(),
+        lanes_retired: s.lanes_retired,
         recoveries: sim.recoveries,
-        mean_recovery_s: if sim.recoveries > 0 {
-            sim.recovery_s_sum / sim.recoveries as f64
-        } else {
-            0.0
-        },
-        trace: sim.trace,
+        mean_recovery_s: ratio(sim.recovery_s_sum, sim.recoveries as f64),
+        trace: sim.core.into_trace(),
         outcomes,
+    }
+}
+
+/// `num / den`, or 0.0 when there is nothing to divide by.
+fn ratio(num: f64, den: f64) -> f64 {
+    if den > 0.0 {
+        num / den
+    } else {
+        0.0
     }
 }
 
@@ -850,7 +593,6 @@ mod tests {
         // Bursts arrive together: there are exact duplicates.
         let distinct: std::collections::BTreeSet<u64> = a.iter().map(|t| t.to_bits()).collect();
         assert_eq!(distinct.len(), 10, "50 arrivals in bursts of 5");
-        assert_eq!(p.label(), "bursty:5");
     }
 
     #[test]
@@ -1052,6 +794,68 @@ mod tests {
         // Deterministic replay, evictions included.
         let rep2 = simulate(&gpu, &cfg, &reqs);
         assert_eq!(rep.outcomes, rep2.outcomes);
+    }
+
+    /// Sentinel `template_len` that detonates [`PoisonBackend`].
+    const POISON: usize = 777_777;
+
+    /// A two-lane backend whose lane panics on a poison pair, shaped
+    /// like `tests/serve_shutdown.rs`'s.
+    struct PoisonBackend(LoganExecutor);
+
+    impl AlignBackend for PoisonBackend {
+        fn name(&self) -> String {
+            "poison:2".into()
+        }
+        fn throughput_hint(&self) -> f64 {
+            self.0.throughput_hint()
+        }
+        fn max_block(&self) -> usize {
+            usize::MAX
+        }
+        fn lanes(&self) -> usize {
+            2
+        }
+        fn align_block(
+            &self,
+            block: &[ReadPair],
+        ) -> (
+            Vec<logan_align::SeedExtendResult>,
+            logan_core::BackendReport,
+        ) {
+            for p in block {
+                assert!(p.template_len != POISON, "poison pair aligned");
+            }
+            self.0.align_block(block)
+        }
+    }
+
+    /// A lane that panics fails only the request it was carrying and
+    /// retires, as on the threaded server: the other lane serves
+    /// everything else, and the ledger balances.
+    #[test]
+    fn a_panicking_lane_fails_its_request_and_retires() {
+        let arr = ArrivalProcess::Poisson { rate_rps: 200.0 };
+        let mut reqs = seeded_requests(20, 2, 3, &arr, 29);
+        reqs[6].pairs[0].template_len = POISON;
+        let cfg = SimConfig {
+            coalesce: false, // one request per batch: the blast radius is one
+            ..SimConfig::default()
+        };
+        let rep = simulate(&PoisonBackend(gpu()), &cfg, &reqs);
+        assert_eq!(rep.outcomes[6], SimOutcome::Failed);
+        assert_eq!(rep.lanes_retired, 1);
+        for (i, o) in rep.outcomes.iter().enumerate().filter(|(i, _)| *i != 6) {
+            assert!(
+                matches!(o, SimOutcome::Completed { .. }),
+                "request {i}: {o:?}"
+            );
+        }
+        assert_eq!((rep.completed, rep.failed), (19, 1));
+        assert_eq!(
+            rep.completed + rep.over_quota + rep.shed + rep.failed + rep.deadline_exceeded,
+            20
+        );
     }
 
     #[test]

@@ -6,9 +6,9 @@
 #
 # Mirrors the tier-1 definition in ROADMAP.md plus the style gates:
 # no-#[ignore] guard, one-kernel-source, one-recurrence,
-# one-supervisor and one-concurrent-component guards, rustfmt, clippy
-# (warnings are errors), release build, the engine_tiers smoke, the
-# protein_homology example, the repo benchmark's own gate
+# one-supervisor, one-concurrent-component and one-serving-core guards,
+# rustfmt, clippy (warnings are errors), release build, the engine_tiers
+# smoke, the protein_homology example, the repo benchmark's own gate
 # (benchmark/check.sh), the test suite, and warning-free rustdoc.
 # Every differential/contract suite (tests/*.rs, crates/*/tests/*.rs)
 # runs exactly once, inside the single `cargo test -q`; DESIGN.md §4
@@ -103,6 +103,24 @@ if [[ -n "$condvar_sites" ]]; then
   echo "$condvar_sites"
   echo "error: Condvar outside crates/serve/src (listed above); schedule on a" \
     "virtual clock instead of making threads wait" >&2
+  exit 1
+fi
+
+step "guard: one serving core (the coalescer and admission are built once, in logan-serve's core)"
+# The threaded Server, the simulator and the order explorer drive one
+# clockless ServeCore (DESIGN.md §10). Outside #[cfg(test)] and comments,
+# crates/serve/src calls Coalescer::new( and Admission::new( once each:
+# a second assembly table, ledger or lane-retirement rule could not be
+# kept without a queue and an admission state of its own.
+serve_src=$(grep -E '^crates/serve/src/' <<<"$non_test_src" || true)
+coalescer_sites=$(grep -E '\bCoalescer::new\(' <<<"$serve_src" || true)
+admission_sites=$(grep -E '\bAdmission::new\(' <<<"$serve_src" || true)
+if [[ $(grep -c . <<<"$coalescer_sites" || true) -ne 1 ||
+  $(grep -c . <<<"$admission_sites" || true) -ne 1 ]]; then
+  printf '%s\n%s\n' "$coalescer_sites" "$admission_sites"
+  echo "error: crates/serve/src must call Coalescer::new( and Admission::new( exactly" \
+    "once each (found above); drive the one ServeCore instead of keeping a second" \
+    "serving state machine" >&2
   exit 1
 fi
 

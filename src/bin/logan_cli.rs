@@ -74,9 +74,11 @@
 //! sized to the backend, or spell faults out per lane, e.g.
 //! `7:0=transient@2x3/stall@0.05,1=failstop@4`. `--supervise` layers
 //! the self-healing supervisor (bounded retries with backoff,
-//! re-dispatch, poison detection) on top — without it, an injected
-//! fault fails exactly the way a real one would have before PR 8
-//! (a panic, and under `serve` a retired lane). See `DESIGN.md` §12.
+//! re-dispatch, poison detection) on top; under `serve` the serving
+//! core applies that policy to its own lanes instead. Without it, an
+//! injected fault fails exactly the way a real one would have before
+//! PR 8 (a panic, and under `serve` a failed batch, and a retired lane
+//! on a fail-stop). See `DESIGN.md` §12.
 
 use logan::bella::{BellaConfig, BellaPipeline, PipelineBudget, Seeder};
 use logan::core::fleet::{check_pool_threads, check_workers};
@@ -362,10 +364,20 @@ impl std::str::FromStr for BackendSel {
     }
 }
 
-/// Instantiate the `--backend` selection (default `multi:{--gpus}`).
-/// Every backend aligns with the options' X, engine and substitution
-/// profile (`--matrix`), on simulated V100s where a device is involved.
+/// [`chaos_backend`], wrapped in [`Supervised`] under `--supervise`.
 fn build_backend(opts: &Opts) -> Box<dyn AlignBackend> {
+    let backend = chaos_backend(opts);
+    if opts.supervise {
+        return Box::new(Supervised::new(backend, SupervisePolicy::default()));
+    }
+    backend
+}
+
+/// Instantiate the `--backend` selection (default `multi:{--gpus}`),
+/// under the `--chaos` fault injector if one is given. Every backend
+/// aligns with the options' X, engine and substitution profile
+/// (`--matrix`), on simulated V100s where a device is involved.
+fn chaos_backend(opts: &Opts) -> Box<dyn AlignBackend> {
     let mut cfg = LoganConfig::with_x(opts.x);
     cfg.engine = opts.engine;
     cfg.profile = opts.profile;
@@ -389,9 +401,6 @@ fn build_backend(opts: &Opts) -> Box<dyn AlignBackend> {
         let plan = chaos.resolve(backend.lanes());
         eprintln!("chaos: injecting {plan}");
         backend = Box::new(ChaosBackend::new(backend, plan));
-    }
-    if opts.supervise {
-        backend = Box::new(Supervised::new(backend, SupervisePolicy::default()));
     }
     backend
 }
@@ -707,9 +716,12 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
     if !opts.positional.is_empty() {
         return Err("serve takes no positional arguments".into());
     }
-    let backend: Arc<dyn AlignBackend> = Arc::from(build_backend(opts));
+    // Under --supervise the serving core applies the policy to its own
+    // lanes, so the backend goes in unwrapped.
+    let backend: Arc<dyn AlignBackend> = Arc::from(chaos_backend(opts));
     let name = backend.name();
-    let server = Server::start(backend, opts.serve)?;
+    let supervise = opts.supervise.then(SupervisePolicy::default);
+    let server = Server::start_with(backend, opts.serve, supervise)?;
 
     // The synthetic mix: request i carries 1–4 pairs of 150–450 bp
     // reads for tenant i % --tenants, all derived from --seed.

@@ -158,3 +158,42 @@ fn out_of_range_values_end_in_an_error_or_output() {
     }
     std::fs::remove_file(&path).expect("remove the test FASTA");
 }
+
+/// The `failed` count of `serve`'s stderr ledger line.
+fn serve_failed(extra: &[&str]) -> usize {
+    let mut args = vec![
+        "serve",
+        "--backend",
+        "multi:2",
+        "--chaos",
+        "7:0=failstop@0",
+        "--serve",
+        "batch=2",
+    ];
+    args.extend_from_slice(extra);
+    let (code, out, err) = run(&args);
+    assert_eq!(code, 0, "logan_cli {args:?} failed:\n{err}");
+    assert_eq!(out.lines().count(), 33, "one row a request: {out}");
+    let ledger = err
+        .lines()
+        .find(|l| l.starts_with("served "))
+        .unwrap_or_else(|| panic!("no ledger line: {err}"));
+    let failed = ledger
+        .split(", ")
+        .find_map(|part| part.strip_suffix(" failed"))
+        .unwrap_or_else(|| panic!("no failed count: {ledger}"));
+    failed.parse().expect("a count")
+}
+
+/// `serve --supervise` hands the policy to the serving core: lane 0
+/// fail-stops on its first batch, the core retires it and moves the
+/// batch to lane 1, and nothing fails. The bare run of the same storm
+/// fails the batches lane 0 took.
+#[test]
+fn serve_supervise_moves_a_failstopped_lanes_batch() {
+    assert_eq!(serve_failed(&["--supervise"]), 0);
+    assert!(
+        serve_failed(&[]) > 0,
+        "the bare run must fail lane 0's batch"
+    );
+}
