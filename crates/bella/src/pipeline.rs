@@ -8,31 +8,37 @@
 //! [`BellaConfig`] it runs under (the adaptive threshold interprets
 //! scores in the config's scoring system).
 //!
-//! Two execution shapes over the same stages (DESIGN.md §8):
+//! Both entry points run the same stages (DESIGN.md §8), each decided
+//! in one place: the seed index (k-mer counting reduced to the SpGEMM
+//! matrix or to the minimizer sketch index), candidate blocks over row
+//! tiles of it, alignment, and the adaptive-threshold classification.
 //!
-//! * [`BellaPipeline::run`] — the monolithic original: every stage
-//!   materializes its full output before the next starts.
 //! * [`BellaPipeline::run_streaming`] — the bounded-memory dataflow:
-//!   reads arrive in [`ReadBatch`]es, the k-mers are counted (and, on the
-//!   SpGEMM path, the matrix built) in waves of hash partitions that
-//!   never coexist, the SpGEMM emits candidate tiles
-//!   incrementally, and a producer thread feeds candidate blocks
-//!   through a bounded channel to one consumer per backend *lane*
-//!   ([`AlignBackend::lanes`]) so extension overlaps candidate
-//!   generation — and a multi-lane backend (a fleet) drains the queue
-//!   from every device at once instead of through a single consumer.
-//!   Outputs are bit-identical: blocks are sequence-numbered and
-//!   reassembled in order, so lane interleaving is unobservable.
+//!   reads arrive in [`ReadBatch`]es, the k-mers are counted in waves of
+//!   hash partitions that never coexist, and a producer thread feeds the
+//!   blocks of `batch_reads`-row tiles through a bounded channel to one
+//!   consumer per backend *lane* ([`AlignBackend::lanes`]), so extension
+//!   overlaps candidate generation — and a multi-lane backend (a fleet)
+//!   drains the queue from every device at once instead of through a
+//!   single consumer. Blocks are sequence-numbered and reassembled in
+//!   order, so lane interleaving is unobservable.
+//! * [`BellaPipeline::run`] — the one-wave, one-tile case: one block of
+//!   every candidate, aligned with [`AlignBackend::align_block`] on the
+//!   whole backend, so a static balancer sees every pair at once.
+//!   [`BellaPipeline::candidates`] is that block before alignment.
+//!
+//! The two are bit-identical: neither the waves, the sketch batches nor
+//! the tiles show in the result.
 
 use crate::binning::choose_seed;
-use crate::chain::{chain_candidates, chain_tiles, ChainConfig, ChainedCandidate, MinimizerIndex};
+use crate::chain::{chain_tiles, ChainConfig, ChainedCandidate, MinimizerIndex};
 use crate::kmer_count::count_reliable_sharded;
 use crate::matrix::KmerMatrix;
 use crate::metrics::OverlapMetrics;
 use crate::prune::{reliable_bounds, ReliableBounds};
-use crate::spgemm::{spgemm_candidates, spgemm_tiles, CandidatePair};
+use crate::spgemm::{spgemm_tiles, CandidatePair};
 use crate::threshold::AdaptiveThreshold;
-use logan_align::{seed_extend_with, AlignWorkspace, SeedExtendResult, XDropExtender};
+use logan_align::SeedExtendResult;
 use logan_core::{AlignBackend, BackendReport};
 use logan_seq::readsim::{ReadBatch, ReadPair, ReadSet};
 use logan_seq::{Scoring, Seed, Seq};
@@ -236,49 +242,64 @@ impl BellaPipeline {
         BellaPipeline { config }
     }
 
-    /// Stages 1–4: k-mer counting, pruning, then candidate generation
-    /// under the configured [`Seeder`] — SpGEMM + binning, or minimizer
-    /// sketching + chaining (where only pairs whose best chain supports
-    /// `min_overlap` are admitted). Returns the to-be-aligned pairs
-    /// (with seeds and overlap estimates) plus partially filled stats.
+    /// Stages 1–4 in one wave and one tile: k-mer counting, pruning,
+    /// then candidate generation under the configured [`Seeder`] —
+    /// SpGEMM + binning, or minimizer sketching + chaining (where only
+    /// pairs whose best chain supports `min_overlap` are admitted).
+    /// Returns the to-be-aligned pairs (with seeds and overlap
+    /// estimates) plus partially filled stats.
     pub fn candidates(
         &self,
         reads: &[Seq],
     ) -> (Vec<ReadPair>, Vec<(usize, usize, usize)>, StageStats) {
+        let n = reads.len().max(1);
+        let (mut stats, index) = self.seed_index(reads, 1, n);
+        let mut blocks = index.blocks(reads, n, &self.config);
+        let block = blocks.next().unwrap_or_default();
+        stats.candidates = block.meta.len();
+        (block.pairs, block.meta, stats)
+    }
+
+    /// Stages 1–3 of every run: the reliable window, then the k-mers
+    /// counted in `shards` waves and reduced as they are counted — no
+    /// count table is built — straight to the seeder's index: the CSR
+    /// reads × reliable-k-mers matrix, or the minimizer sketch index over
+    /// the reliable set, sketched `batch` reads at a time. Neither the
+    /// waves nor the batches show in the index or in the stats it fills.
+    fn seed_index(&self, reads: &[Seq], shards: usize, batch: usize) -> (StageStats, SeedIndex) {
         let cfg = &self.config;
         let bounds = cfg
             .reliable_override
             .unwrap_or_else(|| reliable_bounds(cfg.depth, cfg.error_rate, cfg.k, cfg.tail));
-        // No count table is built: one wave of the counter, reduced as it
-        // is counted — to the matrix itself on the SpGEMM path, to the
-        // reliable set the sketch filters by on the minimizer path.
-        let (distinct_kmers, reliable_kmers, nnz, block) = match cfg.seeder {
+        let (distinct_kmers, reliable_kmers, index) = match cfg.seeder {
             Seeder::SpGemm => {
-                let (distinct, matrix) = KmerMatrix::count_and_build(reads, cfg.k, 1, bounds);
-                let cands = spgemm_candidates(&matrix);
-                let block = CandidateBlock::build(&cands, reads, cfg.k);
-                (distinct, matrix.n_cols, matrix.nnz(), block)
+                let (distinct, matrix) = KmerMatrix::count_and_build(reads, cfg.k, shards, bounds);
+                (distinct, matrix.n_cols, SeedIndex::SpGemm(matrix))
             }
             Seeder::Minimizer => {
-                let (distinct, reliable) = count_reliable_sharded(reads, cfg.k, 1, bounds);
+                let (distinct, reliable) = count_reliable_sharded(reads, cfg.k, shards, bounds);
                 let mut index = MinimizerIndex::new(cfg.minimizer_w, cfg.k);
-                index.push_batch(reads, &reliable);
-                let chained = chain_candidates(&index, ChainConfig::default());
-                let block = CandidateBlock::from_chained(&chained, reads, cfg.min_overlap);
-                (distinct, reliable.len(), index.nnz(), block)
+                for chunk in reads.chunks(batch) {
+                    index.push_batch(chunk, &reliable);
+                }
+                (distinct, reliable.len(), SeedIndex::Minimizer(index))
             }
+        };
+        let matrix_nnz = match &index {
+            SeedIndex::SpGemm(matrix) => matrix.nnz(),
+            SeedIndex::Minimizer(index) => index.nnz(),
         };
         let stats = StageStats {
             reads: reads.len(),
             distinct_kmers,
             reliable_kmers,
             bounds,
-            matrix_nnz: nnz,
-            candidates: block.meta.len(),
+            matrix_nnz,
+            candidates: 0,
             kept: 0,
             total_cells: 0,
         };
-        (block.pairs, block.meta, stats)
+        (stats, index)
     }
 
     /// Panic unless the backend's declared X-drop parameters (when it
@@ -305,7 +326,9 @@ impl BellaPipeline {
         }
     }
 
-    /// Run the full pipeline on `reads` with the given backend.
+    /// Run the full pipeline on `reads` with the given backend: the one
+    /// block of [`BellaPipeline::candidates`] (its index already freed)
+    /// aligned with [`AlignBackend::align_block`] on the whole backend.
     ///
     /// # Panics
     ///
@@ -313,36 +336,46 @@ impl BellaPipeline {
     /// with [`BellaConfig::scoring`]/[`BellaConfig::x`].
     pub fn run(&self, reads: &[Seq], backend: &dyn AlignBackend) -> BellaOutput {
         self.check_backend(backend);
-        let (pairs, meta, mut stats) = self.candidates(reads);
-        let (results, backend_report) = backend.align_block(&pairs);
+        let (pairs, meta, stats) = self.candidates(reads);
+        let (results, report) = backend.align_block(&pairs);
+        let block = AlignedBlock::strip(CandidateBlock { meta, pairs }, results);
+        self.classify(stats, vec![block], report)
+    }
 
-        let threshold = AdaptiveThreshold::new(
-            self.config.scoring,
-            self.config.error_rate,
-            self.config.delta,
-        );
-        let mut overlaps = Vec::with_capacity(results.len());
-        let mut kept = 0usize;
-        let mut cells = 0u64;
-        for (((r1, r2, est), pair), result) in meta.into_iter().zip(&pairs).zip(results) {
-            let keep = est >= self.config.min_overlap && threshold.keep(result.score, est);
-            kept += keep as usize;
-            cells += result.cells();
-            overlaps.push(Overlap {
-                r1,
-                r2,
-                seed: pair.seed,
-                est_overlap: est,
-                result,
-                kept: keep,
-            });
+    /// Stage 5: the adaptive threshold over the aligned blocks, in
+    /// order, completing `stats` with the candidate, kept and cell
+    /// tallies.
+    fn classify(
+        &self,
+        mut stats: StageStats,
+        blocks: Vec<AlignedBlock>,
+        backend: BackendReport,
+    ) -> BellaOutput {
+        let cfg = &self.config;
+        let threshold = AdaptiveThreshold::new(cfg.scoring, cfg.error_rate, cfg.delta);
+        let mut overlaps = Vec::with_capacity(blocks.iter().map(|b| b.meta.len()).sum());
+        for block in blocks {
+            for (((r1, r2, est), seed), result) in
+                block.meta.into_iter().zip(block.seeds).zip(block.results)
+            {
+                let kept = est >= cfg.min_overlap && threshold.keep(result.score, est);
+                stats.kept += kept as usize;
+                stats.total_cells += result.cells();
+                overlaps.push(Overlap {
+                    r1,
+                    r2,
+                    seed,
+                    est_overlap: est,
+                    result,
+                    kept,
+                });
+            }
         }
-        stats.kept = kept;
-        stats.total_cells = cells;
+        stats.candidates = overlaps.len();
         BellaOutput {
             overlaps,
             stats,
-            backend: backend_report,
+            backend,
         }
     }
 
@@ -362,12 +395,12 @@ impl BellaPipeline {
     ///    resident (it is the index alignment reads from, O(nnz)); on the
     ///    minimizer path [`count_reliable_sharded`] reduces them to the
     ///    reliable set and the sketch index is built batch by batch.
-    /// 3. **Candidates ∥ alignment** — a producer thread walks
-    ///    [`spgemm_tiles`], turns each tile into a sequence-numbered
-    ///    candidate block (seeds chosen, read pairs materialized) and
-    ///    sends it down a channel bounded at `inflight_blocks`; one
-    ///    consumer thread per backend *lane* pulls blocks and aligns
-    ///    them ([`AlignBackend::align_block_on`]), so extension overlaps
+    /// 3. **Candidates ∥ alignment** — a producer thread walks the
+    ///    index's tiles, turns each into a sequence-numbered candidate
+    ///    block (seeds chosen, read pairs materialized) and sends it
+    ///    down a channel bounded at `inflight_blocks`; one consumer
+    ///    thread per backend *lane* pulls blocks and aligns them
+    ///    ([`AlignBackend::align_block_on`]), so extension overlaps
     ///    candidate generation, a multi-lane backend (fleet, multi-GPU)
     ///    keeps every device busy, and at most
     ///    `inflight_blocks + lanes + 1` blocks exist at once (queued,
@@ -394,43 +427,8 @@ impl BellaPipeline {
             reads.extend(batch.seqs);
         }
 
-        // Stage 2: sharded counting straight into the seeder's index —
-        // the CSR k-mer matrix, or the minimizer sketch index over the
-        // reliable set. The waves and the sketch's batches are both
-        // invisible in the result, so this equals the monolithic build.
-        let bounds = cfg
-            .reliable_override
-            .unwrap_or_else(|| reliable_bounds(cfg.depth, cfg.error_rate, cfg.k, cfg.tail));
-        let (distinct, reliable_kmers, index) = match cfg.seeder {
-            Seeder::SpGemm => {
-                let (distinct, matrix) =
-                    KmerMatrix::count_and_build(&reads, cfg.k, budget.shards, bounds);
-                (distinct, matrix.n_cols, SeedIndex::SpGemm(matrix))
-            }
-            Seeder::Minimizer => {
-                let (distinct, reliable) =
-                    count_reliable_sharded(&reads, cfg.k, budget.shards, bounds);
-                let mut index = MinimizerIndex::new(cfg.minimizer_w, cfg.k);
-                for chunk in reads.chunks(budget.batch_reads) {
-                    index.push_batch(chunk, &reliable);
-                }
-                (distinct, reliable.len(), SeedIndex::Minimizer(index))
-            }
-        };
-
-        let mut stats = StageStats {
-            reads: reads.len(),
-            distinct_kmers: distinct,
-            reliable_kmers,
-            bounds,
-            matrix_nnz: match &index {
-                SeedIndex::SpGemm(m) => m.nnz(),
-                SeedIndex::Minimizer(i) => i.nnz(),
-            },
-            candidates: 0,
-            kept: 0,
-            total_cells: 0,
-        };
+        // Stage 2: sharded counting straight into the seeder's index.
+        let (stats, index) = self.seed_index(&reads, budget.shards, budget.batch_reads);
 
         // Stage 3: one producer, `lanes` consumers. The producer owns
         // candidate generation; each consumer owns one backend lane.
@@ -448,45 +446,19 @@ impl BellaPipeline {
         // deadlocking the scope join.
         let rx = Arc::new(Mutex::new(rx));
         let reads_ref = &reads;
-        let k = cfg.k;
-        let min_overlap = cfg.min_overlap;
         let mut done: Vec<(usize, AlignedBlock)> = Vec::new();
         let mut lane_reports: Vec<BackendReport> = Vec::new();
         std::thread::scope(|scope| {
             // The producer owns the index: it is freed as soon as the
             // last block is produced, before the consumers finish and
-            // the results are reassembled.
+            // the results are reassembled. Tiles that yield no
+            // candidates — none shared, or none admitted by the chain's
+            // `min_overlap` — are skipped and take no sequence number.
             scope.spawn(move || {
-                match index {
-                    SeedIndex::SpGemm(matrix) => {
-                        for (seq_no, tile) in spgemm_tiles(&matrix, budget.batch_reads)
-                            .filter(|t| !t.is_empty())
-                            .enumerate()
-                        {
-                            let block = CandidateBlock::build(&tile, reads_ref, k);
-                            if tx.send((seq_no, block)).is_err() {
-                                return; // all consumers gone; stop producing
-                            }
-                        }
-                    }
-                    SeedIndex::Minimizer(mindex) => {
-                        // Tiles whose every candidate fails the
-                        // min_overlap admission shrink to empty blocks
-                        // and are skipped, mirroring the empty-tile
-                        // filter above; the per-candidate filter equals
-                        // the monolithic path's by construction.
-                        for (seq_no, block) in
-                            chain_tiles(&mindex, budget.batch_reads, ChainConfig::default())
-                                .map(|tile| {
-                                    CandidateBlock::from_chained(&tile, reads_ref, min_overlap)
-                                })
-                                .filter(|b| !b.meta.is_empty())
-                                .enumerate()
-                        {
-                            if tx.send((seq_no, block)).is_err() {
-                                return;
-                            }
-                        }
+                let blocks = index.blocks(reads_ref, budget.batch_reads, cfg);
+                for (seq_no, block) in blocks.filter(|b| !b.meta.is_empty()).enumerate() {
+                    if tx.send((seq_no, block)).is_err() {
+                        return; // all consumers gone; stop producing
                     }
                 }
                 // tx (closing the channel) and the index drop here.
@@ -520,40 +492,16 @@ impl BellaPipeline {
         });
 
         // Reassemble in production order: lane interleaving must be
-        // unobservable in the output.
+        // unobservable in the output. Lanes ran concurrently: fold their
+        // reports with the concurrent merge (work adds, time domains
+        // take the max).
         done.sort_by_key(|&(seq_no, _)| seq_no);
-        let threshold = AdaptiveThreshold::new(cfg.scoring, cfg.error_rate, cfg.delta);
-        let mut overlaps: Vec<Overlap> = Vec::new();
-        for (_, block) in done {
-            stats.candidates += block.meta.len();
-            for (((r1, r2, est), seed), result) in
-                block.meta.into_iter().zip(block.seeds).zip(block.results)
-            {
-                let keep = est >= cfg.min_overlap && threshold.keep(result.score, est);
-                stats.kept += keep as usize;
-                stats.total_cells += result.cells();
-                overlaps.push(Overlap {
-                    r1,
-                    r2,
-                    seed,
-                    est_overlap: est,
-                    result,
-                    kept: keep,
-                });
-            }
-        }
-        // Lanes ran concurrently: fold their reports with the
-        // concurrent merge (work adds, time domains take the max).
         let mut backend_report = BackendReport::empty();
         for rep in lane_reports {
             backend_report.merge_concurrent(rep);
         }
-
-        BellaOutput {
-            overlaps,
-            stats,
-            backend: backend_report,
-        }
+        let blocks = done.into_iter().map(|(_, block)| block).collect();
+        self.classify(stats, blocks, backend_report)
     }
 
     /// Convenience: [`BellaPipeline::run_streaming`] over a simulated
@@ -566,33 +514,40 @@ impl BellaPipeline {
         backend: &dyn AlignBackend,
         min_overlap: usize,
     ) -> (BellaOutput, OverlapMetrics) {
-        let mut cfg = self.config;
-        cfg.depth = rs.depth();
-        cfg.error_rate = rs.error_rate;
-        let pipeline = BellaPipeline::new(cfg);
-        let out = pipeline.run_streaming(rs.seq_batches(cfg.budget.clamped().batch_reads), backend);
-        let truth = rs.true_overlaps(min_overlap);
-        let metrics = out.metrics(&truth);
-        (out, metrics)
+        self.on_readset(rs, min_overlap, |p| {
+            p.run_streaming(rs.seq_batches(p.config.budget.batch_reads), backend)
+        })
     }
 
-    /// Convenience: run on a simulated [`ReadSet`] (depth taken from the
-    /// set itself) and return output plus ground-truth metrics at
-    /// `min_overlap`.
+    /// Convenience: run on a simulated [`ReadSet`] (depth and error rate
+    /// taken from the set itself) and return output plus ground-truth
+    /// metrics at `min_overlap`.
     pub fn run_on_readset(
         &self,
         rs: &ReadSet,
         backend: &dyn AlignBackend,
         min_overlap: usize,
     ) -> (BellaOutput, OverlapMetrics) {
-        let mut cfg = self.config;
-        cfg.depth = rs.depth();
-        cfg.error_rate = rs.error_rate;
-        let pipeline = BellaPipeline::new(cfg);
-        let seqs: Vec<Seq> = rs.reads.iter().map(|r| r.seq.clone()).collect();
-        let out = pipeline.run(&seqs, backend);
-        let truth = rs.true_overlaps(min_overlap);
-        let metrics = out.metrics(&truth);
+        self.on_readset(rs, min_overlap, |p| {
+            let seqs: Vec<Seq> = rs.reads.iter().map(|r| r.seq.clone()).collect();
+            p.run(&seqs, backend)
+        })
+    }
+
+    /// `run` under this configuration with the set's depth and error
+    /// rate, scored against the set's overlaps of at least `min_overlap`.
+    fn on_readset(
+        &self,
+        rs: &ReadSet,
+        min_overlap: usize,
+        run: impl FnOnce(&BellaPipeline) -> BellaOutput,
+    ) -> (BellaOutput, OverlapMetrics) {
+        let out = run(&BellaPipeline::new(BellaConfig {
+            depth: rs.depth(),
+            error_rate: rs.error_rate,
+            ..self.config
+        }));
+        let metrics = out.metrics(&rs.true_overlaps(min_overlap));
         (out, metrics)
     }
 }
@@ -611,13 +566,36 @@ struct CandidateBlock {
     pairs: Vec<ReadPair>,
 }
 
-/// The seeder-specific candidate index of the streaming pipeline: the
-/// CSR reads × k-mers matrix (SpGEMM path) or the minimizer sketch
-/// index (chaining path). Built once in stage 2, walked tile by tile by
-/// the stage-3 producer.
+/// The seeder-specific candidate index: the CSR reads × k-mers matrix
+/// (SpGEMM path) or the minimizer sketch index (chaining path). Built
+/// once by [`BellaPipeline::seed_index`], walked tile by tile by
+/// [`SeedIndex::blocks`].
 enum SeedIndex {
     SpGemm(KmerMatrix),
     Minimizer(MinimizerIndex),
+}
+
+impl SeedIndex {
+    /// One candidate block per `tile_rows`-row tile, in row order: SpGEMM
+    /// tiles with binning's seeds, or chained tiles admitted at the
+    /// config's `min_overlap`. A block may be empty.
+    fn blocks<'a>(
+        &'a self,
+        reads: &'a [Seq],
+        tile_rows: usize,
+        cfg: &BellaConfig,
+    ) -> Box<dyn Iterator<Item = CandidateBlock> + 'a> {
+        let (k, min_overlap) = (cfg.k, cfg.min_overlap);
+        match self {
+            SeedIndex::SpGemm(matrix) => Box::new(
+                spgemm_tiles(matrix, tile_rows).map(move |t| CandidateBlock::build(&t, reads, k)),
+            ),
+            SeedIndex::Minimizer(index) => Box::new(
+                chain_tiles(index, tile_rows, ChainConfig::default())
+                    .map(move |t| CandidateBlock::from_chained(&t, reads, min_overlap)),
+            ),
+        }
+    }
 }
 
 impl CandidateBlock {
@@ -662,7 +640,7 @@ impl CandidateBlock {
 }
 
 /// A candidate block after alignment, stripped of its pairs: only the
-/// metadata, seeds and results survive until the in-order reassembly.
+/// metadata, seeds and results survive until classification.
 struct AlignedBlock {
     meta: Vec<(usize, usize, usize)>,
     seeds: Vec<Seed>,
@@ -677,22 +655,6 @@ impl AlignedBlock {
             results,
         }
     }
-}
-
-/// Reference single-threaded alignment of a candidate list — used by
-/// tests to pin backend results. One workspace serves the whole list
-/// (DESIGN.md §7); results are identical to per-call fresh scratch.
-pub fn align_candidates_reference(
-    pairs: &[ReadPair],
-    scoring: Scoring,
-    x: i32,
-) -> Vec<SeedExtendResult> {
-    let ext = XDropExtender::new(scoring, x);
-    let mut ws = AlignWorkspace::new();
-    pairs
-        .iter()
-        .map(|p| seed_extend_with(&p.query, &p.target, p.seed, &ext, &mut ws))
-        .collect()
 }
 
 #[cfg(test)]

@@ -196,14 +196,11 @@ impl Coalescer {
             .collect()
     }
 
-    /// Abandon the queue, returning the ids of every request that still
-    /// had unbatched pairs (each id once, FIFO order) — the failure
-    /// path when no backend lane survives to drain them.
-    pub fn drain_requests(&mut self) -> Vec<RequestId> {
-        let ids = self.pending.iter().map(|r| r.id).collect();
+    /// Abandon the queue — the failure path when no backend lane
+    /// survives to drain it.
+    pub fn clear(&mut self) {
         self.pending.clear();
         self.pending_pairs = 0;
-        ids
     }
 }
 
@@ -333,12 +330,12 @@ mod tests {
     }
 
     #[test]
-    fn drain_names_each_abandoned_request_once() {
+    fn clear_abandons_every_queued_pair() {
         let mut c = Coalescer::new(2);
         c.push_at(5, pairs(5, 8), 0.0);
         c.push_at(6, pairs(1, 9), 0.0);
         let _ = c.next_batch(); // request 5 now split: 2 taken, 3 pending
-        assert_eq!(c.drain_requests(), vec![5, 6]);
+        c.clear();
         assert!(c.is_empty());
         assert_eq!(c.pending_pairs(), 0);
     }

@@ -408,7 +408,7 @@ impl<T> ServeCore<T> {
     /// Fail every open request and empty both queues: the last-lane
     /// drain, and the server's sweep after its lanes are joined.
     pub(crate) fn fail_all(&mut self, detail: &str) {
-        self.queue.drain_requests();
+        self.queue.clear();
         self.retry.clear();
         while let Some((&id, _)) = self.assemblies.first_key_value() {
             self.fail(id, detail);

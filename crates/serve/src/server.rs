@@ -149,19 +149,22 @@ impl Server {
             cfg,
             backend,
         });
-        let workers = (0..lanes)
-            .map(|lane| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("logan-serve-lane-{lane}"))
-                    .spawn(move || shared.serve_lane(lane))
-                    .map_err(|e| format!("failed to spawn serve lane {lane}: {e}"))
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        Ok(Server {
+        // Each lane joins the server as it spawns: if a later spawn
+        // fails, dropping the server closes the core and joins the
+        // lanes already waiting on it.
+        let server = Server {
             shared,
-            workers: Mutex::new(workers),
-        })
+            workers: Mutex::new(Vec::with_capacity(lanes)),
+        };
+        for lane in 0..lanes {
+            let shared = Arc::clone(&server.shared);
+            let worker = std::thread::Builder::new()
+                .name(format!("logan-serve-lane-{lane}"))
+                .spawn(move || shared.serve_lane(lane))
+                .map_err(|e| format!("failed to spawn serve lane {lane}: {e}"))?;
+            lock_recover(&server.workers).push(worker);
+        }
+        Ok(server)
     }
 
     /// The configuration this server runs under.

@@ -6,10 +6,11 @@
 #
 # Mirrors the tier-1 definition in ROADMAP.md plus the style gates:
 # no-#[ignore] guard, one-kernel-source, one-recurrence,
-# one-supervisor, one-concurrent-component and one-serving-core guards,
-# rustfmt, clippy (warnings are errors), release build, the engine_tiers
-# smoke, the protein_homology example, the repo benchmark's own gate
-# (benchmark/check.sh), the test suite, and warning-free rustdoc.
+# one-supervisor, one-concurrent-component, one-serving-core and
+# one-pipeline-driver guards, rustfmt, clippy (warnings are errors),
+# release build, the engine_tiers smoke, the protein_homology example,
+# the repo benchmark's own gate (benchmark/check.sh), the test suite,
+# and warning-free rustdoc.
 # Every differential/contract suite (tests/*.rs, crates/*/tests/*.rs)
 # runs exactly once, inside the single `cargo test -q`; DESIGN.md §4
 # maps each suite to the contract it pins. Only steps that run
@@ -121,6 +122,24 @@ if [[ $(grep -c . <<<"$coalescer_sites" || true) -ne 1 ||
   echo "error: crates/serve/src must call Coalescer::new( and Admission::new( exactly" \
     "once each (found above); drive the one ServeCore instead of keeping a second" \
     "serving state machine" >&2
+  exit 1
+fi
+
+step "guard: one pipeline driver (the seed index and the classifier are built once, in the BELLA pipeline)"
+# run, candidates and run_streaming are the one-tile and the streaming
+# case of the same stages (DESIGN.md §8). Outside #[cfg(test)] and
+# comments, crates/bella/src matches Seeder::Minimizer => once and calls
+# AdaptiveThreshold::new( once: a second copy of the stages could not
+# build a seed index or classify an overlap without them.
+bella_src=$(grep -E '^crates/bella/src/' <<<"$non_test_src" || true)
+seeder_sites=$(grep -E 'Seeder::Minimizer =>' <<<"$bella_src" || true)
+threshold_sites=$(grep -E '\bAdaptiveThreshold::new\(' <<<"$bella_src" || true)
+if [[ $(grep -c . <<<"$seeder_sites" || true) -ne 1 ||
+  $(grep -c . <<<"$threshold_sites" || true) -ne 1 ]]; then
+  printf '%s\n%s\n' "$seeder_sites" "$threshold_sites"
+  echo "error: crates/bella/src must match Seeder::Minimizer => and call" \
+    "AdaptiveThreshold::new( exactly once each (found above); run the stages of" \
+    "crates/bella/src/pipeline.rs instead of a second copy of them" >&2
   exit 1
 fi
 

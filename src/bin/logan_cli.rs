@@ -43,10 +43,10 @@
 //! heterogeneous fleet, e.g. `fleet:2gpu+cpu:4`).
 //!
 //! `--stream` runs `overlap` through the bounded-memory streaming
-//! dataflow (bit-identical output): the FASTA is parsed in batches of
-//! `--batch-reads`, the k-mer table is counted in `--shards` waves, and
-//! at most `--inflight` candidate blocks sit between the SpGEMM
-//! producer and the alignment backend.
+//! dataflow (bit-identical output): the parsed reads are ingested in
+//! batches of `--batch-reads`, the k-mers are counted in `--shards`
+//! waves, and at most `--inflight` candidate blocks sit between the
+//! candidate producer and the alignment backend.
 //!
 //! `--seeder` picks the candidate generator for `overlap`: `spgemm`
 //! (BELLA's align-everything default) or `minimizer[:W]` (minimap2-style
@@ -83,9 +83,9 @@
 use logan::bella::{BellaConfig, BellaPipeline, PipelineBudget, Seeder};
 use logan::core::fleet::{check_pool_threads, check_workers};
 use logan::prelude::*;
-use logan::seq::fasta::{read_fasta, read_fasta_alphabet, FastaBatches};
+use logan::seq::fasta::{read_fasta, read_fasta_alphabet};
 use logan::seq::kmer::{CanonicalKmerIter, MAX_K};
-use logan::seq::readsim::ReadBatch;
+use logan::seq::readsim::seq_batches;
 use logan::seq::translate::{six_frame_segments, Frame};
 use logan::seq::{Alphabet, ScoreProfile};
 use logan::serve::Reply;
@@ -636,36 +636,14 @@ fn cmd_overlap(opts: &Opts) -> Result<(), String> {
     let pipeline = BellaPipeline::new(config);
     let backend = build_backend(opts);
     let file = File::open(rf).map_err(|e| format!("{rf}: {e}"))?;
-
-    let mut ids: Vec<String> = Vec::new();
-    let mut total = 0usize;
+    // The whole file parses before any counting or alignment spends
+    // time, so a parse error fails fast with nothing computed.
+    let records = read_fasta(file).map_err(|e| format!("{rf}: {e}"))?;
+    let total: usize = records.iter().map(|r| r.seq.len()).sum();
+    let (ids, seqs): (Vec<String>, Vec<Seq>) = records.into_iter().map(|r| (r.id, r.seq)).unzip();
     let out = if opts.stream {
-        // Streaming: drain the FASTA in bounded batches *before* any
-        // counting or alignment spends time — a parse error fails fast
-        // with nothing computed. The drained batches are moved (not
-        // copied) into the pipeline, whose ingest stage would have built
-        // the same resident store anyway, so peak memory is unchanged.
-        let mut batches: Vec<ReadBatch> = Vec::new();
-        for records in FastaBatches::new(file, opts.budget.batch_reads) {
-            let records = records.map_err(|e| format!("{rf}: {e}"))?;
-            let start_id = ids.len();
-            let mut seqs = Vec::with_capacity(records.len());
-            for r in records {
-                ids.push(r.id);
-                total += r.seq.len();
-                seqs.push(r.seq);
-            }
-            batches.push(ReadBatch { start_id, seqs });
-        }
-        pipeline.run_streaming(batches, &*backend)
+        pipeline.run_streaming(seq_batches(&seqs, opts.budget.batch_reads), &*backend)
     } else {
-        let records = read_fasta(file).map_err(|e| format!("{rf}: {e}"))?;
-        let mut seqs = Vec::with_capacity(records.len());
-        for r in records {
-            ids.push(r.id);
-            total += r.seq.len();
-            seqs.push(r.seq);
-        }
         pipeline.run(&seqs, &*backend)
     };
     let mean_len = total / ids.len().max(1);
