@@ -34,19 +34,6 @@ pub struct BatchResult {
     pub tiers: crate::simd::TierTally,
 }
 
-impl BatchResult {
-    /// Giga cell updates per (wall-clock) second — the GCUPS metric the
-    /// paper reports, here measured on the actual host. Returns `None`
-    /// when the batch carries no measurement at all, which is distinct
-    /// from `Some(f64::INFINITY)` (work measured at sub-resolution wall
-    /// time) and `Some(0.0)` (a measured run that computed zero cells).
-    pub fn wall_gcups(&self) -> Option<f64> {
-        let secs = self.wall?.as_secs_f64();
-        let gcups = self.total_cells as f64 / secs / 1e9;
-        Some(if gcups.is_nan() { 0.0 } else { gcups })
-    }
-}
-
 /// A thread-pooled batch aligner over read pairs.
 pub struct CpuBatchAligner {
     pool: rayon::ThreadPool,
@@ -66,7 +53,7 @@ impl CpuBatchAligner {
     }
 
     /// Number of worker threads.
-    pub fn threads(&self) -> usize {
+    pub(crate) fn threads(&self) -> usize {
         self.threads
     }
 
@@ -167,29 +154,28 @@ impl XDropCpuAligner {
         self.ext.x
     }
 
-    /// The bound scoring scheme. Panics when the bound profile is a
-    /// substitution matrix — callers that may bind matrix profiles
-    /// should use [`XDropCpuAligner::profile`].
-    pub fn scoring(&self) -> logan_seq::Scoring {
-        self.ext
-            .profile
-            .as_match_mismatch()
-            .expect("scoring() on a matrix-profile aligner; use profile()")
-    }
-
     /// The bound score profile.
     pub fn profile(&self) -> logan_seq::ScoreProfile {
         self.ext.profile
     }
 
-    /// The bound compute engine.
-    pub fn engine(&self) -> crate::simd::Engine {
-        self.ext.engine
-    }
-
     /// Align every pair under the bound configuration.
     pub fn run(&self, pairs: &[ReadPair]) -> BatchResult {
         self.aligner.run(pairs, &self.ext)
+    }
+}
+
+#[cfg(test)]
+impl BatchResult {
+    /// Giga cell updates per (wall-clock) second — the GCUPS metric the
+    /// paper reports, here measured on the actual host. Returns `None`
+    /// when the batch carries no measurement at all, which is distinct
+    /// from `Some(f64::INFINITY)` (work measured at sub-resolution wall
+    /// time) and `Some(0.0)` (a measured run that computed zero cells).
+    pub(crate) fn wall_gcups(&self) -> Option<f64> {
+        let secs = self.wall?.as_secs_f64();
+        let gcups = self.total_cells as f64 / secs / 1e9;
+        Some(if gcups.is_nan() { 0.0 } else { gcups })
     }
 }
 
@@ -351,8 +337,8 @@ mod tests {
         assert_eq!(got.total_cells, loose.total_cells);
         assert_eq!(bound.threads(), 2);
         assert_eq!(bound.x(), 40);
-        assert_eq!(bound.engine(), Engine::Simd);
-        assert_eq!(bound.scoring(), Scoring::default());
+        assert_eq!(bound.ext.engine, Engine::Simd);
+        assert_eq!(bound.ext.profile, Scoring::default().into());
     }
 
     #[test]

@@ -68,9 +68,9 @@ pub use protein::{ScoreProfile, SubstMatrix, AMINO_ACIDS};
 pub use result::{AlignmentResult, ExtensionResult, SeedExtendResult};
 pub use seed_extend::{seed_extend, seed_extend_with};
 pub use simd::{simd8_eligible, simd_eligible, DiagStats, Engine, StepSink, TierTally};
-pub use workspace::{with_thread_workspace, AlignWorkspace, AntiDiag, ScalarRings};
+pub use workspace::{with_thread_workspace, AlignWorkspace};
 pub use xdrop::{xdrop_extend, xdrop_extend_with, XDropExtender};
 
 /// Sentinel for "pruned / unreachable" DP cells. Chosen far from
 /// `i32::MIN` so that adding gap penalties can never wrap.
-pub const NEG_INF: i32 = i32::MIN / 2;
+pub(crate) const NEG_INF: i32 = i32::MIN / 2;

@@ -52,8 +52,8 @@
 //!
 //! | tier   | lanes/chunk | entered when                        |
 //! |--------|-------------|-------------------------------------|
-//! | i8     | [`LANES8`]  | [`simd8_eligible`]                  |
-//! | i16    | [`LANES`]   | [`simd_eligible`]                   |
+//! | i8     | `LANES8`  | [`simd8_eligible`]                  |
+//! | i16    | `LANES`   | [`simd_eligible`]                   |
 //! | scalar | —           | always (the i32 ground truth)       |
 //!
 //! [`Engine`] picks a tier; every tier is bit-identical to scalar, so
@@ -68,8 +68,8 @@
 //!
 //! The two SIMD tiers are one stepper (`LaneState`) and one
 //! recurrence body (`cells`), written once over the lane element
-//! ([`Lane`]) and the lane count and monomorphised for `i16 × 16` and
-//! [`Biased8`]` × 32`. Like the GPU kernel — which gives every cell of
+//! (`Lane`) and the lane count and monomorphised for `i16 × 16` and
+//! `Biased8 × 32`. Like the GPU kernel — which gives every cell of
 //! an anti-diagonal a lane and idles the lanes past its end — a step
 //! never drops to a serial loop: the window of an anti-diagonal is
 //! rounded *up* to whole chunks, only full-width chunks run, and the
@@ -79,7 +79,7 @@
 //!
 //! # Buffer layout: absolute positions, nothing cleared
 //!
-//! Every buffer of a [`Scratch`] is indexed by query position `i`
+//! Every buffer of a `Scratch` is indexed by query position `i`
 //! (1-based, as in the recurrence; `j = d − i`) and sized once per
 //! extension, never per step:
 //!
@@ -126,7 +126,7 @@
 //! operands are padding and neighbours outside the band, and `p2` can
 //! hold a live cell there when the last anti-diagonal was trimmed
 //! shorter than the one before. They are killed by a lane-wise `min`
-//! against a slice of [`Lane::LANE_MASK`], a run of "keep" entries (the
+//! against a slice of `Lane::LANE_MASK`, a run of "keep" entries (the
 //! type's maximum) followed by a run of "kill" entries (−∞): where the
 //! slice starts decides how many leading lanes survive. Two vector
 //! instructions per masked chunk, where a compare on lane indices is
@@ -204,7 +204,7 @@ use serde::{Deserialize, Serialize};
 /// source, two compilations"); in the portable compilation LLVM splits
 /// the chunk into the target's baseline vectors — two 128-bit halves
 /// under SSE2 or NEON.
-pub const LANES: usize = 16;
+pub(crate) const LANES: usize = 16;
 
 /// Row stride of the query profile (`Scratch::qprof`): the
 /// smallest power of two holding every alphabet (20 amino acids), so
@@ -237,7 +237,7 @@ pub const SIMD_MAX_X: i32 = -(<i16 as Lane>::NEG_INF as i32) - 1;
 /// vector of bytes in the AVX2 compilation (two 128-bit halves in the
 /// portable one), twice the cells per instruction of the i16 tier
 /// either way.
-pub const LANES8: usize = 32;
+pub(crate) const LANES8: usize = 32;
 
 /// The i8 tier's score window (see [`simd8_eligible`]): best score,
 /// `x + max_score` and penalty magnitudes must all fit in it. Unlike
@@ -553,7 +553,7 @@ pub fn simd8_eligible(query: &Seq, target: &Seq, profile: impl Into<ScoreProfile
 /// monomorphised for. Implemented for `i16` (the [`LANES`]-lane tier)
 /// and [`Biased8`] (the [`LANES8`]-lane i8 tier); the lane count is the
 /// stepper's const parameter.
-pub trait Lane: Copy + Ord + std::fmt::Debug + 'static {
+pub(crate) trait Lane: Copy + Ord + std::fmt::Debug + 'static {
     /// The "−∞" sentinel, chosen (like the scalar `NEG_INF`) far enough
     /// from `MIN` that adding an in-window penalty cannot wrap before
     /// saturation.
@@ -615,7 +615,7 @@ impl Lane for i16 {
 /// recurrence takes three per cell. (The AVX2 compilation has `pmaxsb`
 /// and would not care; one representation serves both.)
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct Biased8(u8);
+pub(crate) struct Biased8(u8);
 
 impl Biased8 {
     const BIAS: u8 = 64;
@@ -657,7 +657,7 @@ const FRONT: usize = 1;
 /// re-initialises the cells the kernel can read, so no state leaks
 /// between extensions.
 #[derive(Debug, Default)]
-pub struct Scratch<T> {
+pub(crate) struct Scratch<T> {
     /// Query codes as lane elements at index `i` for query position `i`
     /// (1-based, as in the recurrence): one pad symbol in front — the
     /// "symbol" of the `i = 0` boundary cell — and a chunk of padding
@@ -685,10 +685,10 @@ pub struct Scratch<T> {
 }
 
 /// The i16 tier's scratch.
-pub type SimdScratch = Scratch<i16>;
+pub(crate) type SimdScratch = Scratch<i16>;
 /// The i8 tier's scratch; escalating runs use both this and the i16
 /// one.
-pub type Simd8Scratch = Scratch<Biased8>;
+pub(crate) type Simd8Scratch = Scratch<Biased8>;
 
 /// Size a scratch's three anti-diagonals for a query of `m` symbols
 /// stepped in chunks of `lanes`, and hand them out. Grow-only, and
@@ -723,7 +723,7 @@ pub struct DiagStats {
     /// −∞ cells trimmed from the high end.
     pub trim_back: usize,
     /// Maximum score on this anti-diagonal (exact, widened to i32;
-    /// [`NEG_INF`] on the one that dropped).
+    /// `NEG_INF` on the one that dropped).
     pub row_max: i32,
 }
 

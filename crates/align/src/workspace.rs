@@ -49,7 +49,7 @@ use std::cell::RefCell;
 /// `drain(..k)` memmove the previous representation paid on every
 /// anti-diagonal.
 #[derive(Debug, Default, Clone)]
-pub struct AntiDiag {
+pub(crate) struct AntiDiag {
     vals: Vec<i32>,
     /// Query index of `vals[0]`.
     base: usize,
@@ -69,7 +69,7 @@ impl AntiDiag {
     /// incidentally (because `base + computed_len` never overflows for
     /// real diagonals).
     #[inline(always)]
-    pub fn get(&self, i: usize) -> i32 {
+    pub(crate) fn get(&self, i: usize) -> i32 {
         if i == usize::MAX || i < self.base || i >= self.base + self.vals.len() {
             NEG_INF
         } else {
@@ -79,27 +79,27 @@ impl AntiDiag {
 
     /// Live (post-trim) window start, as a query index.
     #[inline(always)]
-    pub fn lo(&self) -> usize {
+    pub(crate) fn lo(&self) -> usize {
         self.lo
     }
 
     /// Live (post-trim) window length.
     #[inline(always)]
-    pub fn live_len(&self) -> usize {
+    pub(crate) fn live_len(&self) -> usize {
         self.len
     }
 
     /// The live (post-trim) cells, `live()[k]` being query index
     /// `lo() + k`.
     #[inline(always)]
-    pub fn live(&self) -> &[i32] {
+    pub(crate) fn live(&self) -> &[i32] {
         let start = self.lo - self.base;
         &self.vals[start..start + self.len]
     }
 
     /// All computed cells of the diagonal (before trimming).
     #[inline(always)]
-    pub fn computed(&self) -> &[i32] {
+    pub(crate) fn computed(&self) -> &[i32] {
         &self.vals
     }
 
@@ -108,7 +108,7 @@ impl AntiDiag {
     /// reusing the existing allocation. The live window is provisionally
     /// the whole diagonal until [`AntiDiag::trim`] narrows it.
     #[inline]
-    pub fn begin(&mut self, lo: usize, width: usize) -> &mut [i32] {
+    pub(crate) fn begin(&mut self, lo: usize, width: usize) -> &mut [i32] {
         self.vals.clear();
         self.vals.resize(width, NEG_INF);
         self.base = lo;
@@ -122,7 +122,7 @@ impl AntiDiag {
     /// no memmove — the `ReduceAntiDiagFromStart/End` step of
     /// Algorithm 1 at zero copy cost.
     #[inline]
-    pub fn trim(&mut self, kf: usize, kl: usize) {
+    pub(crate) fn trim(&mut self, kf: usize, kl: usize) {
         debug_assert!(kf <= kl && kl < self.vals.len());
         self.lo = self.base + kf;
         self.len = kl - kf + 1;
@@ -130,7 +130,7 @@ impl AntiDiag {
 
     /// Reset to an empty diagonal (reads as −∞ everywhere).
     #[inline]
-    pub fn reset_empty(&mut self) {
+    pub(crate) fn reset_empty(&mut self) {
         self.vals.clear();
         self.base = 0;
         self.lo = 0;
@@ -140,7 +140,7 @@ impl AntiDiag {
     /// Reset to the `d = 0` origin diagonal: the single cell `(0, 0)`
     /// with score 0.
     #[inline]
-    pub fn reset_origin(&mut self) {
+    pub(crate) fn reset_origin(&mut self) {
         self.vals.clear();
         self.vals.push(0);
         self.base = 0;
@@ -152,7 +152,7 @@ impl AntiDiag {
 /// The three rotating i32 anti-diagonals of a scalar X-drop extension —
 /// the host mirror of the GPU's three HBM buffers (paper Fig. 1).
 #[derive(Debug, Default, Clone)]
-pub struct ScalarRings {
+pub(crate) struct ScalarRings {
     /// Anti-diagonal `d − 2`.
     pub prev2: AntiDiag,
     /// Anti-diagonal `d − 1`.
@@ -164,7 +164,7 @@ pub struct ScalarRings {
 impl ScalarRings {
     /// Reset for a new extension: `prev` holds the origin cell, the
     /// other two are empty. Keeps all three allocations.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.prev2.reset_empty();
         self.prev.reset_origin();
         self.cur.reset_empty();
@@ -177,13 +177,13 @@ impl ScalarRings {
 #[derive(Debug, Default)]
 pub struct AlignWorkspace {
     /// i32 anti-diagonal rings for the scalar engine.
-    pub rings: ScalarRings,
+    pub(crate) rings: ScalarRings,
     /// i16 state for the SIMD engine: the three padded anti-diagonals
     /// plus the lane-widened query/target buffers.
-    pub simd: SimdScratch,
+    pub(crate) simd: SimdScratch,
     /// i8 state for the 32-lane tier: the same layout at byte width.
     /// Escalating runs use both this and `simd`.
-    pub simd8: Simd8Scratch,
+    pub(crate) simd8: Simd8Scratch,
     /// Per-tier dispatch and escalation counters, bumped by every
     /// kernel entry point that runs through this workspace. Batch
     /// runners snapshot/diff it around each pair to aggregate into

@@ -21,7 +21,13 @@ use logan_seq::Seed;
 /// `kept` flag fails any positive `min_overlap` floor. (An unchecked
 /// `len - pos - k` would wrap to a huge value in release builds,
 /// turning the corrupt witness into a maximally *attractive* seed.)
-pub fn overlap_estimate(len1: usize, len2: usize, pos1: usize, pos2: usize, k: usize) -> usize {
+pub(crate) fn overlap_estimate(
+    len1: usize,
+    len2: usize,
+    pos1: usize,
+    pos2: usize,
+    k: usize,
+) -> usize {
     let (Some(r1), Some(r2)) = (
         len1.checked_sub(pos1).and_then(|f| f.checked_sub(k)),
         len2.checked_sub(pos2).and_then(|f| f.checked_sub(k)),
@@ -39,7 +45,7 @@ pub fn overlap_estimate(len1: usize, len2: usize, pos1: usize, pos2: usize, k: u
 /// discovery order (`>` comparison, so an equal later estimate never
 /// displaces an earlier one) — the streaming and monolithic pipelines
 /// rely on this to produce bit-identical seeds. Degenerate witnesses
-/// estimate 0 (see [`overlap_estimate`]), and a valid witness always
+/// estimate 0 (see `overlap_estimate`), and a valid witness always
 /// estimates at least `k`, so a degenerate witness is never preferred
 /// over a valid one. If *every* witness is degenerate (corrupt input —
 /// the in-repo SpGEMM cannot produce one), the first witness is used

@@ -1,13 +1,13 @@
-//! A minimal Fx-style hasher for integer-keyed maps.
+//! A minimal Fx-style hasher for integer-keyed sets.
 //!
 //! The Rust performance guide recommends `rustc-hash` for hot maps with
 //! integer keys; rather than pull a dependency for ten lines, the
 //! multiply-rotate algorithm is inlined here. k-mer codes are already
-//! well-mixed 2-bit packings. The hottest map is the matrix builder's
-//! code → column map, probed once per k-mer of every read; k-mer
-//! *counting* sorts instead of hashing (see [`crate::kmer_count`]).
+//! well-mixed 2-bit packings. The hottest set is the reliable k-mer
+//! set, probed once per k-mer of every read; k-mer *counting* sorts
+//! instead of hashing (see [`crate::kmer_count`]).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::hash::{BuildHasherDefault, Hasher};
 
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
@@ -61,18 +61,17 @@ impl Hasher for FxHasher {
     }
 }
 
-/// A `HashMap` keyed with FxHash.
-pub type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 /// A `HashSet` keyed with FxHash.
 pub type FxHashSet<T> = HashSet<T, BuildHasherDefault<FxHasher>>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     #[test]
     fn map_roundtrip() {
-        let mut m: FxHashMap<u64, u32> = FxHashMap::default();
+        let mut m: HashMap<u64, u32, BuildHasherDefault<FxHasher>> = HashMap::default();
         for i in 0..10_000u64 {
             m.insert(i * 2654435761, i as u32);
         }

@@ -9,7 +9,7 @@
 //! fit, else `u128`):
 //!
 //! 1. one pass over the reads sizes [`PARTITIONS`] hash partitions of
-//!    the canonical code space ([`partition_of`]);
+//!    the canonical code space (`partition_of`);
 //! 2. a second pass scatters the keys of a *wave* — a contiguous group
 //!    of partitions — into one flat buffer, partition by partition; a
 //!    key of another wave's partition goes to a trash slot behind the
@@ -47,7 +47,7 @@ pub const PARTITIONS: usize = 1 << PARTITION_BITS;
 /// (canonical 2-bit codes are far from uniform), so partition sizes
 /// stay balanced even on repeat-heavy genomes.
 #[inline]
-pub fn partition_of(code: u64) -> usize {
+pub(crate) fn partition_of(code: u64) -> usize {
     (code.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (u64::BITS - PARTITION_BITS)) as usize
 }
 
@@ -354,16 +354,6 @@ pub fn count_reliable_sharded(
     (distinct, reliable)
 }
 
-/// Histogram of multiplicities (index = multiplicity, capped), useful
-/// for diagnostics and for choosing reliable bounds empirically.
-pub fn multiplicity_histogram(counts: &KmerCounts, cap: usize) -> Vec<u64> {
-    let mut hist = vec![0u64; cap + 1];
-    for &c in counts.values() {
-        hist[(c as usize).min(cap)] += 1;
-    }
-    hist
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -408,14 +398,6 @@ mod tests {
         for (code, c) in counts.iter() {
             assert_eq!(*c, per_read[code] * 3);
         }
-    }
-
-    #[test]
-    fn histogram_caps() {
-        let r = seq("AAAAAAAAAA");
-        let counts = count_kmers(&[r], 4); // poly-A k-mer, multiplicity 7
-        let hist = multiplicity_histogram(&counts, 5);
-        assert_eq!(hist[5], 1, "capped into the top bucket");
     }
 
     #[test]

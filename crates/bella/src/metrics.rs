@@ -21,7 +21,10 @@ pub struct OverlapMetrics {
 impl OverlapMetrics {
     /// Score `reported` `(i, j)` pairs (any order, `i != j`) against
     /// `truth` `(i, j, len)` with `i < j`.
-    pub fn score(reported: &[(usize, usize)], truth: &[(usize, usize, usize)]) -> OverlapMetrics {
+    pub(crate) fn score(
+        reported: &[(usize, usize)],
+        truth: &[(usize, usize, usize)],
+    ) -> OverlapMetrics {
         let truth_set: FxHashSet<(usize, usize)> = truth
             .iter()
             .map(|&(i, j, _)| (i.min(j), i.max(j)))

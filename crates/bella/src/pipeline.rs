@@ -88,7 +88,7 @@ impl Default for PipelineBudget {
 impl PipelineBudget {
     /// All knobs clamped to at least 1 (a zero budget means "smallest",
     /// not "nothing").
-    pub fn clamped(self) -> PipelineBudget {
+    pub(crate) fn clamped(self) -> PipelineBudget {
         PipelineBudget {
             batch_reads: self.batch_reads.max(1),
             shards: self.shards.max(1),
@@ -225,7 +225,7 @@ impl BellaOutput {
     }
 
     /// Score against ground truth overlaps (`(i, j, len)` with `i < j`).
-    pub fn metrics(&self, truth: &[(usize, usize, usize)]) -> OverlapMetrics {
+    pub(crate) fn metrics(&self, truth: &[(usize, usize, usize)]) -> OverlapMetrics {
         OverlapMetrics::score(&self.kept_pairs(), truth)
     }
 }

@@ -30,7 +30,7 @@ impl ReliableBounds {
 }
 
 /// Survival probability of an exact k-mer copy in one read.
-pub fn kmer_survival(error_rate: f64, k: usize) -> f64 {
+pub(crate) fn kmer_survival(error_rate: f64, k: usize) -> f64 {
     (1.0 - error_rate).powi(k as i32)
 }
 

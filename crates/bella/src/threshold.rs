@@ -33,7 +33,7 @@ impl AdaptiveThreshold {
     }
 
     /// Minimum score required at estimated overlap `l`.
-    pub fn min_score(&self, l: usize) -> i32 {
+    pub(crate) fn min_score(&self, l: usize) -> i32 {
         ((1.0 - self.delta) * self.phi * l as f64).floor() as i32
     }
 

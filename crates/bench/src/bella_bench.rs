@@ -17,7 +17,7 @@ mod logan_bench_reexports {
 
 /// One row of a BELLA table.
 #[derive(Serialize)]
-pub struct BellaRow {
+pub(crate) struct BellaRow {
     /// The X-drop threshold.
     pub x: i32,
     /// Alignment cells measured at bench scale.

@@ -204,7 +204,7 @@ impl BackendReport {
     }
 
     /// Report of one block run on a host-only (CPU) backend.
-    pub fn from_host(pairs: usize, total_cells: u64, wall_s: f64) -> BackendReport {
+    pub(crate) fn from_host(pairs: usize, total_cells: u64, wall_s: f64) -> BackendReport {
         BackendReport {
             pairs,
             blocks: 1,
@@ -265,15 +265,6 @@ impl BackendReport {
         }
         self.total_cells as f64 / self.sim_time_s / 1e9
     }
-
-    /// Giga cell updates per host wall-clock second; 0.0 when no wall
-    /// time was measured.
-    pub fn wall_gcups(&self) -> f64 {
-        if self.wall_s == 0.0 {
-            return 0.0;
-        }
-        self.total_cells as f64 / self.wall_s / 1e9
-    }
 }
 
 /// The simulated compute ceiling of a device spec in GCUPS — the
@@ -288,7 +279,7 @@ fn gpu_gcups_hint(spec: &logan_gpusim::DeviceSpec) -> f64 {
 /// splits the difference. Only the *ratio* against the GPU hints (the
 /// §VI-B compute ceiling of the device spec) matters for chunk sizing,
 /// so the spread between testbeds is tolerable.
-pub const CPU_THREAD_GCUPS_HINT: f64 = 0.05;
+pub(crate) const CPU_THREAD_GCUPS_HINT: f64 = 0.05;
 
 /// Worker threads available on this host (≥ 1) — the shared fallback
 /// every "default to machine width" knob uses.
@@ -373,16 +364,6 @@ impl GpuBackend {
             driver,
             driver_threads,
         }
-    }
-
-    /// The wrapped executor.
-    pub fn executor(&self) -> &LoganExecutor {
-        &self.exec
-    }
-
-    /// Host threads driving this device.
-    pub fn driver_threads(&self) -> usize {
-        self.driver_threads
     }
 }
 
@@ -483,10 +464,8 @@ mod tests {
         assert_eq!(rep.gcups(), 0.0);
         assert!(rep.gcups().is_finite());
         assert_eq!(BackendReport::empty().gcups(), 0.0);
-        assert_eq!(BackendReport::empty().wall_gcups(), 0.0);
         let host = BackendReport::from_host(0, 0, 0.0);
         assert_eq!(host.gcups(), 0.0);
-        assert_eq!(host.wall_gcups(), 0.0);
     }
 
     #[test]

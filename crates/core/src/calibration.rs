@@ -17,12 +17,12 @@
 /// `244.8 warp-GIPS × 32 / 43 ≈ 182 GCUPS`, immediately above the
 /// paper's measured 181.6 GCUPS peak (§VI-B) — a saturated LOGAN run is
 /// compute-bound at exactly that instruction mix.
-pub const LOGAN_INSTR_PER_CELL: u32 = 43;
+pub(crate) const LOGAN_INSTR_PER_CELL: u32 = 43;
 
 /// Extra per-cell instructions when the second sequence is *not*
 /// reversed in memory (ablation of paper Fig. 6): uncoalesced accesses
 /// cause transaction replays that occupy issue slots.
-pub const STRIDED_REPLAY_INSTR: u32 = 8;
+pub(crate) const STRIDED_REPLAY_INSTR: u32 = 8;
 
 /// Serial warp instructions of the per-anti-diagonal epilogue executed
 /// once per iteration regardless of width: bounds update, three-buffer
@@ -32,53 +32,49 @@ pub const STRIDED_REPLAY_INSTR: u32 = 8;
 /// X=10 row (2.2 s) is dominated by this constant (anti-diagonals are
 /// ~15 cells wide but the iteration count is fixed at m+n), while the
 /// X=5000 row (26.7 s) pins the per-cell term.
-pub const BOUNDS_UPDATE_BASE_INSTR: u32 = 280;
+pub(crate) const BOUNDS_UPDATE_BASE_INSTR: u32 = 280;
 
 /// Serial instructions per −∞ cell trimmed from the anti-diagonal ends
 /// (`ReduceAntiDiagFromStart/End`).
-pub const TRIM_INSTR_PER_CELL: u32 = 4;
+pub(crate) const TRIM_INSTR_PER_CELL: u32 = 4;
 
 /// Dependent-load stall cycles between consecutive anti-diagonals when
 /// the three buffers live in HBM but hit L2 (store → cross-SM-visible
 /// load on Volta ≈ 190–220 cycles).
-pub const ITER_STALL_CYCLES_HBM: u64 = 200;
+pub(crate) const ITER_STALL_CYCLES_HBM: u64 = 200;
 
 /// The same round trip through shared memory (§IV-B ablation).
-pub const ITER_STALL_CYCLES_SHARED: u64 = 60;
+pub(crate) const ITER_STALL_CYCLES_SHARED: u64 = 60;
 
 /// Hot working set per LOGAN block, bytes per anti-diagonal cell: three
 /// `i32` anti-diagonals plus the two character windows
 /// (3×4 + 2 = 14).
-pub const HOT_BYTES_PER_WIDTH: usize = 14;
-
-/// Streaming HBM traffic per computed cell when the working set spills
-/// L2, bytes: two `i32` anti-diagonal reads, one write, two characters.
-pub const STREAM_BYTES_PER_CELL: u64 = 14;
+pub(crate) const HOT_BYTES_PER_WIDTH: usize = 14;
 
 /// Thread-level instructions per cell of the CUDASW++-style full
 /// Smith–Waterman comparator: affine E/F recurrences and the query
 /// profile lookups of a protein-capable kernel roughly double the X-drop
 /// inner loop (CUDASW++ 3.0, Liu et al. 2013).
-pub const FULLSW_INSTR_PER_CELL: u32 = 55;
+pub(crate) const FULLSW_INSTR_PER_CELL: u32 = 55;
 
 /// CUDASW++ keeps its query profile in shared memory; the 64 KB
 /// reservation limits residency to one block per SM — the occupancy
 /// penalty behind its GPU-only GCUPS in Fig. 12.
-pub const FULLSW_SHARED_PER_BLOCK: usize = 64 * 1024;
+pub(crate) const FULLSW_SHARED_PER_BLOCK: usize = 64 * 1024;
 
 /// CUDASW++ block size (its published kernels use 256).
-pub const FULLSW_THREADS: usize = 256;
+pub(crate) const FULLSW_THREADS: usize = 256;
 
 /// Thread-level instructions per cell of the manymap-style banded
 /// extension comparator (Feng et al. 2019): seed-chain-extend with
 /// traceback bookkeeping in the inner loop.
-pub const MANYMAP_INSTR_PER_CELL: u32 = 80;
+pub(crate) const MANYMAP_INSTR_PER_CELL: u32 = 80;
 
 /// manymap's fixed DP band half-width (minimap2's default `-r 500`).
-pub const MANYMAP_BAND: usize = 500;
+pub(crate) const MANYMAP_BAND: usize = 500;
 
 /// manymap block size.
-pub const MANYMAP_THREADS: usize = 512;
+pub(crate) const MANYMAP_THREADS: usize = 512;
 
 /// Host-side CPU GCUPS added by CUDASW++'s hybrid CPU-SIMD mode
 /// (Fig. 12 reports the hybrid line ≈ 115 GCUPS above GPU-only; this is
@@ -119,7 +115,7 @@ pub const BELLA_GPU_MARSHAL_S_PER_PAIR: f64 = 30e-6;
 /// residency/L2 planning (under unit scoring a deviation from the
 /// optimal path costs ≈ 1.5 score per off-diagonal step: one gap plus
 /// the forfeited ~0.5/base drift).
-pub const BAND_HALFWIDTH_PER_X: f64 = 1.0 / 1.5;
+pub(crate) const BAND_HALFWIDTH_PER_X: f64 = 1.0 / 1.5;
 
 #[cfg(test)]
 mod tests {

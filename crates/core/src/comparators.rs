@@ -7,20 +7,18 @@
 //! cell. Each kernel therefore comes in two forms that share one
 //! accounting function:
 //!
-//! * a **real** [`BlockKernel`] that computes actual alignment scores
-//!   (validated against the CPU oracles) *and* runs the accounting — used
-//!   by tests and small benchmarks;
+//! * a **real** [`BlockKernel`](logan_gpusim::BlockKernel) that
+//!   computes actual alignment scores (validated against the CPU
+//!   oracles) *and* runs the accounting — a test-only oracle;
 //! * an **analytic** batch report that runs only the accounting — used by
 //!   the Fig. 12 harness where executing 2.5 T DP cells on a CPU host is
 //!   not feasible. A unit test pins the two forms to identical counters.
 
 use crate::calibration::*;
-use logan_align::{banded_sw, smith_waterman, AlignmentResult};
 use logan_gpusim::{
-    schedule, AccessPattern, BlockCost, BlockCtx, BlockKernel, Device, DeviceSpec, KernelReport,
-    KernelStats, LaunchConfig,
+    schedule, AccessPattern, BlockCost, BlockCtx, DeviceSpec, KernelReport, KernelStats,
+    LaunchConfig,
 };
-use logan_seq::{Scoring, Seq};
 use rayon::prelude::*;
 
 /// Which comparator to model.
@@ -36,7 +34,7 @@ pub enum Comparator {
 
 impl Comparator {
     /// Launch geometry for this comparator.
-    pub fn launch_shape(&self) -> (usize, usize) {
+    pub(crate) fn launch_shape(&self) -> (usize, usize) {
         match self {
             Comparator::FullSw => (FULLSW_THREADS, FULLSW_SHARED_PER_BLOCK),
             Comparator::Manymap => (MANYMAP_THREADS, 0),
@@ -44,7 +42,7 @@ impl Comparator {
     }
 
     /// DP cells this comparator computes on an `m × n` problem.
-    pub fn cells(&self, m: usize, n: usize) -> u64 {
+    pub(crate) fn cells(&self, m: usize, n: usize) -> u64 {
         match self {
             Comparator::FullSw => m as u64 * n as u64,
             Comparator::Manymap => manymap_cells(m, n, MANYMAP_BAND),
@@ -68,7 +66,7 @@ fn manymap_cells(m: usize, n: usize, band: usize) -> u64 {
 /// Account the SIMT cost of a CUDASW++-style full SW block: wavefront
 /// over anti-diagonals, DP rows streamed through global memory
 /// (12 bytes/cell: H and E read + H write), shuffle reduction at the end.
-pub fn fullsw_account(ctx: &mut BlockCtx, m: usize, n: usize) {
+pub(crate) fn fullsw_account(ctx: &mut BlockCtx, m: usize, n: usize) {
     if m == 0 || n == 0 {
         return;
     }
@@ -91,7 +89,7 @@ pub fn fullsw_account(ctx: &mut BlockCtx, m: usize, n: usize) {
 
 /// Account a manymap-style banded extension block: row-parallel band,
 /// packed traceback written per cell (1 byte), rows hot in L2.
-pub fn manymap_account(ctx: &mut BlockCtx, m: usize, n: usize, band: usize) {
+pub(crate) fn manymap_account(ctx: &mut BlockCtx, m: usize, n: usize, band: usize) {
     if m == 0 || n == 0 {
         return;
     }
@@ -109,41 +107,6 @@ pub fn manymap_account(ctx: &mut BlockCtx, m: usize, n: usize, band: usize) {
         ctx.stall(ITER_STALL_CYCLES_HBM);
     }
     ctx.charge_block_reduce(ctx.threads().min(m.min(n).max(1)));
-}
-
-/// The real CUDASW++-style kernel: full SW scores plus accounting.
-pub struct FullSwKernel<'a> {
-    /// One (query, target) problem per block.
-    pub jobs: &'a [(Seq, Seq)],
-    /// Linear-gap scoring (CUDASW++ is affine for proteins; for the DNA
-    /// workloads compared here the linear scheme matches LOGAN's).
-    pub scoring: Scoring,
-}
-
-impl BlockKernel for FullSwKernel<'_> {
-    type Output = AlignmentResult;
-    fn run_block(&self, ctx: &mut BlockCtx, block_id: usize) -> AlignmentResult {
-        let (q, t) = &self.jobs[block_id];
-        fullsw_account(ctx, q.len(), t.len());
-        smith_waterman(q, t, self.scoring)
-    }
-}
-
-/// The real manymap-style kernel: banded SW scores plus accounting.
-pub struct ManymapKernel<'a> {
-    /// One (query, target) problem per block.
-    pub jobs: &'a [(Seq, Seq)],
-    /// Scoring scheme.
-    pub scoring: Scoring,
-}
-
-impl BlockKernel for ManymapKernel<'_> {
-    type Output = AlignmentResult;
-    fn run_block(&self, ctx: &mut BlockCtx, block_id: usize) -> AlignmentResult {
-        let (q, t) = &self.jobs[block_id];
-        manymap_account(ctx, q.len(), t.len(), MANYMAP_BAND);
-        banded_sw(q, t, self.scoring, MANYMAP_BAND)
-    }
 }
 
 /// Analytic batch report: account every job without computing scores.
@@ -187,37 +150,74 @@ pub fn analytic_report(
     }
 }
 
-/// Run the *real* comparator kernel on a device (for tests and small
-/// benches).
-pub fn run_real(
-    device: &Device,
-    jobs: &[(Seq, Seq)],
-    scoring: Scoring,
-    which: Comparator,
-) -> (Vec<AlignmentResult>, KernelReport) {
-    let (threads, shared) = which.launch_shape();
-    let cfg = LaunchConfig {
-        blocks: jobs.len(),
-        threads_per_block: threads,
-        shared_per_block: shared,
-    };
-    let (out, mut report) = match which {
-        Comparator::FullSw => device.launch(cfg, &FullSwKernel { jobs, scoring }),
-        Comparator::Manymap => device.launch(cfg, &ManymapKernel { jobs, scoring }),
-    };
-    report.stats.work_items = jobs
-        .iter()
-        .map(|(q, t)| which.cells(q.len(), t.len()))
-        .sum();
-    (out, report)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use logan_align::{banded_sw, smith_waterman, AlignmentResult};
+    use logan_gpusim::{BlockKernel, Device};
     use logan_seq::readsim::random_seq;
+    use logan_seq::{Scoring, Seq};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// The real CUDASW++-style kernel: full SW scores plus accounting.
+    struct FullSwKernel<'a> {
+        /// One (query, target) problem per block.
+        jobs: &'a [(Seq, Seq)],
+        /// Linear-gap scoring (CUDASW++ is affine for proteins; for the DNA
+        /// workloads compared here the linear scheme matches LOGAN's).
+        scoring: Scoring,
+    }
+
+    impl BlockKernel for FullSwKernel<'_> {
+        type Output = AlignmentResult;
+        fn run_block(&self, ctx: &mut BlockCtx, block_id: usize) -> AlignmentResult {
+            let (q, t) = &self.jobs[block_id];
+            fullsw_account(ctx, q.len(), t.len());
+            smith_waterman(q, t, self.scoring)
+        }
+    }
+
+    /// The real manymap-style kernel: banded SW scores plus accounting.
+    struct ManymapKernel<'a> {
+        /// One (query, target) problem per block.
+        jobs: &'a [(Seq, Seq)],
+        /// Scoring scheme.
+        scoring: Scoring,
+    }
+
+    impl BlockKernel for ManymapKernel<'_> {
+        type Output = AlignmentResult;
+        fn run_block(&self, ctx: &mut BlockCtx, block_id: usize) -> AlignmentResult {
+            let (q, t) = &self.jobs[block_id];
+            manymap_account(ctx, q.len(), t.len(), MANYMAP_BAND);
+            banded_sw(q, t, self.scoring, MANYMAP_BAND)
+        }
+    }
+
+    /// Run the *real* comparator kernel on a device.
+    fn run_real(
+        device: &Device,
+        jobs: &[(Seq, Seq)],
+        scoring: Scoring,
+        which: Comparator,
+    ) -> (Vec<AlignmentResult>, KernelReport) {
+        let (threads, shared) = which.launch_shape();
+        let cfg = LaunchConfig {
+            blocks: jobs.len(),
+            threads_per_block: threads,
+            shared_per_block: shared,
+        };
+        let (out, mut report) = match which {
+            Comparator::FullSw => device.launch(cfg, &FullSwKernel { jobs, scoring }),
+            Comparator::Manymap => device.launch(cfg, &ManymapKernel { jobs, scoring }),
+        };
+        report.stats.work_items = jobs
+            .iter()
+            .map(|(q, t)| which.cells(q.len(), t.len()))
+            .sum();
+        (out, report)
+    }
 
     fn jobs(n: usize, len: usize) -> Vec<(Seq, Seq)> {
         let mut rng = StdRng::seed_from_u64(9);

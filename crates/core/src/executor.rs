@@ -19,7 +19,7 @@ use crate::kernel::{ExtensionJob, KernelPolicy, LoganKernel};
 use logan_align::{Engine, ExtensionResult, SeedExtendResult};
 use logan_gpusim::{Device, DeviceSpec, LaunchConfig, Timeline};
 use logan_seq::readsim::ReadPair;
-use logan_seq::{ScoreProfile, Seq};
+use logan_seq::ScoreProfile;
 use serde::{Deserialize, Serialize};
 
 /// How many threads each block gets.
@@ -35,7 +35,7 @@ pub enum ThreadPolicy {
 
 impl ThreadPolicy {
     /// Resolve to a concrete thread count for threshold `x`.
-    pub fn resolve(&self, x: i32, spec: &DeviceSpec) -> usize {
+    pub(crate) fn resolve(&self, x: i32, spec: &DeviceSpec) -> usize {
         match *self {
             ThreadPolicy::ProportionalToX => {
                 let band = 2.0 * x as f64 * BAND_HALFWIDTH_PER_X + 1.0;
@@ -113,12 +113,12 @@ impl LoganExecutor {
     }
 
     /// Access the underlying device.
-    pub fn device(&self) -> &Device {
+    pub(crate) fn device(&self) -> &Device {
         &self.device
     }
 
     /// The thread count this configuration resolves to.
-    pub fn threads(&self) -> usize {
+    pub(crate) fn threads(&self) -> usize {
         self.config
             .thread_policy
             .resolve(self.config.x, self.device.spec())
@@ -152,7 +152,10 @@ impl LoganExecutor {
     /// overheads included), launches, HBM peak, per-launch kernel
     /// reports; `pairs`, `blocks` and `wall_s` describe a whole block and
     /// are filled in by [`LoganExecutor::align_pairs`].
-    pub fn extend_batch(&self, jobs: &[ExtensionJob]) -> (Vec<ExtensionResult>, BackendReport) {
+    pub(crate) fn extend_batch(
+        &self,
+        jobs: &[ExtensionJob],
+    ) -> (Vec<ExtensionResult>, BackendReport) {
         let spec = self.device.spec().clone();
         let threads = self.threads();
         let warps = threads.div_ceil(spec.warp_size);
@@ -297,7 +300,7 @@ pub fn split_jobs(pairs: &[ReadPair]) -> (Vec<ExtensionJob>, Vec<ExtensionJob>) 
 /// sum of diagonal scores over the seed's query symbols — `len ×
 /// match_score` on the DNA fast path, per-residue BLOSUM diagonals for
 /// matrix profiles.
-pub fn assemble_results(
+pub(crate) fn assemble_results(
     pairs: &[ReadPair],
     left: &[ExtensionResult],
     right: &[ExtensionResult],
@@ -326,30 +329,12 @@ pub fn assemble_results(
         .collect()
 }
 
-/// Seed-extend a single pair of (already oriented) sequences — the
-/// quickstart entry point mirroring SeqAn's `extendSeedL` call shape.
-pub fn extend_pair(
-    executor: &LoganExecutor,
-    query: &Seq,
-    target: &Seq,
-    seed: logan_seq::Seed,
-) -> SeedExtendResult {
-    let pair = ReadPair {
-        query: query.clone(),
-        target: target.clone(),
-        seed,
-        template_len: query.len().max(target.len()),
-    };
-    let (mut results, _) = executor.align_pairs(std::slice::from_ref(&pair));
-    results.pop().expect("one pair yields one result")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use logan_align::{seed_extend, XDropExtender};
     use logan_seq::readsim::PairSet;
-    use logan_seq::Scoring;
+    use logan_seq::{Scoring, Seq};
 
     fn pairs(n: usize, lo: usize, hi: usize) -> Vec<ReadPair> {
         PairSet::generate_with_lengths(n, 0.15, lo, hi, 31).pairs
@@ -512,18 +497,6 @@ mod tests {
         assert_eq!(rep.sim_time_s, 0.0);
         assert_eq!(rep.gcups(), 0.0);
         assert!(rep.gcups().is_finite());
-    }
-
-    #[test]
-    fn extend_pair_convenience() {
-        let ps = pairs(1, 500, 700);
-        let exec = LoganExecutor::new(DeviceSpec::v100(), LoganConfig::with_x(100));
-        let r = extend_pair(&exec, &ps[0].query, &ps[0].target, ps[0].seed);
-        let ext = XDropExtender::new(Scoring::default(), 100);
-        assert_eq!(
-            r,
-            seed_extend(&ps[0].query, &ps[0].target, ps[0].seed, &ext)
-        );
     }
 
     #[test]

@@ -66,7 +66,7 @@ pub enum BackendError {
     /// purposes — a panic's cause is unknown, so the supervisor probes
     /// rather than condemns.
     Panic {
-        /// The panic payload, rendered via [`panic_detail`].
+        /// The panic payload, rendered via `panic_detail`.
         detail: String,
     },
     /// The block itself is poison: it failed on `lanes` distinct lanes,
@@ -120,7 +120,7 @@ impl std::error::Error for BackendError {}
 /// back) as a human-readable string. Shared by [`Supervised`],
 /// [`crate::fleet::Fleet`], and `logan-serve`'s serving core so the
 /// payload-downcast logic lives in exactly one place.
-pub fn panic_detail(payload: &(dyn Any + Send)) -> String {
+pub(crate) fn panic_detail(payload: &(dyn Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -154,7 +154,7 @@ pub fn lock_recover<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 /// jitter stream of the supervision stack (storm plans and backoff
 /// here, the serving core's retry schedule), so a trace is a function
 /// of its seed alone and `logan-core` needs no `rand` dependency.
-pub fn splitmix64(state: &mut u64) -> u64 {
+pub(crate) fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -238,34 +238,9 @@ impl FaultPlan {
         self
     }
 
-    /// True when no lane has any fault scheduled.
-    pub fn is_empty(&self) -> bool {
-        self.lanes.values().all(Vec::is_empty)
-    }
-
-    /// Lanes that have at least one fault scheduled.
-    pub fn faulty_lanes(&self) -> Vec<usize> {
-        self.lanes
-            .iter()
-            .filter(|(_, fs)| !fs.is_empty())
-            .map(|(l, _)| *l)
-            .collect()
-    }
-
     /// The faults scheduled for `lane` (empty slice if none).
     pub fn faults_for(&self, lane: usize) -> &[Fault] {
         self.lanes.get(&lane).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// Extract `lane`'s schedule as a single-lane plan (remapped to
-    /// lane 0) — how a fleet wraps each member in its own
-    /// [`ChaosBackend`] while the storm stays keyed by fleet lane.
-    pub fn lane_plan(&self, lane: usize) -> FaultPlan {
-        let mut plan = FaultPlan::new(self.seed.wrapping_add(lane as u64));
-        for f in self.faults_for(lane) {
-            plan = plan.with_fault(0, *f);
-        }
-        plan
     }
 
     /// The canonical seeded fault storm over `lanes` lanes: at least
@@ -349,7 +324,7 @@ impl FaultPlan {
     /// report of per-lane block `n` on `lane`. The extra seconds land
     /// on the simulated clock; host-only reports (no simulated time)
     /// degrade on the wall clock instead.
-    pub fn shape_report(&self, lane: usize, n: usize, rep: &mut BackendReport) {
+    pub(crate) fn shape_report(&self, lane: usize, n: usize, rep: &mut BackendReport) {
         for f in self.faults_for(lane) {
             match *f {
                 Fault::Degrade { factor, blocks } if n < blocks => {
@@ -546,11 +521,6 @@ impl ChaosBackend {
         }
     }
 
-    /// The plan being injected.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
     /// Claim the next per-lane block index for `lane`.
     fn next_index(&self, lane: usize) -> usize {
         let mut seen = lock_recover(&self.seen);
@@ -654,7 +624,7 @@ impl Default for SupervisePolicy {
 impl SupervisePolicy {
     /// The backoff delay before retry number `attempt` (0-based), with
     /// the deterministic jitter draw `jitter_u01` in `[0, 1)`.
-    pub fn backoff_s(&self, attempt: usize, jitter_u01: f64) -> f64 {
+    pub(crate) fn backoff_s(&self, attempt: usize, jitter_u01: f64) -> f64 {
         let base = self.backoff_base_s * (1u64 << attempt.min(32)) as f64;
         let capped = base.min(self.backoff_max_s);
         capped * (1.0 + self.jitter_frac * jitter_u01)
@@ -775,7 +745,7 @@ impl BlockLedger {
 
     /// The first live lane at or after `from` (wrapping, over `lanes`
     /// lanes) that this block has not failed on.
-    pub fn fresh_lane(
+    pub(crate) fn fresh_lane(
         &self,
         from: usize,
         lanes: usize,
@@ -920,7 +890,6 @@ struct SupState {
 /// completed blocks wherever a live lane remains.
 pub struct Supervised<B: AlignBackend> {
     inner: B,
-    policy: SupervisePolicy,
     state: Mutex<SupState>,
 }
 
@@ -930,7 +899,6 @@ impl<B: AlignBackend> Supervised<B> {
         let lanes = inner.lanes().max(1);
         Supervised {
             inner,
-            policy,
             state: Mutex::new(SupState {
                 dead: vec![false; lanes],
                 supervisor: Supervisor::new(Some(policy), SUPERVISED_JITTER_SALT),
@@ -938,16 +906,6 @@ impl<B: AlignBackend> Supervised<B> {
                 trace: Vec::new(),
             }),
         }
-    }
-
-    /// The wrapped backend.
-    pub fn inner(&self) -> &B {
-        &self.inner
-    }
-
-    /// The policy in force.
-    pub fn policy(&self) -> SupervisePolicy {
-        self.policy
     }
 
     /// Snapshot of the supervision trace so far. Driven sequentially,
@@ -1162,9 +1120,9 @@ mod tests {
         assert_eq!(a, b);
         assert_ne!(a, FaultPlan::storm(100, 3));
         let kinds: Vec<&str> = a
-            .faulty_lanes()
-            .iter()
-            .flat_map(|l| a.faults_for(*l))
+            .lanes
+            .values()
+            .flatten()
             .map(|f| match f {
                 Fault::Transient { .. } => "transient",
                 Fault::FailStop { .. } => "failstop",

@@ -193,7 +193,7 @@ pub struct FleetReport {
 
 impl FleetReport {
     /// A report of no work on `workers` workers.
-    pub fn empty(workers: usize) -> FleetReport {
+    pub(crate) fn empty(workers: usize) -> FleetReport {
         FleetReport {
             per_worker: vec![BackendReport::empty(); workers],
             assignment_sizes: vec![0; workers],
@@ -217,48 +217,6 @@ impl FleetReport {
             return 0.0;
         }
         self.total_cells as f64 / self.sim_time_s / 1e9
-    }
-
-    /// Fold in a later run of the same fleet (streaming block batches):
-    /// per-worker reports merge sequentially, times add.
-    pub fn merge(&mut self, other: FleetReport) {
-        self.sim_time_s += other.sim_time_s;
-        self.wall_s += other.wall_s;
-        self.total_cells += other.total_cells;
-        for (i, rep) in other.per_worker.into_iter().enumerate() {
-            match self.per_worker.get_mut(i) {
-                Some(mine) => mine.merge(rep),
-                None => self.per_worker.push(rep),
-            }
-        }
-        for (i, n) in other.assignment_sizes.into_iter().enumerate() {
-            match self.assignment_sizes.get_mut(i) {
-                Some(mine) => *mine += n,
-                None => self.assignment_sizes.push(n),
-            }
-        }
-        for (i, n) in other.chunks.into_iter().enumerate() {
-            match self.chunks.get_mut(i) {
-                Some(mine) => *mine += n,
-                None => self.chunks.push(n),
-            }
-        }
-        for (i, n) in other.errors.into_iter().enumerate() {
-            match self.errors.get_mut(i) {
-                Some(mine) => *mine += n,
-                None => self.errors.push(n),
-            }
-        }
-        self.hedges += other.hedges;
-        self.quarantines += other.quarantines;
-        self.reinstatements += other.reinstatements;
-        for w in other.retired {
-            if !self.retired.contains(&w) {
-                self.retired.push(w);
-            }
-        }
-        self.retired.sort_unstable();
-        self.poison_pairs += other.poison_pairs;
     }
 }
 
@@ -314,7 +272,7 @@ impl Fleet {
     /// # Panics
     ///
     /// Panics when `n == 0` (see [`Fleet::new`]) or `n` exceeds
-    /// [`MAX_FLEET_WORKERS`].
+    /// `MAX_FLEET_WORKERS`.
     pub fn homogeneous_gpus(n: usize, spec: DeviceSpec, config: LoganConfig) -> Fleet {
         assert!(n >= 1, "need at least one GPU");
         assert!(
@@ -353,18 +311,13 @@ impl Fleet {
     }
 
     /// Number of workers.
-    pub fn workers(&self) -> usize {
+    pub(crate) fn workers(&self) -> usize {
         self.backends.len()
-    }
-
-    /// Borrow a worker's backend.
-    pub fn backend(&self, w: usize) -> &dyn AlignBackend {
-        &*self.backends[w]
     }
 
     /// The static LPT partition this fleet would use in static mode:
     /// bins weighted by each worker's throughput hint.
-    pub fn partition(&self, pairs: &[ReadPair]) -> Vec<Vec<usize>> {
+    pub(crate) fn partition(&self, pairs: &[ReadPair]) -> Vec<Vec<usize>> {
         let hints: Vec<f64> = self.backends.iter().map(|b| b.throughput_hint()).collect();
         lpt_partition(pairs, &hints)
     }
@@ -844,15 +797,15 @@ impl AlignBackend for Fleet {
 /// with its driver pool, or a CPU pool), so a count read from a command
 /// line is bounded before anything is built; the paper's largest
 /// deployment has 8 devices.
-pub const MAX_FLEET_WORKERS: usize = 64;
+pub(crate) const MAX_FLEET_WORKERS: usize = 64;
 
 /// Most threads one CPU pool (`cpu:T`) may have: the pool spawns up to
 /// one scoped thread per unit on every block (the paper's largest CPU
 /// run uses 168).
-pub const MAX_POOL_THREADS: usize = 1024;
+pub(crate) const MAX_POOL_THREADS: usize = 1024;
 
 /// `n` if it is a valid fleet worker count, else an error naming
-/// [`MAX_FLEET_WORKERS`].
+/// `MAX_FLEET_WORKERS`.
 pub fn check_workers(n: usize) -> Result<usize, String> {
     if (1..=MAX_FLEET_WORKERS).contains(&n) {
         Ok(n)
@@ -864,7 +817,7 @@ pub fn check_workers(n: usize) -> Result<usize, String> {
 }
 
 /// `threads` if it is a valid CPU pool width, else an error naming
-/// [`MAX_POOL_THREADS`].
+/// `MAX_POOL_THREADS`.
 pub fn check_pool_threads(threads: usize) -> Result<usize, String> {
     if (1..=MAX_POOL_THREADS).contains(&threads) {
         Ok(threads)
@@ -890,8 +843,8 @@ pub enum FleetWorker {
 /// A textual fleet description, e.g. `2gpu+cpu` or `gpu+2cpu:4`:
 /// `+`-separated terms, each `[count]gpu` or `[count]cpu[:threads]`
 /// (count defaults to 1; CPU threads default to the machine width;
-/// counts are bounded by [`MAX_FLEET_WORKERS`] in total and threads by
-/// [`MAX_POOL_THREADS`]). This is what `logan_cli --backend fleet:SPEC`
+/// counts are bounded by `MAX_FLEET_WORKERS` in total and threads by
+/// `MAX_POOL_THREADS`). This is what `logan_cli --backend fleet:SPEC`
 /// parses.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FleetSpec {
@@ -1171,25 +1124,6 @@ mod tests {
     }
 
     #[test]
-    fn fleet_report_merges_across_blocks() {
-        let ps = pairs(24);
-        let fleet = mixed_fleet(30);
-        let (_, whole) = fleet.align_pairs(&ps);
-        let mut merged = FleetReport::empty(fleet.workers());
-        for chunk in ps.chunks(6) {
-            let (_, rep) = fleet.align_pairs(chunk);
-            merged.merge(rep);
-        }
-        assert_eq!(merged.total_cells, whole.total_cells);
-        assert_eq!(merged.per_worker.len(), fleet.workers());
-        assert_eq!(merged.assignment_sizes.iter().sum::<usize>(), ps.len());
-        assert!(
-            merged.sim_time_s > whole.sim_time_s,
-            "per-block setup adds up"
-        );
-    }
-
-    #[test]
     fn weighted_partition_reduces_to_classic_lpt_when_equal() {
         let ps = pairs(30);
         let equal = lpt_partition(&ps, &[1.0, 1.0, 1.0]);
@@ -1248,8 +1182,8 @@ mod tests {
         );
         let fleet = spec.build(DeviceSpec::v100(), LoganConfig::with_x(20));
         assert_eq!(fleet.workers(), 3);
-        assert!(fleet.backend(0).name().starts_with("gpu:"));
-        assert!(fleet.backend(2).name().starts_with("cpu:3"));
+        assert!(fleet.backends[0].name().starts_with("gpu:"));
+        assert!(fleet.backends[2].name().starts_with("cpu:3"));
 
         assert!("".parse::<FleetSpec>().is_err());
         assert!("2tpu".parse::<FleetSpec>().is_err());

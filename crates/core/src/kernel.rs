@@ -75,7 +75,7 @@ impl KernelPolicy {
 }
 
 /// The kernel: a batch of jobs, one block each.
-pub struct LoganKernel<'a> {
+pub(crate) struct LoganKernel<'a> {
     /// The extension problems, indexed by block id.
     pub jobs: &'a [ExtensionJob],
     /// Substitution model with linear gaps: the DNA match/mismatch fast

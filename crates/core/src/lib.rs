@@ -63,5 +63,5 @@ pub use faults::{
     TraceEvent,
 };
 pub use fleet::{Fleet, FleetReport, FleetSpec, FleetWorker};
-pub use kernel::{ExtensionJob, KernelPolicy, LoganKernel};
+pub use kernel::{ExtensionJob, KernelPolicy};
 pub use platform::CpuPlatformModel;

@@ -10,10 +10,9 @@
 //!   elements (LOGAN's anti-diagonal segments, paper Fig. 3): charges
 //!   `ceil(active/32)` warp instructions per instruction per round, so
 //!   one active lane in a warp costs as much as thirty-two;
-//! * [`BlockCtx::block_reduce_max_idx`] — the in-warp shuffle reduction
-//!   LOGAN uses for the anti-diagonal maximum (§IV-A), with the partials
-//!   staged through shared memory ([`BlockCtx::charge_block_reduce`]
-//!   books its cost alone);
+//! * [`BlockCtx::charge_block_reduce`] — the cost of the in-warp
+//!   shuffle reduction LOGAN uses for the anti-diagonal maximum (§IV-A),
+//!   with the partials staged through shared memory;
 //! * [`BlockCtx::hbm_read`] / [`BlockCtx::hbm_write`] — effective DRAM
 //!   traffic under the coalescing model;
 //! * [`BlockCtx::sync_threads`], [`BlockCtx::thread0`],
@@ -170,10 +169,10 @@ impl BlockCtx {
         self.counters.stall_cycles += cycles;
     }
 
-    /// Book the cost of [`block_reduce_max_idx`](Self::block_reduce_max_idx)
-    /// over `lanes` participating threads, without computing anything:
-    /// for callers that already hold the exact maximum (the kernel's
-    /// host engines) or model a reduction whose values do not matter.
+    /// Book the cost of a block-wide max-with-index reduction over
+    /// `lanes` participating threads, without computing anything: for
+    /// callers that already hold the exact maximum (the kernel's host
+    /// engines) or model a reduction whose values do not matter.
     pub fn charge_block_reduce(&mut self, lanes: usize) {
         assert!(lanes <= self.threads, "more lane values than threads");
         assert!(lanes > 0, "reduction over no lanes");
@@ -193,7 +192,10 @@ impl BlockCtx {
             self.sync_threads();
         }
     }
+}
 
+#[cfg(test)]
+impl BlockCtx {
     /// Block-wide max reduction with index, implemented the way the
     /// LOGAN kernel does it: per-warp `__shfl_down` trees, partials in
     /// shared memory, final tree in the first warp. Ties break toward
@@ -201,8 +203,9 @@ impl BlockCtx {
     /// scan.
     ///
     /// `lane_values` holds one `(value, index)` per participating thread
-    /// (at most [`BlockCtx::threads`]); the returned pair is exact.
-    pub fn block_reduce_max_idx(&mut self, lane_values: &[(i32, usize)]) -> (i32, usize) {
+    /// (at most [`BlockCtx::threads`]); the returned pair is exact. This
+    /// is the oracle [`BlockCtx::charge_block_reduce`] is pinned against.
+    pub(crate) fn block_reduce_max_idx(&mut self, lane_values: &[(i32, usize)]) -> (i32, usize) {
         self.charge_block_reduce(lane_values.len());
 
         // Exact result with min-index tie-break.

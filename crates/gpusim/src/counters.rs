@@ -39,7 +39,7 @@ pub struct BlockCounters {
 
 impl BlockCounters {
     /// Fold another block's counters into this one.
-    pub fn merge(&mut self, other: &BlockCounters) {
+    pub(crate) fn merge(&mut self, other: &BlockCounters) {
         self.warp_instructions += other.warp_instructions;
         self.hbm_read_bytes += other.hbm_read_bytes;
         self.hbm_write_bytes += other.hbm_write_bytes;

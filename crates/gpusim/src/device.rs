@@ -230,12 +230,6 @@ impl Timeline {
         self.last_kernel_s = 0.0;
     }
 
-    /// Add fixed host-side seconds (e.g. the balancer's bookkeeping).
-    pub fn add_fixed(&mut self, seconds: f64) {
-        self.seconds += seconds;
-        self.last_kernel_s = 0.0;
-    }
-
     /// Total simulated seconds.
     pub fn seconds(&self) -> f64 {
         self.seconds
@@ -372,8 +366,6 @@ mod tests {
         // A non-overlapped transfer is charged in full.
         t.add_transfer(0.25, false);
         assert!((t.seconds() - base - 0.25).abs() < 1e-12);
-        t.add_fixed(1.0);
-        assert!((t.seconds() - base - 1.25).abs() < 1e-12);
     }
 
     #[test]

@@ -46,6 +46,6 @@ pub mod spec;
 pub use block::{BlockCtx, BlockKernel};
 pub use counters::{BlockCounters, KernelStats};
 pub use device::{Device, KernelReport, LaunchConfig, Timeline};
-pub use mem::{AccessPattern, DeviceMemory, OutOfMemory};
+pub use mem::{AccessPattern, OutOfMemory};
 pub use sched::{schedule, BlockCost, ScheduleResult};
 pub use spec::DeviceSpec;

@@ -2,7 +2,7 @@
 //!
 //! Two concerns live here:
 //!
-//! 1. **Capacity** — [`DeviceMemory`] tracks allocations against the HBM
+//! 1. **Capacity** — `DeviceMemory` tracks allocations against the HBM
 //!    size. The paper's multi-GPU load balancer treats HBM as the
 //!    limiting resource (§IV-C); `logan-core` sizes its batches with
 //!    these errors.
@@ -17,7 +17,7 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// HBM sector size in bytes (V100 L2 sector).
-pub const SECTOR_BYTES: u64 = 32;
+pub(crate) const SECTOR_BYTES: u64 = 32;
 
 /// How a warp's lanes address memory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -35,7 +35,7 @@ impl AccessPattern {
     /// pattern, assuming 1-byte-per-lane granularity for sequence chars
     /// and 4-byte words for scores (the worst case is per-element
     /// sectors either way).
-    pub fn effective_bytes(self, bytes: u64, element_size: u64) -> u64 {
+    pub(crate) fn effective_bytes(self, bytes: u64, element_size: u64) -> u64 {
         assert!(element_size > 0, "element size must be positive");
         match self {
             AccessPattern::Coalesced => {
@@ -50,7 +50,7 @@ impl AccessPattern {
     }
 
     /// Number of 32-byte transactions for the payload.
-    pub fn transactions(self, bytes: u64, element_size: u64) -> u64 {
+    pub(crate) fn transactions(self, bytes: u64, element_size: u64) -> u64 {
         self.effective_bytes(bytes, element_size) / SECTOR_BYTES
     }
 }
@@ -77,25 +77,20 @@ impl fmt::Display for OutOfMemory {
 impl std::error::Error for OutOfMemory {}
 
 /// Bump-style capacity tracker for a device's HBM.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct DeviceMemory {
+#[derive(Debug, Clone)]
+pub(crate) struct DeviceMemory {
     capacity: u64,
     used: u64,
-    peak: u64,
 }
 
 impl DeviceMemory {
     /// A tracker for `capacity` bytes.
-    pub fn new(capacity: u64) -> DeviceMemory {
-        DeviceMemory {
-            capacity,
-            used: 0,
-            peak: 0,
-        }
+    pub(crate) fn new(capacity: u64) -> DeviceMemory {
+        DeviceMemory { capacity, used: 0 }
     }
 
     /// Reserve `bytes`; fails when capacity would be exceeded.
-    pub fn alloc(&mut self, bytes: u64) -> Result<(), OutOfMemory> {
+    pub(crate) fn alloc(&mut self, bytes: u64) -> Result<(), OutOfMemory> {
         let free = self.capacity - self.used;
         if bytes > free {
             return Err(OutOfMemory {
@@ -104,35 +99,24 @@ impl DeviceMemory {
             });
         }
         self.used += bytes;
-        self.peak = self.peak.max(self.used);
         Ok(())
     }
 
     /// Release `bytes`. Panics on over-free (a logic error in the host
     /// code, never a data condition).
-    pub fn free(&mut self, bytes: u64) {
+    pub(crate) fn free(&mut self, bytes: u64) {
         assert!(bytes <= self.used, "over-free: {} > {}", bytes, self.used);
         self.used -= bytes;
     }
 
     /// Bytes currently allocated.
-    pub fn used(&self) -> u64 {
+    pub(crate) fn used(&self) -> u64 {
         self.used
     }
 
-    /// High-water mark.
-    pub fn peak(&self) -> u64 {
-        self.peak
-    }
-
     /// Bytes free.
-    pub fn free_bytes(&self) -> u64 {
+    pub(crate) fn free_bytes(&self) -> u64 {
         self.capacity - self.used
-    }
-
-    /// Total capacity.
-    pub fn capacity(&self) -> u64 {
-        self.capacity
     }
 }
 
@@ -180,7 +164,6 @@ mod tests {
         assert_eq!(err.free, 0);
         m.free(500);
         assert_eq!(m.used(), 500);
-        assert_eq!(m.peak(), 1000);
         m.alloc(100).unwrap();
     }
 

@@ -113,7 +113,7 @@ impl DeviceSpec {
     }
 
     /// Integer warp GIPS available to a single SM.
-    pub fn sm_int_warp_gips(&self) -> f64 {
+    pub(crate) fn sm_int_warp_gips(&self) -> f64 {
         self.int_warp_gips() / self.sm_count as f64
     }
 

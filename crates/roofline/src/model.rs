@@ -1,6 +1,6 @@
 //! Roofline ceilings and measured points.
 
-use logan_gpusim::{DeviceSpec, KernelReport, KernelStats};
+use logan_gpusim::{DeviceSpec, KernelStats};
 use serde::{Deserialize, Serialize};
 
 /// The instruction roofline of a device.
@@ -30,7 +30,7 @@ impl InstructionRoofline {
 
     /// Attainable warp GIPS at operational intensity `oi` (warp
     /// instructions per byte): `min(plateau, OI × BW)`.
-    pub fn attainable_gips(&self, oi: f64) -> f64 {
+    pub(crate) fn attainable_gips(&self, oi: f64) -> f64 {
         (oi * self.hbm_bw_gbps).min(self.int_warp_gips)
     }
 
@@ -55,23 +55,6 @@ pub struct RooflinePoint {
     pub gips: f64,
     /// Measured GCUPS (cells per second), for the biology-side reading.
     pub gcups: f64,
-}
-
-impl RooflinePoint {
-    /// Build from a kernel report (simulated time + counters).
-    pub fn from_report(report: &KernelReport) -> RooflinePoint {
-        let t = report.sim_time_s();
-        let gips = if t > 0.0 {
-            report.stats.total.warp_instructions as f64 / t / 1e9
-        } else {
-            0.0
-        };
-        RooflinePoint {
-            oi: report.stats.operational_intensity(),
-            gips,
-            gcups: report.gcups(),
-        }
-    }
 }
 
 /// The paper's adapted ceiling (Eq. 1), aggregated form.

@@ -4,8 +4,7 @@
 //! the classic 2-bit encoding (`A=0, C=1, G=2, T=3`) — the LOGAN kernel
 //! compares raw characters exactly as the CUDA implementation does — and
 //! [`Base`] is the typed view of a code. For protein the codes `0..20`
-//! index [`AMINO_ACIDS`]. A 2-bit packed representation ([`PackedSeq`])
-//! serves the DNA k-mer machinery where memory traffic matters.
+//! index [`AMINO_ACIDS`].
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -79,7 +78,7 @@ impl Alphabet {
     }
 
     /// Human-readable name for error messages.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Alphabet::Dna => "DNA",
             Alphabet::Protein => "protein",
@@ -106,7 +105,7 @@ pub enum Base {
 
 impl Base {
     /// All four bases in encoding order.
-    pub const ALL: [Base; 4] = [Base::A, Base::C, Base::G, Base::T];
+    pub(crate) const ALL: [Base; 4] = [Base::A, Base::C, Base::G, Base::T];
 
     /// Decode from the 2-bit code (the low two bits of `code` are used).
     #[inline]
@@ -124,7 +123,7 @@ impl Base {
     /// by the aligners, mirroring the original LOGAN which operates on the
     /// plain 4-letter alphabet.
     #[inline]
-    pub fn from_ascii(ch: u8) -> Option<Base> {
+    pub(crate) fn from_ascii(ch: u8) -> Option<Base> {
         match ch {
             b'A' | b'a' => Some(Base::A),
             b'C' | b'c' => Some(Base::C),
@@ -136,7 +135,7 @@ impl Base {
 
     /// The ASCII representation (upper case).
     #[inline]
-    pub fn to_ascii(self) -> u8 {
+    pub(crate) fn to_ascii(self) -> u8 {
         match self {
             Base::A => b'A',
             Base::C => b'C',
@@ -147,7 +146,7 @@ impl Base {
 
     /// Watson–Crick complement.
     #[inline]
-    pub fn complement(self) -> Base {
+    pub(crate) fn complement(self) -> Base {
         // Complement in the 2-bit encoding is bitwise NOT of the code:
         // A(0)<->T(3), C(1)<->G(2).
         Base::from_code(!(self as u8))
@@ -156,7 +155,7 @@ impl Base {
     /// The three bases different from `self`, in encoding order. Used by
     /// the error model to draw substitutions.
     #[inline]
-    pub fn others(self) -> [Base; 3] {
+    pub(crate) fn others(self) -> [Base; 3] {
         let mut out = [Base::A; 3];
         let mut k = 0;
         for b in Base::ALL {
@@ -172,66 +171,6 @@ impl Base {
 impl fmt::Display for Base {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.to_ascii() as char)
-    }
-}
-
-/// A 2-bit-packed immutable DNA sequence.
-///
-/// Four bases per byte, little-endian within the byte (base `i` occupies
-/// bits `2*(i%4)..2*(i%4)+2` of byte `i/4`). Packing is used by the k-mer
-/// pipeline in `logan-bella`, where the k-mer matrix for a multi-Mb data
-/// set dominates memory.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct PackedSeq {
-    data: Vec<u8>,
-    len: usize,
-}
-
-impl PackedSeq {
-    /// Pack a slice of bases.
-    pub fn from_bases(bases: &[Base]) -> PackedSeq {
-        let mut data = vec![0u8; bases.len().div_ceil(4)];
-        for (i, &b) in bases.iter().enumerate() {
-            data[i / 4] |= (b as u8) << (2 * (i % 4));
-        }
-        PackedSeq {
-            data,
-            len: bases.len(),
-        }
-    }
-
-    /// Number of bases.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when the sequence holds no bases.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Base at position `i`. Panics if out of bounds.
-    #[inline]
-    pub fn get(&self, i: usize) -> Base {
-        assert!(
-            i < self.len,
-            "PackedSeq index {i} out of bounds ({})",
-            self.len
-        );
-        Base::from_code(self.data[i / 4] >> (2 * (i % 4)))
-    }
-
-    /// Unpack into a vector of bases.
-    pub fn unpack(&self) -> Vec<Base> {
-        (0..self.len).map(|i| self.get(i)).collect()
-    }
-
-    /// Bytes of the packed payload (exposed for hashing / serialization).
-    #[inline]
-    pub fn as_bytes(&self) -> &[u8] {
-        &self.data
     }
 }
 
@@ -289,39 +228,5 @@ mod tests {
             assert_eq!(o.len(), 3);
             assert!(!o.contains(&b));
         }
-    }
-
-    #[test]
-    fn packed_roundtrip_various_lengths() {
-        for n in [0usize, 1, 3, 4, 5, 8, 9, 63, 64, 65, 1000] {
-            let bases: Vec<Base> = (0..n).map(|i| Base::from_code((i % 4) as u8)).collect();
-            let packed = PackedSeq::from_bases(&bases);
-            assert_eq!(packed.len(), n);
-            assert_eq!(packed.is_empty(), n == 0);
-            assert_eq!(packed.unpack(), bases);
-        }
-    }
-
-    #[test]
-    fn packed_get_matches_unpack() {
-        let bases = vec![Base::T, Base::G, Base::C, Base::A, Base::T, Base::T];
-        let p = PackedSeq::from_bases(&bases);
-        for (i, &b) in bases.iter().enumerate() {
-            assert_eq!(p.get(i), b);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn packed_get_out_of_bounds_panics() {
-        let p = PackedSeq::from_bases(&[Base::A]);
-        let _ = p.get(1);
-    }
-
-    #[test]
-    fn packed_payload_is_compact() {
-        let bases = vec![Base::A; 100];
-        let p = PackedSeq::from_bases(&bases);
-        assert_eq!(p.as_bytes().len(), 25);
     }
 }

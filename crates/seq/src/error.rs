@@ -38,17 +38,6 @@ impl ErrorProfile {
         }
     }
 
-    /// Substitution-only profile (handy for controlled tests where indels
-    /// would complicate expected scores).
-    pub fn substitutions_only(rate: f64) -> ErrorProfile {
-        assert!((0.0..=1.0).contains(&rate));
-        ErrorProfile {
-            substitution: rate,
-            insertion: 0.0,
-            deletion: 0.0,
-        }
-    }
-
     /// A profile with no errors at all.
     pub fn perfect() -> ErrorProfile {
         ErrorProfile {
@@ -59,7 +48,7 @@ impl ErrorProfile {
     }
 
     /// Total per-base error rate.
-    pub fn total(&self) -> f64 {
+    pub(crate) fn total(&self) -> f64 {
         self.substitution + self.insertion + self.deletion
     }
 }
@@ -75,13 +64,6 @@ pub struct EditCounts {
     pub deletions: usize,
 }
 
-impl EditCounts {
-    /// Total edits.
-    pub fn total(&self) -> usize {
-        self.substitutions + self.insertions + self.deletions
-    }
-}
-
 /// Applies an [`ErrorProfile`] to sequences.
 #[derive(Debug, Clone, Copy)]
 pub struct ErrorModel {
@@ -92,11 +74,6 @@ impl ErrorModel {
     /// Build a model from a profile.
     pub fn new(profile: ErrorProfile) -> ErrorModel {
         ErrorModel { profile }
-    }
-
-    /// The profile in use.
-    pub fn profile(&self) -> ErrorProfile {
-        self.profile
     }
 
     /// Corrupt `template`, drawing randomness from `rng`.
@@ -148,15 +125,19 @@ mod tests {
         let t = template(500);
         let (read, counts) = ErrorModel::new(ErrorProfile::perfect()).corrupt(&t, &mut rng);
         assert_eq!(read, t);
-        assert_eq!(counts.total(), 0);
+        assert_eq!(counts, EditCounts::default());
     }
 
     #[test]
     fn substitution_only_preserves_length() {
         let mut rng = StdRng::seed_from_u64(2);
         let t = template(2000);
-        let (read, counts) =
-            ErrorModel::new(ErrorProfile::substitutions_only(0.2)).corrupt(&t, &mut rng);
+        let (read, counts) = ErrorModel::new(ErrorProfile {
+            substitution: 0.2,
+            insertion: 0.0,
+            deletion: 0.0,
+        })
+        .corrupt(&t, &mut rng);
         assert_eq!(read.len(), t.len());
         assert_eq!(counts.insertions, 0);
         assert_eq!(counts.deletions, 0);
@@ -169,8 +150,12 @@ mod tests {
     fn substitutions_always_change_the_base() {
         let mut rng = StdRng::seed_from_u64(3);
         let t: Seq = std::iter::repeat_n(Base::A, 1000).collect();
-        let (read, counts) =
-            ErrorModel::new(ErrorProfile::substitutions_only(0.5)).corrupt(&t, &mut rng);
+        let (read, counts) = ErrorModel::new(ErrorProfile {
+            substitution: 0.5,
+            insertion: 0.0,
+            deletion: 0.0,
+        })
+        .corrupt(&t, &mut rng);
         let changed = read.iter().filter(|&b| b != Base::A).count();
         assert_eq!(changed, counts.substitutions);
     }
@@ -187,7 +172,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let t = template(20_000);
         let (read, counts) = ErrorModel::new(ErrorProfile::pacbio(0.15)).corrupt(&t, &mut rng);
-        let observed = counts.total() as f64 / t.len() as f64;
+        let edits = counts.substitutions + counts.insertions + counts.deletions;
+        let observed = edits as f64 / t.len() as f64;
         assert!(
             (observed - 0.15).abs() < 0.02,
             "observed error rate {observed}"

@@ -1,14 +1,14 @@
-//! Minimal FASTA/FASTQ I/O.
+//! Minimal FASTA I/O.
 //!
 //! The benchmark harnesses are fully synthetic, but a real adopter of a
 //! long-read aligner needs to get reads in and out of files; this module
-//! supplies buffered readers/writers for the two ubiquitous formats.
+//! supplies a buffered reader and writer for FASTA.
 //!
-//! Both readers work on bytes (minimap2-style): a line is read into a
+//! The readers work on bytes (minimap2-style): a line is read into a
 //! reusable buffer, never validated as UTF-8 (only a header's id has to
 //! be text), and a sequence line is encoded straight into codes through
 //! the alphabet's 256-entry table — the one encoder behind
-//! [`Seq::from_ascii_alphabet`] too.
+//! `Seq::from_ascii_alphabet` too.
 
 use crate::alphabet::Alphabet;
 use crate::seq::{encode_ascii, Seq};
@@ -18,13 +18,13 @@ use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 /// A named sequence record.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Record {
-    /// Record identifier (text after `>` / `@`, up to the first space).
+    /// Record identifier (text after `>`, up to the first space).
     pub id: String,
     /// The sequence.
     pub seq: Seq,
 }
 
-/// Errors from FASTA/FASTQ parsing.
+/// Errors from FASTA parsing.
 #[derive(Debug)]
 pub enum FastaError {
     /// Underlying I/O failure.
@@ -252,43 +252,6 @@ pub fn write_fasta<W: Write>(writer: W, records: &[Record], width: usize) -> io:
     bw.flush()
 }
 
-/// Read all records from FASTQ text (4-line records; qualities are
-/// discarded — the aligners are quality-agnostic, like the original
-/// LOGAN).
-pub fn read_fastq<R: Read>(reader: R) -> Result<Vec<Record>, FastaError> {
-    let mut lines = Lines::new(reader);
-    let mut records = Vec::new();
-    while lines.advance()? {
-        let id = match lines.line() {
-            [] => continue,
-            [b'@', header @ ..] => lines.id(header)?,
-            other => {
-                let found = String::from_utf8_lossy(other);
-                return Err(lines.error(format!("expected '@' header, found {found:?}")));
-            }
-        };
-
-        lines.advance()?;
-        let seq = Seq::from_ascii(lines.line()).map_err(|e| lines.error(e.to_string()))?;
-
-        lines.advance()?;
-        if lines.line().first() != Some(&b'+') {
-            return Err(lines.error("expected '+' separator"));
-        }
-
-        lines.advance()?;
-        let quality = lines.line().len();
-        if quality != seq.len() {
-            return Err(lines.error(format!(
-                "quality length {quality} != sequence length {}",
-                seq.len()
-            )));
-        }
-        records.push(Record { id, seq });
-    }
-    Ok(records)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -351,30 +314,8 @@ mod tests {
     }
 
     #[test]
-    fn fastq_roundtrip_shape() {
-        let text = b"@r1 desc\nACGT\n+\nIIII\n@r2\nGG\n+\nII\n";
-        let recs = read_fastq(&text[..]).unwrap();
-        assert_eq!(recs.len(), 2);
-        assert_eq!(recs[0].id, "r1");
-        assert_eq!(recs[1].seq.to_ascii(), b"GG");
-    }
-
-    #[test]
-    fn fastq_quality_length_mismatch() {
-        let err = read_fastq(&b"@r\nACGT\n+\nIII\n"[..]).unwrap_err();
-        assert!(err.to_string().contains("quality length"));
-    }
-
-    #[test]
-    fn fastq_missing_plus() {
-        let err = read_fastq(&b"@r\nACGT\nIIII\nIIII\n"[..]).unwrap_err();
-        assert!(err.to_string().contains("'+' separator"));
-    }
-
-    #[test]
     fn empty_inputs() {
         assert!(read_fasta(&b""[..]).unwrap().is_empty());
-        assert!(read_fastq(&b""[..]).unwrap().is_empty());
     }
 
     #[test]
@@ -395,18 +336,6 @@ mod tests {
     #[test]
     fn fasta_rejects_whitespace_only_header() {
         let err = read_fasta(&b">   \t \nACGT\n"[..]).unwrap_err();
-        match err {
-            FastaError::Parse { line, ref message } => {
-                assert_eq!(line, 1);
-                assert!(message.contains("empty header"), "{message}");
-            }
-            other => panic!("expected Parse error, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn fastq_rejects_bare_header() {
-        let err = read_fastq(&b"@\nACGT\n+\nIIII\n"[..]).unwrap_err();
         match err {
             FastaError::Parse { line, ref message } => {
                 assert_eq!(line, 1);
@@ -574,52 +503,5 @@ mod tests {
             "record p: invalid protein character '\u{ff}' at position 6",
         );
         check(b"protein", err, &want);
-    }
-
-    #[test]
-    fn hostile_fastq_is_records_or_a_parse_error_with_its_line() {
-        let cases: &[(&[u8], Want)] = &[
-            (b"\n\r\n", Records(&[])),
-            (b"@r\nACGT\n+\nIIII", Records(&[("r", "ACGT")])),
-            (
-                b"@r d\r\nACGT\r\n+r\r\nIIII\r\n\r\n@s\r\nGG\r\n+\r\nII\r\n",
-                Records(&[("r", "ACGT"), ("s", "GG")]),
-            ),
-            // Qualities are only measured, so they need not be text.
-            (b"@r\nACGT\n+\n\xFF\xFE\0!\n", Records(&[("r", "ACGT")])),
-            (b"@r\n\n+\n\n", Records(&[("r", "")])),
-            (
-                b"@r\nAC\xFFT\n+\nIIII\n",
-                ParseError(2, "invalid DNA character '\u{ff}' at position 2"),
-            ),
-            (
-                b"@r\nAC\0T\n+\nIIII\n",
-                ParseError(2, "invalid DNA character '\\0' at position 2"),
-            ),
-            (
-                b"@r\xFF\nACGT\n+\nIIII\n",
-                ParseError(1, "header is not UTF-8"),
-            ),
-            (
-                b"\xFFr\nACGT\n+\nIIII\n",
-                ParseError(1, "expected '@' header"),
-            ),
-            (b"@\n", ParseError(1, "empty header")),
-            (b"@", ParseError(1, "empty header")),
-            // Input that ends inside a record.
-            (b"@r", ParseError(3, "'+' separator")),
-            (b"@r\nACGT\n", ParseError(3, "'+' separator")),
-            (
-                b"@r\nACGT\n+\n",
-                ParseError(4, "quality length 0 != sequence length 4"),
-            ),
-            (
-                b"@r\nAC\rGT\n+\nIIIII\n",
-                ParseError(2, "invalid DNA character '\\r'"),
-            ),
-        ];
-        for (input, want) in cases {
-            check(input, read_fastq(*input), want);
-        }
     }
 }

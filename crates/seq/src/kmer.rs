@@ -37,15 +37,6 @@ impl Kmer {
         }
     }
 
-    /// Unpack into bases.
-    pub fn bases(&self) -> Vec<Base> {
-        let mut out = Vec::with_capacity(self.k as usize);
-        for i in (0..self.k as usize).rev() {
-            out.push(Base::from_code((self.code >> (2 * i)) as u8));
-        }
-        out
-    }
-
     /// Reverse complement of this k-mer.
     pub fn reverse_complement(&self) -> Kmer {
         let mut code = 0u64;
@@ -68,16 +59,6 @@ impl Kmer {
             *self
         }
     }
-}
-
-/// Canonical form of the k-mer starting at `pos` in `seq`.
-///
-/// This is the naive per-position computation (`from_bases` +
-/// `canonical`, O(k)); loops over every position of a read should use
-/// [`CanonicalKmerIter`], which rolls the same value in O(1) per step.
-/// The two are pinned bit-identical by differential tests.
-pub fn canonical_kmer(seq: &Seq, pos: usize, k: usize) -> Kmer {
-    Kmer::from_bases(&seq.as_slice()[pos..pos + k]).canonical()
 }
 
 /// Iterator over all (position, k-mer) pairs of a sequence, using a
@@ -135,7 +116,7 @@ impl<'a> KmerIter<'a> {
 
     /// Adapt into an iterator of canonical k-mers (plus strand flags);
     /// see [`CanonicalKmerIter`].
-    pub fn canonical(self) -> CanonicalKmerIter<'a> {
+    pub(crate) fn canonical(self) -> CanonicalKmerIter<'a> {
         CanonicalKmerIter { inner: self }
     }
 }
@@ -209,6 +190,18 @@ impl<'a> Iterator for CanonicalKmerIter<'a> {
 impl<'a> ExactSizeIterator for CanonicalKmerIter<'a> {}
 
 #[cfg(test)]
+/// Canonical form of the k-mer starting at `pos` in `seq`.
+///
+/// This is the naive per-position computation (`from_bases` +
+/// `canonical`, O(k)); loops over every position of a read should use
+/// [`CanonicalKmerIter`], which rolls the same value in O(1) per step.
+/// The two are pinned bit-identical by differential tests, which is
+/// all this oracle is for.
+pub(crate) fn canonical_kmer(seq: &Seq, pos: usize, k: usize) -> Kmer {
+    Kmer::from_bases(&seq.as_slice()[pos..pos + k]).canonical()
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -216,11 +209,19 @@ mod tests {
         Seq::from_str_strict(s).unwrap()
     }
 
+    /// The bases of `k`, first base first.
+    fn unpack(k: Kmer) -> Seq {
+        (0..k.k as usize)
+            .rev()
+            .map(|i| Base::from_code((k.code >> (2 * i)) as u8))
+            .collect()
+    }
+
     #[test]
     fn kmer_roundtrip() {
         let s = seq("ACGTTGCA");
         let k = Kmer::from_bases(s.as_slice());
-        let back: Seq = k.bases().into_iter().collect();
+        let back = unpack(k);
         assert_eq!(back, s);
         assert_eq!(k.k, 8);
     }
@@ -258,7 +259,7 @@ mod tests {
     fn reverse_complement_involution() {
         let k = Kmer::from_bases(seq("ACGTTG").as_slice());
         assert_eq!(k.reverse_complement().reverse_complement(), k);
-        let rc: Seq = k.reverse_complement().bases().into_iter().collect();
+        let rc = unpack(k.reverse_complement());
         assert_eq!(rc, seq("CAACGT"));
     }
 

@@ -27,8 +27,7 @@
 //! * [`kmer`] — k-mer extraction and canonicalization for seeding;
 //! * [`minimizer`] — (w,k)-window minimizer sketching for the chaining
 //!   seeder front-end;
-//! * [`fasta`] — minimal FASTA/FASTQ I/O;
-//! * [`stats`] — summary statistics over read sets.
+//! * [`fasta`] — minimal FASTA I/O.
 //!
 //! All randomness is seeded [`rand::rngs::StdRng`], so every data set in
 //! the benchmark harness is reproducible bit-for-bit.
@@ -52,13 +51,12 @@ pub mod profile;
 pub mod readsim;
 pub mod scoring;
 pub mod seq;
-pub mod stats;
 pub mod translate;
 
-pub use alphabet::{Alphabet, Base, PackedSeq, AMINO_ACIDS};
+pub use alphabet::{Alphabet, Base, AMINO_ACIDS};
 pub use error::{ErrorModel, ErrorProfile};
-pub use kmer::{canonical_kmer, CanonicalKmerIter, Kmer, KmerIter};
-pub use minimizer::{minimizer_hash, minimizers, Minimizer, Sketcher};
+pub use kmer::{CanonicalKmerIter, Kmer, KmerIter};
+pub use minimizer::{minimizers, Minimizer, Sketcher};
 pub use profile::{ScoreProfile, SubstMatrix};
 pub use readsim::{
     seq_batches, DatasetPreset, PairSet, ReadBatch, ReadPair, ReadSet, ReadSimulator, Seed,

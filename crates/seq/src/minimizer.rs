@@ -35,7 +35,7 @@ pub struct Minimizer {
 /// tie-break below only ever fires for *equal codes at different
 /// positions*.
 #[inline]
-pub fn minimizer_hash(code: u64) -> u64 {
+pub(crate) fn minimizer_hash(code: u64) -> u64 {
     let mut z = code.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);

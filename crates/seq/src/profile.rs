@@ -59,58 +59,6 @@ fn intern(m: SubstMatrix) -> &'static SubstMatrix {
 }
 
 impl SubstMatrix {
-    /// Build from explicit `(a, b, score)` entries in ASCII (symbols of
-    /// `alphabet`); unlisted pairs score `default`. Returns an interned
-    /// `&'static` reference, ready for [`ScoreProfile::Matrix`].
-    ///
-    /// # Symmetrization contract
-    ///
-    /// Substitution matrices are symmetric, so each entry `(a, b, s)`
-    /// sets *both* `(a, b)` and `(b, a)`. Listing only one triangle is
-    /// the expected usage. Listing a pair twice is allowed only when
-    /// both occurrences agree: conflicting duplicates — including an
-    /// "asymmetric" pair like `('A','C',1)` and `('C','A',2)`, which
-    /// under symmetrization is a duplicate of the same cell — **panic**
-    /// with a message naming the pair, instead of silently letting the
-    /// last write win.
-    ///
-    /// # Panics
-    ///
-    /// On symbols outside the alphabet, a non-negative `gap`, or
-    /// conflicting duplicate entries (above).
-    pub fn from_entries(
-        alphabet: Alphabet,
-        entries: &[(u8, u8, i32)],
-        default: i32,
-        gap: i32,
-    ) -> &'static SubstMatrix {
-        assert!(gap < 0, "gap penalty must be negative, got {gap}");
-        let n = alphabet.size();
-        let mut scores = vec![default; n * n];
-        let mut set = vec![false; n * n];
-        for &(a, b, s) in entries {
-            let (ca, cb) = (code_of(alphabet, a) as usize, code_of(alphabet, b) as usize);
-            for (i, j) in [(ca, cb), (cb, ca)] {
-                let cell = i * n + j;
-                if set[cell] && scores[cell] != s {
-                    panic!(
-                        "conflicting substitution entries for ({}, {}): {} vs {} \
-                         (entries are symmetrized, so (a, b) and (b, a) are the same cell)",
-                        a as char, b as char, scores[cell], s
-                    );
-                }
-                scores[cell] = s;
-                set[cell] = true;
-            }
-        }
-        intern(SubstMatrix::finish(
-            alphabet,
-            "custom".to_string(),
-            scores,
-            gap,
-        ))
-    }
-
     fn finish(alphabet: Alphabet, name: String, scores: Vec<i32>, gap: i32) -> SubstMatrix {
         let max_score = scores.iter().copied().max().expect("non-empty table");
         let min_score = scores.iter().copied().min().expect("non-empty table");
@@ -296,15 +244,6 @@ impl ScoreProfile {
         ScoreProfile::Matrix(SubstMatrix::blosum62(gap))
     }
 
-    /// Substitution score for two symbol codes.
-    #[inline(always)]
-    pub fn score(self, a: u8, b: u8) -> i32 {
-        match self {
-            ScoreProfile::MatchMismatch(s) => s.substitution(a == b),
-            ScoreProfile::Matrix(m) => m.score(a, b),
-        }
-    }
-
     /// Linear gap penalty.
     #[inline(always)]
     pub fn gap(self) -> i32 {
@@ -332,15 +271,6 @@ impl ScoreProfile {
         match self {
             ScoreProfile::MatchMismatch(s) => s.mismatch,
             ScoreProfile::Matrix(m) => m.min_score,
-        }
-    }
-
-    /// The alphabet this profile scores over.
-    #[inline]
-    pub fn alphabet(self) -> Alphabet {
-        match self {
-            ScoreProfile::MatchMismatch(_) => Alphabet::Dna,
-            ScoreProfile::Matrix(m) => m.alphabet,
         }
     }
 
@@ -379,6 +309,24 @@ impl fmt::Display for ScoreProfile {
     }
 }
 
+/// Largest magnitude `ScoreProfile::from_str` accepts for a score or a
+/// gap penalty. The X-drop kernels keep −∞ at `i32::MIN / 2`, so one
+/// cell's score or penalty past 2³⁰ wraps it; BLOSUM62's largest entry
+/// is 11, and 1 000 per cell over a 1 Mb read (the paper's longest)
+/// stays below 2³⁰.
+const MAX_PARSED_SCORE: i32 = 1_000;
+
+/// `v` if `|v| <= MAX_PARSED_SCORE`, else an error naming `what`.
+fn bounded(v: i32, what: &str) -> Result<i32, String> {
+    if (-MAX_PARSED_SCORE..=MAX_PARSED_SCORE).contains(&v) {
+        Ok(v)
+    } else {
+        Err(format!(
+            "{what} {v} is out of range (|value| <= {MAX_PARSED_SCORE})"
+        ))
+    }
+}
+
 impl std::str::FromStr for ScoreProfile {
     type Err = String;
 
@@ -399,9 +347,13 @@ impl std::str::FromStr for ScoreProfile {
                     if parts.len() != 3 {
                         return Err(format!("dna profile takes match,mismatch,gap — got {a:?}"));
                     }
-                    let nums: Result<Vec<i32>, _> =
-                        parts.iter().map(|p| p.parse::<i32>()).collect();
-                    let nums = nums.map_err(|e| format!("dna profile: {e}"))?;
+                    let nums = parts
+                        .iter()
+                        .map(|p| {
+                            let v = p.parse::<i32>().map_err(|e| format!("dna profile: {e}"))?;
+                            bounded(v, "dna profile value")
+                        })
+                        .collect::<Result<Vec<i32>, String>>()?;
                     if !(nums[0] > 0 && nums[1] < 0 && nums[2] < 0) {
                         return Err(format!(
                             "dna profile needs match > 0, mismatch < 0, gap < 0 — got {a:?}"
@@ -417,6 +369,7 @@ impl std::str::FromStr for ScoreProfile {
                     None => -6,
                     Some(a) => a.parse::<i32>().map_err(|e| format!("blosum62 gap: {e}"))?,
                 };
+                let gap = bounded(gap, "blosum62 gap")?;
                 if gap >= 0 {
                     return Err(format!("blosum62 gap must be negative, got {gap}"));
                 }
@@ -524,36 +477,9 @@ mod tests {
     }
 
     #[test]
-    fn from_entries_symmetrizes_one_triangle() {
-        // Listing one triangle fills both, per the documented contract.
-        let m =
-            SubstMatrix::from_entries(Alphabet::Dna, &[(b'A', b'A', 2), (b'A', b'C', -3)], -1, -2);
-        assert_eq!(m.score_ascii(b'A', b'C'), -3);
-        assert_eq!(m.score_ascii(b'C', b'A'), -3);
-        assert_eq!(
-            m.score_ascii(b'G', b'T'),
-            -1,
-            "unlisted pairs take the default"
-        );
-        assert_eq!(m.max_score, 2);
-        assert_eq!(m.min_score, -3);
-        // Agreeing duplicates are fine.
-        let dup =
-            SubstMatrix::from_entries(Alphabet::Dna, &[(b'A', b'C', -3), (b'C', b'A', -3)], -1, -2);
-        assert_eq!(dup.score_ascii(b'A', b'C'), -3);
-    }
-
-    #[test]
-    #[should_panic(expected = "conflicting substitution entries")]
-    fn from_entries_rejects_conflicting_duplicates() {
-        let _ =
-            SubstMatrix::from_entries(Alphabet::Dna, &[(b'A', b'C', 1), (b'C', b'A', 2)], -1, -2);
-    }
-
-    #[test]
     #[should_panic(expected = "gap penalty must be negative")]
     fn positive_gap_rejected() {
-        let _ = SubstMatrix::from_entries(Alphabet::Dna, &[], -1, 1);
+        let _ = SubstMatrix::blosum62(1);
     }
 
     #[test]
@@ -574,14 +500,8 @@ mod tests {
         assert_eq!(p.max_score(), 2);
         assert_eq!(p.min_score(), -3);
         assert_eq!(p.gap(), -4);
-        assert_eq!(p.alphabet(), Alphabet::Dna);
         assert_eq!(p.as_match_mismatch(), Some(scoring));
         assert_eq!(p.seed_credit(&[0, 1, 2]), 6);
-        for a in 0..4u8 {
-            for b in 0..4u8 {
-                assert_eq!(p.score(a, b), scoring.substitution(a == b));
-            }
-        }
     }
 
     #[test]
@@ -606,6 +526,7 @@ mod tests {
             ("dna:2,-3,-4", "dna:2,-3,-4"),
             ("blosum62", "blosum62:-6"),
             ("blosum62:-4", "blosum62:-4"),
+            ("dna:1000,-1000,-1000", "dna:1000,-1000,-1000"),
         ] {
             let p: ScoreProfile = input.parse().unwrap();
             assert_eq!(p.to_string(), want_display, "{input}");
@@ -618,6 +539,10 @@ mod tests {
             "blosum62:six",
             "dna:1,-1",
             "dna:-1,-1,-1",
+            "dna:1,-2147483648,-1",
+            "dna:1073741824,-1,-1",
+            "dna:1001,-1,-1",
+            "blosum62:-1001",
         ] {
             assert!(bad.parse::<ScoreProfile>().is_err(), "{bad} must fail");
         }

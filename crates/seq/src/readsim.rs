@@ -90,13 +90,13 @@ pub struct PairSet {
 }
 
 /// Default seed length (BELLA's k).
-pub const DEFAULT_SEED_LEN: usize = 17;
+pub(crate) const DEFAULT_SEED_LEN: usize = 17;
 
 impl PairSet {
     /// Generate `n` read pairs following the paper's §VI-A recipe:
     /// template lengths uniform in `[2500, 7500]`, pairwise divergence
     /// ≈ `pairwise_error` (default 0.15), one exact seed of length
-    /// [`DEFAULT_SEED_LEN`] planted near the template midpoint.
+    /// `DEFAULT_SEED_LEN` planted near the template midpoint.
     ///
     /// Each read is corrupted independently with per-read rate `r` such
     /// that `1 - (1-r)^2 = pairwise_error`, so the *divergence between
@@ -221,7 +221,7 @@ pub struct SimulatedRead {
 
 impl SimulatedRead {
     /// Length of overlap between the genomic intervals of two reads.
-    pub fn overlap_with(&self, other: &SimulatedRead) -> usize {
+    pub(crate) fn overlap_with(&self, other: &SimulatedRead) -> usize {
         let lo = self.start.max(other.start);
         let hi = self.end.min(other.end);
         hi.saturating_sub(lo)
@@ -371,8 +371,6 @@ impl ReadSimulator {
 /// CPU-affordable subset and report the scale factor alongside.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum DatasetPreset {
-    /// The 100 K read-pair alignment benchmark (Tables II/III).
-    Paper100K,
     /// E. coli-like: 4.64 Mb genome, depth ~30 (Table IV / Fig. 10).
     EcoliLike,
     /// C. elegans-like: repeat-rich genome, depth ~25 (Table V / Fig. 11).
@@ -382,30 +380,17 @@ pub enum DatasetPreset {
 }
 
 impl DatasetPreset {
-    /// Paper-scale pair count (for the pair benchmark) or genome length.
-    pub fn paper_scale(&self) -> usize {
+    /// Paper-scale genome length.
+    pub(crate) fn paper_scale(&self) -> usize {
         match self {
-            DatasetPreset::Paper100K => 100_000,
             DatasetPreset::EcoliLike => 4_641_652,
             DatasetPreset::CElegansLike => 100_286_401,
-        }
-    }
-
-    /// Build the read-pair set for this preset (only `Paper100K`).
-    pub fn pair_set(&self, scale: f64, seed: u64) -> PairSet {
-        match self {
-            DatasetPreset::Paper100K => {
-                let n = ((self.paper_scale() as f64 * scale) as usize).max(1);
-                PairSet::generate(n, 0.15, seed)
-            }
-            _ => panic!("pair_set is only defined for Paper100K"),
         }
     }
 
     /// Build the read set for this preset (`EcoliLike` / `CElegansLike`).
     pub fn read_set(&self, scale: f64, seed: u64) -> ReadSet {
         match self {
-            DatasetPreset::Paper100K => panic!("read_set is not defined for Paper100K"),
             DatasetPreset::EcoliLike => {
                 let len = ((self.paper_scale() as f64 * scale) as usize).max(20_000);
                 let sim = ReadSimulator {
@@ -596,11 +581,5 @@ mod tests {
         let rs = DatasetPreset::EcoliLike.read_set(0.01, 22);
         let expected = (4_641_652f64 * 0.01) as usize;
         assert_eq!(rs.genome.len(), expected);
-    }
-
-    #[test]
-    #[should_panic(expected = "only defined for Paper100K")]
-    fn pair_set_wrong_preset_panics() {
-        let _ = DatasetPreset::EcoliLike.pair_set(0.1, 1);
     }
 }

@@ -58,13 +58,6 @@ impl Scoring {
         }
     }
 
-    /// The best possible score of an extension over `len` aligned bases
-    /// (all matches). Used by BELLA's adaptive threshold.
-    #[inline]
-    pub fn perfect(&self, len: usize) -> i64 {
-        self.match_score as i64 * len as i64
-    }
-
     /// Expected score per aligned base when each base independently
     /// mismatches with probability `err` and gaps are ignored. This is
     /// the first-order model BELLA uses to set its adaptive threshold
@@ -131,13 +124,6 @@ impl AffineScoring {
             self.mismatch
         }
     }
-
-    /// Cost (negative score contribution) of a gap of length `l >= 1`.
-    #[inline]
-    pub fn gap_cost(&self, l: usize) -> i64 {
-        debug_assert!(l >= 1);
-        -(self.gap_open as i64) - self.gap_extend as i64 * l as i64
-    }
 }
 
 #[cfg(test)]
@@ -170,13 +156,6 @@ mod tests {
     }
 
     #[test]
-    fn perfect_scales_linearly() {
-        let s = Scoring::new(2, -3, -4);
-        assert_eq!(s.perfect(10), 20);
-        assert_eq!(s.perfect(0), 0);
-    }
-
-    #[test]
     fn expected_per_base_bounds() {
         let s = Scoring::default();
         // No error: every base matches.
@@ -192,8 +171,7 @@ mod tests {
     #[test]
     fn affine_defaults_and_gap_cost() {
         let a = AffineScoring::default();
-        assert_eq!(a.gap_cost(1), -6);
-        assert_eq!(a.gap_cost(5), -14);
+        assert_eq!((a.gap_open, a.gap_extend), (4, 2));
         assert_eq!(a.substitution(true), 2);
         assert_eq!(a.substitution(false), -4);
     }

@@ -59,11 +59,6 @@ impl Seq {
         Seq::default()
     }
 
-    /// Create a DNA sequence from a vector of bases.
-    pub fn from_bases(bases: Vec<Base>) -> Seq {
-        Seq::owning(bases.into_iter().map(|b| b as u8).collect(), Alphabet::Dna)
-    }
-
     /// Wrap freshly built codes (already checked against `alphabet`).
     pub(crate) fn owning(codes: Vec<u8>, alphabet: Alphabet) -> Seq {
         Seq {
@@ -110,7 +105,7 @@ impl Seq {
     }
 
     /// Parse from ASCII under an explicit alphabet.
-    pub fn from_ascii_alphabet(s: &[u8], alphabet: Alphabet) -> Result<Seq, SeqParseError> {
+    pub(crate) fn from_ascii_alphabet(s: &[u8], alphabet: Alphabet) -> Result<Seq, SeqParseError> {
         let mut codes = Vec::with_capacity(s.len());
         encode_ascii(s, alphabet, &mut codes)?;
         Ok(Seq::owning(codes, alphabet))
@@ -221,7 +216,7 @@ impl Seq {
     }
 
     /// ASCII rendering (upper-case).
-    pub fn to_ascii(&self) -> Vec<u8> {
+    pub(crate) fn to_ascii(&self) -> Vec<u8> {
         self.codes
             .iter()
             .map(|&c| self.alphabet.to_ascii(c))
@@ -230,20 +225,9 @@ impl Seq {
 
     /// Iterate over DNA bases. Panics (in the index) when called on a
     /// protein sequence — protein paths read codes via [`Seq::as_slice`].
-    pub fn iter(&self) -> impl Iterator<Item = Base> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = Base> + '_ {
         debug_assert_eq!(self.alphabet, Alphabet::Dna);
         self.codes.iter().map(|&c| Base::from_code(c))
-    }
-
-    /// Hamming distance against another sequence of equal length.
-    /// Panics on length mismatch.
-    pub fn hamming(&self, other: &Seq) -> usize {
-        assert_eq!(self.len(), other.len(), "hamming requires equal lengths");
-        self.codes
-            .iter()
-            .zip(other.codes.iter())
-            .filter(|(a, b)| a != b)
-            .count()
     }
 }
 
@@ -344,6 +328,20 @@ impl fmt::Display for SeqParseError {
 }
 
 impl std::error::Error for SeqParseError {}
+
+#[cfg(test)]
+impl Seq {
+    /// Hamming distance against another sequence of equal length.
+    /// Panics on length mismatch.
+    pub(crate) fn hamming(&self, other: &Seq) -> usize {
+        assert_eq!(self.len(), other.len(), "hamming requires equal lengths");
+        self.codes
+            .iter()
+            .zip(other.codes.iter())
+            .filter(|(a, b)| a != b)
+            .count()
+    }
+}
 
 #[cfg(test)]
 mod tests {

@@ -15,7 +15,7 @@ use std::collections::BTreeMap;
 /// records each tenant's high-water mark, the witness the simulator's
 /// assert mode checks against the quota invariant.
 #[derive(Debug, Clone)]
-pub struct Admission {
+pub(crate) struct Admission {
     quota_pairs: usize,
     in_flight: BTreeMap<TenantId, usize>,
     peak: usize,
@@ -29,7 +29,7 @@ impl Admission {
     /// Panics on a zero quota — [`crate::ServeConfig::validated`]
     /// rejects it earlier with a friendlier message; this is the
     /// backstop for direct construction.
-    pub fn new(quota_pairs: usize) -> Admission {
+    pub(crate) fn new(quota_pairs: usize) -> Admission {
         assert!(quota_pairs >= 1, "admission quota must be at least 1 pair");
         Admission {
             quota_pairs,
@@ -38,14 +38,9 @@ impl Admission {
         }
     }
 
-    /// The shared per-tenant quota, in pairs.
-    pub fn quota_pairs(&self) -> usize {
-        self.quota_pairs
-    }
-
     /// Admit `pairs` for `tenant`, or explain the refusal. On success
     /// the pairs count against the tenant until [`Admission::release`].
-    pub fn try_admit(&mut self, tenant: TenantId, pairs: usize) -> Result<(), ServeError> {
+    pub(crate) fn try_admit(&mut self, tenant: TenantId, pairs: usize) -> Result<(), ServeError> {
         let in_flight = self.in_flight(tenant);
         if in_flight + pairs > self.quota_pairs {
             return Err(ServeError::OverQuota {
@@ -63,21 +58,21 @@ impl Admission {
     /// Return `pairs` of quota to `tenant` — called exactly once per
     /// admitted request, when its single reply is sent (success *or*
     /// failure), so refused work never leaks quota.
-    pub fn release(&mut self, tenant: TenantId, pairs: usize) {
+    pub(crate) fn release(&mut self, tenant: TenantId, pairs: usize) {
         let in_flight = self.in_flight.entry(tenant).or_insert(0);
         debug_assert!(*in_flight >= pairs, "released more pairs than admitted");
         *in_flight = in_flight.saturating_sub(pairs);
     }
 
     /// Current in-flight pairs for `tenant`.
-    pub fn in_flight(&self, tenant: TenantId) -> usize {
+    pub(crate) fn in_flight(&self, tenant: TenantId) -> usize {
         self.in_flight.get(&tenant).copied().unwrap_or(0)
     }
 
     /// The highest in-flight count any single tenant ever reached —
     /// the invariant witness: it must never exceed
     /// [`Admission::quota_pairs`].
-    pub fn peak_in_flight(&self) -> usize {
+    pub(crate) fn peak_in_flight(&self) -> usize {
         self.peak
     }
 }

@@ -21,7 +21,7 @@ use std::collections::VecDeque;
 /// appear in batch order, so the batch's k-th pair belongs to the span
 /// covering position k.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BatchSpan {
+pub(crate) struct BatchSpan {
     /// The request these pairs belong to.
     pub req: RequestId,
     /// Index of the span's first pair within the request.
@@ -33,7 +33,7 @@ pub struct BatchSpan {
 /// One coalesced backend submission: the pairs of one or more request
 /// slices, plus the spans mapping results back to requests.
 #[derive(Debug, Clone)]
-pub struct Batch {
+pub(crate) struct Batch {
     /// The pairs, span order.
     pub pairs: Vec<ReadPair>,
     /// Which slice of which request each stretch of `pairs` is.
@@ -43,7 +43,7 @@ pub struct Batch {
 impl Batch {
     /// True when the batch serves more than one request — the quantity
     /// the coalescing statistics count.
-    pub fn is_coalesced(&self) -> bool {
+    pub(crate) fn is_coalesced(&self) -> bool {
         self.spans.len() > 1
     }
 }
@@ -63,10 +63,9 @@ struct PendingRequest {
 
 /// The FIFO coalescing queue.
 #[derive(Debug, Clone)]
-pub struct Coalescer {
+pub(crate) struct Coalescer {
     batch_pairs: usize,
     pending: VecDeque<PendingRequest>,
-    pending_pairs: usize,
 }
 
 impl Coalescer {
@@ -76,12 +75,11 @@ impl Coalescer {
     ///
     /// Panics when `batch_pairs == 0` — [`crate::ServeConfig::validated`]
     /// rejects it earlier with a friendlier message.
-    pub fn new(batch_pairs: usize) -> Coalescer {
+    pub(crate) fn new(batch_pairs: usize) -> Coalescer {
         assert!(batch_pairs >= 1, "batch_pairs must be at least 1");
         Coalescer {
             batch_pairs,
             pending: VecDeque::new(),
-            pending_pairs: 0,
         }
     }
 
@@ -92,9 +90,8 @@ impl Coalescer {
     ///
     /// Panics on an empty request — the server replies to those
     /// directly without queueing (nothing to align).
-    pub fn push_at(&mut self, id: RequestId, pairs: Vec<ReadPair>, arrival_s: f64) {
+    pub(crate) fn push_at(&mut self, id: RequestId, pairs: Vec<ReadPair>, arrival_s: f64) {
         assert!(!pairs.is_empty(), "empty requests are not queued");
-        self.pending_pairs += pairs.len();
         self.pending.push_back(PendingRequest {
             id,
             pairs,
@@ -108,7 +105,7 @@ impl Coalescer {
     /// returning their ids in FIFO order. Requests with pairs already
     /// in flight are kept: their device time is spent either way, so
     /// they run to a normal reply rather than wasting the work.
-    pub fn purge_expired(&mut self, now_s: f64, deadline_s: f64) -> Vec<RequestId> {
+    pub(crate) fn purge_expired(&mut self, now_s: f64, deadline_s: f64) -> Vec<RequestId> {
         let mut expired = Vec::new();
         self.pending.retain(|r| {
             let keep = r.cursor > 0 || now_s - r.arrival_s <= deadline_s;
@@ -117,23 +114,17 @@ impl Coalescer {
             }
             keep
         });
-        self.pending_pairs = self.pending.iter().map(|r| r.pairs.len() - r.cursor).sum();
         expired
     }
 
     /// Requests with at least one unbatched pair — what the bounded
     /// submission queue counts.
-    pub fn pending_requests(&self) -> usize {
+    pub(crate) fn pending_requests(&self) -> usize {
         self.pending.len()
     }
 
-    /// Unbatched pairs across all pending requests.
-    pub fn pending_pairs(&self) -> usize {
-        self.pending_pairs
-    }
-
     /// True when nothing is queued.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.pending.is_empty()
     }
 
@@ -142,14 +133,14 @@ impl Coalescer {
     /// the queue is empty; otherwise the batch has at least one pair
     /// (so a request wider than the cap still progresses, one
     /// cap-sized slice per batch).
-    pub fn next_batch(&mut self) -> Option<Batch> {
+    pub(crate) fn next_batch(&mut self) -> Option<Batch> {
         self.take(self.batch_pairs)
     }
 
     /// Drain exactly one request's *remaining* pairs as one batch,
     /// ignoring the cap — the per-request submission discipline the
     /// latency harness compares coalescing against.
-    pub fn next_request_batch(&mut self) -> Option<Batch> {
+    pub(crate) fn next_request_batch(&mut self) -> Option<Batch> {
         let front_left = self.pending.front().map(|r| r.pairs.len() - r.cursor)?;
         self.take(front_left.max(1))
     }
@@ -177,7 +168,6 @@ impl Coalescer {
                 len: take,
             });
             front.cursor += take;
-            self.pending_pairs -= take;
             if front.cursor == front.pairs.len() {
                 self.pending.pop_front();
             }
@@ -198,9 +188,8 @@ impl Coalescer {
 
     /// Abandon the queue — the failure path when no backend lane
     /// survives to drain it.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.pending.clear();
-        self.pending_pairs = 0;
     }
 }
 
@@ -208,6 +197,11 @@ impl Coalescer {
 mod tests {
     use super::*;
     use logan_seq::readsim::PairSet;
+
+    /// Unbatched pairs across all pending requests.
+    fn pending_pairs(c: &Coalescer) -> usize {
+        c.pending.iter().map(|r| r.pairs.len() - r.cursor).sum()
+    }
 
     fn pairs(n: usize, seed: u64) -> Vec<ReadPair> {
         PairSet::generate_with_lengths(n, 0.2, 120, 200, seed).pairs
@@ -219,7 +213,7 @@ mod tests {
         c.push_at(1, pairs(3, 1), 0.0);
         c.push_at(2, pairs(4, 2), 0.0);
         c.push_at(3, pairs(2, 3), 0.0);
-        assert_eq!((c.pending_requests(), c.pending_pairs()), (3, 9));
+        assert_eq!((c.pending_requests(), pending_pairs(&c)), (3, 9));
         let b = c.next_batch().unwrap();
         assert_eq!(b.pairs.len(), 9);
         assert!(b.is_coalesced());
@@ -316,7 +310,7 @@ mod tests {
         let _ = c.next_batch(); // takes 2 of request 1's pairs
         let expired = c.purge_expired(1.0, 0.5);
         assert_eq!(expired, vec![2], "in-flight and fresh requests stay");
-        assert_eq!(c.pending_pairs(), 2, "request 1's tail + request 3");
+        assert_eq!(pending_pairs(&c), 2, "request 1's tail + request 3");
         // The survivors still drain normally.
         let mut served = 0;
         while let Some(b) = c.next_batch() {
@@ -337,6 +331,6 @@ mod tests {
         let _ = c.next_batch(); // request 5 now split: 2 taken, 3 pending
         c.clear();
         assert!(c.is_empty());
-        assert_eq!(c.pending_pairs(), 0);
+        assert_eq!(pending_pairs(&c), 0);
     }
 }

@@ -67,7 +67,7 @@ impl ServeConfig {
     /// zero-pair batch can never drain the queue, a zero-depth queue
     /// admits nothing, a zero quota rejects every request, and a
     /// negative setup charge would let coalescing win by fiat.
-    pub fn validated(self) -> Result<ServeConfig, String> {
+    pub(crate) fn validated(self) -> Result<ServeConfig, String> {
         if self.batch_pairs == 0 {
             return Err("serve config: batch_pairs must be at least 1 (a zero-pair batch can never drain the queue)".into());
         }
@@ -107,7 +107,7 @@ impl std::str::FromStr for ServeConfig {
     /// `batch=64,queue=256,quota=4096,deadline=0.5,matrix=blosum62`
     /// (keys: `batch`, `queue`, `quota`, `setup`, `deadline`, `matrix`;
     /// any subset, any order). The result is
-    /// [`ServeConfig::validated`], so `quota=0` and friends are parse
+    /// `ServeConfig::validated`, so `quota=0` and friends are parse
     /// errors, not latent panics.
     fn from_str(s: &str) -> Result<ServeConfig, String> {
         if s.trim().is_empty() {

@@ -694,7 +694,7 @@ mod tests {
                     .sum();
                 assert_eq!(admission.in_flight(tenant), open, "tenant {tenant}'s quota");
                 assert!(
-                    open <= admission.quota_pairs(),
+                    open <= self.core.cfg.quota_pairs,
                     "tenant {tenant} over quota"
                 );
             }

@@ -7,12 +7,12 @@
 //! simulated accelerators saturated while keeping per-request latency
 //! bounded and no tenant starved. Three mechanisms do the work:
 //!
-//! - **Cross-request coalescing** ([`Coalescer`]): a free backend lane
+//! - **Cross-request coalescing** (`coalesce.rs`): a free backend lane
 //!   drains up to `batch_pairs` queued pairs — across as many requests
 //!   as fit — into one submission, recovering device-sized batches from
 //!   client-sized requests. Oversized requests split across batches and
 //!   still get exactly one reply.
-//! - **Admission control** ([`Admission`]): per-tenant in-flight quotas,
+//! - **Admission control** (`admission.rs`): per-tenant in-flight quotas,
 //!   refused with an explicit [`ServeError::OverQuota`] reply — never a
 //!   silent drop.
 //! - **A bounded submission queue**: the threaded [`Server`] blocks
@@ -34,16 +34,14 @@
 
 #![warn(missing_docs)]
 
-pub mod admission;
-pub mod coalesce;
+mod admission;
+mod coalesce;
 pub mod config;
 mod core;
 pub mod request;
 pub mod server;
 pub mod sim;
 
-pub use admission::Admission;
-pub use coalesce::{Batch, BatchSpan, Coalescer};
 pub use config::ServeConfig;
 pub use request::{AlignResponse, Reply, ReplyHandle, RequestId, ServeError, TenantId};
 pub use server::{ServeStats, Server};

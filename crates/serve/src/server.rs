@@ -26,7 +26,6 @@ use std::time::{Duration, Instant};
 type Core = ServeCore<mpsc::Sender<Reply>>;
 
 struct Shared {
-    cfg: ServeConfig,
     backend: Arc<dyn AlignBackend>,
     core: Mutex<Core>,
     cv: Condvar,
@@ -146,7 +145,6 @@ impl Server {
             core: Mutex::new(ServeCore::new(cfg, lanes, supervise, true, false)),
             cv: Condvar::new(),
             epoch: Instant::now(),
-            cfg,
             backend,
         });
         // Each lane joins the server as it spawns: if a later spawn
@@ -165,11 +163,6 @@ impl Server {
             lock_recover(&server.workers).push(worker);
         }
         Ok(server)
-    }
-
-    /// The configuration this server runs under.
-    pub fn config(&self) -> &ServeConfig {
-        &self.shared.cfg
     }
 
     /// Submit a request. Returns immediately with a [`ReplyHandle`]
@@ -280,7 +273,6 @@ mod tests {
         // The matching `matrix=` config starts and serves.
         let cfg: ServeConfig = "matrix=blosum62".parse().unwrap();
         let server = Server::start(backend, cfg).unwrap();
-        assert_eq!(server.config().profile, blosum);
         server.shutdown();
     }
 

@@ -65,7 +65,7 @@ impl ArrivalProcess {
     ///
     /// Panics on a non-positive rate or a zero burst — there is no
     /// arrival schedule to draw.
-    pub fn arrival_times(&self, n: usize, seed: u64) -> Vec<f64> {
+    pub(crate) fn arrival_times(&self, n: usize, seed: u64) -> Vec<f64> {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut exp = move |rate: f64| -> f64 {
             let u: f64 = rng.gen_range(0.0..1.0);
@@ -550,7 +550,7 @@ fn ratio(num: f64, den: f64) -> f64 {
 }
 
 /// Nearest-rank percentile of an ascending-sorted sample; 0.0 on empty.
-pub fn percentile(sorted: &[f64], p: f64) -> f64 {
+pub(crate) fn percentile(sorted: &[f64], p: f64) -> f64 {
     if sorted.is_empty() {
         return 0.0;
     }

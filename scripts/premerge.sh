@@ -6,8 +6,9 @@
 #
 # Mirrors the tier-1 definition in ROADMAP.md plus the style gates:
 # no-#[ignore] guard, one-kernel-source, one-recurrence,
-# one-supervisor, one-concurrent-component, one-serving-core and
-# one-pipeline-driver guards, rustfmt, clippy (warnings are errors),
+# one-supervisor, one-concurrent-component, one-serving-core,
+# one-pipeline-driver and public-surface-has-callers guards, rustfmt,
+# clippy (warnings are errors),
 # release build, the engine_tiers smoke, the protein_homology example,
 # the repo benchmark's own gate (benchmark/check.sh), the test suite,
 # and warning-free rustdoc.
@@ -142,6 +143,14 @@ if [[ $(grep -c . <<<"$seeder_sites" || true) -ne 1 ||
     "crates/bella/src/pipeline.rs instead of a second copy of them" >&2
   exit 1
 fi
+
+step "guard: public surface has callers (every pub item under crates/*/src is used beyond its file)"
+# dead_code cannot see a `pub` item of a library crate (DESIGN.md §4):
+# outside #[cfg(test)] and comments, each pub fn / type / const under
+# crates/*/src must be named in another file under crates, src, tests,
+# examples or benchmark, or by the signature of one that is;
+# scripts/pub_surface.allow holds intended API with no caller yet.
+scripts/pub_surface.sh
 
 step "cargo fmt --check"
 cargo fmt --check

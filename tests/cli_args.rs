@@ -11,7 +11,12 @@
 //! * `--shards usize::MAX` — one pass over the reads per wave, most of
 //!   them empty: the counter clamps the waves to its partitions;
 //! * `--inflight usize::MAX` — the block channel allocated its bound up
-//!   front: the pipeline clamps it to the blocks that can exist.
+//!   front: the pipeline clamps it to the blocks that can exist;
+//! * `--matrix dna:1,-2147483648,-1` and `dna:1073741824,-1,-1` — one
+//!   cell's score wrapped the X-drop kernels' −∞ sentinel
+//!   (`i32::MIN / 2`): an overflow panic in a debug build, a wrapped
+//!   score in a release build. `ScoreProfile::from_str` now bounds
+//!   every value it reads.
 
 use logan::seq::fasta::{write_fasta, Record};
 use logan::seq::readsim::ReadSimulator;
@@ -146,6 +151,9 @@ fn out_of_range_values_end_in_an_error_or_output() {
     for k in ["0", "33"] {
         rejected(fasta, &["-k", k], "-k");
         rejected(fasta, &["-k", k, "--seeder", "minimizer"], "-k");
+    }
+    for matrix in ["dna:1,-2147483648,-1", "dna:1073741824,-1,-1"] {
+        rejected(fasta, &["--matrix", matrix], "--matrix");
     }
 
     // Budget values clamp to ones that cannot change the output.

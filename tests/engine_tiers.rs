@@ -23,7 +23,7 @@
 //!   sub-chunk band — each witnessed through the per-step statistics
 //!   the engines hand their sink, so the case cannot silently stop
 //!   being exercised;
-//! * the structured inputs random pairs miss (ROADMAP item 4(a)):
+//! * the structured inputs random pairs miss (ROADMAP item 6(a)):
 //!   homopolymers, all-`N` pairs, seeds at offset 0 and `len − k`,
 //!   X = 0 and X past the full score, best scores exactly on the i8 and
 //!   i16 ceilings, bands of L − 1, L, L + 1 cells right after a trim.
@@ -761,7 +761,7 @@ fn band_top_collapses_and_regrows() {
 }
 
 // ---------------------------------------------------------------------
-// Structured oracle inputs (ROADMAP item 4(a)): what random pairs miss.
+// Structured oracle inputs (ROADMAP item 6(a)): what random pairs miss.
 // Every case goes through `all_tiers_agree` — scalar against each engine
 // in both compilations of its kernel — usually by way of `shapes_agree`,
 // which adds the simulated GPU's block path and every engine's steps.
