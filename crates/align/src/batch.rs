@@ -11,26 +11,19 @@
 use crate::result::SeedExtendResult;
 use crate::xdrop::XDropExtender;
 use logan_seq::readsim::ReadPair;
-use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 
 /// Outcome of a batch run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BatchResult {
     /// Per-pair alignment results, in input order.
     pub results: Vec<SeedExtendResult>,
     /// Total DP cells computed across all pairs.
     pub total_cells: u64,
-    /// Wall-clock time of the batch; `None` when the result was built
-    /// without timing (e.g. deserialized from an artifact written before
-    /// this field was serialized). Serializes as float seconds, so a
-    /// result archived to JSON reports the same GCUPS after reloading —
-    /// previously this field was `#[serde(skip)]` and a round trip
-    /// silently zeroed the throughput.
-    pub wall: Option<Duration>,
+    /// Wall-clock time of the batch.
+    pub wall: Duration,
     /// Which kernel tier computed each extension (and how often an i8
-    /// run escalated), summed over every pair in the batch. Artifacts
-    /// written before this field existed read back as an empty tally.
+    /// run escalated), summed over every pair in the batch.
     pub tiers: crate::simd::TierTally,
 }
 
@@ -97,7 +90,7 @@ impl CpuBatchAligner {
         BatchResult {
             results,
             total_cells,
-            wall: Some(wall),
+            wall,
             tiers,
         }
     }
@@ -168,14 +161,16 @@ impl XDropCpuAligner {
 #[cfg(test)]
 impl BatchResult {
     /// Giga cell updates per (wall-clock) second — the GCUPS metric the
-    /// paper reports, here measured on the actual host. Returns `None`
-    /// when the batch carries no measurement at all, which is distinct
-    /// from `Some(f64::INFINITY)` (work measured at sub-resolution wall
-    /// time) and `Some(0.0)` (a measured run that computed zero cells).
-    pub(crate) fn wall_gcups(&self) -> Option<f64> {
-        let secs = self.wall?.as_secs_f64();
-        let gcups = self.total_cells as f64 / secs / 1e9;
-        Some(if gcups.is_nan() { 0.0 } else { gcups })
+    /// paper reports, here measured on the actual host: `f64::INFINITY`
+    /// for work measured at sub-resolution wall time, 0.0 for a run that
+    /// computed zero cells.
+    pub(crate) fn wall_gcups(&self) -> f64 {
+        let gcups = self.total_cells as f64 / self.wall.as_secs_f64() / 1e9;
+        if gcups.is_nan() {
+            0.0
+        } else {
+            gcups
+        }
     }
 }
 
@@ -346,69 +341,18 @@ mod tests {
         let ps = pairs(6);
         let ext = XDropExtender::new(Scoring::default(), 50);
         let batch = CpuBatchAligner::new(2).run(&ps, &ext);
-        let gcups = batch.wall_gcups().expect("run() measures wall time");
-        assert!(gcups >= 0.0);
-        assert!(batch.wall.unwrap() > Duration::ZERO);
-    }
-
-    #[test]
-    fn wall_gcups_distinguishes_unmeasured_from_measured_zero() {
-        let base = BatchResult {
-            results: Vec::new(),
-            total_cells: 1_000_000,
-            wall: None,
-            tiers: Default::default(),
-        };
-        assert_eq!(base.wall_gcups(), None, "unmeasured is None, not 0");
-        let measured_zero_work = BatchResult {
+        assert!(batch.wall > Duration::ZERO);
+        assert!(batch.wall_gcups() > 0.0);
+        let zero_work = BatchResult {
             total_cells: 0,
-            wall: Some(Duration::from_millis(5)),
-            ..base.clone()
+            wall: Duration::ZERO,
+            ..batch.clone()
         };
-        assert_eq!(measured_zero_work.wall_gcups(), Some(0.0));
-        let measured_sub_resolution = BatchResult {
-            wall: Some(Duration::ZERO),
-            ..base
+        assert_eq!(zero_work.wall_gcups(), 0.0);
+        let sub_resolution = BatchResult {
+            wall: Duration::ZERO,
+            ..batch
         };
-        assert_eq!(
-            measured_sub_resolution.wall_gcups(),
-            Some(f64::INFINITY),
-            "measured-but-unresolvable wall is not confused with unmeasured"
-        );
-    }
-
-    #[test]
-    fn batch_result_serde_round_trips_wall() {
-        let ps = pairs(3);
-        let ext = XDropExtender::new(Scoring::default(), 50);
-        let batch = CpuBatchAligner::new(2).run(&ps, &ext);
-        let text = serde_json::to_string(&batch).expect("serialize");
-        assert!(
-            text.contains("\"wall\":"),
-            "wall must be serialized, not skipped: {text}"
-        );
-        let back: BatchResult = serde_json::from_str(&text).expect("deserialize");
-        assert_eq!(back.results, batch.results);
-        assert_eq!(back.total_cells, batch.total_cells);
-        // Wall survives to nanosecond-rounding precision, so the
-        // round-tripped GCUPS matches instead of silently reading 0.
-        let (a, b) = (
-            batch.wall.unwrap().as_secs_f64(),
-            back.wall
-                .expect("wall present after round trip")
-                .as_secs_f64(),
-        );
-        assert!((a - b).abs() < 1e-9, "wall {a} != {b}");
-        let (ga, gb) = (batch.wall_gcups().unwrap(), back.wall_gcups().unwrap());
-        assert!((ga - gb).abs() / ga.max(1e-12) < 1e-6, "gcups {ga} != {gb}");
-
-        // And a pre-fix artifact (no wall field) reads back as
-        // unmeasured rather than as a zero-GCUPS measurement.
-        let legacy: BatchResult =
-            serde_json::from_str(r#"{"results":[],"total_cells":42}"#).expect("legacy parse");
-        assert_eq!(legacy.wall, None);
-        assert_eq!(legacy.wall_gcups(), None);
-        // Likewise a pre-tier artifact reads back as an empty tally.
-        assert_eq!(legacy.tiers, crate::simd::TierTally::default());
+        assert_eq!(sub_resolution.wall_gcups(), f64::INFINITY);
     }
 }

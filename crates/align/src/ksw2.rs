@@ -20,10 +20,9 @@
 use crate::result::ExtensionResult;
 use crate::NEG_INF;
 use logan_seq::{AffineScoring, Seq};
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the ksw2-style extension.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Ksw2Params {
     /// Affine scoring scheme.
     pub scoring: AffineScoring,

@@ -1,11 +1,9 @@
 //! Result types shared by all aligners.
 
-use serde::{Deserialize, Serialize};
-
 /// Outcome of a semi-global *extension*: the best-scoring alignment of a
 /// prefix of the query against a prefix of the target, as produced by
 /// X-drop (`extendSeedL`) and ksw2-style extension.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExtensionResult {
     /// Best alignment score found.
     pub score: i32,
@@ -41,7 +39,7 @@ impl ExtensionResult {
 }
 
 /// Outcome of a full-matrix alignment (NW / SW / banded SW).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AlignmentResult {
     /// Optimal score.
     pub score: i32,
@@ -56,7 +54,7 @@ pub struct AlignmentResult {
 
 /// Outcome of a seed-and-extend alignment: the two extensions plus the
 /// seed contribution (paper Fig. 5).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SeedExtendResult {
     /// Total score: `left.score + seed_len * match + right.score`.
     pub score: i32,

@@ -197,7 +197,7 @@ use crate::workspace::AlignWorkspace;
 use crate::xdrop::xdrop_run;
 use crate::NEG_INF;
 use logan_seq::{ScoreProfile, Seq};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Number of `i16` lanes processed per chunk. 16 lanes = one 256-bit
 /// vector in the AVX2 compilation of the kernel (module docs, "One
@@ -251,7 +251,7 @@ pub const SIMD8_MAX_SCORE: i32 = (i8::MAX / 2) as i32;
 /// All engines produce bit-identical [`ExtensionResult`]s — the choice
 /// is purely a performance knob, which is what makes it safe to select
 /// at runtime (CLI `--engine`, `LOGAN_ENGINE`, or per-config fields).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Engine {
     /// The scalar i32 reference ([`xdrop_extend`](crate::xdrop::xdrop_extend)): the semantic ground
     /// truth every other backend is tested against.
@@ -468,31 +468,6 @@ impl TierTally {
             lanes8: self.lanes8 - earlier.lanes8,
             escalations: self.escalations - earlier.escalations,
         }
-    }
-}
-
-// Manual impl instead of derive so artifacts written before the tally
-// existed (no `tiers` field, read back as `Null`) deserialize as an
-// empty tally instead of erroring.
-impl Deserialize for TierTally {
-    fn from_value(v: &serde::Value) -> Result<TierTally, serde::DeserializeError> {
-        let entries = match v {
-            serde::Value::Null => return Ok(TierTally::default()),
-            serde::Value::Map(entries) => entries,
-            other => return Err(serde::DeserializeError::expected("TierTally map", other)),
-        };
-        let get = |name: &str| -> Result<u64, serde::DeserializeError> {
-            match serde::field(entries, name) {
-                serde::Value::Null => Ok(0),
-                present => u64::from_value(present),
-            }
-        };
-        Ok(TierTally {
-            scalar: get("scalar")?,
-            lanes16: get("lanes16")?,
-            lanes8: get("lanes8")?,
-            escalations: get("escalations")?,
-        })
     }
 }
 
@@ -1622,7 +1597,7 @@ mod tests {
     }
 
     #[test]
-    fn tally_counts_dispatches_and_survives_legacy_null() {
+    fn tally_counts_dispatches_and_merges() {
         let mut ws = AlignWorkspace::new();
         let s = seq("ACGTACGTACGT");
         // Scalar engine → scalar counter.
@@ -1648,13 +1623,6 @@ mod tests {
         merged.merge(&t);
         merged.merge(&t);
         assert_eq!(merged.diff(&t), t);
-        // Artifacts written before the tally existed deserialize empty.
-        assert_eq!(
-            TierTally::from_value(&serde::Value::Null).unwrap(),
-            TierTally::default()
-        );
-        let json = serde_json::to_string(&t).unwrap();
-        assert_eq!(serde_json::from_str::<TierTally>(&json).unwrap(), t);
     }
 
     #[test]

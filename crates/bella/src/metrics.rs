@@ -1,10 +1,9 @@
 //! Precision/recall scoring against simulator ground truth.
 
 use crate::fxhash::FxHashSet;
-use serde::{Deserialize, Serialize};
 
 /// Confusion-matrix summary of reported overlaps.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OverlapMetrics {
     /// Reported pairs that truly overlap.
     pub tp: usize,

@@ -42,7 +42,6 @@ use logan_align::SeedExtendResult;
 use logan_core::{AlignBackend, BackendReport};
 use logan_seq::readsim::{ReadBatch, ReadPair, ReadSet};
 use logan_seq::{Scoring, Seed, Seq};
-use serde::{Deserialize, Serialize};
 use std::sync::{mpsc, Arc, Mutex};
 
 /// Memory/concurrency budget of the streaming pipeline: every knob
@@ -50,7 +49,7 @@ use std::sync::{mpsc, Arc, Mutex};
 /// candidate/alignment stages scales with these numbers instead of with
 /// the input (the resident read store and the k-mer index remain
 /// O(input), as in any overlapper that random-accesses reads).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PipelineBudget {
     /// Reads per [`ReadBatch`] at ingest, rows per SpGEMM (or chaining)
     /// tile, and reads per batch of the minimizer sketch. It sets no
@@ -98,7 +97,7 @@ impl PipelineBudget {
 }
 
 /// Which candidate generator feeds the X-drop extender.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Seeder {
     /// BELLA's SpGEMM over all reliable k-mers: every pair sharing at
     /// least one reliable k-mer is aligned (binning picks the seed).
@@ -112,7 +111,7 @@ pub enum Seeder {
 }
 
 /// Pipeline configuration (BELLA defaults with the paper's parameters).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BellaConfig {
     /// Seed k-mer length (BELLA: 17).
     pub k: usize,
@@ -164,7 +163,7 @@ impl BellaConfig {
 }
 
 /// One aligned candidate pair.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Overlap {
     /// Lower read id.
     pub r1: usize,
@@ -181,7 +180,7 @@ pub struct Overlap {
 }
 
 /// Per-stage statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StageStats {
     /// Reads in.
     pub reads: usize,

@@ -11,10 +11,9 @@
 
 use crate::fxhash::FxHashSet;
 use crate::kmer_count::KmerCounts;
-use serde::{Deserialize, Serialize};
 
 /// The reliable multiplicity window `[lo, hi]` (inclusive).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReliableBounds {
     /// Minimum multiplicity (2: a pairing k-mer must occur in two reads).
     pub lo: u32,

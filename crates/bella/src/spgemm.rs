@@ -16,14 +16,13 @@
 //! prunes repeats *before* the multiply).
 
 use crate::matrix::KmerMatrix;
-use serde::{Deserialize, Serialize};
 
 /// Maximum witnesses retained per candidate pair (BELLA keeps 2).
 pub const MAX_WITNESSES: usize = 2;
 
 /// A candidate read pair with shared-k-mer evidence. Its witnesses live
 /// inline, so a candidate costs no allocation of its own.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CandidatePair {
     /// Lower read id.
     pub r1: u32,

@@ -11,10 +11,9 @@
 //! kernel buys accuracy, not just speed.
 
 use logan_seq::Scoring;
-use serde::{Deserialize, Serialize};
 
 /// The adaptive threshold line.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdaptiveThreshold {
     /// Expected score per overlap base for true overlaps.
     pub phi: f64,

@@ -265,17 +265,6 @@ mod tests {
     }
 
     #[test]
-    fn logan_config_serializes_with_engine() {
-        // The harness dumps configs alongside results; the engine field
-        // must round out to a plain string through the vendored serde.
-        let mut cfg = logan_core::LoganConfig::with_x(100);
-        cfg.engine = logan_align::Engine::Simd;
-        let json = serde_json::to_string(&cfg).expect("config serializes");
-        assert!(json.contains("\"engine\""), "got {json}");
-        assert!(json.contains("Simd"), "got {json}");
-    }
-
-    #[test]
     fn scale_defaults() {
         let s = BenchScale {
             pair_scale: 0.002,

@@ -4,7 +4,8 @@
 //! simulation, X-drop work, device simulation, projection) is
 //! deterministic, so any drift here is an unintended behaviour change.
 //!
-//! Floats are compared with a relative tolerance rather than textually;
+//! Both sides are read with `serde_json::parse_value` and compared as
+//! trees, floats with a relative tolerance rather than textually;
 //! non-finite values degrade to `null` in the writer (see the
 //! `serde_json` subset) and compare as such. To regenerate the snapshot
 //! after an *intended* change:
@@ -14,92 +15,49 @@
 //!     cargo run -p logan-bench --bin table2_fig8
 //! ```
 
+use serde::Value;
 use std::path::PathBuf;
 use std::process::Command;
 
-/// A lexical JSON token; numbers carry their parsed value so the
-/// comparison can be tolerant.
-#[derive(Debug, PartialEq)]
-enum Tok {
-    Punct(char),
-    Str(String),
-    Num(f64),
-    Null,
-    Bool(bool),
+fn number(v: &Value) -> Option<f64> {
+    match *v {
+        Value::I64(n) => Some(n as f64),
+        Value::U64(n) => Some(n as f64),
+        Value::F64(x) => Some(x),
+        _ => None,
+    }
 }
 
-/// Tokenize a JSON document (strings kept with their raw escapes — both
-/// sides come from the same writer, so escape-level equality is exact).
-fn lex(src: &str) -> Vec<Tok> {
-    let bytes = src.as_bytes();
-    let mut toks = Vec::new();
-    let mut i = 0;
-    while i < bytes.len() {
-        let c = bytes[i] as char;
-        match c {
-            ' ' | '\t' | '\n' | '\r' => i += 1,
-            '{' | '}' | '[' | ']' | ',' | ':' => {
-                toks.push(Tok::Punct(c));
-                i += 1;
-            }
-            '"' => {
-                let start = i + 1;
-                let mut j = start;
-                while j < bytes.len() && bytes[j] != b'"' {
-                    j += if bytes[j] == b'\\' { 2 } else { 1 };
-                }
-                toks.push(Tok::Str(src[start..j].to_string()));
-                i = j + 1;
-            }
-            'n' => {
-                assert_eq!(&src[i..i + 4], "null", "bad literal at byte {i}");
-                toks.push(Tok::Null);
-                i += 4;
-            }
-            't' => {
-                assert_eq!(&src[i..i + 4], "true", "bad literal at byte {i}");
-                toks.push(Tok::Bool(true));
-                i += 4;
-            }
-            'f' => {
-                assert_eq!(&src[i..i + 5], "false", "bad literal at byte {i}");
-                toks.push(Tok::Bool(false));
-                i += 5;
-            }
-            _ => {
-                let start = i;
-                while i < bytes.len()
-                    && matches!(bytes[i], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-                {
-                    i += 1;
-                }
-                let num: f64 = src[start..i].parse().unwrap_or_else(|e| {
-                    panic!("bad number {:?} at byte {start}: {e}", &src[start..i])
-                });
-                toks.push(Tok::Num(num));
+/// `got` against `want` at `path`: the same shape, keys and key order,
+/// with numbers equal up to a 1e-9 relative tolerance.
+fn assert_tree_close(got: &Value, want: &Value, path: &str) {
+    match (got, want) {
+        (Value::Seq(g), Value::Seq(w)) => {
+            assert_eq!(g.len(), w.len(), "{path}: length drifted");
+            for (i, (g, w)) in g.iter().zip(w).enumerate() {
+                assert_tree_close(g, w, &format!("{path}[{i}]"));
             }
         }
+        (Value::Map(g), Value::Map(w)) => {
+            let keys = |m: &[(String, Value)]| m.iter().map(|(k, _)| k.clone()).collect::<Vec<_>>();
+            assert_eq!(keys(g), keys(w), "{path}: keys drifted");
+            for ((k, g), (_, w)) in g.iter().zip(w) {
+                assert_tree_close(g, w, &format!("{path}.{k}"));
+            }
+        }
+        _ => match (number(got), number(want)) {
+            (Some(a), Some(b)) => assert!(
+                (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1.0),
+                "{path} drifted: got {a} want {b}"
+            ),
+            _ => assert_eq!(got, want, "{path} drifted"),
+        },
     }
-    toks
 }
 
 fn assert_json_close(got: &str, want: &str) {
-    let got_toks = lex(got);
-    let want_toks = lex(want);
-    assert_eq!(
-        got_toks.len(),
-        want_toks.len(),
-        "token count drifted: got {} want {}",
-        got_toks.len(),
-        want_toks.len()
-    );
-    for (idx, (g, w)) in got_toks.iter().zip(&want_toks).enumerate() {
-        let ok = match (g, w) {
-            (Tok::Num(a), Tok::Num(b)) => (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1.0),
-            _ => g == w,
-        };
-        assert!(ok, "token {idx} drifted: got {g:?} want {w:?}");
-    }
+    let parse = |text| serde_json::parse_value(text).expect("valid JSON");
+    assert_tree_close(&parse(got), &parse(want), "$");
 }
 
 #[test]
@@ -125,15 +83,6 @@ fn table2_fig8_matches_golden_snapshot() {
     )
     .expect("checked-in golden snapshot");
     assert_json_close(&got, &want);
-}
-
-#[test]
-fn lexer_handles_the_artifact_grammar() {
-    let toks = lex(r#"{"a": [1, -2.5e3, null, true, false], "b\"c": "x"}"#);
-    assert_eq!(toks.len(), 19);
-    assert!(toks.contains(&Tok::Num(-2500.0)));
-    assert!(toks.contains(&Tok::Str("b\\\"c".into())));
-    assert!(toks.contains(&Tok::Null));
 }
 
 #[test]

@@ -35,7 +35,7 @@ use crate::executor::LoganExecutor;
 use logan_align::{SeedExtendResult, XDropCpuAligner};
 use logan_gpusim::KernelReport;
 use logan_seq::readsim::ReadPair;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// An alignment backend: anything that can extend a block of read pairs.
 ///
@@ -171,7 +171,7 @@ impl<T: AlignBackend + ?Sized> AlignBackend for Box<T> {
 /// reports without knowing who produced them. Host-only backends leave
 /// the simulated fields at zero; simulated backends also measure host
 /// wall time, so the two time domains never mix.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct BackendReport {
     /// Pairs aligned.
     pub pairs: usize,
@@ -308,7 +308,7 @@ impl AlignBackend for XDropCpuAligner {
 
     fn align_block(&self, block: &[ReadPair]) -> (Vec<SeedExtendResult>, BackendReport) {
         let batch = self.run(block);
-        let wall_s = batch.wall.unwrap_or_default().as_secs_f64();
+        let wall_s = batch.wall.as_secs_f64();
         let mut report = BackendReport::from_host(block.len(), batch.total_cells, wall_s);
         report.tiers = batch.tiers;
         (batch.results, report)

@@ -20,10 +20,9 @@ use logan_align::{Engine, ExtensionResult, SeedExtendResult};
 use logan_gpusim::{Device, DeviceSpec, LaunchConfig, Timeline};
 use logan_seq::readsim::ReadPair;
 use logan_seq::ScoreProfile;
-use serde::{Deserialize, Serialize};
 
 /// How many threads each block gets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ThreadPolicy {
     /// Threads ∝ X, rounded up to a warp, clamped to the device maximum
     /// (the paper's scheduling optimization, §IV-B).
@@ -48,7 +47,7 @@ impl ThreadPolicy {
 }
 
 /// Executor configuration (the paper's defaults).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LoganConfig {
     /// Substitution model with linear gaps — the DNA match/mismatch
     /// fast path (default: match +1 / mismatch −1 / gap −1) or a dense

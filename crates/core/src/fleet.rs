@@ -55,7 +55,7 @@ use crate::faults::{
 use logan_align::{SeedExtendResult, XDropCpuAligner};
 use logan_gpusim::DeviceSpec;
 use logan_seq::readsim::ReadPair;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -156,7 +156,7 @@ impl Default for FleetSupervision {
 }
 
 /// Report of a fleet run: per-worker detail plus deployment aggregates.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FleetReport {
     /// Per-worker reports, in worker order.
     pub per_worker: Vec<BackendReport>,

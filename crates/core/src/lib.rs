@@ -21,12 +21,13 @@
 //!   over a seeded [`faults::FaultPlan`]) and self-healing supervision
 //!   ([`faults::Supervised`]: bounded retry, re-dispatch, poison-block
 //!   detection) shared by the fleet scoreboard and the serve simulator.
-//! * [`fleet`] — the multi-device scheduler: one worker thread per
-//!   backend, either work-stealing (chunks sized by throughput hints) or
+//! * [`fleet`] — the multi-device scheduler over one backend per
+//!   worker, either work-stealing (chunks sized by throughput hints,
+//!   one event loop on the calling thread in virtual device time) or
 //!   the paper's static length-weighted balancer (§IV-C, Fig. 7;
-//!   [`fleet::Fleet::static_gpus`]), results order-normalized so both
-//!   schedules are bit-identical; [`fleet::FleetReport`] is the
-//!   per-worker view of a run.
+//!   [`fleet::Fleet::static_gpus`]; one scoped thread per worker),
+//!   results order-normalized so both schedules are bit-identical;
+//!   [`fleet::FleetReport`] is the per-worker view of a run.
 //! * [`comparators`] — GPU comparator kernels for Fig. 12: a
 //!   CUDASW++-style full Smith–Waterman and a manymap-style banded
 //!   extension.

@@ -14,12 +14,8 @@
 //! reused for every other row and both BELLA tables — so every *trend*
 //! is produced by the measured algorithm behaviour, not by the model.
 
-use serde::Serialize;
-
 /// A CPU machine model in the `cells → seconds` sense.
-// `name` is a `&'static str`, so this model serializes but does not
-// round-trip (there is nothing to borrow from at deserialization time).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CpuPlatformModel {
     /// Human-readable platform name.
     pub name: &'static str,

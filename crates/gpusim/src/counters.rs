@@ -5,10 +5,10 @@
 //! single source of truth for simulated time, GCUPS and the roofline
 //! (the paper's Fig. 13 derives entirely from these numbers).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Counters accumulated by one block during kernel execution.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct BlockCounters {
     /// Warp-level integer instructions issued.
     pub warp_instructions: u64,
@@ -59,7 +59,7 @@ impl BlockCounters {
 }
 
 /// Aggregated statistics of one kernel launch.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct KernelStats {
     /// Sum of all block counters.
     pub total: BlockCounters,

@@ -7,10 +7,10 @@ use crate::sched::{schedule, BlockCost, ScheduleResult};
 use crate::spec::DeviceSpec;
 use parking_lot::Mutex;
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Grid configuration of a kernel launch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct LaunchConfig {
     /// Number of blocks (`gridDim.x`).
     pub blocks: usize,
@@ -21,7 +21,7 @@ pub struct LaunchConfig {
 }
 
 /// Everything the simulator knows about one completed launch.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct KernelReport {
     /// Aggregated counters.
     pub stats: KernelStats,
@@ -201,7 +201,7 @@ impl Device {
 /// A simulated-time accumulator for one device's command queue: kernels
 /// execute back to back; host↔device transfers may overlap the previous
 /// kernel (LOGAN retrieves results asynchronously, §IV-B).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Timeline {
     seconds: f64,
     last_kernel_s: f64,

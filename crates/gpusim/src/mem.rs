@@ -13,14 +13,13 @@
 //!    effective-traffic ratio between the two patterns is what the
 //!    `reversal` ablation bench measures.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// HBM sector size in bytes (V100 L2 sector).
 pub(crate) const SECTOR_BYTES: u64 = 32;
 
 /// How a warp's lanes address memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AccessPattern {
     /// Consecutive lanes touch consecutive addresses: a full warp of
     /// 4-byte words needs 128 bytes = 4 sectors.

@@ -14,10 +14,10 @@
 //! same bound-and-bottleneck logic as the roofline of §VII.
 
 use crate::spec::DeviceSpec;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Cost summary of one block, fed to the scheduler.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BlockCost {
     /// Warp-level instructions the block issues.
     pub warp_instructions: u64,
@@ -26,7 +26,7 @@ pub struct BlockCost {
 }
 
 /// Result of scheduling one kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct ScheduleResult {
     /// Pure compute time (instruction issue), seconds.
     pub compute_time_s: f64,

@@ -1,7 +1,5 @@
 //! Device specifications.
 
-use serde::{Deserialize, Serialize};
-
 /// Static description of a simulated GPU.
 ///
 /// The default, [`DeviceSpec::v100`], mirrors the NVIDIA Tesla V100
@@ -13,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// Note: the paper quotes 220.8 integer warp GIPS; the formula it states
 /// (`16/32 × 489.6`) evaluates to 244.8. We implement the formula, not
 /// the misprint, and say so in EXPERIMENTS.md.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceSpec {
     /// Marketing name, for reports.
     pub name: String,

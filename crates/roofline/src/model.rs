@@ -1,10 +1,9 @@
 //! Roofline ceilings and measured points.
 
 use logan_gpusim::{DeviceSpec, KernelStats};
-use serde::{Deserialize, Serialize};
 
 /// The instruction roofline of a device.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InstructionRoofline {
     /// Device name for reports.
     pub device: String,
@@ -47,7 +46,7 @@ impl InstructionRoofline {
 }
 
 /// A measured kernel, positioned on the roofline.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RooflinePoint {
     /// Operational intensity, warp instructions / HBM byte.
     pub oi: f64,

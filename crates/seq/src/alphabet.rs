@@ -6,7 +6,6 @@
 //! [`Base`] is the typed view of a code. For protein the codes `0..20`
 //! index [`AMINO_ACIDS`].
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::LazyLock;
 
@@ -21,7 +20,7 @@ pub const AMINO_ACIDS: &[u8; 20] = b"ARNDCQEGHILKMFPSTWYV";
 pub(crate) const NOT_A_SYMBOL: u8 = 0xFF;
 
 /// Which symbol set a sequence's codes index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Alphabet {
     /// 4-letter nucleotide alphabet, codes `0..4` ([`Base`]).
     #[default]
@@ -90,7 +89,7 @@ impl Alphabet {
 ///
 /// The discriminant is the 2-bit encoding (`A=0, C=1, G=2, T=3`), so
 /// `base as u8` is directly usable as a packed code.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(u8)]
 pub enum Base {
     /// Adenine.

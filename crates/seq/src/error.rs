@@ -10,10 +10,9 @@
 use crate::alphabet::Base;
 use crate::seq::Seq;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Per-base probabilities of each edit type.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ErrorProfile {
     /// Probability a template base is substituted.
     pub substitution: f64,
@@ -54,7 +53,7 @@ impl ErrorProfile {
 }
 
 /// Counts of edits introduced by one application of the model.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EditCounts {
     /// Substituted bases.
     pub substitutions: usize,

@@ -7,13 +7,12 @@
 
 use crate::alphabet::{Alphabet, Base};
 use crate::seq::Seq;
-use serde::{Deserialize, Serialize};
 
 /// Maximum supported k (2 bits per base in a `u64`).
 pub const MAX_K: usize = 32;
 
 /// A k-mer: packed 2-bit code plus its length.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Kmer {
     /// 2-bit packed bases, most significant pair = first base.
     pub code: u64,

@@ -20,7 +20,6 @@
 
 use crate::alphabet::Alphabet;
 use crate::scoring::Scoring;
-use serde::{field, Deserialize, DeserializeError, Serialize, Value};
 use std::fmt;
 use std::sync::Mutex;
 
@@ -382,66 +381,6 @@ impl std::str::FromStr for ScoreProfile {
     }
 }
 
-// Matrices serialize by value and re-intern on deserialize, so a `Copy`
-// profile survives a JSON round trip. Tree shape:
-// `{"match_mismatch": <Scoring>}` or
-// `{"matrix": {"alphabet": .., "name": .., "scores": [..], "gap": ..}}`.
-impl Serialize for ScoreProfile {
-    fn to_value(&self) -> Value {
-        match *self {
-            ScoreProfile::MatchMismatch(s) => {
-                Value::Map(vec![("match_mismatch".to_string(), s.to_value())])
-            }
-            ScoreProfile::Matrix(m) => Value::Map(vec![(
-                "matrix".to_string(),
-                Value::Map(vec![
-                    ("alphabet".to_string(), m.alphabet.to_value()),
-                    ("name".to_string(), m.name.to_value()),
-                    ("scores".to_string(), m.scores.to_value()),
-                    ("gap".to_string(), m.gap.to_value()),
-                ]),
-            )]),
-        }
-    }
-}
-
-impl Deserialize for ScoreProfile {
-    fn from_value(v: &Value) -> Result<ScoreProfile, DeserializeError> {
-        let entries = match v {
-            Value::Map(entries) => entries,
-            _ => return Err(DeserializeError::expected("score profile (object)", v)),
-        };
-        match entries.first().map(|(k, v)| (k.as_str(), v)) {
-            Some(("match_mismatch", body)) => {
-                Ok(ScoreProfile::MatchMismatch(Scoring::from_value(body)?))
-            }
-            Some(("matrix", body)) => {
-                let fields = match body {
-                    Value::Map(fields) => fields,
-                    _ => return Err(DeserializeError::expected("matrix (object)", body)),
-                };
-                let alphabet = Alphabet::from_value(field(fields, "alphabet"))?;
-                let name = String::from_value(field(fields, "name"))?;
-                let scores = Vec::<i32>::from_value(field(fields, "scores"))?;
-                let gap = i32::from_value(field(fields, "gap"))?;
-                let want = alphabet.size() * alphabet.size();
-                if scores.len() != want {
-                    return Err(DeserializeError::new(format!(
-                        "substitution table has {} entries, expected {want}",
-                        scores.len()
-                    )));
-                }
-                Ok(ScoreProfile::Matrix(intern(SubstMatrix::finish(
-                    alphabet, name, scores, gap,
-                ))))
-            }
-            _ => Err(DeserializeError::new(
-                "score profile: expected a match_mismatch or matrix key",
-            )),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -545,26 +484,6 @@ mod tests {
             "blosum62:-1001",
         ] {
             assert!(bad.parse::<ScoreProfile>().is_err(), "{bad} must fail");
-        }
-    }
-
-    #[test]
-    fn serde_round_trips_both_variants() {
-        for p in [
-            ScoreProfile::default(),
-            ScoreProfile::MatchMismatch(Scoring::new(2, -3, -4)),
-            ScoreProfile::blosum62(-6),
-        ] {
-            let text = serde_json::to_string(&p).unwrap();
-            let back: ScoreProfile = serde_json::from_str(&text).unwrap();
-            assert_eq!(back, p);
-        }
-        // Deserialized matrices re-intern: same static as a fresh build.
-        let text = serde_json::to_string(&ScoreProfile::blosum62(-6)).unwrap();
-        let back: ScoreProfile = serde_json::from_str(&text).unwrap();
-        match back {
-            ScoreProfile::Matrix(m) => assert!(std::ptr::eq(m, SubstMatrix::blosum62(-6))),
-            _ => panic!("matrix expected"),
         }
     }
 }

@@ -23,11 +23,10 @@ use crate::error::{ErrorModel, ErrorProfile};
 use crate::seq::Seq;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// An exact-match seed shared by the two sequences of a pair: LOGAN
 /// extends left and right from such a seed (paper Fig. 5).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Seed {
     /// Start of the seed in the first (query) sequence.
     pub qpos: usize,
@@ -38,7 +37,7 @@ pub struct Seed {
 }
 
 /// A pair of reads plus the seed from which extension starts.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ReadPair {
     /// First read of the pair ("query").
     pub query: Seq,
@@ -58,7 +57,7 @@ pub struct ReadPair {
 /// batches are contiguous (`next.start_id == prev.start_id +
 /// prev.seqs.len()`). Sources that own richer records (FASTA names,
 /// ground truth) keep them on the side, keyed by the same ids.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReadBatch {
     /// Id of the first read in the batch.
     pub start_id: usize,
@@ -81,7 +80,7 @@ pub fn seq_batches(seqs: &[Seq], batch_reads: usize) -> impl Iterator<Item = Rea
 }
 
 /// A benchmark set of read pairs (the 100 K-alignment workload).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PairSet {
     /// The pairs.
     pub pairs: Vec<ReadPair>,
@@ -202,7 +201,7 @@ pub fn random_seq<R: Rng>(n: usize, rng: &mut R) -> Seq {
 }
 
 /// A read sampled from a genome, with its ground-truth origin.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SimulatedRead {
     /// Read identifier (index in the set).
     pub id: usize,
@@ -229,7 +228,7 @@ impl SimulatedRead {
 }
 
 /// A simulated read set with its genome and ground truth.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ReadSet {
     /// The reference the reads were sampled from.
     pub genome: Seq,
@@ -369,7 +368,7 @@ impl ReadSimulator {
 /// Named data-set presets matching the paper's evaluation, each with a
 /// `scale` knob (1.0 = paper scale) so benchmark harnesses can run a
 /// CPU-affordable subset and report the scale factor alongside.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum DatasetPreset {
     /// E. coli-like: 4.64 Mb genome, depth ~30 (Table IV / Fig. 10).
     EcoliLike,

@@ -6,14 +6,12 @@
 //! `open + l * extend`. Both schemes are carried by value — they are tiny
 //! and `Copy`.
 
-use serde::{Deserialize, Serialize};
-
 /// Linear-gap scoring used by the X-drop aligners.
 ///
 /// The paper's benchmark configuration (and SeqAn's default for
 /// `extendSeedL` in BELLA) is `match = +1`, `mismatch = -1`, `gap = -1`,
 /// available as [`Scoring::default`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Scoring {
     /// Score added for a matching pair of bases (positive).
     pub match_score: i32,
@@ -77,7 +75,7 @@ impl Scoring {
 /// The defaults mirror minimap2's presets for noisy long reads:
 /// `match=+2, mismatch=-4, gap_open=4, gap_extend=2` (penalties stored
 /// positive, as in ksw2's API).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AffineScoring {
     /// Score added for a match (positive).
     pub match_score: i32,

@@ -19,7 +19,6 @@
 //! buffer of its own.
 
 use crate::alphabet::{Alphabet, Base, NOT_A_SYMBOL};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::Index;
 use std::sync::{Arc, LazyLock};
@@ -28,7 +27,7 @@ use std::sync::{Arc, LazyLock};
 /// The default alphabet is DNA, so every pre-existing DNA path
 /// constructs and consumes exactly the codes it always did. Cloning
 /// shares the codes (see the module docs).
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Seq {
     codes: Arc<Vec<u8>>,
     alphabet: Alphabet,
@@ -557,56 +556,5 @@ mod tests {
         assert_eq!(a.to_ascii(), b"G");
         assert!(b.is_empty() && Seq::new().is_empty());
         assert_eq!(b.alphabet(), Alphabet::Dna);
-    }
-
-    #[test]
-    fn json_is_the_plain_code_list() {
-        // The shared buffer is invisible on the wire: the text a
-        // `Vec<u8>`-backed `Seq` wrote.
-        assert_eq!(
-            serde_json::to_string(&seq("ACGTAC")).unwrap(),
-            r#"{"codes":[0,1,2,3,0,1],"alphabet":"Dna"}"#
-        );
-        assert_eq!(
-            serde_json::to_string(&Seq::from_protein_ascii(b"WYVHK").unwrap()).unwrap(),
-            r#"{"codes":[17,18,19,8,11],"alphabet":"Protein"}"#
-        );
-        assert_eq!(
-            serde_json::to_string(&Seq::new()).unwrap(),
-            r#"{"codes":[],"alphabet":"Dna"}"#
-        );
-        // A pair of clones of one read writes the read out twice.
-        let read = seq("GATTACA");
-        let pair = crate::readsim::ReadPair {
-            query: read.clone(),
-            target: read,
-            seed: crate::Seed {
-                qpos: 1,
-                tpos: 2,
-                len: 3,
-            },
-            template_len: 7,
-        };
-        let text = serde_json::to_string(&pair).unwrap();
-        assert_eq!(
-            text,
-            concat!(
-                r#"{"query":{"codes":[2,0,3,3,0,1,0],"alphabet":"Dna"},"#,
-                r#""target":{"codes":[2,0,3,3,0,1,0],"alphabet":"Dna"},"#,
-                r#""seed":{"qpos":1,"tpos":2,"len":3},"template_len":7}"#
-            )
-        );
-        let back: crate::readsim::ReadPair = serde_json::from_str(&text).unwrap();
-        assert_eq!((back.query, back.target), (pair.query, pair.target));
-    }
-
-    #[test]
-    fn serde_round_trips_both_alphabets() {
-        for s in [seq("ACGTAC"), Seq::from_protein_ascii(b"WYVHK").unwrap()] {
-            let text = serde_json::to_string(&s).unwrap();
-            let back: Seq = serde_json::from_str(&text).unwrap();
-            assert_eq!(back, s);
-            assert_eq!(back.alphabet(), s.alphabet());
-        }
     }
 }

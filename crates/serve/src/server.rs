@@ -155,10 +155,7 @@ impl Server {
             workers: Mutex::new(Vec::with_capacity(lanes)),
         };
         for lane in 0..lanes {
-            let shared = Arc::clone(&server.shared);
-            let worker = std::thread::Builder::new()
-                .name(format!("logan-serve-lane-{lane}"))
-                .spawn(move || shared.serve_lane(lane))
+            let worker = spawn_lane(Arc::clone(&server.shared), lane)
                 .map_err(|e| format!("failed to spawn serve lane {lane}: {e}"))?;
             lock_recover(&server.workers).push(worker);
         }
@@ -222,6 +219,17 @@ impl Server {
     }
 }
 
+/// Start `lane`'s worker thread.
+fn spawn_lane(shared: Arc<Shared>, lane: usize) -> std::io::Result<JoinHandle<()>> {
+    #[cfg(test)]
+    if tests::FAIL_SPAWN_AT.get() == Some(lane) {
+        return Err(std::io::Error::other("spawn refused by the test hook"));
+    }
+    std::thread::Builder::new()
+        .name(format!("logan-serve-lane-{lane}"))
+        .spawn(move || shared.serve_lane(lane))
+}
+
 impl Drop for Server {
     fn drop(&mut self) {
         let _ = self.shutdown();
@@ -236,6 +244,12 @@ mod tests {
     use logan_core::faults::BackendError;
     use logan_seq::readsim::PairSet;
     use logan_seq::Scoring;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// The lane whose spawn [`spawn_lane`] refuses on this thread.
+        pub(super) static FAIL_SPAWN_AT: Cell<Option<usize>> = const { Cell::new(None) };
+    }
 
     fn cpu_backend() -> Arc<dyn AlignBackend> {
         Arc::new(XDropCpuAligner::new(
@@ -498,5 +512,27 @@ mod tests {
             (stats.failed, stats.completed, stats.lanes_retired),
             (1, 1, 0)
         );
+    }
+
+    #[test]
+    fn a_failed_later_lane_spawn_joins_the_lanes_already_started() {
+        let backend: Arc<dyn AlignBackend> = Arc::new(
+            "cpu:1+cpu:1+cpu:1"
+                .parse::<logan_core::FleetSpec>()
+                .unwrap()
+                .build(
+                    logan_gpusim::DeviceSpec::v100(),
+                    logan_core::LoganConfig::with_x(50),
+                ),
+        );
+        assert_eq!(backend.lanes(), 3);
+        FAIL_SPAWN_AT.set(Some(2));
+        let started = Server::start(Arc::clone(&backend), ServeConfig::default());
+        FAIL_SPAWN_AT.set(None);
+        let err = started.err().expect("the third spawn fails");
+        assert!(err.contains("serve lane 2"), "{err}");
+        // Lanes 0 and 1 were running; they held the backend through the
+        // server's shared state until they were joined.
+        assert_eq!(Arc::strong_count(&backend), 1);
     }
 }

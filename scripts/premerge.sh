@@ -7,7 +7,8 @@
 # Mirrors the tier-1 definition in ROADMAP.md plus the style gates:
 # no-#[ignore] guard, one-kernel-source, one-recurrence,
 # one-supervisor, one-concurrent-component, one-serving-core,
-# one-pipeline-driver and public-surface-has-callers guards, rustfmt,
+# one-pipeline-driver, reports-are-written-never-read and
+# public-surface-has-callers guards, rustfmt,
 # clippy (warnings are errors),
 # release build, the engine_tiers smoke, the protein_homology example,
 # the repo benchmark's own gate (benchmark/check.sh), the test suite,
@@ -141,6 +142,20 @@ if [[ $(grep -c . <<<"$seeder_sites" || true) -ne 1 ||
   echo "error: crates/bella/src must match Seeder::Minimizer => and call" \
     "AdaptiveThreshold::new( exactly once each (found above); run the stages of" \
     "crates/bella/src/pipeline.rs instead of a second copy of them" >&2
+  exit 1
+fi
+
+step "guard: reports are written, never read (no typed JSON reader)"
+# The program writes its reports and turns no JSON back into a typed
+# value (DESIGN.md §4): serde derives Serialize on the artifacts it
+# writes, and the benchmark reads JSON as an untyped serde::Value
+# (serde_json::parse_value). A Deserialize impl would be a second,
+# unchecked way into types whose FromStr grammars bound every value.
+if grep -RInE --include='*.rs' \
+  -e '\bDeserialize(Error)?\b' -e '\bfrom_value\b' -e 'serde_json::from_str\b' \
+  crates src tests examples third_party; then
+  echo "error: typed deserialization is not allowed (listed above); read JSON" \
+    "with serde_json::parse_value, or compare the written bytes" >&2
   exit 1
 fi
 
